@@ -6,7 +6,7 @@ subcommand (summary.json + exit code).
 """
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from . import mollify as M
 from . import planewave as pw
 from . import shellmod as S
 from .grids import AngularGrid, Grid1D
-from .odesolve import rk4_second_order
+from .odesolve import solve_linear_second_order
 from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes
 from .rates import fit_rate
 from .stencils import deriv1_fd4
@@ -51,9 +51,6 @@ class Verdict:
     seconds: float
     details: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return asdict(self)
-
 
 def _verdict(name, checks, t0, **details):
     """checks: dict label -> bool; fails listed in details."""
@@ -71,7 +68,6 @@ def criterion_burnett() -> Verdict:
     t0 = time.time()
     seed = pw.SEEDS["cosine"]
     lam_seq = [2.0**-j for j in range(2, 11)]
-    interval = Grid1D(0.0, 0.5, 4097)
 
     def family(lam):
         n = max(4097, int(np.ceil(64 * 0.5 / lam)) + 1)
@@ -95,10 +91,10 @@ def criterion_burnett() -> Verdict:
 
     # limit member: averaged coefficient ODE, curvature from an independent stencil
     grid = Grid1D(0.0, 0.5, 4097)
-    ys, vs, _ = rk4_second_order(
-        lambda u, y, v: -(seed.k(u) ** 2 / 8.0) * y, np.array(1.0), np.array(0.0), grid
+    limit = solve_linear_second_order(
+        grid, np.zeros_like, lambda u: seed.k(u) ** 2 / 8.0, None, 1.0, 0.0
     )
-    h0 = ys.ravel()
+    h0 = limit.phi
     d2 = deriv1_fd4(deriv1_fd4(h0, grid.h), grid.h)
     ric_limit = -2.0 * d2 / h0
     ric_target = 0.25 * seed.k(grid.points()) ** 2
@@ -111,7 +107,7 @@ def criterion_burnett() -> Verdict:
         fac = pw.solve_H(prof, richardson=False)
         pts = prof.grid.points()
         href = np.interp(pts, grid.points(), h0)
-        vref = np.interp(pts, grid.points(), vs.ravel())
+        vref = np.interp(pts, grid.points(), limit.dphi)
         c1_gaps.append(float(np.abs(fac.h - href).max() + np.abs(fac.dh - vref).max()))
     c1_slope = fit_rate(lam_seq, c1_gaps).slope
 

@@ -75,15 +75,6 @@ def div_sym2(chart, gamma, T, gam=None) -> np.ndarray:
     return np.einsum("...bc,...bca->...a", sym2_inverse(gamma), nab)
 
 
-def volume_form(gamma: np.ndarray) -> np.ndarray:
-    """eps_{ab} with eps_{12} = sqrt(det gamma)."""
-    s = area_element(gamma)
-    eps = np.zeros(gamma.shape)
-    eps[..., 0, 1] = s
-    eps[..., 1, 0] = -s
-    return eps
-
-
 def volume_form_upper(gamma: np.ndarray) -> np.ndarray:
     """eps^{ab} = gamma^{ac} gamma^{bd} eps_{cd} = eps_{ab} / det gamma."""
     s = area_element(gamma)
@@ -134,11 +125,6 @@ def dot22(gamma, T, S) -> np.ndarray:
     return np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, T, S)
 
 
-def dot21(gamma, T, phi) -> np.ndarray:
-    """(T . phi)_a = gamma^{bc} T_{ab} phi_c."""
-    return np.einsum("...bc,...ab,...c->...a", sym2_inverse(gamma), T, phi)
-
-
 def hat_otimes(gamma, phi, psi) -> np.ndarray:
     """(phi (x)^ psi)_{ab} = phi_a psi_b + phi_b psi_a - gamma_{ab} (phi . psi)."""
     outer = phi[..., :, None] * psi[..., None, :]
@@ -156,11 +142,6 @@ def star_oneform(gamma, phi) -> np.ndarray:
     return np.einsum("...ac,...cb,...b->...a", gamma, volume_form_upper(gamma), phi)
 
 
-def star_sym2(gamma, T) -> np.ndarray:
-    """(*T)_{ab} = gamma_{bd} eps^{dc} T_{ac}."""
-    return np.einsum("...bd,...dc,...ac->...ab", gamma, volume_form_upper(gamma), T)
-
-
 def raise_index(gamma, phi) -> np.ndarray:
     """phi^a = gamma^{ab} phi_b."""
     return np.einsum("...ab,...b->...a", sym2_inverse(gamma), phi)
@@ -169,19 +150,3 @@ def raise_index(gamma, phi) -> np.ndarray:
 def lower_index(gamma, X) -> np.ndarray:
     """X_a = gamma_{ab} X^b."""
     return np.einsum("...ab,...b->...a", gamma, X)
-
-
-def mixed_from_cov(gamma, T) -> np.ndarray:
-    """T^a_b = gamma^{ac} T_{cb}."""
-    return np.einsum("...ac,...cb->...ab", sym2_inverse(gamma), T)
-
-
-def norm2_oneform(gamma, phi) -> np.ndarray:
-    return dot11(gamma, phi, phi)
-
-
-def norm2_sym2(gamma, T) -> np.ndarray:
-    return dot22(gamma, T, T)
-
-
-__all__ = [n for n in dir() if not n.startswith("_")]

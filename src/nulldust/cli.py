@@ -18,7 +18,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -116,8 +115,7 @@ def cmd_burnett(args):
         fac = pw.solve_H(prof, richardson=False)
         return lam, pairing, abs(pairing - target), float(np.abs(pw.ricci_uu(prof, fac)).max())
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(one, lam_seq))
+    rows = [one(lam) for lam in lam_seq]
     fit = fit_rate([r[0] for r in rows], [r[2] for r in rows])
     _write_csv(
         os.path.join(outdir, "pairings.csv"),
@@ -394,7 +392,6 @@ def build_parser():
         description="high-frequency gravitational-wave limits and null dust shells: numerical laboratory",
     )
     ap.add_argument("--out", default=None, help="output root (default $NULLDUST_OUT or ./runs)")
-    ap.add_argument("--jobs", type=int, default=1, help="worker pool size for independent members")
     ap.add_argument("--plot-data", action="store_true", help="also emit whitespace-column .dat tables")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -415,14 +412,12 @@ def build_parser():
     p.set_defaults(func=cmd_gowdy)
 
     p = sub.add_parser("constraints", help="hypersurface constraint solves and weak residuals")
-    p.add_argument("--data", default="vacuum", help="label recorded in the manifest")
     p.add_argument("--dust", default=None,
                    help="dust spec: 'atom UB MASS' / 'density LEVEL' lines, ';'-separated; "
                         "mass profiles const:V or cos:BASE,AMP")
     p.set_defaults(func=cmd_constraints)
 
     p = sub.add_parser("hf-approx", help="dust-absorbing oscillation convergence tables")
-    p.add_argument("--n-seq", default="4..128", help="informational; the run uses dyadic members")
     p.add_argument("--k", default="auto", help="oscillation wavenumber (auto: escalating selection)")
     p.add_argument("--m-seq", default=None,
                    help="also run the measure->vacuum pipeline over this dyadic span, e.g. 1..6")
@@ -430,7 +425,6 @@ def build_parser():
     p.set_defaults(func=cmd_hf_approx)
 
     p = sub.add_parser("pipeline", help="characteristic transport residual report")
-    p.add_argument("--resolution", type=int, default=513)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("trapped", help="null-shell trapped-surface verdict")

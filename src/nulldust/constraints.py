@@ -58,10 +58,6 @@ class NullDustMeasure:
             if np.any(np.asarray(mass) < 0):
                 raise ValueError("atom masses must be nonnegative")
 
-    @property
-    def is_empty(self):
-        return not self.atoms and self.density is None
-
 
 @dataclass
 class ReducedCharData:

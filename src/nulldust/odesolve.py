@@ -1,9 +1,12 @@
-"""Fixed-step RK4 integrators and dense solution output.
+"""Fixed-step RK4 integrator and dense solution output.
 
 The hypersurface constraint is a second-order ODE per angular point; the
+plane-wave wave factor H'' = -(1/4) G'^2 H is its linear case (no lapse term,
+no source, one point), so both are marched by solve_linear_second_order.  The
 classical RK4 step needs coefficient values at half-steps, so coefficient
-providers are evaluated on the half-step lattice.  Inner loops are compiled
-with numba when available (bit-identical arithmetic either way).
+providers are evaluated on the half-step lattice.  The inner loop is compiled
+with numba when available and otherwise runs as a pure-Python loop over
+steps x points (bit-identical arithmetic either way).
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ except Exception:  # pragma: no cover
 
 
 class FocusingError(RuntimeError):
-    """The conformal factor crossed zero: the metric degenerates."""
+    """The conformal factor became nonpositive or NaN: the metric degenerates."""
 
     def __init__(self, message, location):
         super().__init__(message)
@@ -41,7 +44,7 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
 
     gl, cc, ff: (2*nc+1, M) at half-steps; phi, psi: (M,) state, updated in
     place; out_phi/out_psi: (nc+1, M) node storage including the entry state.
-    Returns the flat index of the first nonpositive phi or -1.
+    Returns the flat index of the first nonpositive or NaN phi, or -1.
     """
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
@@ -72,7 +75,7 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
             psi[j] = qn
             out_phi[i + 1, j] = pn
             out_psi[i + 1, j] = qn
-            if pn <= 0.0:
+            if not pn > 0.0:
                 return i * M + j
     return -1
 
@@ -143,38 +146,6 @@ class DenseSolution:
         return self._eval(ub, _dpoly) / self.grid.h
 
 
-def rk4_second_order(
-    rhs: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
-    y0,
-    dy0,
-    grid: Grid1D,
-):
-    """Generic RK4 for y'' = rhs(x, y, y'); returns node arrays (y, y', y'')."""
-    y = np.array(y0, dtype=float)
-    v = np.array(dy0, dtype=float)
-    h = grid.h
-    xs = grid.points()
-    ys = np.empty((grid.n,) + y.shape)
-    vs = np.empty_like(ys)
-    accs = np.empty_like(ys)
-    ys[0], vs[0] = y, v
-    accs[0] = rhs(xs[0], y, v)
-    for i in range(grid.n - 1):
-        x = xs[i]
-        k1y, k1v = v, rhs(x, y, v)
-        k2y = v + 0.5 * h * k1v
-        k2v = rhs(x + 0.5 * h, y + 0.5 * h * k1y, k2y)
-        k3y = v + 0.5 * h * k2v
-        k3v = rhs(x + 0.5 * h, y + 0.5 * h * k2y, k3y)
-        k4y = v + h * k3v
-        k4v = rhs(x + h, y + h * k3y, k4y)
-        y = y + h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        v = v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        ys[i + 1], vs[i + 1] = y, v
-        accs[i + 1] = rhs(xs[i + 1], y, v)
-    return ys, vs, accs
-
-
 def solve_linear_second_order(
     grid: Grid1D,
     glog_fn: Callable[[np.ndarray], np.ndarray],
@@ -188,7 +159,7 @@ def solve_linear_second_order(
 
     glog_fn/coeff_fn/source_fn map a batch of ub values (K,) to (K, *shape)
     coefficient arrays (source_fn may be None for the homogeneous equation).
-    Raises FocusingError if phi crosses zero.
+    Raises FocusingError at the first node where phi is nonpositive or NaN.
     """
     shape = np.shape(phi0)
     M = int(np.prod(shape)) if shape else 1
@@ -213,7 +184,7 @@ def solve_linear_second_order(
             step, j = divmod(int(bad), M)
             loc = grid.a + (pos + step + 1) * h
             raise FocusingError(
-                f"conformal factor reached zero near ub={loc:.6g} (angular flat index {j})",
+                f"conformal factor nonpositive or NaN near ub={loc:.6g} (angular flat index {j})",
                 location=(loc, j),
             )
         out_phi[pos + 1 : pos + nc + 1] = o_phi[1:]

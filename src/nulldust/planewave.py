@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import Grid1D
-from .odesolve import FocusingError, rk4_second_order
+from .odesolve import solve_linear_second_order
 from .quadrature import gauss_legendre_integrate
 
 
@@ -139,25 +139,23 @@ class WaveFactor:
 
 
 def solve_H(profile: WaveProfile, richardson: bool = True) -> WaveFactor:
-    """Integrate H'' = -(1/4) G'(ub)^2 H with H = 1, H' = 0 at the grid start."""
-    grid = profile.grid
+    """Integrate H'' = -(1/4) G'(ub)^2 H with H = 1, H' = 0 at the grid start.
 
-    def rhs(ub, y, v):
-        return -0.25 * profile.dg(ub) ** 2 * y
+    Raises FocusingError from the march at the first node where H is
+    nonpositive or NaN.
+    """
 
-    ys, vs, accs = rk4_second_order(rhs, np.array(1.0), np.array(0.0), grid)
-    ys, vs, accs = ys.ravel(), vs.ravel(), accs.ravel()
-    if np.any(ys <= 0.0):
-        i = int(np.argmax(ys <= 0.0))
-        raise FocusingError(
-            f"wave factor H crossed zero at ub={grid.points()[i]:.6g}",
-            location=grid.points()[i],
+    def solve(grid):
+        return solve_linear_second_order(
+            grid, np.zeros_like, lambda ub: 0.25 * profile.dg(ub) ** 2, None, 1.0, 0.0
         )
+
+    sol = solve(profile.grid)
     err = np.nan
     if richardson:
-        y2, _, _ = rk4_second_order(rhs, np.array(1.0), np.array(0.0), grid.refined(2))
-        err = float(np.abs(y2.ravel()[::2] - ys).max())
-    return WaveFactor(grid, ys, vs, accs, err)
+        fine = solve(profile.grid.refined(2))
+        err = float(np.abs(fine.phi[::2] - sol.phi).max())
+    return WaveFactor(profile.grid, sol.phi, sol.dphi, sol.ddphi, err)
 
 
 def ricci_uu(profile: WaveProfile, factor: WaveFactor) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Quadrature helpers: Gauss-Legendre on an interval, periodic trapezoid."""
+"""Quadrature helpers: Gauss-Legendre on an interval."""
 
 from functools import lru_cache
 
@@ -23,16 +23,3 @@ def gauss_legendre_nodes(a: float, b: float, n: int = 64):
     x, w = _gl_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * x, half * w
-
-
-def piecewise_gauss(f, breakpoints, n: int = 64) -> float:
-    """Gauss-Legendre applied piece by piece between breakpoints."""
-    total = 0.0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        if b > a:
-            total += gauss_legendre_integrate(f, a, b, n)
-    return total
-
-
-def trapezoid_integrate(y: np.ndarray, x: np.ndarray) -> float:
-    return float(np.trapezoid(y, x))

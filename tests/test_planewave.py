@@ -71,8 +71,18 @@ def test_wave_factor_cosine_oracle_and_order():
 def test_wave_factor_focusing_error():
     grid = Grid1D(0.0, 2.0, 1025)
     prof = pw.WaveProfile(1.0, grid, lambda u: 4.0 * u, lambda u: 4.0 * np.ones_like(u))
-    with pytest.raises(FocusingError):
+    with pytest.raises(FocusingError) as err:
         pw.solve_H(prof)  # H = cos(2 ub) crosses zero at pi/4
+    assert abs(err.value.location[0] - np.pi / 4) < 0.01
+
+
+def test_wave_factor_nan_is_focusing_error():
+    grid = Grid1D(0.0, 1.0, 193)
+    dg = lambda u: np.where(u > 0.5, np.nan, 1.0)
+    prof = pw.WaveProfile(1.0, grid, lambda u: u, dg)
+    with pytest.raises(FocusingError) as err:
+        pw.solve_H(prof)
+    assert abs(err.value.location[0] - 0.5) < 0.01
 
 
 def test_vacuum_residual_small():
