@@ -3,6 +3,7 @@ null dust shells, and characteristic constraint data in double-null gauge."""
 
 __version__ = "0.1.0"
 
+from .errors import NumericalFailure
 from .grids import AngularGrid, Grid1D
 from .fields import MetricBlock, PositivityError, TensorField2
 from .odesolve import DenseSolution, FocusingError, PiecewiseSolution
@@ -16,5 +17,6 @@ __all__ = [
     "DenseSolution",
     "PiecewiseSolution",
     "FocusingError",
+    "NumericalFailure",
     "__version__",
 ]

@@ -241,22 +241,18 @@ def criterion_constraints() -> Verdict:
     one, zero = _const_maps(chart)
 
     # RK4 order against the closed-form cosine: |dgam|^2 = 8 makes Phi'' = -Phi
-    def gh(ub):
-        g = np.zeros(chart.shape + (2, 2))
-        g[..., 0, 0] = np.exp(2.0 * ub)
-        g[..., 1, 1] = np.exp(-2.0 * ub)
-        return g
+    def ent(ub):
+        u = np.asarray(ub, float)[:, None, None] * one(ub)
+        return np.exp(2.0 * u), zero(ub), np.exp(-2.0 * u)
 
-    def dgh(ub):
-        g = np.zeros(chart.shape + (2, 2))
-        g[..., 0, 0] = 2.0 * np.exp(2.0 * ub)
-        g[..., 1, 1] = -2.0 * np.exp(-2.0 * ub)
-        return g
+    def dent(ub):
+        a, b, d = ent(ub)
+        return 2.0 * a, b, -2.0 * d
 
     errs, hs = [], []
     for n in (51, 101, 201, 401):
         grid = Grid1D(0.0, 1.0, n)
-        data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
+        data = C.ReducedCharData(grid, chart, ring, one, zero, ent, dent)
         sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
         errs.append(float(np.abs(sol.phi[:, 0, 0] - np.cos(grid.points())).max()))
         hs.append(grid.h)
@@ -265,10 +261,7 @@ def criterion_constraints() -> Verdict:
     # first integral of the autonomous dust equation
     grid = Grid1D(0.0, 1.0, 2001)
     cval = 0.8
-    data = C.ReducedCharData(
-        grid, chart, ring, one, zero, lambda ub: ring.copy(),
-        lambda ub: np.zeros(chart.shape + (2, 2)),
-    )
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
     sol = C.solve_dust_constraint(data, 1.0, 0.0, density=lambda ub: np.full((len(ub),) + chart.shape, cval))
     energy = 0.5 * sol.dphi[:, 0, 0] ** 2 + 0.5 * cval * np.log(sol.phi[:, 0, 0])
     drift = float(np.abs(energy - energy[0]).max())
@@ -277,10 +270,7 @@ def criterion_constraints() -> Verdict:
     t1, _ = chart.mesh()
     m_theta = 1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1)
     dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
-    data_shell = C.ReducedCharData(
-        grid, chart, ring, one, zero, lambda ub: ring.copy(),
-        lambda ub: np.zeros(chart.shape + (2, 2)), dust=dust,
-    )
+    data_shell = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
     glued = C.solve_glued_shell(data_shell, 1.0, 0.1)
     residuals = []
     for tf in bump_dictionary(grid, chart):
@@ -345,16 +335,12 @@ def criterion_absorber() -> Verdict:
     dlog_omega = lambda ub: 0.1 * np.pi * np.cos(np.pi * np.asarray(ub, float))[:, None, None] * np.ones(chart.shape)[None]
 
     # dust factor solved numerically, then handed over as a dense callable
-    ring = _flat_ring(chart)
-    gh = lambda ub: _gamma_from_entries(a_fn, b_fn, d_fn, chart, ub)
-    dgh = lambda ub: _gamma_from_entries(da_fn, db_fn, dd_fn, chart, ub)
-    data = C.ReducedCharData(grid, chart, ring, omega, dlog_omega, gh, dgh)
-    phi_dust = C.solve_dust_constraint(data, 1.0, 0.0, density=f_fn)
-
-    bg = H.DustBackground(
-        chart, grid, a_fn, b_fn, d_fn, da_fn, db_fn, dd_fn, f_fn, df_fn,
-        lambda ub: phi_dust(ub), lambda ub: phi_dust.deriv(ub), omega, dlog_omega,
+    data = C.ReducedCharData(
+        grid, chart, _flat_ring(chart), omega, dlog_omega,
+        lambda ub: (a_fn(ub), b_fn(ub), d_fn(ub)), lambda ub: (da_fn(ub), db_fn(ub), dd_fn(ub)),
     )
+    phi_dust = C.solve_dust_constraint(data, 1.0, 0.0, density=f_fn)
+    bg = H.DustBackground(data, f_fn, df_fn, phi_dust, phi_dust.deriv)
     rows = H.family_convergence(bg, [4, 8, 16, 32, 64, 128])
     ns = np.array([r["n"] for r in rows], float)
     inv_n = 1.0 / ns
@@ -388,15 +374,6 @@ def criterion_absorber() -> Verdict:
     )
 
 
-def _gamma_from_entries(a_fn, b_fn, d_fn, chart, ub):
-    ub_arr = np.array([float(ub)])
-    g = np.empty(chart.shape + (2, 2))
-    g[..., 0, 0] = a_fn(ub_arr)[0]
-    g[..., 0, 1] = g[..., 1, 0] = b_fn(ub_arr)[0]
-    g[..., 1, 1] = d_fn(ub_arr)[0]
-    return g
-
-
 # ---------------------------------------------------------------------------
 # 6. mollification of measure dust
 # ---------------------------------------------------------------------------
@@ -410,10 +387,7 @@ def criterion_mollification() -> Verdict:
     t1, _ = chart.mesh()
     m_theta = 1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1)
     dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
-    data = C.ReducedCharData(
-        grid, chart, ring, one, zero, lambda ub: ring.copy(),
-        lambda ub: np.zeros(chart.shape + (2, 2)), dust=dust,
-    )
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
     tfs = bump_dictionary(grid, chart)[:3]
 
     ratios, l1_norms = [], []
@@ -496,10 +470,7 @@ def criterion_pipeline() -> Verdict:
 
     def run(mass):
         dust = C.NullDustMeasure(atoms=[(0.45, mass)])
-        data = C.ReducedCharData(
-            grid, chart, ring, one, zero, lambda ub: ring.copy(),
-            lambda ub: np.zeros(chart.shape + (2, 2)), dust=dust,
-        )
+        data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
         bv = C.solve_glued_shell(data, 1.0, 0.15)
         pipe = MP.MeasurePipeline(data, bv)
         pipe.freeze_k([1, 8])
@@ -668,10 +639,7 @@ def _cone_data(chart, grid):
     ring[..., 0, 0] = 1.0 / gfun
     ring[..., 1, 1] = 1.0 / gfun
     one, zero = _const_maps(chart)
-    return C.ReducedCharData(
-        grid, chart, ring, one, zero, lambda ub: ring.copy(),
-        lambda ub: np.zeros(chart.shape + (2, 2)),
-    )
+    return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
 
 
 def criterion_char_pipeline() -> Verdict:

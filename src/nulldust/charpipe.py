@@ -17,16 +17,15 @@ import numpy as np
 
 from . import calculus as calc
 from .constraints import ReducedCharData
+from .errors import NumericalFailure
 from .fields import sym2_inverse
 from .geometry import christoffel, gauss_curvature
 from .grids import Grid1D
 from .stencils import deriv1_fd4
 
 
-class TransportBlowupError(RuntimeError):
-    def __init__(self, message, location):
-        super().__init__(message)
-        self.location = location
+class TransportBlowupError(NumericalFailure):
+    """The transported state left its bound or became non-finite."""
 
 
 @dataclass
@@ -84,8 +83,7 @@ def slice_fields(data: ReducedCharData, solution, ub: float) -> SliceFields:
     dlo = np.asarray(data.dlog_omega(np.array([ub])))[0]
     phi = np.asarray(solution(np.array([ub])))[0]
     dphi = np.asarray(solution.deriv(np.array([ub])))[0]
-    gh = data.gamma_hat(float(ub))
-    dgh = data.dgamma_hat(float(ub))
+    gh, dgh = data.slice_metric(ub)
     gamma = phi[..., None, None] ** 2 * gh
     ginv = sym2_inverse(gamma)
     chi = (phi * dphi / om)[..., None, None] * gh + (phi**2 / (2.0 * om))[..., None, None] * dgh

@@ -4,7 +4,8 @@ convergence tables, and a reproducibility manifest.
 Every run writes manifest.json (resolved config, library versions, wall
 time), per-experiment CSV tables (RFC-4180), and a summary.json with the
 pass/fail verdicts of the checks the run performed.  Exit codes: 0 all checks
-pass, 1 a numerical acceptance check failed, 2 usage error.
+pass, 1 a numerical acceptance check failed or a NumericalFailure stopped the
+run (summary.json then carries an ``error`` field), 2 usage error.
 
 Default tolerances (see acceptance.TOL): per-step ODE tolerance class 1e-10,
 quadrature 1e-9, FFT identities 1e-12, rate-slope acceptance 0.9 of the
@@ -27,6 +28,8 @@ from . import constraints as C
 from . import gowdy
 from . import planewave as pw
 from . import shellmod as S
+from .acceptance import TOL
+from .errors import NumericalFailure
 from .grids import AngularGrid, Grid1D
 from .quadrature import gauss_legendre_integrate
 from .rates import fit_rate
@@ -67,6 +70,8 @@ def _finish(outdir, config, summary, t0):
         json.dump(manifest, fh, indent=2, default=str)
     with open(os.path.join(outdir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, default=str)
+    if "error" in summary:
+        return 1
     failed = [k for k, v in summary.get("checks", {}).items() if not v]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
@@ -127,7 +132,7 @@ def cmd_burnett(args):
         "limit_pairing": target,
         "fitted_slope": fit.slope,
         "fit_residual": fit.residual,
-        "checks": {"slope_ge_0.9": fit.slope >= 0.9},
+        "checks": {"slope_ge_0.9": fit.slope >= TOL["rate_slope"]},
     }
     return _finish(outdir, vars(args), summary, t0)
 
@@ -155,7 +160,7 @@ def cmd_shell_limit(args):
     summary = {
         "final_jump": rows[-1][1],
         "checks": {
-            "jump_converges": rows[-1][2] <= 1e-3,
+            "jump_converges": rows[-1][2] <= TOL["jump"],
             "energy_normalized": max(abs(r[3] - 1.0) for r in rows) <= 1e-6,
         },
     }
@@ -190,18 +195,15 @@ def cmd_gowdy(args):
         "einstein_limit": lim,
         "checks": {
             "alpha_gap_decreases": rows[-1][2] < rows[0][2],
-            "einstein_matches": abs(lim["G_tautau"] - lim["target_tautau"]) <= 1e-5,
+            "einstein_matches": abs(lim["G_tautau"] - lim["target_tautau"]) <= TOL["einstein_limit"],
         },
     }
     return _finish(outdir, vars(args), summary, t0)
 
 
 def _shell_data(args, chart, grid):
-    ring = np.zeros(chart.shape + (2, 2))
-    ring[..., 0, 0] = 1.0
-    ring[..., 1, 1] = 1.0
-    one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
-    zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
+    ring = acceptance._flat_ring(chart)
+    one, zero = acceptance._const_maps(chart)
     dust = None
     if args.dust:
         atoms = []
@@ -216,10 +218,7 @@ def _shell_data(args, chart, grid):
             else:
                 raise ValueError(f"unknown dust spec line {line!r}")
         dust = C.NullDustMeasure(atoms=atoms, density=density)
-    return C.ReducedCharData(
-        grid, chart, ring, one, zero,
-        lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)), dust=dust,
-    )
+    return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
 
 
 def cmd_constraints(args):
@@ -245,7 +244,7 @@ def cmd_constraints(args):
     _write_csv(os.path.join(outdir, "weak_residuals.csv"), ["test_function", "residual"], residuals)
     summary = {
         "max_weak_residual": max(r[1] for r in residuals),
-        "checks": {"weak_residuals": max(r[1] for r in residuals) <= 1e-6},
+        "checks": {"weak_residuals": max(r[1] for r in residuals) <= TOL["weak_residual"]},
     }
     return _finish(outdir, vars(args), summary, t0)
 
@@ -296,7 +295,7 @@ def cmd_hf_approx(args):
         )
         fitp = fit_rate([2.0 ** -r["m"] for r in table], [max(r["gap"], 1e-300) for r in table])
         summary["pipeline_slope"] = fitp.slope
-        summary["checks"]["pipeline_slope_ge_0.9"] = fitp.slope >= 0.9
+        summary["checks"]["pipeline_slope_ge_0.9"] = fitp.slope >= TOL["rate_slope"]
     return _finish(outdir, vars(args), summary, t0)
 
 
@@ -362,7 +361,7 @@ def cmd_cc_demo(args):
         "partition_defect": partition,
         **verdict,
         "checks": {
-            "partition_exact": partition <= 1e-12,
+            "partition_exact": partition <= TOL["fft_identity"],
             **(
                 {"verdict_as_expected": verdict["product_converges"] != verdict["expects_defect"]}
                 if verdict
@@ -449,8 +448,15 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
+    t0 = time.time()
     try:
         return args.func(args)
+    except NumericalFailure as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if exc.location is not None:
+            error["location"] = exc.location
+        print(f"numerical failure: {error['type']}: {exc}", file=sys.stderr)
+        return _finish(_out_root(args), vars(args), {"error": error}, t0)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import sym2_det, sym2_inverse
+from .fields import sym2_det, sym2_entries, sym2_inverse, sym2_pack
 from .geometry import area_element
 from .grids import AngularGrid, Grid1D
 from .odesolve import (
@@ -59,12 +59,17 @@ class NullDustMeasure:
                 raise ValueError("atom masses must be nonnegative")
 
 
+_DET_RTOL = 1e-12  # tolerated |det gamma_hat / det gamma_ring - 1|
+
+
 @dataclass
 class ReducedCharData:
     """Reduced data on one null hypersurface over a periodic angular chart.
 
-    omega/dlog_omega/dgamma_normsq are batch maps ub(K,) -> (K, n1, n2);
-    gamma_hat/dgamma_hat are per-slice maps ub -> (n1, n2, 2, 2).
+    omega/dlog_omega are batch maps ub(K,) -> (K, n1, n2).  The conformal
+    metric gamma_hat = [[a, b], [b, d]] is given by its entries: entries maps
+    ub(K,) -> (a, b, d) and dentries to their ub-derivatives, each (K, n1, n2).
+    The normalization det gamma_hat = det gamma_ring is checked at five ub.
     """
 
     grid: Grid1D
@@ -72,43 +77,65 @@ class ReducedCharData:
     gamma_ring: np.ndarray
     omega: Callable
     dlog_omega: Callable
-    gamma_hat: Callable
-    dgamma_hat: Callable
-    dgamma_normsq: Callable | None = None
+    entries: Callable
+    dentries: Callable
     dust: NullDustMeasure | None = None
-    dub_b0: np.ndarray | None = None
-    det_rtol: float = 1e-12
 
     def __post_init__(self):
-        if self.dgamma_normsq is None:
-            self.dgamma_normsq = self._generic_normsq
         if self.dust is not None:
             self.dust.validate(self.grid)
-        ring_det = sym2_det(self.gamma_ring)
-        for ub in np.linspace(self.grid.a, self.grid.b, 5):
-            ratio = sym2_det(self.gamma_hat(ub)) / ring_det
-            if np.abs(ratio - 1.0).max() > self.det_rtol:
+        probe = np.linspace(self.grid.a, self.grid.b, 5)
+        a, b, d = self.entries(probe)
+        dev = np.abs((a * d - b * b) / sym2_det(self.gamma_ring) - 1.0).max(axis=(1, 2))
+        for ub, worst in zip(probe, dev):
+            if worst > _DET_RTOL:
                 raise ValueError(
-                    f"det gamma_hat / det gamma_ring deviates from 1 by "
-                    f"{np.abs(ratio - 1.0).max():.2e} at ub={ub:g}"
+                    f"det gamma_hat / det gamma_ring deviates from 1 by {worst:.2e} at ub={ub:g}"
                 )
 
-    def _generic_normsq(self, ub_batch):
-        out = np.empty((len(ub_batch),) + self.chart.shape)
-        for i, ub in enumerate(np.asarray(ub_batch, float)):
-            out[i] = dgamma_norm_sq(self.gamma_hat(ub), self.dgamma_hat(ub))
-        return out
+    def dgamma_normsq(self, ub_batch):
+        """|d gamma_hat|^2 with indices raised by gamma_hat: (K,) -> (K, n1, n2)."""
+        return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
+
+    def slice_metric(self, ub: float):
+        """(gamma_hat, d gamma_hat) on the slice at ub, each (n1, n2, 2, 2)."""
+        ub_arr = np.array([float(ub)])
+        return (sym2_pack(*(x[0] for x in self.entries(ub_arr))),
+                sym2_pack(*(x[0] for x in self.dentries(ub_arr))))
 
     def area_weights(self) -> np.ndarray:
         """Quadrature weights of dA_ring on the chart nodes."""
         return area_element(self.gamma_ring) * self.chart.cell_area
 
 
-def dgamma_norm_sq(gamma_hat: np.ndarray, dgamma_hat: np.ndarray) -> np.ndarray:
-    """|M|^2 with both indices raised by gamma_hat: trace of (gamma_hat^-1 M)^2."""
-    inv = sym2_inverse(gamma_hat)
-    n = np.einsum("...ab,...bc->...ac", inv, dgamma_hat)
-    out = np.einsum("...ab,...ba->...", n, n)
+def ring_entries(gamma_ring: np.ndarray):
+    """(entries, dentries) of conformally flat data: gamma_hat = gamma_ring, d gamma_hat = 0."""
+    ring = sym2_entries(gamma_ring)
+
+    def entries(ub_batch):
+        k = len(np.atleast_1d(ub_batch))
+        return tuple(np.broadcast_to(x, (k,) + x.shape) for x in ring)
+
+    def dentries(ub_batch):
+        zero = np.zeros((len(np.atleast_1d(ub_batch)),) + ring[0].shape)
+        return zero, zero, zero
+
+    return entries, dentries
+
+
+def dgamma_norm_sq(entries, dentries) -> np.ndarray:
+    """|M|^2 with both indices raised by g: trace of (g^-1 M)^2, for the
+    symmetric fields g = [[a, b], [b, d]] and M = [[p, q], [q, r]] given as
+    entries (a, b, d) and dentries (p, q, r)."""
+    a, b, d = entries
+    p, q, r = dentries
+    det = a * d - b * b
+    i11, i12, i22 = d / det, -b / det, a / det
+    n11 = i11 * p + i12 * q
+    n12 = i11 * q + i12 * r
+    n21 = i12 * p + i22 * q
+    n22 = i12 * q + i22 * r
+    out = n11 * n11 + 2.0 * n12 * n21 + n22 * n22
     if np.any(out < -1e-10):
         raise ValueError("norm-square came out negative: degenerate conformal metric")
     return np.maximum(out, 0.0)
@@ -284,8 +311,7 @@ def chi_from_data(data: ReducedCharData, solution, ub: float, identity_tol: floa
     om = np.asarray(data.omega(ub_arr))[0]
     phi = np.asarray(solution(ub_arr))[0]
     dphi = np.asarray(solution.deriv(ub_arr))[0]
-    gh = data.gamma_hat(float(ub))
-    dgh = data.dgamma_hat(float(ub))
+    gh, dgh = data.slice_metric(ub)
     gamma = phi[..., None, None] ** 2 * gh
     chi = (2.0 * phi * dphi / (2.0 * om))[..., None, None] * gh + (phi**2 / (2.0 * om))[
         ..., None, None

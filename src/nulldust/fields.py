@@ -81,6 +81,27 @@ def sym2_det(g: np.ndarray) -> np.ndarray:
     return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
 
 
+def sym2_pack(a, b, d) -> np.ndarray:
+    """Field of symmetric 2x2 matrices [[a, b], [b, d]] from its entry fields."""
+    a, b, d = np.broadcast_arrays(a, b, d)
+    g = np.empty(a.shape + (2, 2))
+    g[..., 0, 0], g[..., 1, 1] = a, d
+    g[..., 0, 1] = g[..., 1, 0] = b
+    return g
+
+
+def sym2_entries(g: np.ndarray):
+    """Entries (a, b, d) of a field of symmetric 2x2 matrices: the inverse of sym2_pack."""
+    return g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+
+
+def sym2_min_eigenvalue(a, b, d) -> np.ndarray:
+    """Smaller eigenvalue of [[a, b], [b, d]], entrywise."""
+    tr = a + d
+    det = a * d - b * b
+    return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+
+
 @dataclass
 class MetricBlock:
     """Sampled 4-metric whose components depend on at most two coordinates.

@@ -6,12 +6,13 @@ faster than any fixed power of the grid spacing.
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .fields import check_positive_definite, sym2_inverse
 from .grids import AngularGrid
 from .stencils import spectral_deriv
 
 
-class CurvatureConsistencyError(RuntimeError):
+class CurvatureConsistencyError(NumericalFailure):
     """The two diagonal fibers of the curvature identity disagree: grid too coarse."""
 
 

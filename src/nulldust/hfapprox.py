@@ -18,6 +18,11 @@ with the bounded corrector
 
 Solving the vacuum constraint with |dgamma_n|^2 then reproduces the dust
 conformal factor to O(1/n) together with its first derivative.
+
+The conformal metrics travel as batched entries: the dust metric is the
+ReducedCharData a DustBackground holds, and each family member maps
+ub(K,) -> (a_n, b, d_n) and their derivatives, each (K, n1, n2), so norms,
+determinants and eigenvalues are computed entrywise over whole batches.
 """
 
 from dataclasses import dataclass
@@ -25,77 +30,35 @@ from typing import Callable
 
 import numpy as np
 
-from .grids import AngularGrid, Grid1D
+from .constraints import ReducedCharData, dgamma_norm_sq
+from .errors import NumericalFailure
+from .fields import sym2_min_eigenvalue
+from .grids import Grid1D
 from .odesolve import DenseSolution, solve_linear_second_order
 
 
-class PositivityEscalationError(RuntimeError):
+class PositivityEscalationError(NumericalFailure):
     """No oscillation wavenumber in 20 doublings keeps the metric positive."""
 
 
 @dataclass
 class DustBackground:
-    """Smooth dust data on a hypersurface: entries are batch maps ub(K,) -> (K, n1, n2)."""
+    """Smooth dust data on a hypersurface.
 
-    chart: AngularGrid
-    grid: Grid1D
-    a: Callable
-    b: Callable
-    d: Callable
-    da: Callable
-    db: Callable
-    dd: Callable
+    data carries the chart, the grid, the lapse and the dust conformal metric
+    as batched entries (a, b, d) with their ub-derivatives; f/df (the density
+    and its derivative) and phi/dphi (the dust conformal factor and its
+    derivative) are batch maps ub(K,) -> (K, n1, n2).
+    """
+
+    data: ReducedCharData
     f: Callable
     df: Callable
-    phi: Callable          # dust conformal factor, batch
+    phi: Callable
     dphi: Callable
-    omega: Callable
-    dlog_omega: Callable
-
-    def det_ring(self, ub_batch):
-        av, bv, dv = self.a(ub_batch), self.b(ub_batch), self.d(ub_batch)
-        return av * dv - bv * bv
-
-    def entries(self, ub_batch):
-        return self.a(ub_batch), self.b(ub_batch), self.d(ub_batch)
-
-    def dentries(self, ub_batch):
-        return self.da(ub_batch), self.db(ub_batch), self.dd(ub_batch)
-
-    def gamma_hat(self, ub: float):
-        ub_arr = np.array([float(ub)])
-        av, bv, dv = (x[0] for x in self.entries(ub_arr))
-        g = np.empty(self.chart.shape + (2, 2))
-        g[..., 0, 0], g[..., 0, 1] = av, bv
-        g[..., 1, 0], g[..., 1, 1] = bv, dv
-        return g
-
-    def dgamma_hat(self, ub: float):
-        ub_arr = np.array([float(ub)])
-        av, bv, dv = (x[0] for x in self.dentries(ub_arr))
-        g = np.empty(self.chart.shape + (2, 2))
-        g[..., 0, 0], g[..., 0, 1] = av, bv
-        g[..., 1, 0], g[..., 1, 1] = bv, dv
-        return g
-
-    def dgamma_normsq(self, ub_batch):
-        return _entries_normsq(self.entries(ub_batch), self.dentries(ub_batch))
 
     def root_f_over_phi(self, ub_batch):
         return np.sqrt(np.maximum(self.f(ub_batch), 0.0)) / self.phi(ub_batch)
-
-
-def _entries_normsq(entries, dentries):
-    """tr((g^-1 M)^2) for 2x2 symmetric g, M given entrywise."""
-    a, b, d = entries
-    p, q, r = dentries
-    det = a * d - b * b
-    i11, i12, i22 = d / det, -b / det, a / det
-    n11 = i11 * p + i12 * q
-    n12 = i11 * q + i12 * r
-    n21 = i12 * p + i22 * q
-    n22 = i12 * q + i22 * r
-    return n11 * n11 + 2.0 * n12 * n21 + n22 * n22
 
 
 @dataclass
@@ -129,7 +92,7 @@ class OscillatoryFamily:
         )
 
     def entries(self, ub_batch):
-        a, b, d = self.background.entries(ub_batch)
+        a, b, d = self.background.data.entries(ub_batch)
         det = a * d - b * b
         s = self._s(ub_batch)
         e11 = a + det / d * s
@@ -137,8 +100,8 @@ class OscillatoryFamily:
         return e11, b, e22
 
     def dentries(self, ub_batch):
-        a, b, d = self.background.entries(ub_batch)
-        da, db, dd = self.background.dentries(ub_batch)
+        a, b, d = self.background.data.entries(ub_batch)
+        da, db, dd = self.background.data.dentries(ub_batch)
         det = a * d - b * b
         ddet = da * d + a * dd - 2.0 * b * db
         s, ds = self._s(ub_batch), self._ds(ub_batch)
@@ -147,90 +110,62 @@ class OscillatoryFamily:
         de22 = dd - (ddet * s + det * ds) / e11 + det * s * de11 / (e11 * e11)
         return de11, db, de22
 
-    def gamma_hat(self, ub: float):
-        ub_arr = np.array([float(ub)])
-        e11, e12, e22 = (x[0] for x in self.entries(ub_arr))
-        g = np.empty(self.background.chart.shape + (2, 2))
-        g[..., 0, 0], g[..., 0, 1] = e11, e12
-        g[..., 1, 0], g[..., 1, 1] = e12, e22
-        return g
-
-    def dgamma_hat(self, ub: float):
-        ub_arr = np.array([float(ub)])
-        e11, e12, e22 = (x[0] for x in self.dentries(ub_arr))
-        g = np.empty(self.background.chart.shape + (2, 2))
-        g[..., 0, 0], g[..., 0, 1] = e11, e12
-        g[..., 1, 0], g[..., 1, 1] = e12, e22
-        return g
-
     def dgamma_normsq(self, ub_batch):
-        return _entries_normsq(self.entries(ub_batch), self.dentries(ub_batch))
+        return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
 
     def det_defect(self, ub_batch):
         """det gamma_n - det gamma_dust (zero by algebraic cancellation)."""
         e11, e12, e22 = self.entries(ub_batch)
-        return e11 * e22 - e12 * e12 - self.background.det_ring(ub_batch)
+        a, b, d = self.background.data.entries(ub_batch)
+        return e11 * e22 - e12 * e12 - (a * d - b * b)
 
     def min_eigenvalue(self, ub_batch):
-        e11, e12, e22 = self.entries(ub_batch)
-        tr = e11 + e22
-        det = e11 * e22 - e12 * e12
-        return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+        return sym2_min_eigenvalue(*self.entries(ub_batch))
 
     def min_eigenvalue_envelope(self, ub_batch):
         """Lower bound over the oscillation phase: evaluate at both amplitude
         extremes (the entries are monotone in the phase factor)."""
         bg = self.background
-        a, b, d = bg.entries(ub_batch)
+        a, b, d = bg.data.entries(ub_batch)
         det = a * d - b * b
         amp = 2.0 * bg.root_f_over_phi(ub_batch) / (self.k * self.n)
         worst = None
         for sign in (1.0, -1.0):
             s = sign * amp
             e11 = a + det / d * s
-            e22 = d - det * s / e11
-            tr = e11 + e22
-            dt = e11 * e22 - b * b
-            eig = 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * dt, 0.0)))
+            eig = sym2_min_eigenvalue(e11, b, d - det * s / e11)
             worst = eig if worst is None else np.minimum(worst, eig)
         return worst
 
-    def corrector(self, ub_batch):
-        """F_n: bounded uniformly in n."""
+    def _envelopes(self, ub_batch):
+        """Amplitudes of the corrector's sin(2 k n ub) and sin(k n ub) terms."""
         bg = self.background
-        ub = np.asarray(ub_batch, float)
-        kn = self.k * self.n
-        a, b, d = bg.entries(ub_batch)
-        da, _, dd = bg.dentries(ub_batch)
+        a, b, d = bg.data.entries(ub_batch)
+        da, _, dd = bg.data.dentries(ub_batch)
         det = a * d - b * b
         f = np.maximum(bg.f(ub_batch), 0.0)
         phi = bg.phi(ub_batch)
-        e1 = 2.0 * f / self.k
-        e2 = (4.0 / (self.k * det)) * (d * da - a * dd) * np.sqrt(f) * phi
+        return 2.0 * f / self.k, (4.0 / (self.k * det)) * (d * da - a * dd) * np.sqrt(f) * phi
+
+    def corrector(self, ub_batch):
+        """F_n: bounded uniformly in n."""
+        ub = np.asarray(ub_batch, float)
+        kn = self.k * self.n
+        e1, e2 = self._envelopes(ub)
         return e1 * np.sin(2.0 * kn * ub)[:, None, None] + e2 * np.sin(kn * ub)[:, None, None]
 
     def dcorrector(self, ub_batch, env_step: float | None = None):
         """dF_n/dub: exact in the fast phase, envelope derivatives by stencil."""
-        bg = self.background
         ub = np.asarray(ub_batch, float)
         kn = self.k * self.n
-
-        def envelopes(u):
-            a, b, d = bg.entries(u)
-            da, _, dd = bg.dentries(u)
-            det = a * d - b * b
-            f = np.maximum(bg.f(u), 0.0)
-            phi = bg.phi(u)
-            return 2.0 * f / self.k, (4.0 / (self.k * det)) * (d * da - a * dd) * np.sqrt(f) * phi
-
-        e1, e2 = envelopes(ub)
-        h = env_step if env_step is not None else max(bg.grid.h, 1e-6)
+        e1, e2 = self._envelopes(ub)
+        h = env_step if env_step is not None else max(self.background.data.grid.h, 1e-6)
         stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
         offs = np.array([-2.0 * h, -h, h, 2.0 * h])
         de1 = np.zeros_like(e1)
         de2 = np.zeros_like(e2)
         for c, o in zip(stencil, offs):
-            v1, v2 = envelopes(ub + o)
+            v1, v2 = self._envelopes(ub + o)
             de1 += c * v1
             de2 += c * v2
         s1, c1 = np.sin(kn * ub)[:, None, None], np.cos(kn * ub)[:, None, None]
@@ -241,28 +176,25 @@ class OscillatoryFamily:
         """[|dgamma_n|^2 - |dgamma|^2] Phi^2 - 4 f - (1/n) dF_n, pointwise."""
         bg = self.background
         phi2 = bg.phi(ub_batch) ** 2
-        defect = (self.dgamma_normsq(ub_batch) - bg.dgamma_normsq(ub_batch)) * phi2
+        defect = (self.dgamma_normsq(ub_batch) - bg.data.dgamma_normsq(ub_batch)) * phi2
         defect -= 4.0 * np.maximum(bg.f(ub_batch), 0.0)
         defect -= self.dcorrector(ub_batch) / self.n
         return defect
 
     def resolving_grid(self, per_wavelength: int = 16) -> Grid1D:
         wavelength = 2.0 * np.pi / (self.k * self.n)
-        span = self.background.grid.b - self.background.grid.a
-        n = max(self.background.grid.n, int(np.ceil(span / wavelength * per_wavelength)) + 1)
-        return Grid1D(self.background.grid.a, self.background.grid.b, n)
+        grid = self.background.data.grid
+        n = max(grid.n, int(np.ceil((grid.b - grid.a) / wavelength * per_wavelength)) + 1)
+        return Grid1D(grid.a, grid.b, n)
 
 
 def select_k(background: DustBackground, probe_points: int = 4096, max_doublings: int = 20) -> float:
     """Smallest admissible oscillation wavenumber: start from the sup-based
     seed and double until the n = 1 member keeps half the background's
     eigenvalue margin (n = 1 has the largest oscillation amplitude)."""
-    ub = np.linspace(background.grid.a, background.grid.b, probe_points)
+    ub = np.linspace(background.data.grid.a, background.data.grid.b, probe_points)
     sup_rf = float(background.root_f_over_phi(ub).max())
-    a, b, d = background.entries(ub)
-    tr = a + d
-    det = a * d - b * b
-    min_eig = float((0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0.0)))).min())
+    min_eig = float(sym2_min_eigenvalue(*background.data.entries(ub)).min())
     k = 8.0 * (sup_rf + 1.0) / min_eig
     for _ in range(max_doublings):
         fam = OscillatoryFamily(background, k, 1)
@@ -298,7 +230,7 @@ def solve_phi_n(fam: OscillatoryFamily, per_wavelength: int = 16) -> DenseSoluti
     dphi0 = bg.dphi(ub0)[0]
     return solve_linear_second_order(
         grid,
-        bg.dlog_omega,
+        bg.data.dlog_omega,
         lambda ub: 0.125 * fam.dgamma_normsq(ub),
         None,
         phi0,
@@ -318,7 +250,7 @@ def family_convergence(background: DustBackground, n_values, k: float | None = N
         grid = fam.resolving_grid(per_wavelength=max(per_wavelength, 16))
         ub = np.linspace(grid.a, grid.b, max(sample_points, grid.n))
         ea, eb, ed = fam.entries(ub)
-        ba, bb, bd = background.entries(ub)
+        ba, bb, bd = background.data.entries(ub)
         gap_gamma = max(
             float(np.abs(ea - ba).max()),
             float(np.abs(eb - bb).max()),
@@ -327,7 +259,7 @@ def family_convergence(background: DustBackground, n_values, k: float | None = N
         defect = float(np.abs(fam.weak_defect(ub)).max())
         no_corr = float(
             np.abs(
-                (fam.dgamma_normsq(ub) - background.dgamma_normsq(ub)) * background.phi(ub) ** 2
+                (fam.dgamma_normsq(ub) - background.data.dgamma_normsq(ub)) * background.phi(ub) ** 2
                 - 4.0 * np.maximum(background.f(ub), 0.0)
             ).max()
         )
@@ -357,28 +289,6 @@ def family_convergence(background: DustBackground, n_values, k: float | None = N
 # measure -> smooth dust -> vacuum composition
 # ---------------------------------------------------------------------------
 
-def entries_from_data(data) -> dict:
-    """Batch entry maps (a, b, d and derivatives) read off slice callables."""
-
-    def batch(slice_fn, comp):
-        def fn(ub_batch):
-            out = np.empty((len(ub_batch),) + data.chart.shape)
-            for i, ub in enumerate(np.asarray(ub_batch, float)):
-                out[i] = slice_fn(float(ub))[..., comp[0], comp[1]]
-            return out
-
-        return fn
-
-    return {
-        "a": batch(data.gamma_hat, (0, 0)),
-        "b": batch(data.gamma_hat, (0, 1)),
-        "d": batch(data.gamma_hat, (1, 1)),
-        "da": batch(data.dgamma_hat, (0, 0)),
-        "db": batch(data.dgamma_hat, (0, 1)),
-        "dd": batch(data.dgamma_hat, (1, 1)),
-    }
-
-
 def select_k_uniform(backgrounds_and_ns, min_eig: float, probes=None, safety: float = 4.0,
                      max_doublings: int = 20) -> float:
     """One oscillation wavenumber serving a whole dyadic run.
@@ -389,7 +299,7 @@ def select_k_uniform(backgrounds_and_ns, min_eig: float, probes=None, safety: fl
     the phase-envelope eigenvalue bound on the probe points).
     """
     if probes is None:
-        probes = [np.linspace(bg.grid.a, bg.grid.b, 4096) for bg, _ in backgrounds_and_ns]
+        probes = [np.linspace(bg.data.grid.a, bg.data.grid.b, 4096) for bg, _ in backgrounds_and_ns]
     demand = 0.0
     for (bg, n), probe in zip(backgrounds_and_ns, probes):
         demand = max(demand, float(bg.root_f_over_phi(probe).max()) / n)
@@ -419,7 +329,7 @@ def solve_phi_n_segmented(fam: OscillatoryFamily, windows, phi0, dphi0,
     from .odesolve import solve_linear_segmented
 
     bg = fam.background
-    grid = bg.grid
+    grid = bg.data.grid
     wavelength = 2.0 * np.pi / (fam.k * fam.n)
     fine = min(wavelength, fine_scale) if fine_scale else wavelength
     step_smooth = step_smooth or (grid.b - grid.a) / 2048.0
@@ -433,11 +343,11 @@ def solve_phi_n_segmented(fam: OscillatoryFamily, windows, phi0, dphi0,
         mid = 0.5 * (lo + hi)
         inside = any(wl - 1e-15 <= mid <= wh + 1e-15 for wl, wh in windows)
         steps.append(fine / per_scale if inside else step_smooth)
-    shape = bg.chart.shape
+    shape = bg.data.chart.shape
     return solve_linear_segmented(
         np.array(cuts),
         steps,
-        bg.dlog_omega,
+        bg.data.dlog_omega,
         lambda ub: 0.125 * fam.dgamma_normsq(ub),
         None,
         np.broadcast_to(np.asarray(phi0, float), shape).copy(),

@@ -13,13 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import ReducedCharData, measure_pairing
-from .hfapprox import (
-    DustBackground,
-    OscillatoryFamily,
-    entries_from_data,
-    select_k_uniform,
-    solve_phi_n_segmented,
-)
+from .fields import sym2_min_eigenvalue
+from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform, solve_phi_n_segmented
 from .mollify import MollifiedDensity, mollify_measure, solve_phi_m_dust
 from .odesolve import PiecewiseSolution
 from .quadrature import gauss_legendre_nodes
@@ -69,23 +64,7 @@ class MeasurePipeline:
             self.phi_bv(np.array([self.data.grid.a]))[0],
             self.phi_bv.deriv(np.array([self.data.grid.a]))[0],
         )
-        ent = entries_from_data(self.data)
-        bg = DustBackground(
-            self.data.chart,
-            self.data.grid,
-            ent["a"],
-            ent["b"],
-            ent["d"],
-            ent["da"],
-            ent["db"],
-            ent["dd"],
-            fm,
-            fm.deriv,
-            lambda ub: phi_dust(ub),
-            lambda ub: phi_dust.deriv(ub),
-            self.data.omega,
-            self.data.dlog_omega,
-        )
+        bg = DustBackground(self.data, fm, fm.deriv, phi_dust, phi_dust.deriv)
         return fm, phi_dust, bg
 
     def _probe(self, fm) -> np.ndarray:
@@ -103,10 +82,7 @@ class MeasurePipeline:
                 fm, _, bg = self.background(m)
                 pairs.append((bg, self.n_of(m)))
                 probes.append(self._probe(fm))
-                ub = probes[-1]
-                a, b, d = bg.entries(ub)
-                tr, det = a + d, a * d - b * b
-                eig = float((0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4 * det, 0)))).min())
+                eig = float(sym2_min_eigenvalue(*self.data.entries(probes[-1])).min())
                 min_eig = eig if min_eig is None else min(min_eig, eig)
             self.k = select_k_uniform(pairs, min_eig, probes)
         return self.k

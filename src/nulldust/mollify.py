@@ -323,7 +323,6 @@ def solve_phi_m_dust(
     data: ReducedCharData,
     phi0,
     dphi0,
-    dgamma_normsq=None,
     step_smooth: float | None = None,
     per_scale: int = 32,
 ) -> PiecewiseSolution:
@@ -332,7 +331,6 @@ def solve_phi_m_dust(
     Steps resolve the mollifier scale inside atom windows and stay coarse on
     the smooth remainder.
     """
-    normsq = dgamma_normsq if dgamma_normsq is not None else data.dgamma_normsq
     step_smooth = step_smooth or (data.grid.b - data.grid.a) / 2048.0
     cuts, steps = dust_solve_segments(fm, step_smooth, per_scale)
     shape = data.chart.shape
@@ -340,7 +338,7 @@ def solve_phi_m_dust(
         cuts,
         steps,
         data.dlog_omega,
-        lambda ub: 0.125 * np.asarray(normsq(ub)),
+        lambda ub: 0.125 * np.asarray(data.dgamma_normsq(ub)),
         fm,
         np.broadcast_to(np.asarray(phi0, float), shape).copy(),
         np.broadcast_to(np.asarray(dphi0, float), shape).copy(),

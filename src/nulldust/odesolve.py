@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NumericalFailure
 from .grids import Grid1D
 
 try:  # pragma: no cover - exercised implicitly
@@ -37,12 +38,8 @@ except Exception:  # pragma: no cover
         return wrap if not (args and callable(args[0])) else args[0]
 
 
-class FocusingError(RuntimeError):
+class FocusingError(NumericalFailure):
     """The conformal factor became nonpositive or NaN: the metric degenerates."""
-
-    def __init__(self, message, location):
-        super().__init__(message)
-        self.location = location
 
 
 _CHUNK = 4096  # steps marched per coefficient batch

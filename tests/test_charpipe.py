@@ -14,8 +14,7 @@ def flat_data(chart, grid, omega=None, dlog=None):
     ring[..., 0, 0] = ring[..., 1, 1] = 1.0
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
-    return C.ReducedCharData(grid, chart, ring, omega or one, dlog or zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)))
+    return C.ReducedCharData(grid, chart, ring, omega or one, dlog or zero, *C.ring_entries(ring))
 
 
 def curved_cone_data(chart, grid):
@@ -27,8 +26,7 @@ def curved_cone_data(chart, grid):
     ring[..., 1, 1] = 1.0 / gfun
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
-    return C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)))
+    return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
 
 
 def test_derive_outgoing_flat_cone():
@@ -142,16 +140,12 @@ def test_residual_sensitivity_to_shear_perturbation():
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
 
     def gh(ub):
-        g = np.zeros(chart.shape + (2, 2))
-        g[..., 0, 0] = np.exp(np.asarray(ub, float))
-        g[..., 1, 1] = np.exp(-np.asarray(ub, float))
-        return g
+        u = np.asarray(ub, float)[:, None, None] * np.ones(chart.shape)
+        return np.exp(u), np.zeros_like(u), np.exp(-u)
 
     def dgh(ub):
-        g = np.zeros(chart.shape + (2, 2))
-        g[..., 0, 0] = np.exp(np.asarray(ub, float))
-        g[..., 1, 1] = -np.exp(-np.asarray(ub, float))
-        return g
+        a, b, d = gh(ub)
+        return a, b, -d
 
     data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
     sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
@@ -181,9 +175,8 @@ def test_gauge_identity_oscillator_data():
     sol = H.solve_phi_n(fam)
     ring = np.zeros(chart.shape + (2, 2))
     ring[..., 0, 0] = ring[..., 1, 1] = 1.0
-    data = C.ReducedCharData(grid, chart, ring, bg.omega, bg.dlog_omega,
-                             fam.gamma_hat, fam.dgamma_hat,
-                             dgamma_normsq=fam.dgamma_normsq)
+    data = C.ReducedCharData(grid, chart, ring, bg.data.omega, bg.data.dlog_omega,
+                             fam.entries, fam.dentries)
     trchi, chihat, chi = C.chi_from_data(data, sol, 0.33, identity_tol=1e-10)
     phi = sol(np.array([0.33]))[0]
     dphi = sol.deriv(np.array([0.33]))[0]

@@ -75,3 +75,25 @@ def test_env_var_output_root(tmp_path, monkeypatch):
     code = main(["trapped", "--ustar", "0.5", "--mass", "const:1.2"])
     assert code == 0
     assert (tmp_path / "envroot" / "trapped" / "summary.json").exists()
+
+
+def test_numerical_failure_writes_error_and_exits_1(tmp_path):
+    # an atom of mass 50 drives the conformal factor to zero near ub = 0.494
+    code = run_cli(["constraints", "--dust", "atom 0.45 const:50"], tmp_path)
+    assert code == 1
+    summary = json.loads((tmp_path / "constraints" / "summary.json").read_text())
+    assert summary["error"]["type"] == "FocusingError"
+    assert "nonpositive" in summary["error"]["message"]
+    assert abs(summary["error"]["location"][0] - 0.494) < 0.01
+    assert (tmp_path / "constraints" / "manifest.json").exists()
+
+
+def test_numerical_failures_share_one_base():
+    from nulldust.charpipe import TransportBlowupError
+    from nulldust.errors import NumericalFailure
+    from nulldust.geometry import CurvatureConsistencyError
+    from nulldust.hfapprox import PositivityEscalationError
+    from nulldust.odesolve import FocusingError
+
+    for exc in (FocusingError, TransportBlowupError, CurvatureConsistencyError, PositivityEscalationError):
+        assert issubclass(exc, NumericalFailure)

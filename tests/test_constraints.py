@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nulldust import constraints as C
+from nulldust.fields import sym2_entries, sym2_pack
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.odesolve import FocusingError
 from nulldust.rates import fit_rate
@@ -29,23 +30,21 @@ def const_maps(chart):
 
 
 def diag_exp_metric(chart, rate=2.0):
+    """Entry maps of gamma_hat = diag(e^{rate ub}, e^{-rate ub}) and their derivatives."""
     def gh(ub):
-        g = np.zeros(chart.shape + (2, 2))
-        g[..., 0, 0] = np.exp(rate * ub)
-        g[..., 1, 1] = np.exp(-rate * ub)
-        return g
+        u = np.atleast_1d(np.asarray(ub, float))[:, None, None] * np.ones(chart.shape)
+        return np.exp(rate * u), np.zeros_like(u), np.exp(-rate * u)
 
     def dgh(ub):
-        g = np.zeros(chart.shape + (2, 2))
-        g[..., 0, 0] = rate * np.exp(rate * ub)
-        g[..., 1, 1] = -rate * np.exp(-rate * ub)
-        return g
+        a, b, d = gh(ub)
+        return rate * a, b, -rate * d
 
     return gh, dgh
 
 
 def test_norm_square_constant_metric(chart, ring):
-    assert np.abs(C.dgamma_norm_sq(ring, np.zeros(chart.shape + (2, 2)))).max() == 0.0
+    zero = np.zeros(chart.shape)
+    assert np.abs(C.dgamma_norm_sq(sym2_entries(ring), (zero, zero, zero))).max() == 0.0
 
 
 def test_norm_square_diagonal_oracle(chart):
@@ -66,7 +65,49 @@ def test_norm_square_rotation_invariant(chart):
     R = np.array([[c, -s], [s, c]])
     gr = np.einsum("ca,db,...cd->...ab", R, R, g)
     Mr = np.einsum("ca,db,...cd->...ab", R, R, M)
-    assert np.abs(C.dgamma_norm_sq(gr, Mr) - C.dgamma_norm_sq(g, M)).max() < 1e-12
+    rotated = C.dgamma_norm_sq(sym2_entries(gr), sym2_entries(Mr))
+    assert np.abs(rotated - C.dgamma_norm_sq(sym2_entries(g), sym2_entries(M))).max() < 1e-12
+
+
+def test_norm_square_matrix_oracle(chart):
+    # random SPD g with nonzero off-diagonal entry against trace(g^-1 M g^-1 M)
+    rng = np.random.default_rng(11)
+    L = rng.standard_normal(chart.shape + (2, 2))
+    g = L @ np.swapaxes(L, -1, -2) + 0.2 * np.eye(2)
+    M = rng.standard_normal(chart.shape + (2, 2))
+    M = M + np.swapaxes(M, -1, -2)
+    assert np.all(g[..., 0, 1] != 0.0)
+    inv = np.linalg.inv(g)
+    oracle = np.trace(inv @ M @ inv @ M, axis1=-2, axis2=-1)
+    val = C.dgamma_norm_sq(sym2_entries(g), sym2_entries(M))
+    assert np.abs(val - oracle).max() < 1e-12 * np.abs(oracle).max()
+
+
+def test_norm_square_rejects_indefinite_metric(chart):
+    # g = diag(1, -1), M = [[0, 1], [1, 0]]: trace((g^-1 M)^2) = -2
+    one, zero = np.ones(chart.shape), np.zeros(chart.shape)
+    with pytest.raises(ValueError, match="negative"):
+        C.dgamma_norm_sq((one, zero, -one), (zero, one, zero))
+
+
+def test_slice_metric_packs_the_entries(chart, ring):
+    t1, t2 = chart.mesh()
+
+    def ent(ub):
+        u = np.asarray(ub, float)[:, None, None]
+        a = np.exp(u) * (1.0 + 0.2 * np.cos(t1))
+        b = 0.3 * np.sin(u + t2)
+        return a, b, (1.0 + b * b) / a  # unit determinant
+
+    def dent(ub):
+        a, b, d = ent(ub)
+        return 2.0 * a, -b, 3.0 * d
+
+    one, zero = const_maps(chart)
+    data = C.ReducedCharData(Grid1D(0.0, 1.0, 11), chart, ring, one, zero, ent, dent)
+    for view, fn in zip(data.slice_metric(0.37), (ent, dent)):
+        a, b, d = (x[0] for x in fn(np.array([0.37])))
+        assert np.array_equal(view, np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2))
 
 
 def test_vacuum_cosine_oracle(chart, ring):
@@ -81,8 +122,7 @@ def test_vacuum_cosine_oracle(chart, ring):
 def test_vacuum_affine_for_constant_metric(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 101)
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)))
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
     sol = C.solve_vacuum_constraint(data, 1.0, 0.3)
     assert np.abs(sol.phi[:, 0, 0] - (1.0 + 0.3 * grid.points())).max() < 1e-13
 
@@ -133,8 +173,7 @@ def test_dust_first_integral(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 2001)
     cval = 0.8
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)))
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
     sol = C.solve_dust_constraint(data, 1.0, 0.0,
                                   density=lambda ub: np.full((len(ub),) + chart.shape, cval))
     energy = 0.5 * sol.dphi[:, 0, 0] ** 2 + 0.5 * cval * np.log(sol.phi[:, 0, 0])
@@ -144,8 +183,7 @@ def test_dust_first_integral(chart, ring):
 def test_dust_comparison_monotone(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 401)
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)))
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
     lo = C.solve_dust_constraint(data, 1.0, 0.0, density=lambda ub: np.full((len(ub),) + chart.shape, 0.4))
     hi = C.solve_dust_constraint(data, 1.0, 0.0, density=lambda ub: np.full((len(ub),) + chart.shape, 0.9))
     assert np.all(hi.phi <= lo.phi + 1e-14)
@@ -166,8 +204,7 @@ def shell_data(chart, ring, grid, mass_scale=1.0):
     t1, _ = chart.mesh()
     m_theta = mass_scale * (1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1))
     dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
-    return C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)),
+    return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                              dust=dust), m_theta
 
 
@@ -197,8 +234,7 @@ def test_weak_residual_smooth_dust_consistency(chart, ring):
     grid = Grid1D(0.0, 1.0, 513)
     density = lambda ub: (1.0 + np.sin(np.pi * np.asarray(ub, float)))[:, None, None] * np.ones(chart.shape)
     dust = C.NullDustMeasure(atoms=[], density=density)
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)),
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                              dust=dust)
     sol = C.solve_dust_constraint(data, 1.0, 0.0)
     for tf in bump_dictionary(grid, chart)[:4]:
@@ -214,7 +250,7 @@ def test_weak_residual_glued_shell_and_negative_control(chart, ring):
     assert abs(res) < 1e-6
     # dropping the measure: residual becomes the (scaled) dust pairing
     no_dust = C.ReducedCharData(grid, chart, ring, data.omega, data.dlog_omega,
-                                data.gamma_hat, data.dgamma_hat)
+                                data.entries, data.dentries)
     res_control = C.weak_constraint_residual(no_dust, sol, tf, tf.deriv)
     pairing = C.measure_pairing(data, tf, weight=lambda ub: 1.0 / sol(ub))
     assert abs(res_control) > 0.4 * pairing
@@ -243,30 +279,28 @@ def test_atom_outside_interval_rejected(chart, ring):
     dust = C.NullDustMeasure(atoms=[(1.5, np.ones(chart.shape))])
     one, zero = const_maps(chart)
     with pytest.raises(C.MeasureSupportError):
-        C.ReducedCharData(grid, chart, ring, one, zero,
-                          lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)),
+        C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                           dust=dust)
 
 
 def test_det_ratio_enforced(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 101)
+    entries, dentries = C.ring_entries(ring)
 
     def bad(ub):
-        g = ring.copy()
-        g[..., 0, 0] = 1.0 + 0.1 * ub  # det drifts away from det gamma_ring
-        return g
+        a, b, d = entries(ub)
+        return a + 0.1 * np.asarray(ub, float)[:, None, None], b, d  # det drifts away from det gamma_ring
 
     with pytest.raises(ValueError, match="det"):
-        C.ReducedCharData(grid, chart, ring, one, zero, bad, lambda ub: np.zeros(chart.shape + (2, 2)))
+        C.ReducedCharData(grid, chart, ring, one, zero, bad, dentries)
 
 
 def test_chi_identities(chart, ring):
     # conformal-only deformation: shear vanishes, trace matches 2 dPhi/(Omega Phi)
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 201)
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)))
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
     sol = C.solve_vacuum_constraint(data, 1.0, 1.0)  # Phi = 1 + ub
     trchi, chihat, chi = C.chi_from_data(data, sol, 0.5)
     assert np.abs(trchi - 2.0 / 1.5).max() < 1e-12
@@ -286,7 +320,7 @@ def test_shear_norm_identity_random_data(chart, ring):
     ub = 0.37
     trchi, chihat, chi = C.chi_from_data(data, sol, ub)
     phi = sol(np.array([ub]))[0]
-    gamma = phi[..., None, None] ** 2 * gh(ub)
+    gamma = phi[..., None, None] ** 2 * sym2_pack(*(x[0] for x in gh(ub)))
     lhs = dot22(gamma, chihat, chihat)
     rhs = C.shear_norm_sq(data, np.array([ub]))[0]
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -296,8 +330,7 @@ def test_mass_functional(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 201)
     # conformal-only data: the shear functional vanishes identically
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)))
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
     per_theta, inf_val = C.christodoulou_mass(data, 0.5)
     assert np.abs(per_theta).max() < 1e-14
     # additivity over disjoint windows for shear-carrying data

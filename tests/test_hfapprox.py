@@ -19,12 +19,15 @@ def make_background(chart, grid, f_level=1.0, b_amp=0.0, phi_const=True):
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     cst = lambda field: (lambda ub: np.broadcast_to(field, (len(np.atleast_1d(ub)),) + chart.shape).copy())
+    ring = np.zeros(chart.shape + (2, 2))
+    ring[..., 0, 0] = ring[..., 1, 1] = 1.0
     f_fn = lambda ub: f_level * (1.0 + 0.5 * np.sin(2 * np.pi * np.asarray(ub, float)))[:, None, None] * np.ones(chart.shape)
     df_fn = lambda ub: f_level * (np.pi * np.cos(2 * np.pi * np.asarray(ub, float)))[:, None, None] * np.ones(chart.shape)
-    return H.DustBackground(
-        chart, grid, cst(a0), cst(bprof), cst(d0), zero, zero, zero,
-        f_fn, df_fn, one, zero, one, zero,
+    data = C.ReducedCharData(
+        grid, chart, ring, one, zero,
+        lambda ub: (cst(a0)(ub), cst(bprof)(ub), cst(d0)(ub)), lambda ub: (zero(ub), zero(ub), zero(ub)),
     )
+    return H.DustBackground(data, f_fn, df_fn, one, zero)
 
 
 @pytest.fixture
@@ -42,7 +45,7 @@ def test_zero_density_is_exact_identity(chart, grid):
     fam = H.OscillatoryFamily(bg, 8.0, 16)
     ub = np.linspace(0, 1, 301)
     ea, eb, ed = fam.entries(ub)
-    ba, bb, bd = bg.entries(ub)
+    ba, bb, bd = bg.data.entries(ub)
     assert np.array_equal(ea, ba) and np.array_equal(ed, bd)
     assert np.abs(fam.corrector(ub)).max() == 0.0
     assert np.abs(fam.weak_defect(ub)).max() < 1e-14
@@ -66,7 +69,7 @@ def test_gamma_gap_decays_like_inverse_n(chart, grid):
         fam = H.OscillatoryFamily(bg, k, n)
         ub = np.linspace(0, 1, 4096)
         ea, eb, ed = fam.entries(ub)
-        ba, bb, bd = bg.entries(ub)
+        ba, bb, bd = bg.data.entries(ub)
         gaps.append(max(np.abs(ea - ba).max(), np.abs(ed - bd).max()))
     assert fit_rate(1.0 / np.array(ns), gaps).slope >= 0.9
 
@@ -93,7 +96,7 @@ def test_defect_requires_corrector(chart, grid):
     ub = np.linspace(0, 1, 16384)
     with_corr = np.abs(fam.weak_defect(ub)).max()
     without = np.abs(
-        (fam.dgamma_normsq(ub) - bg.dgamma_normsq(ub)) * bg.phi(ub) ** 2 - 4.0 * bg.f(ub)
+        (fam.dgamma_normsq(ub) - bg.data.dgamma_normsq(ub)) * bg.phi(ub) ** 2 - 4.0 * bg.f(ub)
     ).max()
     assert with_corr < 0.1 * without
 
@@ -104,7 +107,7 @@ def test_off_diagonal_absorption_floor(chart, grid):
     bg = make_background(chart, grid, f_level=1.0, b_amp=0.5)
     k = H.select_k(bg)
     ub = np.linspace(0, 1, 32768)
-    a, b, d = bg.entries(ub)
+    a, b, d = bg.data.entries(ub)
     predicted = 4.0 * bg.f(ub) * b**2 / (a * d) * bg.phi(ub) ** 2
     floors = []
     for n in (64, 128, 256):

@@ -23,8 +23,7 @@ def setting():
     strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
     m_theta = (1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1)) * (1.0 - strip)
     dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)),
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                              dust=dust)
     bv = C.solve_glued_shell(data, 1.0, 0.15)
     pipe = MP.MeasurePipeline(data, bv)
@@ -98,8 +97,7 @@ def test_empty_measure_gives_constant_family():
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     dust = C.NullDustMeasure(atoms=[], density=zero)
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)),
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                              dust=dust)
     bv = C.solve_vacuum_constraint(data, 1.0, 0.2)
     pipe = MP.MeasurePipeline(data, bv, k=8.0)
@@ -119,7 +117,7 @@ def test_linearity_in_atom_mass(setting):
     mass2 = 2.0 * data.dust.atoms[0][1]
     dust2 = C.NullDustMeasure(atoms=[(0.45, mass2)])
     data2 = C.ReducedCharData(grid, chart, data.gamma_ring, data.omega, data.dlog_omega,
-                              data.gamma_hat, data.dgamma_hat, dust=dust2)
+                              data.entries, data.dentries, dust=dust2)
     bv2 = C.solve_glued_shell(data2, 1.0, 0.15)
     pipe2 = MP.MeasurePipeline(data2, bv2)
     pipe2.freeze_k([1, 4])

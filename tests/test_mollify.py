@@ -22,8 +22,7 @@ def setting():
     t1, _ = chart.mesh()
     m_theta = 1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1)
     dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
-    data = C.ReducedCharData(grid, chart, ring, one, zero,
-                             lambda ub: ring.copy(), lambda ub: np.zeros(chart.shape + (2, 2)),
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                              dust=dust)
     return chart, grid, data, dust, one, m_theta
 
