@@ -79,10 +79,23 @@ def _finish(outdir, config, summary, t0):
     return 0
 
 
-def _parse_span(text):
-    """'j0..j1' -> list(range(j0, j1 + 1))"""
-    lo, hi = text.split("..")
-    return list(range(int(lo), int(hi) + 1))
+def _span(min_members):
+    """argparse type: 'j0..j1' -> list(range(j0, j1 + 1)), at least min_members long."""
+    def parse(text):
+        lo, _, hi = text.partition("..")
+        try:
+            span = list(range(int(lo), int(hi) + 1))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a span j0..j1, got {text!r}") from None
+        if len(span) < min_members:
+            raise argparse.ArgumentTypeError(f"span {text!r} has {len(span)} members, needs >= {min_members}")
+        return span
+    return parse
+
+
+def _int_list(text):
+    """argparse type: '2,4,8' -> [2, 4, 8]."""
+    return [int(x) for x in text.split(",")]
 
 
 def _mass_field(spec, chart):
@@ -104,7 +117,7 @@ def cmd_burnett(args):
     t0 = time.time()
     outdir = _out_root(args)
     seed = pw.SEEDS[args.seed]
-    lam_seq = [2.0**-j for j in _parse_span(args.lambda_seq)]
+    lam_seq = [2.0**-j for j in args.lambda_seq]
 
     def family(lam):
         n = max(4097, int(np.ceil(64 * 0.5 / lam)) + 1)
@@ -141,7 +154,7 @@ def cmd_shell_limit(args):
     t0 = time.time()
     outdir = _out_root(args)
     seed = pw.SEEDS[args.seed]
-    lam_seq = [2.0**-j for j in _parse_span(args.lambda_seq)]
+    lam_seq = [2.0**-j for j in args.lambda_seq]
     grid = Grid1D(-0.5, 0.5, 2**17 + 1)
     rows = []
     for lam in lam_seq:
@@ -170,10 +183,9 @@ def cmd_shell_limit(args):
 def cmd_gowdy(args):
     t0 = time.time()
     outdir = _out_root(args)
-    n_values = [int(x) for x in args.n_seq.split(",")]
     amp = args.amplitude
     rows = []
-    for n in n_values:
+    for n in args.n_seq:
         tau_grid = Grid1D(0.0, 1.0, args.grid + 1)
         th_grid = Grid1D(0.0, 2.0 * np.pi, args.grid)
         tau = tau_grid.points()
@@ -282,9 +294,8 @@ def cmd_hf_approx(args):
         pipe = MP.MeasurePipeline(data, bv)
         if args.k != "auto":
             pipe.k = float(args.k)
-        ms = _parse_span(args.m_seq)
-        pipe.freeze_k([ms[0], ms[-1]])
-        members = [pipe.member(m) for m in ms]
+        pipe.freeze_k([args.m_seq[0], args.m_seq[-1]])
+        members = [pipe.member(m) for m in args.m_seq]
         tf = bump_dictionary(grid, chart)[1]
         table = MP.pipeline_weak_check(pipe, members, [tf])
         _write_csv(
@@ -353,7 +364,7 @@ def cmd_cc_demo(args):
     if pair is not None:
         mesh = pair.box.mesh()
         psi = 1.0 + 0.5 * np.cos(mesh[0]) * np.cos(mesh[1])
-        res = CC.weak_product_test(pair, psi, [int(x) for x in args.n_seq.split(",")])
+        res = CC.weak_product_test(pair, psi, args.n_seq)
         rows = list(zip(res["n"], res["pairings"], res["gaps"]))
         verdict = {"product_converges": res["product_converges"], "expects_defect": res["expects_defect"]}
         _write_csv(os.path.join(outdir, "pairings.csv"), ["n", "pairing", "gap"], rows, args.plot_data)
@@ -395,17 +406,18 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("burnett", help="oscillation family: weak pairings and vacuum residuals")
-    p.add_argument("--lambda-seq", default="2..10", help="dyadic exponent span j0..j1")
+    p.add_argument("--lambda-seq", default="2..10", type=_span(4),
+                   help="dyadic exponent span j0..j1, at least 4 members (the rate fit)")
     p.add_argument("--seed", default="cosine", choices=sorted(pw.SEEDS))
     p.set_defaults(func=cmd_burnett)
 
     p = sub.add_parser("shell-limit", help="concentration family: derivative jump extraction")
-    p.add_argument("--lambda-seq", default="6..10")
+    p.add_argument("--lambda-seq", default="6..10", type=_span(1), help="dyadic exponent span j0..j1")
     p.add_argument("--seed", default="bump", choices=sorted(pw.SEEDS))
     p.set_defaults(func=cmd_shell_limit)
 
     p = sub.add_parser("gowdy", help="Bessel-profile family tables and the two-beam limit")
-    p.add_argument("--n-seq", default="2,4,8")
+    p.add_argument("--n-seq", default="2,4,8", type=_int_list)
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=192)
     p.set_defaults(func=cmd_gowdy)
@@ -418,8 +430,9 @@ def build_parser():
 
     p = sub.add_parser("hf-approx", help="dust-absorbing oscillation convergence tables")
     p.add_argument("--k", default="auto", help="oscillation wavenumber (auto: escalating selection)")
-    p.add_argument("--m-seq", default=None,
-                   help="also run the measure->vacuum pipeline over this dyadic span, e.g. 1..6")
+    p.add_argument("--m-seq", default=None, type=_span(4),
+                   help="also run the measure->vacuum pipeline over this dyadic span, e.g. 1..6; "
+                        "at least 4 members (the rate fit)")
     p.add_argument("--dust", default=None, help="dust spec for the pipeline (see `constraints`)")
     p.set_defaults(func=cmd_hf_approx)
 
@@ -435,7 +448,7 @@ def build_parser():
     p.add_argument("--dim", type=int, default=2, choices=(2, 4))
     p.add_argument("--c1", type=float, default=4.0)
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--n-seq", default="4,8,16,32,64,128,256")
+    p.add_argument("--n-seq", default="4,8,16,32,64,128,256", type=_int_list)
     p.add_argument("--pair", default="transverse", choices=sorted(CC.PAIRS))
     p.add_argument("--seed-value", type=int, default=7)
     p.set_defaults(func=cmd_cc_demo)

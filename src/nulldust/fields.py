@@ -118,7 +118,6 @@ class MetricBlock:
     grids: tuple[Grid1D, ...]
     periodic: tuple[bool, ...]
     g: np.ndarray
-    structure: str = "block"  # "diagonal" or "block" bookkeeping only
     warnings: list = field(default_factory=list)
 
     def __post_init__(self):

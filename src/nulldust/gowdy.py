@@ -75,7 +75,6 @@ def limit_metric_block(amplitude: float, tau_grid: Grid1D) -> MetricBlock:
         grids=(tau_grid,),
         periodic=(False,),
         g=g,
-        structure="diagonal",
     )
 
 
@@ -97,7 +96,6 @@ def _assemble(tau, theta, p, alpha, tau_grid, theta_grid) -> MetricBlock:
         grids=(tau_grid, theta_grid),
         periodic=(False, True),
         g=g,
-        structure="diagonal",
     )
 
 

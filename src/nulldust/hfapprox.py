@@ -23,6 +23,9 @@ The conformal metrics travel as batched entries: the dust metric is the
 ReducedCharData a DustBackground holds, and each family member maps
 ub(K,) -> (a_n, b, d_n) and their derivatives, each (K, n1, n2), so norms,
 determinants and eigenvalues are computed entrywise over whole batches.
+OscillatoryFamily.jet(ub) returns both, ((a_n, b, d_n), (a_n', b', d_n')),
+from one evaluation of each background map (the dust entries and their
+derivatives, f, f', Phi, Phi'); the norm-square |dgamma_n|^2 reads it.
 """
 
 from dataclasses import dataclass
@@ -36,9 +39,18 @@ from .fields import sym2_min_eigenvalue
 from .grids import Grid1D
 from .odesolve import DenseSolution, solve_linear_second_order
 
+_MAX_DOUBLINGS = 20  # wavenumber escalation steps before giving up
+
 
 class PositivityEscalationError(NumericalFailure):
     """No oscillation wavenumber in 20 doublings keeps the metric positive."""
+
+
+def _member_entries(a, b, d, det, s):
+    """Entries (a_n, b, d_n) of gamma_n from the dust entries, their
+    determinant and the phase factor s."""
+    e11 = a + det / d * s
+    return e11, b, d - det * s / e11
 
 
 @dataclass
@@ -69,49 +81,46 @@ class OscillatoryFamily:
     k: float
     n: int
 
-    def _s(self, ub_batch):
+    def entries(self, ub_batch):
         kn = self.k * self.n
+        a, b, d = self.background.data.entries(ub_batch)
         amp = 2.0 * self.background.root_f_over_phi(ub_batch) / kn
-        return amp * np.sin(kn * np.asarray(ub_batch, float))[:, None, None]
+        s = amp * np.sin(kn * np.asarray(ub_batch, float))[:, None, None]
+        return _member_entries(a, b, d, a * d - b * b, s)
 
-    def _ds(self, ub_batch):
+    def jet(self, ub_batch):
+        """(entries, dentries) of gamma_n, calling each background map once."""
         kn = self.k * self.n
         ub = np.asarray(ub_batch, float)
         bg = self.background
-        rf = bg.root_f_over_phi(ub_batch)
-        # d/dub (2 sqrt(f)/Phi): safe where f > 0, zero on the support edge
+        a, b, d = bg.data.entries(ub_batch)
+        da, db, dd = bg.data.dentries(ub_batch)
         f = np.maximum(bg.f(ub_batch), 0.0)
         df = bg.df(ub_batch)
         phi = bg.phi(ub_batch)
         dphi = bg.dphi(ub_batch)
+        rf = np.sqrt(f) / phi
+        sin, cos = np.sin(kn * ub)[:, None, None], np.cos(kn * ub)[:, None, None]
+        # d/dub (2 sqrt(f)/Phi): safe where f > 0, zero on the support edge
         with np.errstate(divide="ignore", invalid="ignore"):
             drf = np.where(f > 1e-300, df / np.sqrt(f) / phi, 0.0) - 2.0 * rf * dphi / phi
-        return (
-            2.0 * rf * np.cos(kn * ub)[:, None, None]
-            + (2.0 * drf / kn) * np.sin(kn * ub)[:, None, None]
-        )
-
-    def entries(self, ub_batch):
-        a, b, d = self.background.data.entries(ub_batch)
-        det = a * d - b * b
-        s = self._s(ub_batch)
-        e11 = a + det / d * s
-        e22 = d - det * s / e11
-        return e11, b, e22
-
-    def dentries(self, ub_batch):
-        a, b, d = self.background.data.entries(ub_batch)
-        da, db, dd = self.background.data.dentries(ub_batch)
+        s = 2.0 * rf / kn * sin
+        # known defect: with drf as above the exact envelope term is
+        # (drf / kn) sin; the doubled one is kept until the acceptance
+        # reference values are regenerated with the fix (ROADMAP)
+        ds = 2.0 * rf * cos + (2.0 * drf / kn) * sin
         det = a * d - b * b
         ddet = da * d + a * dd - 2.0 * b * db
-        s, ds = self._s(ub_batch), self._ds(ub_batch)
-        e11 = a + det / d * s
+        e11, _, e22 = _member_entries(a, b, d, det, s)
         de11 = da + (ddet / d - det * dd / (d * d)) * s + det / d * ds
         de22 = dd - (ddet * s + det * ds) / e11 + det * s * de11 / (e11 * e11)
-        return de11, db, de22
+        return (e11, b, e22), (de11, db, de22)
+
+    def dentries(self, ub_batch):
+        return self.jet(ub_batch)[1]
 
     def dgamma_normsq(self, ub_batch):
-        return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
+        return dgamma_norm_sq(*self.jet(ub_batch))
 
     def det_defect(self, ub_batch):
         """det gamma_n - det gamma_dust (zero by algebraic cancellation)."""
@@ -131,9 +140,7 @@ class OscillatoryFamily:
         amp = 2.0 * bg.root_f_over_phi(ub_batch) / (self.k * self.n)
         worst = None
         for sign in (1.0, -1.0):
-            s = sign * amp
-            e11 = a + det / d * s
-            eig = sym2_min_eigenvalue(e11, b, d - det * s / e11)
+            eig = sym2_min_eigenvalue(*_member_entries(a, b, d, det, sign * amp))
             worst = eig if worst is None else np.minimum(worst, eig)
         return worst
 
@@ -154,12 +161,12 @@ class OscillatoryFamily:
         e1, e2 = self._envelopes(ub)
         return e1 * np.sin(2.0 * kn * ub)[:, None, None] + e2 * np.sin(kn * ub)[:, None, None]
 
-    def dcorrector(self, ub_batch, env_step: float | None = None):
+    def dcorrector(self, ub_batch):
         """dF_n/dub: exact in the fast phase, envelope derivatives by stencil."""
         ub = np.asarray(ub_batch, float)
         kn = self.k * self.n
         e1, e2 = self._envelopes(ub)
-        h = env_step if env_step is not None else max(self.background.data.grid.h, 1e-6)
+        h = max(self.background.data.grid.h, 1e-6)
         stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
         offs = np.array([-2.0 * h, -h, h, 2.0 * h])
         de1 = np.zeros_like(e1)
@@ -188,15 +195,15 @@ class OscillatoryFamily:
         return Grid1D(grid.a, grid.b, n)
 
 
-def select_k(background: DustBackground, probe_points: int = 4096, max_doublings: int = 20) -> float:
+def select_k(background: DustBackground) -> float:
     """Smallest admissible oscillation wavenumber: start from the sup-based
     seed and double until the n = 1 member keeps half the background's
     eigenvalue margin (n = 1 has the largest oscillation amplitude)."""
-    ub = np.linspace(background.data.grid.a, background.data.grid.b, probe_points)
+    ub = np.linspace(background.data.grid.a, background.data.grid.b, 4096)
     sup_rf = float(background.root_f_over_phi(ub).max())
     min_eig = float(sym2_min_eigenvalue(*background.data.entries(ub)).min())
     k = 8.0 * (sup_rf + 1.0) / min_eig
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         fam = OscillatoryFamily(background, k, 1)
         grid = fam.resolving_grid(per_wavelength=32)
         probe = np.linspace(grid.a, grid.b, min(grid.n, 1 << 18))
@@ -204,7 +211,7 @@ def select_k(background: DustBackground, probe_points: int = 4096, max_doublings
             return k
         k *= 2.0
     raise PositivityEscalationError(
-        f"no positive-definite oscillation found after {max_doublings} doublings"
+        f"no positive-definite oscillation found after {_MAX_DOUBLINGS} doublings"
     )
 
 
@@ -220,11 +227,11 @@ def build_family(background: DustBackground, n: int, k: float | None = None) -> 
     return fam
 
 
-def solve_phi_n(fam: OscillatoryFamily, per_wavelength: int = 16) -> DenseSolution:
+def solve_phi_n(fam: OscillatoryFamily) -> DenseSolution:
     """Vacuum constraint solve with the oscillatory shear, matching the dust
-    solution's initial value and slope."""
+    solution's initial value and slope (16 steps per wavelength)."""
     bg = fam.background
-    grid = fam.resolving_grid(per_wavelength)
+    grid = fam.resolving_grid(16)
     ub0 = np.array([grid.a])
     phi0 = bg.phi(ub0)[0]
     dphi0 = bg.dphi(ub0)[0]
@@ -238,17 +245,15 @@ def solve_phi_n(fam: OscillatoryFamily, per_wavelength: int = 16) -> DenseSoluti
     )
 
 
-def family_convergence(background: DustBackground, n_values, k: float | None = None,
-                       sample_points: int = 4096, per_wavelength: int = 16):
+def family_convergence(background: DustBackground, n_values):
     """Sup-norm tables for gamma_n -> gamma_dust, Phi_n -> Phi_dust, the weak
     defect, and its corrector-free negative control, per n."""
-    if k is None:
-        k = select_k(background)
+    k = select_k(background)
     rows = []
     for n in n_values:
         fam = OscillatoryFamily(background, k, n)
-        grid = fam.resolving_grid(per_wavelength=max(per_wavelength, 16))
-        ub = np.linspace(grid.a, grid.b, max(sample_points, grid.n))
+        grid = fam.resolving_grid(16)
+        ub = np.linspace(grid.a, grid.b, max(4096, grid.n))
         ea, eb, ed = fam.entries(ub)
         ba, bb, bd = background.data.entries(ub)
         gap_gamma = max(
@@ -264,7 +269,7 @@ def family_convergence(background: DustBackground, n_values, k: float | None = N
             ).max()
         )
         det_defect = float(np.abs(fam.det_defect(ub)).max())
-        sol = solve_phi_n(fam, per_wavelength)
+        sol = solve_phi_n(fam)
         nodes = sol.grid.points()
         gap_phi = float(np.abs(sol.phi - background.phi(nodes)).max())
         gap_dphi = float(np.abs(sol.dphi - background.dphi(nodes)).max())
@@ -289,22 +294,19 @@ def family_convergence(background: DustBackground, n_values, k: float | None = N
 # measure -> smooth dust -> vacuum composition
 # ---------------------------------------------------------------------------
 
-def select_k_uniform(backgrounds_and_ns, min_eig: float, probes=None, safety: float = 4.0,
-                     max_doublings: int = 20) -> float:
+def select_k_uniform(backgrounds_and_ns, min_eig: float, probes) -> float:
     """One oscillation wavenumber serving a whole dyadic run.
 
     The oscillation amplitude of member (k, n) is 2 sup(sqrt(f)/Phi)/(k n);
-    start from the largest amplitude demand across the run and double until
-    every member keeps half the background eigenvalue margin (checked through
-    the phase-envelope eigenvalue bound on the probe points).
+    start from four times the largest amplitude demand across the run and
+    double until every member keeps half the background eigenvalue margin
+    (checked through the phase-envelope eigenvalue bound on its probe points).
     """
-    if probes is None:
-        probes = [np.linspace(bg.data.grid.a, bg.data.grid.b, 4096) for bg, _ in backgrounds_and_ns]
     demand = 0.0
     for (bg, n), probe in zip(backgrounds_and_ns, probes):
         demand = max(demand, float(bg.root_f_over_phi(probe).max()) / n)
-    k = max(1.0, safety * 8.0 * (demand + 1.0 / backgrounds_and_ns[0][1]) / min_eig)
-    for _ in range(max_doublings):
+    k = max(1.0, 4.0 * 8.0 * (demand + 1.0 / backgrounds_and_ns[0][1]) / min_eig)
+    for _ in range(_MAX_DOUBLINGS):
         ok = True
         for (bg, n), probe in zip(backgrounds_and_ns, probes):
             fam = OscillatoryFamily(bg, k, n)
@@ -315,41 +317,3 @@ def select_k_uniform(backgrounds_and_ns, min_eig: float, probes=None, safety: fl
             return k
         k *= 2.0
     raise PositivityEscalationError("no uniform wavenumber keeps positivity across the run")
-
-
-def solve_phi_n_segmented(fam: OscillatoryFamily, windows, phi0, dphi0,
-                          fine_scale: float | None = None,
-                          step_smooth: float | None = None, per_scale: int = 16):
-    """Vacuum solve with the oscillatory shear, fine only inside the windows
-    where the oscillation envelope is supported.
-
-    fine_scale: smallest feature of the envelope inside the windows (defaults
-    to the oscillation wavelength).
-    """
-    from .odesolve import solve_linear_segmented
-
-    bg = fam.background
-    grid = bg.data.grid
-    wavelength = 2.0 * np.pi / (fam.k * fam.n)
-    fine = min(wavelength, fine_scale) if fine_scale else wavelength
-    step_smooth = step_smooth or (grid.b - grid.a) / 2048.0
-    cuts = {grid.a, grid.b}
-    for lo, hi in windows:
-        cuts.add(max(grid.a, lo))
-        cuts.add(min(grid.b, hi))
-    cuts = sorted(cuts)
-    steps = []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        inside = any(wl - 1e-15 <= mid <= wh + 1e-15 for wl, wh in windows)
-        steps.append(fine / per_scale if inside else step_smooth)
-    shape = bg.data.chart.shape
-    return solve_linear_segmented(
-        np.array(cuts),
-        steps,
-        bg.data.dlog_omega,
-        lambda ub: 0.125 * fam.dgamma_normsq(ub),
-        None,
-        np.broadcast_to(np.asarray(phi0, float), shape).copy(),
-        np.broadcast_to(np.asarray(dphi0, float), shape).copy(),
-    )

@@ -5,7 +5,7 @@ determinant-preserving vacuum oscillations, with the weak-convergence check
         - (1/4) int phi Omega^-2 |dgam|^2 dA dub   ->   int phi dnu
 
 along the dyadic index m, where the oscillation index n(m) is the smallest
-power of two with n >= n0 * 2^m so every O(1/n) defect sits below 2^-m.
+power of two with n >= 4 * 2^{5m/2} so every O(1/n) defect sits below 2^-m.
 """
 
 from dataclasses import dataclass
@@ -14,9 +14,9 @@ import numpy as np
 
 from .constraints import ReducedCharData, measure_pairing
 from .fields import sym2_min_eigenvalue
-from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform, solve_phi_n_segmented
+from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform
 from .mollify import MollifiedDensity, mollify_measure, solve_phi_m_dust
-from .odesolve import PiecewiseSolution
+from .odesolve import PiecewiseSolution, solve_linear_segmented
 from .quadrature import gauss_legendre_nodes
 
 
@@ -44,33 +44,40 @@ class MeasurePipeline:
 
     data: ReducedCharData
     phi_bv: PiecewiseSolution
-    n0: int = 4
     k: float | None = None
+
+    def __post_init__(self):
+        self._built = {}  # m -> background(m), shared by freeze_k and member
 
     def n_of(self, m: int) -> int:
         n = 1
-        target = self.n0 * 2.0 ** (2.5 * m)
+        target = 4 * 2.0 ** (2.5 * m)
         while n < target:
             n *= 2
         return n
+
+    def _initial(self):
+        """Value and slope of the BV solution at ub = a, where every solve starts."""
+        ub0 = np.array([self.data.grid.a])
+        return self.phi_bv(ub0)[0], self.phi_bv.deriv(ub0)[0]
 
     def background(self, m: int):
         fm = mollify_measure(
             self.data.dust, self.data.omega, m, self.data.grid, dlog_omega=self.data.dlog_omega
         )
-        phi_dust = solve_phi_m_dust(
-            fm,
-            self.data,
-            self.phi_bv(np.array([self.data.grid.a]))[0],
-            self.phi_bv.deriv(np.array([self.data.grid.a]))[0],
-        )
+        phi_dust = solve_phi_m_dust(fm, self.data, *self._initial())
         bg = DustBackground(self.data, fm, fm.deriv, phi_dust, phi_dust.deriv)
         return fm, phi_dust, bg
+
+    def _background(self, m: int):
+        if m not in self._built:
+            self._built[m] = self.background(m)
+        return self._built[m]
 
     def _probe(self, fm) -> np.ndarray:
         """Window-refined probe points resolving the mollifier envelope."""
         pts = [np.linspace(self.data.grid.a, self.data.grid.b, 513)]
-        for lo, hi in fm.windows(pad=2.5):
+        for lo, hi in fm.windows():
             pts.append(np.linspace(lo, hi, 512))
         return np.unique(np.concatenate(pts))
 
@@ -79,7 +86,7 @@ class MeasurePipeline:
             pairs, probes = [], []
             min_eig = None
             for m in m_values:
-                fm, _, bg = self.background(m)
+                fm, _, bg = self._background(m)
                 pairs.append((bg, self.n_of(m)))
                 probes.append(self._probe(fm))
                 eig = float(sym2_min_eigenvalue(*self.data.entries(probes[-1])).min())
@@ -88,42 +95,39 @@ class MeasurePipeline:
         return self.k
 
     def member(self, m: int) -> PipelineMember:
+        """gamma_n and its vacuum solve, with steps of 1/16 of the smaller of
+        the wavelength and eps inside the atom windows, where the oscillation
+        envelope lives, and 1/2048 of the interval outside them."""
         if self.k is None:
             raise RuntimeError("freeze_k must run before building members")
-        fm, phi_dust, bg = self.background(m)
+        fm, phi_dust, bg = self._background(m)
         n = self.n_of(m)
         fam = OscillatoryFamily(bg, self.k, n)
-        phi_vac = solve_phi_n_segmented(
-            fam,
-            fm.windows(pad=2.5),
-            self.phi_bv(np.array([self.data.grid.a]))[0],
-            self.phi_bv.deriv(np.array([self.data.grid.a]))[0],
-            fine_scale=fm.eps,
+        fine = min(2.0 * np.pi / (self.k * n), fm.eps) / 16
+        smooth = (self.data.grid.b - self.data.grid.a) / 2048.0
+        segments = fm.segments()
+        phi_vac = solve_linear_segmented(
+            [segments[0][0]] + [hi for _, hi, _ in segments],
+            [fine if inside else smooth for _, _, inside in segments],
+            self.data.dlog_omega,
+            lambda ub: 0.125 * fam.dgamma_normsq(ub),
+            None,
+            *self._initial(),
         )
         return PipelineMember(m, n, self.k, fm, phi_dust, fam, phi_vac)
 
 
-def shear_energy_pairing(member: PipelineMember, data: ReducedCharData, phi_test,
-                         outer_panels: int = 48, gl: int = 12) -> float:
+def shear_energy_pairing(member: PipelineMember, data: ReducedCharData, phi_test) -> float:
     """(1/4) int int phi Omega^-2 |dgam_vac|^2 (Phi_vac)^2 dA_ring dub."""
     fam, sol = member.family, member.phi_vac
     w = data.area_weights()
     wavelength = 2.0 * np.pi / (fam.k * fam.n)
-    edges = {data.grid.a, data.grid.b}
-    windows = member.fm.windows(pad=2.5)
-    for lo, hi in windows:
-        edges.add(max(data.grid.a, lo))
-        edges.add(min(data.grid.b, hi))
     total = 0.0
-    for lo, hi in zip(sorted(edges)[:-1], sorted(edges)[1:]):
-        if hi <= lo:
-            continue
-        mid = 0.5 * (lo + hi)
-        inside = any(wl - 1e-15 <= mid <= wh + 1e-15 for wl, wh in windows)
-        panels = max(outer_panels, int(np.ceil((hi - lo) / wavelength)) * 2) if inside else outer_panels
+    for lo, hi, inside in member.fm.segments():
+        panels = max(48, int(np.ceil((hi - lo) / wavelength)) * 2) if inside else 48
         sub = np.linspace(lo, hi, panels + 1)
         for p_lo, p_hi in zip(sub[:-1], sub[1:]):
-            xs, ws = gauss_legendre_nodes(p_lo, p_hi, gl)
+            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 12)
             om2 = np.asarray(data.omega(xs)) ** 2
             normsq = fam.dgamma_normsq(xs)
             phiv = sol(xs) ** 2
@@ -132,16 +136,15 @@ def shear_energy_pairing(member: PipelineMember, data: ReducedCharData, phi_test
     return 0.25 * total
 
 
-def background_shear_pairing(data: ReducedCharData, phi_bv, phi_test,
-                             panels: int = 96, gl: int = 12) -> float:
+def background_shear_pairing(data: ReducedCharData, phi_bv, phi_test) -> float:
     """(1/4) int int phi Omega^-2 |dgam|^2 Phi^2 dA_ring dub for the BV data."""
     w = data.area_weights()
     breaks = list(getattr(phi_bv, "breakpoints", [data.grid.a, data.grid.b]))
     total = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
-        sub = np.linspace(lo, hi, panels + 1)
+        sub = np.linspace(lo, hi, 96 + 1)
         for p_lo, p_hi in zip(sub[:-1], sub[1:]):
-            xs, ws = gauss_legendre_nodes(p_lo, p_hi, gl)
+            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 12)
             om2 = np.asarray(data.omega(xs)) ** 2
             normsq = np.asarray(data.dgamma_normsq(xs))
             phiv = phi_bv(xs) ** 2

@@ -19,13 +19,14 @@ from typing import Callable
 
 import numpy as np
 
-from .constraints import NullDustMeasure, ReducedCharData
+from .constraints import NullDustMeasure, ReducedCharData, measure_pairing
 from .grids import Grid1D
 from .odesolve import PiecewiseSolution, solve_linear_segmented
 from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes
 from .testfunctions import plateau, plateau_d
 
 _ALPHAS = (1.0, 0.0, -1.0)  # inward shifts for the three partition pieces
+_PAD = 2.5  # atom window half-width in units of eps (the kernel reaches 2 eps)
 
 
 @lru_cache(maxsize=1)
@@ -187,9 +188,6 @@ class MollifiedDensity:
         ub = np.asarray(ub_batch, dtype=float)
         om2 = np.asarray(self.omega(ub)) ** 2
         kernels = self.kernel(ub)
-        shape = None
-        for _, mass in self.measure.atoms:
-            shape = np.asarray(mass).shape
         acc = None
         for kern, (_, mass) in zip(kernels, self.measure.atoms):
             v = kern[:, None, None] * np.asarray(mass)[None, :, :]
@@ -201,24 +199,34 @@ class MollifiedDensity:
             acc = np.zeros((len(ub), 1, 1))
         return om2 * acc
 
-    def windows(self, pad: float = 2.0):
-        """Atom support windows [loc - pad*eps, loc + pad*eps] clipped to the grid."""
+    def windows(self):
+        """Atom support windows [loc - 2.5 eps, loc + 2.5 eps] clipped to the grid."""
         eps = self.eps
         return [
-            (max(self.grid.a, loc - pad * eps), min(self.grid.b, loc + pad * eps))
+            (max(self.grid.a, loc - _PAD * eps), min(self.grid.b, loc + _PAD * eps))
             for loc, _ in self.measure.atoms
+        ]
+
+    def segments(self):
+        """The grid interval cut at every window edge, in order: (lo, hi, inside),
+        where inside says [lo, hi] lies in an atom window."""
+        windows = self.windows()
+        cuts = sorted({self.grid.a, self.grid.b, *(x for w in windows for x in w)})
+        return [
+            (lo, hi, any(wl <= lo and hi <= wh for wl, wh in windows))
+            for lo, hi in zip(cuts[:-1], cuts[1:])
         ]
 
 
 def mollify_measure(measure: NullDustMeasure, omega: Callable, m: int, grid: Grid1D,
-                    boundary_margin: float = 2.0, dlog_omega: Callable | None = None) -> MollifiedDensity:
+                    dlog_omega: Callable | None = None) -> MollifiedDensity:
     """Smooth density approximating the measure at dyadic scale eps = 2^-2m."""
     if m < 1:
         raise ValueError("dyadic index must be >= 1")
     eps = 2.0 ** (-2 * m)
     for loc, _ in measure.atoms:
         # the shifted partitions absorb one-sided proximity; both-sided overflow cannot
-        if loc - boundary_margin * eps <= grid.a and loc + boundary_margin * eps >= grid.b:
+        if loc - 2.0 * eps <= grid.a and loc + 2.0 * eps >= grid.b:
             raise ValueError(f"atom at ub={loc:g} too close to both boundaries for eps={eps:g}")
         if not (grid.a < loc < grid.b):
             raise ValueError(f"atom at ub={loc:g} outside the open interval")
@@ -226,40 +234,26 @@ def mollify_measure(measure: NullDustMeasure, omega: Callable, m: int, grid: Gri
     return MollifiedDensity(measure, grid, m, omega, zetas, dzetas, dlog_omega)
 
 
-def density_pairing(fm: MollifiedDensity, data: ReducedCharData, phi_test,
-                    weight=None, outer_panels: int = 64, gl: int = 16) -> float:
+def density_pairing(fm: MollifiedDensity, data: ReducedCharData, phi_test) -> float:
     """int int phi Omega^-2 f_m dA_ring dub, resolved around each atom window.
 
-    phi_test maps ub(K,) -> (K, n1, n2) or broadcastable; weight likewise.
+    phi_test maps ub(K,) -> (K, n1, n2) or broadcastable.
     """
     w = data.area_weights()
-    edges = {data.grid.a, data.grid.b}
-    for lo, hi in fm.windows(pad=2.5):
-        edges.add(lo)
-        edges.add(hi)
-    edges = sorted(edges)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        in_window = any(lo >= wl - 1e-15 and hi <= wh + 1e-15 for wl, wh in fm.windows(pad=2.5))
-        panels = 48 if in_window else outer_panels
-        sub = np.linspace(lo, hi, panels + 1)
+    for lo, hi, inside in fm.segments():
+        sub = np.linspace(lo, hi, (48 if inside else 64) + 1)
         for p_lo, p_hi in zip(sub[:-1], sub[1:]):
-            xs, ws = gauss_legendre_nodes(p_lo, p_hi, gl)
+            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 16)
             f = fm(xs)
             om2 = np.asarray(data.omega(xs)) ** 2
             vals = np.broadcast_to(np.asarray(phi_test(xs)), f.shape).copy()
-            if weight is not None:
-                vals *= np.broadcast_to(np.asarray(weight(xs)), f.shape)
             total += float(np.einsum("k,kij,ij->", ws, vals * f / om2, w))
     return total
 
 
 def pairing_gap(fm: MollifiedDensity, data: ReducedCharData, phi_test, dphi_test) -> dict:
     """Mollified-vs-measure pairing gap plus the norms entering the rate bound."""
-    from .constraints import measure_pairing
-
     approx = density_pairing(fm, data, phi_test)
     exact = measure_pairing(data, phi_test)
     gap = abs(approx - exact)
@@ -284,59 +278,28 @@ def pairing_gap(fm: MollifiedDensity, data: ReducedCharData, phi_test, dphi_test
     }
 
 
-def l1_w_uniform_norm(fm: MollifiedDensity, data: ReducedCharData, samples: int = 64) -> float:
+def l1_w_uniform_norm(fm: MollifiedDensity, data: ReducedCharData) -> float:
     """L1_ub of the angular sup of f_m: bounded uniformly in m."""
     total = 0.0
-    edges = {data.grid.a, data.grid.b}
-    for lo, hi in fm.windows(pad=2.5):
-        edges.add(lo)
-        edges.add(hi)
-    edges = sorted(edges)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        xs, ws = gauss_legendre_nodes(lo, hi, min(4 * samples, 256))
+    for lo, hi, _ in fm.segments():
+        xs, ws = gauss_legendre_nodes(lo, hi, 256)
         sup_vals = np.asarray(fm(xs)).max(axis=(1, 2))
         total += float(np.sum(ws * sup_vals))
     return total
 
 
-def dust_solve_segments(fm: MollifiedDensity, step_smooth: float, per_scale: int = 16):
-    """Breakpoints and steps resolving each atom window at the mollifier scale."""
-    eps = fm.eps
-    cuts = [fm.grid.a]
-    steps = []
-    windows = fm.windows(pad=2.5)
-    for lo, hi in windows:
-        cuts.extend([lo, hi])
-    cuts.append(fm.grid.b)
-    cuts = sorted(set(cuts))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (lo + hi)
-        fine = any(wl <= mid <= wh for wl, wh in windows)
-        steps.append(eps / per_scale if fine else step_smooth)
-    return np.array(cuts), steps
-
-
-def solve_phi_m_dust(
-    fm: MollifiedDensity,
-    data: ReducedCharData,
-    phi0,
-    dphi0,
-    step_smooth: float | None = None,
-    per_scale: int = 32,
-) -> PiecewiseSolution:
+def solve_phi_m_dust(fm: MollifiedDensity, data: ReducedCharData, phi0, dphi0) -> PiecewiseSolution:
     """Integrate the dust constraint with the mollified density f_m.
 
-    Steps resolve the mollifier scale inside atom windows and stay coarse on
-    the smooth remainder.
+    Steps resolve the mollifier scale (eps/32) inside atom windows and stay
+    coarse (1/2048 of the interval) on the smooth remainder.
     """
-    step_smooth = step_smooth or (data.grid.b - data.grid.a) / 2048.0
-    cuts, steps = dust_solve_segments(fm, step_smooth, per_scale)
+    fine, smooth = fm.eps / 32, (data.grid.b - data.grid.a) / 2048.0
+    segments = fm.segments()
     shape = data.chart.shape
     return solve_linear_segmented(
-        cuts,
-        steps,
+        [segments[0][0]] + [hi for _, hi, _ in segments],
+        [fine if inside else smooth for _, _, inside in segments],
         data.dlog_omega,
         lambda ub: 0.125 * np.asarray(data.dgamma_normsq(ub)),
         fm,

@@ -33,8 +33,3 @@ def fit_rate(xs, ys) -> RateFit:
     if not np.isfinite(coef[0]):
         raise ValueError("rate fit produced a non-finite slope")
     return RateFit(xs, ys, float(coef[0]), float(coef[1]), resid)
-
-
-def observed_order(hs, errs) -> float:
-    """Convenience: slope of err vs h (positive for a convergent method)."""
-    return fit_rate(hs, errs).slope

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from nulldust.cli import main
 
 
@@ -63,6 +65,20 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     )
     assert proc.returncode == 2
     assert not (tmp_path / "trapped").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["burnett", "--lambda-seq", "2..4"],  # the rate fit needs 4 members
+    ["hf-approx", "--m-seq", "1..2"],
+    ["gowdy", "--n-seq", "2,x"],
+])
+def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
+    try:
+        code = run_cli(args, tmp_path)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert not (tmp_path / args[0]).exists()
 
 
 def test_unknown_mass_profile_is_usage_error(tmp_path):

@@ -34,7 +34,6 @@ def setting():
 
 def test_index_coupling_outruns_envelope():
     pipe = MP.MeasurePipeline.__new__(MP.MeasurePipeline)
-    pipe.n0 = 4
     assert pipe.n_of(2) >= 4 * 2**5
     assert pipe.n_of(4) / pipe.n_of(2) >= 2**5
 

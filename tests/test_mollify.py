@@ -121,3 +121,16 @@ def test_atom_crowded_by_both_boundaries():
     dust = C.NullDustMeasure(atoms=[(0.1, np.ones(chart.shape))])
     with pytest.raises(ValueError, match="boundar"):
         M.mollify_measure(dust, lambda ub: np.ones((len(ub),) + chart.shape), 1, grid)
+
+
+def test_segments_tile_the_interval(setting):
+    chart, grid, data, _, one, m_theta = setting
+    # windows of half-width 2.5 eps = 0.15625: the first clipped at ub = 0,
+    # the other two overlapping
+    dust = C.NullDustMeasure(atoms=[(0.05, m_theta), (0.6, m_theta), (0.7, m_theta)])
+    segments = M.mollify_measure(dust, one, 2, grid).segments()
+    los, his, inside = zip(*segments)
+    assert los[0] == grid.a and his[-1] == grid.b
+    assert los[1:] == his[:-1] and all(lo < hi for lo, hi in zip(los, his))
+    assert np.allclose(los + his[-1:], [0.0, 0.20625, 0.44375, 0.54375, 0.75625, 0.85625, 1.0])
+    assert inside == (True, False, True, True, True, False)
