@@ -21,7 +21,7 @@ from . import planewave as pw
 from . import shellmod as S
 from .grids import AngularGrid, Grid1D
 from .odesolve import solve_linear_second_order
-from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes
+from .quadrature import gauss_legendre_integrate, panel_values
 from .rates import fit_rate
 from .stencils import deriv1_fd4
 from .testfunctions import bump_dictionary, plateau
@@ -438,19 +438,12 @@ def _phi_gap_stats(sol, glued, fm, grid, atom=0.45):
     sup = float(np.abs(sol(xs_out) - glued(xs_out)).max())
     eps = fm.eps
     cuts = [grid.a, max(grid.a, atom - 3 * eps), min(grid.b, atom + 3 * eps), grid.b]
-    acc = 0.0
-    dsup = 0.0
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi <= lo:
-            continue
-        inside = lo >= atom - 3.5 * eps and hi <= atom + 3.5 * eps
-        n_pan = 200 if inside else 40
-        edges = np.linspace(lo, hi, n_pan + 1)
-        for p_lo, p_hi in zip(edges[:-1], edges[1:]):
-            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 8)
-            dgap = sol.deriv(xs) - glued.deriv(xs)
-            acc = acc + np.einsum("k,kij->ij", ws, dgap**2)
-            dsup = max(dsup, float(np.abs(dgap).max()))
+    pieces = [(lo, hi, 200 if lo >= atom - 3.5 * eps and hi <= atom + 3.5 * eps else 40)
+              for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo]
+    acc, dsup = 0.0, 0.0
+    for wp, dgap in panel_values(lambda x: sol.deriv(x) - glued.deriv(x), pieces, 8):
+        acc = acc + np.einsum("k,kij->ij", wp, dgap**2)
+        dsup = max(dsup, float(np.abs(dgap).max()))
     return {"sup": sup, "dl2": float(np.sqrt(acc).max()), "dsup": dsup}
 
 

@@ -98,16 +98,37 @@ def _int_list(text):
     return [int(x) for x in text.split(",")]
 
 
-def _mass_field(spec, chart):
-    """'const:V' or 'cos:BASE,AMP' angular mass profiles."""
-    t1, _ = chart.mesh()
+def _mass_profile(spec):
+    """argparse type: 'const:V' or 'cos:BASE,AMP' -> (kind, numbers)."""
     kind, _, arg = spec.partition(":")
+    values = tuple(float(x) for x in arg.split(","))
+    if len(values) != {"const": 1, "cos": 2}.get(kind):
+        raise ValueError(f"unknown mass profile {spec!r}")
+    return kind, values
+
+
+def _mass_field(profile, chart):
+    """The angular mass field of a parsed profile on the chart."""
+    kind, values = profile
     if kind == "const":
-        return np.full(chart.shape, float(arg))
-    if kind == "cos":
-        base, amp = (float(x) for x in arg.split(","))
-        return base + amp * np.cos(2.0 * np.pi * t1 / chart.L1)
-    raise ValueError(f"unknown mass profile {spec!r}")
+        return np.full(chart.shape, values[0])
+    base, amp = values
+    return base + amp * np.cos(2.0 * np.pi * chart.mesh()[0] / chart.L1)
+
+
+def _dust_spec(text):
+    """argparse type: ';'-separated 'atom UB MASS' / 'density LEVEL' lines -> (kind, value, profile)."""
+    lines = []
+    for words in (line.split() for line in text.split(";") if line.strip()):
+        if (words[0], len(words)) not in (("atom", 3), ("density", 2)):
+            raise ValueError(f"unknown dust spec line {' '.join(words)!r}")
+        lines.append((words[0], float(words[1]), _mass_profile(words[2]) if len(words) == 3 else None))
+    return lines
+
+
+def _wavenumber(text):
+    """argparse type: 'auto' (None: escalating selection) or a number."""
+    return None if text == "auto" else float(text)
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +234,14 @@ def cmd_gowdy(args):
     return _finish(outdir, vars(args), summary, t0)
 
 
-def _shell_data(args, chart, grid):
+def _shell_data(dust_lines, chart, grid):
     ring = acceptance._flat_ring(chart)
     one, zero = acceptance._const_maps(chart)
     dust = None
-    if args.dust:
-        atoms = []
-        density = None
-        for line in args.dust.split(";"):
-            words = line.split()
-            if words[0] == "atom":
-                atoms.append((float(words[1]), _mass_field(words[2], chart)))
-            elif words[0] == "density":
-                level = float(words[1])
-                density = lambda ub, lv=level: np.full((len(ub),) + chart.shape, lv)
-            else:
-                raise ValueError(f"unknown dust spec line {line!r}")
+    if dust_lines:
+        atoms = [(loc, _mass_field(profile, chart)) for kind, loc, profile in dust_lines if kind == "atom"]
+        levels = [level for kind, level, _ in dust_lines if kind == "density"]  # the last one counts
+        density = (lambda ub, lv=levels[-1]: np.full((len(ub),) + chart.shape, lv)) if levels else None
         dust = C.NullDustMeasure(atoms=atoms, density=density)
     return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
 
@@ -238,7 +251,7 @@ def cmd_constraints(args):
     outdir = _out_root(args)
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 1.0, 1025)
-    data = _shell_data(args, chart, grid)
+    data = _shell_data(args.dust, chart, grid)
     if data.dust is not None and data.dust.atoms:
         sol = C.solve_glued_shell(data, 1.0, 0.1)
     elif data.dust is not None:
@@ -284,16 +297,12 @@ def cmd_hf_approx(args):
 
         chart = AngularGrid(8, 4)
         grid = Grid1D(0.0, 1.0, 257)
-        data = _shell_data(
-            argparse.Namespace(dust=args.dust or "atom 0.45 cos:1.0,0.5"), chart, grid
-        )
+        data = _shell_data(args.dust or _dust_spec("atom 0.45 cos:1.0,0.5"), chart, grid)
         t1, _ = chart.mesh()
         strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
         data.dust.atoms = [(loc, mass * (1.0 - strip)) for loc, mass in data.dust.atoms]
         bv = C.solve_glued_shell(data, 1.0, 0.15)
-        pipe = MP.MeasurePipeline(data, bv)
-        if args.k != "auto":
-            pipe.k = float(args.k)
+        pipe = MP.MeasurePipeline(data, bv, k=args.k)
         pipe.freeze_k([args.m_seq[0], args.m_seq[-1]])
         members = [pipe.member(m) for m in args.m_seq]
         tf = bump_dictionary(grid, chart)[1]
@@ -423,24 +432,26 @@ def build_parser():
     p.set_defaults(func=cmd_gowdy)
 
     p = sub.add_parser("constraints", help="hypersurface constraint solves and weak residuals")
-    p.add_argument("--dust", default=None,
+    p.add_argument("--dust", default=None, type=_dust_spec,
                    help="dust spec: 'atom UB MASS' / 'density LEVEL' lines, ';'-separated; "
                         "mass profiles const:V or cos:BASE,AMP")
     p.set_defaults(func=cmd_constraints)
 
     p = sub.add_parser("hf-approx", help="dust-absorbing oscillation convergence tables")
-    p.add_argument("--k", default="auto", help="oscillation wavenumber (auto: escalating selection)")
+    p.add_argument("--k", default="auto", type=_wavenumber,
+                   help="oscillation wavenumber (auto: escalating selection)")
     p.add_argument("--m-seq", default=None, type=_span(4),
                    help="also run the measure->vacuum pipeline over this dyadic span, e.g. 1..6; "
                         "at least 4 members (the rate fit)")
-    p.add_argument("--dust", default=None, help="dust spec for the pipeline (see `constraints`)")
+    p.add_argument("--dust", default=None, type=_dust_spec,
+                   help="dust spec for the pipeline (see `constraints`)")
     p.set_defaults(func=cmd_hf_approx)
 
     p = sub.add_parser("pipeline", help="characteristic transport residual report")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("trapped", help="null-shell trapped-surface verdict")
-    p.add_argument("--mass", default="const:1.2")
+    p.add_argument("--mass", default="const:1.2", type=_mass_profile)
     p.add_argument("--ustar", type=float, default=0.5)
     p.set_defaults(func=cmd_trapped)
 

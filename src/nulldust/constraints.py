@@ -31,7 +31,7 @@ from .odesolve import (
     solve_linear_second_order,
     solve_linear_segmented,
 )
-from .quadrature import gauss_legendre_nodes
+from .quadrature import composite_rule
 
 
 class MeasureSupportError(ValueError):
@@ -227,7 +227,7 @@ def measure_pairing(data: ReducedCharData, phi_test: Callable, weight: Callable 
             vals = vals * np.broadcast_to(np.asarray(weight(ub)), (1,) + data.chart.shape)[0]
         total += float(np.sum(vals * np.asarray(mass) * w))
     if data.dust.density is not None:
-        xs, ws = _panel_nodes(data.grid.a, data.grid.b, panels, gl)
+        xs, ws = composite_rule([(data.grid.a, data.grid.b, panels)], gl)
         f = np.asarray(data.dust.density(xs))
         om = np.asarray(data.omega(xs))
         vals = np.broadcast_to(np.asarray(phi_test(xs)), f.shape).copy()
@@ -235,16 +235,6 @@ def measure_pairing(data: ReducedCharData, phi_test: Callable, weight: Callable 
             vals *= np.broadcast_to(np.asarray(weight(xs)), f.shape)
         total += float(np.einsum("k,kij,ij->", ws, vals * f / om**2, w))
     return total
-
-
-def _panel_nodes(a, b, panels, gl):
-    xs, ws = [], []
-    edges = np.linspace(a, b, panels + 1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre_nodes(lo, hi, gl)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 def weak_constraint_residual(
@@ -268,13 +258,7 @@ def weak_constraint_residual(
     cuts = [data.grid.a, data.grid.b]
     if isinstance(solution, PiecewiseSolution):
         cuts = list(solution.breakpoints)
-    xs, ws = [], []
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        x, wq = _panel_nodes(lo, hi, panels, gl)
-        xs.append(x)
-        ws.append(wq)
-    xs = np.concatenate(xs)
-    wq = np.concatenate(ws)
+    xs, wq = composite_rule([(lo, hi, panels) for lo, hi in zip(cuts[:-1], cuts[1:])], gl)
 
     om2 = np.asarray(data.omega(xs)) ** 2
     dphi_sol = solution.deriv(xs)
@@ -340,7 +324,7 @@ def christodoulou_mass(data: ReducedCharData, delta: float, panels: int = 256, g
     """
     if delta <= 0 or data.grid.a + delta > data.grid.b + 1e-12:
         raise ValueError("integration window outside the grid")
-    xs, ws = _panel_nodes(data.grid.a, data.grid.a + delta, panels, gl)
+    xs, ws = composite_rule([(data.grid.a, data.grid.a + delta, panels)], gl)
     vals = shear_norm_sq(data, xs)
     per_theta = np.einsum("k,kij->ij", ws, vals)
     return per_theta, float(per_theta.min())

@@ -17,7 +17,7 @@ from .fields import sym2_min_eigenvalue
 from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform
 from .mollify import MollifiedDensity, mollify_measure, solve_phi_m_dust
 from .odesolve import PiecewiseSolution, solve_linear_segmented
-from .quadrature import gauss_legendre_nodes
+from .quadrature import panel_pairing
 
 
 @dataclass
@@ -117,40 +117,32 @@ class MeasurePipeline:
         return PipelineMember(m, n, self.k, fm, phi_dust, fam, phi_vac)
 
 
+def _shear_pairing(data: ReducedCharData, pieces, normsq_fn, phi_sol, phi_test) -> float:
+    """(1/4) int int phi Omega^-2 |dgam|^2 Phi^2 dA_ring dub on 12-node panels of the pieces."""
+    def integrand(xs):
+        om2 = np.asarray(data.omega(xs)) ** 2
+        normsq = np.asarray(normsq_fn(xs))
+        phiv = phi_sol(xs) ** 2
+        tv = np.broadcast_to(np.asarray(phi_test(xs)), normsq.shape)
+        return tv * normsq * phiv / om2
+
+    return 0.25 * panel_pairing(integrand, pieces, 12, data.area_weights())
+
+
 def shear_energy_pairing(member: PipelineMember, data: ReducedCharData, phi_test) -> float:
     """(1/4) int int phi Omega^-2 |dgam_vac|^2 (Phi_vac)^2 dA_ring dub."""
-    fam, sol = member.family, member.phi_vac
-    w = data.area_weights()
+    fam = member.family
     wavelength = 2.0 * np.pi / (fam.k * fam.n)
-    total = 0.0
-    for lo, hi, inside in member.fm.segments():
-        panels = max(48, int(np.ceil((hi - lo) / wavelength)) * 2) if inside else 48
-        sub = np.linspace(lo, hi, panels + 1)
-        for p_lo, p_hi in zip(sub[:-1], sub[1:]):
-            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 12)
-            om2 = np.asarray(data.omega(xs)) ** 2
-            normsq = fam.dgamma_normsq(xs)
-            phiv = sol(xs) ** 2
-            tv = np.broadcast_to(np.asarray(phi_test(xs)), normsq.shape)
-            total += float(np.einsum("k,kij,ij->", ws, tv * normsq * phiv / om2, w))
-    return 0.25 * total
+    pieces = [(lo, hi, max(48, int(np.ceil((hi - lo) / wavelength)) * 2) if inside else 48)
+              for lo, hi, inside in member.fm.segments()]
+    return _shear_pairing(data, pieces, fam.dgamma_normsq, member.phi_vac, phi_test)
 
 
 def background_shear_pairing(data: ReducedCharData, phi_bv, phi_test) -> float:
     """(1/4) int int phi Omega^-2 |dgam|^2 Phi^2 dA_ring dub for the BV data."""
-    w = data.area_weights()
     breaks = list(getattr(phi_bv, "breakpoints", [data.grid.a, data.grid.b]))
-    total = 0.0
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        sub = np.linspace(lo, hi, 96 + 1)
-        for p_lo, p_hi in zip(sub[:-1], sub[1:]):
-            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 12)
-            om2 = np.asarray(data.omega(xs)) ** 2
-            normsq = np.asarray(data.dgamma_normsq(xs))
-            phiv = phi_bv(xs) ** 2
-            tv = np.broadcast_to(np.asarray(phi_test(xs)), normsq.shape)
-            total += float(np.einsum("k,kij,ij->", ws, tv * normsq * phiv / om2, w))
-    return 0.25 * total
+    pieces = [(lo, hi, 96) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    return _shear_pairing(data, pieces, data.dgamma_normsq, phi_bv, phi_test)
 
 
 def pipeline_weak_check(pipeline: MeasurePipeline, members, phi_tests) -> list:

@@ -22,7 +22,7 @@ import numpy as np
 from .constraints import NullDustMeasure, ReducedCharData, measure_pairing
 from .grids import Grid1D
 from .odesolve import PiecewiseSolution, solve_linear_segmented
-from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes
+from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes, panel_pairing, panel_values
 from .testfunctions import plateau, plateau_d
 
 _ALPHAS = (1.0, 0.0, -1.0)  # inward shifts for the three partition pieces
@@ -239,17 +239,14 @@ def density_pairing(fm: MollifiedDensity, data: ReducedCharData, phi_test) -> fl
 
     phi_test maps ub(K,) -> (K, n1, n2) or broadcastable.
     """
-    w = data.area_weights()
-    total = 0.0
-    for lo, hi, inside in fm.segments():
-        sub = np.linspace(lo, hi, (48 if inside else 64) + 1)
-        for p_lo, p_hi in zip(sub[:-1], sub[1:]):
-            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 16)
-            f = fm(xs)
-            om2 = np.asarray(data.omega(xs)) ** 2
-            vals = np.broadcast_to(np.asarray(phi_test(xs)), f.shape).copy()
-            total += float(np.einsum("k,kij,ij->", ws, vals * f / om2, w))
-    return total
+    def integrand(xs):
+        f = fm(xs)
+        om2 = np.asarray(data.omega(xs)) ** 2
+        vals = np.broadcast_to(np.asarray(phi_test(xs)), f.shape).copy()
+        return vals * f / om2
+
+    pieces = [(lo, hi, 48 if inside else 64) for lo, hi, inside in fm.segments()]
+    return panel_pairing(integrand, pieces, 16, data.area_weights())
 
 
 def pairing_gap(fm: MollifiedDensity, data: ReducedCharData, phi_test, dphi_test) -> dict:
@@ -280,11 +277,10 @@ def pairing_gap(fm: MollifiedDensity, data: ReducedCharData, phi_test, dphi_test
 
 def l1_w_uniform_norm(fm: MollifiedDensity, data: ReducedCharData) -> float:
     """L1_ub of the angular sup of f_m: bounded uniformly in m."""
+    sup = lambda xs: np.asarray(fm(xs)).max(axis=(1, 2))
     total = 0.0
-    for lo, hi, _ in fm.segments():
-        xs, ws = gauss_legendre_nodes(lo, hi, 256)
-        sup_vals = np.asarray(fm(xs)).max(axis=(1, 2))
-        total += float(np.sum(ws * sup_vals))
+    for wp, sup_vals in panel_values(sup, [(lo, hi, 1) for lo, hi, _ in fm.segments()], 256):
+        total += float(np.sum(wp * sup_vals))
     return total
 
 

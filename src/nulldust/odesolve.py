@@ -107,24 +107,25 @@ def _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     out_psi[0] = psi
     P = list(out_phi)
     Q = list(out_psi)
-    for i in range(nc):
-        i0, im, ie = 2 * i, 2 * i + 1, 2 * i + 2
-        p, q = P[i], Q[i]
-        k1q = g2[i0] * q - cr[i0] * p - f2[i0] / p
-        p1 = p + hh * q
-        q1 = q + hh * k1q
-        k2q = g2[im] * q1 - cr[im] * p1 - f2[im] / p1
-        p2 = p + hh * q1
-        q2 = q + hh * k2q
-        k3q = g2[im] * q2 - cr[im] * p2 - f2[im] / p2
-        p3 = p + hv * q2
-        q3 = q + hv * k3q
-        k4q = g2[ie] * q3 - cr[ie] * p3 - f2[ie] / p3
-        pn, qn = P[i + 1], Q[i + 1]
-        np.add(p, h6 * (q + two * q1 + two * q2 + q3), pn)
-        np.add(q, h6 * (k1q + two * k2q + two * k3q + k4q), qn)
-        if not pn.min() > 0.0:  # min propagates NaN
-            return i * M + int(np.argmin(pn > 0.0))
+    with np.errstate(all="ignore"):  # a march past a failure divides by zero or NaN
+        for i in range(nc):
+            i0, im, ie = 2 * i, 2 * i + 1, 2 * i + 2
+            p, q = P[i], Q[i]
+            k1q = g2[i0] * q - cr[i0] * p - f2[i0] / p
+            p1 = p + hh * q
+            q1 = q + hh * k1q
+            k2q = g2[im] * q1 - cr[im] * p1 - f2[im] / p1
+            p2 = p + hh * q1
+            q2 = q + hh * k2q
+            k3q = g2[im] * q2 - cr[im] * p2 - f2[im] / p2
+            p3 = p + hv * q2
+            q3 = q + hv * k3q
+            k4q = g2[ie] * q3 - cr[ie] * p3 - f2[ie] / p3
+            np.add(p, h6 * (q + two * q1 + two * q2 + q3), P[i + 1])
+            np.add(q, h6 * (k1q + two * k2q + two * k3q + k4q), Q[i + 1])
+    bad = ~(out_phi[1:] > 0.0)  # once per chunk, not per step; NaN compares false
+    if bad.any():
+        return int(np.argmax(bad))  # row-major: the first step i, then the first point j
     phi[:] = P[nc]
     psi[:] = Q[nc]
     return -1

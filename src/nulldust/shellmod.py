@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import AngularGrid
-from .quadrature import gauss_legendre_nodes
+from .quadrature import composite_rule
 
 
 class CoordinateRangeError(ValueError):
@@ -133,33 +133,26 @@ def weak_trch_residual(
         raise ValueError("interval must straddle the shell")
     w = shell.weights()
 
-    def sphere_integral(ub, field):
-        return float(np.sum(field * w))
-
     def trace_term(ub):
         ratio = _area_ratio(shell, u, np.array([ub]))[0]
         tr = _trchi_field(shell, u, np.array([ub]))[0]
-        return sphere_integral(ub, phi(u, ub) * tr * ratio)
+        return float(np.sum(phi(u, ub) * tr * ratio * w))
 
     lhs = trace_term(ub2) - trace_term(ub1)
 
     def bulk(lo, hi):
         total = 0.0
-        edges = np.linspace(lo, hi, panels + 1)
         dub_eps = 1e-6 * (ub2 - ub1)
-        for p_lo, p_hi in zip(edges[:-1], edges[1:]):
-            xs, ws = gauss_legendre_nodes(p_lo, p_hi, gl)
-            ratio = _area_ratio(shell, u, xs)
-            tr = _trchi_field(shell, u, xs)
-            for x, wq, rat, trv in zip(xs, ws, ratio, tr):
-                dphi = (phi(u, x + dub_eps) - phi(u, x - dub_eps)) / (2.0 * dub_eps)
-                integrand = dphi * trv + 0.5 * phi(u, x) * trv**2
-                total += wq * sphere_integral(x, integrand * rat)
+        xs, ws = composite_rule([(lo, hi, panels)], gl)
+        for x, wq, rat, trv in zip(xs, ws, _area_ratio(shell, u, xs), _trchi_field(shell, u, xs)):
+            dphi = (phi(u, x + dub_eps) - phi(u, x - dub_eps)) / (2.0 * dub_eps)
+            integrand = dphi * trv + 0.5 * phi(u, x) * trv**2
+            total += wq * float(np.sum(integrand * rat * w))
         return total
 
     rhs = bulk(ub1, shell.ub0) + bulk(shell.ub0, ub2)
     if include_measure:
-        rhs -= float(np.sum(phi(u, shell.ub0) * shell.mass * w))
+        rhs -= shell_pairing(shell, phi, u)
     return float(lhs - rhs)
 
 
@@ -183,17 +176,10 @@ def dust_propagation_residual(
 
         int phi(u2) dnu - int phi(u1) dnu - int_{u1}^{u2} int d_u phi dnu du = 0
     """
-    w = shell.weights()
-
-    def pair(u):
-        return float(np.sum(phi(u, shell.ub0) * shell.mass * w))
-
+    pair = lambda u: shell_pairing(shell, phi, u)
     total = pair(u2) - pair(u1)
-    edges = np.linspace(u1, u2, panels + 1)
     du_eps = 1e-6 * (u2 - u1)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        xs, ws = gauss_legendre_nodes(lo, hi, gl)
-        for x, wq in zip(xs, ws):
-            dphi = (pair(x + du_eps) - pair(x - du_eps)) / (2.0 * du_eps)
-            total -= wq * dphi
+    for x, wq in zip(*composite_rule([(u1, u2, panels)], gl)):
+        dphi = (pair(x + du_eps) - pair(x - du_eps)) / (2.0 * du_eps)
+        total -= wq * dphi
     return float(total)

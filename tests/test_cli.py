@@ -71,6 +71,8 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["burnett", "--lambda-seq", "2..4"],  # the rate fit needs 4 members
     ["hf-approx", "--m-seq", "1..2"],
     ["gowdy", "--n-seq", "2,x"],
+    ["constraints", "--dust", "atom 0.45 bogus:1"],
+    ["hf-approx", "--k", "oops"],
 ])
 def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     try:
@@ -82,8 +84,10 @@ def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
 
 
 def test_unknown_mass_profile_is_usage_error(tmp_path):
-    code = run_cli(["trapped", "--mass", "sphere:1"], tmp_path)
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["trapped", "--mass", "sphere:1"], tmp_path)
+    assert exc.value.code == 2
+    assert not (tmp_path / "trapped").exists()
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):

@@ -5,7 +5,9 @@ import pytest
 
 from nulldust import constraints as C
 from nulldust import measurepipe as MP
+from nulldust.acceptance import _phi_gap_stats
 from nulldust.grids import AngularGrid, Grid1D
+from nulldust.mollify import density_pairing
 from nulldust.quadrature import gauss_legendre_nodes
 from nulldust.rates import fit_rate
 from nulldust.testfunctions import bump_dictionary, plateau
@@ -125,3 +127,86 @@ def test_linearity_in_atom_mass(setting):
     row1 = MP.pipeline_weak_check(pipe, [members[4]], [tf])[0]
     row2 = MP.pipeline_weak_check(pipe2, [mem2], [tf])[0]
     assert abs(row2["difference"] / row1["difference"] - 2.0) < 0.05
+
+
+# Per-panel loops as the pairings were first written: one integrand evaluation
+# per panel.  The composite rule evaluates per chunk of panels and must give
+# the same floating-point sums, so any reordering of a sum fails these oracles.
+
+def loop_shear_energy_pairing(member, data, phi_test):
+    fam, sol = member.family, member.phi_vac
+    w = data.area_weights()
+    wavelength = 2.0 * np.pi / (fam.k * fam.n)
+    total = 0.0
+    for lo, hi, inside in member.fm.segments():
+        panels = max(48, int(np.ceil((hi - lo) / wavelength)) * 2) if inside else 48
+        sub = np.linspace(lo, hi, panels + 1)
+        for p_lo, p_hi in zip(sub[:-1], sub[1:]):
+            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 12)
+            om2 = np.asarray(data.omega(xs)) ** 2
+            normsq = fam.dgamma_normsq(xs)
+            phiv = sol(xs) ** 2
+            tv = np.broadcast_to(np.asarray(phi_test(xs)), normsq.shape)
+            total += float(np.einsum("k,kij,ij->", ws, tv * normsq * phiv / om2, w))
+    return 0.25 * total
+
+
+def loop_background_shear_pairing(data, phi_bv, phi_test):
+    w = data.area_weights()
+    breaks = list(getattr(phi_bv, "breakpoints", [data.grid.a, data.grid.b]))
+    total = 0.0
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        sub = np.linspace(lo, hi, 96 + 1)
+        for p_lo, p_hi in zip(sub[:-1], sub[1:]):
+            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 12)
+            om2 = np.asarray(data.omega(xs)) ** 2
+            normsq = np.asarray(data.dgamma_normsq(xs))
+            phiv = phi_bv(xs) ** 2
+            tv = np.broadcast_to(np.asarray(phi_test(xs)), normsq.shape)
+            total += float(np.einsum("k,kij,ij->", ws, tv * normsq * phiv / om2, w))
+    return 0.25 * total
+
+
+def loop_density_pairing(fm, data, phi_test):
+    w = data.area_weights()
+    total = 0.0
+    for lo, hi, inside in fm.segments():
+        sub = np.linspace(lo, hi, (48 if inside else 64) + 1)
+        for p_lo, p_hi in zip(sub[:-1], sub[1:]):
+            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 16)
+            f = fm(xs)
+            om2 = np.asarray(data.omega(xs)) ** 2
+            vals = np.broadcast_to(np.asarray(phi_test(xs)), f.shape).copy()
+            total += float(np.einsum("k,kij,ij->", ws, vals * f / om2, w))
+    return total
+
+
+def loop_phi_gap_stats(sol, glued, fm, grid, atom=0.45):
+    xs_out = np.linspace(grid.a, grid.b, 2001)
+    sup = float(np.abs(sol(xs_out) - glued(xs_out)).max())
+    eps = fm.eps
+    cuts = [grid.a, max(grid.a, atom - 3 * eps), min(grid.b, atom + 3 * eps), grid.b]
+    acc = 0.0
+    dsup = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi <= lo:
+            continue
+        inside = lo >= atom - 3.5 * eps and hi <= atom + 3.5 * eps
+        edges = np.linspace(lo, hi, (200 if inside else 40) + 1)
+        for p_lo, p_hi in zip(edges[:-1], edges[1:]):
+            xs, ws = gauss_legendre_nodes(p_lo, p_hi, 8)
+            dgap = sol.deriv(xs) - glued.deriv(xs)
+            acc = acc + np.einsum("k,kij->ij", ws, dgap**2)
+            dsup = max(dsup, float(np.abs(dgap).max()))
+    return {"sup": sup, "dl2": float(np.sqrt(acc).max()), "dsup": dsup}
+
+
+def test_pairings_equal_per_panel_loops(setting):
+    chart, grid, data, bv, pipe, members = setting
+    mem = members[2]
+    tf = bump_dictionary(grid, chart)[1]
+    assert MP.shear_energy_pairing(mem, data, tf) == loop_shear_energy_pairing(mem, data, tf)
+    assert MP.background_shear_pairing(data, bv, tf) == loop_background_shear_pairing(data, bv, tf)
+    assert density_pairing(mem.fm, data, tf) == loop_density_pairing(mem.fm, data, tf)
+    stats = _phi_gap_stats(mem.phi_dust, bv, mem.fm, grid)
+    assert stats == loop_phi_gap_stats(mem.phi_dust, bv, mem.fm, grid)
