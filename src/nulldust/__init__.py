@@ -5,14 +5,13 @@ __version__ = "0.1.0"
 
 from .errors import NumericalFailure
 from .grids import AngularGrid, Grid1D
-from .fields import MetricBlock, PositivityError, TensorField2
+from .fields import MetricBlock, PositivityError
 from .odesolve import DenseSolution, FocusingError, PiecewiseSolution
 
 __all__ = [
     "AngularGrid",
     "Grid1D",
     "MetricBlock",
-    "TensorField2",
     "PositivityError",
     "DenseSolution",
     "PiecewiseSolution",

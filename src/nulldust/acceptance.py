@@ -1,8 +1,10 @@
 """Acceptance suite: every headline check of the library at its stated
 tolerance, each returning a structured verdict.
 
-Shared by tests/test_acceptance.py (assertions) and the `verify-all` CLI
-subcommand (summary.json + exit code).
+Shared by tests/test_acceptance.py (assertions) and the CLI: each
+criterion's keyword-only parameters are the flags of its subcommand, with
+the acceptance values as defaults, and `verify-all` runs ALL_CRITERIA at
+those defaults (summary.json + exit code).
 """
 
 import time
@@ -64,10 +66,11 @@ def _verdict(name, checks, t0, **details):
 # 1. oscillation limit of the plane-wave family
 # ---------------------------------------------------------------------------
 
-def criterion_burnett() -> Verdict:
+def criterion_burnett(*, lambda_seq=tuple(range(2, 11)), seed="cosine") -> Verdict:
+    """lambda_seq: dyadic exponents j of the members lambda = 2^-j; seed: a planewave.SEEDS key."""
     t0 = time.time()
-    seed = pw.SEEDS["cosine"]
-    lam_seq = [2.0**-j for j in range(2, 11)]
+    seed = pw.SEEDS[seed]
+    lam_seq = [2.0**-j for j in lambda_seq]
 
     def family(lam):
         n = max(4097, int(np.ceil(64 * 0.5 / lam)) + 1)
@@ -132,10 +135,11 @@ def criterion_burnett() -> Verdict:
 # 2. concentration limit of the plane-wave family
 # ---------------------------------------------------------------------------
 
-def criterion_shell_limit() -> Verdict:
+def criterion_shell_limit(*, lambda_seq=(6, 8, 10), seed="bump") -> Verdict:
+    """Energies at every lambda = 2^-j of lambda_seq; jump and pairings at the finest."""
     t0 = time.time()
-    seed = pw.SEEDS["bump"]
-    lam = 2.0**-10
+    seed = pw.SEEDS[seed]
+    lam = 2.0 ** -max(lambda_seq)
     grid = Grid1D(-0.5, 0.5, 2**17 + 1)
     prof = pw.make_shell_G(lam, seed, grid)
     fac = pw.solve_H(prof, richardson=False)
@@ -155,7 +159,7 @@ def criterion_shell_limit() -> Verdict:
 
     # derivative energy is parameter independent
     energies = []
-    for lam_j in (2.0**-6, 2.0**-8, 2.0**-10):
+    for lam_j in (2.0**-j for j in lambda_seq):
         p = pw.make_shell_G(lam_j, seed, grid)
         ub = grid.points()
         energies.append(float(np.trapezoid(p.dg(ub) ** 2, ub)))
@@ -181,17 +185,17 @@ def criterion_shell_limit() -> Verdict:
 # 3. Bessel-profile family and its two-beam limit
 # ---------------------------------------------------------------------------
 
-def criterion_gowdy() -> Verdict:
+def criterion_gowdy(*, n_seq=(100, 316, 1000, 3162, 10000, 31623, 100000), amplitude=1.0) -> Verdict:
+    """n_seq: the members of the alpha-limit gap; amplitude: the family's A."""
     t0 = time.time()
     # coarsest grid keeps 16 nodes per oscillation of the n = 8 member
-    scan = gowdy.vacuum_residual_scan(8, 1.0, [128, 176, 240, 320])
-    n_values = [100, 316, 1000, 3162, 10000, 31623, 100000]
-    gaps = gowdy.alpha_limit_gap(n_values, 1.0, 0.0)
+    scan = gowdy.vacuum_residual_scan(8, amplitude, [128, 176, 240, 320])
+    gaps = gowdy.alpha_limit_gap(n_seq, amplitude, 0.0)
     monotone = bool(np.all(np.diff(gaps) < 0))
     # tau = 0 pins the common value, tau = 0.5 separates the two targets
     err_tt = err_thth = off = 0.0
     for tau in (0.0, 0.5):
-        lim = gowdy.limit_einstein(1.0, tau)
+        lim = gowdy.limit_einstein(amplitude, tau)
         err_tt = max(err_tt, abs(lim["G_tautau"] - lim["target_tautau"]))
         err_thth = max(err_thth, abs(lim["G_thetatheta"] - lim["target_thetatheta"]))
         off = max(off, lim["max_off_component"])
@@ -213,7 +217,7 @@ def criterion_gowdy() -> Verdict:
         residuals=scan.residuals,
         alpha_gaps=list(map(float, gaps)),
         einstein=lim,
-        alpha_rate_recorded=float(fit_rate(n_values, gaps).slope),
+        alpha_rate_recorded=float(fit_rate(n_seq, gaps).slope),
     )
 
 
@@ -234,7 +238,31 @@ def _const_maps(chart):
     return one, zero
 
 
-def criterion_constraints() -> Verdict:
+# The glued-shell measure of criteria 4, 6 and 7, as parsed dust-spec lines
+# (kind, location or level, mass profile): one atom at ub = 0.45 with the
+# mass 1 + 0.5 cos(2 pi theta1 / L1).
+GLUED_SHELL = (("atom", 0.45, ("cos", (1.0, 0.5))),)
+
+
+def _mass_field(profile, chart):
+    """The angular mass field of a parsed profile ('const', (V,)) or ('cos', (BASE, AMP))."""
+    kind, values = profile
+    if kind == "const":
+        return np.full(chart.shape, values[0])
+    base, amp = values
+    return base + amp * np.cos(2.0 * np.pi * chart.mesh()[0] / chart.L1)
+
+
+def _dust_measure(lines, chart):
+    """NullDustMeasure of parsed dust-spec lines: every atom, and the last density level."""
+    atoms = [(loc, _mass_field(profile, chart)) for kind, loc, profile in lines if kind == "atom"]
+    levels = [level for kind, level, _ in lines if kind == "density"]
+    density = (lambda ub, lv=levels[-1]: np.full((len(ub),) + chart.shape, lv)) if levels else None
+    return C.NullDustMeasure(atoms=atoms, density=density)
+
+
+def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
+    """dust: parsed dust-spec lines of the measure whose glued solve the weak residuals test."""
     t0 = time.time()
     chart = AngularGrid(8, 4)
     ring = _flat_ring(chart)
@@ -267,10 +295,8 @@ def criterion_constraints() -> Verdict:
     drift = float(np.abs(energy - energy[0]).max())
 
     # glued shell weak residual over the dictionary
-    t1, _ = chart.mesh()
-    m_theta = 1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1)
-    dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
-    data_shell = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
+    measure = _dust_measure(dust, chart)
+    data_shell = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=measure)
     glued = C.solve_glued_shell(data_shell, 1.0, 0.1)
     residuals = []
     for tf in bump_dictionary(grid, chart):
@@ -384,9 +410,7 @@ def criterion_mollification() -> Verdict:
     grid = Grid1D(0.0, 1.0, 257)
     ring = _flat_ring(chart)
     one, zero = _const_maps(chart)
-    t1, _ = chart.mesh()
-    m_theta = 1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1)
-    dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
+    dust = _dust_measure(GLUED_SHELL, chart)
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
     tfs = bump_dictionary(grid, chart)[:3]
 
@@ -451,7 +475,10 @@ def _phi_gap_stats(sol, glued, fm, grid, atom=0.45):
 # 7. measure -> vacuum pipeline
 # ---------------------------------------------------------------------------
 
-def criterion_pipeline() -> Verdict:
+def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) -> Verdict:
+    """m_seq: mollification levels m; k: the oscillation wavenumber (None: the
+    uniform selection over the first and last level); dust: parsed dust-spec
+    lines, whose atoms lose an angular strip of their mass."""
     t0 = time.time()
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 1.0, 257)
@@ -459,25 +486,27 @@ def criterion_pipeline() -> Verdict:
     one, zero = _const_maps(chart)
     t1, _ = chart.mesh()
     strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
-    m_theta = (1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1)) * (1.0 - strip)
+    measure = _dust_measure(dust, chart)
+    measure.atoms = [(loc, mass * (1.0 - strip)) for loc, mass in measure.atoms]
 
-    def run(mass):
-        dust = C.NullDustMeasure(atoms=[(0.45, mass)])
-        data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
+    def run(measure):
+        data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=measure)
         bv = C.solve_glued_shell(data, 1.0, 0.15)
-        pipe = MP.MeasurePipeline(data, bv)
-        pipe.freeze_k([1, 8])
-        members = [pipe.member(m) for m in range(1, 9)]
+        pipe = MP.MeasurePipeline(data, bv, k=k)
+        pipe.freeze_k([m_seq[0], m_seq[-1]])
+        members = [pipe.member(m) for m in m_seq]
         tf = bump_dictionary(grid, chart)[1]
-        rows = MP.pipeline_weak_check(pipe, members, [tf])
-        return pipe, members, rows
+        return members, MP.pipeline_weak_check(pipe, members, [tf])
 
-    _, members, rows = run(m_theta)
+    members, rows = run(measure)
     gaps = [r["gap"] for r in rows]
     slope = fit_rate([2.0 ** -r["m"] for r in rows], gaps).slope
 
-    # linearity of the limiting pairing in the atom mass
-    _, _, rows2 = run(2.0 * m_theta)
+    # linearity of the limiting pairing in the measure
+    doubled = C.NullDustMeasure([(loc, 2.0 * mass) for loc, mass in measure.atoms])
+    if measure.density is not None:
+        doubled.density = lambda ub: 2.0 * measure.density(ub)
+    _, rows2 = run(doubled)
     lim1 = rows[-1]["difference"]
     lim2 = rows2[-1]["difference"]
     linearity = abs(lim2 / lim1 - 2.0) / 2.0
@@ -703,13 +732,3 @@ ALL_CRITERIA = [
     criterion_compensated,
     criterion_char_pipeline,
 ]
-
-
-def run_all(printer=None) -> list:
-    out = []
-    for fn in ALL_CRITERIA:
-        v = fn()
-        out.append(v)
-        if printer:
-            printer(f"[{'PASS' if v.passed else 'FAIL'}] {v.name} ({v.seconds:.1f}s)")
-    return out

@@ -72,13 +72,3 @@ def bessel_j(order: int, x) -> np.ndarray:
     if np.any(~lo):
         out[~lo] = _hankel(order, x_arr[~lo])
     return float(out[0]) if scalar else out
-
-
-def bessel_j0_quadrature(x: float, n: int = 4096) -> float:
-    """Integral representation (1/pi) * int_0^pi cos(x sin t) dt by periodic trapezoid.
-
-    Independent oracle: the integrand is smooth and pi-periodic, so the
-    trapezoid rule converges geometrically.
-    """
-    t = np.arange(n) * (np.pi / n)
-    return float(np.mean(np.cos(x * np.sin(t))))

@@ -109,11 +109,6 @@ def trace(gamma: np.ndarray, T: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...ab->...", sym2_inverse(gamma), T)
 
 
-def trace_free(gamma: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """T - (tr T / 2) gamma: the gamma-traceless part of a 2-tensor."""
-    return T - 0.5 * trace(gamma, T)[..., None, None] * gamma
-
-
 def dot11(gamma, phi, psi) -> np.ndarray:
     """gamma^{ab} phi_a psi_b for one-forms."""
     return np.einsum("...ab,...a,...b->...", sym2_inverse(gamma), phi, psi)
@@ -129,17 +124,6 @@ def hat_otimes(gamma, phi, psi) -> np.ndarray:
     """(phi (x)^ psi)_{ab} = phi_a psi_b + phi_b psi_a - gamma_{ab} (phi . psi)."""
     outer = phi[..., :, None] * psi[..., None, :]
     return outer + np.swapaxes(outer, -1, -2) - gamma * dot11(gamma, phi, psi)[..., None, None]
-
-
-def wedge22(gamma, T, S) -> np.ndarray:
-    """eps^{ab} gamma^{cd} T_{ac} S_{bd} for symmetric 2-tensors."""
-    return np.einsum("...ab,...cd,...ac,...bd->...",
-                     volume_form_upper(gamma), sym2_inverse(gamma), T, S)
-
-
-def star_oneform(gamma, phi) -> np.ndarray:
-    """(*phi)_a = gamma_{ac} eps^{cb} phi_b (Hodge dual)."""
-    return np.einsum("...ac,...cb,...b->...a", gamma, volume_form_upper(gamma), phi)
 
 
 def raise_index(gamma, phi) -> np.ndarray:

@@ -96,12 +96,6 @@ def slice_fields(data: ReducedCharData, solution, ub: float) -> SliceFields:
     return SliceFields(ub, gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi, chi_mix)
 
 
-def derive_outgoing(data: ReducedCharData, solution, ub: float):
-    """(trchi, chihat, om) on the slice, straight from the free data."""
-    sl = slice_fields(data, solution, ub)
-    return sl.trchi, sl.chihat, sl.om
-
-
 def corner_eta(data: ReducedCharData, solution, corner: CornerData) -> np.ndarray:
     """eta at the corner: (eta - etab)^sharp = -dub_b / (2 Omega^2), symmetrized
     against the lapse gradient."""

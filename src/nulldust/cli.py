@@ -1,15 +1,20 @@
-"""Command-line orchestration: experiment subcommands, run directories,
-convergence tables, and a reproducibility manifest.
+"""Command-line orchestration: subcommands that run the acceptance criteria,
+run directories, and a reproducibility manifest.
 
-Every run writes manifest.json (resolved config, library versions, wall
-time), per-experiment CSV tables (RFC-4180), and a summary.json with the
-pass/fail verdicts of the checks the run performed.  Exit codes: 0 all checks
-pass, 1 a numerical acceptance check failed or a NumericalFailure stopped the
-run (summary.json then carries an ``error`` field), 2 usage error.
+A criterion subcommand parses its flags and calls its criterion with one
+keyword argument per flag given; an omitted flag keeps the criterion's
+acceptance default, so without flags a subcommand reproduces its verify-all
+verdict.  burnett, shell-limit, gowdy, constraints and pipeline run criteria
+1, 2, 3, 4 and 10; hf-approx runs criterion 5, and with --m-seq criterion 7
+too; verify-all runs all ten.  trapped and cc-demo are demonstrations.
 
-Default tolerances (see acceptance.TOL): per-step ODE tolerance class 1e-10,
-quadrature 1e-9, FFT identities 1e-12, rate-slope acceptance 0.9 of the
-first-order rate.
+Every run writes manifest.json (config, library versions, wall time) and
+summary.json, whose ``checks`` map "<verdict>/<check>" to a bool, and whose
+``details`` map each verdict name to its details.  Criterion runs also write
+verdicts.csv and one <verdict>.csv per verdict, a ``path,value`` row per
+flattened detail (RFC-4180).  Exit codes: 0 all checks pass, 1 a check failed
+or a NumericalFailure stopped the run (summary.json then carries an
+``error`` field), 2 usage error.  Tolerances are pinned in acceptance.TOL.
 """
 
 import argparse
@@ -24,16 +29,11 @@ import numpy as np
 
 from . import __version__, acceptance
 from . import compcompact as CC
-from . import constraints as C
-from . import gowdy
 from . import planewave as pw
 from . import shellmod as S
 from .acceptance import TOL
 from .errors import NumericalFailure
-from .grids import AngularGrid, Grid1D
-from .quadrature import gauss_legendre_integrate
-from .rates import fit_rate
-from .testfunctions import bump_dictionary
+from .grids import AngularGrid
 
 
 def _out_root(args):
@@ -48,7 +48,8 @@ def _write_csv(path, header, rows, plot_data=False):
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+            # repr(float(v)), not repr(v): numpy scalars would print as np.float64(...)
+            writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
     if plot_data:
         with open(os.path.splitext(path)[0] + ".dat", "w") as fh:
             fh.write("# " + " ".join(header) + "\n")
@@ -56,9 +57,20 @@ def _write_csv(path, header, rows, plot_data=False):
                 fh.write(" ".join(repr(float(v)) if isinstance(v, (int, float)) else str(v) for v in row) + "\n")
 
 
-def _finish(outdir, config, summary, t0):
+def _flatten(value, path=""):
+    """(dotted path, scalar) rows of nested dicts and sequences."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        items = enumerate(value)
+    else:
+        return [(path, value)]
+    return [row for k, v in items for row in _flatten(v, f"{path}.{k}" if path else str(k))]
+
+
+def _finish(outdir, args, summary, t0):
     manifest = {
-        "config": config,
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "versions": {
             "nulldust": __version__,
             "numpy": np.__version__,
@@ -79,23 +91,47 @@ def _finish(outdir, config, summary, t0):
     return 0
 
 
-def _span(min_members):
-    """argparse type: 'j0..j1' -> list(range(j0, j1 + 1)), at least min_members long."""
+def _run(args, calls):
+    """Run each (criterion, kwargs) in turn and write the verdicts."""
+    t0 = time.time()
+    outdir = _out_root(args)
+    verdicts = []
+    for criterion, kwargs in calls:
+        v = criterion(**kwargs)
+        print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name} ({v.seconds:.1f}s)")
+        _write_csv(os.path.join(outdir, f"{v.name}.csv"), ["path", "value"], _flatten(v.details), args.plot_data)
+        verdicts.append(v)
+    _write_csv(os.path.join(outdir, "verdicts.csv"), ["criterion", "passed", "seconds"],
+               [(v.name, v.passed, round(v.seconds, 2)) for v in verdicts])
+    summary = {
+        "checks": {f"{v.name}/{c}": ok for v in verdicts for c, ok in v.details["checks"].items()},
+        "details": {v.name: v.details for v in verdicts},
+    }
+    return _finish(outdir, args, summary, t0)
+
+
+def _flags(args, *names):
+    """Keyword arguments of the flags given on the command line."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _criterion_cmd(name, *flags):
+    """Subcommand running acceptance.<name> with the given flags as keyword arguments."""
+    return lambda args: _run(args, [(getattr(acceptance, name), _flags(args, *flags))])
+
+
+def _int_seq(min_members):
+    """argparse type: 'j0..j1' (inclusive) or 'a,b,c' -> list of ints, at least min_members long."""
     def parse(text):
-        lo, _, hi = text.partition("..")
+        lo, dots, hi = text.partition("..")
         try:
-            span = list(range(int(lo), int(hi) + 1))
+            seq = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in text.split(",")]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected a span j0..j1, got {text!r}") from None
-        if len(span) < min_members:
-            raise argparse.ArgumentTypeError(f"span {text!r} has {len(span)} members, needs >= {min_members}")
-        return span
+            raise argparse.ArgumentTypeError(f"expected j0..j1 or a,b,c, got {text!r}") from None
+        if len(seq) < min_members:
+            raise argparse.ArgumentTypeError(f"{text!r} has {len(seq)} members, needs >= {min_members}")
+        return seq
     return parse
-
-
-def _int_list(text):
-    """argparse type: '2,4,8' -> [2, 4, 8]."""
-    return [int(x) for x in text.split(",")]
 
 
 def _mass_profile(spec):
@@ -107,23 +143,18 @@ def _mass_profile(spec):
     return kind, values
 
 
-def _mass_field(profile, chart):
-    """The angular mass field of a parsed profile on the chart."""
-    kind, values = profile
-    if kind == "const":
-        return np.full(chart.shape, values[0])
-    base, amp = values
-    return base + amp * np.cos(2.0 * np.pi * chart.mesh()[0] / chart.L1)
-
-
 def _dust_spec(text):
-    """argparse type: ';'-separated 'atom UB MASS' / 'density LEVEL' lines -> (kind, value, profile)."""
+    """argparse type: ';'-separated 'atom UB MASS' / 'density LEVEL' lines -> (kind, value, profile)
+    lines; an atom must sit strictly inside the subcommands' interval 0 < ub < 1."""
     lines = []
     for words in (line.split() for line in text.split(";") if line.strip()):
         if (words[0], len(words)) not in (("atom", 3), ("density", 2)):
             raise ValueError(f"unknown dust spec line {' '.join(words)!r}")
-        lines.append((words[0], float(words[1]), _mass_profile(words[2]) if len(words) == 3 else None))
-    return lines
+        value = float(words[1])
+        if words[0] == "atom" and not 0.0 < value < 1.0:
+            raise argparse.ArgumentTypeError(f"atom at ub={value} not strictly inside (0, 1)")
+        lines.append((words[0], value, _mass_profile(words[2]) if len(words) == 3 else None))
+    return tuple(lines)
 
 
 def _wavenumber(text):
@@ -131,216 +162,21 @@ def _wavenumber(text):
     return None if text == "auto" else float(text)
 
 
-# ---------------------------------------------------------------------------
-
-
-def cmd_burnett(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    seed = pw.SEEDS[args.seed]
-    lam_seq = [2.0**-j for j in args.lambda_seq]
-
-    def family(lam):
-        n = max(4097, int(np.ceil(64 * 0.5 / lam)) + 1)
-        return pw.make_burnett_G(lam, seed, Grid1D(0.0, 0.5, n))
-
-    phi = lambda u: np.exp(-8.0 * (u - 0.25) ** 2)
-    target = gauss_legendre_integrate(lambda u: 0.5 * seed.k(u) ** 2 * phi(u), 0.0, 0.5, 192)
-
-    def one(lam):
-        prof = family(lam)
-        ub = prof.grid.points()
-        pairing = float(np.trapezoid(prof.dg(ub) ** 2 * phi(ub), ub))
-        fac = pw.solve_H(prof, richardson=False)
-        return lam, pairing, abs(pairing - target), float(np.abs(pw.ricci_uu(prof, fac)).max())
-
-    rows = [one(lam) for lam in lam_seq]
-    fit = fit_rate([r[0] for r in rows], [r[2] for r in rows])
-    _write_csv(
-        os.path.join(outdir, "pairings.csv"),
-        ["lambda", "pairing", "gap_to_limit", "vacuum_residual"],
-        rows,
-        args.plot_data,
-    )
-    summary = {
-        "limit_pairing": target,
-        "fitted_slope": fit.slope,
-        "fit_residual": fit.residual,
-        "checks": {"slope_ge_0.9": fit.slope >= TOL["rate_slope"]},
-    }
-    return _finish(outdir, vars(args), summary, t0)
-
-
-def cmd_shell_limit(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    seed = pw.SEEDS[args.seed]
-    lam_seq = [2.0**-j for j in args.lambda_seq]
-    grid = Grid1D(-0.5, 0.5, 2**17 + 1)
-    rows = []
-    for lam in lam_seq:
-        prof = pw.make_shell_G(lam, seed, grid)
-        fac = pw.solve_H(prof, richardson=False)
-        loc, jump = pw.jump_detect(fac, window=4 * lam)
-        ub = grid.points()
-        energy = float(np.trapezoid(prof.dg(ub) ** 2, ub))
-        rows.append((lam, jump, abs(jump + 0.25), energy))
-    _write_csv(
-        os.path.join(outdir, "jumps.csv"),
-        ["lambda", "dh_jump", "jump_gap_to_quarter", "derivative_energy"],
-        rows,
-        args.plot_data,
-    )
-    summary = {
-        "final_jump": rows[-1][1],
-        "checks": {
-            "jump_converges": rows[-1][2] <= TOL["jump"],
-            "energy_normalized": max(abs(r[3] - 1.0) for r in rows) <= 1e-6,
-        },
-    }
-    return _finish(outdir, vars(args), summary, t0)
-
-
-def cmd_gowdy(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    amp = args.amplitude
-    rows = []
-    for n in args.n_seq:
-        tau_grid = Grid1D(0.0, 1.0, args.grid + 1)
-        th_grid = Grid1D(0.0, 2.0 * np.pi, args.grid)
-        tau = tau_grid.points()
-        theta = th_grid.points_periodic()
-        p, alpha = gowdy.eval_family(n, amp, tau, theta)
-        res = gowdy.vacuum_residual(n, amp, tau_grid, th_grid)
-        target = -(amp**2) * np.exp(-tau)[:, None] / np.pi
-        rows.append(
-            (n, float(np.abs(p).max()), float(np.abs(alpha - target).max()), float(np.abs(res.ricci).max()))
-        )
-    lim = gowdy.limit_einstein(amp, 0.0)
-    _write_csv(
-        os.path.join(outdir, "family.csv"),
-        ["n", "sup_P", "sup_alpha_gap", "vacuum_residual"],
-        rows,
-        args.plot_data,
-    )
-    summary = {
-        "einstein_limit": lim,
-        "checks": {
-            "alpha_gap_decreases": rows[-1][2] < rows[0][2],
-            "einstein_matches": abs(lim["G_tautau"] - lim["target_tautau"]) <= TOL["einstein_limit"],
-        },
-    }
-    return _finish(outdir, vars(args), summary, t0)
-
-
-def _shell_data(dust_lines, chart, grid):
-    ring = acceptance._flat_ring(chart)
-    one, zero = acceptance._const_maps(chart)
-    dust = None
-    if dust_lines:
-        atoms = [(loc, _mass_field(profile, chart)) for kind, loc, profile in dust_lines if kind == "atom"]
-        levels = [level for kind, level, _ in dust_lines if kind == "density"]  # the last one counts
-        density = (lambda ub, lv=levels[-1]: np.full((len(ub),) + chart.shape, lv)) if levels else None
-        dust = C.NullDustMeasure(atoms=atoms, density=density)
-    return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
-
-
-def cmd_constraints(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    chart = AngularGrid(8, 4)
-    grid = Grid1D(0.0, 1.0, 1025)
-    data = _shell_data(args.dust, chart, grid)
-    if data.dust is not None and data.dust.atoms:
-        sol = C.solve_glued_shell(data, 1.0, 0.1)
-    elif data.dust is not None:
-        sol = C.solve_dust_constraint(data, 1.0, 0.1)
-    else:
-        sol = C.solve_vacuum_constraint(data, 1.0, 0.1)
-    residuals = []
-    for tf in bump_dictionary(grid, chart):
-        residuals.append(
-            (tf.name, abs(C.weak_constraint_residual(data, sol, tf, tf.deriv, support=tf.support)))
-        )
-    nodes = grid.points()[:: max(1, grid.n // 256)]
-    phi_rows = [(float(u), float(np.asarray(sol(np.array([u])))[0].min())) for u in nodes]
-    _write_csv(os.path.join(outdir, "phi.csv"), ["ub", "min_phi"], phi_rows, args.plot_data)
-    _write_csv(os.path.join(outdir, "weak_residuals.csv"), ["test_function", "residual"], residuals)
-    summary = {
-        "max_weak_residual": max(r[1] for r in residuals),
-        "checks": {"weak_residuals": max(r[1] for r in residuals) <= TOL["weak_residual"]},
-    }
-    return _finish(outdir, vars(args), summary, t0)
-
-
 def cmd_hf_approx(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    verdict = acceptance.criterion_absorber()
-    rows = [
-        (r["n"], r["gamma_gap"], r["phi_gap"], r["dphi_gap"], r["weak_defect"],
-         r["defect_no_corrector"], r["det_defect"])
-        for r in verdict.details["rows"]
-    ]
-    _write_csv(
-        os.path.join(outdir, "convergence.csv"),
-        ["n", "gamma_gap", "phi_gap", "dphi_gap", "weak_defect", "defect_no_corrector", "det_defect"],
-        rows,
-        args.plot_data,
-    )
-    summary = {"slopes": verdict.details["slopes"], "checks": verdict.details["checks"]}
-
-    if args.m_seq:
-        from . import measurepipe as MP
-        from .testfunctions import plateau
-
-        chart = AngularGrid(8, 4)
-        grid = Grid1D(0.0, 1.0, 257)
-        data = _shell_data(args.dust or _dust_spec("atom 0.45 cos:1.0,0.5"), chart, grid)
-        t1, _ = chart.mesh()
-        strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
-        data.dust.atoms = [(loc, mass * (1.0 - strip)) for loc, mass in data.dust.atoms]
-        bv = C.solve_glued_shell(data, 1.0, 0.15)
-        pipe = MP.MeasurePipeline(data, bv, k=args.k)
-        pipe.freeze_k([args.m_seq[0], args.m_seq[-1]])
-        members = [pipe.member(m) for m in args.m_seq]
-        tf = bump_dictionary(grid, chart)[1]
-        table = MP.pipeline_weak_check(pipe, members, [tf])
-        _write_csv(
-            os.path.join(outdir, "measure_pipeline.csv"),
-            ["m", "n", "difference", "measure_pairing", "gap"],
-            [(r["m"], r["n"], r["difference"], r["measure_pairing"], r["gap"]) for r in table],
-            args.plot_data,
-        )
-        fitp = fit_rate([2.0 ** -r["m"] for r in table], [max(r["gap"], 1e-300) for r in table])
-        summary["pipeline_slope"] = fitp.slope
-        summary["checks"]["pipeline_slope_ge_0.9"] = fitp.slope >= TOL["rate_slope"]
-    return _finish(outdir, vars(args), summary, t0)
-
-
-def cmd_pipeline(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    verdict = acceptance.criterion_char_pipeline()
-    _write_csv(
-        os.path.join(outdir, "residual_orders.csv"),
-        ["equation", "observed_order"],
-        [(k, v if v is not None else "exact") for k, v in verdict.details["residual_orders"].items()],
-    )
-    summary = {
-        "trchi_error": verdict.details["trchi_error"],
-        "trchb_error": verdict.details["trchb_error"],
-        "checks": verdict.details["checks"],
-    }
-    return _finish(outdir, vars(args), summary, t0)
+    pipeline = _flags(args, "m_seq", "k", "dust")
+    if pipeline and "m_seq" not in pipeline:
+        raise ValueError("--k and --dust set the measure pipeline: give --m-seq too")
+    calls = [(acceptance.criterion_absorber, {})]
+    if pipeline:
+        calls.append((acceptance.criterion_pipeline, pipeline))
+    return _run(args, calls)
 
 
 def cmd_trapped(args):
     t0 = time.time()
     outdir = _out_root(args)
     chart = AngularGrid(32, 16)
-    mass = _mass_field(args.mass, chart)
+    mass = acceptance._mass_field(args.mass, chart)
     shell = S.ShellSpacetime(chart, mass, args.ustar)
     per_theta, overall, margin = S.is_trapped(shell)
     trchi_plus = S.trch_jump(shell, args.ustar)
@@ -356,7 +192,7 @@ def cmd_trapped(args):
         "checks": {"criterion_consistent": overall == (margin > 0)},
     }
     print(json.dumps(summary, indent=2))
-    return _finish(outdir, vars(args), summary, t0)
+    return _finish(outdir, args, summary, t0)
 
 
 def cmd_cc_demo(args):
@@ -389,20 +225,7 @@ def cmd_cc_demo(args):
             ),
         },
     }
-    return _finish(outdir, vars(args), summary, t0)
-
-
-def cmd_verify_all(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    results = acceptance.run_all(printer=print)
-    rows = [(v.name, v.passed, round(v.seconds, 2)) for v in results]
-    _write_csv(os.path.join(outdir, "verdicts.csv"), ["criterion", "passed", "seconds"], rows)
-    summary = {
-        "checks": {v.name: v.passed for v in results},
-        "details": {v.name: v.details for v in results},
-    }
-    return _finish(outdir, vars(args), summary, t0)
+    return _finish(outdir, args, summary, t0)
 
 
 def build_parser():
@@ -414,41 +237,46 @@ def build_parser():
     ap.add_argument("--plot-data", action="store_true", help="also emit whitespace-column .dat tables")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("burnett", help="oscillation family: weak pairings and vacuum residuals")
-    p.add_argument("--lambda-seq", default="2..10", type=_span(4),
-                   help="dyadic exponent span j0..j1, at least 4 members (the rate fit)")
-    p.add_argument("--seed", default="cosine", choices=sorted(pw.SEEDS))
-    p.set_defaults(func=cmd_burnett)
+    def criterion_parser(name, text):
+        # an omitted flag is absent from args, so the criterion keeps its acceptance default
+        return sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("shell-limit", help="concentration family: derivative jump extraction")
-    p.add_argument("--lambda-seq", default="6..10", type=_span(1), help="dyadic exponent span j0..j1")
-    p.add_argument("--seed", default="bump", choices=sorted(pw.SEEDS))
-    p.set_defaults(func=cmd_shell_limit)
+    dust_help = ("dust spec: 'atom UB MASS' / 'density LEVEL' lines, ';'-separated, 0 < UB < 1; "
+                 "mass profiles const:V or cos:BASE,AMP (default: atom 0.45 cos:1.0,0.5)")
 
-    p = sub.add_parser("gowdy", help="Bessel-profile family tables and the two-beam limit")
-    p.add_argument("--n-seq", default="2,4,8", type=_int_list)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=192)
-    p.set_defaults(func=cmd_gowdy)
+    p = criterion_parser("burnett", "criterion 1: oscillation family pairings and wave-factor limit")
+    p.add_argument("--lambda-seq", type=_int_seq(4),
+                   help="dyadic exponents j of lambda = 2^-j, j0..j1 or a,b,c, at least 4 (default 2..10)")
+    p.add_argument("--seed", choices=sorted(pw.SEEDS), help="envelope profile (default cosine)")
+    p.set_defaults(func=_criterion_cmd("criterion_burnett", "lambda_seq", "seed"))
 
-    p = sub.add_parser("constraints", help="hypersurface constraint solves and weak residuals")
-    p.add_argument("--dust", default=None, type=_dust_spec,
-                   help="dust spec: 'atom UB MASS' / 'density LEVEL' lines, ';'-separated; "
-                        "mass profiles const:V or cos:BASE,AMP")
-    p.set_defaults(func=cmd_constraints)
+    p = criterion_parser("shell-limit", "criterion 2: concentration family jump, pairings and energies")
+    p.add_argument("--lambda-seq", type=_int_seq(1), help="dyadic exponents j, j0..j1 or a,b,c: energies "
+                   "at each, jump and pairings at the finest (default 6,8,10)")
+    p.add_argument("--seed", choices=sorted(pw.SEEDS), help="profile (default bump)")
+    p.set_defaults(func=_criterion_cmd("criterion_shell_limit", "lambda_seq", "seed"))
 
-    p = sub.add_parser("hf-approx", help="dust-absorbing oscillation convergence tables")
-    p.add_argument("--k", default="auto", type=_wavenumber,
-                   help="oscillation wavenumber (auto: escalating selection)")
-    p.add_argument("--m-seq", default=None, type=_span(4),
-                   help="also run the measure->vacuum pipeline over this dyadic span, e.g. 1..6; "
-                        "at least 4 members (the rate fit)")
-    p.add_argument("--dust", default=None, type=_dust_spec,
-                   help="dust spec for the pipeline (see `constraints`)")
+    p = criterion_parser("gowdy", "criterion 3: Bessel-profile family and its two-beam limit")
+    p.add_argument("--n-seq", type=_int_seq(4),
+                   help="members n of the alpha-limit gap, at least 4 (default 100,316,...,100000)")
+    p.add_argument("--amplitude", type=float, help="family amplitude A (default 1.0)")
+    p.set_defaults(func=_criterion_cmd("criterion_gowdy", "n_seq", "amplitude"))
+
+    p = criterion_parser("constraints", "criterion 4: hypersurface constraint solves and weak residuals")
+    p.add_argument("--dust", type=_dust_spec, help=dust_help)
+    p.set_defaults(func=_criterion_cmd("criterion_constraints", "dust"))
+
+    p = criterion_parser("hf-approx", "criterion 5: dust-absorbing oscillations; with --m-seq also "
+                                      "criterion 7: the measure->vacuum pipeline")
+    p.add_argument("--m-seq", type=_int_seq(4), help="run the measure->vacuum pipeline over these "
+                   "levels m, j0..j1 or a,b,c, at least 4 (its default is 1..8)")
+    p.add_argument("--k", type=_wavenumber,
+                   help="pipeline oscillation wavenumber (default auto: uniform selection); needs --m-seq")
+    p.add_argument("--dust", type=_dust_spec, help="pipeline " + dust_help + "; needs --m-seq")
     p.set_defaults(func=cmd_hf_approx)
 
-    p = sub.add_parser("pipeline", help="characteristic transport residual report")
-    p.set_defaults(func=cmd_pipeline)
+    p = criterion_parser("pipeline", "criterion 10: characteristic transport residuals")
+    p.set_defaults(func=_criterion_cmd("criterion_char_pipeline"))
 
     p = sub.add_parser("trapped", help="null-shell trapped-surface verdict")
     p.add_argument("--mass", default="const:1.2", type=_mass_profile)
@@ -459,13 +287,13 @@ def build_parser():
     p.add_argument("--dim", type=int, default=2, choices=(2, 4))
     p.add_argument("--c1", type=float, default=4.0)
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--n-seq", default="4,8,16,32,64,128,256", type=_int_list)
+    p.add_argument("--n-seq", default="4,8,16,32,64,128,256", type=_int_seq(1))
     p.add_argument("--pair", default="transverse", choices=sorted(CC.PAIRS))
     p.add_argument("--seed-value", type=int, default=7)
     p.set_defaults(func=cmd_cc_demo)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p.set_defaults(func=cmd_verify_all)
+    p.set_defaults(func=lambda args: _run(args, [(fn, {}) for fn in acceptance.ALL_CRITERIA]))
     return ap
 
 
@@ -480,7 +308,7 @@ def main(argv=None):
         if exc.location is not None:
             error["location"] = exc.location
         print(f"numerical failure: {error['type']}: {exc}", file=sys.stderr)
-        return _finish(_out_root(args), vars(args), {"error": error}, t0)
+        return _finish(_out_root(args), args, {"error": error}, t0)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -170,8 +170,8 @@ def support_check(d1: FrequencyDecomposition, d2: FrequencyDecomposition, rel_to
 class SequencePair:
     """Oscillatory family pair with complementary directional regularity.
 
-    f(n) is uniformly H^1 along the axes in f_regular ('u', 'y1', 'y2'), and
-    h(n) along h_regular; f_inf/h_inf are the weak limits.
+    f(n) is uniformly H^1 along u and h(n) along ub (the negative control
+    breaks this); f_inf/h_inf are the weak limits.
     """
 
     name: str
@@ -180,28 +180,7 @@ class SequencePair:
     h: Callable[[int], np.ndarray]
     f_inf: np.ndarray
     h_inf: np.ndarray
-    f_regular: tuple
-    h_regular: tuple
     expects_defect: bool = False  # True for negative controls violating the bounds
-
-    def spot_check_bounds(self, n_values=(4, 64)) -> dict:
-        """H^1 seminorms along the declared regular axes at sample members."""
-        axis_of = {"u": 0, "ub": 1, "y1": 2, "y2": 3}
-        out = {}
-        for label, gen, axes in (("f", self.f, self.f_regular), ("h", self.h, self.h_regular)):
-            worst = 0.0
-            for n in n_values:
-                field = gen(n)
-                spec = np.fft.fftn(field)
-                for ax_name in axes:
-                    ax = axis_of[ax_name]
-                    if ax >= self.box.dim:
-                        continue
-                    k = self.box.freqs()[ax]
-                    d = np.fft.ifftn(spec * (1j * k)).real
-                    worst = max(worst, float(np.sqrt(self.box.integrate(d * d))))
-            out[label] = worst
-        return out
 
 
 def weak_product_test(pair: SequencePair, psi: np.ndarray, n_values) -> dict:
@@ -252,8 +231,6 @@ def transverse_pair(box: PeriodicBox) -> SequencePair:
         lambda n: amp_h * np.sin(n * u),
         np.zeros(box.shape),
         np.zeros(box.shape),
-        f_regular=("u",),
-        h_regular=("ub",),
     )
 
 
@@ -268,9 +245,7 @@ def resonant_pair(box: PeriodicBox) -> SequencePair:
         lambda n: np.sin(n * ub),
         np.zeros(box.shape),
         np.zeros(box.shape),
-        f_regular=("u",),
-        h_regular=("u",),  # NOT ub-regular: the hypothesis the control violates
-        expects_defect=True,
+        expects_defect=True,  # h is NOT ub-regular: the hypothesis the control violates
     )
 
 
@@ -287,8 +262,6 @@ def strong_weak_pair(box: PeriodicBox) -> SequencePair:
         lambda n: h_inf + np.sin(n * u) * (1.0 + 0.2 * np.cos(ub)),
         f0,
         h_inf,
-        f_regular=("u",),
-        h_regular=("ub",),
     )
 
 

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import sym2_det, sym2_entries, sym2_inverse, sym2_pack
+from .fields import sym2_det, sym2_entries, sym2_pack
 from .geometry import area_element
 from .grids import AngularGrid, Grid1D
 from .odesolve import (
@@ -182,10 +182,9 @@ def solve_dust_constraint(data: ReducedCharData, phi0, dphi0, grid: Grid1D | Non
 
 def solve_glued_shell(data: ReducedCharData, phi0, dphi0, step: float | None = None) -> PiecewiseSolution:
     """BV solution with measure dust: vacuum/dust pieces glued with the atom
-    jump [Phi'] = -(1/2) Omega^2 m / Phi."""
-    if data.dust is None or not data.dust.atoms:
-        raise ValueError("no atoms to glue across")
-    atoms = sorted(data.dust.atoms, key=lambda am: am[0])
+    jump [Phi'] = -(1/2) Omega^2 m / Phi.  Without atoms it is one segment."""
+    dust = data.dust or NullDustMeasure()
+    atoms = sorted(dust.atoms, key=lambda am: am[0])
     step = step or data.grid.h
     cuts = [data.grid.a] + [a[0] for a in atoms] + [data.grid.b]
     shape = data.chart.shape
@@ -203,7 +202,7 @@ def solve_glued_shell(data: ReducedCharData, phi0, dphi0, step: float | None = N
         [step] * (len(cuts) - 1),
         data.dlog_omega,
         lambda ub: 0.125 * data.dgamma_normsq(ub),
-        data.dust.density,
+        dust.density,
         np.broadcast_to(np.asarray(phi0, float), shape).copy(),
         np.broadcast_to(np.asarray(dphi0, float), shape).copy(),
         jumps=[jump_for(loc, mass) for loc, mass in atoms],
@@ -282,49 +281,3 @@ def _inverse_phi_weight(solution):
         return 1.0 / solution(ub)
 
     return weight
-
-
-def chi_from_data(data: ReducedCharData, solution, ub: float, identity_tol: float = 1e-10):
-    """Outgoing expansion and shear on the slice at ub.
-
-    chi = (2 Omega)^-1 d/dub (Phi^2 gamma_hat); returns (trchi, chihat, chi).
-    The normalization det gamma_hat = det gamma_ring forces
-    trchi = 2 dPhi / (Omega Phi), asserted against the trace.
-    """
-    ub_arr = np.array([float(ub)])
-    om = np.asarray(data.omega(ub_arr))[0]
-    phi = np.asarray(solution(ub_arr))[0]
-    dphi = np.asarray(solution.deriv(ub_arr))[0]
-    gh, dgh = data.slice_metric(ub)
-    gamma = phi[..., None, None] ** 2 * gh
-    chi = (2.0 * phi * dphi / (2.0 * om))[..., None, None] * gh + (phi**2 / (2.0 * om))[
-        ..., None, None
-    ] * dgh
-    ginv = sym2_inverse(gamma)
-    trchi = np.einsum("...ab,...ab->...", ginv, chi)
-    forced = 2.0 * dphi / (om * phi)
-    gap = np.abs(trchi - forced).max()
-    if gap > identity_tol * (1.0 + np.abs(forced).max()):
-        raise AssertionError(f"trace identity violated by {gap:.3e}")
-    chihat = chi - 0.5 * trchi[..., None, None] * gamma
-    return trchi, chihat, chi
-
-
-def shear_norm_sq(data: ReducedCharData, ub_batch) -> np.ndarray:
-    """|chihat|^2_gamma = (1/4) Omega^-2 |d gamma_hat|^2_gamma_hat, batched over ub."""
-    om = np.asarray(data.omega(ub_batch))
-    return 0.25 * np.asarray(data.dgamma_normsq(ub_batch)) / om**2
-
-
-def christodoulou_mass(data: ReducedCharData, delta: float, panels: int = 256, gl: int = 16):
-    """Per-direction integral of |chihat|^2_gamma over [a, a + delta] and its infimum.
-
-    This is the concentration functional whose uniform lower bound drives
-    trapped-surface formation.
-    """
-    if delta <= 0 or data.grid.a + delta > data.grid.b + 1e-12:
-        raise ValueError("integration window outside the grid")
-    xs, ws = composite_rule([(data.grid.a, data.grid.a + delta, panels)], gl)
-    vals = shear_norm_sq(data, xs)
-    per_theta = np.einsum("k,kij->ij", ws, vals)
-    return per_theta, float(per_theta.min())

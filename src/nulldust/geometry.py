@@ -87,9 +87,3 @@ def area_element(gamma: np.ndarray) -> np.ndarray:
     """sqrt(det gamma): density of the metric area form in chart coordinates."""
     det = gamma[..., 0, 0] * gamma[..., 1, 1] - gamma[..., 0, 1] * gamma[..., 1, 0]
     return np.sqrt(det)
-
-
-def total_curvature(gamma: np.ndarray, chart: AngularGrid) -> float:
-    """integral of K dA_gamma over the chart (zero on the torus for any metric)."""
-    k = gauss_curvature(gamma, chart, check=False)
-    return float(np.sum(k * area_element(gamma)) * chart.cell_area)

@@ -215,18 +215,6 @@ def select_k(background: DustBackground) -> float:
     )
 
 
-def build_family(background: DustBackground, n: int, k: float | None = None) -> OscillatoryFamily:
-    """Construct gamma_n; escalates k only when not supplied."""
-    if k is None:
-        k = select_k(background)
-    fam = OscillatoryFamily(background, k, n)
-    grid = fam.resolving_grid(per_wavelength=32)
-    probe = np.linspace(grid.a, grid.b, min(grid.n, 1 << 18))
-    if float(fam.min_eigenvalue(probe).min()) <= 0.0:
-        raise PositivityEscalationError(f"gamma_n loses positivity for k={k}, n={n}")
-    return fam
-
-
 def solve_phi_n(fam: OscillatoryFamily) -> DenseSolution:
     """Vacuum constraint solve with the oscillatory shear, matching the dust
     solution's initial value and slope (16 steps per wavelength)."""

@@ -81,12 +81,6 @@ class WaveProfile:
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
 
-    def g_values(self):
-        return self.g(self.grid.points())
-
-    def dg_values(self):
-        return self.dg(self.grid.points())
-
 
 def make_burnett_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
     """Oscillation profile G(ub) = lam * k(ub) * sin(ub / lam)."""
@@ -156,13 +150,6 @@ def solve_H(profile: WaveProfile, richardson: bool = True) -> WaveFactor:
         fine = solve(profile.grid.refined(2))
         err = float(np.abs(fine.phi[::2] - sol.phi).max())
     return WaveFactor(profile.grid, sol.phi, sol.dphi, sol.ddphi, err)
-
-
-def ricci_uu(profile: WaveProfile, factor: WaveFactor) -> np.ndarray:
-    """Ric_ubub = -(1/2)(G')^2 - 2 H''/H on the grid (H'' from the ODE)."""
-    if np.any(factor.h <= 0.0):
-        raise ValueError("wave factor must be positive")
-    return -0.5 * profile.dg_values() ** 2 - 2.0 * factor.ddh / factor.h
 
 
 def weak_limit_pairings(

@@ -45,20 +45,6 @@ class ShellSpacetime:
         return dens * self.chart.cell_area
 
 
-def cone_coefficients(u: float, ub: float):
-    """(trchi-, trchb) of the interior cone; everything else vanishes.
-
-    The open chart is 0 < u <= ub+1 < 1; evaluation extends to its closure
-    (the corner and the shell hypersurface), diverging at the focal radius.
-    """
-    if not (0.0 <= u <= ub + 1.0 <= 1.0):
-        raise CoordinateRangeError(f"(u, ub)=({u}, {ub}) outside the cone chart 0 < u <= ub+1 < 1")
-    r = ub - u + 1.0
-    if r == 0.0:
-        raise CoordinateRangeError("focal point: ub - u + 1 = 0")
-    return 2.0 / r, -2.0 / r
-
-
 def trch_jump(shell: ShellSpacetime, u: float) -> np.ndarray:
     """Outgoing expansion just past the shell: trchi+ = trchi- - m/(ub0 - u + 1)^2."""
     r = shell.ub0 - u + 1.0

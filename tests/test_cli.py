@@ -1,35 +1,49 @@
 """Orchestration: artifacts, determinism, exit codes."""
 
+import csv
 import json
-import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nulldust.cli import main
+from nulldust import acceptance
+from nulldust.acceptance import Verdict
+from nulldust.cli import _write_csv, main
 
 
 def run_cli(args, tmp_path):
     return main(["--out", str(tmp_path)] + args)
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 def test_burnett_run_writes_tables(tmp_path):
-    code = run_cli(["burnett", "--lambda-seq", "2..6"], tmp_path)
-    assert code == 0
-    outdir = tmp_path / "burnett"
+    # the default span is the acceptance span: criterion 1 passes
+    assert run_cli(["burnett"], tmp_path / "full") == 0
+    outdir = tmp_path / "full" / "burnett"
     assert (outdir / "manifest.json").exists()
     summary = json.loads((outdir / "summary.json").read_text())
-    assert summary["checks"]["slope_ge_0.9"]
-    rows = (outdir / "pairings.csv").read_text().strip().splitlines()
-    assert len(rows) == 1 + 5  # header plus one row per member
+    assert all(summary["checks"].values())
+    rows = read_csv(outdir / "burnett_limit.csv")
+    assert rows[0] == ["path", "value"]
+    assert len([r for r in rows if r[0].startswith("pairing_slopes.")]) == 5  # one per test function
+    # the short span 2..6 is too coarse for the phi = 1 pairing slope (0.70 < 0.9)
+    assert run_cli(["burnett", "--lambda-seq", "2..6"], tmp_path / "short") == 1
+    summary = json.loads((tmp_path / "short" / "burnett" / "summary.json").read_text())
+    assert summary["checks"]["burnett_limit/pairing_slopes_ge_0.9"] is False
+    assert summary["details"]["burnett_limit"]["pairing_slopes"][0] < 0.9
 
 
 def test_burnett_deterministic_output(tmp_path):
     run_cli(["burnett", "--lambda-seq", "2..5"], tmp_path / "a")
     run_cli(["burnett", "--lambda-seq", "2..5"], tmp_path / "b")
-    csv_a = (tmp_path / "a" / "burnett" / "pairings.csv").read_bytes()
-    csv_b = (tmp_path / "b" / "burnett" / "pairings.csv").read_bytes()
+    csv_a = (tmp_path / "a" / "burnett" / "burnett_limit.csv").read_bytes()
+    csv_b = (tmp_path / "b" / "burnett" / "burnett_limit.csv").read_bytes()
     assert csv_a == csv_b
 
 
@@ -47,7 +61,16 @@ def test_constraints_with_dust_spec(tmp_path):
     code = run_cli(["constraints", "--dust", "atom 0.45 cos:1.0,0.5"], tmp_path)
     assert code == 0
     summary = json.loads((tmp_path / "constraints" / "summary.json").read_text())
-    assert summary["checks"]["weak_residuals"]
+    assert summary["checks"]["constraint_solver/weak_residuals_below_1e-6"]
+
+
+def test_constraints_with_smooth_density(tmp_path):
+    # no atoms: the glued solve is one segment with the smooth-dust source
+    code = run_cli(["constraints", "--dust", "density 0.8"], tmp_path)
+    assert code == 0
+    summary = json.loads((tmp_path / "constraints" / "summary.json").read_text())
+    assert summary["checks"]["constraint_solver/weak_residuals_below_1e-6"]
+    assert summary["details"]["constraint_solver"]["max_weak_residual"] < 1e-9
 
 
 def test_cc_demo(tmp_path):
@@ -73,6 +96,9 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["gowdy", "--n-seq", "2,x"],
     ["constraints", "--dust", "atom 0.45 bogus:1"],
     ["hf-approx", "--k", "oops"],
+    ["constraints", "--dust", "atom 1.5 const:1"],  # outside 0 < ub < 1
+    ["hf-approx", "--k", "12.5"],  # pipeline flags need --m-seq
+    ["hf-approx", "--dust", "atom 0.45 cos:1.0,0.5"],
 ])
 def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     try:
@@ -117,3 +143,61 @@ def test_numerical_failures_share_one_base():
 
     for exc in (FocusingError, TransportBlowupError, CurvatureConsistencyError, PositivityEscalationError):
         assert issubclass(exc, NumericalFailure)
+
+
+def test_csv_cells_of_numpy_scalars(tmp_path):
+    path = tmp_path / "t.csv"
+    _write_csv(path, ["a", "b", "c"], [(np.float64(0.5), np.float32(0.25), 3)])
+    assert read_csv(path)[1] == ["0.5", "0.25", "3"]
+
+
+_PIPELINE_DUST = (("atom", 0.5, ("const", (1.0,))), ("density", 0.8, None))
+
+
+@pytest.mark.parametrize("args, calls", [
+    (["burnett"], [("criterion_burnett", {})]),
+    (["burnett", "--lambda-seq", "3..6", "--seed", "const"],
+     [("criterion_burnett", {"lambda_seq": [3, 4, 5, 6], "seed": "const"})]),
+    (["shell-limit", "--lambda-seq", "5,7"], [("criterion_shell_limit", {"lambda_seq": [5, 7]})]),
+    (["shell-limit", "--lambda-seq", "6..8", "--seed", "cosine"],
+     [("criterion_shell_limit", {"lambda_seq": [6, 7, 8], "seed": "cosine"})]),
+    (["gowdy", "--n-seq", "10,20,40,80", "--amplitude", "0.5"],
+     [("criterion_gowdy", {"n_seq": [10, 20, 40, 80], "amplitude": 0.5})]),
+    (["constraints"], [("criterion_constraints", {})]),
+    (["constraints", "--dust", "atom 0.3 const:2; density 0.8"],
+     [("criterion_constraints", {"dust": (("atom", 0.3, ("const", (2.0,))), ("density", 0.8, None))})]),
+    (["hf-approx"], [("criterion_absorber", {})]),
+    (["hf-approx", "--m-seq", "1..4"],
+     [("criterion_absorber", {}), ("criterion_pipeline", {"m_seq": [1, 2, 3, 4]})]),
+    (["hf-approx", "--m-seq", "2,4,6,8", "--k", "12.5", "--dust", "atom 0.5 const:1; density 0.8"],
+     [("criterion_absorber", {}),
+      ("criterion_pipeline", {"m_seq": [2, 4, 6, 8], "k": 12.5, "dust": _PIPELINE_DUST})]),
+    (["hf-approx", "--m-seq", "1..4", "--k", "auto"],
+     [("criterion_absorber", {}), ("criterion_pipeline", {"m_seq": [1, 2, 3, 4], "k": None})]),
+    (["pipeline"], [("criterion_char_pipeline", {})]),
+    (["verify-all"], [(fn.__name__, {}) for fn in acceptance.ALL_CRITERIA]),
+])
+def test_subcommand_runs_its_criteria(tmp_path, monkeypatch, args, calls):
+    recorded = []
+
+    def recorder(name):
+        def criterion(**kwargs):
+            recorded.append((name, kwargs))
+            return Verdict(name, False, 0.0, {"gap": np.float64(0.5), "checks": {"ok": True, "bad": False}})
+        return criterion
+
+    names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
+    for name in names:
+        monkeypatch.setattr(acceptance, name, recorder(name))
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [getattr(acceptance, name) for name in names])
+
+    assert run_cli(args, tmp_path) == 1
+    assert recorded == calls
+    outdir = tmp_path / args[0]
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["checks"] == {f"{name}/{c}": ok for name, _ in calls for c, ok in (("ok", True), ("bad", False))}
+    assert summary["details"] == {name: {"gap": 0.5, "checks": {"ok": True, "bad": False}} for name, _ in calls}
+    for name, _ in calls:
+        assert read_csv(outdir / f"{name}.csv") == [
+            ["path", "value"], ["gap", "0.5"], ["checks.ok", "True"], ["checks.bad", "False"],
+        ]

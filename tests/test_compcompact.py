@@ -149,10 +149,3 @@ def test_sin_squared_mean():
     pair = CC.resonant_pair(box)
     mean = box.integrate(pair.f(37) * pair.h(37)) / (2 * np.pi) ** 2
     assert abs(mean - 0.5) < 1e-6
-
-
-def test_declared_bounds_spot_check():
-    box = CC.PeriodicBox((256, 256))
-    bounds = CC.transverse_pair(box).spot_check_bounds()
-    assert bounds["f"] < 10.0  # uniform along the declared regular axis
-    assert bounds["h"] < 10.0

@@ -1,12 +1,8 @@
-"""Grids, stencils, rate fits, field serialization."""
-
-import csv
-import json
+"""Grids, stencils, rate fits."""
 
 import numpy as np
 import pytest
 
-from nulldust.fields import TensorField2, field_to_csv
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.rates import fit_rate
 from nulldust.stencils import deriv1_fd4, deriv1_fd4_periodic, spectral_deriv
@@ -84,33 +80,3 @@ def test_rate_fit_exact_and_noisy():
 def test_rate_fit_needs_four_points():
     with pytest.raises(ValueError, match="4 points"):
         fit_rate([1.0, 0.5, 0.25], [1.0, 2.0, 4.0])
-
-
-def test_tensor_field_validation():
-    chart = AngularGrid(4, 4)
-    with pytest.raises(ValueError, match="shape"):
-        TensorField2(chart, (2, 0), np.zeros((4, 4, 2)))
-    bad = np.zeros((4, 4, 2, 2))
-    bad[..., 0, 1] = 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        TensorField2(chart, (2, 0), bad, symmetric=True)
-    f = TensorField2.scalar(chart, np.ones((4, 4)))
-    assert f.rank == (0, 0)
-
-
-def test_field_csv_roundtrip(tmp_path):
-    chart = AngularGrid(4, 4)
-    t1, t2 = chart.mesh()
-    metric = np.zeros(chart.shape + (2, 2))
-    metric[..., 0, 0] = 1 + 0.1 * np.sin(t1)
-    metric[..., 1, 1] = 1.0
-    path = tmp_path / "fields.csv"
-    field_to_csv(path, chart, {"scalar": np.cos(t2), "metric": metric})
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["theta1", "theta2", "scalar",
-                       "metric_11", "metric_12", "metric_21", "metric_22"]
-    assert len(rows) == 1 + 16
-    assert float(rows[1][2]) == np.cos(t2)[0, 0]
-    meta = json.loads(open(str(path) + ".json").read())
-    assert meta["n1"] == 4 and "metric_11" in meta["columns"]
