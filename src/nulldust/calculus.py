@@ -4,31 +4,19 @@ Conventions (slots trail the grid axes):
     one-form phi:           (n1, n2, 2)
     symmetric 2-tensor T:   (n1, n2, 2, 2)
     volume form eps_{ab} = sqrt(det gamma) * [[0, 1], [-1, 0]]_{ab}
+Axes before the grid axes are a batch of slices; the operators taking gamma
+read the batch depth from gamma.ndim - 4.
 """
 
 import numpy as np
 
 from .fields import sym2_inverse
-from .geometry import area_element, christoffel
+from .geometry import area_element, christoffel, partial
 from .grids import AngularGrid
-from .stencils import spectral_deriv
 
 
 class RankError(ValueError):
     pass
-
-
-def _dtheta(chart: AngularGrid, f: np.ndarray, axis: int) -> np.ndarray:
-    period = chart.L1 if axis == 0 else chart.L2
-    return spectral_deriv(f, period, axis=axis)
-
-
-def partial(chart: AngularGrid, f: np.ndarray) -> np.ndarray:
-    """d_c f, new leading slot c after the grid axes: shape (n1, n2, 2, ...)."""
-    out = np.empty(chart.shape + (2,) + f.shape[2:])
-    out[:, :, 0] = _dtheta(chart, f, 0)
-    out[:, :, 1] = _dtheta(chart, f, 1)
-    return out
 
 
 def grad(chart: AngularGrid, f: np.ndarray) -> np.ndarray:
@@ -42,14 +30,14 @@ def covariant_deriv(chart: AngularGrid, gamma: np.ndarray, phi: np.ndarray,
                     gam: np.ndarray | None = None) -> np.ndarray:
     """nabla_c phi_{a...} for a covariant tensor of rank 0, 1 or 2.
 
-    Returns shape (n1, n2, 2, *slots) with the derivative slot leading.
+    Returns shape (batch, n1, n2, 2, *slots) with the derivative slot leading.
     """
-    rank = phi.ndim - 2
+    rank = phi.ndim - gamma.ndim + 2
     if rank not in (0, 1, 2):
         raise RankError(f"rank-{rank} covariant derivative not supported")
     if gam is None:
         gam = christoffel(gamma, chart)
-    d = partial(chart, phi)
+    d = partial(chart, phi, gamma.ndim - 4)
     if rank == 0:
         return d
     if rank == 1:
@@ -61,7 +49,7 @@ def covariant_deriv(chart: AngularGrid, gamma: np.ndarray, phi: np.ndarray,
 
 def div_oneform(chart, gamma, phi, gam=None) -> np.ndarray:
     """div phi = gamma^{ab} nabla_a phi_b."""
-    if phi.ndim != 3:
+    if phi.ndim != gamma.ndim - 1:
         raise RankError("div_oneform expects a one-form")
     nab = covariant_deriv(chart, gamma, phi, gam)
     return np.einsum("...ab,...ab->...", sym2_inverse(gamma), nab)
@@ -69,7 +57,7 @@ def div_oneform(chart, gamma, phi, gam=None) -> np.ndarray:
 
 def div_sym2(chart, gamma, T, gam=None) -> np.ndarray:
     """(div T)_a = gamma^{bc} nabla_b T_{ca} for totally symmetric T."""
-    if T.ndim != 4:
+    if T.ndim != gamma.ndim:
         raise RankError("div_sym2 expects a 2-tensor")
     nab = covariant_deriv(chart, gamma, T, gam)  # [..., c, a, b] = nabla_c T_{ab}
     return np.einsum("...bc,...bca->...a", sym2_inverse(gamma), nab)
@@ -86,7 +74,7 @@ def volume_form_upper(gamma: np.ndarray) -> np.ndarray:
 
 def curl_oneform(chart, gamma, phi, gam=None) -> np.ndarray:
     """curl phi = eps^{ab} nabla_a phi_b."""
-    if phi.ndim != 3:
+    if phi.ndim != gamma.ndim - 1:
         raise RankError("curl_oneform expects a one-form")
     nab = covariant_deriv(chart, gamma, phi, gam)
     return np.einsum("...ab,...ab->...", volume_form_upper(gamma), nab)
@@ -97,7 +85,7 @@ def nabla_otimes(chart, gamma, phi, gam=None) -> np.ndarray:
 
     (nabla (x) phi)_{ab} = nabla_a phi_b + nabla_b phi_a - gamma_{ab} div phi
     """
-    if phi.ndim != 3:
+    if phi.ndim != gamma.ndim - 1:
         raise RankError("nabla_otimes expects a one-form")
     nab = covariant_deriv(chart, gamma, phi, gam)
     dv = np.einsum("...ab,...ab->...", sym2_inverse(gamma), nab)
@@ -124,11 +112,6 @@ def hat_otimes(gamma, phi, psi) -> np.ndarray:
     """(phi (x)^ psi)_{ab} = phi_a psi_b + phi_b psi_a - gamma_{ab} (phi . psi)."""
     outer = phi[..., :, None] * psi[..., None, :]
     return outer + np.swapaxes(outer, -1, -2) - gamma * dot11(gamma, phi, psi)[..., None, None]
-
-
-def raise_index(gamma, phi) -> np.ndarray:
-    """phi^a = gamma^{ab} phi_b."""
-    return np.einsum("...ab,...b->...a", sym2_inverse(gamma), phi)
 
 
 def lower_index(gamma, X) -> np.ndarray:

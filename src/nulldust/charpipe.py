@@ -47,7 +47,8 @@ class CornerData:
 
 @dataclass
 class SliceFields:
-    """Geometry and outgoing coefficients on one ub slice."""
+    """Geometry and outgoing coefficients on one ub slice, with the
+    state-independent terms of the transport right-hand side."""
 
     ub: float
     gamma: np.ndarray
@@ -60,6 +61,9 @@ class SliceFields:
     chihat: np.ndarray
     chi: np.ndarray
     chi_mix: np.ndarray  # chi^b_a
+    gam: np.ndarray      # Christoffel symbols [..., c, a, b] = Gamma^c_{ab}
+    div_chihat: np.ndarray
+    grad_trchi: np.ndarray
 
 
 @dataclass
@@ -78,11 +82,17 @@ class TransportResult:
         return 2.0 * sl.grad_log_omega - self.eta[i]
 
 
-def slice_fields(data: ReducedCharData, solution, ub: float) -> SliceFields:
-    om = np.asarray(data.omega(np.array([ub])))[0]
-    dlo = np.asarray(data.dlog_omega(np.array([ub])))[0]
-    phi = np.asarray(solution(np.array([ub])))[0]
-    dphi = np.asarray(solution.deriv(np.array([ub])))[0]
+def slice_fields(data: ReducedCharData, solution, ubs):
+    """SliceFields at each ub of ubs, from one batched pass with ub as the
+    leading axis; each returned SliceFields views the batch arrays.  A scalar
+    ub gives one SliceFields.  Raises PositivityError if gamma fails the sign
+    test on any slice."""
+    ub = np.atleast_1d(np.asarray(ubs, float))
+    chart = data.chart
+    om = np.asarray(data.omega(ub))
+    dlo = np.asarray(data.dlog_omega(ub))
+    phi = np.asarray(solution(ub))
+    dphi = np.asarray(solution.deriv(ub))
     gh, dgh = data.slice_metric(ub)
     gamma = phi[..., None, None] ** 2 * gh
     ginv = sym2_inverse(gamma)
@@ -90,10 +100,15 @@ def slice_fields(data: ReducedCharData, solution, ub: float) -> SliceFields:
     trchi = np.einsum("...ab,...ab->...", ginv, chi)
     chihat = chi - 0.5 * trchi[..., None, None] * gamma
     chi_mix = np.einsum("...bc,...ca->...ba", ginv, chi)
-    kg = gauss_curvature(gamma, data.chart, check=False)
-    grad_lo = calc.grad(data.chart, np.log(om))
+    gam = christoffel(gamma, chart)
+    kg = gauss_curvature(gamma, chart, check=False, gam=gam)
+    grad_lo = calc.partial(chart, np.log(om), 1)
     om_scalar = -0.5 * dlo / om
-    return SliceFields(ub, gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi, chi_mix)
+    div_chihat = calc.div_sym2(chart, gamma, chihat, gam)
+    grad_trchi = calc.partial(chart, trchi, 1)
+    batch = (gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi, chi_mix, gam, div_chihat, grad_trchi)
+    out = [SliceFields(u, *(f[k] for f in batch)) for k, u in enumerate(ub)]
+    return out if np.ndim(ubs) else out[0]
 
 
 def corner_eta(data: ReducedCharData, solution, corner: CornerData) -> np.ndarray:
@@ -106,29 +121,29 @@ def corner_eta(data: ReducedCharData, solution, corner: CornerData) -> np.ndarra
 
 
 def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
-    chart = data.chart
+    """Coordinate-time derivatives of the transport state on slice sl.  Only
+    state-dependent terms are computed here: the contractions use the stored
+    inverse metric, and the one angular derivative is nabla etab."""
     gamma, ginv = sl.gamma, sl.ginv
-    gam = christoffel(gamma, chart)
+    dot11 = lambda phi, psi: np.einsum("...ab,...a,...b->...", ginv, phi, psi)  # calc.dot11 on ginv
     etab = 2.0 * sl.grad_log_omega - eta
     diff = eta - etab
 
-    div_chihat = calc.div_sym2(chart, gamma, sl.chihat, gam)
-    grad_trchi = calc.grad(chart, sl.trchi)
     chihat_dot_diff = np.einsum("...bc,...ab,...c->...a", ginv, sl.chihat, diff)
     conn_eta = np.einsum("...ba,...b->...a", sl.chi_mix, eta)
     d_eta = sl.omega[..., None] * (
         -0.75 * sl.trchi[..., None] * diff
-        + div_chihat
-        - 0.5 * grad_trchi
+        + sl.div_chihat
+        - 0.5 * sl.grad_trchi
         - 0.5 * chihat_dot_diff
         + conn_eta
     )
 
-    d_b = -2.0 * sl.omega[..., None] ** 2 * calc.raise_index(gamma, diff)
+    d_b = -2.0 * sl.omega[..., None] ** 2 * np.einsum("...ab,...b->...a", ginv, diff)
 
-    eta_dot_etab = calc.dot11(gamma, eta, etab)
-    eta_sq = calc.dot11(gamma, eta, eta)
-    chihat_dot_chibhat = calc.dot22(gamma, sl.chihat, chibhat)
+    eta_dot_etab = dot11(eta, etab)
+    eta_sq = dot11(eta, eta)
+    chihat_dot_chibhat = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, sl.chihat, chibhat)
     d_omb = sl.omega * (
         2.0 * sl.om * omb
         - eta_dot_etab
@@ -136,8 +151,9 @@ def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
         - 0.5 * (sl.kgauss - 0.5 * chihat_dot_chibhat + 0.25 * sl.trchi * trchb)
     )
 
-    div_etab = calc.div_oneform(chart, gamma, etab, gam)
-    etab_sq = calc.dot11(gamma, etab, etab)
+    nab_etab = calc.covariant_deriv(data.chart, gamma, etab, sl.gam)  # [..., c, a] = nabla_c etab_a
+    div_etab = np.einsum("...ab,...ab->...", ginv, nab_etab)
+    etab_sq = dot11(etab, etab)
     d_trchb = sl.omega * (
         -sl.trchi * trchb + 2.0 * sl.om * trchb - 2.0 * sl.kgauss + 2.0 * div_etab + 2.0 * etab_sq
     )
@@ -145,14 +161,15 @@ def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
     conn_chibhat = np.einsum("...ca,...cb->...ab", sl.chi_mix, chibhat) + np.einsum(
         "...cb,...ac->...ab", sl.chi_mix, chibhat
     )
-    now = calc.nabla_otimes(chart, gamma, etab, gam)
+    now = nab_etab + np.swapaxes(nab_etab, -1, -2) - gamma * div_etab[..., None, None]
+    etab_etab = etab[..., :, None] * etab[..., None, :]
     d_chibhat = sl.omega[..., None, None] * (
         conn_chibhat
         - 0.5 * sl.trchi[..., None, None] * chibhat
         + now
         + 2.0 * sl.om[..., None, None] * chibhat
         - 0.5 * trchb[..., None, None] * sl.chihat
-        + calc.hat_otimes(gamma, etab, etab)
+        + (etab_etab + np.swapaxes(etab_etab, -1, -2) - gamma * etab_sq[..., None, None])
     )
     return d_eta, d_b, d_omb, d_trchb, d_chibhat
 
@@ -165,13 +182,20 @@ def solve_transport_system(
 ) -> TransportResult:
     """RK4 march of (eta, b, omb, trchb, chibhat) along the hypersurface.
 
-    Angular derivatives are spectral at every stage; the Gauss curvature is
-    recomputed from gamma = Phi^2 gamma_hat per stage.
+    The slice geometry (gamma = Phi^2 gamma_hat, its connection and Gauss
+    curvature, chi, div chihat, grad trchi) depends on Phi only.  Before the
+    march one batched pass computes it on every node slice and one on every
+    half-node slice (two batches, not one, so the half-node arrays are freed
+    with the march and the peak memory stays lower); the RK4 stages only read
+    it.  Each stage takes one spectral covariant derivative, of etab.
     """
     grid = data.grid
     h = grid.h
     nodes = grid.points()
     chart = data.chart
+    # slice i + 1 sits where the step reaches it, nodes[i] + h (nodes[i + 1] may differ by an ulp)
+    at_node = slice_fields(data, solution, np.concatenate([nodes[:1], nodes[:-1] + h]))
+    at_half = slice_fields(data, solution, nodes[:-1] + 0.5 * h)
 
     eta = corner_eta(data, solution, corner)
     b = np.zeros(chart.shape + (2,))
@@ -195,14 +219,9 @@ def solve_transport_system(
         out.omb[i], out.trchb[i], out.chibhat[i] = omb, trchb, chibhat
         out.slices.append(sl)
 
-    sl0 = slice_fields(data, solution, nodes[0])
-    store(0, sl0)
+    store(0, at_node[0])
     for i in range(grid.n - 1):
-        ub = nodes[i]
-        sl_half = slice_fields(data, solution, ub + 0.5 * h)
-        sl_full = slice_fields(data, solution, ub + h)
-        sl = out.slices[i]
-
+        sl, sl_half, sl_full = at_node[i], at_half[i], at_node[i + 1]
         k1 = _rhs(data, sl, eta, b, omb, trchb, chibhat)
         y1 = [f + 0.5 * h * k for f, k in zip((eta, b, omb, trchb, chibhat), k1)]
         k2 = _rhs(data, sl_half, *y1)
@@ -261,26 +280,19 @@ def structure_residuals(result: TransportResult) -> dict:
 
     # one-form: nabla_4 eta_a = Omega^-1 d_ub eta_a - chi^b_a eta_b
     nab4_eta = d_ub(eta) / omega[..., None] - np.einsum("t...ba,t...b->t...a", chi_mix, eta)
-    rhs_eta = np.empty_like(eta)
-    for i in range(n):
-        sl = result.slices[i]
-        gam = christoffel(sl.gamma, chart)
-        rhs_eta[i] = (
-            calc.div_sym2(chart, sl.gamma, sl.chihat, gam)
-            - 0.5 * calc.grad(chart, sl.trchi)
-            - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, sl.chihat, diff[i])
-        )
+    gam = np.stack([sl.gam for sl in result.slices])
+    ginv = np.stack([sl.ginv for sl in result.slices])
+    rhs_eta = (
+        calc.div_sym2(chart, gamma, chihat, gam)
+        - 0.5 * calc.partial(chart, trchi, 1)
+        - 0.5 * np.einsum("...bc,...ab,...c->...a", ginv, chihat, diff)
+    )
     res_eta = nab4_eta + 0.75 * trchi[..., None] * diff - rhs_eta
 
     # ingoing expansion
     nab4_trchb = d_ub(result.trchb) / omega
-    div_etab = np.empty((n,) + chart.shape)
-    now_etab = np.empty((n,) + chart.shape + (2, 2))
-    for i in range(n):
-        sl = result.slices[i]
-        gam = christoffel(sl.gamma, chart)
-        div_etab[i] = calc.div_oneform(chart, sl.gamma, etab[i], gam)
-        now_etab[i] = calc.nabla_otimes(chart, sl.gamma, etab[i], gam)
+    div_etab = calc.div_oneform(chart, gamma, etab, gam)
+    now_etab = calc.nabla_otimes(chart, gamma, etab, gam)
     res_trchb = (
         nab4_trchb
         + trchi * result.trchb
@@ -337,8 +349,7 @@ def renormalized_curvature(result: TransportResult, i: int) -> RenormalizedCurva
     data = result.data
     chart = data.chart
     sl = result.slices[i]
-    gamma = sl.gamma
-    gam = christoffel(gamma, chart)
+    gamma, gam = sl.gamma, sl.gam
     eta = result.eta[i]
     etab = result.etab(i)
     diff = eta - etab
@@ -350,14 +361,14 @@ def renormalized_curvature(result: TransportResult, i: int) -> RenormalizedCurva
     chib_minus = chib - trchb[..., None, None] * gamma
 
     beta = (
-        -calc.div_sym2(chart, gamma, sl.chihat, gam)
-        + 0.5 * calc.grad(chart, sl.trchi)
-        - 0.5 * np.einsum("...bc,...ab,...c->...a", sym2_inverse(gamma), chi_minus, diff)
+        -sl.div_chihat
+        + 0.5 * sl.grad_trchi
+        - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chi_minus, diff)
     )
     betab = (
         calc.div_sym2(chart, gamma, chibhat, gam)
         - 0.5 * calc.grad(chart, trchb)
-        - 0.5 * np.einsum("...bc,...ab,...c->...a", sym2_inverse(gamma), chib_minus, diff)
+        - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chib_minus, diff)
     )
     sigma_check = calc.curl_oneform(chart, gamma, eta, gam)
     mu = -calc.div_oneform(chart, gamma, eta, gam) + sl.kgauss

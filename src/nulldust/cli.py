@@ -120,8 +120,9 @@ def _criterion_cmd(name, *flags):
     return lambda args: _run(args, [(getattr(acceptance, name), _flags(args, *flags))])
 
 
-def _int_seq(min_members):
-    """argparse type: 'j0..j1' (inclusive) or 'a,b,c' -> list of ints, at least min_members long."""
+def _int_seq(min_members, least=None):
+    """argparse type: 'j0..j1' (inclusive) or 'a,b,c' -> list of ints, at least
+    min_members long, each member >= least if given."""
     def parse(text):
         lo, dots, hi = text.partition("..")
         try:
@@ -130,6 +131,8 @@ def _int_seq(min_members):
             raise argparse.ArgumentTypeError(f"expected j0..j1 or a,b,c, got {text!r}") from None
         if len(seq) < min_members:
             raise argparse.ArgumentTypeError(f"{text!r} has {len(seq)} members, needs >= {min_members}")
+        if least is not None and min(seq) < least:
+            raise argparse.ArgumentTypeError(f"{text!r} has a member below {least}")
         return seq
     return parse
 
@@ -166,6 +169,8 @@ def cmd_hf_approx(args):
     pipeline = _flags(args, "m_seq", "k", "dust")
     if pipeline and "m_seq" not in pipeline:
         raise ValueError("--k and --dust set the measure pipeline: give --m-seq too")
+    if "dust" in pipeline and not any(kind == "atom" for kind, _, _ in pipeline["dust"]):
+        raise ValueError("the measure pipeline concentrates an atom: give --dust an 'atom' line")
     calls = [(acceptance.criterion_absorber, {})]
     if pipeline:
         calls.append((acceptance.criterion_pipeline, pipeline))
@@ -251,14 +256,14 @@ def build_parser():
     p.set_defaults(func=_criterion_cmd("criterion_burnett", "lambda_seq", "seed"))
 
     p = criterion_parser("shell-limit", "criterion 2: concentration family jump, pairings and energies")
-    p.add_argument("--lambda-seq", type=_int_seq(1), help="dyadic exponents j, j0..j1 or a,b,c: energies "
-                   "at each, jump and pairings at the finest (default 6,8,10)")
+    p.add_argument("--lambda-seq", type=_int_seq(1, 4), help="dyadic exponents j >= 4, j0..j1 or a,b,c: "
+                   "energies at each, jump and pairings at the finest (default 6,8,10)")
     p.add_argument("--seed", choices=sorted(pw.SEEDS), help="profile (default bump)")
     p.set_defaults(func=_criterion_cmd("criterion_shell_limit", "lambda_seq", "seed"))
 
     p = criterion_parser("gowdy", "criterion 3: Bessel-profile family and its two-beam limit")
-    p.add_argument("--n-seq", type=_int_seq(4),
-                   help="members n of the alpha-limit gap, at least 4 (default 100,316,...,100000)")
+    p.add_argument("--n-seq", type=_int_seq(4, 1),
+                   help="members n >= 1 of the alpha-limit gap, at least 4 (default 100,316,...,100000)")
     p.add_argument("--amplitude", type=float, help="family amplitude A (default 1.0)")
     p.set_defaults(func=_criterion_cmd("criterion_gowdy", "n_seq", "amplitude"))
 

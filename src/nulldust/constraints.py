@@ -97,11 +97,12 @@ class ReducedCharData:
         """|d gamma_hat|^2 with indices raised by gamma_hat: (K,) -> (K, n1, n2)."""
         return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
 
-    def slice_metric(self, ub: float):
-        """(gamma_hat, d gamma_hat) on the slice at ub, each (n1, n2, 2, 2)."""
-        ub_arr = np.array([float(ub)])
-        return (sym2_pack(*(x[0] for x in self.entries(ub_arr))),
-                sym2_pack(*(x[0] for x in self.dentries(ub_arr))))
+    def slice_metric(self, ub):
+        """(gamma_hat, d gamma_hat) on the slice at ub, each (n1, n2, 2, 2);
+        a batch ub (K,) gives (K, n1, n2, 2, 2)."""
+        ub_arr = np.atleast_1d(np.asarray(ub, float))
+        gh, dgh = sym2_pack(*self.entries(ub_arr)), sym2_pack(*self.dentries(ub_arr))
+        return (gh, dgh) if np.ndim(ub) else (gh[0], dgh[0])
 
     def area_weights(self) -> np.ndarray:
         """Quadrature weights of dA_ring on the chart nodes."""

@@ -16,27 +16,22 @@ class CurvatureConsistencyError(NumericalFailure):
     """The two diagonal fibers of the curvature identity disagree: grid too coarse."""
 
 
-def _dtheta(chart: AngularGrid, f: np.ndarray, axis: int) -> np.ndarray:
-    period = chart.L1 if axis == 0 else chart.L2
-    return spectral_deriv(f, period, axis=axis)
-
-
-def metric_derivatives(chart: AngularGrid, gamma: np.ndarray) -> np.ndarray:
-    """d gamma_{ab} / d theta^c, indexed [..., c, a, b]."""
-    out = np.empty(chart.shape + (2, 2, 2))
-    for c in range(2):
-        out[..., c, :, :] = _dtheta(chart, gamma, axis=c)
-    return out
+def partial(chart: AngularGrid, f: np.ndarray, lead: int = 0) -> np.ndarray:
+    """d_c f for f shaped (lead batch axes, n1, n2, *slots): the derivative
+    slot c is inserted after the grid axes, (batch, n1, n2, 2, *slots)."""
+    return np.stack([spectral_deriv(f, chart.L1, axis=lead), spectral_deriv(f, chart.L2, axis=lead + 1)],
+                    axis=lead + 2)
 
 
 def christoffel(gamma: np.ndarray, chart: AngularGrid) -> np.ndarray:
-    """Connection coefficients of gamma, indexed [..., c, a, b] = Gamma^c_{ab}.
+    """Connection coefficients of gamma, indexed [..., c, a, b] = Gamma^c_{ab};
+    leading axes of gamma before (n1, n2, 2, 2) are a batch of slices.
 
     Gamma^c_{ab} = (1/2) gamma^{cd} (d_a gamma_{bd} + d_b gamma_{ad} - d_d gamma_{ab})
     """
     check_positive_definite(gamma)
     ginv = sym2_inverse(gamma)
-    dg = metric_derivatives(chart, gamma)
+    dg = partial(chart, gamma, gamma.ndim - 4)
     # lower-index symbol: [..., d, a, b] = (d_a g_{bd} + d_b g_{ad} - d_d g_{ab}) / 2
     low = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
     return np.einsum("...cd,...dab->...cab", ginv, low)
@@ -47,20 +42,21 @@ def gauss_curvature(
     chart: AngularGrid,
     rtol: float = 1e-6,
     check: bool = True,
+    gam: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Gauss curvature K of gamma.
+    """Gauss curvature K of gamma (leading axes before (n1, n2, 2, 2) batch slices).
 
     K is read off the curvature identity
         gamma_{bc} K = d_a Gamma^a_{bc} - d_c Gamma^a_{ba}
                        + Gamma^a_{ad} Gamma^d_{bc} - Gamma^a_{cd} Gamma^d_{ba}
     through its trace; the two diagonal fibers (b=c=1 and b=c=2) are
     cross-checked and a mismatch beyond ``rtol`` raises
-    CurvatureConsistencyError (the discretization is too coarse).
+    CurvatureConsistencyError (the discretization is too coarse).  gam, if
+    given, is christoffel(gamma, chart).
     """
-    gam = christoffel(gamma, chart)
-    dgam = np.empty(chart.shape + (2, 2, 2, 2))  # [..., e, c, a, b] = d_e Gamma^c_{ab}
-    for e in range(2):
-        dgam[..., e, :, :, :] = _dtheta(chart, gam, axis=e)
+    if gam is None:
+        gam = christoffel(gamma, chart)
+    dgam = partial(chart, gam, gamma.ndim - 4)  # [..., e, c, a, b] = d_e Gamma^c_{ab}
 
     term1 = np.einsum("...aabc->...bc", dgam)  # d_a Gamma^a_{bc}
     term2 = np.einsum("...caba->...bc", dgam)  # d_c Gamma^a_{ba}

@@ -77,11 +77,5 @@ class AngularGrid:
         """Coordinate area of one grid cell (quadrature weight of the periodic trapezoid rule)."""
         return (self.L1 / self.n1) * (self.L2 / self.n2)
 
-    def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Angular wavenumbers 2*pi*k/L along each axis, shaped for broadcasting."""
-        k1 = 2.0 * np.pi * np.fft.fftfreq(self.n1, d=self.L1 / self.n1)
-        k2 = 2.0 * np.pi * np.fft.fftfreq(self.n2, d=self.L2 / self.n2)
-        return k1[:, None], k2[None, :]
-
     def refined(self, factor: int = 2) -> "AngularGrid":
         return AngularGrid(self.n1 * factor, self.n2 * factor, self.L1, self.L2)

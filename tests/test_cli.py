@@ -99,6 +99,10 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["constraints", "--dust", "atom 1.5 const:1"],  # outside 0 < ub < 1
     ["hf-approx", "--k", "12.5"],  # pipeline flags need --m-seq
     ["hf-approx", "--dust", "atom 0.45 cos:1.0,0.5"],
+    ["shell-limit", "--lambda-seq", "0"],  # the jump window needs j >= 4
+    ["shell-limit", "--lambda-seq", "3,6"],
+    ["gowdy", "--n-seq", "0,1,2,3"],  # the rate fit needs n >= 1
+    ["hf-approx", "--m-seq", "1..4", "--dust", "density 0.8"],  # the pipeline needs an atom
 ])
 def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     try:
