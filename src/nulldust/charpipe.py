@@ -111,10 +111,9 @@ def slice_fields(data: ReducedCharData, solution, ubs):
     return out if np.ndim(ubs) else out[0]
 
 
-def corner_eta(data: ReducedCharData, solution, corner: CornerData) -> np.ndarray:
+def corner_eta(sl: SliceFields, corner: CornerData) -> np.ndarray:
     """eta at the corner: (eta - etab)^sharp = -dub_b / (2 Omega^2), symmetrized
-    against the lapse gradient."""
-    sl = slice_fields(data, solution, data.grid.a)
+    against the lapse gradient.  sl is the slice at the corner, ub = grid.a."""
     diff_up = -corner.dub_b0 / (2.0 * sl.omega[..., None] ** 2)
     diff = calc.lower_index(sl.gamma, diff_up)
     return sl.grad_log_omega + 0.5 * diff
@@ -197,7 +196,7 @@ def solve_transport_system(
     at_node = slice_fields(data, solution, np.concatenate([nodes[:1], nodes[:-1] + h]))
     at_half = slice_fields(data, solution, nodes[:-1] + 0.5 * h)
 
-    eta = corner_eta(data, solution, corner)
+    eta = corner_eta(at_node[0], corner)
     b = np.zeros(chart.shape + (2,))
     omb = np.asarray(corner.omb0, float).copy()
     trchb = np.asarray(corner.trchb0, float).copy()

@@ -8,12 +8,14 @@ providers are evaluated once on the half-step lattice; the even lattice points
 are the grid nodes, and their values also give the second derivative stored
 for dense output.
 
-_rk4_chunk marches the M independent angular points of one chunk.  With numba
-it always runs the compiled per-point loop.  Without numba, a pure-Python loop
-over steps x points serves M < _ROWS_MIN_POINTS, and a numpy kernel that loops
-over steps and does each RK4 stage as one array operation over all M points
-serves larger M.  Both kernels do the same IEEE operations in the same order,
-so their results are bit-identical, the index of a failure included.
+_rk4_chunk marches the M independent angular points of one chunk.  One column
+kernel, _rk4_column, marches one point through the whole chunk.  With numba it
+is compiled and runs for every M, on column views of the arrays.  Without
+numba it runs on flat lists of Python floats for M < _ROWS_MIN_POINTS, and a
+numpy kernel that loops over steps and does each RK4 stage as one array
+operation over all M points serves larger M.  Both kernels do the same IEEE
+operations in the same order, so their results are bit-identical, the index
+of a failure included.
 """
 
 from dataclasses import dataclass
@@ -39,63 +41,98 @@ except Exception:  # pragma: no cover
 
 
 class FocusingError(NumericalFailure):
-    """The conformal factor became nonpositive or NaN: the metric degenerates."""
+    """The conformal factor became nonpositive or NaN, or its derivative not
+    finite: the metric degenerates."""
 
 
 _CHUNK = 4096  # steps marched per coefficient batch
-# Smallest M for which the numpy row kernel beats the pure-Python loop.  On a
-# 2-core x86 host with numpy 2.4 and no numba, its speed relative to that
-# loop is 0.20x at M = 1, 0.76x at M = 4, 1.17x at M = 6, 1.56x at M = 8 and
-# 6.3x at M = 32.
-_ROWS_MIN_POINTS = 6
+# Smallest M for which the numpy row kernel beats the column kernel on Python
+# floats.  Per 4,096-step chunk on a 2-core x86 host with numpy 2.4 and no
+# numba, its speed relative to the column kernel is 0.05x at M = 1, 0.15x at
+# M = 4, 0.32x at M = 8, 0.6-0.7x at M = 16, 0.8x at M = 20, 1.0x at M = 22
+# and 1.4x at M = 32.
+_ROWS_MIN_POINTS = 22
 
 
 @njit(cache=True)
-def _rk4_points(phi, psi, gl, cc, ff, h, out_phi, out_psi):
-    """Per-point loop of _rk4_chunk: compiled with numba, else pure Python."""
+def _rk4_column(p, q, g2, cr, f2, hh, hv, h6, out_p, out_q):
+    """March one angular point through a chunk: compiled with numba, else on
+    Python floats.
+
+    g2, cr, f2 are the point's 2.0*gl, cc and 0.5*ff on the half-step
+    lattice; hh, hv, h6 are 0.5*h, h and h/6.0.  Each is the leftmost
+    operation of its expression in the classical step, so hoisting it keeps
+    every rounding.  Returns the first step whose phi is not positive or
+    whose psi is not finite, or -1.
+    """
+    nc = len(out_p) - 1
+    out_p[0] = p
+    out_q[0] = q
+    for i in range(nc):
+        i0, im, ie = 2 * i, 2 * i + 1, 2 * i + 2
+        try:
+            k1q = g2[i0] * q - cr[i0] * p - f2[i0] / p
+            p1 = p + hh * q
+            q1 = q + hh * k1q
+            k2q = g2[im] * q1 - cr[im] * p1 - f2[im] / p1
+            p2 = p + hh * q1
+            q2 = q + hh * k2q
+            k3q = g2[im] * q2 - cr[im] * p2 - f2[im] / p2
+            p3 = p + hv * q2
+            q3 = q + hv * k3q
+            k4q = g2[ie] * q3 - cr[ie] * p3 - f2[ie] / p3
+        except Exception:  # only x / 0.0 can raise here; numba compiles no narrower except
+            return i
+        p = p + h6 * (q + 2.0 * q1 + 2.0 * q2 + q3)
+        q = q + h6 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        out_p[i + 1] = p
+        out_q[i + 1] = q
+        if not (p > 0.0 and q - q == 0.0):  # NaN compares false; q - q is NaN for inf
+            return i
+    return -1
+
+
+def _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi):
+    """Column driver of _rk4_chunk: _rk4_column once per angular point.
+
+    With numba the kernel reads and writes column views of the arrays.
+    Without it, each column is handed over as flat lists of Python floats,
+    on which the scalar arithmetic is several times cheaper than on numpy
+    scalars, and its nodes are written back.  The failure returned is the
+    smallest i*M + j over the columns' first failures, the step-major first.
+    """
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
+    hh, hv, h6 = float(0.5 * h), float(h), float(h / 6.0)
+    g2, cr, f2 = (2.0 * gl).T, cc.T, (0.5 * ff).T
+    if _HAVE_NUMBA:
+        out_p, out_q = out_phi.T, out_psi.T
+    else:
+        g2, cr, f2 = g2.tolist(), cr.tolist(), f2.tolist()
+        out_p = [[0.0] * (nc + 1) for _ in range(M)]
+        out_q = [[0.0] * (nc + 1) for _ in range(M)]
+    bad = -1
     for j in range(M):
-        out_phi[0, j] = phi[j]
-        out_psi[0, j] = psi[j]
-    for i in range(nc):
-        i0 = 2 * i
-        for j in range(M):
-            p, q = phi[j], psi[j]
-            k1p = q
-            k1q = 2.0 * gl[i0, j] * q - cc[i0, j] * p - 0.5 * ff[i0, j] / p
-            p1 = p + 0.5 * h * k1p
-            q1 = q + 0.5 * h * k1q
-            k2p = q1
-            k2q = 2.0 * gl[i0 + 1, j] * q1 - cc[i0 + 1, j] * p1 - 0.5 * ff[i0 + 1, j] / p1
-            p2 = p + 0.5 * h * k2p
-            q2 = q + 0.5 * h * k2q
-            k3p = q2
-            k3q = 2.0 * gl[i0 + 1, j] * q2 - cc[i0 + 1, j] * p2 - 0.5 * ff[i0 + 1, j] / p2
-            p3 = p + h * k3p
-            q3 = q + h * k3q
-            k4p = q3
-            k4q = 2.0 * gl[i0 + 2, j] * q3 - cc[i0 + 2, j] * p3 - 0.5 * ff[i0 + 2, j] / p3
-            pn = p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-            qn = q + h / 6.0 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-            phi[j] = pn
-            psi[j] = qn
-            out_phi[i + 1, j] = pn
-            out_psi[i + 1, j] = qn
-            if not pn > 0.0:
-                return i * M + j
-    return -1
+        i = _rk4_column(float(phi[j]), float(psi[j]), g2[j], cr[j], f2[j], hh, hv, h6, out_p[j], out_q[j])
+        if i >= 0:
+            bad = i * M + j if bad < 0 else min(bad, i * M + j)
+    if not _HAVE_NUMBA:
+        out_phi[:] = np.array(out_p).T
+        out_psi[:] = np.array(out_q).T
+    if bad < 0:
+        phi[:] = out_phi[nc]
+        psi[:] = out_psi[nc]
+    return bad
 
 
 def _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     """Row kernel of _rk4_chunk: one numpy operation per stage over all M points.
 
-    The products 2.0*gl and 0.5*ff and the step factors 0.5*h and h/6.0 are
-    the leftmost operations of their expressions in _rk4_points, so hoisting
-    them keeps every rounding of the per-point loop.  At the M of a chunk the
-    cost is per numpy call, not per point: the rows are split into lists of
-    views once, and the scalar factors are (M,) arrays because a scalar
-    operand costs about twice an array one.
+    It hoists the same factors as _rk4_column and fails on the same steps, so
+    the two kernels are bit-identical.  At the M of a chunk the cost is per
+    numpy call, not per point: the rows are split into lists of views once,
+    and the scalar factors are (M,) arrays because a scalar operand costs
+    about twice an array one.
     """
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
@@ -123,7 +160,8 @@ def _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi):
             k4q = g2[ie] * q3 - cr[ie] * p3 - f2[ie] / p3
             np.add(p, h6 * (q + two * q1 + two * q2 + q3), P[i + 1])
             np.add(q, h6 * (k1q + two * k2q + two * k3q + k4q), Q[i + 1])
-    bad = ~(out_phi[1:] > 0.0)  # once per chunk, not per step; NaN compares false
+    # once per chunk, not per step; NaN compares false
+    bad = ~(out_phi[1:] > 0.0) | ~np.isfinite(out_psi[1:])
     if bad.any():
         return int(np.argmax(bad))  # row-major: the first step i, then the first point j
     phi[:] = P[nc]
@@ -136,12 +174,12 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
 
     gl, cc, ff: (2*nc+1, M) at half-steps; phi, psi: (M,) state, updated in
     place; out_phi/out_psi: (nc+1, M) node storage including the entry state.
-    Returns the flat index i*M + j of the first nonpositive or NaN phi (step
-    i, point j), or -1; after a failure the state and the rows past step i
-    are unspecified.
+    Returns the flat index i*M + j of the first step i at which the phi of
+    point j is nonpositive or NaN or its psi is not finite, or -1; after a
+    failure the state and the rows past step i are unspecified.
     """
     if _HAVE_NUMBA or phi.shape[0] < _ROWS_MIN_POINTS:
-        return _rk4_points(phi, psi, gl, cc, ff, h, out_phi, out_psi)
+        return _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi)
     return _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi)
 
 
@@ -224,7 +262,8 @@ def solve_linear_second_order(
     glog_fn/coeff_fn/source_fn map a batch of ub values (K,) to (K, *shape)
     coefficient arrays (source_fn may be None for the homogeneous equation);
     each is called once per chunk, on the chunk's half-step lattice.
-    Raises FocusingError at the first node where phi is nonpositive or NaN.
+    Raises FocusingError at the first node where phi is nonpositive or NaN or
+    phi' is not finite.
     """
     shape = np.shape(phi0)
     M = int(np.prod(shape)) if shape else 1
@@ -249,7 +288,8 @@ def solve_linear_second_order(
             step, j = divmod(int(bad), M)
             loc = grid.a + (pos + step + 1) * h
             raise FocusingError(
-                f"conformal factor nonpositive or NaN near ub={loc:.6g} (angular flat index {j})",
+                f"conformal factor nonpositive or NaN, or its derivative not finite, near ub={loc:.6g}"
+                f" (angular flat index {j})",
                 location=(loc, j),
             )
         # the even lattice points are the nodes pos..pos+nc

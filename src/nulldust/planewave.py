@@ -136,7 +136,7 @@ def solve_H(profile: WaveProfile, richardson: bool = True) -> WaveFactor:
     """Integrate H'' = -(1/4) G'(ub)^2 H with H = 1, H' = 0 at the grid start.
 
     Raises FocusingError from the march at the first node where H is
-    nonpositive or NaN.
+    nonpositive or NaN or H' is not finite.
     """
 
     def solve(grid):

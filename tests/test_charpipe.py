@@ -220,10 +220,10 @@ def test_curl_of_gradient_torsion():
     data = flat_data(chart, grid, omega, dlog)
     sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
     corner = P.CornerData.zeros(chart)
-    eta0 = P.corner_eta(data, sol, corner)  # equals grad log Omega
+    sl = P.slice_fields(data, sol, 0.0)
+    eta0 = P.corner_eta(sl, corner)  # equals grad log Omega
     from nulldust import calculus as calc
 
-    sl = P.slice_fields(data, sol, 0.0)
     assert np.abs(calc.curl_oneform(chart, sl.gamma, eta0)).max() < 1e-10
 
 

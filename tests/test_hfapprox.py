@@ -158,7 +158,8 @@ def test_uniform_k_selection(chart, grid):
         assert fam.min_eigenvalue(ub).min() > 0.25
 
 
-def test_normsq_evaluates_each_background_map_once(chart, grid):
+def counted_background(chart, grid):
+    """A moving background whose maps count their calls in the returned Counter."""
     base = make_background(chart, grid, f_level=1.0, b_amp=0.4, phi_const=False)
     calls = Counter()
 
@@ -171,8 +172,42 @@ def test_normsq_evaluates_each_background_map_once(chart, grid):
     data = base.data
     data.entries, data.dentries = counted("entries", data.entries), counted("dentries", data.dentries)
     bg = H.DustBackground(data, *(counted(name, getattr(base, name)) for name in ("f", "df", "phi", "dphi")))
+    return bg, calls
+
+
+def test_normsq_evaluates_each_background_map_once(chart, grid):
+    bg, calls = counted_background(chart, grid)
     H.OscillatoryFamily(bg, 40.0, 4).dgamma_normsq(np.linspace(0, 1, 64))
     assert calls == {"entries": 1, "dentries": 1, "f": 1, "df": 1, "phi": 1, "dphi": 1}
+
+
+def oracle_dcorrector(fam, ub):
+    """dcorrector with one envelope evaluation per stencil offset."""
+    kn = fam.k * fam.n
+    e1, e2 = fam._envelopes(ub)
+    h = max(fam.background.data.grid.h, 1e-6)
+    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    offs = np.array([-2.0 * h, -h, h, 2.0 * h])
+    de1 = np.zeros_like(e1)
+    de2 = np.zeros_like(e2)
+    for c, o in zip(stencil, offs):
+        v1, v2 = fam._envelopes(ub + o)
+        de1 += c * v1
+        de2 += c * v2
+    s1, c1 = np.sin(kn * ub)[:, None, None], np.cos(kn * ub)[:, None, None]
+    s2, c2 = np.sin(2.0 * kn * ub)[:, None, None], np.cos(2.0 * kn * ub)[:, None, None]
+    return de1 * s2 + 2.0 * kn * e1 * c2 + de2 * s1 + kn * e2 * c1
+
+
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_dcorrector_evaluates_each_envelope_map_once_per_block(chart, grid, blocks):
+    bg, calls = counted_background(chart, grid)
+    fam = H.OscillatoryFamily(bg, 40.0, 4)
+    n = 64 if blocks == 1 else 2 * H._STENCIL_BLOCK + 5
+    ub = np.linspace(0.1, 0.9, n)
+    got = fam.dcorrector(ub)
+    assert calls == {"entries": blocks, "dentries": blocks, "f": blocks, "phi": blocks}
+    assert np.array_equal(got, oracle_dcorrector(fam, ub))
 
 
 @pytest.mark.parametrize("moving", [
