@@ -8,14 +8,20 @@ providers are evaluated once on the half-step lattice; the even lattice points
 are the grid nodes, and their values also give the second derivative stored
 for dense output.
 
-_rk4_chunk marches the M independent angular points of one chunk.  One column
-kernel, _rk4_column, marches one point through the whole chunk.  With numba it
-is compiled and runs for every M, on column views of the arrays.  Without
-numba it runs on flat lists of Python floats for M < _ROWS_MIN_POINTS, and a
-numpy kernel that loops over steps and does each RK4 stage as one array
-operation over all M points serves larger M.  Both kernels do the same IEEE
-operations in the same order, so their results are bit-identical, the index
-of a failure included.
+Shells and dusts often vary in one angle or in none, so many of the M angular
+points of a chunk carry byte-identical columns of initial state and
+coefficients.  Each chunk marches only its U distinct columns and scatters the
+nodes back to all M points (_rk4_distinct); byte-equal inputs give byte-equal
+marches, so the result is bit-identical to marching every point.
+
+_rk4_chunk marches the U columns of one chunk.  One column kernel,
+_rk4_column, marches one point through the whole chunk.  With numba it is
+compiled and runs for every U, on column views of the arrays.  Without numba
+it runs on flat lists of Python floats for U < _ROWS_MIN_POINTS, and a numpy
+kernel that loops over steps and does each RK4 stage as one array operation
+over all U columns serves larger U.  Both kernels do the same IEEE operations
+in the same order, so their results are bit-identical, the index of a failure
+included.
 """
 
 from dataclasses import dataclass
@@ -183,6 +189,50 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     return _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi)
 
 
+def _distinct_columns(phi, psi, gl, cc, ff):
+    """The byte-distinct angular columns of one chunk's problem.
+
+    Column j is (phi[j], psi[j], gl[:, j], cc[:, j], ff[:, j]), keyed by its
+    raw bytes, so -0.0 and 0.0, or two NaN payloads, are different columns.
+    Returns the first occurrence of each distinct column, in increasing
+    order, and the distinct column of every point.
+    """
+    seen = {}
+    firsts = [
+        seen.setdefault(tuple(a[..., j].tobytes() for a in (phi, psi, gl, cc, ff)), j)
+        for j in range(phi.shape[0])
+    ]
+    return np.unique(firsts, return_inverse=True)
+
+
+def _rk4_distinct(phi, psi, gl, cc, ff, h, out_phi, out_psi):
+    """_rk4_chunk over the distinct columns only, scattered back to all M points.
+
+    Byte-equal columns march to byte-equal nodes in every kernel, so this is
+    bit-identical to marching each point.  The failure returned is the flat
+    index over the M points: the kernel's first failing step, and the
+    smallest point whose column fails on it (first occurrences are in
+    increasing order, so that is the first occurrence of the kernel's
+    smallest failing distinct column).
+    """
+    M = phi.shape[0]
+    first, inverse = _distinct_columns(phi, psi, gl, cc, ff) if M > 1 else ([0], None)
+    U = len(first)
+    if U == M:
+        return _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi)
+    u_phi, u_psi = phi[first], psi[first]
+    u_out_phi, u_out_psi = np.empty((out_phi.shape[0], U)), np.empty((out_psi.shape[0], U))
+    bad = _rk4_chunk(u_phi, u_psi, gl[:, first], cc[:, first], ff[:, first], h, u_out_phi, u_out_psi)
+    if bad >= 0:
+        step, u = divmod(bad, U)
+        return step * M + int(first[u])
+    out_phi[:] = u_out_phi[:, inverse]
+    out_psi[:] = u_out_psi[:, inverse]
+    phi[:] = out_phi[-1]
+    psi[:] = out_psi[-1]
+    return -1
+
+
 _H0 = np.array([1.0, 0.0, 0.0, -10.0, 15.0, -6.0])
 _H1 = np.array([0.0, 1.0, 0.0, -6.0, 8.0, -3.0])
 _H2 = np.array([0.0, 0.0, 0.5, -1.5, 1.5, -0.5])
@@ -227,26 +277,36 @@ class DenseSolution:
         return idx, t, h
 
     def _eval(self, ub, basis_fn):
+        """f0*B0 + (h*d0)*B1 + ((h*h)*s0)*B2 + f1*B3 + (h*d1)*B4 + ((h*h)*s1)*B5,
+        summed left to right in one output buffer with one scratch buffer, so
+        no more than two result-sized arrays are alive at once."""
         idx, t, h = self._locate(ub)
         extra = (None,) * (self.phi.ndim - 1)
         tt = t[(...,) + extra] if self.phi.ndim > 1 else t
-        f0, f1 = self.phi[idx], self.phi[idx + 1]
-        d0, d1 = self.dphi[idx], self.dphi[idx + 1]
-        s0, s1 = self.ddphi[idx], self.ddphi[idx + 1]
-        return (
-            f0 * basis_fn(_H0, tt)
-            + h * d0 * basis_fn(_H1, tt)
-            + h * h * s0 * basis_fn(_H2, tt)
-            + f1 * basis_fn(_H3, tt)
-            + h * d1 * basis_fn(_H4, tt)
-            + h * h * s1 * basis_fn(_H5, tt)
-        )
+        out = np.take(self.phi, idx, axis=0)
+        out *= basis_fn(_H0, tt)
+        term = np.empty_like(out)
+        for values, cell, scale, coeffs in (
+            (self.dphi, idx, h, _H1),
+            (self.ddphi, idx, h * h, _H2),
+            (self.phi, idx + 1, None, _H3),
+            (self.dphi, idx + 1, h, _H4),
+            (self.ddphi, idx + 1, h * h, _H5),
+        ):
+            np.take(values, cell, axis=0, out=term, mode="clip")  # "raise" buffers out; cell is in range
+            if scale is not None:
+                term *= scale
+            term *= basis_fn(coeffs, tt)
+            out += term
+        return out
 
     def __call__(self, ub):
         return self._eval(ub, _poly)
 
     def deriv(self, ub):
-        return self._eval(ub, _dpoly) / self.grid.h
+        out = self._eval(ub, _dpoly)
+        out /= self.grid.h
+        return out
 
 
 def solve_linear_second_order(
@@ -283,7 +343,7 @@ def solve_linear_second_order(
         ff = _broadcast_coeff(source_fn, ub, M) if source_fn is not None else np.zeros((2 * nc + 1, M))
         o_phi = out_phi[pos : pos + nc + 1]
         o_psi = out_psi[pos : pos + nc + 1]
-        bad = _rk4_chunk(phi, psi, gl, cc, ff, h, o_phi, o_psi)
+        bad = _rk4_distinct(phi, psi, gl, cc, ff, h, o_phi, o_psi)
         if bad >= 0:
             step, j = divmod(int(bad), M)
             loc = grid.a + (pos + step + 1) * h
@@ -328,10 +388,14 @@ class PiecewiseSolution:
     def _apply(self, ub, method):
         ub = np.atleast_1d(np.asarray(ub, float))
         idx = self._piece(ub)
+        # a stable sort keeps each piece's points in their input order
+        order = np.argsort(idx, kind="stable")
+        cuts = np.searchsorted(idx[order], np.arange(len(self.pieces) + 1))
         out = np.empty((len(ub),) + self.pieces[0].phi.shape[1:])
-        for p in np.unique(idx):
-            sel = idx == p
-            out[sel] = method(self.pieces[p], ub[sel])
+        for p, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            if lo < hi:
+                sel = order[lo:hi]
+                out[sel] = method(self.pieces[p], ub[sel])
         return out
 
     def __call__(self, ub):

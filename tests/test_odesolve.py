@@ -233,3 +233,274 @@ def test_node_second_derivative_is_rhs_on_grid_points(M, n):
     ub = grid.points()
     rhs = 2.0 * glog(ub) * sol.dphi - coeff(ub) * sol.phi - 0.5 * source(ub) / sol.phi
     assert np.abs(sol.ddphi - rhs).max() <= 1e-14 * np.abs(rhs).max()
+
+
+# --- distinct angular columns are marched once -------------------------------
+
+
+def _undeduplicated(monkeypatch):
+    """Make solve_linear_second_order march every point, as one problem."""
+    monkeypatch.setattr(odesolve, "_rk4_distinct", odesolve._rk4_chunk)
+
+
+def record_chunk_points(monkeypatch):
+    """Wrap _rk4_chunk to record the number of columns it is handed."""
+    seen = []
+    chunk = odesolve._rk4_chunk
+
+    def recorder(phi, *args):
+        seen.append(phi.shape[0])
+        return chunk(phi, *args)
+
+    monkeypatch.setattr(odesolve, "_rk4_chunk", recorder)
+    return seen
+
+
+def tiled_inputs(M, U, nc, seed):
+    """Chunk inputs whose M columns repeat U distinct ones in a scrambled order."""
+    base = chunk_inputs(U, nc, seed)
+    cols = np.random.default_rng(seed).permutation(np.arange(M) % U)
+    return tuple(np.ascontiguousarray(x[..., cols]) for x in base), cols
+
+
+def same_bytes(got, want):
+    assert got[0] == want[0]
+    for a, b in zip(got[1:], want[1:]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("M", [2, 22, 32, 256])
+def test_duplicated_columns_march_as_separate_columns(M, monkeypatch):
+    U = max(1, M // 4)
+    inputs, cols = tiled_inputs(M, U, 60, seed=M)
+    assert len(set(cols)) == U < M
+    seen = record_chunk_points(monkeypatch)
+    got = run_kernel(odesolve._rk4_distinct, inputs, 0.01)
+    assert seen == [U]
+    same_bytes(got, run_kernel(_rk4_points, inputs, 0.01))
+    # the whole march, every column run separately as a problem of its own
+    glog, coeff, source = chart_coeffs(U)
+    grid = Grid1D(0.0, 1.0, 129)
+    phi0 = np.linspace(1.0, 2.0, U)[cols]
+    psi0 = np.linspace(-0.1, 0.1, U)[cols]
+    sol = solve_linear_second_order(
+        grid, lambda ub: glog(ub)[:, cols], lambda ub: coeff(ub)[:, cols],
+        lambda ub: source(ub)[:, cols], phi0, psi0,
+    )
+    for j in range(M):
+        one = solve_linear_second_order(
+            grid, lambda ub: glog(ub)[:, cols[j]], lambda ub: coeff(ub)[:, cols[j]],
+            lambda ub: source(ub)[:, cols[j]], phi0[j], psi0[j],
+        )
+        for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (one.phi, one.dphi, one.ddphi)):
+            assert a[:, j].tobytes() == b.tobytes()
+
+
+def test_theta1_only_data_marches_one_column_per_theta1(monkeypatch):
+    # (8, 4) chart, coefficients that vary in the first angle only
+    th = np.arange(8)[:, None] + np.zeros((8, 4))
+    grid = Grid1D(0.0, 1.0, odesolve._CHUNK + 101)
+    march = lambda: solve_linear_second_order(
+        grid,
+        lambda ub: 0.1 * np.sin(ub[:, None, None] + th),
+        lambda ub: 0.5 + 0.1 * np.cos(ub[:, None, None] * (1.0 + th)),
+        lambda ub: np.full((len(ub), 8, 4), 0.05),
+        np.ones((8, 4)),
+        np.zeros((8, 4)),
+    )
+    seen = record_chunk_points(monkeypatch)
+    sol = march()
+    assert seen == [8, 8]  # two chunks, eight distinct columns each
+    _undeduplicated(monkeypatch)
+    seen.clear()
+    full = march()
+    assert seen == [32, 32]
+    for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (full.phi, full.dphi, full.ddphi)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_single_point_march_skips_the_keying(monkeypatch):
+    def keyed(*args):
+        raise AssertionError("columns keyed for one point")
+
+    monkeypatch.setattr(odesolve, "_distinct_columns", keyed)
+    sol = solve_linear_second_order(Grid1D(0.0, 1.0, 33), np.zeros_like, np.ones_like, None, 1.0, 0.0)
+    assert abs(sol.phi[-1] - np.cos(1.0)) < 1e-8
+
+
+@pytest.mark.parametrize("where", ["psi0", "coefficient"])
+@pytest.mark.parametrize("nudge", ["signed_zero", "one_ulp"])
+def test_columns_differing_in_one_bit_pattern_march_separately(where, nudge, monkeypatch):
+    inputs, _ = tiled_inputs(4, 1, 40, seed=7)
+    phi0, psi0, gl, cc, ff = (x.copy() for x in inputs)
+    target = psi0 if where == "psi0" else cc[17]
+    if nudge == "signed_zero":
+        target[:] = 0.0
+        target[2] = -0.0
+    else:
+        target[2] = np.nextafter(target[2], np.inf)
+    inputs = (phi0, psi0, gl, cc, ff)
+    seen = record_chunk_points(monkeypatch)
+    got = run_kernel(odesolve._rk4_distinct, inputs, 0.01)
+    assert seen == [2]
+    same_bytes(got, run_kernel(_rk4_points, inputs, 0.01))
+    if where == "psi0" and nudge == "signed_zero":
+        assert np.signbit(got[4][0]).tolist() == [False, False, True, False]
+
+
+def crossing_step(omega, h, nc):
+    """The step on which phi = cos(omega ub) fails, from the point loop."""
+    bad = run_kernel(_rk4_points, oscillators([omega], nc), h)[0]
+    assert bad >= 0
+    return bad
+
+
+def test_failure_in_duplicated_column_names_its_first_point(monkeypatch):
+    h, nc = 0.01, 200
+    fast, tie = 2.0, 2.0 + 1e-9
+    assert crossing_step(fast, h, nc) == crossing_step(tie, h, nc)
+    # points 3 and 7 share the column that fails first
+    omega = [0.5, 0.6, 0.5, fast, 0.6, 0.7, 0.5, fast]
+    inputs = oscillators(omega, nc)
+    want = run_kernel(_rk4_points, inputs, h)
+    assert want[0] % 8 == 3
+    seen = record_chunk_points(monkeypatch)
+    assert run_kernel(odesolve._rk4_distinct, inputs, h)[0] == want[0]
+    assert seen == [4]
+    # a distinct column failing on the same step: the smaller point wins,
+    # whether it is the duplicated column's first point or the other one
+    for other, j in ((5, 3), (1, 1)):
+        omega_tie = list(omega)
+        omega_tie[other] = tie
+        inputs = oscillators(omega_tie, nc)
+        want = run_kernel(_rk4_points, inputs, h)
+        assert want[0] % 8 == j
+        assert run_kernel(odesolve._rk4_distinct, inputs, h)[0] == want[0]
+
+
+@pytest.mark.parametrize("n", [601, odesolve._CHUNK + 601])
+def test_focusing_location_same_as_undeduplicated_march(n, monkeypatch):
+    M = 32
+    glog, coeff, _ = chart_coeffs(4)
+    k = np.arange(M) % 4
+    # points 9, 13 and 29 share a column that crosses zero in the last chunk
+    crushed = np.isin(np.arange(M), [9, 13, 29])
+    omega = 0.5 * np.pi * (n - 1) / (n - 301)
+    march = lambda: solve_linear_second_order(
+        Grid1D(0.0, 1.0, n),
+        lambda ub: np.where(crushed, 0.0, glog(ub)[:, k]),
+        lambda ub: np.where(crushed, omega**2, coeff(ub)[:, k]),
+        None,
+        np.ones(M),
+        np.zeros(M),
+    )
+    seen = record_chunk_points(monkeypatch)
+    with pytest.raises(FocusingError) as err:
+        march()
+    assert max(seen) == 5
+    _undeduplicated(monkeypatch)
+    with pytest.raises(FocusingError) as full:
+        march()
+    assert err.value.location == full.value.location
+    assert err.value.location[1] == 9
+
+
+# --- dense output --------------------------------------------------------------
+
+
+def _eval_oracle(sol, ub, basis_fn):
+    """DenseSolution._eval as one expression of six gathered terms."""
+    idx, t, h = sol._locate(ub)
+    tt = t[(...,) + (None,) * (sol.phi.ndim - 1)] if sol.phi.ndim > 1 else t
+    f0, f1 = sol.phi[idx], sol.phi[idx + 1]
+    d0, d1 = sol.dphi[idx], sol.dphi[idx + 1]
+    s0, s1 = sol.ddphi[idx], sol.ddphi[idx + 1]
+    return (
+        f0 * basis_fn(odesolve._H0, tt)
+        + h * d0 * basis_fn(odesolve._H1, tt)
+        + h * h * s0 * basis_fn(odesolve._H2, tt)
+        + f1 * basis_fn(odesolve._H3, tt)
+        + h * d1 * basis_fn(odesolve._H4, tt)
+        + h * h * s1 * basis_fn(odesolve._H5, tt)
+    )
+
+
+def chart_solution(n=257, shape=(8, 4)):
+    M = int(np.prod(shape))
+    glog, coeff, source = chart_coeffs(M)
+    grid = Grid1D(0.1, 0.9, n)
+    ones = np.ones(shape)
+    fields = lambda fn: (lambda ub: fn(ub).reshape((len(ub),) + shape))
+    return solve_linear_second_order(grid, fields(glog), fields(coeff), fields(source), ones, 0.1 * ones)
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (8, 4)])
+def test_dense_output_bit_identical_to_six_term_sum(shape):
+    sol = chart_solution(shape=shape)
+    rng = np.random.default_rng(5)
+    points = [
+        rng.uniform(0.1, 0.9, 1000),
+        sol.grid.points(),
+        rng.uniform(0.1, 0.9, (7, 3)),
+        np.float64(0.37),
+        0.9,
+        np.array([0.1 - 1e-3, 0.9 + 1e-3]),  # the end cells' quintics, extrapolated
+    ]
+    for ub in points:
+        for method, basis_fn, scale in ((sol, odesolve._poly, 1.0), (sol.deriv, odesolve._dpoly, sol.grid.h)):
+            got, want = method(ub), _eval_oracle(sol, ub, basis_fn) / scale
+            assert np.shape(got) == np.shape(want) and type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_dense_output_keeps_two_result_buffers():
+    import tracemalloc
+
+    sol = chart_solution(n=2049)
+    ub = np.random.default_rng(2).uniform(0.1, 0.9, 20480)
+    result = 20480 * 32 * 8
+    peaks = []
+    for fn in (lambda: sol(ub), lambda: _eval_oracle(sol, ub, odesolve._poly), lambda: sol.deriv(ub)):
+        tracemalloc.start()
+        fn()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] > 8 * result  # the six-term sum keeps about nine results alive
+    assert peaks[0] < 2.5 * result and peaks[2] < 2.5 * result
+
+
+def _apply_oracle(pw, ub, method):
+    """PiecewiseSolution._apply as one boolean mask per piece."""
+    ub = np.atleast_1d(np.asarray(ub, float))
+    idx = pw._piece(ub)
+    out = np.empty((len(ub),) + pw.pieces[0].phi.shape[1:])
+    for p in np.unique(idx):
+        sel = idx == p
+        out[sel] = method(pw.pieces[p], ub[sel])
+    return out
+
+
+@pytest.mark.parametrize("shape", [(), (8, 4)])
+def test_piecewise_output_bit_identical_to_mask_loop(shape):
+    breakpoints = [0.0, 0.25, 0.3, 0.7, 1.0]
+    ones = np.ones(shape)
+    M = max(1, int(np.prod(shape)))
+    glog, coeff, source = chart_coeffs(M)
+    fields = lambda fn: (lambda ub: fn(ub).reshape((len(ub),) + shape))
+    pw = odesolve.solve_linear_segmented(
+        breakpoints, [0.01] * 4, fields(glog), fields(coeff), fields(source), ones, 0.1 * ones,
+        jumps=[lambda phi: -0.1 / phi, None, lambda phi: -0.2 / phi],
+    )
+    rng = np.random.default_rng(9)
+    on_breaks = np.array(breakpoints)
+    points = [
+        rng.uniform(0.0, 1.0, 500),
+        np.r_[on_breaks, rng.uniform(0.0, 1.0, 40), on_breaks[::-1]],  # exactly on every breakpoint
+        np.sort(rng.uniform(0.26, 0.29, 9)),  # one piece only
+        0.3,
+    ]
+    for ub in points:
+        for name in ("__call__", "deriv"):
+            method = lambda piece, x: getattr(piece, name)(x)
+            got = getattr(pw, name)(ub)
+            assert got.tobytes() == _apply_oracle(pw, ub, method).tobytes()
