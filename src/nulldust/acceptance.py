@@ -107,7 +107,7 @@ def criterion_burnett(*, lambda_seq=tuple(range(2, 11)), seed="cosine") -> Verdi
     c1_gaps = []
     for lam in lam_seq:
         prof = family(lam)
-        fac = pw.solve_H(prof, richardson=False)
+        fac = pw.solve_H(prof)
         pts = prof.grid.points()
         href = np.interp(pts, grid.points(), h0)
         vref = np.interp(pts, grid.points(), limit.dphi)
@@ -142,7 +142,7 @@ def criterion_shell_limit(*, lambda_seq=(6, 8, 10), seed="bump") -> Verdict:
     lam = 2.0 ** -max(lambda_seq)
     grid = Grid1D(-0.5, 0.5, 2**17 + 1)
     prof = pw.make_shell_G(lam, seed, grid)
-    fac = pw.solve_H(prof, richardson=False)
+    fac = pw.solve_H(prof)
     loc, jump = pw.jump_detect(fac, window=4 * lam)
     jump_err = abs(jump - (-0.25))
 
@@ -262,7 +262,7 @@ def _dust_measure(lines, chart):
 
 
 def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
-    """dust: parsed dust-spec lines of the measure whose glued solve the weak residuals test."""
+    """dust: parsed dust-spec lines of the measure whose constraint solve the weak residuals test."""
     t0 = time.time()
     chart = AngularGrid(8, 4)
     ring = _flat_ring(chart)
@@ -281,7 +281,7 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
     for n in (51, 101, 201, 401):
         grid = Grid1D(0.0, 1.0, n)
         data = C.ReducedCharData(grid, chart, ring, one, zero, ent, dent)
-        sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
+        sol = C.solve_constraint(data, 1.0, 0.0)
         errs.append(float(np.abs(sol.phi[:, 0, 0] - np.cos(grid.points())).max()))
         hs.append(grid.h)
     order = fit_rate(hs, errs).slope
@@ -289,15 +289,19 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
     # first integral of the autonomous dust equation
     grid = Grid1D(0.0, 1.0, 2001)
     cval = 0.8
-    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
-    sol = C.solve_dust_constraint(data, 1.0, 0.0, density=lambda ub: np.full((len(ub),) + chart.shape, cval))
+
+    def flat_data(lines):
+        """Conformally flat data on grid carrying the measure of parsed dust-spec lines."""
+        return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
+                                 dust=_dust_measure(lines, chart))
+
+    sol = C.solve_constraint(flat_data((("density", cval, None),)), 1.0, 0.0)
     energy = 0.5 * sol.dphi[:, 0, 0] ** 2 + 0.5 * cval * np.log(sol.phi[:, 0, 0])
     drift = float(np.abs(energy - energy[0]).max())
 
     # glued shell weak residual over the dictionary
-    measure = _dust_measure(dust, chart)
-    data_shell = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=measure)
-    glued = C.solve_glued_shell(data_shell, 1.0, 0.1)
+    data_shell = flat_data(dust)
+    glued = C.solve_constraint(data_shell, 1.0, 0.1)
     residuals = []
     for tf in bump_dictionary(grid, chart):
         residuals.append(
@@ -305,7 +309,7 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
         )
 
     # comparison property: larger density cannot increase the factor downstream
-    sol_hi = C.solve_dust_constraint(data, 1.0, 0.0, density=lambda ub: np.full((len(ub),) + chart.shape, 2 * cval))
+    sol_hi = C.solve_constraint(flat_data((("density", 2 * cval, None),)), 1.0, 0.0)
     monotone = bool(np.all(sol_hi.phi <= sol.phi + 1e-14))
 
     checks = {
@@ -364,8 +368,9 @@ def criterion_absorber() -> Verdict:
     data = C.ReducedCharData(
         grid, chart, _flat_ring(chart), omega, dlog_omega,
         lambda ub: (a_fn(ub), b_fn(ub), d_fn(ub)), lambda ub: (da_fn(ub), db_fn(ub), dd_fn(ub)),
+        dust=C.NullDustMeasure(density=f_fn),
     )
-    phi_dust = C.solve_dust_constraint(data, 1.0, 0.0, density=f_fn)
+    phi_dust = C.solve_constraint(data, 1.0, 0.0)
     bg = H.DustBackground(data, f_fn, df_fn, phi_dust, phi_dust.deriv)
     rows = H.family_convergence(bg, [4, 8, 16, 32, 64, 128])
     ns = np.array([r["n"] for r in rows], float)
@@ -424,7 +429,7 @@ def criterion_mollification() -> Verdict:
         ratios.append(worst)
         l1_norms.append(M.l1_w_uniform_norm(fm, data))
 
-    glued = C.solve_glued_shell(data, 1.0, 0.1)
+    glued = C.solve_constraint(data, 1.0, 0.1)
     jump = float(np.abs(glued.deriv_jumps()[0][1]).max())
     ms = list(range(1, 8))
     sup_l2, dsup = [], []
@@ -491,7 +496,7 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
 
     def run(measure):
         data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=measure)
-        bv = C.solve_glued_shell(data, 1.0, 0.15)
+        bv = C.solve_constraint(data, 1.0, 0.15)
         pipe = MP.MeasurePipeline(data, bv, k=k)
         pipe.freeze_k([m_seq[0], m_seq[-1]])
         members = [pipe.member(m) for m in m_seq]
@@ -669,7 +674,7 @@ def criterion_char_pipeline() -> Verdict:
     chart = AngularGrid(64, 4)
     grid = Grid1D(0.0, 0.5, 513)
     data = _cone_data(chart, grid)
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)  # Phi = 1 + ub
+    sol = C.solve_constraint(data, 1.0, 1.0)  # Phi = 1 + ub
     corner = P.CornerData.zeros(chart)
     result = P.solve_transport_system(data, sol, corner)
 
@@ -688,7 +693,7 @@ def criterion_char_pipeline() -> Verdict:
     for n in sizes:
         sub = Grid1D(0.0, 0.5, n)
         d2 = _cone_data(AngularGrid(32, 4), sub)
-        s2 = C.solve_vacuum_constraint(d2, 1.0, 1.0)
+        s2 = C.solve_constraint(d2, 1.0, 1.0)
         r2 = P.solve_transport_system(d2, s2, P.CornerData.zeros(AngularGrid(32, 4)))
         res = P.structure_residuals(r2)
         for key, val in res.items():

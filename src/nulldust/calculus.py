@@ -1,9 +1,8 @@
-"""Angular tensor calculus: covariant derivatives, div/curl/grad, contractions.
+"""Angular tensor calculus: covariant derivatives, divergences, contractions.
 
 Conventions (slots trail the grid axes):
     one-form phi:           (n1, n2, 2)
     symmetric 2-tensor T:   (n1, n2, 2, 2)
-    volume form eps_{ab} = sqrt(det gamma) * [[0, 1], [-1, 0]]_{ab}
 Axes before the grid axes are a batch of slices; the operators taking gamma
 read the batch depth from gamma.ndim - 4.
 """
@@ -11,19 +10,12 @@ read the batch depth from gamma.ndim - 4.
 import numpy as np
 
 from .fields import sym2_inverse
-from .geometry import area_element, christoffel, partial
+from .geometry import christoffel, partial
 from .grids import AngularGrid
 
 
 class RankError(ValueError):
     pass
-
-
-def grad(chart: AngularGrid, f: np.ndarray) -> np.ndarray:
-    """Gradient one-form of a scalar."""
-    if f.ndim != 2:
-        raise RankError("grad expects a scalar field")
-    return partial(chart, f)
 
 
 def covariant_deriv(chart: AngularGrid, gamma: np.ndarray, phi: np.ndarray,
@@ -63,23 +55,6 @@ def div_sym2(chart, gamma, T, gam=None) -> np.ndarray:
     return np.einsum("...bc,...bca->...a", sym2_inverse(gamma), nab)
 
 
-def volume_form_upper(gamma: np.ndarray) -> np.ndarray:
-    """eps^{ab} = gamma^{ac} gamma^{bd} eps_{cd} = eps_{ab} / det gamma."""
-    s = area_element(gamma)
-    eps = np.zeros(gamma.shape)
-    eps[..., 0, 1] = 1.0 / s
-    eps[..., 1, 0] = -1.0 / s
-    return eps
-
-
-def curl_oneform(chart, gamma, phi, gam=None) -> np.ndarray:
-    """curl phi = eps^{ab} nabla_a phi_b."""
-    if phi.ndim != gamma.ndim - 1:
-        raise RankError("curl_oneform expects a one-form")
-    nab = covariant_deriv(chart, gamma, phi, gam)
-    return np.einsum("...ab,...ab->...", volume_form_upper(gamma), nab)
-
-
 def nabla_otimes(chart, gamma, phi, gam=None) -> np.ndarray:
     """Trace-free symmetrized derivative of a one-form:
 
@@ -90,11 +65,6 @@ def nabla_otimes(chart, gamma, phi, gam=None) -> np.ndarray:
     nab = covariant_deriv(chart, gamma, phi, gam)
     dv = np.einsum("...ab,...ab->...", sym2_inverse(gamma), nab)
     return nab + np.swapaxes(nab, -1, -2) - gamma * dv[..., None, None]
-
-
-def trace(gamma: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """gamma^{ab} T_{ab}."""
-    return np.einsum("...ab,...ab->...", sym2_inverse(gamma), T)
 
 
 def dot11(gamma, phi, psi) -> np.ndarray:

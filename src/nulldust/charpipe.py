@@ -1,7 +1,7 @@
 """Reduced-to-full characteristic data: derive outgoing connection
 coefficients from (Omega, Phi, gamma_hat), integrate the coupled transport
 system for the remaining coefficients along the hypersurface, and evaluate
-structure-equation residuals and renormalized curvature diagnostics.
+structure-equation residuals.
 
 Transport state per slice: (eta, b, omb, trchb, chibhat), with etab
 eliminated algebraically through (eta + etab)/2 = grad(log Omega), which
@@ -333,43 +333,3 @@ def structure_residuals(result: TransportResult) -> dict:
         "expansion_rate_in": float(np.abs(res_omb).max()),
     }
 
-
-@dataclass
-class RenormalizedCurvature:
-    beta: np.ndarray
-    betab: np.ndarray
-    sigma_check: np.ndarray
-    mu: np.ndarray
-    mub: np.ndarray
-
-
-def renormalized_curvature(result: TransportResult, i: int) -> RenormalizedCurvature:
-    """First-angular-derivative curvature diagnostics on slice i."""
-    data = result.data
-    chart = data.chart
-    sl = result.slices[i]
-    gamma, gam = sl.gamma, sl.gam
-    eta = result.eta[i]
-    etab = result.etab(i)
-    diff = eta - etab
-    chibhat = result.chibhat[i]
-    trchb = result.trchb[i]
-
-    chi_minus = sl.chi - sl.trchi[..., None, None] * gamma          # chihat - (trchi/2) gamma
-    chib = chibhat + 0.5 * trchb[..., None, None] * gamma
-    chib_minus = chib - trchb[..., None, None] * gamma
-
-    beta = (
-        -sl.div_chihat
-        + 0.5 * sl.grad_trchi
-        - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chi_minus, diff)
-    )
-    betab = (
-        calc.div_sym2(chart, gamma, chibhat, gam)
-        - 0.5 * calc.grad(chart, trchb)
-        - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chib_minus, diff)
-    )
-    sigma_check = calc.curl_oneform(chart, gamma, eta, gam)
-    mu = -calc.div_oneform(chart, gamma, eta, gam) + sl.kgauss
-    mub = -calc.div_oneform(chart, gamma, etab, gam) + sl.kgauss
-    return RenormalizedCurvature(beta, betab, sigma_check, mu, mub)

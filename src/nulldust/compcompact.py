@@ -140,12 +140,15 @@ def partition_defect(d: FrequencyDecomposition, field: np.ndarray) -> float:
     return float(np.abs(field - d.low - d.h1 - d.h2).max())
 
 
-def support_check(d1: FrequencyDecomposition, d2: FrequencyDecomposition, rel_tol: float = 1e-10):
+_SUPPORT_RTOL = 1e-10  # spectral mass relative to the peak that counts as support
+
+
+def support_check(d1: FrequencyDecomposition, d2: FrequencyDecomposition):
     """Verify the product of the strictly masked parts has no spectrum below C1.
 
     d1 must be an 'x1' decomposition and d2 an 'x2' one on the same box.
     Returns (ok, min_radius) where min_radius is the smallest |xi| carrying
-    relative spectral mass above rel_tol (inf for a zero product).
+    relative spectral mass above _SUPPORT_RTOL (inf for a zero product).
     """
     if d1.mode != "x1" or d2.mode != "x2":
         raise ValueError("support_check pairs an 'x1' decomposition with an 'x2' one")
@@ -159,7 +162,7 @@ def support_check(d1: FrequencyDecomposition, d2: FrequencyDecomposition, rel_to
         return True, np.inf
     k = box.freqs()
     radial = np.sqrt(sum(ki.astype(float) ** 2 for ki in k))
-    carrying = spec > rel_tol * peak
+    carrying = spec > _SUPPORT_RTOL * peak
     inside = carrying & (radial < c1)
     ok = not bool(inside.any())
     min_radius = float(radial[carrying].min()) if carrying.any() else np.inf

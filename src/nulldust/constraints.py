@@ -2,13 +2,13 @@
 
 Free data on the hypersurface is (Omega, gamma_hat) with gamma_hat normalized
 against a reference metric (det gamma_hat / det gamma_ring = 1); the conformal
-factor Phi solves, per angular point,
+factor Phi solves, per angular point, the one constraint equation
 
-    Phi'' = 2 (log Omega)' Phi' - (1/8) |d gamma_hat|^2 Phi        (vacuum)
-    Phi'' = ... - (1/2) f / Phi                                     (smooth dust)
+    Phi'' = 2 (log Omega)' Phi' - (1/8) |d gamma_hat|^2 Phi - (1/2) f / Phi,
 
-and measure-valued dust is handled by gluing vacuum pieces with derivative
-jumps at the atoms.  The weak form of the constraint is
+with f = 0 in vacuum.  An atom m_i of the dust measure at ub_i enters as the
+derivative jump [Phi'] = -(1/2) Omega^2 m_i / Phi there, so solve_constraint
+glues the pieces between atoms.  The weak form of the constraint is
 
     -int (d phi) W dA dub + (1/8) int phi Omega^-2 |dgam|^2 Phi dA dub
         + (1/2) int phi Phi^-1 dnu  =  0,     W := Omega^-2 dPhi,
@@ -60,6 +60,8 @@ class NullDustMeasure:
 
 
 _DET_RTOL = 1e-12  # tolerated |det gamma_hat / det gamma_ring - 1|
+_GL = 16  # Gauss-Legendre nodes per panel of the pairings
+_WEAK_PANELS = 128  # panels per segment of the weak residual
 
 
 @dataclass
@@ -142,76 +144,46 @@ def dgamma_norm_sq(entries, dentries) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def solve_vacuum_constraint(data: ReducedCharData, phi0, dphi0, grid: Grid1D | None = None) -> DenseSolution:
-    """Integrate the vacuum constraint per angular point; returns Phi and its derivative."""
-    grid = grid or data.grid
-    shape = data.chart.shape
-    phi0 = np.broadcast_to(np.asarray(phi0, float), shape)
-    dphi0 = np.broadcast_to(np.asarray(dphi0, float), shape)
-    return solve_linear_second_order(
-        grid,
-        data.dlog_omega,
-        lambda ub: 0.125 * data.dgamma_normsq(ub),
-        None,
-        phi0,
-        dphi0,
-    )
+def solve_constraint(data: ReducedCharData, phi0, dphi0) -> DenseSolution | PiecewiseSolution:
+    """Solve the constraint of data's own dust measure per angular point.
 
-
-def solve_dust_constraint(data: ReducedCharData, phi0, dphi0, grid: Grid1D | None = None,
-                          density: Callable | None = None) -> DenseSolution:
-    """Same ODE with the smooth-dust source -(1/2) f / Phi."""
-    grid = grid or data.grid
-    if density is None:
-        if data.dust is None or data.dust.density is None:
-            raise ValueError("no smooth dust density on this data")
-        if data.dust.atoms:
-            raise ValueError("data carries atoms: use solve_glued_shell")
-        density = data.dust.density
-    shape = data.chart.shape
-    phi0 = np.broadcast_to(np.asarray(phi0, float), shape)
-    dphi0 = np.broadcast_to(np.asarray(dphi0, float), shape)
-    return solve_linear_second_order(
-        grid,
-        data.dlog_omega,
-        lambda ub: 0.125 * data.dgamma_normsq(ub),
-        density,
-        phi0,
-        dphi0,
-    )
-
-
-def solve_glued_shell(data: ReducedCharData, phi0, dphi0, step: float | None = None) -> PiecewiseSolution:
-    """BV solution with measure dust: vacuum/dust pieces glued with the atom
-    jump [Phi'] = -(1/2) Omega^2 m / Phi.  Without atoms it is one segment."""
+    Without atoms this is one march on data.grid, with the density as the
+    source (none without dust), and returns a DenseSolution.  With atoms it
+    glues pieces at step data.grid.h with the jump [Phi'] = -(1/2) Omega^2 m
+    / Phi at each atom, and returns a PiecewiseSolution.
+    """
     dust = data.dust or NullDustMeasure()
-    atoms = sorted(dust.atoms, key=lambda am: am[0])
-    step = step or data.grid.h
-    cuts = [data.grid.a] + [a[0] for a in atoms] + [data.grid.b]
     shape = data.chart.shape
-
-    def jump_for(loc, mass):
-        om2 = np.asarray(data.omega(np.array([loc])))[0] ** 2
-
-        def jump(phi_at_atom):
-            return -0.5 * om2 * np.asarray(mass) / phi_at_atom
-
-        return jump
-
+    phi0 = np.broadcast_to(np.asarray(phi0, float), shape)
+    dphi0 = np.broadcast_to(np.asarray(dphi0, float), shape)
+    coeff = lambda ub: 0.125 * data.dgamma_normsq(ub)
+    if not dust.atoms:
+        return solve_linear_second_order(data.grid, data.dlog_omega, coeff, dust.density, phi0, dphi0)
+    atoms = sorted(dust.atoms, key=lambda am: am[0])
+    cuts = [data.grid.a] + [loc for loc, _ in atoms] + [data.grid.b]
     return solve_linear_segmented(
-        np.array(cuts),
-        [step] * (len(cuts) - 1),
+        [(lo, hi, data.grid.h) for lo, hi in zip(cuts[:-1], cuts[1:])],
         data.dlog_omega,
-        lambda ub: 0.125 * data.dgamma_normsq(ub),
+        coeff,
         dust.density,
-        np.broadcast_to(np.asarray(phi0, float), shape).copy(),
-        np.broadcast_to(np.asarray(dphi0, float), shape).copy(),
-        jumps=[jump_for(loc, mass) for loc, mass in atoms],
+        phi0,
+        dphi0,
+        jumps=[_atom_jump(data, loc, mass) for loc, mass in atoms],
     )
+
+
+def _atom_jump(data: ReducedCharData, loc, mass):
+    """The derivative jump -(1/2) Omega^2 m / Phi of the atom m at ub = loc."""
+    om2 = np.asarray(data.omega(np.array([loc])))[0] ** 2
+
+    def jump(phi_at_atom):
+        return -0.5 * om2 * np.asarray(mass) / phi_at_atom
+
+    return jump
 
 
 def measure_pairing(data: ReducedCharData, phi_test: Callable, weight: Callable | None = None,
-                    panels: int = 64, gl: int = 16) -> float:
+                    panels: int = 64) -> float:
     """Pairing of the dust measure with phi_test (times an optional weight field).
 
     phi_test maps ub(K,) -> (K, n1, n2) (or broadcastable); weight likewise.
@@ -227,7 +199,7 @@ def measure_pairing(data: ReducedCharData, phi_test: Callable, weight: Callable 
             vals = vals * np.broadcast_to(np.asarray(weight(ub)), (1,) + data.chart.shape)[0]
         total += float(np.sum(vals * np.asarray(mass) * w))
     if data.dust.density is not None:
-        xs, ws = composite_rule([(data.grid.a, data.grid.b, panels)], gl)
+        xs, ws = composite_rule([(data.grid.a, data.grid.b, panels)], _GL)
         f = np.asarray(data.dust.density(xs))
         om = np.asarray(data.omega(xs))
         vals = np.broadcast_to(np.asarray(phi_test(xs)), f.shape).copy()
@@ -243,8 +215,6 @@ def weak_constraint_residual(
     phi_test: Callable,
     dphi_test: Callable,
     support: tuple[float, float] | None = None,
-    panels: int = 128,
-    gl: int = 16,
 ) -> float:
     """LHS - RHS of the weak constraint identity for the given solution.
 
@@ -258,7 +228,7 @@ def weak_constraint_residual(
     cuts = [data.grid.a, data.grid.b]
     if isinstance(solution, PiecewiseSolution):
         cuts = list(solution.breakpoints)
-    xs, wq = composite_rule([(lo, hi, panels) for lo, hi in zip(cuts[:-1], cuts[1:])], gl)
+    xs, wq = composite_rule([(lo, hi, _WEAK_PANELS) for lo, hi in zip(cuts[:-1], cuts[1:])], _GL)
 
     om2 = np.asarray(data.omega(xs)) ** 2
     dphi_sol = solution.deriv(xs)
@@ -273,7 +243,7 @@ def weak_constraint_residual(
     term_measure = 0.0
     if data.dust is not None:
         inv_phi = _inverse_phi_weight(solution)
-        term_measure = 0.5 * measure_pairing(data, phi_test, weight=inv_phi, panels=panels, gl=gl)
+        term_measure = 0.5 * measure_pairing(data, phi_test, weight=inv_phi, panels=_WEAK_PANELS)
     return float(term_transport + term_shear + term_measure)
 
 

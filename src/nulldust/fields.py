@@ -5,7 +5,7 @@ Array layout: angular grid axes lead, tensor slots trail.  A scalar field is
 Christoffel symbols (n1, n2, 2, 2, 2) indexed [..., c, a, b] = Gamma^c_{ab}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,6 @@ class MetricBlock:
     grids: tuple[Grid1D, ...]
     periodic: tuple[bool, ...]
     g: np.ndarray
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
@@ -95,10 +94,10 @@ class MetricBlock:
         if not np.allclose(self.g, np.swapaxes(self.g, -1, -2), atol=0.0, rtol=0.0):
             raise ValueError("metric block not symmetric")
 
-    def check_lorentzian(self, samples: int = 5) -> None:
-        """Signature test (exactly one negative eigenvalue) at sample points."""
+    def check_lorentzian(self) -> None:
+        """Signature test (exactly one negative eigenvalue) at five sample points."""
         flat = self.g.reshape(-1, 4, 4)
-        idx = np.linspace(0, flat.shape[0] - 1, min(samples, flat.shape[0])).astype(int)
+        idx = np.linspace(0, flat.shape[0] - 1, min(5, flat.shape[0])).astype(int)
         for i in idx:
             ev = np.linalg.eigvalsh(flat[i])
             if int((ev < 0).sum()) != 1:

@@ -30,6 +30,11 @@ def eval_family(n: int, amplitude: float, tau: np.ndarray, theta: np.ndarray):
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_resolution(n, tau, theta)
+    return _p_alpha(n, amplitude, tau, theta)
+
+
+def _p_alpha(n, amplitude, tau, theta):
+    """The P_n and alpha_n formulas on the tensor grid tau (T,) x theta (N,)."""
     x = n * np.exp(-tau)[:, None]
     j0, j1, j2 = bessel_j(0, x), bessel_j(1, x), bessel_j(2, x)
     a = amplitude
@@ -112,13 +117,13 @@ def vacuum_residual(n: int, amplitude: float, tau_grid: Grid1D, theta_grid: Grid
     return spacetime_ricci(family_metric(n, amplitude, tau_grid, theta_grid))
 
 
-def vacuum_residual_scan(n: int, amplitude: float, sizes, tau_span=(0.0, 1.0)) -> VacuumResidual:
-    """Max curvature norm across a sequence of grid sizes plus the fitted order."""
+def vacuum_residual_scan(n: int, amplitude: float, sizes) -> VacuumResidual:
+    """Max curvature norm over tau in [0, 1] across a sequence of grid sizes plus the fitted order."""
     from .rates import fit_rate
 
     hs, res = [], []
     for m in sizes:
-        tg = Grid1D(tau_span[0], tau_span[1], m + 1)
+        tg = Grid1D(0.0, 1.0, m + 1)
         thg = Grid1D(0.0, 2.0 * np.pi, m)
         out = vacuum_residual(n, amplitude, tg, thg)
         res.append(float(np.abs(out.ricci).max()))
@@ -127,16 +132,20 @@ def vacuum_residual_scan(n: int, amplitude: float, sizes, tau_span=(0.0, 1.0)) -
     return VacuumResidual(n, list(sizes), res, fit.slope)
 
 
-def limit_einstein(amplitude: float, tau: float, n_tau: int = 513, halfwidth: float = 0.5):
+_LIMIT_N_TAU = 513  # odd, so the middle node sits at tau
+_LIMIT_HALFWIDTH = 0.5
+
+
+def limit_einstein(amplitude: float, tau: float):
     """Numerical (G_tautau, G_thetatheta) of the limit metric at tau, with targets.
 
     Returns dict with computed values, analytic targets A^2 e^{-tau}/(4 pi)
     and A^2 e^{tau}/(4 pi), and the max off-target component norm.
     """
-    tg = Grid1D(tau - halfwidth, tau + halfwidth, n_tau)
+    tg = Grid1D(tau - _LIMIT_HALFWIDTH, tau + _LIMIT_HALFWIDTH, _LIMIT_N_TAU)
     block = limit_metric_block(amplitude, tg)
     out = spacetime_ricci(block)
-    i = n_tau // 2
+    i = _LIMIT_N_TAU // 2
     ein = out.einstein[i]
     off = ein.copy()
     off[0, 0] = 0.0
@@ -162,17 +171,15 @@ def null_frame_dust_components(g_tautau: float, g_thetatheta: float, tau: float)
     return guu, guu
 
 
-def alpha_limit_gap(n_values, amplitude: float, tau: float, n_theta: int = 256):
-    """sup_theta |alpha_n + A^2 e^{-tau}/pi| per n (direct formula evaluation)."""
-    gaps = []
+def alpha_limit_gap(n_values, amplitude: float, tau: float):
+    """sup_theta |alpha_n + A^2 e^{-tau}/pi| per n, on 256 theta nodes.
+
+    The formula is evaluated directly, without eval_family's resolution
+    check: theta only samples the sup, it does not resolve frequency n.
+    """
     target = -(amplitude**2) * np.exp(-tau) / np.pi
-    for n in n_values:
-        theta = np.arange(n_theta) * (2.0 * np.pi / n_theta)
-        x = np.array([n * np.exp(-tau)])
-        j0, j1, j2 = bessel_j(0, x), bessel_j(1, x), bessel_j(2, x)
-        a = amplitude
-        alpha = -(a * a * np.exp(-tau) / 2.0) * j1[0] * j0[0] * np.cos(2 * n * theta) - (
-            a * a * n * np.exp(-2.0 * tau) / 4.0
-        ) * (j0[0] ** 2 + 2.0 * j1[0] ** 2 - j0[0] * j2[0])
-        gaps.append(float(np.abs(alpha - target).max()))
-    return np.array(gaps)
+    theta = np.arange(256) * (2.0 * np.pi / 256)
+    return np.array([
+        float(np.abs(_p_alpha(n, amplitude, np.array([tau], float), theta)[1][0] - target).max())
+        for n in n_values
+    ])

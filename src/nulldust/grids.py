@@ -34,10 +34,6 @@ class Grid1D:
         """n nodes over [a, b) for use as one period (no duplicate endpoint)."""
         return self.a + np.arange(self.n) * ((self.b - self.a) / self.n)
 
-    def refined(self, factor: int = 2) -> "Grid1D":
-        """Same interval with (n-1)*factor + 1 nodes (nested for integer factor)."""
-        return Grid1D(self.a, self.b, (self.n - 1) * factor + 1)
-
 
 @dataclass(frozen=True)
 class AngularGrid:
@@ -76,6 +72,3 @@ class AngularGrid:
     def cell_area(self) -> float:
         """Coordinate area of one grid cell (quadrature weight of the periodic trapezoid rule)."""
         return (self.L1 / self.n1) * (self.L2 / self.n2)
-
-    def refined(self, factor: int = 2) -> "AngularGrid":
-        return AngularGrid(self.n1 * factor, self.n2 * factor, self.L1, self.L2)

@@ -105,10 +105,8 @@ class MeasurePipeline:
         fam = OscillatoryFamily(bg, self.k, n)
         fine = min(2.0 * np.pi / (self.k * n), fm.eps) / 16
         smooth = (self.data.grid.b - self.data.grid.a) / 2048.0
-        segments = fm.segments()
         phi_vac = solve_linear_segmented(
-            [segments[0][0]] + [hi for _, hi, _ in segments],
-            [fine if inside else smooth for _, _, inside in segments],
+            [(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()],
             self.data.dlog_omega,
             lambda ub: 0.125 * fam.dgamma_normsq(ub),
             None,

@@ -291,11 +291,9 @@ def solve_phi_m_dust(fm: MollifiedDensity, data: ReducedCharData, phi0, dphi0) -
     coarse (1/2048 of the interval) on the smooth remainder.
     """
     fine, smooth = fm.eps / 32, (data.grid.b - data.grid.a) / 2048.0
-    segments = fm.segments()
     shape = data.chart.shape
     return solve_linear_segmented(
-        [segments[0][0]] + [hi for _, hi, _ in segments],
-        [fine if inside else smooth for _, _, inside in segments],
+        [(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()],
         data.dlog_omega,
         lambda ub: 0.125 * np.asarray(data.dgamma_normsq(ub)),
         fm,

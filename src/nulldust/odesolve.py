@@ -415,8 +415,7 @@ class PiecewiseSolution:
 
 
 def solve_linear_segmented(
-    breakpoints,
-    steps,
+    pieces,
     glog_fn,
     coeff_fn,
     source_fn,
@@ -426,22 +425,23 @@ def solve_linear_segmented(
 ) -> PiecewiseSolution:
     """Segment-by-segment march with per-segment step sizes.
 
-    breakpoints: increasing segment edges; steps: target step per segment;
+    pieces: consecutive (lo, hi, step) segments, each marched at the target
+    step, in the (lo, hi, ...) form of quadrature.composite_rule's pieces;
     jumps: optional derivative increments applied at interior breakpoints,
     each a callable (phi_values -> dphi_increment) or None.
     """
-    breakpoints = np.asarray(breakpoints, dtype=float)
     phi = np.array(phi0, dtype=float)
     dphi = np.array(dphi0, dtype=float)
-    pieces = []
-    for j, (a, b) in enumerate(zip(breakpoints[:-1], breakpoints[1:])):
-        n = max(9, int(np.ceil((b - a) / steps[j])) + 1)
+    sols = []
+    for j, (a, b, step) in enumerate(pieces):
+        n = max(9, int(np.ceil((b - a) / step)) + 1)
         sol = solve_linear_second_order(
             Grid1D(a, b, n), glog_fn, coeff_fn, source_fn, phi, dphi
         )
-        pieces.append(sol)
+        sols.append(sol)
         phi = sol.phi[-1].copy()
         dphi = sol.dphi[-1].copy()
-        if jumps is not None and j < len(breakpoints) - 2 and jumps[j] is not None:
+        if jumps is not None and j < len(pieces) - 1 and jumps[j] is not None:
             dphi = dphi + jumps[j](phi)
-    return PiecewiseSolution(pieces, breakpoints)
+    breakpoints = np.array([pieces[0][0]] + [hi for _, hi, _ in pieces], dtype=float)
+    return PiecewiseSolution(sols, breakpoints)

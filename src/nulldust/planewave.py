@@ -96,8 +96,8 @@ def make_burnett_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
     return WaveProfile(lam, grid, g, dg)
 
 
-def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D, offset: float = 0.0) -> WaveProfile:
-    """Concentration profile G(ub) = sqrt(lam) * k((ub - offset) / lam).
+def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
+    """Concentration profile G(ub) = sqrt(lam) * k(ub / lam).
 
     The seed must be compactly supported and is rescaled to unit derivative
     energy; the grid must put at least 32 nodes across the support.
@@ -115,10 +115,10 @@ def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D, offset: float = 0.
     root = np.sqrt(lam)
 
     def g(ub):
-        return root * seed.k((np.asarray(ub, float) - offset) / lam)
+        return root * seed.k(np.asarray(ub, float) / lam)
 
     def dg(ub):
-        return seed.dk((np.asarray(ub, float) - offset) / lam) / root
+        return seed.dk(np.asarray(ub, float) / lam) / root
 
     return WaveProfile(lam, grid, g, dg)
 
@@ -129,27 +129,18 @@ class WaveFactor:
     h: np.ndarray
     dh: np.ndarray
     ddh: np.ndarray  # read back from the ODE right-hand side
-    rk4_error: float  # Richardson half-step estimate, max over the interval
 
 
-def solve_H(profile: WaveProfile, richardson: bool = True) -> WaveFactor:
+def solve_H(profile: WaveProfile) -> WaveFactor:
     """Integrate H'' = -(1/4) G'(ub)^2 H with H = 1, H' = 0 at the grid start.
 
     Raises FocusingError from the march at the first node where H is
     nonpositive or NaN or H' is not finite.
     """
-
-    def solve(grid):
-        return solve_linear_second_order(
-            grid, np.zeros_like, lambda ub: 0.25 * profile.dg(ub) ** 2, None, 1.0, 0.0
-        )
-
-    sol = solve(profile.grid)
-    err = np.nan
-    if richardson:
-        fine = solve(profile.grid.refined(2))
-        err = float(np.abs(fine.phi[::2] - sol.phi).max())
-    return WaveFactor(profile.grid, sol.phi, sol.dphi, sol.ddphi, err)
+    sol = solve_linear_second_order(
+        profile.grid, np.zeros_like, lambda ub: 0.25 * profile.dg(ub) ** 2, None, 1.0, 0.0
+    )
+    return WaveFactor(profile.grid, sol.phi, sol.dphi, sol.ddphi)
 
 
 def weak_limit_pairings(
@@ -166,14 +157,17 @@ def weak_limit_pairings(
     return np.array(out)
 
 
-def jump_detect(factor: WaveFactor, window: float, flat_tol: float = 1e-8):
+_FLAT_TOL = 1e-8  # largest |H''| of a profile without concentration
+
+
+def jump_detect(factor: WaveFactor, window: float):
     """Locate the H'' concentration and return (location, H' jump across it).
 
     Returns None when H'' shows no concentration (flat profile).
     """
     ub = factor.grid.points()
     curv = np.abs(factor.ddh)
-    if curv.max() <= flat_tol:
+    if curv.max() <= _FLAT_TOL:
         return None
     i = int(np.argmax(curv))
     loc = ub[i]

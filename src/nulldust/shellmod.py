@@ -18,6 +18,8 @@ import numpy as np
 from .grids import AngularGrid
 from .quadrature import composite_rule
 
+_GL = 16  # Gauss-Legendre nodes per panel of the weak residuals
+
 
 class CoordinateRangeError(ValueError):
     pass
@@ -53,15 +55,14 @@ def trch_jump(shell: ShellSpacetime, u: float) -> np.ndarray:
     return 2.0 / r - shell.mass / r**2
 
 
-def is_trapped(shell: ShellSpacetime, u_star: float | None = None):
-    """Pointwise and overall trapped flags at the shell crossing, plus margin.
+def is_trapped(shell: ShellSpacetime):
+    """Pointwise and overall trapped flags at the shell crossing u = u_star, plus margin.
 
     Trapped at theta means trchi+ < 0 and trchb < 0 there; the overall flag
     demands it for every direction.  margin = inf m - 2 (1 - u_star) is the
     analytic criterion's slack (trapped overall iff margin > 0).
     """
-    u = shell.u_star if u_star is None else u_star
-    r = shell.ub0 - u + 1.0
+    r = shell.ub0 - shell.u_star + 1.0
     trchi_plus = 2.0 / r - shell.mass / r**2
     trchb = -2.0 / r
     per_theta = (trchi_plus < 0.0) & (trchb < 0.0)
@@ -100,8 +101,6 @@ def weak_trch_residual(
     ub1: float,
     ub2: float,
     include_measure: bool = True,
-    panels: int = 64,
-    gl: int = 16,
 ) -> float:
     """LHS - RHS of the weak outgoing-expansion identity on [ub1, ub2].
 
@@ -129,7 +128,7 @@ def weak_trch_residual(
     def bulk(lo, hi):
         total = 0.0
         dub_eps = 1e-6 * (ub2 - ub1)
-        xs, ws = composite_rule([(lo, hi, panels)], gl)
+        xs, ws = composite_rule([(lo, hi, 64)], _GL)
         for x, wq, rat, trv in zip(xs, ws, _area_ratio(shell, u, xs), _trchi_field(shell, u, xs)):
             dphi = (phi(u, x + dub_eps) - phi(u, x - dub_eps)) / (2.0 * dub_eps)
             integrand = dphi * trv + 0.5 * phi(u, x) * trv**2
@@ -152,8 +151,6 @@ def dust_propagation_residual(
     phi,
     u1: float,
     u2: float,
-    panels: int = 32,
-    gl: int = 16,
 ) -> float:
     """Transport identity of the shell measure in the transversal direction.
 
@@ -165,7 +162,7 @@ def dust_propagation_residual(
     pair = lambda u: shell_pairing(shell, phi, u)
     total = pair(u2) - pair(u1)
     du_eps = 1e-6 * (u2 - u1)
-    for x, wq in zip(*composite_rule([(u1, u2, panels)], gl)):
+    for x, wq in zip(*composite_rule([(u1, u2, 32)], _GL)):
         dphi = (pair(x + du_eps) - pair(x - du_eps)) / (2.0 * du_eps)
         total -= wq * dphi
     return float(total)

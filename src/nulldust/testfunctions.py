@@ -54,9 +54,11 @@ class TestFunction:
         return v[:, None, None] * self.angular[None, :, :]
 
 
-def bump_dictionary(grid: Grid1D, chart: AngularGrid | None = None,
-                    n_scales: int = 3, n_locations: int = 4) -> list:
-    """Smooth bumps at n_scales scales x n_locations locations, all compactly
+_N_SCALES, _N_LOCATIONS = 3, 4
+
+
+def bump_dictionary(grid: Grid1D, chart: AngularGrid | None = None) -> list:
+    """Smooth bumps at 3 scales x 4 locations, scale-major, all compactly
     supported strictly inside the grid interval."""
     length = grid.b - grid.a
     funcs = []
@@ -64,10 +66,10 @@ def bump_dictionary(grid: Grid1D, chart: AngularGrid | None = None,
     if chart is not None:
         t1, t2 = chart.mesh()
         angular = 1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1) * np.cos(2.0 * np.pi * t2 / chart.L2)
-    for i in range(n_scales):
+    for i in range(_N_SCALES):
         scale = length * 0.4 / (2.0**i)
-        for j in range(n_locations):
-            center = grid.a + length * (j + 1) / (n_locations + 1)
+        for j in range(_N_LOCATIONS):
+            center = grid.a + length * (j + 1) / (_N_LOCATIONS + 1)
             lo = max(center - scale, grid.a)
             hi = min(center + scale, grid.b)
             if lo <= grid.a + 1e-12 * length or hi >= grid.b - 1e-12 * length:

@@ -4,7 +4,41 @@ import numpy as np
 import pytest
 
 from nulldust import calculus as calc
+from nulldust.fields import sym2_inverse
+from nulldust.geometry import area_element, partial
 from nulldust.grids import AngularGrid
+
+
+# Angular operators that only the tests use, kept here as oracles.
+
+def grad(chart: AngularGrid, f: np.ndarray) -> np.ndarray:
+    """Gradient one-form of a scalar."""
+    if f.ndim != 2:
+        raise calc.RankError("grad expects a scalar field")
+    return partial(chart, f)
+
+
+def volume_form_upper(gamma: np.ndarray) -> np.ndarray:
+    """eps^{ab} = gamma^{ac} gamma^{bd} eps_{cd} = eps_{ab} / det gamma,
+    with the volume form eps_{ab} = sqrt(det gamma) * [[0, 1], [-1, 0]]_{ab}."""
+    s = area_element(gamma)
+    eps = np.zeros(gamma.shape)
+    eps[..., 0, 1] = 1.0 / s
+    eps[..., 1, 0] = -1.0 / s
+    return eps
+
+
+def curl_oneform(chart, gamma, phi, gam=None) -> np.ndarray:
+    """curl phi = eps^{ab} nabla_a phi_b."""
+    if phi.ndim != gamma.ndim - 1:
+        raise calc.RankError("curl_oneform expects a one-form")
+    nab = calc.covariant_deriv(chart, gamma, phi, gam)
+    return np.einsum("...ab,...ab->...", volume_form_upper(gamma), nab)
+
+
+def trace(gamma: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """gamma^{ab} T_{ab}."""
+    return np.einsum("...ab,...ab->...", sym2_inverse(gamma), T)
 
 
 @pytest.fixture
@@ -32,14 +66,14 @@ def curved(chart):
 def test_flat_laplacian_eigenfunction(chart, flat):
     t1, _ = chart.mesh()
     f = np.sin(2 * np.pi * t1 / chart.L1)
-    lap = calc.div_oneform(chart, flat, calc.grad(chart, f))
+    lap = calc.div_oneform(chart, flat, grad(chart, f))
     assert np.abs(lap + (2 * np.pi / chart.L1) ** 2 * f).max() < 1e-12
 
 
 def test_curl_of_gradient_vanishes(chart, curved):
     t1, t2 = chart.mesh()
     f = np.exp(0.3 * np.sin(t1)) * np.cos(t2)
-    assert np.abs(calc.curl_oneform(chart, curved, calc.grad(chart, f))).max() < 1e-10
+    assert np.abs(curl_oneform(chart, curved, grad(chart, f))).max() < 1e-10
 
 
 def test_trace_free_symmetrizer_is_trace_free(chart, curved):
@@ -49,7 +83,7 @@ def test_trace_free_symmetrizer_is_trace_free(chart, curved):
         [np.sin(t1 + 0.3) * np.cos(2 * t2), np.cos(2 * t1) + 0.4 * np.sin(t2)], axis=-1
     )
     now = calc.nabla_otimes(chart, curved, phi)
-    assert np.abs(calc.trace(curved, now)).max() < 1e-11
+    assert np.abs(trace(curved, now)).max() < 1e-11
     assert np.allclose(now, np.swapaxes(now, -1, -2))
 
 
@@ -75,13 +109,13 @@ def test_hat_otimes_and_wedge_shapes(chart, flat):
     t1, t2 = chart.mesh()
     phi = np.stack([np.sin(t1), np.cos(t2)], axis=-1)
     ho = calc.hat_otimes(flat, phi, phi)
-    assert np.abs(calc.trace(flat, ho)).max() < 1e-13
+    assert np.abs(trace(flat, ho)).max() < 1e-13
 
 
 def test_rank_mismatch_raises(chart, flat):
     with pytest.raises(calc.RankError):
         calc.div_oneform(chart, flat, np.zeros(chart.shape))
     with pytest.raises(calc.RankError):
-        calc.grad(chart, np.zeros(chart.shape + (2,)))
+        grad(chart, np.zeros(chart.shape + (2,)))
     with pytest.raises(calc.RankError):
         calc.div_sym2(chart, flat, np.zeros(chart.shape + (2,)))

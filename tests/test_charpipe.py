@@ -1,12 +1,60 @@
 """Characteristic transport: cone reproduction, residuals, diagnostics."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+from nulldust import calculus as calc
 from nulldust import charpipe as P
 from nulldust import constraints as C
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.rates import fit_rate
+
+from test_calculus import curl_oneform, grad
+
+
+@dataclass
+class RenormalizedCurvature:
+    """First-angular-derivative curvature diagnostics; only these tests use them."""
+
+    beta: np.ndarray
+    betab: np.ndarray
+    sigma_check: np.ndarray
+    mu: np.ndarray
+    mub: np.ndarray
+
+
+def renormalized_curvature(result: P.TransportResult, i: int) -> RenormalizedCurvature:
+    """First-angular-derivative curvature diagnostics on slice i."""
+    data = result.data
+    chart = data.chart
+    sl = result.slices[i]
+    gamma, gam = sl.gamma, sl.gam
+    eta = result.eta[i]
+    etab = result.etab(i)
+    diff = eta - etab
+    chibhat = result.chibhat[i]
+    trchb = result.trchb[i]
+
+    chi_minus = sl.chi - sl.trchi[..., None, None] * gamma          # chihat - (trchi/2) gamma
+    chib = chibhat + 0.5 * trchb[..., None, None] * gamma
+    chib_minus = chib - trchb[..., None, None] * gamma
+
+    beta = (
+        -sl.div_chihat
+        + 0.5 * sl.grad_trchi
+        - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chi_minus, diff)
+    )
+    betab = (
+        calc.div_sym2(chart, gamma, chibhat, gam)
+        - 0.5 * grad(chart, trchb)
+        - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chib_minus, diff)
+    )
+    sigma_check = curl_oneform(chart, gamma, eta, gam)
+    mu = -calc.div_oneform(chart, gamma, eta, gam) + sl.kgauss
+    mub = -calc.div_oneform(chart, gamma, etab, gam) + sl.kgauss
+    return RenormalizedCurvature(beta, betab, sigma_check, mu, mub)
 
 
 def flat_data(chart, grid, omega=None, dlog=None):
@@ -33,7 +81,7 @@ def test_derive_outgoing_flat_cone():
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 0.5, 65)
     data = flat_data(chart, grid)
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)
+    sol = C.solve_constraint(data, 1.0, 1.0)
     sl = P.slice_fields(data, sol, 0.25)
     assert np.abs(sl.trchi - 2.0 / 1.25).max() < 1e-12
     assert np.abs(sl.chihat).max() < 1e-13
@@ -46,7 +94,7 @@ def test_derive_outgoing_exponential_lapse():
     omega = lambda ub: np.exp(np.asarray(ub, float))[:, None, None] * np.ones(chart.shape)
     dlog = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     data = flat_data(chart, grid, omega, dlog)
-    sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
+    sol = C.solve_constraint(data, 1.0, 0.0)
     sl = P.slice_fields(data, sol, 0.3)
     assert np.abs(sl.om + 0.5 * np.exp(-0.3)).max() < 1e-12
 
@@ -55,7 +103,7 @@ def test_transport_curved_cone_fiber():
     chart = AngularGrid(64, 4)
     grid = Grid1D(0.0, 0.5, 257)
     data = curved_cone_data(chart, grid)
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)
+    sol = C.solve_constraint(data, 1.0, 1.0)
     result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
     i = chart.n1 // 2
     ub = grid.points()
@@ -73,7 +121,7 @@ def test_transport_flat_chart_closed_form():
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 0.5, 257)
     data = flat_data(chart, grid)
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)
+    sol = C.solve_constraint(data, 1.0, 1.0)
     result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
     ub = grid.points()
     assert np.abs(result.trchb + (2.0 / (1.0 + ub) ** 2)[:, None, None]).max() < 1e-10
@@ -83,7 +131,7 @@ def test_angularly_constant_reduction_matches_scalar_integrator():
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 0.4, 129)
     data = flat_data(chart, grid)
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)
+    sol = C.solve_constraint(data, 1.0, 1.0)
     result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
 
     # dedicated scalar march of the reduced (trchb, omb) system
@@ -118,7 +166,7 @@ def test_structure_residual_orders():
         chart = AngularGrid(32, 4)
         grid = Grid1D(0.0, 0.5, n)
         data = curved_cone_data(chart, grid)
-        sol = C.solve_vacuum_constraint(data, 1.0, 1.0)
+        sol = C.solve_constraint(data, 1.0, 1.0)
         result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
         for key, val in P.structure_residuals(result).items():
             tables.setdefault(key, []).append(val)
@@ -148,7 +196,7 @@ def test_residual_sensitivity_to_shear_perturbation():
         return a, b, -d
 
     data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
-    sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
+    sol = C.solve_constraint(data, 1.0, 0.0)
     result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
     base = P.structure_residuals(result)["expansion_out"]
     outs = []
@@ -188,9 +236,9 @@ def test_renormalized_curvature_flat_cone():
     chart = AngularGrid(16, 4)
     grid = Grid1D(0.0, 0.5, 65)
     data = flat_data(chart, grid)
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)
+    sol = C.solve_constraint(data, 1.0, 1.0)
     result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
-    rc = P.renormalized_curvature(result, 32)
+    rc = renormalized_curvature(result, 32)
     for fldname in ("beta", "betab", "sigma_check", "mu", "mub"):
         assert np.abs(getattr(rc, fldname)).max() < 1e-10, fldname
 
@@ -199,12 +247,10 @@ def test_mass_aspect_definitional_identity():
     chart = AngularGrid(32, 4)
     grid = Grid1D(0.0, 0.5, 65)
     data = curved_cone_data(chart, grid)
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)
+    sol = C.solve_constraint(data, 1.0, 1.0)
     result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
-    from nulldust import calculus as calc
-
     i = 32
-    rc = P.renormalized_curvature(result, i)
+    rc = renormalized_curvature(result, i)
     sl = result.slices[i]
     div_eta = calc.div_oneform(data.chart, sl.gamma, result.eta[i])
     assert np.abs(rc.mu + div_eta - sl.kgauss).max() < 1e-13
@@ -218,20 +264,18 @@ def test_curl_of_gradient_torsion():
     omega = lambda ub: np.exp(0.2 * np.sin(t1) * np.cos(t2))[None] * np.ones((len(np.atleast_1d(ub)), 1, 1))
     dlog = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     data = flat_data(chart, grid, omega, dlog)
-    sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
+    sol = C.solve_constraint(data, 1.0, 0.0)
     corner = P.CornerData.zeros(chart)
     sl = P.slice_fields(data, sol, 0.0)
     eta0 = P.corner_eta(sl, corner)  # equals grad log Omega
-    from nulldust import calculus as calc
-
-    assert np.abs(calc.curl_oneform(chart, sl.gamma, eta0)).max() < 1e-10
+    assert np.abs(curl_oneform(chart, sl.gamma, eta0)).max() < 1e-10
 
 
 def test_blowup_guard():
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 0.5, 65)
     data = flat_data(chart, grid)
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)
+    sol = C.solve_constraint(data, 1.0, 1.0)
     corner = P.CornerData.zeros(chart, trchb0=np.full(chart.shape, -2.0))
     with pytest.raises(P.TransportBlowupError):
         P.solve_transport_system(data, sol, corner, field_bound=1.0)

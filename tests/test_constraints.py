@@ -1,5 +1,7 @@
 """Hypersurface constraint: strong solves, glued shells, weak residuals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,7 @@ def test_vacuum_cosine_oracle(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 401)
     data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
-    sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
+    sol = C.solve_constraint(data, 1.0, 0.0)
     assert np.abs(sol.phi[:, 0, 0] - np.cos(grid.points())).max() < 1e-11
 
 
@@ -148,7 +150,7 @@ def test_vacuum_affine_for_constant_metric(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 101)
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
-    sol = C.solve_vacuum_constraint(data, 1.0, 0.3)
+    sol = C.solve_constraint(data, 1.0, 0.3)
     assert np.abs(sol.phi[:, 0, 0] - (1.0 + 0.3 * grid.points())).max() < 1e-13
 
 
@@ -159,7 +161,7 @@ def test_rk4_order_against_cosine(chart, ring):
     for n in (51, 101, 201, 401):
         grid = Grid1D(0.0, 1.0, n)
         data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
-        sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
+        sol = C.solve_constraint(data, 1.0, 0.0)
         errs.append(np.abs(sol.phi[:, 0, 0] - np.cos(grid.points())).max())
         hs.append(grid.h)
     assert fit_rate(hs, errs).slope >= 3.9
@@ -173,15 +175,20 @@ def test_point_locality_bitwise(chart, ring):
     data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
     t1, _ = chart.mesh()
     phi0 = 1.0 + 0.1 * np.cos(t1)
-    full = C.solve_vacuum_constraint(data, phi0, 0.0)
+    full = C.solve_constraint(data, phi0, 0.0)
     sub_chart = AngularGrid(4, 4)
     sub_ring = np.zeros(sub_chart.shape + (2, 2))
     sub_ring[..., 0, 0] = sub_ring[..., 1, 1] = 1.0
     one_s, zero_s = const_maps(sub_chart)
     gh_s, dgh_s = diag_exp_metric(sub_chart)
     data_s = C.ReducedCharData(grid, sub_chart, sub_ring, one_s, zero_s, gh_s, dgh_s)
-    sub = C.solve_vacuum_constraint(data_s, phi0[::2], 0.0)
+    sub = C.solve_constraint(data_s, phi0[::2], 0.0)
     assert np.array_equal(sub.phi, full.phi[:, ::2])
+
+
+def with_density(data, density):
+    """data carrying the smooth dust density f and no atoms."""
+    return dataclasses.replace(data, dust=C.NullDustMeasure(density=density))
 
 
 def test_dust_zero_density_matches_vacuum(chart, ring):
@@ -189,8 +196,8 @@ def test_dust_zero_density_matches_vacuum(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 201)
     data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
-    vac = C.solve_vacuum_constraint(data, 1.0, 0.0)
-    dust = C.solve_dust_constraint(data, 1.0, 0.0, density=lambda ub: np.zeros((len(ub),) + chart.shape))
+    vac = C.solve_constraint(data, 1.0, 0.0)
+    dust = C.solve_constraint(with_density(data, lambda ub: np.zeros((len(ub),) + chart.shape)), 1.0, 0.0)
     assert np.array_equal(vac.phi, dust.phi)
 
 
@@ -199,8 +206,7 @@ def test_dust_first_integral(chart, ring):
     grid = Grid1D(0.0, 1.0, 2001)
     cval = 0.8
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
-    sol = C.solve_dust_constraint(data, 1.0, 0.0,
-                                  density=lambda ub: np.full((len(ub),) + chart.shape, cval))
+    sol = C.solve_constraint(with_density(data, lambda ub: np.full((len(ub),) + chart.shape, cval)), 1.0, 0.0)
     energy = 0.5 * sol.dphi[:, 0, 0] ** 2 + 0.5 * cval * np.log(sol.phi[:, 0, 0])
     assert np.abs(energy - energy[0]).max() < 1e-8
 
@@ -209,8 +215,8 @@ def test_dust_comparison_monotone(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 401)
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
-    lo = C.solve_dust_constraint(data, 1.0, 0.0, density=lambda ub: np.full((len(ub),) + chart.shape, 0.4))
-    hi = C.solve_dust_constraint(data, 1.0, 0.0, density=lambda ub: np.full((len(ub),) + chart.shape, 0.9))
+    lo = C.solve_constraint(with_density(data, lambda ub: np.full((len(ub),) + chart.shape, 0.4)), 1.0, 0.0)
+    hi = C.solve_constraint(with_density(data, lambda ub: np.full((len(ub),) + chart.shape, 0.9)), 1.0, 0.0)
     assert np.all(hi.phi <= lo.phi + 1e-14)
 
 
@@ -220,7 +226,7 @@ def test_focusing_error_location(chart, ring):
     gh, dgh = diag_exp_metric(chart)  # Phi = cos(ub): zero at pi/2
     data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
     with pytest.raises(FocusingError) as err:
-        C.solve_vacuum_constraint(data, 1.0, 0.0)
+        C.solve_constraint(data, 1.0, 0.0)
     assert abs(err.value.location[0] - np.pi / 2) < 0.05
 
 
@@ -236,7 +242,7 @@ def shell_data(chart, ring, grid, mass_scale=1.0):
 def test_glued_shell_jump_value(chart, ring):
     grid = Grid1D(0.0, 1.0, 513)
     data, m_theta = shell_data(chart, ring, grid)
-    sol = C.solve_glued_shell(data, 1.0, 0.1)
+    sol = C.solve_constraint(data, 1.0, 0.1)
     loc, jump = sol.deriv_jumps()[0]
     assert loc == 0.45
     phi_at = sol(np.array([0.45]))[0]
@@ -248,7 +254,7 @@ def test_weak_residual_vacuum_strong_solution(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 513)
     data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
-    sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
+    sol = C.solve_constraint(data, 1.0, 0.0)
     for tf in bump_dictionary(grid, chart)[:4]:
         assert abs(C.weak_constraint_residual(data, sol, tf, tf.deriv, support=tf.support)) < 1e-9
 
@@ -261,7 +267,7 @@ def test_weak_residual_smooth_dust_consistency(chart, ring):
     dust = C.NullDustMeasure(atoms=[], density=density)
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                              dust=dust)
-    sol = C.solve_dust_constraint(data, 1.0, 0.0)
+    sol = C.solve_constraint(data, 1.0, 0.0)
     for tf in bump_dictionary(grid, chart)[:4]:
         assert abs(C.weak_constraint_residual(data, sol, tf, tf.deriv, support=tf.support)) < 1e-8
 
@@ -269,7 +275,7 @@ def test_weak_residual_smooth_dust_consistency(chart, ring):
 def test_weak_residual_glued_shell_and_negative_control(chart, ring):
     grid = Grid1D(0.0, 1.0, 1025)
     data, m_theta = shell_data(chart, ring, grid)
-    sol = C.solve_glued_shell(data, 1.0, 0.1)
+    sol = C.solve_constraint(data, 1.0, 0.1)
     tf = bump_dictionary(grid, chart)[1]
     res = C.weak_constraint_residual(data, sol, tf, tf.deriv, support=tf.support)
     assert abs(res) < 1e-6
@@ -286,14 +292,14 @@ def test_weak_residual_linearity_in_mass(chart, ring):
     tf = bump_dictionary(grid, chart)[1]
     for scale in (1.0, 2.0):
         data, _ = shell_data(chart, ring, grid, mass_scale=scale)
-        sol = C.solve_glued_shell(data, 1.0, 0.1)
+        sol = C.solve_constraint(data, 1.0, 0.1)
         assert abs(C.weak_constraint_residual(data, sol, tf, tf.deriv, support=tf.support)) < 1e-6
 
 
 def test_boundary_touching_test_function_rejected(chart, ring):
     grid = Grid1D(0.0, 1.0, 101)
     data, _ = shell_data(chart, ring, grid)
-    sol = C.solve_glued_shell(data, 1.0, 0.1)
+    sol = C.solve_constraint(data, 1.0, 0.1)
     tf = bump_dictionary(grid, chart)[0]
     with pytest.raises(C.MeasureSupportError):
         C.weak_constraint_residual(data, sol, tf, tf.deriv, support=(0.0, 0.5))
@@ -326,7 +332,7 @@ def test_chi_identities(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 201)
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
-    sol = C.solve_vacuum_constraint(data, 1.0, 1.0)  # Phi = 1 + ub
+    sol = C.solve_constraint(data, 1.0, 1.0)  # Phi = 1 + ub
     trchi, chihat, chi = chi_from_data(data, sol, 0.5)
     assert np.abs(trchi - 2.0 / 1.5).max() < 1e-12
     assert np.abs(chihat).max() < 1e-13
@@ -339,7 +345,7 @@ def test_shear_norm_identity_random_data(chart, ring):
     dlom = lambda ub: 0.2 * np.cos(np.asarray(ub, float))[:, None, None] * np.ones(chart.shape)
     grid = Grid1D(0.0, 1.0, 201)
     data = C.ReducedCharData(grid, chart, ring, om, dlom, gh, dgh)
-    sol = C.solve_vacuum_constraint(data, 1.0, 0.0)
+    sol = C.solve_constraint(data, 1.0, 0.0)
     from nulldust.calculus import dot22
 
     ub = 0.37
@@ -356,6 +362,6 @@ def test_dust_concavity_sign(chart, ring):
     # with constant lapse, nonnegative dust keeps the factor concave
     grid = Grid1D(0.0, 1.0, 513)
     data, _ = shell_data(chart, ring, grid)
-    sol = C.solve_glued_shell(data, 1.0, 0.1)
+    sol = C.solve_constraint(data, 1.0, 0.1)
     for piece in sol.pieces:
         assert np.all(piece.ddphi <= 1e-14)

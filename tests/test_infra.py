@@ -1,4 +1,7 @@
-"""Grids, stencils, rate fits."""
+"""Grids, stencils, rate fits, and the package's public names."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,7 @@ def test_grid1d_invariants():
         Grid1D(1.0, 0.0, 11)
     with pytest.raises(ValueError):
         Grid1D(0.0, 1.0, 1)
-    fine = g.refined(2)
-    assert fine.n == 21
+    fine = Grid1D(g.a, g.b, 2 * (g.n - 1) + 1)  # nested refinement
     assert np.allclose(fine.points()[::2], g.points())
 
 
@@ -80,3 +82,72 @@ def test_rate_fit_exact_and_noisy():
 def test_rate_fit_needs_four_points():
     with pytest.raises(ValueError, match="4 points"):
         fit_rate([1.0, 0.5, 0.25], [1.0, 2.0, 4.0])
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "nulldust"
+
+
+def _imported_module(node: ast.ImportFrom, alias: ast.alias):
+    """(module, name) that one alias of a package-relative or nulldust import binds:
+    name is None when the alias binds the module itself."""
+    if node.level == 1 or node.module == "nulldust" or (node.module or "").startswith("nulldust."):
+        base = node.module.removeprefix("nulldust").lstrip(".") if node.level == 0 else node.module
+        if base:
+            return base, alias.name
+        return alias.name, None
+    return None, None
+
+
+def unreferenced_public_names(src: Path) -> list:
+    """"module.name" of every public top-level def and class in src/*.py that
+    nothing in src/ references outside its own definition.
+
+    A reference is a use inside the name's own module, a use after
+    `from .module import name`, or an attribute access `alias.name` where
+    alias is bound to the module by `from . import module [as alias]` or
+    `import nulldust.module as alias`.  A local of the same name in another
+    module does not count.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    used = set()
+    for mod, tree in trees.items():
+        names, modules = {}, {}  # local name -> (module, name); local alias -> module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    target, name = _imported_module(node, alias)
+                    if target is not None and name is not None:
+                        names[alias.asname or alias.name] = (target, name)
+                    elif target is not None:
+                        modules[alias.asname or alias.name] = target
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.startswith("nulldust.") and alias.asname:
+                        modules[alias.asname] = alias.name.removeprefix("nulldust.")
+        inside = {}  # id(node) -> the top-level definition it belongs to
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                for node in ast.walk(top):
+                    inside[id(node)] = top.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if inside.get(id(node)) != node.id:
+                    used.add((mod, node.id))
+                if node.id in names:
+                    used.add(names[node.id])
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    used.add((modules[node.value.id], node.attr))
+    return [
+        f"{mod}.{top.name}"
+        for mod, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not top.name.startswith("_")
+        and (mod, top.name) not in used
+    ]
+
+
+def test_every_public_name_is_referenced_in_src():
+    # a public def or class that only tests call belongs in tests/ as an oracle
+    assert unreferenced_public_names(SRC) == []

@@ -27,7 +27,7 @@ def setting():
     dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                              dust=dust)
-    bv = C.solve_glued_shell(data, 1.0, 0.15)
+    bv = C.solve_constraint(data, 1.0, 0.15)
     pipe = MP.MeasurePipeline(data, bv)
     pipe.freeze_k([1, 5])
     members = {m: pipe.member(m) for m in range(1, 6)}
@@ -100,7 +100,7 @@ def test_empty_measure_gives_constant_family():
     dust = C.NullDustMeasure(atoms=[], density=zero)
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
                              dust=dust)
-    bv = C.solve_vacuum_constraint(data, 1.0, 0.2)
+    bv = C.solve_constraint(data, 1.0, 0.2)
     pipe = MP.MeasurePipeline(data, bv, k=8.0)
     ub = np.linspace(0, 1, 501)
     vals = []
@@ -119,7 +119,7 @@ def test_linearity_in_atom_mass(setting):
     dust2 = C.NullDustMeasure(atoms=[(0.45, mass2)])
     data2 = C.ReducedCharData(grid, chart, data.gamma_ring, data.omega, data.dlog_omega,
                               data.entries, data.dentries, dust=dust2)
-    bv2 = C.solve_glued_shell(data2, 1.0, 0.15)
+    bv2 = C.solve_constraint(data2, 1.0, 0.15)
     pipe2 = MP.MeasurePipeline(data2, bv2)
     pipe2.freeze_k([1, 4])
     mem2 = pipe2.member(4)

@@ -94,7 +94,7 @@ def test_support_respects_strip(setting):
 
 def test_phi_convergence_and_derivative_floor(setting):
     chart, grid, data, dust, one, _ = setting
-    glued = C.solve_glued_shell(data, 1.0, 0.1)
+    glued = C.solve_constraint(data, 1.0, 0.1)
     jump = float(np.abs(glued.deriv_jumps()[0][1]).max())
     sups, dsups = [], []
     for m in (2, 4, 6):

@@ -488,7 +488,8 @@ def test_piecewise_output_bit_identical_to_mask_loop(shape):
     glog, coeff, source = chart_coeffs(M)
     fields = lambda fn: (lambda ub: fn(ub).reshape((len(ub),) + shape))
     pw = odesolve.solve_linear_segmented(
-        breakpoints, [0.01] * 4, fields(glog), fields(coeff), fields(source), ones, 0.1 * ones,
+        [(lo, hi, 0.01) for lo, hi in zip(breakpoints[:-1], breakpoints[1:])],
+        fields(glog), fields(coeff), fields(source), ones, 0.1 * ones,
         jumps=[lambda phi: -0.1 / phi, None, lambda phi: -0.2 / phi],
     )
     rng = np.random.default_rng(9)

@@ -69,7 +69,7 @@ def test_wave_factor_cosine_oracle_and_order():
     for n in (9, 17, 33, 65):
         grid = Grid1D(0.0, 1.0, n)
         prof = pw.WaveProfile(1.0, grid, lambda u: eps * u, lambda u: eps * np.ones_like(u))
-        fac = pw.solve_H(prof, richardson=False)
+        fac = pw.solve_H(prof)
         errs.append(np.abs(fac.h - np.cos(0.5 * eps * grid.points())).max())
         hs.append(grid.h)
     assert fit_rate(hs, errs).slope >= 3.9
@@ -95,7 +95,7 @@ def test_wave_factor_nan_is_focusing_error():
 def test_vacuum_residual_small():
     grid = Grid1D(0.0, 0.5, 2**13 + 1)
     prof = pw.make_burnett_G(2.0**-5, pw.SEEDS["cosine"], grid)
-    fac = pw.solve_H(prof, richardson=False)
+    fac = pw.solve_H(prof)
     assert np.abs(ricci_uu(prof, fac)).max() < 1e-12
 
 
@@ -103,7 +103,7 @@ def test_ricci_formula_hand_value():
     # G = ub^2 with H = 1: the only curvature component is -2 ub^2
     grid = Grid1D(0.0, 1.0, 257)
     prof = pw.WaveProfile(1.0, grid, lambda u: u**2, lambda u: 2.0 * u)
-    fac = pw.WaveFactor(grid, np.ones(grid.n), np.zeros(grid.n), np.zeros(grid.n), 0.0)
+    fac = pw.WaveFactor(grid, np.ones(grid.n), np.zeros(grid.n), np.zeros(grid.n))
     ub = grid.points()
     assert np.abs(ricci_uu(prof, fac) + 2.0 * ub**2).max() < 1e-14
 
@@ -156,7 +156,7 @@ def test_jump_scales_with_derivative_energy():
     prof = pw.WaveProfile(lam, grid,
                           lambda u, l=lam: np.sqrt(l) * base.k(np.asarray(u) / l),
                           lambda u, l=lam: base.dk(np.asarray(u) / l) / np.sqrt(l))
-    fac = pw.solve_H(prof, richardson=False)
+    fac = pw.solve_H(prof)
     _, jump = pw.jump_detect(fac, window=4 * lam)
     assert abs(jump + 1.0) < 2e-2
 
@@ -169,7 +169,7 @@ def test_shell_derivative_does_not_converge_uniformly():
     for lam in (2.0**-6, 2.0**-8, 2.0**-10):
         grid = Grid1D(-0.5, 0.5, 2**17 + 1)
         prof = pw.make_shell_G(lam, pw.SEEDS["bump"], grid)
-        fac = pw.solve_H(prof, richardson=False)
+        fac = pw.solve_H(prof)
         ub = grid.points()
         h0 = np.where(ub < 0, 1.0, 1.0 - 0.25 * ub)
         dh0 = np.where(ub < 0, 0.0, -0.25)
@@ -179,10 +179,3 @@ def test_shell_derivative_does_not_converge_uniformly():
     assert sups[-1] < 5e-4
     assert min(dsups) >= 0.5 * 0.25 * 0.98  # half the jump magnitude
 
-
-def test_richardson_estimate_reported():
-    grid = Grid1D(0.0, 0.5, 513)
-    prof = pw.make_burnett_G(0.25, pw.SEEDS["cosine"], grid)
-    fac = pw.solve_H(prof, richardson=True)
-    assert np.isfinite(fac.rk4_error)
-    assert fac.rk4_error < 1e-8

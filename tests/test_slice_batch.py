@@ -17,6 +17,8 @@ from nulldust.fields import PositivityError, sym2_inverse, sym2_pack
 from nulldust.geometry import christoffel, gauss_curvature
 from nulldust.grids import AngularGrid, Grid1D
 
+from test_calculus import grad
+
 
 def oracle_slice(data, solution, ub):
     om = np.asarray(data.omega(np.array([ub])))[0]
@@ -32,11 +34,11 @@ def oracle_slice(data, solution, ub):
     chihat = chi - 0.5 * trchi[..., None, None] * gamma
     chi_mix = np.einsum("...bc,...ca->...ba", ginv, chi)
     kg = gauss_curvature(gamma, data.chart, check=False)
-    grad_lo = calc.grad(data.chart, np.log(om))
+    grad_lo = grad(data.chart, np.log(om))
     om_scalar = -0.5 * dlo / om
     gam = christoffel(gamma, data.chart)
     return P.SliceFields(ub, gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi, chi_mix,
-                         gam, calc.div_sym2(data.chart, gamma, chihat, gam), calc.grad(data.chart, trchi))
+                         gam, calc.div_sym2(data.chart, gamma, chihat, gam), grad(data.chart, trchi))
 
 
 def oracle_rhs(data, sl, eta, b, omb, trchb, chibhat):
@@ -47,7 +49,7 @@ def oracle_rhs(data, sl, eta, b, omb, trchb, chibhat):
     diff = eta - etab
 
     div_chihat = calc.div_sym2(chart, gamma, sl.chihat, gam)
-    grad_trchi = calc.grad(chart, sl.trchi)
+    grad_trchi = grad(chart, sl.trchi)
     chihat_dot_diff = np.einsum("...bc,...ab,...c->...a", ginv, sl.chihat, diff)
     conn_eta = np.einsum("...ba,...b->...a", sl.chi_mix, eta)
     d_eta = sl.omega[..., None] * (
@@ -139,7 +141,7 @@ FIELDS = ("gamma", "ginv", "kgauss", "omega", "om", "grad_log_omega", "trchi", "
 def problem():
     grid = Grid1D(0.0, 0.3, 17)
     data = shear_data(grid)
-    return data, C.solve_vacuum_constraint(data, 1.0, 0.5)
+    return data, C.solve_constraint(data, 1.0, 0.5)
 
 
 def test_batched_slices_equal_per_slice_oracle(problem):
@@ -226,7 +228,7 @@ def test_christoffel_calls_do_not_grow_with_grid(monkeypatch):
     counts = []
     for n in (9, 33):
         data = shear_data(Grid1D(0.0, 0.3, n))
-        sol = C.solve_vacuum_constraint(data, 1.0, 0.5)
+        sol = C.solve_constraint(data, 1.0, 0.5)
         calls.clear()
         P.solve_transport_system(data, sol, corner(data.chart))
         counts.append(len(calls))
@@ -258,7 +260,7 @@ def test_nonpositive_metric_at_one_half_node_raises():
 
     data = C.ReducedCharData(grid, data.chart, data.gamma_ring, data.omega, data.dlog_omega,
                              entries, data.dentries)
-    sol = C.solve_vacuum_constraint(data, 1.0, 0.5)
+    sol = C.solve_constraint(data, 1.0, 0.5)
     P.slice_fields(data, sol, grid.points())  # every node is positive definite
     with pytest.raises(PositivityError):
         P.solve_transport_system(data, sol, corner(data.chart))
