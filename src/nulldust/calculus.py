@@ -10,7 +10,7 @@ read the batch depth from gamma.ndim - 4.
 import numpy as np
 
 from .fields import sym2_inverse
-from .geometry import christoffel, partial
+from .geometry import partial
 from .grids import AngularGrid
 
 
@@ -18,17 +18,15 @@ class RankError(ValueError):
     pass
 
 
-def covariant_deriv(chart: AngularGrid, gamma: np.ndarray, phi: np.ndarray,
-                    gam: np.ndarray | None = None) -> np.ndarray:
-    """nabla_c phi_{a...} for a covariant tensor of rank 0, 1 or 2.
+def covariant_deriv(chart: AngularGrid, gamma: np.ndarray, phi: np.ndarray, gam: np.ndarray) -> np.ndarray:
+    """nabla_c phi_{a...} for a covariant tensor of rank 0, 1 or 2, with gam
+    the connection of gamma (geometry.christoffel).
 
     Returns shape (batch, n1, n2, 2, *slots) with the derivative slot leading.
     """
     rank = phi.ndim - gamma.ndim + 2
     if rank not in (0, 1, 2):
         raise RankError(f"rank-{rank} covariant derivative not supported")
-    if gam is None:
-        gam = christoffel(gamma, chart)
     d = partial(chart, phi, gamma.ndim - 4)
     if rank == 0:
         return d
@@ -39,7 +37,7 @@ def covariant_deriv(chart: AngularGrid, gamma: np.ndarray, phi: np.ndarray,
     return d - corr_a - corr_b
 
 
-def div_oneform(chart, gamma, phi, gam=None) -> np.ndarray:
+def div_oneform(chart, gamma, phi, gam) -> np.ndarray:
     """div phi = gamma^{ab} nabla_a phi_b."""
     if phi.ndim != gamma.ndim - 1:
         raise RankError("div_oneform expects a one-form")
@@ -47,7 +45,7 @@ def div_oneform(chart, gamma, phi, gam=None) -> np.ndarray:
     return np.einsum("...ab,...ab->...", sym2_inverse(gamma), nab)
 
 
-def div_sym2(chart, gamma, T, gam=None) -> np.ndarray:
+def div_sym2(chart, gamma, T, gam) -> np.ndarray:
     """(div T)_a = gamma^{bc} nabla_b T_{ca} for totally symmetric T."""
     if T.ndim != gamma.ndim:
         raise RankError("div_sym2 expects a 2-tensor")
@@ -55,7 +53,7 @@ def div_sym2(chart, gamma, T, gam=None) -> np.ndarray:
     return np.einsum("...bc,...bca->...a", sym2_inverse(gamma), nab)
 
 
-def nabla_otimes(chart, gamma, phi, gam=None) -> np.ndarray:
+def nabla_otimes(chart, gamma, phi, gam) -> np.ndarray:
     """Trace-free symmetrized derivative of a one-form:
 
     (nabla (x) phi)_{ab} = nabla_a phi_b + nabla_b phi_a - gamma_{ab} div phi

@@ -11,7 +11,7 @@ so the coordinate-time right-hand sides carry an overall factor Omega and
 connection terms with the mixed outgoing second fundamental form.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,18 +39,19 @@ class CornerData:
     chibhat0: np.ndarray  # (n1, n2, 2, 2)
 
     @classmethod
-    def zeros(cls, chart, trchb0=None):
-        z = np.zeros(chart.shape)
-        tr = np.full(chart.shape, -2.0) if trchb0 is None else np.asarray(trchb0, float)
-        return cls(np.zeros(chart.shape + (2,)), z.copy(), tr, np.zeros(chart.shape + (2, 2)))
+    def zeros(cls, chart):
+        """Zero shift derivative, omb and chibhat, and trchb = -2."""
+        return cls(np.zeros(chart.shape + (2,)), np.zeros(chart.shape), np.full(chart.shape, -2.0),
+                   np.zeros(chart.shape + (2, 2)))
 
 
 @dataclass
 class SliceFields:
-    """Geometry and outgoing coefficients on one ub slice, with the
-    state-independent terms of the transport right-hand side."""
+    """Geometry and outgoing coefficients on a batch of ub slices, ub
+    leading, with the state-independent terms of the transport right-hand
+    side; sf[k] is slice k, as views of the batch arrays."""
 
-    ub: float
+    ub: np.ndarray
     gamma: np.ndarray
     ginv: np.ndarray
     kgauss: np.ndarray
@@ -65,6 +66,9 @@ class SliceFields:
     div_chihat: np.ndarray
     grad_trchi: np.ndarray
 
+    def __getitem__(self, k) -> "SliceFields":
+        return SliceFields(*(getattr(self, f.name)[k] for f in fields(self)))
+
 
 @dataclass
 class TransportResult:
@@ -75,18 +79,14 @@ class TransportResult:
     omb: np.ndarray      # (N, n1, n2)
     trchb: np.ndarray    # (N, n1, n2)
     chibhat: np.ndarray  # (N, n1, n2, 2, 2)
-    slices: list         # SliceFields at the grid nodes
-
-    def etab(self, i: int) -> np.ndarray:
-        sl = self.slices[i]
-        return 2.0 * sl.grad_log_omega - self.eta[i]
+    nodes: SliceFields   # slice geometry at the grid nodes, batched
+    etab: np.ndarray     # (N, n1, n2, 2) = 2 grad log Omega - eta
 
 
 def slice_fields(data: ReducedCharData, solution, ubs):
-    """SliceFields at each ub of ubs, from one batched pass with ub as the
-    leading axis; each returned SliceFields views the batch arrays.  A scalar
-    ub gives one SliceFields.  Raises PositivityError if gamma fails the sign
-    test on any slice."""
+    """SliceFields of the batch ubs, from one pass with ub as the leading
+    axis; a scalar ub gives one slice.  Raises PositivityError if gamma fails
+    the sign test on any slice."""
     ub = np.atleast_1d(np.asarray(ubs, float))
     chart = data.chart
     om = np.asarray(data.omega(ub))
@@ -101,14 +101,14 @@ def slice_fields(data: ReducedCharData, solution, ubs):
     chihat = chi - 0.5 * trchi[..., None, None] * gamma
     chi_mix = np.einsum("...bc,...ca->...ba", ginv, chi)
     gam = christoffel(gamma, chart)
-    kg = gauss_curvature(gamma, chart, check=False, gam=gam)
+    kg = gauss_curvature(gamma, chart, gam, check=False)
     grad_lo = calc.partial(chart, np.log(om), 1)
     om_scalar = -0.5 * dlo / om
     div_chihat = calc.div_sym2(chart, gamma, chihat, gam)
     grad_trchi = calc.partial(chart, trchi, 1)
-    batch = (gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi, chi_mix, gam, div_chihat, grad_trchi)
-    out = [SliceFields(u, *(f[k] for f in batch)) for k, u in enumerate(ub)]
-    return out if np.ndim(ubs) else out[0]
+    sf = SliceFields(ub, gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi, chi_mix, gam, div_chihat,
+                     grad_trchi)
+    return sf if np.ndim(ubs) else sf[0]
 
 
 def corner_eta(sl: SliceFields, corner: CornerData) -> np.ndarray:
@@ -202,23 +202,13 @@ def solve_transport_system(
     trchb = np.asarray(corner.trchb0, float).copy()
     chibhat = np.asarray(corner.chibhat0, float).copy()
 
-    out = TransportResult(
-        grid,
-        data,
-        np.empty((grid.n,) + chart.shape + (2,)),
-        np.empty((grid.n,) + chart.shape + (2,)),
-        np.empty((grid.n,) + chart.shape),
-        np.empty((grid.n,) + chart.shape),
-        np.empty((grid.n,) + chart.shape + (2, 2)),
-        [],
-    )
+    traj = [np.empty((grid.n,) + chart.shape + slots) for slots in ((2,), (2,), (), (), (2, 2))]
 
-    def store(i, sl):
-        out.eta[i], out.b[i] = eta, b
-        out.omb[i], out.trchb[i], out.chibhat[i] = omb, trchb, chibhat
-        out.slices.append(sl)
+    def store(i):
+        for arr, f in zip(traj, (eta, b, omb, trchb, chibhat)):
+            arr[i] = f
 
-    store(0, at_node[0])
+    store(0)
     for i in range(grid.n - 1):
         sl, sl_half, sl_full = at_node[i], at_half[i], at_node[i + 1]
         k1 = _rhs(data, sl, eta, b, omb, trchb, chibhat)
@@ -238,17 +228,14 @@ def solve_transport_system(
                 f"transport state exceeded bound {field_bound:g} at ub={nodes[i + 1]:.6g}",
                 location=nodes[i + 1],
             )
-        store(i + 1, sl_full)
-    return out
+        store(i + 1)
+    return TransportResult(grid, data, *traj, at_node, 2.0 * at_node.grad_log_omega - traj[0])
 
 
 def constraint_reconstruction_gap(result: TransportResult) -> float:
     """max |(eta + etab)/2 - grad log Omega| over the march (exact by elimination)."""
-    worst = 0.0
-    for i, sl in enumerate(result.slices):
-        mid = 0.5 * (result.eta[i] + result.etab(i))
-        worst = max(worst, float(np.abs(mid - sl.grad_log_omega).max()))
-    return worst
+    mid = 0.5 * (result.eta + result.etab)
+    return float(np.abs(mid - result.nodes.grad_log_omega).max())
 
 
 def structure_residuals(result: TransportResult) -> dict:
@@ -258,17 +245,10 @@ def structure_residuals(result: TransportResult) -> dict:
     chart = data.chart
     grid = result.grid
     h = grid.h
-    n = grid.n
-
-    omega = np.stack([sl.omega for sl in result.slices])
-    om = np.stack([sl.om for sl in result.slices])
-    trchi = np.stack([sl.trchi for sl in result.slices])
-    chihat = np.stack([sl.chihat for sl in result.slices])
-    kg = np.stack([sl.kgauss for sl in result.slices])
-    gamma = np.stack([sl.gamma for sl in result.slices])
-    chi_mix = np.stack([sl.chi_mix for sl in result.slices])
-    eta = result.eta
-    etab = np.stack([result.etab(i) for i in range(n)])
+    sf = result.nodes
+    omega, om, trchi, chihat, kg = sf.omega, sf.om, sf.trchi, sf.chihat, sf.kgauss
+    gamma, ginv, chi_mix, gam = sf.gamma, sf.ginv, sf.chi_mix, sf.gam
+    eta, etab = result.eta, result.etab
     diff = eta - etab
 
     d_ub = lambda arr: deriv1_fd4(arr, h, axis=0)
@@ -279,8 +259,6 @@ def structure_residuals(result: TransportResult) -> dict:
 
     # one-form: nabla_4 eta_a = Omega^-1 d_ub eta_a - chi^b_a eta_b
     nab4_eta = d_ub(eta) / omega[..., None] - np.einsum("t...ba,t...b->t...a", chi_mix, eta)
-    gam = np.stack([sl.gam for sl in result.slices])
-    ginv = np.stack([sl.ginv for sl in result.slices])
     rhs_eta = (
         calc.div_sym2(chart, gamma, chihat, gam)
         - 0.5 * calc.partial(chart, trchi, 1)

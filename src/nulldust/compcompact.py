@@ -104,10 +104,6 @@ class FrequencyDecomposition:
     low: np.ndarray
     h1: np.ndarray
     h2: np.ndarray
-    masks: tuple
-
-    def parts(self):
-        return self.low, self.h1, self.h2
 
 
 def decompose(field: np.ndarray, box: PeriodicBox, c1: float, mode: str = "x1") -> FrequencyDecomposition:
@@ -132,7 +128,7 @@ def decompose(field: np.ndarray, box: PeriodicBox, c1: float, mode: str = "x1") 
         h1, h2 = strict, rest
     else:
         h1, h2 = rest, strict
-    return FrequencyDecomposition(box, c1, mode, low, h1, h2, (low_m, pass_m, rest_m))
+    return FrequencyDecomposition(box, c1, mode, low, h1, h2)
 
 
 def partition_defect(d: FrequencyDecomposition, field: np.ndarray) -> float:

@@ -16,7 +16,7 @@ class CurvatureConsistencyError(NumericalFailure):
     """The two diagonal fibers of the curvature identity disagree: grid too coarse."""
 
 
-def partial(chart: AngularGrid, f: np.ndarray, lead: int = 0) -> np.ndarray:
+def partial(chart: AngularGrid, f: np.ndarray, lead: int) -> np.ndarray:
     """d_c f for f shaped (lead batch axes, n1, n2, *slots): the derivative
     slot c is inserted after the grid axes, (batch, n1, n2, 2, *slots)."""
     return np.stack([spectral_deriv(f, chart.L1, axis=lead), spectral_deriv(f, chart.L2, axis=lead + 1)],
@@ -40,9 +40,9 @@ def christoffel(gamma: np.ndarray, chart: AngularGrid) -> np.ndarray:
 def gauss_curvature(
     gamma: np.ndarray,
     chart: AngularGrid,
+    gam: np.ndarray,
     rtol: float = 1e-6,
     check: bool = True,
-    gam: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gauss curvature K of gamma (leading axes before (n1, n2, 2, 2) batch slices).
 
@@ -51,11 +51,9 @@ def gauss_curvature(
                        + Gamma^a_{ad} Gamma^d_{bc} - Gamma^a_{cd} Gamma^d_{ba}
     through its trace; the two diagonal fibers (b=c=1 and b=c=2) are
     cross-checked and a mismatch beyond ``rtol`` raises
-    CurvatureConsistencyError (the discretization is too coarse).  gam, if
-    given, is christoffel(gamma, chart).
+    CurvatureConsistencyError (the discretization is too coarse).  gam is
+    christoffel(gamma, chart).
     """
-    if gam is None:
-        gam = christoffel(gamma, chart)
     dgam = partial(chart, gam, gamma.ndim - 4)  # [..., e, c, a, b] = d_e Gamma^c_{ab}
 
     term1 = np.einsum("...aabc->...bc", dgam)  # d_a Gamma^a_{bc}

@@ -15,7 +15,7 @@ import numpy as np
 from .constraints import ReducedCharData, measure_pairing
 from .fields import sym2_min_eigenvalue
 from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform
-from .mollify import MollifiedDensity, mollify_measure, solve_phi_m_dust
+from .mollify import MollifiedDensity, solve_phi_m_dust
 from .odesolve import PiecewiseSolution, solve_linear_segmented
 from .quadrature import panel_pairing
 
@@ -62,10 +62,8 @@ class MeasurePipeline:
         return self.phi_bv(ub0)[0], self.phi_bv.deriv(ub0)[0]
 
     def background(self, m: int):
-        fm = mollify_measure(
-            self.data.dust, self.data.omega, m, self.data.grid, dlog_omega=self.data.dlog_omega
-        )
-        phi_dust = solve_phi_m_dust(fm, self.data, *self._initial())
+        fm = MollifiedDensity(self.data, m)
+        phi_dust = solve_phi_m_dust(fm, *self._initial())
         bg = DustBackground(self.data, fm, fm.deriv, phi_dust, phi_dust.deriv)
         return fm, phi_dust, bg
 

@@ -15,11 +15,10 @@ measure pairing at rate  2^-m |d phi|_{L2 L1} + 2^-2m |phi|_{Linf L1}.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .constraints import NullDustMeasure, ReducedCharData, measure_pairing
+from .constraints import ReducedCharData, measure_pairing
 from .grids import Grid1D
 from .odesolve import PiecewiseSolution, solve_linear_segmented
 from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes, panel_pairing, panel_values
@@ -87,60 +86,51 @@ def partition(grid: Grid1D):
 
 @dataclass
 class MollifiedDensity:
-    """Smooth density f_m with the measure it approximates."""
+    """Smooth density f_m mollifying the dust measure of data at dyadic
+    scale eps = 2^-2m."""
 
-    measure: NullDustMeasure
-    grid: Grid1D
+    data: ReducedCharData
     m: int
-    omega: Callable
-    zetas: tuple
-    dzetas: tuple
-    dlog_omega: Callable | None = None
+
+    def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("dyadic index must be >= 1")
+        grid, eps = self.data.grid, self.eps
+        for loc, _ in self.data.dust.atoms:
+            # the shifted partitions absorb one-sided proximity; both-sided overflow cannot
+            if loc - 2.0 * eps <= grid.a and loc + 2.0 * eps >= grid.b:
+                raise ValueError(f"atom at ub={loc:g} too close to both boundaries for eps={eps:g}")
+        self._zetas, self._dzetas = partition(grid)
 
     @property
     def eps(self) -> float:
         return 2.0 ** (-2 * self.m)
 
-    def kernel(self, ub_batch):
-        """Dimensionless mollification kernel per atom, before mass weighting."""
-        ub = np.asarray(ub_batch, dtype=float)
+    def _atom_sum(self, ub, deriv: bool):
+        """Mass-weighted sum over atoms of the mollification kernel (deriv:
+        its analytic d/dub); None without atoms."""
         eps = self.eps
-        out = []
-        for loc, _ in self.measure.atoms:
-            acc = np.zeros_like(ub)
-            for zeta, alpha in zip(self.zetas, _ALPHAS):
-                acc += zeta(ub) * rho((ub - loc - alpha * eps) / eps) / eps
-            out.append(acc)
-        return out
-
-    def kernel_deriv(self, ub_batch):
-        """Analytic d/dub of the per-atom kernel."""
-        ub = np.asarray(ub_batch, dtype=float)
-        eps = self.eps
-        out = []
-        for loc, _ in self.measure.atoms:
-            acc = np.zeros_like(ub)
-            for zeta, dzeta, alpha in zip(self.zetas, self.dzetas, _ALPHAS):
+        acc = None
+        for loc, mass in self.data.dust.atoms:
+            kern = np.zeros_like(ub)
+            for zeta, dzeta, alpha in zip(self._zetas, self._dzetas, _ALPHAS):
                 arg = (ub - loc - alpha * eps) / eps
-                acc += dzeta(ub) * rho(arg) / eps + zeta(ub) * rho_d(arg) / eps**2
-            out.append(acc)
-        return out
+                if deriv:
+                    kern += dzeta(ub) * rho(arg) / eps + zeta(ub) * rho_d(arg) / eps**2
+                else:
+                    kern += zeta(ub) * rho(arg) / eps
+            v = kern[:, None, None] * np.asarray(mass)[None, :, :]
+            acc = v if acc is None else acc + v
+        return acc
 
     def deriv(self, ub_batch):
         """Analytic d f_m / d ub (density part differentiated under the kernel)."""
         ub = np.asarray(ub_batch, dtype=float)
-        om2 = np.asarray(self.omega(ub)) ** 2
-        dlog = (
-            np.asarray(self.dlog_omega(ub))
-            if self.dlog_omega is not None
-            else np.zeros_like(om2)
-        )
+        om2 = np.asarray(self.data.omega(ub)) ** 2
+        dlog = np.asarray(self.data.dlog_omega(ub))
         base = self(ub_batch)
-        acc = None
-        for kern, (_, mass) in zip(self.kernel_deriv(ub_batch), self.measure.atoms):
-            v = kern[:, None, None] * np.asarray(mass)[None, :, :]
-            acc = v if acc is None else acc + v
-        if self.measure.density is not None:
+        acc = self._atom_sum(ub, True)
+        if self.data.dust.density is not None:
             h = self.eps / 32.0  # smooth ambient density: stencil is safe here
             dd = (
                 self.density_part(ub - 2 * h)
@@ -157,21 +147,22 @@ class MollifiedDensity:
 
     def density_part(self, ub_batch):
         """Mollified absolutely continuous part (against dA_ring dub)."""
-        if self.measure.density is None:
+        density, grid = self.data.dust.density, self.data.grid
+        if density is None:
             return None
         ub = np.asarray(ub_batch, dtype=float)
         eps = self.eps
         nodes, wts = gauss_legendre_nodes(-1.0, 1.0, 32)
 
         def w_of(u):
-            u = np.clip(u, self.grid.a, self.grid.b)
-            f = np.asarray(self.measure.density(u))
-            om = np.asarray(self.omega(u))
-            inside = ((u >= self.grid.a) & (u <= self.grid.b)).astype(float)
+            u = np.clip(u, grid.a, grid.b)
+            f = np.asarray(density(u))
+            om = np.asarray(self.data.omega(u))
+            inside = ((u >= grid.a) & (u <= grid.b)).astype(float)
             return f / om**2 * inside[:, None, None]
 
         acc = None
-        for zeta, alpha in zip(self.zetas, _ALPHAS):
+        for zeta, alpha in zip(self._zetas, _ALPHAS):
             zv = zeta(ub)[:, None, None]
             part = None
             for s, wq in zip(nodes, wts):
@@ -186,12 +177,8 @@ class MollifiedDensity:
     def __call__(self, ub_batch):
         """f_m(ub, theta): batch map (K,) -> (K, n1, n2)."""
         ub = np.asarray(ub_batch, dtype=float)
-        om2 = np.asarray(self.omega(ub)) ** 2
-        kernels = self.kernel(ub)
-        acc = None
-        for kern, (_, mass) in zip(kernels, self.measure.atoms):
-            v = kern[:, None, None] * np.asarray(mass)[None, :, :]
-            acc = v if acc is None else acc + v
+        om2 = np.asarray(self.data.omega(ub)) ** 2
+        acc = self._atom_sum(ub, False)
         dens = self.density_part(ub)
         if dens is not None:
             acc = dens if acc is None else acc + dens
@@ -201,44 +188,30 @@ class MollifiedDensity:
 
     def windows(self):
         """Atom support windows [loc - 2.5 eps, loc + 2.5 eps] clipped to the grid."""
-        eps = self.eps
+        grid, eps = self.data.grid, self.eps
         return [
-            (max(self.grid.a, loc - _PAD * eps), min(self.grid.b, loc + _PAD * eps))
-            for loc, _ in self.measure.atoms
+            (max(grid.a, loc - _PAD * eps), min(grid.b, loc + _PAD * eps))
+            for loc, _ in self.data.dust.atoms
         ]
 
     def segments(self):
         """The grid interval cut at every window edge, in order: (lo, hi, inside),
         where inside says [lo, hi] lies in an atom window."""
-        windows = self.windows()
-        cuts = sorted({self.grid.a, self.grid.b, *(x for w in windows for x in w)})
+        windows, grid = self.windows(), self.data.grid
+        cuts = sorted({grid.a, grid.b, *(x for w in windows for x in w)})
         return [
             (lo, hi, any(wl <= lo and hi <= wh for wl, wh in windows))
             for lo, hi in zip(cuts[:-1], cuts[1:])
         ]
 
 
-def mollify_measure(measure: NullDustMeasure, omega: Callable, m: int, grid: Grid1D,
-                    dlog_omega: Callable | None = None) -> MollifiedDensity:
-    """Smooth density approximating the measure at dyadic scale eps = 2^-2m."""
-    if m < 1:
-        raise ValueError("dyadic index must be >= 1")
-    eps = 2.0 ** (-2 * m)
-    for loc, _ in measure.atoms:
-        # the shifted partitions absorb one-sided proximity; both-sided overflow cannot
-        if loc - 2.0 * eps <= grid.a and loc + 2.0 * eps >= grid.b:
-            raise ValueError(f"atom at ub={loc:g} too close to both boundaries for eps={eps:g}")
-        if not (grid.a < loc < grid.b):
-            raise ValueError(f"atom at ub={loc:g} outside the open interval")
-    zetas, dzetas = partition(grid)
-    return MollifiedDensity(measure, grid, m, omega, zetas, dzetas, dlog_omega)
-
-
-def density_pairing(fm: MollifiedDensity, data: ReducedCharData, phi_test) -> float:
+def density_pairing(fm: MollifiedDensity, phi_test) -> float:
     """int int phi Omega^-2 f_m dA_ring dub, resolved around each atom window.
 
     phi_test maps ub(K,) -> (K, n1, n2) or broadcastable.
     """
+    data = fm.data
+
     def integrand(xs):
         f = fm(xs)
         om2 = np.asarray(data.omega(xs)) ** 2
@@ -249,9 +222,10 @@ def density_pairing(fm: MollifiedDensity, data: ReducedCharData, phi_test) -> fl
     return panel_pairing(integrand, pieces, 16, data.area_weights())
 
 
-def pairing_gap(fm: MollifiedDensity, data: ReducedCharData, phi_test, dphi_test) -> dict:
+def pairing_gap(fm: MollifiedDensity, phi_test, dphi_test) -> dict:
     """Mollified-vs-measure pairing gap plus the norms entering the rate bound."""
-    approx = density_pairing(fm, data, phi_test)
+    data = fm.data
+    approx = density_pairing(fm, phi_test)
     exact = measure_pairing(data, phi_test)
     gap = abs(approx - exact)
     # |dphi|_{L2_ub L1(S)} and |phi|_{Linf_ub L1(S)} with dA_ring
@@ -275,7 +249,7 @@ def pairing_gap(fm: MollifiedDensity, data: ReducedCharData, phi_test, dphi_test
     }
 
 
-def l1_w_uniform_norm(fm: MollifiedDensity, data: ReducedCharData) -> float:
+def l1_w_uniform_norm(fm: MollifiedDensity) -> float:
     """L1_ub of the angular sup of f_m: bounded uniformly in m."""
     sup = lambda xs: np.asarray(fm(xs)).max(axis=(1, 2))
     total = 0.0
@@ -284,12 +258,13 @@ def l1_w_uniform_norm(fm: MollifiedDensity, data: ReducedCharData) -> float:
     return total
 
 
-def solve_phi_m_dust(fm: MollifiedDensity, data: ReducedCharData, phi0, dphi0) -> PiecewiseSolution:
+def solve_phi_m_dust(fm: MollifiedDensity, phi0, dphi0) -> PiecewiseSolution:
     """Integrate the dust constraint with the mollified density f_m.
 
     Steps resolve the mollifier scale (eps/32) inside atom windows and stay
     coarse (1/2048 of the interval) on the smooth remainder.
     """
+    data = fm.data
     fine, smooth = fm.eps / 32, (data.grid.b - data.grid.a) / 2048.0
     shape = data.chart.shape
     return solve_linear_segmented(

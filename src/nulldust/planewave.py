@@ -27,11 +27,11 @@ class SeedProfile:
     dk: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float] | None = None  # None: not compactly supported
 
-    def normalized(self, target: float = 1.0) -> "SeedProfile":
-        """Rescale so the integral of (k')^2 equals target."""
+    def normalized(self) -> "SeedProfile":
+        """Rescale so the integral of (k')^2 equals one."""
         lo, hi = self.support if self.support else (-1.0, 1.0)
         val = gauss_legendre_integrate(lambda x: self.dk(x) ** 2, lo, hi, n=256)
-        scale = np.sqrt(target / val)
+        scale = np.sqrt(1.0 / val)
         return SeedProfile(
             self.name + "~normalized",
             lambda x, s=scale: s * self.k(x),
@@ -106,7 +106,7 @@ def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
         raise ValueError("family parameter must be positive")
     if seed.support is None:
         raise ValueError("shell profile needs a compactly supported seed")
-    seed = seed.normalized(1.0)
+    seed = seed.normalized()
     width = (seed.support[1] - seed.support[0]) * lam
     if width / grid.h < 32:
         raise ValueError(

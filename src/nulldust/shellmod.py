@@ -33,7 +33,6 @@ class ShellSpacetime:
     mass: np.ndarray  # (n1, n2) >= 0
     u_star: float
     ub0: float = 0.0
-    area_density: np.ndarray | None = None  # sqrt(det gamma_ring), defaults to 1
 
     def __post_init__(self):
         self.mass = np.asarray(self.mass, dtype=float)
@@ -43,8 +42,7 @@ class ShellSpacetime:
             raise ValueError("u_star must lie in (0, 1)")
 
     def weights(self) -> np.ndarray:
-        dens = self.area_density if self.area_density is not None else np.ones(self.chart.shape)
-        return dens * self.chart.cell_area
+        return np.ones(self.chart.shape) * self.chart.cell_area
 
 
 def trch_jump(shell: ShellSpacetime, u: float) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from nulldust import calculus as calc
 from nulldust.fields import sym2_inverse
-from nulldust.geometry import area_element, partial
+from nulldust.geometry import area_element, christoffel, partial
 from nulldust.grids import AngularGrid
 
 
@@ -15,7 +15,7 @@ def grad(chart: AngularGrid, f: np.ndarray) -> np.ndarray:
     """Gradient one-form of a scalar."""
     if f.ndim != 2:
         raise calc.RankError("grad expects a scalar field")
-    return partial(chart, f)
+    return partial(chart, f, 0)
 
 
 def volume_form_upper(gamma: np.ndarray) -> np.ndarray:
@@ -28,7 +28,7 @@ def volume_form_upper(gamma: np.ndarray) -> np.ndarray:
     return eps
 
 
-def curl_oneform(chart, gamma, phi, gam=None) -> np.ndarray:
+def curl_oneform(chart, gamma, phi, gam) -> np.ndarray:
     """curl phi = eps^{ab} nabla_a phi_b."""
     if phi.ndim != gamma.ndim - 1:
         raise calc.RankError("curl_oneform expects a one-form")
@@ -66,14 +66,14 @@ def curved(chart):
 def test_flat_laplacian_eigenfunction(chart, flat):
     t1, _ = chart.mesh()
     f = np.sin(2 * np.pi * t1 / chart.L1)
-    lap = calc.div_oneform(chart, flat, grad(chart, f))
+    lap = calc.div_oneform(chart, flat, grad(chart, f), christoffel(flat, chart))
     assert np.abs(lap + (2 * np.pi / chart.L1) ** 2 * f).max() < 1e-12
 
 
 def test_curl_of_gradient_vanishes(chart, curved):
     t1, t2 = chart.mesh()
     f = np.exp(0.3 * np.sin(t1)) * np.cos(t2)
-    assert np.abs(curl_oneform(chart, curved, grad(chart, f))).max() < 1e-10
+    assert np.abs(curl_oneform(chart, curved, grad(chart, f), christoffel(curved, chart))).max() < 1e-10
 
 
 def test_trace_free_symmetrizer_is_trace_free(chart, curved):
@@ -82,7 +82,7 @@ def test_trace_free_symmetrizer_is_trace_free(chart, curved):
     phi = np.stack(
         [np.sin(t1 + 0.3) * np.cos(2 * t2), np.cos(2 * t1) + 0.4 * np.sin(t2)], axis=-1
     )
-    now = calc.nabla_otimes(chart, curved, phi)
+    now = calc.nabla_otimes(chart, curved, phi, christoffel(curved, chart))
     assert np.abs(trace(curved, now)).max() < 1e-11
     assert np.allclose(now, np.swapaxes(now, -1, -2))
 
@@ -114,8 +114,8 @@ def test_hat_otimes_and_wedge_shapes(chart, flat):
 
 def test_rank_mismatch_raises(chart, flat):
     with pytest.raises(calc.RankError):
-        calc.div_oneform(chart, flat, np.zeros(chart.shape))
+        calc.div_oneform(chart, flat, np.zeros(chart.shape), christoffel(flat, chart))
     with pytest.raises(calc.RankError):
         grad(chart, np.zeros(chart.shape + (2,)))
     with pytest.raises(calc.RankError):
-        calc.div_sym2(chart, flat, np.zeros(chart.shape + (2,)))
+        calc.div_sym2(chart, flat, np.zeros(chart.shape + (2,)), christoffel(flat, chart))

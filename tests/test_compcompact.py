@@ -110,9 +110,9 @@ def test_margin_invariant_under_common_translation():
     _, m0 = CC.support_check(d1, d2)
     shift = (5, 11)
     d1s = CC.FrequencyDecomposition(box, 4.0, "x1", np.roll(d1.low, shift, (0, 1)),
-                                    np.roll(d1.h1, shift, (0, 1)), np.roll(d1.h2, shift, (0, 1)), d1.masks)
+                                    np.roll(d1.h1, shift, (0, 1)), np.roll(d1.h2, shift, (0, 1)))
     d2s = CC.FrequencyDecomposition(box, 4.0, "x2", np.roll(d2.low, shift, (0, 1)),
-                                    np.roll(d2.h1, shift, (0, 1)), np.roll(d2.h2, shift, (0, 1)), d2.masks)
+                                    np.roll(d2.h1, shift, (0, 1)), np.roll(d2.h2, shift, (0, 1)))
     _, m1 = CC.support_check(d1s, d2s)
     assert abs(m0 - m1) < 1e-12
 

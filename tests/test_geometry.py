@@ -68,7 +68,8 @@ def test_positivity_error_reports_first_point():
 
 def test_flat_curvature_vanishes():
     chart = AngularGrid(16, 16)
-    assert np.abs(gauss_curvature(flat_metric(chart), chart)).max() == 0.0
+    g = flat_metric(chart)
+    assert np.abs(gauss_curvature(g, chart, christoffel(g, chart))).max() == 0.0
 
 
 def conformal_oracle(chart, psi):
@@ -82,7 +83,7 @@ def test_conformal_curvature_oracle():
     t1, _ = chart.mesh()
     psi = 0.1 * np.sin(2 * np.pi * t1 / chart.L1)
     g = np.exp(2 * psi)[..., None, None] * flat_metric(chart)
-    k = gauss_curvature(g, chart)
+    k = gauss_curvature(g, chart, christoffel(g, chart))
     assert np.abs(k - conformal_oracle(chart, psi)).max() < 1e-12
 
 
@@ -94,7 +95,7 @@ def test_spectral_convergence_beats_any_power():
         t1, t2 = chart.mesh()
         psi = 0.4 / (2.5 + np.cos(t1)) + 0.2 / (3.0 + np.sin(t2))
         g = np.exp(2 * psi)[..., None, None] * flat_metric(chart)
-        k = gauss_curvature(g, chart)
+        k = gauss_curvature(g, chart, christoffel(g, chart))
         errs.append(np.abs(k - conformal_oracle(chart, psi)).max())
     assert errs[1] <= max(errs[0] / 2**8, 5e-14)
     assert errs[2] <= max(errs[1] / 2**8, 5e-14)
@@ -108,7 +109,7 @@ def test_total_curvature_vanishes_on_torus():
     g[..., 1, 1] = 0.9 + 0.2 * np.cos(t1)
     g[..., 0, 1] = g[..., 1, 0] = 0.15 * np.sin(t1 + t2)
     # Gauss-Bonnet: the integral of K dA_gamma vanishes on the torus for any metric
-    k = gauss_curvature(g, chart, check=False)
+    k = gauss_curvature(g, chart, christoffel(g, chart), check=False)
     assert abs(np.sum(k * area_element(g)) * chart.cell_area) < 1e-10
 
 
@@ -120,4 +121,4 @@ def test_consistency_error_on_coarse_grid():
     g[..., 0, 0] = 1.0 + 0.45 * np.sin(3 * t1) * np.cos(3 * t2)
     g[..., 1, 1] = 1.0 + 0.45 * np.cos(3 * t1 + 2 * t2)
     with pytest.raises(CurvatureConsistencyError):
-        gauss_curvature(g, chart, rtol=1e-12)
+        gauss_curvature(g, chart, christoffel(g, chart), rtol=1e-12)

@@ -151,3 +151,27 @@ def unreferenced_public_names(src: Path) -> list:
 def test_every_public_name_is_referenced_in_src():
     # a public def or class that only tests call belongs in tests/ as an oracle
     assert unreferenced_public_names(SRC) == []
+
+
+def package_qualified_test_imports(tests: Path) -> list:
+    """"file:line" of every import that reaches a test module through the
+    tests package (`import tests.x`, `from tests.x import ...`,
+    `from tests import x`).  Those resolve only when the repository root is
+    on sys.path, as under `python -m pytest`; `from test_x import ...`
+    resolves under plain `pytest` too."""
+    hits = []
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "tests" or m.startswith("tests.") for m in modules):
+                hits.append(f"{path.name}:{node.lineno}")
+    return hits
+
+
+def test_no_test_module_imported_through_the_tests_package():
+    assert package_qualified_test_imports(Path(__file__).resolve().parent) == []

@@ -207,6 +207,6 @@ def test_pairings_equal_per_panel_loops(setting):
     tf = bump_dictionary(grid, chart)[1]
     assert MP.shear_energy_pairing(mem, data, tf) == loop_shear_energy_pairing(mem, data, tf)
     assert MP.background_shear_pairing(data, bv, tf) == loop_background_shear_pairing(data, bv, tf)
-    assert density_pairing(mem.fm, data, tf) == loop_density_pairing(mem.fm, data, tf)
+    assert density_pairing(mem.fm, tf) == loop_density_pairing(mem.fm, data, tf)
     stats = _phi_gap_stats(mem.phi_dust, bv, mem.fm, grid)
     assert stats == loop_phi_gap_stats(mem.phi_dust, bv, mem.fm, grid)

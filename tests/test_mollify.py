@@ -1,5 +1,7 @@
 """Mollified dust: positivity, mass, quantitative rates, non-uniform derivative."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -41,17 +43,17 @@ def test_partition_sums_to_one():
 
 def test_density_nonnegative_and_mass(setting):
     chart, grid, data, dust, one, m_theta = setting
-    fm = M.mollify_measure(dust, one, 3, grid)
+    fm = M.MollifiedDensity(data, 3)
     ub = np.linspace(0, 1, 2048)
     assert fm(ub).min() >= 0.0
-    total = M.density_pairing(fm, data, lambda ub: np.ones((len(ub), 1, 1)))
+    total = M.density_pairing(fm, lambda ub: np.ones((len(ub), 1, 1)))
     mass = float(np.sum(m_theta * data.area_weights()))
     assert abs(total - mass) < 1e-9 * mass
 
 
 def test_analytic_derivative_matches_stencil(setting):
     chart, grid, data, dust, one, _ = setting
-    fm = M.mollify_measure(dust, one, 3, grid)
+    fm = M.MollifiedDensity(data, 3)
     eps = fm.eps
     ub = np.linspace(0.45 - 1.5 * eps, 0.45 + 1.5 * eps, 257)
     h = eps / 200.0
@@ -68,8 +70,8 @@ def test_pairing_rate_bound(setting):
     tf = bump_dictionary(grid, chart)[1]
     gaps, bounds = [], []
     for m in range(1, 9):
-        fm = M.mollify_measure(dust, one, m, grid)
-        r = M.pairing_gap(fm, data, tf, tf.deriv)
+        fm = M.MollifiedDensity(data, m)
+        r = M.pairing_gap(fm, tf, tf.deriv)
         gaps.append(r["gap"])
         bounds.append(r["rate_bound"])
     assert all(g <= b for g, b in zip(gaps, bounds))
@@ -78,7 +80,7 @@ def test_pairing_rate_bound(setting):
 
 def test_uniform_l1_norm(setting):
     chart, grid, data, dust, one, _ = setting
-    norms = [M.l1_w_uniform_norm(M.mollify_measure(dust, one, m, grid), data) for m in (1, 4, 7)]
+    norms = [M.l1_w_uniform_norm(M.MollifiedDensity(data, m)) for m in (1, 4, 7)]
     assert max(norms) <= 2.0 * min(norms)
 
 
@@ -87,7 +89,7 @@ def test_support_respects_strip(setting):
     t1, _ = chart.mesh()
     masked = np.where((t1 > 3.0) & (t1 < 5.0), 0.0, 1.0)
     dust = C.NullDustMeasure(atoms=[(0.45, masked)])
-    fm = M.mollify_measure(dust, one, 4, grid)
+    fm = M.MollifiedDensity(dataclasses.replace(data, dust=dust), 4)
     vals = fm(np.linspace(0.3, 0.6, 512))
     assert np.abs(vals[:, (t1[:, 0] > 3.0) & (t1[:, 0] < 5.0), :]).max() == 0.0
 
@@ -98,8 +100,8 @@ def test_phi_convergence_and_derivative_floor(setting):
     jump = float(np.abs(glued.deriv_jumps()[0][1]).max())
     sups, dsups = [], []
     for m in (2, 4, 6):
-        fm = M.mollify_measure(dust, one, m, grid)
-        sol = M.solve_phi_m_dust(fm, data, 1.0, 0.1)
+        fm = M.MollifiedDensity(data, m)
+        sol = M.solve_phi_m_dust(fm, 1.0, 0.1)
         xs = np.linspace(0, 1, 2001)
         sups.append(float(np.abs(sol(xs) - glued(xs)).max()))
         eps = fm.eps
@@ -112,15 +114,20 @@ def test_phi_convergence_and_derivative_floor(setting):
 def test_invalid_dyadic_index(setting):
     chart, grid, data, dust, one, _ = setting
     with pytest.raises(ValueError):
-        M.mollify_measure(dust, one, 0, grid)
+        M.MollifiedDensity(data, 0)
 
 
 def test_atom_crowded_by_both_boundaries():
     chart = AngularGrid(4, 4)
     grid = Grid1D(0.0, 0.2, 65)
+    ring = np.zeros(chart.shape + (2, 2))
+    ring[..., 0, 0] = ring[..., 1, 1] = 1.0
+    one = lambda ub: np.ones((len(ub),) + chart.shape)
+    zero = lambda ub: np.zeros((len(ub),) + chart.shape)
     dust = C.NullDustMeasure(atoms=[(0.1, np.ones(chart.shape))])
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
     with pytest.raises(ValueError, match="boundar"):
-        M.mollify_measure(dust, lambda ub: np.ones((len(ub),) + chart.shape), 1, grid)
+        M.MollifiedDensity(data, 1)
 
 
 def test_segments_tile_the_interval(setting):
@@ -128,7 +135,7 @@ def test_segments_tile_the_interval(setting):
     # windows of half-width 2.5 eps = 0.15625: the first clipped at ub = 0,
     # the other two overlapping
     dust = C.NullDustMeasure(atoms=[(0.05, m_theta), (0.6, m_theta), (0.7, m_theta)])
-    segments = M.mollify_measure(dust, one, 2, grid).segments()
+    segments = M.MollifiedDensity(dataclasses.replace(data, dust=dust), 2).segments()
     los, his, inside = zip(*segments)
     assert los[0] == grid.a and his[-1] == grid.b
     assert los[1:] == his[:-1] and all(lo < hi for lo, hi in zip(los, his))

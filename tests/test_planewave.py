@@ -152,10 +152,10 @@ def test_jump_scales_with_derivative_energy():
     # seed scaled so the derivative energy is 4: the jump becomes -1
     lam = 2.0**-8
     grid = Grid1D(-0.5, 0.5, 2**15 + 1)
-    base = pw.SEEDS["bump"].normalized(4.0)
+    base = pw.SEEDS["bump"].normalized()
     prof = pw.WaveProfile(lam, grid,
-                          lambda u, l=lam: np.sqrt(l) * base.k(np.asarray(u) / l),
-                          lambda u, l=lam: base.dk(np.asarray(u) / l) / np.sqrt(l))
+                          lambda u, l=lam: 2.0 * np.sqrt(l) * base.k(np.asarray(u) / l),
+                          lambda u, l=lam: 2.0 * base.dk(np.asarray(u) / l) / np.sqrt(l))
     fac = pw.solve_H(prof)
     _, jump = pw.jump_detect(fac, window=4 * lam)
     assert abs(jump + 1.0) < 2e-2
