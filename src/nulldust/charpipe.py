@@ -28,6 +28,9 @@ class TransportBlowupError(NumericalFailure):
     """The transported state left its bound or became non-finite."""
 
 
+_FIELD_BOUND = 1e6  # largest |component| of the transport state before the march stops
+
+
 @dataclass
 class CornerData:
     """Values at the corner sphere: the transversal derivative of the shift
@@ -51,7 +54,6 @@ class SliceFields:
     leading, with the state-independent terms of the transport right-hand
     side; sf[k] is slice k, as views of the batch arrays."""
 
-    ub: np.ndarray
     gamma: np.ndarray
     ginv: np.ndarray
     kgauss: np.ndarray
@@ -60,7 +62,6 @@ class SliceFields:
     grad_log_omega: np.ndarray
     trchi: np.ndarray
     chihat: np.ndarray
-    chi: np.ndarray
     chi_mix: np.ndarray  # chi^b_a
     gam: np.ndarray      # Christoffel symbols [..., c, a, b] = Gamma^c_{ab}
     div_chihat: np.ndarray
@@ -101,13 +102,12 @@ def slice_fields(data: ReducedCharData, solution, ubs):
     chihat = chi - 0.5 * trchi[..., None, None] * gamma
     chi_mix = np.einsum("...bc,...ca->...ba", ginv, chi)
     gam = christoffel(gamma, chart)
-    kg = gauss_curvature(gamma, chart, gam, check=False)
+    kg = gauss_curvature(gamma, chart, gam)
     grad_lo = calc.partial(chart, np.log(om), 1)
     om_scalar = -0.5 * dlo / om
     div_chihat = calc.div_sym2(chart, gamma, chihat, gam)
     grad_trchi = calc.partial(chart, trchi, 1)
-    sf = SliceFields(ub, gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi, chi_mix, gam, div_chihat,
-                     grad_trchi)
+    sf = SliceFields(gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi_mix, gam, div_chihat, grad_trchi)
     return sf if np.ndim(ubs) else sf[0]
 
 
@@ -173,12 +173,7 @@ def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
     return d_eta, d_b, d_omb, d_trchb, d_chibhat
 
 
-def solve_transport_system(
-    data: ReducedCharData,
-    solution,
-    corner: CornerData,
-    field_bound: float = 1e6,
-) -> TransportResult:
+def solve_transport_system(data: ReducedCharData, solution, corner: CornerData) -> TransportResult:
     """RK4 march of (eta, b, omb, trchb, chibhat) along the hypersurface.
 
     The slice geometry (gamma = Phi^2 gamma_hat, its connection and Gauss
@@ -223,9 +218,9 @@ def solve_transport_system(
             for f, a1, a2, a3, a4 in zip((eta, b, omb, trchb, chibhat), k1, k2, k3, k4)
         )
         worst = max(float(np.abs(x).max()) for x in (eta, b, omb, trchb, chibhat))
-        if not np.isfinite(worst) or worst > field_bound:
+        if not np.isfinite(worst) or worst > _FIELD_BOUND:
             raise TransportBlowupError(
-                f"transport state exceeded bound {field_bound:g} at ub={nodes[i + 1]:.6g}",
+                f"transport state exceeded bound {_FIELD_BOUND:g} at ub={nodes[i + 1]:.6g}",
                 location=nodes[i + 1],
             )
         store(i + 1)

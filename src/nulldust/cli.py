@@ -37,13 +37,13 @@ from .grids import AngularGrid
 
 
 def _out_root(args):
+    """The run directory; it is made at its first write, so a usage error leaves none."""
     root = args.out or os.environ.get("NULLDUST_OUT", "runs")
-    path = os.path.join(root, args.command)
-    os.makedirs(path, exist_ok=True)
-    return path
+    return os.path.join(root, args.command)
 
 
 def _write_csv(path, header, rows, plot_data=False):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -78,6 +78,7 @@ def _finish(outdir, args, summary, t0):
         },
         "wall_seconds": time.time() - t0,
     }
+    os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
     with open(os.path.join(outdir, "summary.json"), "w") as fh:

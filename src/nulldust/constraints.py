@@ -214,16 +214,15 @@ def weak_constraint_residual(
     solution,
     phi_test: Callable,
     dphi_test: Callable,
-    support: tuple[float, float] | None = None,
+    support: tuple[float, float],
 ) -> float:
     """LHS - RHS of the weak constraint identity for the given solution.
 
     solution provides __call__(ub) and deriv(ub); phi_test/dphi_test map
     ub(K,) -> (K, n1, n2) (or broadcastable scalars).
     """
-    if support is not None:
-        if support[0] <= data.grid.a or support[1] >= data.grid.b:
-            raise MeasureSupportError("test function support touches the interval boundary")
+    if support[0] <= data.grid.a or support[1] >= data.grid.b:
+        raise MeasureSupportError("test function support touches the interval boundary")
     w = data.area_weights()
     cuts = [data.grid.a, data.grid.b]
     if isinstance(solution, PiecewiseSolution):

@@ -69,14 +69,12 @@ def sym2_min_eigenvalue(a, b, d) -> np.ndarray:
 class MetricBlock:
     """Sampled 4-metric whose components depend on at most two coordinates.
 
-    coords: the four coordinate labels.
-    active: indices (into coords) of the <= 2 coordinates the components
+    active: indices (0..3) of the <= 2 coordinates the components
         depend on, each with its own Grid1D and periodicity flag.
     g: array of shape grid_shape + (4, 4) where grid_shape has one axis per
         active coordinate.
     """
 
-    coords: tuple[str, str, str, str]
     active: tuple[int, ...]
     grids: tuple[Grid1D, ...]
     periodic: tuple[bool, ...]

@@ -6,14 +6,9 @@ faster than any fixed power of the grid spacing.
 
 import numpy as np
 
-from .errors import NumericalFailure
 from .fields import check_positive_definite, sym2_inverse
 from .grids import AngularGrid
 from .stencils import spectral_deriv
-
-
-class CurvatureConsistencyError(NumericalFailure):
-    """The two diagonal fibers of the curvature identity disagree: grid too coarse."""
 
 
 def partial(chart: AngularGrid, f: np.ndarray, lead: int) -> np.ndarray:
@@ -37,22 +32,13 @@ def christoffel(gamma: np.ndarray, chart: AngularGrid) -> np.ndarray:
     return np.einsum("...cd,...dab->...cab", ginv, low)
 
 
-def gauss_curvature(
-    gamma: np.ndarray,
-    chart: AngularGrid,
-    gam: np.ndarray,
-    rtol: float = 1e-6,
-    check: bool = True,
-) -> np.ndarray:
+def gauss_curvature(gamma: np.ndarray, chart: AngularGrid, gam: np.ndarray) -> np.ndarray:
     """Gauss curvature K of gamma (leading axes before (n1, n2, 2, 2) batch slices).
 
     K is read off the curvature identity
         gamma_{bc} K = d_a Gamma^a_{bc} - d_c Gamma^a_{ba}
                        + Gamma^a_{ad} Gamma^d_{bc} - Gamma^a_{cd} Gamma^d_{ba}
-    through its trace; the two diagonal fibers (b=c=1 and b=c=2) are
-    cross-checked and a mismatch beyond ``rtol`` raises
-    CurvatureConsistencyError (the discretization is too coarse).  gam is
-    christoffel(gamma, chart).
+    through its trace.  gam is christoffel(gamma, chart).
     """
     dgam = partial(chart, gam, gamma.ndim - 4)  # [..., e, c, a, b] = d_e Gamma^c_{ab}
 
@@ -63,18 +49,7 @@ def gauss_curvature(
     ric = term1 - term2 + term3 - term4  # = gamma_{bc} K
 
     ginv = sym2_inverse(gamma)
-    k = 0.5 * np.einsum("...bc,...bc->...", ginv, ric)
-
-    if check:
-        k1 = ric[..., 0, 0] / gamma[..., 0, 0]
-        k2 = ric[..., 1, 1] / gamma[..., 1, 1]
-        scale = np.max(np.abs(k)) + 1.0
-        mismatch = np.max(np.abs(k1 - k2)) / scale
-        if mismatch > rtol:
-            raise CurvatureConsistencyError(
-                f"diagonal curvature fibers disagree (relative mismatch {mismatch:.3e} > {rtol:.1e})"
-            )
-    return k
+    return 0.5 * np.einsum("...bc,...bc->...", ginv, ric)
 
 
 def area_element(gamma: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ import numpy as np
 from .bessel import bessel_j
 from .fields import MetricBlock
 from .grids import Grid1D
-from .ricci4 import CurvatureResult, spacetime_ricci
+from .rates import fit_rate
+from .ricci4 import spacetime_ricci
 
 
 def eval_family(n: int, amplitude: float, tau: np.ndarray, theta: np.ndarray):
@@ -75,7 +76,6 @@ def limit_metric_block(amplitude: float, tau_grid: Grid1D) -> MetricBlock:
     g = np.zeros((tau_grid.n, 4, 4))
     _fill(g, tau, np.zeros_like(alpha), alpha)
     return MetricBlock(
-        coords=("tau", "theta", "sigma", "delta"),
         active=(0,),
         grids=(tau_grid,),
         periodic=(False,),
@@ -96,7 +96,6 @@ def _assemble(tau, theta, p, alpha, tau_grid, theta_grid) -> MetricBlock:
     g = np.zeros((len(tau), len(theta), 4, 4))
     _fill(g, tau[:, None], p, alpha)
     return MetricBlock(
-        coords=("tau", "theta", "sigma", "delta"),
         active=(0, 1),
         grids=(tau_grid, theta_grid),
         periodic=(False, True),
@@ -106,30 +105,21 @@ def _assemble(tau, theta, p, alpha, tau_grid, theta_grid) -> MetricBlock:
 
 @dataclass
 class VacuumResidual:
-    n: int
-    grids: list
     residuals: list  # max |Ric| per grid
     observed_order: float
 
 
-def vacuum_residual(n: int, amplitude: float, tau_grid: Grid1D, theta_grid: Grid1D) -> CurvatureResult:
-    """Curvature of the family member n on the given grid (vacuum up to discretization)."""
-    return spacetime_ricci(family_metric(n, amplitude, tau_grid, theta_grid))
-
-
 def vacuum_residual_scan(n: int, amplitude: float, sizes) -> VacuumResidual:
-    """Max curvature norm over tau in [0, 1] across a sequence of grid sizes plus the fitted order."""
-    from .rates import fit_rate
-
+    """Max curvature norm of the family member n (vacuum up to discretization)
+    over tau in [0, 1] across a sequence of grid sizes, plus the fitted order."""
     hs, res = [], []
     for m in sizes:
         tg = Grid1D(0.0, 1.0, m + 1)
         thg = Grid1D(0.0, 2.0 * np.pi, m)
-        out = vacuum_residual(n, amplitude, tg, thg)
+        out = spacetime_ricci(family_metric(n, amplitude, tg, thg))
         res.append(float(np.abs(out.ricci).max()))
         hs.append(tg.h)
-    fit = fit_rate(np.array(hs), np.array(res))
-    return VacuumResidual(n, list(sizes), res, fit.slope)
+    return VacuumResidual(res, fit_rate(np.array(hs), np.array(res)))
 
 
 _LIMIT_N_TAU = 513  # odd, so the middle node sits at tau

@@ -201,7 +201,7 @@ class OscillatoryFamily:
         defect -= self.dcorrector(ub_batch) / self.n
         return defect
 
-    def resolving_grid(self, per_wavelength: int = 16) -> Grid1D:
+    def resolving_grid(self, per_wavelength: int) -> Grid1D:
         wavelength = 2.0 * np.pi / (self.k * self.n)
         grid = self.background.data.grid
         n = max(grid.n, int(np.ceil((grid.b - grid.a) / wavelength * per_wavelength)) + 1)

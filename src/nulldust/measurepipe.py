@@ -24,9 +24,7 @@ from .quadrature import panel_pairing
 class PipelineMember:
     m: int
     n: int
-    k: float
     fm: MollifiedDensity
-    phi_dust: PiecewiseSolution
     family: OscillatoryFamily
     phi_vac: PiecewiseSolution
 
@@ -62,10 +60,10 @@ class MeasurePipeline:
         return self.phi_bv(ub0)[0], self.phi_bv.deriv(ub0)[0]
 
     def background(self, m: int):
+        """(fm, bg): the level-m mollified density and the dust background on it."""
         fm = MollifiedDensity(self.data, m)
         phi_dust = solve_phi_m_dust(fm, *self._initial())
-        bg = DustBackground(self.data, fm, fm.deriv, phi_dust, phi_dust.deriv)
-        return fm, phi_dust, bg
+        return fm, DustBackground(self.data, fm, fm.deriv, phi_dust, phi_dust.deriv)
 
     def _background(self, m: int):
         if m not in self._built:
@@ -84,7 +82,7 @@ class MeasurePipeline:
             pairs, probes = [], []
             min_eig = None
             for m in m_values:
-                fm, _, bg = self._background(m)
+                fm, bg = self._background(m)
                 pairs.append((bg, self.n_of(m)))
                 probes.append(self._probe(fm))
                 eig = float(sym2_min_eigenvalue(*self.data.entries(probes[-1])).min())
@@ -98,7 +96,7 @@ class MeasurePipeline:
         envelope lives, and 1/2048 of the interval outside them."""
         if self.k is None:
             raise RuntimeError("freeze_k must run before building members")
-        fm, phi_dust, bg = self._background(m)
+        fm, bg = self._background(m)
         n = self.n_of(m)
         fam = OscillatoryFamily(bg, self.k, n)
         fine = min(2.0 * np.pi / (self.k * n), fm.eps) / 16
@@ -110,7 +108,7 @@ class MeasurePipeline:
             None,
             *self._initial(),
         )
-        return PipelineMember(m, n, self.k, fm, phi_dust, fam, phi_vac)
+        return PipelineMember(m, n, fm, fam, phi_vac)
 
 
 def _shear_pairing(data: ReducedCharData, pieces, normsq_fn, phi_sol, phi_test) -> float:

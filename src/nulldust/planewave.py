@@ -16,6 +16,7 @@ import numpy as np
 from .grids import Grid1D
 from .odesolve import solve_linear_second_order
 from .quadrature import gauss_legendre_integrate
+from .testfunctions import bump, dbump
 
 
 @dataclass(frozen=True)
@@ -40,27 +41,10 @@ class SeedProfile:
         )
 
 
-def _smooth_bump(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 0.5
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - 4.0 * xi * xi) + 1.0)
-    return out
-
-
-def _smooth_bump_d(x):
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 0.5
-    xi = x[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - 4.0 * xi * xi) + 1.0) * (-8.0 * xi / (1.0 - 4.0 * xi * xi) ** 2)
-    return out
-
-
 SEEDS = {
-    # C^infty bump supported in [-1/2, 1/2]
-    "bump": SeedProfile("bump", _smooth_bump, _smooth_bump_d, (-0.5, 0.5)),
+    # C^infty bump supported in [-1/2, 1/2]: testfunctions.bump at twice the argument
+    "bump": SeedProfile("bump", lambda x: bump(2.0 * np.asarray(x, float)),
+                        lambda x: 2.0 * dbump(2.0 * np.asarray(x, float)), (-0.5, 0.5)),
     # slowly varying positive profile for oscillation families
     "cosine": SeedProfile(
         "cosine",
@@ -76,7 +60,6 @@ SEEDS = {
 class WaveProfile:
     """Sampled (G, G') with the analytic generators retained."""
 
-    lam: float
     grid: Grid1D
     g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
@@ -93,7 +76,7 @@ def make_burnett_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
     def dg(ub):
         return lam * seed.dk(ub) * np.sin(ub / lam) + seed.k(ub) * np.cos(ub / lam)
 
-    return WaveProfile(lam, grid, g, dg)
+    return WaveProfile(grid, g, dg)
 
 
 def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
@@ -120,7 +103,7 @@ def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
     def dg(ub):
         return seed.dk(np.asarray(ub, float) / lam) / root
 
-    return WaveProfile(lam, grid, g, dg)
+    return WaveProfile(grid, g, dg)
 
 
 @dataclass

@@ -16,14 +16,14 @@ def _gl_nodes(n: int):
     return x, w
 
 
-def gauss_legendre_integrate(f, a: float, b: float, n: int = 64) -> float:
+def gauss_legendre_integrate(f, a: float, b: float, n: int) -> float:
     """Integral of f over [a, b] with an n-point Gauss-Legendre rule."""
     x, w = _gl_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return float(half * np.sum(w * f(mid + half * x)))
 
 
-def gauss_legendre_nodes(a: float, b: float, n: int = 64):
+def gauss_legendre_nodes(a: float, b: float, n: int):
     """Mapped nodes and weights on [a, b]."""
     x, w = _gl_nodes(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)

@@ -1,21 +1,10 @@
 """Log-log rate fitting for convergence tables."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class RateFit:
-    xs: np.ndarray
-    ys: np.ndarray
-    slope: float
-    intercept: float
-    residual: float  # RMS of log-residuals about the fitted line
-
-
-def fit_rate(xs, ys) -> RateFit:
-    """Least-squares line through (log x, log y); slope is the observed rate.
+def fit_rate(xs, ys) -> float:
+    """Slope of the least-squares line through (log x, log y): the observed rate.
 
     Requires at least 4 strictly positive points.
     """
@@ -29,7 +18,6 @@ def fit_rate(xs, ys) -> RateFit:
     lx, ly = np.log(xs), np.log(ys)
     a = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
-    resid = float(np.sqrt(np.mean((ly - a @ coef) ** 2)))
     if not np.isfinite(coef[0]):
         raise ValueError("rate fit produced a non-finite slope")
-    return RateFit(xs, ys, float(coef[0]), float(coef[1]), resid)
+    return float(coef[0])

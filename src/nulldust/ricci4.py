@@ -6,7 +6,7 @@ Derivatives along active axes are 4th-order central with one-sided closures
 smooth metric self-converges at 4th order under grid refinement.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,10 +16,9 @@ from .stencils import deriv1_fd4, deriv1_fd4_periodic
 
 @dataclass
 class CurvatureResult:
-    ricci: np.ndarray          # grid_shape + (4, 4)
-    ricci_scalar: np.ndarray   # grid_shape
-    einstein: np.ndarray       # grid_shape + (4, 4)
-    warnings: list = field(default_factory=list)
+    ricci: np.ndarray     # grid_shape + (4, 4)
+    einstein: np.ndarray  # grid_shape + (4, 4)
+    warnings: list        # under-resolution diagnostics of _oscillation_warning
 
 
 def _block_deriv(m: MetricBlock, arr: np.ndarray, mu: int) -> np.ndarray:
@@ -82,4 +81,4 @@ def spacetime_ricci(m: MetricBlock) -> CurvatureResult:
 
     rs = np.einsum("...mn,...mn->...", ginv, ric)
     ein = ric - 0.5 * rs[..., None, None] * g
-    return CurvatureResult(ric, rs, ein, warnings=_oscillation_warning(m))
+    return CurvatureResult(ric, ein, _oscillation_warning(m))

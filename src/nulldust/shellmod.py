@@ -61,7 +61,7 @@ def is_trapped(shell: ShellSpacetime):
     analytic criterion's slack (trapped overall iff margin > 0).
     """
     r = shell.ub0 - shell.u_star + 1.0
-    trchi_plus = 2.0 / r - shell.mass / r**2
+    trchi_plus = trch_jump(shell, shell.u_star)
     trchb = -2.0 / r
     per_theta = (trchi_plus < 0.0) & (trchb < 0.0)
     margin = float(shell.mass.min() - 2.0 * r)

@@ -28,7 +28,7 @@ def deriv1_fd4(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def deriv1_fd4_periodic(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+def deriv1_fd4_periodic(y: np.ndarray, h: float, axis: int) -> np.ndarray:
     """First derivative, 4th order, periodic axis (pure central via wrap-around)."""
     y = np.asarray(y, dtype=float)
     return (
@@ -39,17 +39,17 @@ def deriv1_fd4_periodic(y: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     ) / (12.0 * h)
 
 
-def spectral_deriv(f: np.ndarray, period: float, axis: int = 0, order: int = 1) -> np.ndarray:
-    """Spectral derivative along a periodic axis.
+def spectral_deriv(f: np.ndarray, period: float, axis: int) -> np.ndarray:
+    """Spectral first derivative along a periodic axis.
 
-    The Nyquist mode is zeroed for odd-order derivatives (its sampled
-    derivative is not representable on the grid).
+    The Nyquist mode is zeroed (its sampled derivative is not representable
+    on the grid).
     """
     f = np.asarray(f, dtype=float)
     n = f.shape[axis]
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
-    mult = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
+    mult = 1j * k
+    if n % 2 == 0:
         mult[n // 2] = 0.0
     shape = [1] * f.ndim
     shape[axis] = n

@@ -1,8 +1,8 @@
 """Dictionary of smooth compactly supported test functions.
 
 The reproducible weak-residual dictionary is a set of 1D smooth bumps in the
-null coordinate at 3 scales x 4 locations, optionally multiplied by a fixed
-smooth angular profile (tensor products).
+null coordinate at 3 scales x 4 locations, multiplied by a fixed smooth
+angular profile (tensor products).
 """
 
 from dataclasses import dataclass
@@ -39,33 +39,27 @@ class TestFunction:
     center: float
     scale: float
     support: tuple[float, float]
-    angular: np.ndarray | None = None  # (n1, n2) profile or None for 1
+    angular: np.ndarray  # (n1, n2) profile
 
     def __call__(self, ub):
         v = bump((np.asarray(ub, float) - self.center) / self.scale)
-        if self.angular is None:
-            return v[:, None, None]
         return v[:, None, None] * self.angular[None, :, :]
 
     def deriv(self, ub):
         v = dbump((np.asarray(ub, float) - self.center) / self.scale) / self.scale
-        if self.angular is None:
-            return v[:, None, None]
         return v[:, None, None] * self.angular[None, :, :]
 
 
 _N_SCALES, _N_LOCATIONS = 3, 4
 
 
-def bump_dictionary(grid: Grid1D, chart: AngularGrid | None = None) -> list:
+def bump_dictionary(grid: Grid1D, chart: AngularGrid) -> list:
     """Smooth bumps at 3 scales x 4 locations, scale-major, all compactly
-    supported strictly inside the grid interval."""
+    supported strictly inside the grid interval, times one angular profile."""
     length = grid.b - grid.a
     funcs = []
-    angular = None
-    if chart is not None:
-        t1, t2 = chart.mesh()
-        angular = 1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1) * np.cos(2.0 * np.pi * t2 / chart.L2)
+    t1, t2 = chart.mesh()
+    angular = 1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1) * np.cos(2.0 * np.pi * t2 / chart.L2)
     for i in range(_N_SCALES):
         scale = length * 0.4 / (2.0**i)
         for j in range(_N_LOCATIONS):

@@ -37,7 +37,7 @@ def renormalized_curvature(result: P.TransportResult, i: int) -> RenormalizedCur
     chibhat = result.chibhat[i]
     trchb = result.trchb[i]
 
-    chi_minus = sl.chi - sl.trchi[..., None, None] * gamma          # chihat - (trchi/2) gamma
+    chi_minus = sl.chihat - 0.5 * sl.trchi[..., None, None] * gamma  # chi - trchi gamma
     chib = chibhat + 0.5 * trchb[..., None, None] * gamma
     chib_minus = chib - trchb[..., None, None] * gamma
 
@@ -174,7 +174,7 @@ def test_structure_residual_orders():
     for key, vals in tables.items():
         if max(vals) <= 1e-12:
             continue  # identically satisfied
-        assert fit_rate(hs, vals).slope >= 3.0, (key, vals)
+        assert fit_rate(hs, vals) >= 3.0, (key, vals)
 
 
 def test_residual_sensitivity_to_shear_perturbation():
@@ -269,11 +269,12 @@ def test_curl_of_gradient_torsion():
     assert np.abs(curl_oneform(chart, sl.gamma, eta0, sl.gam)).max() < 1e-10
 
 
-def test_blowup_guard():
+def test_blowup_guard(monkeypatch):
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 0.5, 65)
     data = flat_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
     corner = P.CornerData.zeros(chart)
+    monkeypatch.setattr(P, "_FIELD_BOUND", 1.0)
     with pytest.raises(P.TransportBlowupError):
-        P.solve_transport_system(data, sol, corner, field_bound=1.0)
+        P.solve_transport_system(data, sol, corner)

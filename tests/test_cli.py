@@ -103,6 +103,11 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["shell-limit", "--lambda-seq", "3,6"],
     ["gowdy", "--n-seq", "0,1,2,3"],  # the rate fit needs n >= 1
     ["hf-approx", "--m-seq", "1..4", "--dust", "density 0.8"],  # the pipeline needs an atom
+    # refused by the criterion or demo itself, before its first write
+    ["shell-limit", "--seed", "cosine"],  # not compactly supported
+    ["trapped", "--ustar", "1.5"],
+    ["trapped", "--mass", "cos:1,2"],  # negative mass
+    ["cc-demo", "--c1", "100"],  # 4 C1 beyond the Nyquist band
 ])
 def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     try:
@@ -141,11 +146,10 @@ def test_numerical_failure_writes_error_and_exits_1(tmp_path):
 def test_numerical_failures_share_one_base():
     from nulldust.charpipe import TransportBlowupError
     from nulldust.errors import NumericalFailure
-    from nulldust.geometry import CurvatureConsistencyError
     from nulldust.hfapprox import PositivityEscalationError
     from nulldust.odesolve import FocusingError
 
-    for exc in (FocusingError, TransportBlowupError, CurvatureConsistencyError, PositivityEscalationError):
+    for exc in (FocusingError, TransportBlowupError, PositivityEscalationError):
         assert issubclass(exc, NumericalFailure)
 
 

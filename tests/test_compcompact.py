@@ -138,10 +138,13 @@ def test_weak_product_transverse_and_controls():
     res_r = CC.weak_product_test(CC.resonant_pair(box), psi, ns)
     assert not res_r["product_converges"]
     assert res_r["expects_defect"]
-    res_sw = CC.weak_product_test(CC.strong_weak_pair(box), psi, ns)
+    pair_sw = CC.strong_weak_pair(box)
+    res_sw = CC.weak_product_test(pair_sw, psi, ns)
     assert res_sw["product_converges"]
-    assert abs(res_sw["target"] - box.integrate(CC.strong_weak_pair(box).f_inf
-                                                * CC.strong_weak_pair(box).h_inf * psi)) < 1e-12
+    # the gaps are measured from the strong-weak limit int f_inf h_inf psi
+    target = box.integrate(pair_sw.f_inf * pair_sw.h_inf * psi)
+    for pairing, gap in zip(res_sw["pairings"], res_sw["gaps"]):
+        assert abs(gap - abs(pairing - target)) < 1e-12
 
 
 def test_sin_squared_mean():

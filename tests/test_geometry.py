@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from nulldust.fields import PositivityError
-from nulldust.geometry import CurvatureConsistencyError, area_element, christoffel, gauss_curvature
+from nulldust.geometry import area_element, christoffel, gauss_curvature, partial
 from nulldust.grids import AngularGrid
-from nulldust.stencils import spectral_deriv
 
 
 def flat_metric(chart):
@@ -72,10 +71,35 @@ def test_flat_curvature_vanishes():
     assert np.abs(gauss_curvature(g, chart, christoffel(g, chart))).max() == 0.0
 
 
+def spectral_second_deriv(f, period, axis):
+    """Second derivative along a periodic axis: the FFT multiplier (i k)^2."""
+    n = f.shape[axis]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
+    shape = [1] * f.ndim
+    shape[axis] = n
+    return np.real(np.fft.ifft(np.fft.fft(f, axis=axis) * ((1j * k) ** 2).reshape(shape), axis=axis))
+
+
 def conformal_oracle(chart, psi):
     """K = -exp(-2 psi) * Lap(psi) for gamma = exp(2 psi) * flat."""
-    lap = spectral_deriv(psi, chart.L1, 0, 2) + spectral_deriv(psi, chart.L2, 1, 2)
+    lap = spectral_second_deriv(psi, chart.L1, 0) + spectral_second_deriv(psi, chart.L2, 1)
     return -np.exp(-2.0 * psi) * lap
+
+
+def fiber_mismatch(g, chart):
+    """Relative disagreement of K read off the two diagonal fibers (b = c = 1
+    and b = c = 2) of the curvature identity
+        gamma_{bc} K = d_a Gamma^a_{bc} - d_c Gamma^a_{ba}
+                       + Gamma^a_{ad} Gamma^d_{bc} - Gamma^a_{cd} Gamma^d_{ba},
+    scaled by max |K| + 1; it is a discretization error, so a grid that
+    resolves g keeps it small."""
+    gam = christoffel(g, chart)
+    dgam = partial(chart, gam, 0)  # [..., e, c, a, b] = d_e Gamma^c_{ab}
+    ric = (np.einsum("...aabc->...bc", dgam) - np.einsum("...caba->...bc", dgam)
+           + np.einsum("...aad,...dbc->...bc", gam, gam) - np.einsum("...acd,...dba->...bc", gam, gam))
+    k1 = ric[..., 0, 0] / g[..., 0, 0]
+    k2 = ric[..., 1, 1] / g[..., 1, 1]
+    return np.max(np.abs(k1 - k2)) / (np.max(np.abs(gauss_curvature(g, chart, gam))) + 1.0)
 
 
 def test_conformal_curvature_oracle():
@@ -85,6 +109,7 @@ def test_conformal_curvature_oracle():
     g = np.exp(2 * psi)[..., None, None] * flat_metric(chart)
     k = gauss_curvature(g, chart, christoffel(g, chart))
     assert np.abs(k - conformal_oracle(chart, psi)).max() < 1e-12
+    assert fiber_mismatch(g, chart) <= 1e-6
 
 
 def test_spectral_convergence_beats_any_power():
@@ -97,6 +122,7 @@ def test_spectral_convergence_beats_any_power():
         g = np.exp(2 * psi)[..., None, None] * flat_metric(chart)
         k = gauss_curvature(g, chart, christoffel(g, chart))
         errs.append(np.abs(k - conformal_oracle(chart, psi)).max())
+        assert fiber_mismatch(g, chart) <= 1e-6
     assert errs[1] <= max(errs[0] / 2**8, 5e-14)
     assert errs[2] <= max(errs[1] / 2**8, 5e-14)
 
@@ -109,16 +135,15 @@ def test_total_curvature_vanishes_on_torus():
     g[..., 1, 1] = 0.9 + 0.2 * np.cos(t1)
     g[..., 0, 1] = g[..., 1, 0] = 0.15 * np.sin(t1 + t2)
     # Gauss-Bonnet: the integral of K dA_gamma vanishes on the torus for any metric
-    k = gauss_curvature(g, chart, christoffel(g, chart), check=False)
+    k = gauss_curvature(g, chart, christoffel(g, chart))
     assert abs(np.sum(k * area_element(g)) * chart.cell_area) < 1e-10
 
 
-def test_consistency_error_on_coarse_grid():
-    # frequencies near Nyquist: the two diagonal curvature fibers disagree
+def test_curvature_fibers_disagree_near_nyquist():
+    # frequencies near Nyquist: the fiber oracle sees the coarse grid
     chart = AngularGrid(8, 8)
     t1, t2 = chart.mesh()
     g = flat_metric(chart)
     g[..., 0, 0] = 1.0 + 0.45 * np.sin(3 * t1) * np.cos(3 * t2)
     g[..., 1, 1] = 1.0 + 0.45 * np.cos(3 * t1 + 2 * t2)
-    with pytest.raises(CurvatureConsistencyError):
-        gauss_curvature(g, chart, christoffel(g, chart), rtol=1e-12)
+    assert fiber_mismatch(g, chart) > 1e-12

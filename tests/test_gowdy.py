@@ -46,7 +46,7 @@ def test_residual_invariant_under_family_shift():
     n = 4
     tau_grid = Grid1D(0.0, 1.0, 65)
     th_grid = Grid1D(0.0, 2 * np.pi, 64)
-    out = gowdy.vacuum_residual(n, 1.0, tau_grid, th_grid)
+    out = spacetime_ricci(gowdy.family_metric(n, 1.0, tau_grid, th_grid))
     shift = 64 // n
     rolled = np.roll(out.ricci, shift, axis=1)
     # exact up to the floating non-periodicity of sin(n theta + 2 pi)
@@ -95,7 +95,7 @@ def test_background_matches_symbolic_ricci():
 def test_alpha_limit_monotone():
     gaps = gowdy.alpha_limit_gap([100, 1000, 10000, 100000], 1.0, 0.0)
     assert np.all(np.diff(gaps) < 0)
-    slope = fit_rate([100, 1000, 10000, 100000], gaps).slope
+    slope = fit_rate([100, 1000, 10000, 100000], gaps)
     assert slope < 0  # rate recorded, not asserted against a target
 
 

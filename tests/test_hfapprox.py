@@ -78,7 +78,7 @@ def test_gamma_gap_decays_like_inverse_n(chart, grid):
         ea, eb, ed = fam.entries(ub)
         ba, bb, bd = bg.data.entries(ub)
         gaps.append(max(np.abs(ea - ba).max(), np.abs(ed - bd).max()))
-    assert fit_rate(1.0 / np.array(ns), gaps).slope >= 0.9
+    assert fit_rate(1.0 / np.array(ns), gaps) >= 0.9
 
 
 def test_corrector_bounded_and_integrates(chart, grid):

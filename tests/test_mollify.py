@@ -75,7 +75,7 @@ def test_pairing_rate_bound(setting):
         gaps.append(r["gap"])
         bounds.append(r["rate_bound"])
     assert all(g <= b for g, b in zip(gaps, bounds))
-    assert fit_rate([2.0**-m for m in range(1, 9)], gaps).slope >= 0.9
+    assert fit_rate([2.0**-m for m in range(1, 9)], gaps) >= 0.9
 
 
 def test_uniform_l1_norm(setting):

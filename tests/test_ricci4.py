@@ -13,7 +13,7 @@ def minkowski_block(n=33):
     g[..., 0, 0] = -1.0
     for i in (1, 2, 3):
         g[..., i, i] = 1.0
-    return MetricBlock(("t", "x", "y", "z"), (0,), (Grid1D(0, 1, n),), (False,), g)
+    return MetricBlock((0,), (Grid1D(0, 1, n),), (False,), g)
 
 
 def test_minkowski_vanishes():
@@ -30,7 +30,7 @@ def test_plane_wave_hand_value():
     g[..., 0, 1] = g[..., 1, 0] = -1.0
     g[..., 2, 2] = np.exp(ub**2)
     g[..., 3, 3] = np.exp(-(ub**2))
-    blk = MetricBlock(("u", "ub", "X", "Y"), (1,), (grid,), (False,), g)
+    blk = MetricBlock((1,), (grid,), (False,), g)
     out = spacetime_ricci(blk)
     assert np.abs(out.ricci[..., 1, 1] - (-2.0 * ub**2)).max() < 1e-6
     others = out.ricci.copy()
@@ -42,7 +42,7 @@ def test_lorentzian_signature_enforced():
     g = np.zeros((17, 4, 4))
     for i in range(4):
         g[..., i, i] = 1.0  # Euclidean
-    blk = MetricBlock(("t", "x", "y", "z"), (0,), (Grid1D(0, 1, 17),), (False,), g)
+    blk = MetricBlock((0,), (Grid1D(0, 1, 17),), (False,), g)
     with pytest.raises(ValueError, match="Lorentzian"):
         spacetime_ricci(blk)
 
@@ -54,7 +54,7 @@ def test_symmetry_enforced():
         g[..., i, i] = 1.0
     g[..., 0, 1] = 0.1  # not symmetrized
     with pytest.raises(ValueError, match="symmetric"):
-        MetricBlock(("t", "x", "y", "z"), (0,), (Grid1D(0, 1, 17),), (False,), g)
+        MetricBlock((0,), (Grid1D(0, 1, 17),), (False,), g)
 
 
 def test_under_resolved_oscillation_warns():
@@ -64,7 +64,7 @@ def test_under_resolved_oscillation_warns():
     g[..., 0, 1] = g[..., 1, 0] = -1.0
     g[..., 2, 2] = np.exp(0.3 * np.sin(55.0 * ub))  # ~7 nodes per wavelength
     g[..., 3, 3] = np.exp(-0.3 * np.sin(55.0 * ub))
-    blk = MetricBlock(("u", "ub", "X", "Y"), (1,), (grid,), (False,), g)
+    blk = MetricBlock((1,), (grid,), (False,), g)
     out = spacetime_ricci(blk)
     assert out.warnings
 
