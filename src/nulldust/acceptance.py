@@ -151,16 +151,12 @@ def criterion_shell_limit(*, lambda_seq=(6, 8, 10), seed="bump") -> Verdict:
     ]
     pair_errs = []
     for phi in phis:
-        ub = grid.points()
-        pairing = float(np.trapezoid(prof.dg(ub) ** 2 * phi(ub), ub))
+        pairing = float(pw.weak_limit_pairings(lambda _: prof, phi, [lam])[0])  # prof is the lam member
         pair_errs.append(abs(pairing - phi(np.zeros(1))[0]))
 
-    # derivative energy is parameter independent
-    energies = []
-    for lam_j in (2.0**-j for j in lambda_seq):
-        p = pw.make_shell_G(lam_j, seed, grid)
-        ub = grid.points()
-        energies.append(float(np.trapezoid(p.dg(ub) ** 2, ub)))
+    # derivative energy is parameter independent: the pairing against phi = 1
+    family = lambda lam_j: pw.make_shell_G(lam_j, seed, grid)
+    energies = pw.weak_limit_pairings(family, np.ones_like, [2.0**-j for j in lambda_seq]).tolist()
 
     checks = {
         "jump_minus_quarter": jump_err <= TOL["jump"],

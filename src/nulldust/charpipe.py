@@ -18,7 +18,7 @@ import numpy as np
 from . import calculus as calc
 from .constraints import ReducedCharData
 from .errors import NumericalFailure
-from .fields import sym2_inverse
+from .fields import sym2_inverse, trace
 from .geometry import christoffel, gauss_curvature
 from .grids import Grid1D
 from .stencils import deriv1_fd4
@@ -98,14 +98,14 @@ def slice_fields(data: ReducedCharData, solution, ubs):
     gamma = phi[..., None, None] ** 2 * gh
     ginv = sym2_inverse(gamma)
     chi = (phi * dphi / om)[..., None, None] * gh + (phi**2 / (2.0 * om))[..., None, None] * dgh
-    trchi = np.einsum("...ab,...ab->...", ginv, chi)
+    trchi = trace(ginv, chi)
     chihat = chi - 0.5 * trchi[..., None, None] * gamma
     chi_mix = np.einsum("...bc,...ca->...ba", ginv, chi)
-    gam = christoffel(gamma, chart)
-    kg = gauss_curvature(gamma, chart, gam)
+    gam = christoffel(gamma, ginv, chart)
+    kg = gauss_curvature(ginv, chart, gam)
     grad_lo = calc.partial(chart, np.log(om), 1)
     om_scalar = -0.5 * dlo / om
-    div_chihat = calc.div_sym2(chart, gamma, chihat, gam)
+    div_chihat = calc.div_sym2(chart, ginv, chihat, gam)
     grad_trchi = calc.partial(chart, trchi, 1)
     sf = SliceFields(gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi_mix, gam, div_chihat, grad_trchi)
     return sf if np.ndim(ubs) else sf[0]
@@ -115,7 +115,7 @@ def corner_eta(sl: SliceFields, corner: CornerData) -> np.ndarray:
     """eta at the corner: (eta - etab)^sharp = -dub_b / (2 Omega^2), symmetrized
     against the lapse gradient.  sl is the slice at the corner, ub = grid.a."""
     diff_up = -corner.dub_b0 / (2.0 * sl.omega[..., None] ** 2)
-    diff = calc.lower_index(sl.gamma, diff_up)
+    diff = calc.move_index(sl.gamma, diff_up)
     return sl.grad_log_omega + 0.5 * diff
 
 
@@ -124,51 +124,41 @@ def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
     state-dependent terms are computed here: the contractions use the stored
     inverse metric, and the one angular derivative is nabla etab."""
     gamma, ginv = sl.gamma, sl.ginv
-    dot11 = lambda phi, psi: np.einsum("...ab,...a,...b->...", ginv, phi, psi)  # calc.dot11 on ginv
     etab = 2.0 * sl.grad_log_omega - eta
     diff = eta - etab
 
     chihat_dot_diff = np.einsum("...bc,...ab,...c->...a", ginv, sl.chihat, diff)
-    conn_eta = np.einsum("...ba,...b->...a", sl.chi_mix, eta)
     d_eta = sl.omega[..., None] * (
         -0.75 * sl.trchi[..., None] * diff
         + sl.div_chihat
         - 0.5 * sl.grad_trchi
         - 0.5 * chihat_dot_diff
-        + conn_eta
+        + calc.chi_connection(sl.chi_mix, eta)
     )
 
-    d_b = -2.0 * sl.omega[..., None] ** 2 * np.einsum("...ab,...b->...a", ginv, diff)
+    d_b = -2.0 * sl.omega[..., None] ** 2 * calc.move_index(ginv, diff)
 
-    eta_dot_etab = dot11(eta, etab)
-    eta_sq = dot11(eta, eta)
-    chihat_dot_chibhat = np.einsum("...ac,...bd,...ab,...cd->...", ginv, ginv, sl.chihat, chibhat)
     d_omb = sl.omega * (
         2.0 * sl.om * omb
-        - eta_dot_etab
-        + 0.5 * eta_sq
-        - 0.5 * (sl.kgauss - 0.5 * chihat_dot_chibhat + 0.25 * sl.trchi * trchb)
+        - calc.dot11(ginv, eta, etab)
+        + 0.5 * calc.dot11(ginv, eta, eta)
+        - 0.5 * (sl.kgauss - 0.5 * calc.dot22(ginv, sl.chihat, chibhat) + 0.25 * sl.trchi * trchb)
     )
 
-    nab_etab = calc.covariant_deriv(data.chart, gamma, etab, sl.gam)  # [..., c, a] = nabla_c etab_a
-    div_etab = np.einsum("...ab,...ab->...", ginv, nab_etab)
-    etab_sq = dot11(etab, etab)
+    nab_etab = calc.covariant_deriv(data.chart, etab, sl.gam)  # [..., c, a] = nabla_c etab_a
+    div_etab = trace(ginv, nab_etab)
+    etab_sq = calc.dot11(ginv, etab, etab)
     d_trchb = sl.omega * (
         -sl.trchi * trchb + 2.0 * sl.om * trchb - 2.0 * sl.kgauss + 2.0 * div_etab + 2.0 * etab_sq
     )
 
-    conn_chibhat = np.einsum("...ca,...cb->...ab", sl.chi_mix, chibhat) + np.einsum(
-        "...cb,...ac->...ab", sl.chi_mix, chibhat
-    )
-    now = nab_etab + np.swapaxes(nab_etab, -1, -2) - gamma * div_etab[..., None, None]
-    etab_etab = etab[..., :, None] * etab[..., None, :]
     d_chibhat = sl.omega[..., None, None] * (
-        conn_chibhat
+        calc.chi_connection(sl.chi_mix, chibhat)
         - 0.5 * sl.trchi[..., None, None] * chibhat
-        + now
+        + calc.hat(gamma, nab_etab, div_etab)
         + 2.0 * sl.om[..., None, None] * chibhat
         - 0.5 * trchb[..., None, None] * sl.chihat
-        + (etab_etab + np.swapaxes(etab_etab, -1, -2) - gamma * etab_sq[..., None, None])
+        + calc.hat(gamma, etab[..., :, None] * etab[..., None, :], etab_sq)
     )
     return d_eta, d_b, d_omb, d_trchb, d_chibhat
 
@@ -236,10 +226,8 @@ def constraint_reconstruction_gap(result: TransportResult) -> float:
 def structure_residuals(result: TransportResult) -> dict:
     """Max-norm residuals of the outgoing-direction structure equations,
     evaluated with independent 4th-order stencils on the stored march."""
-    data = result.data
-    chart = data.chart
-    grid = result.grid
-    h = grid.h
+    chart = result.data.chart
+    h = result.grid.h
     sf = result.nodes
     omega, om, trchi, chihat, kg = sf.omega, sf.om, sf.trchi, sf.chihat, sf.kgauss
     gamma, ginv, chi_mix, gam = sf.gamma, sf.ginv, sf.chi_mix, sf.gam
@@ -250,42 +238,40 @@ def structure_residuals(result: TransportResult) -> dict:
 
     # scalar transport: nabla_4 f = Omega^-1 d_ub f
     nab4_trchi = d_ub(trchi) / omega
-    res_expansion = nab4_trchi + 0.5 * trchi**2 + calc.dot22(gamma, chihat, chihat) + 2.0 * om * trchi
+    res_expansion = nab4_trchi + 0.5 * trchi**2 + calc.dot22(ginv, chihat, chihat) + 2.0 * om * trchi
 
     # one-form: nabla_4 eta_a = Omega^-1 d_ub eta_a - chi^b_a eta_b
-    nab4_eta = d_ub(eta) / omega[..., None] - np.einsum("t...ba,t...b->t...a", chi_mix, eta)
+    nab4_eta = d_ub(eta) / omega[..., None] - calc.chi_connection(chi_mix, eta)
     rhs_eta = (
-        calc.div_sym2(chart, gamma, chihat, gam)
-        - 0.5 * calc.partial(chart, trchi, 1)
+        sf.div_chihat
+        - 0.5 * sf.grad_trchi
         - 0.5 * np.einsum("...bc,...ab,...c->...a", ginv, chihat, diff)
     )
     res_eta = nab4_eta + 0.75 * trchi[..., None] * diff - rhs_eta
 
     # ingoing expansion
     nab4_trchb = d_ub(result.trchb) / omega
-    div_etab = calc.div_oneform(chart, gamma, etab, gam)
-    now_etab = calc.nabla_otimes(chart, gamma, etab, gam)
+    nab_etab = calc.covariant_deriv(chart, etab, gam)
+    div_etab = trace(ginv, nab_etab)
+    etab_sq = calc.dot11(ginv, etab, etab)
     res_trchb = (
         nab4_trchb
         + trchi * result.trchb
         - 2.0 * om * result.trchb
         + 2.0 * kg
         - 2.0 * div_etab
-        - 2.0 * calc.dot11(gamma, etab, etab)
+        - 2.0 * etab_sq
     )
 
     # ingoing shear
-    conn = np.einsum("t...ca,t...cb->t...ab", chi_mix, result.chibhat) + np.einsum(
-        "t...cb,t...ac->t...ab", chi_mix, result.chibhat
-    )
-    nab4_chibhat = d_ub(result.chibhat) / omega[..., None, None] - conn
+    nab4_chibhat = d_ub(result.chibhat) / omega[..., None, None] - calc.chi_connection(chi_mix, result.chibhat)
     res_chibhat = (
         nab4_chibhat
         + 0.5 * trchi[..., None, None] * result.chibhat
-        - now_etab
+        - calc.hat(gamma, nab_etab, div_etab)
         - 2.0 * om[..., None, None] * result.chibhat
         + 0.5 * result.trchb[..., None, None] * chihat
-        - calc.hat_otimes(gamma, etab, etab)
+        - calc.hat(gamma, etab[..., :, None] * etab[..., None, :], etab_sq)
     )
 
     # ingoing expansion-rate potential
@@ -293,9 +279,9 @@ def structure_residuals(result: TransportResult) -> dict:
     res_omb = (
         nab4_omb
         - 2.0 * om * result.omb
-        + calc.dot11(gamma, eta, etab)
-        - 0.5 * calc.dot11(gamma, eta, eta)
-        + 0.5 * (kg - 0.5 * calc.dot22(gamma, chihat, result.chibhat) + 0.25 * trchi * result.trchb)
+        + calc.dot11(ginv, eta, etab)
+        - 0.5 * calc.dot11(ginv, eta, eta)
+        + 0.5 * (kg - 0.5 * calc.dot22(ginv, chihat, result.chibhat) + 0.25 * trchi * result.trchb)
     )
 
     return {
@@ -305,4 +291,3 @@ def structure_residuals(result: TransportResult) -> dict:
         "shear_in": float(np.abs(res_chibhat).max()),
         "expansion_rate_in": float(np.abs(res_omb).max()),
     }
-

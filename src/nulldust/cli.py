@@ -93,15 +93,16 @@ def _finish(outdir, args, summary, t0):
 
 
 def _run(args, calls):
-    """Run each (criterion, kwargs) in turn and write the verdicts."""
+    """Run every (criterion, kwargs), then write the verdicts: a usage error leaves no files."""
     t0 = time.time()
     outdir = _out_root(args)
     verdicts = []
     for criterion, kwargs in calls:
         v = criterion(**kwargs)
         print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name} ({v.seconds:.1f}s)")
-        _write_csv(os.path.join(outdir, f"{v.name}.csv"), ["path", "value"], _flatten(v.details), args.plot_data)
         verdicts.append(v)
+    for v in verdicts:
+        _write_csv(os.path.join(outdir, f"{v.name}.csv"), ["path", "value"], _flatten(v.details), args.plot_data)
     _write_csv(os.path.join(outdir, "verdicts.csv"), ["criterion", "passed", "seconds"],
                [(v.name, v.passed, round(v.seconds, 2)) for v in verdicts])
     summary = {
@@ -138,10 +139,18 @@ def _int_seq(min_members, least=None):
     return parse
 
 
+def _finite(text):
+    """argparse type: a float that is neither nan nor infinite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _mass_profile(spec):
     """argparse type: 'const:V' or 'cos:BASE,AMP' -> (kind, numbers)."""
     kind, _, arg = spec.partition(":")
-    values = tuple(float(x) for x in arg.split(","))
+    values = tuple(_finite(x) for x in arg.split(","))
     if len(values) != {"const": 1, "cos": 2}.get(kind):
         raise ValueError(f"unknown mass profile {spec!r}")
     return kind, values
@@ -154,7 +163,7 @@ def _dust_spec(text):
     for words in (line.split() for line in text.split(";") if line.strip()):
         if (words[0], len(words)) not in (("atom", 3), ("density", 2)):
             raise ValueError(f"unknown dust spec line {' '.join(words)!r}")
-        value = float(words[1])
+        value = _finite(words[1])
         if words[0] == "atom" and not 0.0 < value < 1.0:
             raise argparse.ArgumentTypeError(f"atom at ub={value} not strictly inside (0, 1)")
         lines.append((words[0], value, _mass_profile(words[2]) if len(words) == 3 else None))
@@ -162,8 +171,11 @@ def _dust_spec(text):
 
 
 def _wavenumber(text):
-    """argparse type: 'auto' (None: escalating selection) or a number."""
-    return None if text == "auto" else float(text)
+    """argparse type: 'auto' (None: escalating selection) or a number > 0."""
+    k = None if text == "auto" else _finite(text)
+    if k is not None and k <= 0:
+        raise argparse.ArgumentTypeError(f"wavenumber {text!r} is not > 0")
+    return k
 
 
 def cmd_hf_approx(args):
@@ -265,7 +277,7 @@ def build_parser():
     p = criterion_parser("gowdy", "criterion 3: Bessel-profile family and its two-beam limit")
     p.add_argument("--n-seq", type=_int_seq(4, 1),
                    help="members n >= 1 of the alpha-limit gap, at least 4 (default 100,316,...,100000)")
-    p.add_argument("--amplitude", type=float, help="family amplitude A (default 1.0)")
+    p.add_argument("--amplitude", type=_finite, help="family amplitude A (default 1.0)")
     p.set_defaults(func=_criterion_cmd("criterion_gowdy", "n_seq", "amplitude"))
 
     p = criterion_parser("constraints", "criterion 4: hypersurface constraint solves and weak residuals")
@@ -286,12 +298,12 @@ def build_parser():
 
     p = sub.add_parser("trapped", help="null-shell trapped-surface verdict")
     p.add_argument("--mass", default="const:1.2", type=_mass_profile)
-    p.add_argument("--ustar", type=float, default=0.5)
+    p.add_argument("--ustar", type=_finite, default=0.5)
     p.set_defaults(func=cmd_trapped)
 
     p = sub.add_parser("cc-demo", help="directional frequency splitting demonstrations")
     p.add_argument("--dim", type=int, default=2, choices=(2, 4))
-    p.add_argument("--c1", type=float, default=4.0)
+    p.add_argument("--c1", type=_finite, default=4.0)
     p.add_argument("--grid", type=int, default=256)
     p.add_argument("--n-seq", default="4,8,16,32,64,128,256", type=_int_seq(1))
     p.add_argument("--pair", default="transverse", choices=sorted(CC.PAIRS))

@@ -22,7 +22,7 @@ class PositivityError(ValueError):
 
 def check_positive_definite(g: np.ndarray) -> None:
     """Exact sign tests det > 0 and g11 > 0 at every grid point."""
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    det = sym2_det(g)
     bad = (det <= 0.0) | (g[..., 0, 0] <= 0.0)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -31,7 +31,7 @@ def check_positive_definite(g: np.ndarray) -> None:
 
 def sym2_inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of a field of symmetric 2x2 matrices."""
-    det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    det = sym2_det(g)
     inv = np.empty_like(g)
     inv[..., 0, 0] = g[..., 1, 1] / det
     inv[..., 1, 1] = g[..., 0, 0] / det
@@ -42,6 +42,18 @@ def sym2_inverse(g: np.ndarray) -> np.ndarray:
 
 def sym2_det(g: np.ndarray) -> np.ndarray:
     return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+
+
+def trace(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """ginv^{ab} T_{ab}, with ginv the inverse metric the caller holds (2- or 4-metric)."""
+    return np.einsum("...ab,...ab->...", ginv, T)
+
+
+def levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols [..., c, a, b] = Gamma^c_{ab} of a 2- or 4-metric from its inverse and
+    dg[..., d, a, b] = d_d g_{ab}: (1/2) g^{cd} (d_a g_{bd} + d_b g_{ad} - d_d g_{ab})."""
+    low = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
+    return np.einsum("...cd,...dab->...cab", ginv, low)
 
 
 def sym2_pack(a, b, d) -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MetricBlock
+from .fields import MetricBlock, levi_civita, trace
 from .stencils import deriv1_fd4, deriv1_fd4_periodic
 
 
@@ -62,23 +62,20 @@ def spacetime_ricci(m: MetricBlock) -> CurvatureResult:
     g = m.g
     ginv = np.linalg.inv(g)
 
-    dg = np.stack([_block_deriv(m, g, mu) for mu in range(4)], axis=-3)  # [..., s, m, n]
-    # Gamma^r_{mn} = ginv^{rs} (d_m g_{sn} + d_n g_{sm} - d_s g_{mn}) / 2
-    low = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
-    gam = np.einsum("...rs,...smn->...rmn", ginv, low)
-    del dg, low
+    # dg[..., s, m, n] = d_s g_{mn}, freed once the connection is built
+    gam = levi_civita(ginv, np.stack([_block_deriv(m, g, mu) for mu in range(4)], axis=-3))
 
     # derivative terms accumulated per axis (no rank-6 temporary)
     term1 = np.zeros_like(g)  # d_r Gamma^r_{mn}
     for r in m.active:
         term1 += _block_deriv(m, gam[..., r, :, :], r)
-    trace = np.einsum("...rrn->...n", gam)  # Gamma^r_{rn}
-    term2 = np.stack([_block_deriv(m, trace, mu) for mu in range(4)], axis=-2)  # [..., m, n]
+    gam_tr = np.einsum("...rrn->...n", gam)  # Gamma^r_{rn}
+    term2 = np.stack([_block_deriv(m, gam_tr, mu) for mu in range(4)], axis=-2)  # [..., m, n]
 
     term3 = np.einsum("...rrl,...lmn->...mn", gam, gam)   # Gamma^r_{rl} Gamma^l_{mn}
     term4 = np.einsum("...rml,...lrn->...mn", gam, gam)   # Gamma^r_{ml} Gamma^l_{rn}
     ric = term1 - term2 + term3 - term4
 
-    rs = np.einsum("...mn,...mn->...", ginv, ric)
+    rs = trace(ginv, ric)
     ein = ric - 0.5 * rs[..., None, None] * g
     return CurvatureResult(ric, ein, _oscillation_warning(m))

@@ -36,8 +36,8 @@ class ShellSpacetime:
 
     def __post_init__(self):
         self.mass = np.asarray(self.mass, dtype=float)
-        if np.any(self.mass < 0):
-            raise ValueError("shell mass must be nonnegative")
+        if not np.all(np.isfinite(self.mass) & (self.mass >= 0)):
+            raise ValueError("shell mass must be finite and nonnegative")
         if not (0.0 < self.u_star < 1.0):
             raise ValueError("u_star must lie in (0, 1)")
 

@@ -11,7 +11,7 @@ from nulldust import constraints as C
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.rates import fit_rate
 
-from test_calculus import curl_oneform, grad
+from test_calculus import curl_oneform, div_oneform, grad
 
 
 @dataclass
@@ -47,13 +47,13 @@ def renormalized_curvature(result: P.TransportResult, i: int) -> RenormalizedCur
         - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chi_minus, diff)
     )
     betab = (
-        calc.div_sym2(chart, gamma, chibhat, gam)
+        calc.div_sym2(chart, sl.ginv, chibhat, gam)
         - 0.5 * grad(chart, trchb)
         - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chib_minus, diff)
     )
     sigma_check = curl_oneform(chart, gamma, eta, gam)
-    mu = -calc.div_oneform(chart, gamma, eta, gam) + sl.kgauss
-    mub = -calc.div_oneform(chart, gamma, etab, gam) + sl.kgauss
+    mu = -div_oneform(chart, gamma, eta, gam) + sl.kgauss
+    mub = -div_oneform(chart, gamma, etab, gam) + sl.kgauss
     return RenormalizedCurvature(beta, betab, sigma_check, mu, mub)
 
 
@@ -250,7 +250,7 @@ def test_mass_aspect_definitional_identity():
     i = 32
     rc = renormalized_curvature(result, i)
     sl = result.nodes[i]
-    div_eta = calc.div_oneform(data.chart, sl.gamma, result.eta[i], sl.gam)
+    div_eta = div_oneform(data.chart, sl.gamma, result.eta[i], sl.gam)
     assert np.abs(rc.mu + div_eta - sl.kgauss).max() < 1e-13
 
 

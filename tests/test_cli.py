@@ -108,6 +108,14 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["trapped", "--ustar", "1.5"],
     ["trapped", "--mass", "cos:1,2"],  # negative mass
     ["cc-demo", "--c1", "100"],  # 4 C1 beyond the Nyquist band
+    # malformed numbers, refused by the parser: flag numbers must be finite
+    ["trapped", "--mass", "const:nan"],
+    ["trapped", "--mass", "const:inf"],
+    ["trapped", "--mass", "cos:nan,0.1"],
+    ["cc-demo", "--c1", "nan"],
+    ["hf-approx", "--m-seq", "1..4", "--k", "-8"],  # the wavenumber must be > 0
+    # refused by criterion 7 after criterion 5 ran: no file of either is written
+    ["hf-approx", "--m-seq", "1..4", "--dust", "atom 0.5 const:1"],  # atom window meets both ends
 ])
 def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     try:

@@ -352,7 +352,7 @@ def test_shear_norm_identity_random_data(chart, ring):
     trchi, chihat, chi = chi_from_data(data, sol, ub)
     phi = sol(np.array([ub]))[0]
     gamma = phi[..., None, None] ** 2 * sym2_pack(*(x[0] for x in gh(ub)))
-    lhs = dot22(gamma, chihat, chihat)
+    lhs = dot22(sym2_inverse(gamma), chihat, chihat)
     ub_arr = np.array([ub])
     rhs = 0.25 * data.dgamma_normsq(ub_arr)[0] / data.omega(ub_arr)[0] ** 2
     assert np.abs(lhs - rhs).max() < 1e-12

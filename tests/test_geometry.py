@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nulldust.fields import PositivityError
+from nulldust.fields import PositivityError, sym2_inverse
 from nulldust.geometry import area_element, christoffel, gauss_curvature, partial
 from nulldust.grids import AngularGrid
 
@@ -15,9 +15,15 @@ def flat_metric(chart):
     return g
 
 
+def curvature(g, chart):
+    ginv = sym2_inverse(g)
+    return gauss_curvature(ginv, chart, christoffel(g, ginv, chart))
+
+
 def test_flat_connection_vanishes():
     chart = AngularGrid(16, 16)
-    assert np.abs(christoffel(flat_metric(chart), chart)).max() == 0.0
+    g = flat_metric(chart)
+    assert np.abs(christoffel(g, sym2_inverse(g), chart)).max() == 0.0
 
 
 def test_diagonal_metric_connection_value():
@@ -29,7 +35,7 @@ def test_diagonal_metric_connection_value():
     df = (np.pi / chart.L1) * np.cos(2 * np.pi * t1 / chart.L1)
     g = flat_metric(chart)
     g[..., 0, 0] = f
-    gam = christoffel(g, chart)
+    gam = christoffel(g, sym2_inverse(g), chart)
     assert np.abs(gam[..., 0, 0, 0] - df / (2.0 * f)).max() < 1e-12
     rest = gam.copy()
     rest[..., 0, 0, 0] = 0.0
@@ -44,7 +50,7 @@ def test_connection_symmetric_in_lower_indices():
     g[..., 0, 0] += 0.3 * np.sin(t1) * np.cos(t2)
     g[..., 1, 1] += 0.2 * np.cos(t1 + t2)
     g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(t1 - t2)
-    gam = christoffel(g, chart)
+    gam = christoffel(g, sym2_inverse(g), chart)
     assert np.array_equal(gam, np.swapaxes(gam, -1, -2))
 
 
@@ -53,7 +59,7 @@ def test_connection_is_pure():
     t1, t2 = chart.mesh()
     g = flat_metric(chart)
     g[..., 0, 0] += 0.3 * np.sin(t1) * np.cos(t2)
-    assert np.array_equal(christoffel(g, chart), christoffel(g, chart))
+    assert np.array_equal(christoffel(g, sym2_inverse(g), chart), christoffel(g, sym2_inverse(g), chart))
 
 
 def test_positivity_error_reports_first_point():
@@ -61,14 +67,14 @@ def test_positivity_error_reports_first_point():
     g = flat_metric(chart)
     g[3, 5, 0, 0] = -1.0
     with pytest.raises(PositivityError) as err:
-        christoffel(g, chart)
+        christoffel(g, sym2_inverse(g), chart)
     assert err.value.where == (3, 5)
 
 
 def test_flat_curvature_vanishes():
     chart = AngularGrid(16, 16)
     g = flat_metric(chart)
-    assert np.abs(gauss_curvature(g, chart, christoffel(g, chart))).max() == 0.0
+    assert np.abs(curvature(g, chart)).max() == 0.0
 
 
 def spectral_second_deriv(f, period, axis):
@@ -93,13 +99,14 @@ def fiber_mismatch(g, chart):
                        + Gamma^a_{ad} Gamma^d_{bc} - Gamma^a_{cd} Gamma^d_{ba},
     scaled by max |K| + 1; it is a discretization error, so a grid that
     resolves g keeps it small."""
-    gam = christoffel(g, chart)
+    ginv = sym2_inverse(g)
+    gam = christoffel(g, ginv, chart)
     dgam = partial(chart, gam, 0)  # [..., e, c, a, b] = d_e Gamma^c_{ab}
     ric = (np.einsum("...aabc->...bc", dgam) - np.einsum("...caba->...bc", dgam)
            + np.einsum("...aad,...dbc->...bc", gam, gam) - np.einsum("...acd,...dba->...bc", gam, gam))
     k1 = ric[..., 0, 0] / g[..., 0, 0]
     k2 = ric[..., 1, 1] / g[..., 1, 1]
-    return np.max(np.abs(k1 - k2)) / (np.max(np.abs(gauss_curvature(g, chart, gam))) + 1.0)
+    return np.max(np.abs(k1 - k2)) / (np.max(np.abs(gauss_curvature(ginv, chart, gam))) + 1.0)
 
 
 def test_conformal_curvature_oracle():
@@ -107,7 +114,7 @@ def test_conformal_curvature_oracle():
     t1, _ = chart.mesh()
     psi = 0.1 * np.sin(2 * np.pi * t1 / chart.L1)
     g = np.exp(2 * psi)[..., None, None] * flat_metric(chart)
-    k = gauss_curvature(g, chart, christoffel(g, chart))
+    k = curvature(g, chart)
     assert np.abs(k - conformal_oracle(chart, psi)).max() < 1e-12
     assert fiber_mismatch(g, chart) <= 1e-6
 
@@ -120,7 +127,7 @@ def test_spectral_convergence_beats_any_power():
         t1, t2 = chart.mesh()
         psi = 0.4 / (2.5 + np.cos(t1)) + 0.2 / (3.0 + np.sin(t2))
         g = np.exp(2 * psi)[..., None, None] * flat_metric(chart)
-        k = gauss_curvature(g, chart, christoffel(g, chart))
+        k = curvature(g, chart)
         errs.append(np.abs(k - conformal_oracle(chart, psi)).max())
         assert fiber_mismatch(g, chart) <= 1e-6
     assert errs[1] <= max(errs[0] / 2**8, 5e-14)
@@ -135,7 +142,7 @@ def test_total_curvature_vanishes_on_torus():
     g[..., 1, 1] = 0.9 + 0.2 * np.cos(t1)
     g[..., 0, 1] = g[..., 1, 0] = 0.15 * np.sin(t1 + t2)
     # Gauss-Bonnet: the integral of K dA_gamma vanishes on the torus for any metric
-    k = gauss_curvature(g, chart, christoffel(g, chart))
+    k = curvature(g, chart)
     assert abs(np.sum(k * area_element(g)) * chart.cell_area) < 1e-10
 
 

@@ -55,6 +55,14 @@ def test_jump_examples(chart):
     assert np.abs(S.trch_jump(none, 0.5) - 2.0 / 0.5).max() < 1e-15
 
 
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+def test_shell_mass_must_be_finite_and_nonnegative(chart, value):
+    mass = np.ones(chart.shape)
+    mass[1, 0] = value
+    with pytest.raises(ValueError):
+        S.ShellSpacetime(chart, mass, 0.5)
+
+
 def test_trapping_flags(chart):
     u_star = 0.5
     marginal = S.ShellSpacetime(chart, np.full(chart.shape, 2 * (1 - u_star)), u_star)

@@ -6,6 +6,8 @@ and grad trchi recomputed inside every right-hand-side call.  The batched
 path must agree with it bit for bit.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from nulldust.fields import PositivityError, sym2_inverse, sym2_pack
 from nulldust.geometry import christoffel, gauss_curvature
 from nulldust.grids import AngularGrid, Grid1D
 
-from test_calculus import grad
+from test_calculus import div_oneform, grad, hat_otimes, nabla_otimes
 
 
 def oracle_slice(data, solution, ub):
@@ -33,22 +35,22 @@ def oracle_slice(data, solution, ub):
     trchi = np.einsum("...ab,...ab->...", ginv, chi)
     chihat = chi - 0.5 * trchi[..., None, None] * gamma
     chi_mix = np.einsum("...bc,...ca->...ba", ginv, chi)
-    kg = gauss_curvature(gamma, data.chart, christoffel(gamma, data.chart))
+    kg = gauss_curvature(ginv, data.chart, christoffel(gamma, ginv, data.chart))
     grad_lo = grad(data.chart, np.log(om))
     om_scalar = -0.5 * dlo / om
-    gam = christoffel(gamma, data.chart)
+    gam = christoffel(gamma, ginv, data.chart)
     return P.SliceFields(gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi_mix, gam,
-                         calc.div_sym2(data.chart, gamma, chihat, gam), grad(data.chart, trchi))
+                         calc.div_sym2(data.chart, ginv, chihat, gam), grad(data.chart, trchi))
 
 
 def oracle_rhs(data, sl, eta, b, omb, trchb, chibhat):
     chart = data.chart
     gamma, ginv = sl.gamma, sl.ginv
-    gam = christoffel(gamma, chart)
+    gam = christoffel(gamma, ginv, chart)
     etab = 2.0 * sl.grad_log_omega - eta
     diff = eta - etab
 
-    div_chihat = calc.div_sym2(chart, gamma, sl.chihat, gam)
+    div_chihat = calc.div_sym2(chart, ginv, sl.chihat, gam)
     grad_trchi = grad(chart, sl.trchi)
     chihat_dot_diff = np.einsum("...bc,...ab,...c->...a", ginv, sl.chihat, diff)
     conn_eta = np.einsum("...ba,...b->...a", sl.chi_mix, eta)
@@ -62,9 +64,9 @@ def oracle_rhs(data, sl, eta, b, omb, trchb, chibhat):
 
     d_b = -2.0 * sl.omega[..., None] ** 2 * np.einsum("...ab,...b->...a", sym2_inverse(gamma), diff)
 
-    eta_dot_etab = calc.dot11(gamma, eta, etab)
-    eta_sq = calc.dot11(gamma, eta, eta)
-    chihat_dot_chibhat = calc.dot22(gamma, sl.chihat, chibhat)
+    eta_dot_etab = calc.dot11(ginv, eta, etab)
+    eta_sq = calc.dot11(ginv, eta, eta)
+    chihat_dot_chibhat = calc.dot22(ginv, sl.chihat, chibhat)
     d_omb = sl.omega * (
         2.0 * sl.om * omb
         - eta_dot_etab
@@ -72,8 +74,8 @@ def oracle_rhs(data, sl, eta, b, omb, trchb, chibhat):
         - 0.5 * (sl.kgauss - 0.5 * chihat_dot_chibhat + 0.25 * sl.trchi * trchb)
     )
 
-    div_etab = calc.div_oneform(chart, gamma, etab, gam)
-    etab_sq = calc.dot11(gamma, etab, etab)
+    div_etab = div_oneform(chart, gamma, etab, gam)
+    etab_sq = calc.dot11(ginv, etab, etab)
     d_trchb = sl.omega * (
         -sl.trchi * trchb + 2.0 * sl.om * trchb - 2.0 * sl.kgauss + 2.0 * div_etab + 2.0 * etab_sq
     )
@@ -81,14 +83,14 @@ def oracle_rhs(data, sl, eta, b, omb, trchb, chibhat):
     conn_chibhat = np.einsum("...ca,...cb->...ab", sl.chi_mix, chibhat) + np.einsum(
         "...cb,...ac->...ab", sl.chi_mix, chibhat
     )
-    now = calc.nabla_otimes(chart, gamma, etab, gam)
+    now = nabla_otimes(chart, gamma, etab, gam)
     d_chibhat = sl.omega[..., None, None] * (
         conn_chibhat
         - 0.5 * sl.trchi[..., None, None] * chibhat
         + now
         + 2.0 * sl.om[..., None, None] * chibhat
         - 0.5 * trchb[..., None, None] * sl.chihat
-        + calc.hat_otimes(gamma, etab, etab)
+        + hat_otimes(gamma, etab, etab)
     )
     return d_eta, d_b, d_omb, d_trchb, d_chibhat
 
@@ -233,6 +235,26 @@ def test_christoffel_calls_do_not_grow_with_grid(monkeypatch):
         P.solve_transport_system(data, sol, corner(data.chart))
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2  # the node batch and the half-node batch
+
+
+def holders(fn):
+    """Every nulldust module that binds fn."""
+    return [m for name, m in sys.modules.items()
+            if name.startswith("nulldust") and getattr(m, fn.__name__, None) is fn]
+
+
+def test_slice_batch_inverts_gamma_once(monkeypatch, problem):
+    data, sol = problem
+    result = P.solve_transport_system(data, sol, corner(data.chart))
+    inverses = count_calls(monkeypatch, sym2_inverse, holders(sym2_inverse))
+    derivs = count_calls(monkeypatch, geometry.spectral_deriv, holders(geometry.spectral_deriv))
+    P.slice_fields(data, sol, data.grid.points())
+    assert len(inverses) == 1
+    inverses.clear()
+    derivs.clear()
+    P.structure_residuals(result)
+    # the stored ginv, div chihat and grad trchi serve; nabla etab is the one derivative
+    assert (len(inverses), len(derivs)) == (0, 2)
 
 
 def test_rhs_makes_at_most_two_spectral_calls(monkeypatch, problem):
