@@ -477,13 +477,16 @@ def _phi_gap_stats(sol, glued, fm, grid):
 # 7. measure -> vacuum pipeline
 # ---------------------------------------------------------------------------
 
+PIPELINE_GRID = Grid1D(0.0, 1.0, 257)  # the ub interval of criterion 7
+
+
 def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) -> Verdict:
     """m_seq: mollification levels m; k: the oscillation wavenumber (None: the
     uniform selection over the first and last level); dust: parsed dust-spec
     lines, whose atoms lose an angular strip of their mass."""
     t0 = time.time()
     chart = AngularGrid(8, 4)
-    grid = Grid1D(0.0, 1.0, 257)
+    grid = PIPELINE_GRID
     ring = _flat_ring(chart)
     one, zero = _const_maps(chart)
     t1, _ = chart.mesh()
@@ -608,8 +611,7 @@ def criterion_compensated() -> Verdict:
     violations = 0
     min_radii = []
     for _ in range(100):
-        d1, d2 = CC.random_masked_decompositions(box, 4.0, rng)
-        ok, min_radius = CC.support_check(d1, d2)
+        ok, min_radius = CC.support_check(*CC.random_strict_parts(box, 4.0, rng))
         if not ok:
             violations += 1
         min_radii.append(min_radius)

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__, acceptance
 from . import compcompact as CC
+from . import mollify as M
 from . import planewave as pw
 from . import shellmod as S
 from .acceptance import TOL
@@ -186,6 +187,10 @@ def cmd_hf_approx(args):
         raise ValueError("the measure pipeline concentrates an atom: give --dust an 'atom' line")
     calls = [(acceptance.criterion_absorber, {})]
     if pipeline:
+        # every level's mollifier windows, before criterion 5 spends its time
+        atoms = [loc for kind, loc, _ in pipeline.get("dust", acceptance.GLUED_SHELL) if kind == "atom"]
+        for m in pipeline["m_seq"]:
+            M.check_level(m, acceptance.PIPELINE_GRID, atoms)
         calls.append((acceptance.criterion_pipeline, pipeline))
     return _run(args, calls)
 

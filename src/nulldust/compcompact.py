@@ -19,6 +19,7 @@ exactly the separation the product-support argument controls.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -51,6 +52,10 @@ class PeriodicBox:
     def mesh(self):
         return np.meshgrid(*self.axes(), indexing="ij")
 
+    def sparse_mesh(self):
+        """The mesh coordinates as broadcast-shaped 1-D axes."""
+        return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
+
     def freqs(self):
         """Integer frequency lattice per axis, broadcast-shaped."""
         out = []
@@ -68,8 +73,12 @@ class PeriodicBox:
         return float(field.mean() * (2.0 * np.pi) ** self.dim)
 
 
+@lru_cache(maxsize=4)
 def _masks(box: PeriodicBox, c1: float, mode: str):
-    """(low, pass, rest) multipliers; mode selects which axis dominates the pass mask."""
+    """(low, pass, rest) multipliers; mode selects which axis dominates the pass mask.
+
+    Cached per (box, c1, mode); the arrays are read-only.
+    """
     k = box.freqs()
     k1, k2 = np.abs(k[0]), np.abs(k[1])
     radial = np.sqrt(k1**2 + k2**2)
@@ -85,6 +94,8 @@ def _masks(box: PeriodicBox, c1: float, mode: str):
     directional = np.where(np.isfinite(arg), cutoff_chi(arg), 0.0)
     pass_mask = (1.0 - low) * directional
     rest = (1.0 - low) * (1.0 - directional)
+    for mask in (low, pass_mask, rest):
+        mask.flags.writeable = False
     return low, pass_mask, rest
 
 
@@ -93,8 +104,8 @@ class FrequencyDecomposition:
     """Exact three-part split of a real field.
 
     mode 'x1': h1 is the strictly masked first-axis-dominant part, h2 the
-    complement; mode 'x2' mirrors this (h2 strictly masked).  support_check
-    consumes the strictly masked parts of an ('x1', 'x2') pair.
+    complement; mode 'x2' mirrors this (h2 strictly masked).  strict_part
+    computes the strictly masked part alone.
     """
 
     box: PeriodicBox
@@ -105,8 +116,8 @@ class FrequencyDecomposition:
     h2: np.ndarray
 
 
-def decompose(field: np.ndarray, box: PeriodicBox, c1: float, mode: str) -> FrequencyDecomposition:
-    """Split a real field with the smooth directional multipliers.
+def _checked(field, box: PeriodicBox, c1: float) -> np.ndarray:
+    """The field as a float array, once c1 and its shape suit the box's multipliers.
 
     The low-pass reaches |xi| = 4 C1, so 4 C1 must stay inside the lattice's
     Nyquist band.
@@ -118,16 +129,40 @@ def decompose(field: np.ndarray, box: PeriodicBox, c1: float, mode: str) -> Freq
     field = np.asarray(field, dtype=float)
     if field.shape != box.shape:
         raise ValueError(f"field shape {field.shape} != box shape {box.shape}")
-    low_m, pass_m, rest_m = _masks(box, c1, mode)
+    return field
+
+
+def _filtered(spec: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The real field whose spectrum is spec times the multiplier."""
+    return np.fft.ifftn(spec * mask).real
+
+
+def decompose(field: np.ndarray, box: PeriodicBox, c1: float, mode: str) -> FrequencyDecomposition:
+    """Split a real field with the smooth directional multipliers."""
+    field = _checked(field, box, c1)
     spec = np.fft.fftn(field)
-    low = np.fft.ifftn(spec * low_m).real
-    strict = np.fft.ifftn(spec * pass_m).real
-    rest = np.fft.ifftn(spec * rest_m).real
+    low, strict, rest = (_filtered(spec, mask) for mask in _masks(box, c1, mode))
     if mode == "x1":
         h1, h2 = strict, rest
     else:
         h1, h2 = rest, strict
     return FrequencyDecomposition(box, c1, mode, low, h1, h2)
+
+
+@dataclass(frozen=True)
+class StrictPart:
+    """The strictly masked part of a field: decompose(...).h1 for mode 'x1', .h2 for 'x2'."""
+
+    box: PeriodicBox
+    c1: float
+    mode: str
+    values: np.ndarray
+
+
+def strict_part(field: np.ndarray, box: PeriodicBox, c1: float, mode: str) -> StrictPart:
+    """The pass-mask part alone: the one inverse transform support_check reads."""
+    field = _checked(field, box, c1)
+    return StrictPart(box, c1, mode, _filtered(np.fft.fftn(field), _masks(box, c1, mode)[1]))
 
 
 def partition_defect(d: FrequencyDecomposition, field: np.ndarray) -> float:
@@ -138,19 +173,19 @@ def partition_defect(d: FrequencyDecomposition, field: np.ndarray) -> float:
 _SUPPORT_RTOL = 1e-10  # spectral mass relative to the peak that counts as support
 
 
-def support_check(d1: FrequencyDecomposition, d2: FrequencyDecomposition):
+def support_check(p1: StrictPart, p2: StrictPart):
     """Verify the product of the strictly masked parts has no spectrum below C1.
 
-    d1 must be an 'x1' decomposition and d2 an 'x2' one on the same box.
+    p1 must be an 'x1' part and p2 an 'x2' one on the same box.
     Returns (ok, min_radius) where min_radius is the smallest |xi| carrying
     relative spectral mass above _SUPPORT_RTOL (inf for a zero product).
     """
-    if d1.mode != "x1" or d2.mode != "x2":
-        raise ValueError("support_check pairs an 'x1' decomposition with an 'x2' one")
-    if d1.box != d2.box or d1.c1 != d2.c1:
-        raise ValueError("decompositions live on different boxes or thresholds")
-    box, c1 = d1.box, d1.c1
-    prod = d1.h1 * d2.h2
+    if p1.mode != "x1" or p2.mode != "x2":
+        raise ValueError("support_check pairs an 'x1' part with an 'x2' one")
+    if p1.box != p2.box or p1.c1 != p2.c1:
+        raise ValueError("parts live on different boxes or thresholds")
+    box, c1 = p1.box, p1.c1
+    prod = p1.values * p2.values
     spec = np.abs(np.fft.fftn(prod))
     peak = spec.max()
     if peak == 0.0:
@@ -209,8 +244,7 @@ def transverse_pair(box: PeriodicBox) -> SequencePair:
     The amplitudes are not band-limited, so the product pairings decay
     through the test function's spectrum instead of vanishing identically.
     """
-    mesh = box.mesh()
-    u, ub = mesh[0], mesh[1]
+    u, ub = box.sparse_mesh()[:2]
     amp_f = np.exp(0.3 * np.sin(u) + 0.2 * np.cos(ub))
     amp_h = np.exp(0.25 * np.sin(ub) + 0.2 * np.cos(u))
 
@@ -225,12 +259,12 @@ def transverse_pair(box: PeriodicBox) -> SequencePair:
 
 def resonant_pair(box: PeriodicBox) -> SequencePair:
     """Negative control: both factors oscillate along ub; sin^2 averages to 1/2."""
-    mesh = box.mesh()
-    ub = mesh[1]
+    ub = box.sparse_mesh()[1]
+    wave = lambda n: np.broadcast_to(np.sin(n * ub), box.shape)
     return SequencePair(
         box,
-        lambda n: np.sin(n * ub),
-        lambda n: np.sin(n * ub),
+        wave,
+        wave,
         np.zeros(box.shape),
         np.zeros(box.shape),
         expects_defect=True,  # h is NOT ub-regular: the hypothesis the control violates
@@ -239,14 +273,14 @@ def resonant_pair(box: PeriodicBox) -> SequencePair:
 
 def strong_weak_pair(box: PeriodicBox) -> SequencePair:
     """f fixed and smooth, h_n weakly convergent to a nonzero limit."""
-    mesh = box.mesh()
-    u, ub = mesh[0], mesh[1]
+    u, ub = box.sparse_mesh()[:2]
     f0 = np.exp(0.2 * np.sin(u) + 0.1 * np.cos(ub))
-    h_inf = 1.0 + 0.5 * np.cos(u)
+    h_inf = np.broadcast_to(1.0 + 0.5 * np.cos(u), box.shape)
+    envelope = 1.0 + 0.2 * np.cos(ub)
     return SequencePair(
         box,
         lambda n: f0,
-        lambda n: h_inf + np.sin(n * u) * (1.0 + 0.2 * np.cos(ub)),
+        lambda n: h_inf + np.sin(n * u) * envelope,
         f0,
         h_inf,
     )
@@ -259,9 +293,9 @@ PAIRS = {
 }
 
 
-def random_masked_decompositions(box: PeriodicBox, c1: float, rng: np.random.Generator):
-    """Random real fields band-limited to half Nyquist (so products do not
-    alias), decomposed in the two modes."""
+def random_fields(box: PeriodicBox, rng: np.random.Generator):
+    """Two random real fields band-limited to half Nyquist (so products do not
+    alias)."""
     half = box.nyquist() // 2
     k = box.freqs()
     band = np.ones(box.shape, dtype=bool)
@@ -273,4 +307,11 @@ def random_masked_decompositions(box: PeriodicBox, c1: float, rng: np.random.Gen
         spec *= band
         field = np.fft.ifftn(spec)
         fields.append(field.real + field.imag)  # real field, generic spectrum
-    return decompose(fields[0], box, c1, "x1"), decompose(fields[1], box, c1, "x2")
+    return fields
+
+
+def random_strict_parts(box: PeriodicBox, c1: float, rng: np.random.Generator):
+    """The 'x1' strict part of one random field and the 'x2' strict part of
+    another: the pair support_check tests."""
+    f1, f2 = random_fields(box, rng)
+    return strict_part(f1, box, c1, "x1"), strict_part(f2, box, c1, "x2")

@@ -84,6 +84,23 @@ def partition(grid: Grid1D):
     return (z1, z2, z3), (dz1, dz2, dz3)
 
 
+def _scale(m: int) -> float:
+    """The mollification scale eps = 2^-2m of dyadic index m."""
+    return 2.0 ** (-2 * m)
+
+
+def check_level(m: int, grid: Grid1D, atom_locations) -> None:
+    """Refuse a dyadic index m below 1, or an atom whose mollifier window at
+    level m reaches both ends of grid: the shifted partitions absorb
+    one-sided proximity, both-sided overflow they cannot."""
+    if m < 1:
+        raise ValueError("dyadic index must be >= 1")
+    eps = _scale(m)
+    for loc in atom_locations:
+        if loc - 2.0 * eps <= grid.a and loc + 2.0 * eps >= grid.b:
+            raise ValueError(f"atom at ub={loc:g} too close to both boundaries for eps={eps:g}")
+
+
 @dataclass
 class MollifiedDensity:
     """Smooth density f_m mollifying the dust measure of data at dyadic
@@ -93,18 +110,12 @@ class MollifiedDensity:
     m: int
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("dyadic index must be >= 1")
-        grid, eps = self.data.grid, self.eps
-        for loc, _ in self.data.dust.atoms:
-            # the shifted partitions absorb one-sided proximity; both-sided overflow cannot
-            if loc - 2.0 * eps <= grid.a and loc + 2.0 * eps >= grid.b:
-                raise ValueError(f"atom at ub={loc:g} too close to both boundaries for eps={eps:g}")
-        self._zetas, self._dzetas = partition(grid)
+        check_level(self.m, self.data.grid, [loc for loc, _ in self.data.dust.atoms])
+        self._zetas, self._dzetas = partition(self.data.grid)
 
     @property
     def eps(self) -> float:
-        return 2.0 ** (-2 * self.m)
+        return _scale(self.m)
 
     def _atom_sum(self, ub, deriv: bool):
         """Mass-weighted sum over atoms of the mollification kernel (deriv:

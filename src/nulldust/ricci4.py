@@ -13,6 +13,9 @@ import numpy as np
 from .fields import MetricBlock, levi_civita, trace
 from .stencils import deriv1_fd4, deriv1_fd4_periodic
 
+_BLOCK_ROWS = 32  # rows per block along a non-periodic first axis (at least this many)
+_HALO = 4  # rows read beyond a block: two 4th-order stencils of half-width 2
+
 
 @dataclass
 class CurvatureResult:
@@ -57,9 +60,28 @@ def _oscillation_warning(m: MetricBlock) -> list:
 
 
 def spacetime_ricci(m: MetricBlock) -> CurvatureResult:
-    """Ricci and Einstein tensors of a sampled metric block."""
+    """Ricci and Einstein tensors of a sampled metric block.
+
+    A non-periodic first grid axis is evaluated in blocks of _BLOCK_ROWS to
+    2 _BLOCK_ROWS rows, so the rank-5 temporaries span one block at a time.
+    Each block reads _HALO rows beyond its own on both sides, enough for
+    the two stencils g -> Gamma -> d Gamma, so every kept row sees the same
+    stencils as in one evaluation of the whole grid.
+    """
     m.check_lorentzian()
-    g = m.g
+    n = m.g.shape[0]
+    blocks = 1 if m.periodic[0] else max(1, n // _BLOCK_ROWS)
+    edges = [n * i // blocks for i in range(blocks + 1)]  # each block but a lone one has >= _BLOCK_ROWS
+    ric, ein = np.empty_like(m.g), np.empty_like(m.g)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        a, b = max(lo - _HALO, 0), min(hi + _HALO, n)
+        r, e = _curvature(m, m.g[a:b])
+        ric[lo:hi], ein[lo:hi] = r[lo - a:hi - a], e[lo - a:hi - a]
+    return CurvatureResult(ric, ein, _oscillation_warning(m))
+
+
+def _curvature(m: MetricBlock, g: np.ndarray):
+    """(Ricci, Einstein) of rows g of the block m, with the stencils of m's grids."""
     ginv = np.linalg.inv(g)
 
     # dg[..., s, m, n] = d_s g_{mn}, freed once the connection is built
@@ -72,10 +94,13 @@ def spacetime_ricci(m: MetricBlock) -> CurvatureResult:
     gam_tr = np.einsum("...rrn->...n", gam)  # Gamma^r_{rn}
     term2 = np.stack([_block_deriv(m, gam_tr, mu) for mu in range(4)], axis=-2)  # [..., m, n]
 
-    term3 = np.einsum("...rrl,...lmn->...mn", gam, gam)   # Gamma^r_{rl} Gamma^l_{mn}
-    term4 = np.einsum("...rml,...lrn->...mn", gam, gam)   # Gamma^r_{ml} Gamma^l_{rn}
+    # Gamma^r_{rl} Gamma^l_{mn} and Gamma^r_{ml} Gamma^l_{rn} as (4, 16) products
+    batch = g.shape[:-2]
+    term3 = (gam_tr[..., None, :] @ gam.reshape(batch + (4, 16))).reshape(g.shape)
+    swapped = np.ascontiguousarray(np.swapaxes(gam, -3, -2))  # [..., a, b, c] = Gamma^b_{ac}
+    # [..., m, (r, l)] = Gamma^r_{ml} times [..., (r, l), n] = Gamma^l_{rn}
+    term4 = (swapped.reshape(batch + (4, 16)) @ swapped.reshape(batch + (16, 4))).reshape(g.shape)
     ric = term1 - term2 + term3 - term4
 
     rs = trace(ginv, ric)
-    ein = ric - 0.5 * rs[..., None, None] * g
-    return CurvatureResult(ric, ein, _oscillation_warning(m))
+    return ric, ric - 0.5 * rs[..., None, None] * g

@@ -114,7 +114,7 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["trapped", "--mass", "cos:nan,0.1"],
     ["cc-demo", "--c1", "nan"],
     ["hf-approx", "--m-seq", "1..4", "--k", "-8"],  # the wavenumber must be > 0
-    # refused by criterion 7 after criterion 5 ran: no file of either is written
+    # refused before criterion 5 runs: every level's mollifier window is checked first
     ["hf-approx", "--m-seq", "1..4", "--dust", "atom 0.5 const:1"],  # atom window meets both ends
 ])
 def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
@@ -124,6 +124,17 @@ def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
         code = exc.code
     assert code == 2
     assert not (tmp_path / args[0]).exists()
+
+
+@pytest.mark.parametrize("m_seq", ["1..4", "0..3"])
+def test_pipeline_levels_refused_before_criterion_5(tmp_path, capsys, m_seq):
+    # at m = 1 the window of an atom at ub = 0.5 reaches both ends of [0, 1]; m = 0 is no level
+    code = run_cli(["hf-approx", "--m-seq", m_seq, "--dust", "atom 0.5 const:1"], tmp_path)
+    assert code == 2
+    out = capsys.readouterr()
+    assert "PASS" not in out.out and "FAIL" not in out.out
+    assert "error:" in out.err
+    assert not (tmp_path / "hf-approx").exists()
 
 
 def test_unknown_mass_profile_is_usage_error(tmp_path):

@@ -58,6 +58,43 @@ def test_strict_mask_supports_disjoint(box):
     assert np.abs(pass1 * pass2).max() == 0.0
 
 
+def test_cached_masks_are_read_only(box):
+    masks = CC._masks(box, 3.0, "x1")
+    assert all(a is b for a, b in zip(masks, CC._masks(box, 3.0, "x1")))
+    for mask in masks:
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("shape, c1", [((128, 128), 4.0), ((16, 16, 8, 8), 2.0)])
+def test_trial_strict_parts_equal_decomposition(shape, c1):
+    box = CC.PeriodicBox(shape)
+    p1, p2 = CC.random_strict_parts(box, c1, np.random.default_rng(11))
+    f1, f2 = CC.random_fields(box, np.random.default_rng(11))
+    assert (p1.mode, p2.mode) == ("x1", "x2")
+    assert np.array_equal(p1.values, CC.decompose(f1, box, c1, "x1").h1)
+    assert np.array_equal(p2.values, CC.decompose(f2, box, c1, "x2").h2)
+
+
+def test_pairs_equal_their_full_mesh_formulas():
+    box = CC.PeriodicBox((64, 48))
+    u, ub = box.mesh()
+    n = 5
+    transverse = CC.transverse_pair(box)
+    assert np.array_equal(transverse.f(n), np.exp(0.3 * np.sin(u) + 0.2 * np.cos(ub)) * np.sin(n * ub))
+    assert np.array_equal(transverse.h(n), np.exp(0.25 * np.sin(ub) + 0.2 * np.cos(u)) * np.sin(n * u))
+    resonant = CC.resonant_pair(box)
+    assert np.array_equal(resonant.f(n), np.sin(n * ub))
+    assert np.array_equal(resonant.h(n), np.sin(n * ub))
+    strong_weak = CC.strong_weak_pair(box)
+    h_inf = 1.0 + 0.5 * np.cos(u)
+    assert np.array_equal(strong_weak.f(n), np.exp(0.2 * np.sin(u) + 0.1 * np.cos(ub)))
+    assert np.array_equal(strong_weak.h_inf, h_inf)
+    assert np.array_equal(strong_weak.h(n), h_inf + np.sin(n * u) * (1.0 + 0.2 * np.cos(ub)))
+    for pair in (transverse, resonant, strong_weak):
+        assert pair.f(n).shape == pair.h(n).shape == box.shape
+
+
 def test_threshold_below_nyquist_enforced(box):
     with pytest.raises(ValueError, match="Nyquist"):
         CC.decompose(np.zeros(box.shape), box, 20.0, "x1")
@@ -75,21 +112,21 @@ def test_support_check_explicit_masses():
     spec2[1, kx] = spec2[-1, -kx] = 1.0
     f1 = np.fft.ifftn(spec1).real * box.shape[0] ** 2
     f2 = np.fft.ifftn(spec2).real * box.shape[0] ** 2
-    d1 = CC.decompose(f1, box, c1, "x1")
-    d2 = CC.decompose(f2, box, c1, "x2")
+    d1 = CC.strict_part(f1, box, c1, "x1")
+    d2 = CC.strict_part(f2, box, c1, "x2")
     ok, min_radius = CC.support_check(d1, d2)
     assert ok and min_radius >= c1
 
 
 def test_support_check_zero_product_trivially_true(box):
-    d1 = CC.decompose(np.zeros(box.shape), box, 4.0, "x1")
-    d2 = CC.decompose(np.zeros(box.shape), box, 4.0, "x2")
+    d1 = CC.strict_part(np.zeros(box.shape), box, 4.0, "x1")
+    d2 = CC.strict_part(np.zeros(box.shape), box, 4.0, "x2")
     ok, min_radius = CC.support_check(d1, d2)
     assert ok and np.isinf(min_radius)
 
 
 def test_support_check_requires_mode_pair(box):
-    d1 = CC.decompose(np.ones(box.shape), box, 4.0, "x1")
+    d1 = CC.strict_part(np.ones(box.shape), box, 4.0, "x1")
     with pytest.raises(ValueError):
         CC.support_check(d1, d1)
 
@@ -97,7 +134,7 @@ def test_support_check_requires_mode_pair(box):
 def test_randomized_support_property(box):
     rng = np.random.default_rng(42)
     for _ in range(25):
-        d1, d2 = CC.random_masked_decompositions(box, 4.0, rng)
+        d1, d2 = CC.random_strict_parts(box, 4.0, rng)
         ok, _ = CC.support_check(d1, d2)
         assert ok
 
@@ -106,13 +143,11 @@ def test_margin_invariant_under_common_translation():
     # a common phase on both spectra is a common translation in real space
     box = CC.PeriodicBox((128, 128))
     rng = np.random.default_rng(8)
-    d1, d2 = CC.random_masked_decompositions(box, 4.0, rng)
+    d1, d2 = CC.random_strict_parts(box, 4.0, rng)
     _, m0 = CC.support_check(d1, d2)
     shift = (5, 11)
-    d1s = CC.FrequencyDecomposition(box, 4.0, "x1", np.roll(d1.low, shift, (0, 1)),
-                                    np.roll(d1.h1, shift, (0, 1)), np.roll(d1.h2, shift, (0, 1)))
-    d2s = CC.FrequencyDecomposition(box, 4.0, "x2", np.roll(d2.low, shift, (0, 1)),
-                                    np.roll(d2.h1, shift, (0, 1)), np.roll(d2.h2, shift, (0, 1)))
+    d1s = CC.StrictPart(box, 4.0, "x1", np.roll(d1.values, shift, (0, 1)))
+    d2s = CC.StrictPart(box, 4.0, "x2", np.roll(d2.values, shift, (0, 1)))
     _, m1 = CC.support_check(d1s, d2s)
     assert abs(m0 - m1) < 1e-12
 
@@ -123,7 +158,7 @@ def test_4d_partition_and_support():
     f = rng.standard_normal(box.shape)
     d = CC.decompose(f, box, 2.0, "x1")
     assert CC.partition_defect(d, f) < 1e-12
-    d1, d2 = CC.random_masked_decompositions(box, 2.0, rng)
+    d1, d2 = CC.random_strict_parts(box, 2.0, rng)
     ok, _ = CC.support_check(d1, d2)
     assert ok
 

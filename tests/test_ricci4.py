@@ -1,8 +1,15 @@
 """Finite-difference 4-metric curvature evaluator."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import nulldust
+from nulldust import gowdy, ricci4
 from nulldust.fields import MetricBlock
 from nulldust.grids import Grid1D
 from nulldust.ricci4 import spacetime_ricci
@@ -72,3 +79,62 @@ def test_under_resolved_oscillation_warns():
 def test_smooth_block_clean():
     out = spacetime_ricci(minkowski_block())
     assert out.warnings == []
+
+
+def two_axis_block(rows, periodic_first):
+    """A smooth Lorentzian metric on a non-periodic tau axis and a periodic theta
+    axis, with the periodic axis first if periodic_first."""
+    tau = Grid1D(0.0, 1.0, rows if not periodic_first else 40)
+    theta = Grid1D(0.0, 2.0 * np.pi, rows if periodic_first else 24)
+    t, th = np.meshgrid(tau.points(), theta.points_periodic(), indexing="ij")
+    g = np.zeros(t.shape + (4, 4))
+    g[..., 0, 0] = -np.exp(0.3 * np.sin(2.0 * t) * np.cos(th))
+    g[..., 1, 1] = 1.0 + 0.2 * t**2
+    g[..., 2, 2] = np.exp(0.1 * np.cos(th) + t)
+    g[..., 3, 3] = np.exp(-t)
+    g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(t) * np.sin(th)
+    if periodic_first:
+        return MetricBlock((1, 0), (theta, tau), (True, False), np.swapaxes(g, 0, 1))
+    return MetricBlock((0, 1), (tau, theta), (False, True), g)
+
+
+@pytest.mark.parametrize("case", ["two_axes", "limit_513", "periodic_first"])
+def test_row_blocks_equal_one_evaluation(case, monkeypatch):
+    rows = 3 * ricci4._BLOCK_ROWS + 5  # not a multiple of the block size
+    blk = {
+        "two_axes": lambda: two_axis_block(rows, False),
+        "limit_513": lambda: gowdy.limit_metric_block(1.0, Grid1D(-0.5, 0.5, 513)),
+        "periodic_first": lambda: two_axis_block(rows, True),
+    }[case]()
+    assert blk.g.shape[0] >= 2 * ricci4._BLOCK_ROWS  # long enough to be split if not periodic
+    blocked = spacetime_ricci(blk)
+    monkeypatch.setattr(ricci4, "_BLOCK_ROWS", blk.g.shape[0])  # one block: the whole grid
+    whole = spacetime_ricci(blk)
+    assert np.array_equal(blocked.ricci, whole.ricci)
+    assert np.array_equal(blocked.einstein, whole.einstein)
+    assert blocked.warnings == whole.warnings
+
+
+_MEMORY_PROBE = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from nulldust import gowdy
+    from nulldust.grids import Grid1D
+    from nulldust.ricci4 import spacetime_ricci
+
+    # the largest member of criterion 3's residual scan
+    blk = gowdy.family_metric(8, 1.0, Grid1D(0.0, 1.0, 321), Grid1D(0.0, 2.0 * np.pi, 320))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    spacetime_ricci(blk)
+    grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    print(grown / (2**20 if sys.platform == "darwin" else 2**10))  # bytes on macOS, KiB on Linux
+""")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs the resource module")
+def test_curvature_of_largest_scan_member_stays_small():
+    src = os.path.dirname(os.path.dirname(nulldust.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _MEMORY_PROBE], capture_output=True, text=True, env=env, check=True)
+    # one evaluation of all 321 x 320 points at once grows the peak by about 136 MB
+    assert float(out.stdout) < 90.0
