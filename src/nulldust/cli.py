@@ -8,9 +8,10 @@ verdict.  burnett, shell-limit, gowdy, constraints and pipeline run criteria
 1, 2, 3, 4 and 10; hf-approx runs criterion 5, and with --m-seq criterion 7
 too; verify-all runs all ten.  trapped and cc-demo are demonstrations.
 
-Every run writes manifest.json (config, library versions, wall time) and
-summary.json, whose ``checks`` map "<verdict>/<check>" to a bool, and whose
-``details`` map each verdict name to its details.  Criterion runs also write
+Every run writes manifest.json (config, library versions, wall time, and
+``workers``, the threads its criteria may use) and summary.json, whose
+``checks`` map "<verdict>/<check>" to a bool, and whose ``details`` map each
+verdict name to its details.  Criterion runs also write
 verdicts.csv and one <verdict>.csv per verdict, a ``path,value`` row per
 flattened detail (RFC-4180).  Exit codes: 0 all checks pass, 1 a check failed
 or a NumericalFailure stopped the run (summary.json then carries an
@@ -35,6 +36,7 @@ from . import shellmod as S
 from .acceptance import TOL
 from .errors import NumericalFailure
 from .grids import AngularGrid
+from .pool import workers
 
 
 def _out_root(args):
@@ -78,6 +80,7 @@ def _finish(outdir, args, summary, t0):
             "python": platform.python_version(),
         },
         "wall_seconds": time.time() - t0,
+        "workers": workers(),
     }
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:

@@ -17,6 +17,7 @@ import numpy as np
 from .bessel import bessel_j
 from .fields import MetricBlock
 from .grids import Grid1D
+from .pool import pmap
 from .rates import fit_rate
 from .ricci4 import spacetime_ricci
 
@@ -111,15 +112,25 @@ class VacuumResidual:
 
 def vacuum_residual_scan(n: int, amplitude: float, sizes) -> VacuumResidual:
     """Max curvature norm of the family member n (vacuum up to discretization)
-    over tau in [0, 1] across a sequence of grid sizes, plus the fitted order."""
-    hs, res = [], []
+    over tau in [0, 1] across a sequence of grid sizes, plus the fitted order.
+
+    The members run at the same time, largest first (the largest is about
+    half the work).  Their grids are built and checked in input order
+    first, so a bad member raises the error a loop over sizes would.
+    """
+    grids = []
     for m in sizes:
-        tg = Grid1D(0.0, 1.0, m + 1)
-        thg = Grid1D(0.0, 2.0 * np.pi, m)
-        out = spacetime_ricci(family_metric(n, amplitude, tg, thg))
-        res.append(float(np.abs(out.ricci).max()))
-        hs.append(tg.h)
-    return VacuumResidual(res, fit_rate(np.array(hs), np.array(res)))
+        tg, thg = Grid1D(0.0, 1.0, m + 1), Grid1D(0.0, 2.0 * np.pi, m)
+        _check_resolution(n, tg.points(), thg.points_periodic())
+        grids.append((tg, thg))
+    largest_first = sorted(grids, key=lambda g: -g[1].n)
+    found = dict(zip(largest_first, pmap(lambda g: _max_ricci(n, amplitude, *g), largest_first)))
+    res = [found[g] for g in grids]
+    return VacuumResidual(res, fit_rate(np.array([tg.h for tg, _ in grids]), np.array(res)))
+
+
+def _max_ricci(n, amplitude, tg, thg):
+    return float(np.abs(spacetime_ricci(family_metric(n, amplitude, tg, thg)).ricci).max())
 
 
 _LIMIT_N_TAU = 513  # odd, so the middle node sits at tau

@@ -5,6 +5,8 @@ with 4th-order one-sided closures at the interval ends.  Angular derivatives
 on the periodic chart are spectral (FFT).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 # 4th-order one-sided first-derivative closures (rows: node 0 and node 1 from the edge)
@@ -46,11 +48,21 @@ def spectral_deriv(f: np.ndarray, period: float, axis: int) -> np.ndarray:
     on the grid).
     """
     f = np.asarray(f, dtype=float)
-    n = f.shape[axis]
+    spec = np.fft.fft(f, axis=axis)
+    spec *= _deriv_multiplier(f.shape[axis], period, axis, f.ndim)  # in place: one spectrum-sized allocation fewer
+    return np.real(np.fft.ifft(spec, axis=axis))
+
+
+@lru_cache(maxsize=32)
+def _deriv_multiplier(n, period, axis, ndim):
+    """i k along axis of an ndim-array, Nyquist entry zeroed, shaped to
+    broadcast; cached per (n, period, axis, ndim) and read-only."""
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
     mult = 1j * k
     if n % 2 == 0:
         mult[n // 2] = 0.0
-    shape = [1] * f.ndim
+    shape = [1] * ndim
     shape[axis] = n
-    return np.real(np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape), axis=axis))
+    mult = mult.reshape(shape)
+    mult.flags.writeable = False
+    return mult

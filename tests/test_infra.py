@@ -8,7 +8,7 @@ import pytest
 
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.rates import fit_rate
-from nulldust.stencils import deriv1_fd4, deriv1_fd4_periodic, spectral_deriv
+from nulldust.stencils import _deriv_multiplier, deriv1_fd4, deriv1_fd4_periodic, spectral_deriv
 
 
 def test_grid1d_invariants():
@@ -67,6 +67,22 @@ def test_spectral_derivative_exact_for_band_limited():
     y = np.sin(5 * x) + 0.3 * np.cos(3 * x)
     d = spectral_deriv(y, 2 * np.pi, 0)
     assert np.abs(d - (5 * np.cos(5 * x) - 0.9 * np.sin(3 * x))).max() < 1e-12
+
+
+def test_spectral_multiplier_cached_read_only():
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((3, 12, 8))
+    for axis, period in ((1, 2 * np.pi), (2, 1.5)):
+        n = f.shape[axis]
+        mult = 1j * (2.0 * np.pi * np.fft.fftfreq(n, d=period / n))
+        mult[n // 2] = 0.0
+        shape = [1, 1, 1]
+        shape[axis] = n
+        direct = np.real(np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape), axis=axis))
+        assert np.array_equal(spectral_deriv(f, period, axis), direct)
+        cached = _deriv_multiplier(n, period, axis, f.ndim)
+        assert cached is _deriv_multiplier(n, period, axis, f.ndim)
+        assert not cached.flags.writeable
 
 
 def test_rate_fit_exact_and_noisy():
