@@ -30,7 +30,7 @@ from .rates import fit_rate
 from .stencils import deriv1_fd4
 from .testfunctions import bump_dictionary, plateau
 
-# Tolerances, pinned once (the CLI documents them):
+# Tolerances, pinned once (README documents them):
 TOL = {
     "fft_identity": 1e-12,
     "rate_slope": 0.9,          # acceptance fraction of a first-order rate

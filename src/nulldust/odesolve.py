@@ -14,14 +14,13 @@ coefficients.  Each chunk marches only its U distinct columns and scatters the
 nodes back to all M points (_rk4_distinct); byte-equal inputs give byte-equal
 marches, so the result is bit-identical to marching every point.
 
-_rk4_chunk marches the U columns of one chunk.  One column kernel,
-_rk4_column, marches one point through the whole chunk.  With numba it is
-compiled and runs for every U, on column views of the arrays.  Without numba
-it runs on flat lists of Python floats for U < _ROWS_MIN_POINTS, and a numpy
-kernel that loops over steps and does each RK4 stage as one array operation
-over all U columns serves larger U.  Both kernels do the same IEEE operations
-in the same order, so their results are bit-identical, the index of a failure
-included.
+_rk4_chunk marches the U columns of one chunk with one of two kernels.  For
+U < _ROWS_MIN_POINTS the column kernel, _rk4_column, marches one point at a
+time through the whole chunk on flat lists of Python floats; from
+_ROWS_MIN_POINTS up a numpy kernel loops over steps and does each RK4 stage
+as one array operation over all U columns.  Both kernels do the same IEEE
+operations in the same order, so their results are bit-identical, the index
+of a failure included.
 """
 
 from dataclasses import dataclass
@@ -32,18 +31,7 @@ import numpy as np
 from .errors import NumericalFailure
 from .grids import Grid1D
 
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except Exception:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
+_HAVE_NUMBA = False  # no compiled backend; perfbench/worker.py reads it for its "backend" field
 
 
 class FocusingError(NumericalFailure):
@@ -53,17 +41,14 @@ class FocusingError(NumericalFailure):
 
 _CHUNK = 4096  # steps marched per coefficient batch
 # Smallest M for which the numpy row kernel beats the column kernel on Python
-# floats.  Per 4,096-step chunk on a 2-core x86 host with numpy 2.4 and no
-# numba, its speed relative to the column kernel is 0.05x at M = 1, 0.15x at
-# M = 4, 0.32x at M = 8, 0.6-0.7x at M = 16, 0.8x at M = 20, 1.0x at M = 22
-# and 1.4x at M = 32.
+# floats.  Per 4,096-step chunk on a 2-core x86 host with numpy 2.4, its speed
+# relative to the column kernel is 0.05x at M = 1, 0.15x at M = 4, 0.32x at
+# M = 8, 0.6-0.7x at M = 16, 0.8x at M = 20, 1.0x at M = 22 and 1.4x at M = 32.
 _ROWS_MIN_POINTS = 22
 
 
-@njit(cache=True)
 def _rk4_column(p, q, g2, cr, f2, hh, hv, h6, out_p, out_q):
-    """March one angular point through a chunk: compiled with numba, else on
-    Python floats.
+    """March one angular point through a chunk on Python floats.
 
     g2, cr, f2 are the point's 2.0*gl, cc and 0.5*ff on the half-step
     lattice; hh, hv, h6 are 0.5*h, h and h/6.0.  Each is the leftmost
@@ -87,7 +72,7 @@ def _rk4_column(p, q, g2, cr, f2, hh, hv, h6, out_p, out_q):
             p3 = p + hv * q2
             q3 = q + hv * k3q
             k4q = g2[ie] * q3 - cr[ie] * p3 - f2[ie] / p3
-        except Exception:  # only x / 0.0 can raise here; numba compiles no narrower except
+        except ZeroDivisionError:  # only x / 0.0 can raise here: a stage value of exactly 0.0
             return i
         p = p + h6 * (q + 2.0 * q1 + 2.0 * q2 + q3)
         q = q + h6 * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
@@ -99,32 +84,26 @@ def _rk4_column(p, q, g2, cr, f2, hh, hv, h6, out_p, out_q):
 
 
 def _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi):
-    """Column driver of _rk4_chunk: _rk4_column once per angular point.
+    """Column kernel of _rk4_chunk: _rk4_column once per angular point.
 
-    With numba the kernel reads and writes column views of the arrays.
-    Without it, each column is handed over as flat lists of Python floats,
-    on which the scalar arithmetic is several times cheaper than on numpy
-    scalars, and its nodes are written back.  The failure returned is the
-    smallest i*M + j over the columns' first failures, the step-major first.
+    Each column is handed over as flat lists of Python floats, on which the
+    scalar arithmetic is several times cheaper than on numpy scalars, and its
+    nodes are written back.  The failure returned is the smallest i*M + j
+    over the columns' first failures, the step-major first.
     """
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
     hh, hv, h6 = float(0.5 * h), float(h), float(h / 6.0)
-    g2, cr, f2 = (2.0 * gl).T, cc.T, (0.5 * ff).T
-    if _HAVE_NUMBA:
-        out_p, out_q = out_phi.T, out_psi.T
-    else:
-        g2, cr, f2 = g2.tolist(), cr.tolist(), f2.tolist()
-        out_p = [[0.0] * (nc + 1) for _ in range(M)]
-        out_q = [[0.0] * (nc + 1) for _ in range(M)]
+    g2, cr, f2 = (2.0 * gl).T.tolist(), cc.T.tolist(), (0.5 * ff).T.tolist()
+    out_p = [[0.0] * (nc + 1) for _ in range(M)]
+    out_q = [[0.0] * (nc + 1) for _ in range(M)]
     bad = -1
     for j in range(M):
         i = _rk4_column(float(phi[j]), float(psi[j]), g2[j], cr[j], f2[j], hh, hv, h6, out_p[j], out_q[j])
         if i >= 0:
             bad = i * M + j if bad < 0 else min(bad, i * M + j)
-    if not _HAVE_NUMBA:
-        out_phi[:] = np.array(out_p).T
-        out_psi[:] = np.array(out_q).T
+    out_phi[:] = np.array(out_p).T
+    out_psi[:] = np.array(out_q).T
     if bad < 0:
         phi[:] = out_phi[nc]
         psi[:] = out_psi[nc]
@@ -184,7 +163,7 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     point j is nonpositive or NaN or its psi is not finite, or -1; after a
     failure the state and the rows past step i are unspecified.
     """
-    if _HAVE_NUMBA or phi.shape[0] < _ROWS_MIN_POINTS:
+    if phi.shape[0] < _ROWS_MIN_POINTS:
         return _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi)
     return _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi)
 

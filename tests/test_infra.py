@@ -1,6 +1,7 @@
-"""Grids, stencils, rate fits, and the package's public names and dataclass fields."""
+"""Grids, stencils, rate fits, and the package's public names, dataclass fields and imports."""
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -213,25 +214,66 @@ def test_every_dataclass_field_is_read_in_src():
     assert [f for f in unread_dataclass_fields(SRC) if f not in UNREAD_FIELDS_KEPT] == []
 
 
+def absolute_imports(path: Path) -> list:
+    """(line, module) of every absolute import in one file, wherever it sits:
+    `import a.b` and `from a.b import c` both give a.b."""
+    hits = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            hits += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            hits.append((node.lineno, node.module))
+    return hits
+
+
 def package_qualified_test_imports(tests: Path) -> list:
     """"file:line" of every import that reaches a test module through the
     tests package (`import tests.x`, `from tests.x import ...`,
     `from tests import x`).  Those resolve only when the repository root is
     on sys.path, as under `python -m pytest`; `from test_x import ...`
     resolves under plain `pytest` too."""
-    hits = []
-    for path in sorted(tests.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                modules = [node.module]
-            else:
-                continue
-            if any(m == "tests" or m.startswith("tests.") for m in modules):
-                hits.append(f"{path.name}:{node.lineno}")
-    return hits
+    return [
+        f"{path.name}:{line}"
+        for path in sorted(tests.glob("*.py"))
+        for line, module in absolute_imports(path)
+        if module.partition(".")[0] == "tests"
+    ]
 
 
 def test_no_test_module_imported_through_the_tests_package():
     assert package_qualified_test_imports(Path(__file__).resolve().parent) == []
+
+
+def third_party_imports(src: Path) -> list:
+    """"file:line module" of every absolute import in src/*.py of a module that
+    is neither in the standard library nor numpy nor nulldust itself (a
+    guarded `try: import ...` counts too)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "nulldust"}
+    return [
+        f"{path.name}:{line} {module}"
+        for path in sorted(src.glob("*.py"))
+        for line, module in absolute_imports(path)
+        if module.partition(".")[0] not in allowed
+    ]
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    # the RK4 kernels are plain Python and numpy; no compiled or optional backend
+    assert third_party_imports(SRC) == []
+
+
+def tol_reads(path: Path) -> list:
+    """Line numbers at which a module reads the name TOL: a load of `TOL`, an
+    attribute `x.TOL`, or an import binding it."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Name) and node.id == "TOL")
+        or (isinstance(node, ast.Attribute) and node.attr == "TOL")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "TOL" for alias in node.names))
+    ]
+
+
+def test_cli_never_reads_tolerances():
+    # the criteria own every check against acceptance.TOL; a CLI demo reports values
+    assert tol_reads(SRC / "cli.py") == []

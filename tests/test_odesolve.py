@@ -46,16 +46,8 @@ def _rk4_points(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     return -1
 
 
-def _columns_on_views(*args):
-    """The column driver as numba runs it, on array views (here uncompiled)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(odesolve, "_HAVE_NUMBA", True)
-        return odesolve._rk4_columns(*args)
-
-
 KERNELS = {
     "columns": odesolve._rk4_columns,
-    "column_views": _columns_on_views,
     "rows": odesolve._rk4_rows,
 }
 POINT_COUNTS = [1, 2, 4, 5, 8, ROWS - 1, ROWS, 32, 256]
@@ -92,10 +84,9 @@ def test_row_kernel_bit_identical_to_point_loop(M):
 
 
 @pytest.mark.parametrize("M", POINT_COUNTS)
-@pytest.mark.parametrize("kernel", ["columns", "column_views"])
+@pytest.mark.parametrize("kernel", ["columns"])
 def test_column_kernel_bit_identical_to_point_loop(kernel, M):
-    nc = 60 if kernel == "column_views" or M > 32 else 300
-    inputs = chunk_inputs(M, nc, seed=M)
+    inputs = chunk_inputs(M, 60 if M > 32 else 300, seed=M)
     assert_same_march(run_kernel(KERNELS[kernel], inputs, 0.01), run_kernel(_rk4_points, inputs, 0.01))
 
 
@@ -149,19 +140,15 @@ def test_zero_stage_value_is_focusing_at_that_step(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(FocusingError) as err:
         march()
-    assert locations == [(0.5, 0)] * 4
+    assert locations == [(0.5, 0)] * 3
     assert err.value.location == (0.5, 0)
 
 
 def test_dispatch_on_point_count(monkeypatch):
     monkeypatch.setattr(odesolve, "_rk4_columns", lambda *args: "columns")
     monkeypatch.setattr(odesolve, "_rk4_rows", lambda *args: "rows")
-    below = np.ones(ROWS - 1)
-    at = np.ones(ROWS)
-    for numba in (False, True):
-        monkeypatch.setattr(odesolve, "_HAVE_NUMBA", numba)
-        assert odesolve._rk4_chunk(below, *[None] * 7) == "columns"
-        assert odesolve._rk4_chunk(at, *[None] * 7) == ("columns" if numba else "rows")
+    assert odesolve._rk4_chunk(np.ones(ROWS - 1), *[None] * 7) == "columns"
+    assert odesolve._rk4_chunk(np.ones(ROWS), *[None] * 7) == "rows"
 
 
 def chart_coeffs(M):
@@ -202,7 +189,7 @@ def test_nan_coefficient_is_focusing_error_at_many_points():
     M = 32
     glog, coeff, source = chart_coeffs(M)
     poisoned = lambda ub: np.where((ub[:, None] > 0.5) & (np.arange(M) == 7), np.nan, coeff(ub))
-    assert M >= odesolve._ROWS_MIN_POINTS  # the row kernel runs without numba
+    assert M >= odesolve._ROWS_MIN_POINTS  # the row kernel runs
     with pytest.raises(FocusingError) as err:
         solve_linear_second_order(
             Grid1D(0.0, 1.0, 201), glog, poisoned, source, np.ones(M), np.zeros(M)
