@@ -344,11 +344,15 @@ def criterion_absorber() -> Verdict:
     sfun = lambda ub: prof[None] * np.sin(2 * np.pi * np.asarray(ub, float))[:, None, None]
     dsfun = lambda ub: prof[None] * 2 * np.pi * np.cos(2 * np.pi * np.asarray(ub, float))[:, None, None]
     b_fn = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
-    db_fn = b_fn
-    a_fn = lambda ub: np.exp(sfun(ub))
-    da_fn = lambda ub: dsfun(ub) * np.exp(sfun(ub))
-    d_fn = lambda ub: 1.0 / a_fn(ub)
-    dd_fn = lambda ub: -dsfun(ub) / a_fn(ub)
+
+    def entries(ub):
+        a = np.exp(sfun(ub))
+        return a, b_fn(ub), 1.0 / a
+
+    def dentries(ub):
+        ds = dsfun(ub)
+        a = np.exp(sfun(ub))
+        return ds * a, b_fn(ub), -ds / a
 
     f_fn = lambda ub: 1.2 * w_theta[None] * np.exp(np.sin(2 * np.pi * np.asarray(ub, float)))[:, None, None]
     df_fn = lambda ub: 1.2 * w_theta[None] * (
@@ -361,8 +365,7 @@ def criterion_absorber() -> Verdict:
 
     # dust factor solved numerically, then handed over as a dense callable
     data = C.ReducedCharData(
-        grid, chart, _flat_ring(chart), omega, dlog_omega,
-        lambda ub: (a_fn(ub), b_fn(ub), d_fn(ub)), lambda ub: (da_fn(ub), db_fn(ub), dd_fn(ub)),
+        grid, chart, _flat_ring(chart), omega, dlog_omega, entries, dentries,
         dust=C.NullDustMeasure(density=f_fn),
     )
     phi_dust = C.solve_constraint(data, 1.0, 0.0)
@@ -495,24 +498,29 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     measure = _dust_measure(dust, chart)
     measure.atoms = [(loc, mass * (1.0 - strip)) for loc, mass in measure.atoms]
 
-    def run(measure):
+    def pipeline(measure):
+        """The measure's pipeline, with k frozen over the first and last level."""
         data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=measure)
         bv = C.solve_constraint(data, 1.0, 0.15)
         pipe = MP.MeasurePipeline(data, bv, k=k)
         pipe.freeze_k([m_seq[0], m_seq[-1]])
-        members = [pipe.member(m) for m in m_seq]
-        tf = bump_dictionary(grid, chart)[1]
-        return members, MP.pipeline_weak_check(pipe, members, [tf])
+        return pipe
 
-    members, rows = run(measure)
+    tf = bump_dictionary(grid, chart)[1]
+    pipe = pipeline(measure)
+    members = [pipe.member(m) for m in m_seq]
+    rows = MP.pipeline_weak_check(pipe, members, [tf])
     gaps = [r["gap"] for r in rows]
     slope = fit_rate([2.0 ** -r["m"] for r in rows], gaps)
 
-    # linearity of the limiting pairing in the measure
+    # linearity of the limiting pairing in the measure: only the last level
+    # of the doubled measure is read, and a member does not depend on which
+    # other members were built
     doubled = C.NullDustMeasure([(loc, 2.0 * mass) for loc, mass in measure.atoms])
     if measure.density is not None:
         doubled.density = lambda ub: 2.0 * measure.density(ub)
-    _, rows2 = run(doubled)
+    pipe2 = pipeline(doubled)
+    rows2 = MP.pipeline_weak_check(pipe2, [pipe2.member(m_seq[-1])], [tf])
     lim1 = rows[-1]["difference"]
     lim2 = rows2[-1]["difference"]
     linearity = abs(lim2 / lim1 - 2.0) / 2.0

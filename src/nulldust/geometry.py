@@ -13,9 +13,14 @@ from .stencils import spectral_deriv
 
 def partial(chart: AngularGrid, f: np.ndarray, lead: int) -> np.ndarray:
     """d_c f for f shaped (lead batch axes, n1, n2, *slots): the derivative
-    slot c is inserted after the grid axes, (batch, n1, n2, 2, *slots)."""
-    return np.stack([spectral_deriv(f, chart.L1, axis=lead), spectral_deriv(f, chart.L2, axis=lead + 1)],
-                    axis=lead + 2)
+    slot c is inserted after the grid axes, (batch, n1, n2, 2, *slots).  Each
+    derivative is copied into its slot as soon as it is computed, so one
+    complex spectrum is alive beside the output at a time."""
+    out = np.empty(f.shape[:lead + 2] + (2,) + f.shape[lead + 2:])
+    slots = np.moveaxis(out, lead + 2, 0)
+    slots[0] = spectral_deriv(f, chart.L1, lead)
+    slots[1] = spectral_deriv(f, chart.L2, lead + 1)
+    return out
 
 
 def christoffel(gamma: np.ndarray, ginv: np.ndarray, chart: AngularGrid) -> np.ndarray:

@@ -192,15 +192,6 @@ class OscillatoryFamily:
             out.append(de1 * s2 + 2.0 * kn * e1 * c2 + de2 * s1 + kn * e2 * c1)
         return np.concatenate(out)
 
-    def weak_defect(self, ub_batch):
-        """[|dgamma_n|^2 - |dgamma|^2] Phi^2 - 4 f - (1/n) dF_n, pointwise."""
-        bg = self.background
-        phi2 = bg.phi(ub_batch) ** 2
-        defect = (self.dgamma_normsq(ub_batch) - bg.data.dgamma_normsq(ub_batch)) * phi2
-        defect -= 4.0 * np.maximum(bg.f(ub_batch), 0.0)
-        defect -= self.dcorrector(ub_batch) / self.n
-        return defect
-
     def resolving_grid(self, per_wavelength: int) -> Grid1D:
         wavelength = 2.0 * np.pi / (self.k * self.n)
         grid = self.background.data.grid
@@ -255,21 +246,23 @@ def family_convergence(background: DustBackground, n_values):
         fam = OscillatoryFamily(background, k, n)
         grid = fam.resolving_grid(16)
         ub = np.linspace(grid.a, grid.b, max(4096, grid.n))
-        ea, eb, ed = fam.entries(ub)
+        (ea, eb, ed), dentries = fam.jet(ub)
         ba, bb, bd = background.data.entries(ub)
         gap_gamma = max(
             float(np.abs(ea - ba).max()),
             float(np.abs(eb - bb).max()),
             float(np.abs(ed - bd).max()),
         )
-        defect = float(np.abs(fam.weak_defect(ub)).max())
-        no_corr = float(
-            np.abs(
-                (fam.dgamma_normsq(ub) - background.data.dgamma_normsq(ub)) * background.phi(ub) ** 2
-                - 4.0 * np.maximum(background.f(ub), 0.0)
-            ).max()
-        )
-        det_defect = float(np.abs(fam.det_defect(ub)).max())
+        normsq = dgamma_norm_sq((ea, eb, ed), dentries)
+        del dentries
+        # [|dgamma_n|^2 - |dgamma|^2] Phi^2 - 4 f: the weak defect before the
+        # corrector term, and the corrector-free negative control itself
+        base = normsq - dgamma_norm_sq((ba, bb, bd), background.data.dentries(ub))
+        base *= background.phi(ub) ** 2
+        base -= 4.0 * np.maximum(background.f(ub), 0.0)
+        no_corr = float(np.abs(base).max())
+        defect = float(np.abs(base - fam.dcorrector(ub) / n).max())
+        det_defect = float(np.abs(ea * ed - eb * eb - (ba * bd - bb * bb)).max())
         sol = solve_phi_n(fam)
         nodes = sol.grid.points()
         gap_phi = float(np.abs(sol.phi - background.phi(nodes)).max())

@@ -171,16 +171,28 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
 def _distinct_columns(phi, psi, gl, cc, ff):
     """The byte-distinct angular columns of one chunk's problem.
 
-    Column j is (phi[j], psi[j], gl[:, j], cc[:, j], ff[:, j]), keyed by its
-    raw bytes, so -0.0 and 0.0, or two NaN payloads, are different columns.
+    Column j is (phi[j], psi[j], gl[:, j], cc[:, j], ff[:, j]), compared by
+    its raw bits, so -0.0 and 0.0, or two NaN payloads, are different columns.
     Returns the first occurrence of each distinct column, in increasing
     order, and the distinct column of every point.
+
+    Columns are first keyed by a fingerprint of their uint64 views: the
+    state, and each coefficient's wrapping sum, first and last row.  Only
+    columns with equal fingerprints are compared in full, all at once.
     """
+    bits = [a.view(np.uint64) for a in (phi, psi, gl, cc, ff)]
+    rows = bits[:2] + [r for b in bits[2:] for r in (b.sum(axis=0, dtype=np.uint64), b[0], b[-1])]
     seen = {}
-    firsts = [
-        seen.setdefault(tuple(a[..., j].tobytes() for a in (phi, psi, gl, cc, ff)), j)
-        for j in range(phi.shape[0])
-    ]
+    firsts = np.array([seen.setdefault(key, j) for j, key in enumerate(zip(*(r.tolist() for r in rows)))])
+    dup = np.flatnonzero(firsts != np.arange(len(firsts)))
+    same = np.ones(len(dup), bool)
+    for b in bits[2:]:
+        same &= (b[:, dup] == b[:, firsts[dup]]).all(axis=0)
+    # a fingerprint collision: the column's first byte-equal column, if any,
+    # is an earlier first occurrence
+    for j in dup[~same]:
+        firsts[j] = next((i for i in range(j) if firsts[i] == i
+                          and all(np.array_equal(b[..., i], b[..., j]) for b in bits)), j)
     return np.unique(firsts, return_inverse=True)
 
 

@@ -45,12 +45,15 @@ def spectral_deriv(f: np.ndarray, period: float, axis: int) -> np.ndarray:
     """Spectral first derivative along a periodic axis.
 
     The Nyquist mode is zeroed (its sampled derivative is not representable
-    on the grid).
+    on the grid).  One complex buffer holds the whole transform: f is copied
+    into it and transformed, scaled and transformed back in place.
     """
     f = np.asarray(f, dtype=float)
-    spec = np.fft.fft(f, axis=axis)
-    spec *= _deriv_multiplier(f.shape[axis], period, axis, f.ndim)  # in place: one spectrum-sized allocation fewer
-    return np.real(np.fft.ifft(spec, axis=axis))
+    spec = f.astype(complex)
+    np.fft.fft(spec, axis=axis, out=spec)
+    spec *= _deriv_multiplier(f.shape[axis], period, axis, f.ndim)
+    np.fft.ifft(spec, axis=axis, out=spec)
+    return spec.real
 
 
 @lru_cache(maxsize=32)

@@ -154,3 +154,40 @@ def test_curvature_fibers_disagree_near_nyquist():
     g[..., 0, 0] = 1.0 + 0.45 * np.sin(3 * t1) * np.cos(3 * t2)
     g[..., 1, 1] = 1.0 + 0.45 * np.cos(3 * t1 + 2 * t2)
     assert fiber_mismatch(g, chart) > 1e-12
+
+
+def _stacked_partial(chart, f, lead):
+    """Oracle of partial: two out-of-place spectral derivatives, stacked."""
+    def deriv(period, axis):
+        n = f.shape[axis]
+        mult = 1j * (2.0 * np.pi * np.fft.fftfreq(n, d=period / n))
+        mult[n // 2] = 0.0
+        shape = [1] * f.ndim
+        shape[axis] = n
+        return np.real(np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape), axis=axis))
+
+    return np.stack([deriv(chart.L1, lead), deriv(chart.L2, lead + 1)], axis=lead + 2)
+
+
+@pytest.mark.parametrize("lead, slots", [(0, ()), (1, (2, 2)), (2, (2, 2, 2))])
+def test_partial_bit_identical_to_stacked_derivatives(lead, slots):
+    chart = AngularGrid(16, 8, 2.0, 3.0)
+    f = np.random.default_rng(lead).standard_normal((3,) * lead + chart.shape + slots)
+    got = partial(chart, f, lead)
+    assert got.shape == f.shape[:lead + 2] + (2,) + slots
+    assert np.array_equal(got, _stacked_partial(chart, f, lead))
+
+
+def test_partial_keeps_one_spectrum_beside_its_output():
+    import tracemalloc
+
+    chart = AngularGrid(64, 4)
+    f = np.random.default_rng(5).standard_normal((64,) + chart.shape + (2, 2, 2))
+    peaks = []
+    for fn in (lambda: partial(chart, f, 0), lambda: _stacked_partial(chart, f, 0)):
+        tracemalloc.start()
+        fn()
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] > 5.5 * f.nbytes  # two spectra and a held complex result
+    assert peaks[0] < 4.5 * f.nbytes  # the output (2 |f|) and one complex buffer

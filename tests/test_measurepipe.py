@@ -5,7 +5,7 @@ import pytest
 
 from nulldust import constraints as C
 from nulldust import measurepipe as MP
-from nulldust.acceptance import _phi_gap_stats
+from nulldust.acceptance import _phi_gap_stats, criterion_pipeline
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.mollify import density_pairing
 from nulldust.quadrature import gauss_legendre_nodes
@@ -127,6 +127,36 @@ def test_linearity_in_atom_mass(setting):
     row1 = MP.pipeline_weak_check(pipe, [members[4]], [tf])[0]
     row2 = MP.pipeline_weak_check(pipe2, [mem2], [tf])[0]
     assert abs(row2["difference"] / row1["difference"] - 2.0) < 0.05
+
+
+def test_member_does_not_depend_on_members_built_before(setting):
+    chart, grid, data, bv, pipe, members = setting
+    alone, after = MP.MeasurePipeline(data, bv), MP.MeasurePipeline(data, bv)
+    for fresh in (alone, after):
+        fresh.freeze_k([1, 3])
+    for m in (1, 2):
+        after.member(m)
+    one, other = alone.member(3), after.member(3)
+    assert one.n == other.n and one.family.k == other.family.k
+    assert len(one.phi_vac.pieces) == len(other.phi_vac.pieces)
+    assert np.array_equal(one.phi_vac.breakpoints, other.phi_vac.breakpoints)
+    for p, q in zip(one.phi_vac.pieces, other.phi_vac.pieces):
+        assert np.array_equal(p.phi, q.phi) and np.array_equal(p.dphi, q.dphi)
+
+
+def test_pipeline_linearity_equals_doubled_run_with_every_member(monkeypatch):
+    # the oracle builds every level of the doubled measure, and reads its last
+    m_seq = (1, 2, 3, 4)
+    got = criterion_pipeline(m_seq=m_seq).details["linearity_deviation"]
+    check = MP.pipeline_weak_check
+
+    def every_member(pipe, members, tests):
+        if len(members) < len(m_seq):
+            members = [pipe.member(m) for m in m_seq]
+        return check(pipe, members, tests)
+
+    monkeypatch.setattr(MP, "pipeline_weak_check", every_member)
+    assert got == criterion_pipeline(m_seq=m_seq).details["linearity_deviation"]
 
 
 # Per-panel loops as the pairings were first written: one integrand evaluation

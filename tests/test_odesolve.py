@@ -335,6 +335,40 @@ def test_columns_differing_in_one_bit_pattern_march_separately(where, nudge, mon
         assert np.signbit(got[4][0]).tolist() == [False, False, True, False]
 
 
+def bytes_keyed_columns(phi, psi, gl, cc, ff):
+    """Oracle of _distinct_columns: each column keyed by its raw bytes."""
+    seen = {}
+    firsts = [seen.setdefault(tuple(a[..., j].tobytes() for a in (phi, psi, gl, cc, ff)), j)
+              for j in range(phi.shape[0])]
+    return np.unique(firsts, return_inverse=True)
+
+
+@pytest.mark.parametrize("case", ["signed_zero", "nan_payload", "equal_wrapping_sums"])
+def test_columns_differing_deep_in_a_coefficient_row_stay_distinct(case):
+    # eight points with one column, but for points 2 and 5, whose column
+    # differs from it only in row 1234 of cc (rows 1234 and 1235 when swapped)
+    inputs, _ = tiled_inputs(8, 1, 2048, seed=11)
+    phi0, psi0, gl, cc, ff = (x.copy() for x in inputs)
+    twin = [2, 5]
+    if case == "signed_zero":
+        cc[1234] = 0.0
+        cc[1234, twin] = -0.0
+    elif case == "nan_payload":
+        bits = cc.view(np.uint64)
+        bits[1234] = 0x7FF8000000000001
+        bits[1234, twin] = 0x7FF8000000000002
+    else:  # the two values swapped: equal sums, first and last rows
+        cc[1234:1236, twin] = cc[1234:1236, twin][::-1]
+    first, inverse = odesolve._distinct_columns(phi0, psi0, gl, cc, ff)
+    want_first, want_inverse = bytes_keyed_columns(phi0, psi0, gl, cc, ff)
+    assert first.tolist() == want_first.tolist() == [0, 2]
+    assert inverse.tolist() == want_inverse.tolist() == [0, 0, 1, 0, 0, 1, 0, 0]
+    if case == "equal_wrapping_sums":
+        for a in (gl, cc, ff):
+            sums = a.view(np.uint64).sum(axis=0, dtype=np.uint64)
+            assert sums[0] == sums[2] and a[0, 0] == a[0, 2] and a[-1, 0] == a[-1, 2]
+
+
 def crossing_step(omega, h, nc):
     """The step on which phi = cos(omega ub) fails, from the point loop."""
     bad = run_kernel(_rk4_points, oscillators([omega], nc), h)[0]
