@@ -1,20 +1,22 @@
 """Command-line orchestration: subcommands that run the acceptance criteria,
 run directories, and a reproducibility manifest.
 
-A criterion subcommand parses its flags and calls its criterion with one
+A criterion subcommand parses its flags and calls its one criterion with one
 keyword argument per flag given; an omitted flag keeps the criterion's
 acceptance default, so without flags a subcommand reproduces its verify-all
-verdict.  burnett, shell-limit, gowdy, constraints and pipeline run criteria
-1, 2, 3, 4 and 10; hf-approx runs criterion 5, and with --m-seq criterion 7
-too; verify-all runs all ten.  trapped and cc-demo are demonstrations: they
-report the values they compute and make no checks of their own (criteria 8
-and 9 do).
+verdict.  A criterion checks its own inputs, and main turns the ValueError
+of a refused value into exit 2 before any file is written.  burnett,
+shell-limit, gowdy, constraints, hf-approx, measure-pipeline and pipeline
+run criteria 1, 2, 3, 4, 5, 7 and 10; verify-all runs all ten.  trapped and
+cc-demo are demonstrations: they report the values they compute and make no
+checks of their own (criteria 8 and 9 do).
 
 Every run writes manifest.json (config, library versions, wall time, and
 ``workers``, the threads its criteria may use) and summary.json.  A criterion
 run's summary.json has ``checks``, mapping "<verdict>/<check>" to a bool, and
 ``details``, mapping each verdict name to its details; it also writes
-verdicts.csv and one <verdict>.csv per verdict, a ``path,value`` row per
+verdicts.csv (each criterion's wall time, timed here with a monotonic
+clock) and one <verdict>.csv per verdict, a ``path,value`` row per
 flattened detail (RFC-4180).  A demo's summary.json holds its values.  Exit
 codes: 0 the run finished and every check it made passed, 1 a check failed or
 a NumericalFailure stopped the run (summary.json then carries an ``error``
@@ -33,7 +35,6 @@ import numpy as np
 
 from . import __version__, acceptance
 from . import compcompact as CC
-from . import mollify as M
 from . import planewave as pw
 from . import shellmod as S
 from .errors import NumericalFailure
@@ -102,15 +103,17 @@ def _run(args, calls):
     """Run every (criterion, kwargs), then write the verdicts: a usage error leaves no files."""
     t0 = time.time()
     outdir = _out_root(args)
-    verdicts = []
+    verdicts, seconds = [], []
     for criterion, kwargs in calls:
+        start = time.perf_counter()
         v = criterion(**kwargs)
-        print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name} ({v.seconds:.1f}s)")
+        seconds.append(time.perf_counter() - start)
+        print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name} ({seconds[-1]:.1f}s)")
         verdicts.append(v)
     for v in verdicts:
         _write_csv(os.path.join(outdir, f"{v.name}.csv"), ["path", "value"], _flatten(v.details), args.plot_data)
     _write_csv(os.path.join(outdir, "verdicts.csv"), ["criterion", "passed", "seconds"],
-               [(v.name, v.passed, round(v.seconds, 2)) for v in verdicts])
+               [(v.name, v.passed, round(s, 2)) for v, s in zip(verdicts, seconds)])
     summary = {
         "checks": {f"{v.name}/{c}": ok for v in verdicts for c, ok in v.details["checks"].items()},
         "details": {v.name: v.details for v in verdicts},
@@ -184,22 +187,6 @@ def _wavenumber(text):
     return k
 
 
-def cmd_hf_approx(args):
-    pipeline = _flags(args, "m_seq", "k", "dust")
-    if pipeline and "m_seq" not in pipeline:
-        raise ValueError("--k and --dust set the measure pipeline: give --m-seq too")
-    if "dust" in pipeline and not any(kind == "atom" for kind, _, _ in pipeline["dust"]):
-        raise ValueError("the measure pipeline concentrates an atom: give --dust an 'atom' line")
-    calls = [(acceptance.criterion_absorber, {})]
-    if pipeline:
-        # every level's mollifier windows, before criterion 5 spends its time
-        atoms = [loc for kind, loc, _ in pipeline.get("dust", acceptance.GLUED_SHELL) if kind == "atom"]
-        for m in pipeline["m_seq"]:
-            M.check_level(m, acceptance.PIPELINE_GRID, atoms)
-        calls.append((acceptance.criterion_pipeline, pipeline))
-    return _run(args, calls)
-
-
 def cmd_trapped(args):
     t0 = time.time()
     outdir = _out_root(args)
@@ -228,7 +215,7 @@ def cmd_cc_demo(args):
     box = CC.PeriodicBox((args.grid, args.grid))
     rng = np.random.default_rng(args.seed_value)
     f = rng.standard_normal(box.shape)
-    partition = CC.partition_defect(CC.decompose(f, box, args.c1, "x1"), f)
+    partition = CC.partition_defect(f, CC.decompose(f, box, args.c1, "x1"))
     pair = CC.PAIRS[args.pair](CC.PeriodicBox((1024, 1024)))
     mesh = pair.box.mesh()
     psi = 1.0 + 0.5 * np.cos(mesh[0]) * np.cos(mesh[1])
@@ -281,14 +268,16 @@ def build_parser():
     p.add_argument("--dust", type=_dust_spec, help=dust_help)
     p.set_defaults(func=_criterion_cmd("criterion_constraints", "dust"))
 
-    p = criterion_parser("hf-approx", "criterion 5: dust-absorbing oscillations; with --m-seq also "
-                                      "criterion 7: the measure->vacuum pipeline")
+    p = criterion_parser("hf-approx", "criterion 5: dust-absorbing oscillations")
+    p.set_defaults(func=_criterion_cmd("criterion_absorber"))
+
+    p = criterion_parser("measure-pipeline", "criterion 7: the measure->vacuum pipeline")
     p.add_argument("--m-seq", type=_int_seq(4), help="run the measure->vacuum pipeline over these "
                    "levels m, j0..j1 or a,b,c, at least 4 (its default is 1..8)")
     p.add_argument("--k", type=_wavenumber,
-                   help="pipeline oscillation wavenumber (default auto: uniform selection); needs --m-seq")
-    p.add_argument("--dust", type=_dust_spec, help="pipeline " + dust_help + "; needs --m-seq")
-    p.set_defaults(func=cmd_hf_approx)
+                   help="pipeline oscillation wavenumber (default auto: uniform selection)")
+    p.add_argument("--dust", type=_dust_spec, help="pipeline " + dust_help)
+    p.set_defaults(func=_criterion_cmd("criterion_pipeline", "m_seq", "k", "dust"))
 
     p = criterion_parser("pipeline", "criterion 10: characteristic transport residuals")
     p.set_defaults(func=_criterion_cmd("criterion_char_pipeline"))

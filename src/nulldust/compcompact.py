@@ -99,23 +99,6 @@ def _masks(box: PeriodicBox, c1: float, mode: str):
     return low, pass_mask, rest
 
 
-@dataclass
-class FrequencyDecomposition:
-    """Exact three-part split of a real field.
-
-    mode 'x1': h1 is the strictly masked first-axis-dominant part, h2 the
-    complement; mode 'x2' mirrors this (h2 strictly masked).  strict_part
-    computes the strictly masked part alone.
-    """
-
-    box: PeriodicBox
-    c1: float
-    mode: str
-    low: np.ndarray
-    h1: np.ndarray
-    h2: np.ndarray
-
-
 def _checked(field, box: PeriodicBox, c1: float) -> np.ndarray:
     """The field as a float array, once c1 and its shape suit the box's multipliers.
 
@@ -137,56 +120,38 @@ def _filtered(spec: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.fft.ifftn(spec * mask).real
 
 
-def decompose(field: np.ndarray, box: PeriodicBox, c1: float, mode: str) -> FrequencyDecomposition:
-    """Split a real field with the smooth directional multipliers."""
+def decompose(field: np.ndarray, box: PeriodicBox, c1: float, mode: str):
+    """Split a real field with the smooth directional multipliers: (low,
+    strict, rest) in _masks order, strict the pass-mask part of the mode."""
     field = _checked(field, box, c1)
     spec = np.fft.fftn(field)
-    low, strict, rest = (_filtered(spec, mask) for mask in _masks(box, c1, mode))
-    if mode == "x1":
-        h1, h2 = strict, rest
-    else:
-        h1, h2 = rest, strict
-    return FrequencyDecomposition(box, c1, mode, low, h1, h2)
+    return tuple(_filtered(spec, mask) for mask in _masks(box, c1, mode))
 
 
-@dataclass(frozen=True)
-class StrictPart:
-    """The strictly masked part of a field: decompose(...).h1 for mode 'x1', .h2 for 'x2'."""
-
-    box: PeriodicBox
-    c1: float
-    mode: str
-    values: np.ndarray
-
-
-def strict_part(field: np.ndarray, box: PeriodicBox, c1: float, mode: str) -> StrictPart:
-    """The pass-mask part alone: the one inverse transform support_check reads."""
+def strict_part(field: np.ndarray, box: PeriodicBox, c1: float, mode: str) -> np.ndarray:
+    """decompose(...)[1] alone: the one inverse transform support_check reads."""
     field = _checked(field, box, c1)
-    return StrictPart(box, c1, mode, _filtered(np.fft.fftn(field), _masks(box, c1, mode)[1]))
+    return _filtered(np.fft.fftn(field), _masks(box, c1, mode)[1])
 
 
-def partition_defect(d: FrequencyDecomposition, field: np.ndarray) -> float:
-    """max |f - low - h1 - h2| (multipliers sum to the all-pass exactly)."""
-    return float(np.abs(field - d.low - d.h1 - d.h2).max())
+def partition_defect(field: np.ndarray, parts) -> float:
+    """max |f - low - strict - rest| of decompose's parts (the multipliers sum
+    to the all-pass exactly)."""
+    low, strict, rest = parts
+    return float(np.abs(field - low - strict - rest).max())
 
 
 _SUPPORT_RTOL = 1e-10  # spectral mass relative to the peak that counts as support
 
 
-def support_check(p1: StrictPart, p2: StrictPart):
-    """Verify the product of the strictly masked parts has no spectrum below C1.
+def support_check(box: PeriodicBox, c1: float, v1: np.ndarray, v2: np.ndarray):
+    """Verify the product of an 'x1' strict part v1 and an 'x2' strict part
+    v2, both of box at threshold c1, has no spectrum below C1.
 
-    p1 must be an 'x1' part and p2 an 'x2' one on the same box.
     Returns (ok, min_radius) where min_radius is the smallest |xi| carrying
     relative spectral mass above _SUPPORT_RTOL (inf for a zero product).
     """
-    if p1.mode != "x1" or p2.mode != "x2":
-        raise ValueError("support_check pairs an 'x1' part with an 'x2' one")
-    if p1.box != p2.box or p1.c1 != p2.c1:
-        raise ValueError("parts live on different boxes or thresholds")
-    box, c1 = p1.box, p1.c1
-    prod = p1.values * p2.values
-    spec = np.abs(np.fft.fftn(prod))
+    spec = np.abs(np.fft.fftn(v1 * v2))
     peak = spec.max()
     if peak == 0.0:
         return True, np.inf
@@ -312,6 +277,6 @@ def random_fields(box: PeriodicBox, rng: np.random.Generator):
 
 def random_strict_parts(box: PeriodicBox, c1: float, rng: np.random.Generator):
     """The 'x1' strict part of one random field and the 'x2' strict part of
-    another: the pair support_check tests."""
+    another: the pair support_check(box, c1, ...) tests."""
     f1, f2 = random_fields(box, rng)
     return strict_part(f1, box, c1, "x1"), strict_part(f2, box, c1, "x2")

@@ -167,6 +167,11 @@ def null_frame_dust_components(g_tautau: float, g_thetatheta: float, tau: float)
         G_uu  = G_tautau e^{2 tau}/4 + G_thetatheta/4,
         G_ubub = the same expression,
     so the two beams carry equal strength.
+
+    Both returned values are the same float, so criterion 3's
+    two_beam_symmetry check (|G_uu - G_ubub| < 1e-15) cannot fail.  Its
+    label is a key of perfbench/reference.json, so dropping or redefining it
+    waits for a change that may move that reference.
     """
     guu = 0.25 * (g_tautau * np.exp(2.0 * tau) + g_thetatheta)
     return guu, guu

@@ -40,7 +40,7 @@ from .grids import Grid1D
 from .odesolve import DenseSolution, solve_linear_second_order
 
 _MAX_DOUBLINGS = 20  # wavenumber escalation steps before giving up
-# Points per dcorrector envelope batch.  With its four stencil offsets a block
+# Points per corrector_jet envelope batch.  With its four stencil offsets a block
 # is 5,120 points, no more than family_convergence evaluates elsewhere in one
 # call, so batching the offsets does not raise the peak memory (4,096 per block
 # raised the peak RSS of criterion_absorber from 146 to 181 MB).
@@ -121,9 +121,6 @@ class OscillatoryFamily:
         de22 = dd - (ddet * s + det * ds) / e11 + det * s * de11 / (e11 * e11)
         return (e11, b, e22), (de11, db, de22)
 
-    def dentries(self, ub_batch):
-        return self.jet(ub_batch)[1]
-
     def dgamma_normsq(self, ub_batch):
         return dgamma_norm_sq(*self.jet(ub_batch))
 
@@ -159,25 +156,20 @@ class OscillatoryFamily:
         phi = bg.phi(ub_batch)
         return 2.0 * f / self.k, (4.0 / (self.k * det)) * (d * da - a * dd) * np.sqrt(f) * phi
 
-    def corrector(self, ub_batch):
-        """F_n: bounded uniformly in n."""
-        ub = np.asarray(ub_batch, float)
-        kn = self.k * self.n
-        e1, e2 = self._envelopes(ub)
-        return e1 * np.sin(2.0 * kn * ub)[:, None, None] + e2 * np.sin(kn * ub)[:, None, None]
-
-    def dcorrector(self, ub_batch):
-        """dF_n/dub: exact in the fast phase, envelope derivatives by stencil.
+    def corrector_jet(self, ub_batch):
+        """(F_n, dF_n/dub): F_n is bounded uniformly in n; its derivative is
+        exact in the fast phase, with envelope derivatives by stencil.
 
         Each block of at most _STENCIL_BLOCK points is evaluated together with
-        its four stencil offsets in one _envelopes call.
+        its four stencil offsets in one _envelopes call, whose first fifth
+        (the block points) gives F_n.
         """
         ub = np.asarray(ub_batch, float)
         kn = self.k * self.n
         h = max(self.background.data.grid.h, 1e-6)
         stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
         offs = np.array([-2.0 * h, -h, h, 2.0 * h])
-        out = []
+        values, derivs = [], []
         for u in np.split(ub, range(_STENCIL_BLOCK, len(ub), _STENCIL_BLOCK)):
             (e1, *v1s), (e2, *v2s) = (
                 np.split(e, 5) for e in self._envelopes(np.concatenate([u] + [u + o for o in offs]))
@@ -189,14 +181,24 @@ class OscillatoryFamily:
                 de2 += c * v2
             s1, c1 = np.sin(kn * u)[:, None, None], np.cos(kn * u)[:, None, None]
             s2, c2 = np.sin(2.0 * kn * u)[:, None, None], np.cos(2.0 * kn * u)[:, None, None]
-            out.append(de1 * s2 + 2.0 * kn * e1 * c2 + de2 * s1 + kn * e2 * c1)
-        return np.concatenate(out)
+            values.append(e1 * s2 + e2 * s1)
+            derivs.append(de1 * s2 + 2.0 * kn * e1 * c2 + de2 * s1 + kn * e2 * c1)
+        return np.concatenate(values), np.concatenate(derivs)
 
     def resolving_grid(self, per_wavelength: int) -> Grid1D:
         wavelength = 2.0 * np.pi / (self.k * self.n)
         grid = self.background.data.grid
         n = max(grid.n, int(np.ceil((grid.b - grid.a) / wavelength * per_wavelength)) + 1)
         return Grid1D(grid.a, grid.b, n)
+
+
+def _double_until(k: float, admissible, message: str) -> float:
+    """The first of k, 2k, 4k, ... (at most _MAX_DOUBLINGS) that is admissible."""
+    for _ in range(_MAX_DOUBLINGS):
+        if admissible(k):
+            return k
+        k *= 2.0
+    raise PositivityEscalationError(message)
 
 
 def select_k(background: DustBackground) -> float:
@@ -206,17 +208,15 @@ def select_k(background: DustBackground) -> float:
     ub = np.linspace(background.data.grid.a, background.data.grid.b, 4096)
     sup_rf = float(background.root_f_over_phi(ub).max())
     min_eig = float(sym2_min_eigenvalue(*background.data.entries(ub)).min())
-    k = 8.0 * (sup_rf + 1.0) / min_eig
-    for _ in range(_MAX_DOUBLINGS):
+
+    def admissible(k):
         fam = OscillatoryFamily(background, k, 1)
         grid = fam.resolving_grid(per_wavelength=32)
         probe = np.linspace(grid.a, grid.b, min(grid.n, 1 << 18))
-        if float(fam.min_eigenvalue(probe).min()) >= 0.5 * min_eig:
-            return k
-        k *= 2.0
-    raise PositivityEscalationError(
-        f"no positive-definite oscillation found after {_MAX_DOUBLINGS} doublings"
-    )
+        return float(fam.min_eigenvalue(probe).min()) >= 0.5 * min_eig
+
+    return _double_until(8.0 * (sup_rf + 1.0) / min_eig, admissible,
+                         f"no positive-definite oscillation found after {_MAX_DOUBLINGS} doublings")
 
 
 def solve_phi_n(fam: OscillatoryFamily) -> DenseSolution:
@@ -261,13 +261,15 @@ def family_convergence(background: DustBackground, n_values):
         base *= background.phi(ub) ** 2
         base -= 4.0 * np.maximum(background.f(ub), 0.0)
         no_corr = float(np.abs(base).max())
-        defect = float(np.abs(base - fam.dcorrector(ub) / n).max())
+        corr, dcorr = fam.corrector_jet(ub)
+        defect = float(np.abs(base - dcorr / n).max())
+        fn_sup = float(np.abs(corr).max())
+        del corr, dcorr
         det_defect = float(np.abs(ea * ed - eb * eb - (ba * bd - bb * bb)).max())
         sol = solve_phi_n(fam)
         nodes = sol.grid.points()
         gap_phi = float(np.abs(sol.phi - background.phi(nodes)).max())
         gap_dphi = float(np.abs(sol.dphi - background.dphi(nodes)).max())
-        fn_sup = float(np.abs(fam.corrector(ub)).max())
         rows.append(
             {
                 "n": n,
@@ -300,14 +302,9 @@ def select_k_uniform(backgrounds_and_ns, min_eig: float, probes) -> float:
     for (bg, n), probe in zip(backgrounds_and_ns, probes):
         demand = max(demand, float(bg.root_f_over_phi(probe).max()) / n)
     k = max(1.0, 4.0 * 8.0 * (demand + 1.0 / backgrounds_and_ns[0][1]) / min_eig)
-    for _ in range(_MAX_DOUBLINGS):
-        ok = True
-        for (bg, n), probe in zip(backgrounds_and_ns, probes):
-            fam = OscillatoryFamily(bg, k, n)
-            if float(fam.min_eigenvalue_envelope(probe).min()) < 0.5 * min_eig:
-                ok = False
-                break
-        if ok:
-            return k
-        k *= 2.0
-    raise PositivityEscalationError("no uniform wavenumber keeps positivity across the run")
+
+    def admissible(k):
+        return all(float(OscillatoryFamily(bg, k, n).min_eigenvalue_envelope(probe).min()) >= 0.5 * min_eig
+                   for (bg, n), probe in zip(backgrounds_and_ns, probes))
+
+    return _double_until(k, admissible, "no uniform wavenumber keeps positivity across the run")

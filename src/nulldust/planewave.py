@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .grids import Grid1D
-from .odesolve import solve_linear_second_order
+from .odesolve import DenseSolution, solve_linear_second_order
 from .quadrature import gauss_legendre_integrate
 from .testfunctions import bump, dbump
 
@@ -106,24 +106,17 @@ def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
     return WaveProfile(grid, g, dg)
 
 
-@dataclass
-class WaveFactor:
-    grid: Grid1D
-    h: np.ndarray
-    dh: np.ndarray
-    ddh: np.ndarray  # read back from the ODE right-hand side
-
-
-def solve_H(profile: WaveProfile) -> WaveFactor:
-    """Integrate H'' = -(1/4) G'(ub)^2 H with H = 1, H' = 0 at the grid start.
+def solve_H(profile: WaveProfile) -> DenseSolution:
+    """Integrate H'' = -(1/4) G'(ub)^2 H with H = 1, H' = 0 at the grid start:
+    H, H' and H'' (read back from the ODE right-hand side) are the solution's
+    phi, dphi and ddphi on profile.grid.
 
     Raises FocusingError from the march at the first node where H is
     nonpositive or NaN or H' is not finite.
     """
-    sol = solve_linear_second_order(
+    return solve_linear_second_order(
         profile.grid, np.zeros_like, lambda ub: 0.25 * profile.dg(ub) ** 2, None, 1.0, 0.0
     )
-    return WaveFactor(profile.grid, sol.phi, sol.dphi, sol.ddphi)
 
 
 def weak_limit_pairings(
@@ -143,13 +136,14 @@ def weak_limit_pairings(
 _FLAT_TOL = 1e-8  # largest |H''| of a profile without concentration
 
 
-def jump_detect(factor: WaveFactor, window: float):
-    """Locate the H'' concentration and return (location, H' jump across it).
+def jump_detect(factor: DenseSolution, window: float):
+    """Locate the H'' concentration of a solve_H solution and return
+    (location, H' jump across it).
 
     Returns None when H'' shows no concentration (flat profile).
     """
     ub = factor.grid.points()
-    curv = np.abs(factor.ddh)
+    curv = np.abs(factor.ddphi)
     if curv.max() <= _FLAT_TOL:
         return None
     i = int(np.argmax(curv))
@@ -157,6 +151,6 @@ def jump_detect(factor: WaveFactor, window: float):
     lo, hi = loc - window, loc + window
     if lo < ub[0] or hi > ub[-1]:
         raise ValueError("window extends past the solution interval")
-    dh_lo = np.interp(lo, ub, factor.dh)
-    dh_hi = np.interp(hi, ub, factor.dh)
+    dh_lo = np.interp(lo, ub, factor.dphi)
+    dh_hi = np.interp(hi, ub, factor.dphi)
     return loc, float(dh_hi - dh_lo)

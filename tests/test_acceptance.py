@@ -8,7 +8,7 @@ from nulldust import acceptance as A
 
 
 def _report(v):
-    print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name} ({v.seconds:.1f}s)")
+    print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name}")
     if not v.passed:
         print("  checks:", v.details["checks"])
 

@@ -223,7 +223,7 @@ def test_gauge_identity_oscillator_data():
     ring = np.zeros(chart.shape + (2, 2))
     ring[..., 0, 0] = ring[..., 1, 1] = 1.0
     data = C.ReducedCharData(grid, chart, ring, bg.data.omega, bg.data.dlog_omega,
-                             fam.entries, fam.dentries)
+                             fam.entries, lambda ub: fam.jet(ub)[1])
     trchi, chihat, chi = chi_from_data(data, sol, 0.33, identity_tol=1e-10)
     phi = sol(np.array([0.33]))[0]
     dphi = sol.deriv(np.array([0.33]))[0]

@@ -1,5 +1,6 @@
 """Orchestration: artifacts, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import os
@@ -9,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from nulldust import acceptance
+from nulldust import acceptance, constraints
 from nulldust.acceptance import Verdict
-from nulldust.cli import _write_csv, main
+from nulldust.cli import _write_csv, build_parser, main
 
 
 def run_cli(args, tmp_path):
@@ -97,18 +98,18 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["burnett", "--lambda-seq", "2..4"],  # the rate fit needs 4 members
-    ["hf-approx", "--m-seq", "1..2"],
+    ["measure-pipeline", "--m-seq", "1..2"],
     ["gowdy", "--n-seq", "2,x"],
     ["constraints", "--dust", "atom 0.45 bogus:1"],
-    ["hf-approx", "--k", "oops"],
+    ["measure-pipeline", "--k", "oops"],
     ["constraints", "--dust", "atom 1.5 const:1"],  # outside 0 < ub < 1
-    ["hf-approx", "--k", "12.5"],  # pipeline flags need --m-seq
+    ["hf-approx", "--k", "12.5"],  # criterion 5 takes no flags: these are measure-pipeline's
     ["hf-approx", "--dust", "atom 0.45 cos:1.0,0.5"],
     ["shell-limit", "--lambda-seq", "0"],  # the jump window needs j >= 4
     ["shell-limit", "--lambda-seq", "3,6"],
     ["gowdy", "--n-seq", "0,1,2,3"],  # the rate fit needs n >= 1
-    ["hf-approx", "--m-seq", "1..4", "--dust", "density 0.8"],  # the pipeline needs an atom
     # refused by the criterion or demo itself, before its first write
+    ["measure-pipeline", "--dust", "density 0.8"],  # the pipeline needs an atom
     ["shell-limit", "--seed", "cosine"],  # not compactly supported
     ["trapped", "--ustar", "1.5"],
     ["trapped", "--mass", "cos:1,2"],  # negative mass
@@ -118,12 +119,13 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["trapped", "--mass", "const:inf"],
     ["trapped", "--mass", "cos:nan,0.1"],
     ["cc-demo", "--c1", "nan"],
-    ["hf-approx", "--m-seq", "1..4", "--k", "-8"],  # the wavenumber must be > 0
-    # refused before criterion 5 runs: every level's mollifier window is checked first
-    ["hf-approx", "--m-seq", "1..4", "--dust", "atom 0.5 const:1"],  # atom window meets both ends
+    ["measure-pipeline", "--m-seq", "1..4", "--k", "-8"],  # the wavenumber must be > 0
+    # refused by criterion 7 before its first solve: every level's mollifier window is checked first
+    ["measure-pipeline", "--m-seq", "1..4", "--dust", "atom 0.5 const:1"],  # atom window meets both ends
     ["cc-demo", "--n-seq", "0"],  # the members are frequencies n >= 1
     ["cc-demo", "--n-seq=-3,0"],
     ["cc-demo", "--dim", "4"],  # no such flag: the demo is 2-D
+    ["hf-approx", "--m-seq", "1..4"],  # the measure pipeline is its own subcommand
 ])
 def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     try:
@@ -134,15 +136,37 @@ def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     assert not (tmp_path / args[0]).exists()
 
 
+def counted_solves(monkeypatch):
+    """Patch constraints.solve_constraint to record each call in the returned list."""
+    solves = []
+    solve = constraints.solve_constraint
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(constraints, "solve_constraint", counted)
+    return solves
+
+
 @pytest.mark.parametrize("m_seq", ["1..4", "0..3"])
-def test_pipeline_levels_refused_before_criterion_5(tmp_path, capsys, m_seq):
+def test_pipeline_levels_refused_before_first_solve(tmp_path, capsys, monkeypatch, m_seq):
     # at m = 1 the window of an atom at ub = 0.5 reaches both ends of [0, 1]; m = 0 is no level
-    code = run_cli(["hf-approx", "--m-seq", m_seq, "--dust", "atom 0.5 const:1"], tmp_path)
+    solves = counted_solves(monkeypatch)
+    code = run_cli(["measure-pipeline", "--m-seq", m_seq, "--dust", "atom 0.5 const:1"], tmp_path)
     assert code == 2
+    assert solves == []
     out = capsys.readouterr()
     assert "PASS" not in out.out and "FAIL" not in out.out
     assert "error:" in out.err
-    assert not (tmp_path / "hf-approx").exists()
+    assert not (tmp_path / "measure-pipeline").exists()
+
+
+def test_pipeline_refuses_atom_free_dust_before_first_solve(monkeypatch):
+    solves = counted_solves(monkeypatch)
+    with pytest.raises(ValueError, match="atom"):
+        acceptance.criterion_pipeline(dust=(("density", 0.8, None),))
+    assert solves == []
 
 
 def test_unknown_mass_profile_is_usage_error(tmp_path):
@@ -189,7 +213,7 @@ def test_csv_cells_of_numpy_scalars(tmp_path):
 _PIPELINE_DUST = (("atom", 0.5, ("const", (1.0,))), ("density", 0.8, None))
 
 
-@pytest.mark.parametrize("args, calls", [
+_SUBCOMMAND_CALLS = [
     (["burnett"], [("criterion_burnett", {})]),
     (["burnett", "--lambda-seq", "3..6", "--seed", "const"],
      [("criterion_burnett", {"lambda_seq": [3, 4, 5, 6], "seed": "const"})]),
@@ -202,23 +226,41 @@ _PIPELINE_DUST = (("atom", 0.5, ("const", (1.0,))), ("density", 0.8, None))
     (["constraints", "--dust", "atom 0.3 const:2; density 0.8"],
      [("criterion_constraints", {"dust": (("atom", 0.3, ("const", (2.0,))), ("density", 0.8, None))})]),
     (["hf-approx"], [("criterion_absorber", {})]),
-    (["hf-approx", "--m-seq", "1..4"],
-     [("criterion_absorber", {}), ("criterion_pipeline", {"m_seq": [1, 2, 3, 4]})]),
-    (["hf-approx", "--m-seq", "2,4,6,8", "--k", "12.5", "--dust", "atom 0.5 const:1; density 0.8"],
-     [("criterion_absorber", {}),
-      ("criterion_pipeline", {"m_seq": [2, 4, 6, 8], "k": 12.5, "dust": _PIPELINE_DUST})]),
-    (["hf-approx", "--m-seq", "1..4", "--k", "auto"],
-     [("criterion_absorber", {}), ("criterion_pipeline", {"m_seq": [1, 2, 3, 4], "k": None})]),
+    (["measure-pipeline"], [("criterion_pipeline", {})]),
+    (["measure-pipeline", "--m-seq", "1..4"], [("criterion_pipeline", {"m_seq": [1, 2, 3, 4]})]),
+    (["measure-pipeline", "--m-seq", "2,4,6,8", "--k", "12.5", "--dust", "atom 0.5 const:1; density 0.8"],
+     [("criterion_pipeline", {"m_seq": [2, 4, 6, 8], "k": 12.5, "dust": _PIPELINE_DUST})]),
     (["pipeline"], [("criterion_char_pipeline", {})]),
     (["verify-all"], [(fn.__name__, {}) for fn in acceptance.ALL_CRITERIA]),
-])
+    (["measure-pipeline", "--k", "auto"], [("criterion_pipeline", {"k": None})]),
+]
+
+
+def test_one_subcommand_per_criterion():
+    # every criterion subcommand is in the table and runs one criterion, and
+    # no criterion has two; 6, 8 and 9 run under verify-all only (trapped and
+    # cc-demo are demonstrations)
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    runs = {}
+    for args, calls in _SUBCOMMAND_CALLS:
+        if args[0] != "verify-all":
+            assert len(calls) == 1, args
+            runs.setdefault(calls[0][0], set()).add(args[0])
+    assert all(len(subcommands) == 1 for subcommands in runs.values())
+    assert set(commands) == {cmd for cmds in runs.values() for cmd in cmds} | {"verify-all", "trapped", "cc-demo"}
+    names = {fn.__name__ for fn in acceptance.ALL_CRITERIA}
+    assert names - set(runs) == {"criterion_mollification", "criterion_trapped", "criterion_compensated"}
+
+
+@pytest.mark.parametrize("args, calls", _SUBCOMMAND_CALLS)
 def test_subcommand_runs_its_criteria(tmp_path, monkeypatch, args, calls):
     recorded = []
 
     def recorder(name):
         def criterion(**kwargs):
             recorded.append((name, kwargs))
-            return Verdict(name, False, 0.0, {"gap": np.float64(0.5), "checks": {"ok": True, "bad": False}})
+            return Verdict(name, False, {"gap": np.float64(0.5), "checks": {"ok": True, "bad": False}})
         return criterion
 
     names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
@@ -232,6 +274,10 @@ def test_subcommand_runs_its_criteria(tmp_path, monkeypatch, args, calls):
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["checks"] == {f"{name}/{c}": ok for name, _ in calls for c, ok in (("ok", True), ("bad", False))}
     assert summary["details"] == {name: {"gap": 0.5, "checks": {"ok": True, "bad": False}} for name, _ in calls}
+    verdicts = read_csv(outdir / "verdicts.csv")
+    assert verdicts[0] == ["criterion", "passed", "seconds"]
+    assert [row[:2] for row in verdicts[1:]] == [[name, "False"] for name, _ in calls]
+    assert all(float(row[2]) >= 0.0 for row in verdicts[1:])
     for name, _ in calls:
         assert read_csv(outdir / f"{name}.csv") == [
             ["path", "value"], ["gap", "0.5"], ["checks.ok", "True"], ["checks.bad", "False"],

@@ -23,24 +23,25 @@ def test_partition_exact(box):
     rng = np.random.default_rng(1)
     f = rng.standard_normal(box.shape)
     for mode in ("x1", "x2"):
-        d = CC.decompose(f, box, 6.0, mode)
-        assert CC.partition_defect(d, f) < 1e-12
+        parts = CC.decompose(f, box, 6.0, mode)
+        assert CC.partition_defect(f, parts) < 1e-12
+        assert np.array_equal(CC.strict_part(f, box, 6.0, mode), parts[1])
 
 
 def test_constant_goes_low(box):
-    d = CC.decompose(np.full(box.shape, 2.5), box, 4.0, "x1")
-    assert np.abs(d.low - 2.5).max() < 1e-13
-    assert np.abs(d.h1).max() + np.abs(d.h2).max() < 1e-13
+    low, strict, rest = CC.decompose(np.full(box.shape, 2.5), box, 4.0, "x1")
+    assert np.abs(low - 2.5).max() < 1e-13
+    assert np.abs(strict).max() + np.abs(rest).max() < 1e-13
 
 
 def test_single_fast_mode_lands_in_dominant_part(box):
     u, ub = box.mesh()
     g = np.sin(40 * ub)  # pure x2 frequency far above the threshold
-    d = CC.decompose(g, box, 2.0, "x1")
-    assert np.abs(d.h2 - g).max() < 1e-12
-    assert np.abs(d.h1).max() < 1e-13
-    d2 = CC.decompose(np.sin(40 * u), box, 2.0, "x2")
-    assert np.abs(d2.h1 - np.sin(40 * u)).max() < 1e-12
+    _, strict, rest = CC.decompose(g, box, 2.0, "x1")
+    assert np.abs(rest - g).max() < 1e-12
+    assert np.abs(strict).max() < 1e-13
+    _, _, rest2 = CC.decompose(np.sin(40 * u), box, 2.0, "x2")
+    assert np.abs(rest2 - np.sin(40 * u)).max() < 1e-12
 
 
 def test_parseval_and_reconstruction(box):
@@ -48,8 +49,8 @@ def test_parseval_and_reconstruction(box):
     f = rng.standard_normal(box.shape)
     spec = np.fft.fftn(f)
     assert abs(np.sum(f * f) - np.sum(np.abs(spec) ** 2) / f.size) < 1e-9 * np.sum(f * f)
-    d = CC.decompose(f, box, 4.0, "x1")
-    assert np.abs(f - (d.low + d.h1 + d.h2)).max() < 1e-12
+    low, strict, rest = CC.decompose(f, box, 4.0, "x1")
+    assert np.abs(f - (low + strict + rest)).max() < 1e-12
 
 
 def test_strict_mask_supports_disjoint(box):
@@ -71,9 +72,8 @@ def test_trial_strict_parts_equal_decomposition(shape, c1):
     box = CC.PeriodicBox(shape)
     p1, p2 = CC.random_strict_parts(box, c1, np.random.default_rng(11))
     f1, f2 = CC.random_fields(box, np.random.default_rng(11))
-    assert (p1.mode, p2.mode) == ("x1", "x2")
-    assert np.array_equal(p1.values, CC.decompose(f1, box, c1, "x1").h1)
-    assert np.array_equal(p2.values, CC.decompose(f2, box, c1, "x2").h2)
+    assert np.array_equal(p1, CC.decompose(f1, box, c1, "x1")[1])
+    assert np.array_equal(p2, CC.decompose(f2, box, c1, "x2")[1])
 
 
 def test_pairs_equal_their_full_mesh_formulas():
@@ -114,28 +114,22 @@ def test_support_check_explicit_masses():
     f2 = np.fft.ifftn(spec2).real * box.shape[0] ** 2
     d1 = CC.strict_part(f1, box, c1, "x1")
     d2 = CC.strict_part(f2, box, c1, "x2")
-    ok, min_radius = CC.support_check(d1, d2)
+    ok, min_radius = CC.support_check(box, c1, d1, d2)
     assert ok and min_radius >= c1
 
 
 def test_support_check_zero_product_trivially_true(box):
     d1 = CC.strict_part(np.zeros(box.shape), box, 4.0, "x1")
     d2 = CC.strict_part(np.zeros(box.shape), box, 4.0, "x2")
-    ok, min_radius = CC.support_check(d1, d2)
+    ok, min_radius = CC.support_check(box, 4.0, d1, d2)
     assert ok and np.isinf(min_radius)
-
-
-def test_support_check_requires_mode_pair(box):
-    d1 = CC.strict_part(np.ones(box.shape), box, 4.0, "x1")
-    with pytest.raises(ValueError):
-        CC.support_check(d1, d1)
 
 
 def test_randomized_support_property(box):
     rng = np.random.default_rng(42)
     for _ in range(25):
         d1, d2 = CC.random_strict_parts(box, 4.0, rng)
-        ok, _ = CC.support_check(d1, d2)
+        ok, _ = CC.support_check(box, 4.0, d1, d2)
         assert ok
 
 
@@ -144,11 +138,9 @@ def test_margin_invariant_under_common_translation():
     box = CC.PeriodicBox((128, 128))
     rng = np.random.default_rng(8)
     d1, d2 = CC.random_strict_parts(box, 4.0, rng)
-    _, m0 = CC.support_check(d1, d2)
+    _, m0 = CC.support_check(box, 4.0, d1, d2)
     shift = (5, 11)
-    d1s = CC.StrictPart(box, 4.0, "x1", np.roll(d1.values, shift, (0, 1)))
-    d2s = CC.StrictPart(box, 4.0, "x2", np.roll(d2.values, shift, (0, 1)))
-    _, m1 = CC.support_check(d1s, d2s)
+    _, m1 = CC.support_check(box, 4.0, np.roll(d1, shift, (0, 1)), np.roll(d2, shift, (0, 1)))
     assert abs(m0 - m1) < 1e-12
 
 
@@ -156,10 +148,9 @@ def test_4d_partition_and_support():
     box = CC.PeriodicBox((16, 16, 8, 8))
     rng = np.random.default_rng(5)
     f = rng.standard_normal(box.shape)
-    d = CC.decompose(f, box, 2.0, "x1")
-    assert CC.partition_defect(d, f) < 1e-12
+    assert CC.partition_defect(f, CC.decompose(f, box, 2.0, "x1")) < 1e-12
     d1, d2 = CC.random_strict_parts(box, 2.0, rng)
-    ok, _ = CC.support_check(d1, d2)
+    ok, _ = CC.support_check(box, 2.0, d1, d2)
     assert ok
 
 

@@ -44,8 +44,15 @@ def oracle_weak_defect(fam, ub):
     phi2 = bg.phi(ub) ** 2
     defect = (fam.dgamma_normsq(ub) - bg.data.dgamma_normsq(ub)) * phi2
     defect -= 4.0 * np.maximum(bg.f(ub), 0.0)
-    defect -= fam.dcorrector(ub) / fam.n
+    defect -= fam.corrector_jet(ub)[1] / fam.n
     return defect
+
+
+def oracle_corrector(fam, ub):
+    """F_n from one envelope evaluation of the whole batch."""
+    kn = fam.k * fam.n
+    e1, e2 = fam._envelopes(ub)
+    return e1 * np.sin(2.0 * kn * ub)[:, None, None] + e2 * np.sin(kn * ub)[:, None, None]
 
 
 @pytest.fixture
@@ -65,7 +72,7 @@ def test_zero_density_is_exact_identity(chart, grid):
     ea, eb, ed = fam.entries(ub)
     ba, bb, bd = bg.data.entries(ub)
     assert np.array_equal(ea, ba) and np.array_equal(ed, bd)
-    assert np.abs(fam.corrector(ub)).max() == 0.0
+    assert np.abs(fam.corrector_jet(ub)[0]).max() == 0.0
     assert np.abs(oracle_weak_defect(fam, ub)).max() < 1e-14
 
 
@@ -98,12 +105,13 @@ def test_corrector_bounded_and_integrates(chart, grid):
     ub = np.linspace(0, 1, 8192)
     sups = []
     for n in (8, 32, 128):
-        sups.append(np.abs(H.OscillatoryFamily(bg, 10.0, n).corrector(ub)).max())
+        sups.append(np.abs(H.OscillatoryFamily(bg, 10.0, n).corrector_jet(ub)[0]).max())
     assert max(sups) <= 1.5 * min(sups)
     # fundamental theorem: the stencil derivative integrates back to F_n
     xs, ws = gauss_legendre_nodes(0.0, 0.7, 256)
-    integral = np.einsum("k,kij->ij", ws, fam.dcorrector(xs))
-    diff = fam.corrector(np.array([0.7]))[0] - fam.corrector(np.array([0.0]))[0]
+    integral = np.einsum("k,kij->ij", ws, fam.corrector_jet(xs)[1])
+    ends = fam.corrector_jet(np.array([0.0, 0.7]))[0]
+    diff = ends[1] - ends[0]
     assert np.abs(integral - diff).max() < 1e-6
 
 
@@ -193,7 +201,7 @@ def test_normsq_evaluates_each_background_map_once(chart, grid):
 
 
 def oracle_dcorrector(fam, ub):
-    """dcorrector with one envelope evaluation per stencil offset."""
+    """dF_n/dub with one envelope evaluation per stencil offset."""
     kn = fam.k * fam.n
     e1, e2 = fam._envelopes(ub)
     h = max(fam.background.data.grid.h, 1e-6)
@@ -211,14 +219,16 @@ def oracle_dcorrector(fam, ub):
 
 
 @pytest.mark.parametrize("blocks", [1, 3])
-def test_dcorrector_evaluates_each_envelope_map_once_per_block(chart, grid, blocks):
+def test_corrector_jet_evaluates_each_envelope_map_once_per_block(chart, grid, blocks):
+    # b != 0, and f and Phi that move with ub
     bg, calls = counted_background(chart, grid)
     fam = H.OscillatoryFamily(bg, 40.0, 4)
     n = 64 if blocks == 1 else 2 * H._STENCIL_BLOCK + 5
     ub = np.linspace(0.1, 0.9, n)
-    got = fam.dcorrector(ub)
+    values, derivs = fam.corrector_jet(ub)
     assert calls == {"entries": blocks, "dentries": blocks, "f": blocks, "phi": blocks}
-    assert np.array_equal(got, oracle_dcorrector(fam, ub))
+    assert np.array_equal(values, oracle_corrector(fam, ub))
+    assert np.array_equal(derivs, oracle_dcorrector(fam, ub))
 
 
 @pytest.mark.parametrize("moving", [
@@ -292,7 +302,7 @@ def oracle_family_convergence(background, n_values):
             "weak_defect": float(np.abs(oracle_weak_defect(fam, ub)).max()),
             "defect_no_corrector": float(no_corr.max()),
             "det_defect": float(np.abs(fam.det_defect(ub)).max()),
-            "corrector_sup": float(np.abs(fam.corrector(ub)).max()),
+            "corrector_sup": float(np.abs(oracle_corrector(fam, ub)).max()),
         })
     return rows
 
@@ -301,13 +311,17 @@ def test_family_convergence_rows_equal_separate_evaluation(chart, grid, monkeypa
     # b != 0, and f and Phi that move with ub
     bg = make_background(chart, grid, f_level=1.0, b_amp=0.4, phi_const=False)
     n_values = [2, 4, 8]
-    jets = Counter()
-    jet, solve = H.OscillatoryFamily.jet, H.solve_phi_n
+    jets, envelopes = Counter(), Counter()
+    jet, envelope, solve = H.OscillatoryFamily.jet, H.OscillatoryFamily._envelopes, H.solve_phi_n
     where = ["row"]
 
     def counted_jet(fam, ub):
         jets[where[0]] += 1
         return jet(fam, ub)
+
+    def counted_envelopes(fam, ub):
+        envelopes[where[0]] += 1
+        return envelope(fam, ub)
 
     def marching(fam):
         where[0] = "march"
@@ -317,9 +331,13 @@ def test_family_convergence_rows_equal_separate_evaluation(chart, grid, monkeypa
             where[0] = "row"
 
     monkeypatch.setattr(H.OscillatoryFamily, "jet", counted_jet)
+    monkeypatch.setattr(H.OscillatoryFamily, "_envelopes", counted_envelopes)
     monkeypatch.setattr(H, "solve_phi_n", marching)
     rows = H.family_convergence(bg, n_values)
     assert jets["row"] == len(n_values)
     assert jets["march"] > 0
+    # one _envelopes call per stencil block of each row's batch, none in the march
+    points = [max(4096, H.OscillatoryFamily(bg, rows[0]["k"], n).resolving_grid(16).n) for n in n_values]
+    assert envelopes == {"row": sum(-(-p // H._STENCIL_BLOCK) for p in points)}
     monkeypatch.undo()
     assert rows == oracle_family_convergence(bg, n_values)

@@ -5,16 +5,16 @@ import pytest
 
 from nulldust import planewave as pw
 from nulldust.grids import Grid1D
-from nulldust.odesolve import FocusingError
+from nulldust.odesolve import DenseSolution, FocusingError
 from nulldust.quadrature import gauss_legendre_integrate
 from nulldust.rates import fit_rate
 
 
 def ricci_uu(profile, factor):
     """Oracle: Ric_ubub = -(1/2)(G')^2 - 2 H''/H on the grid (H'' from the ODE)."""
-    if np.any(factor.h <= 0.0):
+    if np.any(factor.phi <= 0.0):
         raise ValueError("wave factor must be positive")
-    return -0.5 * profile.dg(profile.grid.points()) ** 2 - 2.0 * factor.ddh / factor.h
+    return -0.5 * profile.dg(profile.grid.points()) ** 2 - 2.0 * factor.ddphi / factor.phi
 
 
 def test_oscillation_profile_values():
@@ -59,8 +59,8 @@ def test_wave_factor_flat():
     grid = Grid1D(0.0, 1.0, 257)
     prof = pw.WaveProfile(grid, lambda u: np.zeros_like(u), lambda u: np.zeros_like(u))
     fac = pw.solve_H(prof)
-    assert np.abs(fac.h - 1.0).max() == 0.0
-    assert np.abs(fac.dh).max() == 0.0
+    assert np.abs(fac.phi - 1.0).max() == 0.0
+    assert np.abs(fac.dphi).max() == 0.0
 
 
 def test_wave_factor_cosine_oracle_and_order():
@@ -70,7 +70,7 @@ def test_wave_factor_cosine_oracle_and_order():
         grid = Grid1D(0.0, 1.0, n)
         prof = pw.WaveProfile(grid, lambda u: eps * u, lambda u: eps * np.ones_like(u))
         fac = pw.solve_H(prof)
-        errs.append(np.abs(fac.h - np.cos(0.5 * eps * grid.points())).max())
+        errs.append(np.abs(fac.phi - np.cos(0.5 * eps * grid.points())).max())
         hs.append(grid.h)
     assert fit_rate(hs, errs) >= 3.9
 
@@ -103,7 +103,7 @@ def test_ricci_formula_hand_value():
     # G = ub^2 with H = 1: the only curvature component is -2 ub^2
     grid = Grid1D(0.0, 1.0, 257)
     prof = pw.WaveProfile(grid, lambda u: u**2, lambda u: 2.0 * u)
-    fac = pw.WaveFactor(grid, np.ones(grid.n), np.zeros(grid.n), np.zeros(grid.n))
+    fac = DenseSolution(grid, np.ones(grid.n), np.zeros(grid.n), np.zeros(grid.n))
     ub = grid.points()
     assert np.abs(ricci_uu(prof, fac) + 2.0 * ub**2).max() < 1e-14
 
@@ -173,8 +173,8 @@ def test_shell_derivative_does_not_converge_uniformly():
         ub = grid.points()
         h0 = np.where(ub < 0, 1.0, 1.0 - 0.25 * ub)
         dh0 = np.where(ub < 0, 0.0, -0.25)
-        sups.append(np.abs(fac.h - h0).max())
-        dsups.append(np.abs(fac.dh - dh0).max())
+        sups.append(np.abs(fac.phi - h0).max())
+        dsups.append(np.abs(fac.dphi - dh0).max())
     assert sups[0] > sups[1] > sups[2]
     assert sups[-1] < 5e-4
     assert min(dsups) >= 0.5 * 0.25 * 0.98  # half the jump magnitude
