@@ -7,6 +7,7 @@ the acceptance values as defaults, and `verify-all` runs ALL_CRITERIA at
 those defaults (summary.json + exit code).
 """
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -58,6 +59,14 @@ def _verdict(name, checks, **details):
     details = dict(details)
     details["checks"] = {k: bool(v) for k, v in checks.items()}
     return Verdict(name, passed, details)
+
+
+def _fold(pick, values):
+    """pick (max or min) of values, or their first NaN: Python's max and min
+    keep a NaN only in first place, so a later NaN would pass its check."""
+    values = list(values)
+    nans = [v for v in values if math.isnan(v)]
+    return nans[0] if nans else pick(values)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +166,8 @@ def criterion_shell_limit(*, lambda_seq=(6, 8, 10), seed="bump") -> Verdict:
 
     checks = {
         "jump_minus_quarter": jump_err <= TOL["jump"],
-        "pairing_to_point_value": max(pair_errs) <= TOL["pairing"],
-        "energy_identity": max(abs(e - 1.0) for e in energies) <= 1e-6,
+        "pairing_to_point_value": _fold(max, pair_errs) <= TOL["pairing"],
+        "energy_identity": _fold(max, (abs(e - 1.0) for e in energies)) <= 1e-6,
     }
     return _verdict(
         "shell_limit",
@@ -184,9 +193,9 @@ def criterion_gowdy(*, n_seq=(100, 316, 1000, 3162, 10000, 31623, 100000), ampli
     # tau = 0 pins the common value, tau = 0.5 separates the two targets
     err_tt = err_thth = off = 0.0
     for lim in pmap(lambda tau: gowdy.limit_einstein(amplitude, tau), (0.0, 0.5)):
-        err_tt = max(err_tt, abs(lim["G_tautau"] - lim["target_tautau"]))
-        err_thth = max(err_thth, abs(lim["G_thetatheta"] - lim["target_thetatheta"]))
-        off = max(off, lim["max_off_component"])
+        err_tt = _fold(max, (err_tt, abs(lim["G_tautau"] - lim["target_tautau"])))
+        err_thth = _fold(max, (err_thth, abs(lim["G_thetatheta"] - lim["target_thetatheta"])))
+        off = _fold(max, (off, lim["max_off_component"]))
     guu, gubub = gowdy.null_frame_dust_components(lim["G_tautau"], lim["G_thetatheta"], 0.5)
 
     checks = {
@@ -301,7 +310,7 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
     checks = {
         "rk4_order_ge_3.9": order >= 3.9,
         "first_integral_drift": drift <= TOL["first_integral"],
-        "weak_residuals_below_1e-6": max(residuals) <= TOL["weak_residual"],
+        "weak_residuals_below_1e-6": _fold(max, residuals) <= TOL["weak_residual"],
         "dust_comparison_monotone": monotone,
     }
     return _verdict(
@@ -309,7 +318,7 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
         checks,
         rk4_order=order,
         drift=drift,
-        max_weak_residual=max(residuals),
+        max_weak_residual=_fold(max, residuals),
         n_test_functions=len(residuals),
     )
 
@@ -366,7 +375,7 @@ def criterion_absorber() -> Verdict:
     slope_phi = fit_rate(inv_n, [r["phi_gap"] + r["dphi_gap"] for r in rows])
     slope_defect = fit_rate(inv_n, [r["weak_defect"] for r in rows])
     slope_control = fit_rate(inv_n, [r["defect_no_corrector"] for r in rows])
-    det_worst = max(r["det_defect"] for r in rows)
+    det_worst = _fold(max, (r["det_defect"] for r in rows))
     corrector_sups = [r["corrector_sup"] for r in rows]
 
     checks = {
@@ -375,7 +384,7 @@ def criterion_absorber() -> Verdict:
         "phi_slope": slope_phi >= TOL["rate_slope"],
         "defect_slope": slope_defect >= TOL["rate_slope"],
         "control_slope_le_0.2": slope_control <= 0.2,
-        "corrector_bounded": max(corrector_sups) <= 2.0 * min(corrector_sups) + 1e-12,
+        "corrector_bounded": _fold(max, corrector_sups) <= 2.0 * _fold(min, corrector_sups) + 1e-12,
     }
     return _verdict(
         "oscillation_absorber",
@@ -410,7 +419,7 @@ def criterion_mollification() -> Verdict:
         worst = 0.0
         for tf in tfs:
             r = M.pairing_gap(fm, tf, tf.deriv)
-            worst = max(worst, r["ratio"])
+            worst = _fold(max, (worst, r["ratio"]))
         ratios.append(worst)
         l1_norms.append(M.l1_w_uniform_norm(fm))
 
@@ -427,12 +436,12 @@ def criterion_mollification() -> Verdict:
     slope = fit_rate([2.0**-m for m in ms], sup_l2)
 
     checks = {
-        "pairing_bound_ratios_bounded": max(ratios) <= 1.0,
-        "pairing_ratio_stable": max(ratios[3:]) <= ratios[0] + 1e-12,
-        "density_l1_uniform": max(l1_norms) <= 2.0 * min(l1_norms),
+        "pairing_bound_ratios_bounded": _fold(max, ratios) <= 1.0,
+        "pairing_ratio_stable": _fold(max, ratios[3:]) <= ratios[0] + 1e-12,
+        "density_l1_uniform": _fold(max, l1_norms) <= 2.0 * _fold(min, l1_norms),
         "phi_slope_ge_0.9": slope >= TOL["rate_slope"],
         # derivative sup-gap tends to half the jump (from below): no L-infinity convergence
-        "dsup_stays_at_half_jump": min(dsup) >= 0.49 * jump,
+        "dsup_stays_at_half_jump": _fold(min, dsup) >= 0.49 * jump,
     }
     return _verdict(
         "mollification",
@@ -459,7 +468,7 @@ def _phi_gap_stats(sol, glued, fm, grid):
     acc, dsup = 0.0, 0.0
     for wp, dgap in panel_values(lambda x: sol.deriv(x) - glued.deriv(x), pieces, 8):
         acc = acc + np.einsum("k,kij->ij", wp, dgap**2)
-        dsup = max(dsup, float(np.abs(dgap).max()))
+        dsup = _fold(max, (dsup, float(np.abs(dgap).max())))
     return {"sup": sup, "dl2": float(np.sqrt(acc).max()), "dsup": dsup}
 
 
@@ -518,8 +527,8 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     linearity = abs(lim2 / lim1 - 2.0) / 2.0
 
     ub = np.linspace(grid.a, grid.b, 1001)
-    min_phi = min(float(mem.phi_vac(ub).min()) for mem in members)
-    det_worst = max(float(np.abs(mem.family.det_defect(ub)).max()) for mem in members)
+    min_phi = _fold(min, (float(mem.phi_vac(ub).min()) for mem in members))
+    det_worst = _fold(max, (float(np.abs(mem.family.det_defect(ub)).max()) for mem in members))
 
     checks = {
         "weak_identity_slope": slope >= TOL["rate_slope"],
@@ -688,7 +697,7 @@ def criterion_char_pipeline() -> Verdict:
     trchb_err = float(np.abs(result.trchb[:, i_fiber, :] + 2.0 / (1.0 + ub)[:, None]).max())
     trchi_err = 0.0
     for i in (0, grid.n // 2, grid.n - 1):
-        trchi_err = max(trchi_err, float(np.abs(result.nodes.trchi[i] - 2.0 / (1.0 + ub[i])).max()))
+        trchi_err = _fold(max, (trchi_err, float(np.abs(result.nodes.trchi[i] - 2.0 / (1.0 + ub[i])).max())))
     gap = P.constraint_reconstruction_gap(result)
 
     orders = {}

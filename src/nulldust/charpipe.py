@@ -100,7 +100,7 @@ def slice_fields(data: ReducedCharData, solution, ubs):
     chi = (phi * dphi / om)[..., None, None] * gh + (phi**2 / (2.0 * om))[..., None, None] * dgh
     trchi = trace(ginv, chi)
     chihat = chi - 0.5 * trchi[..., None, None] * gamma
-    chi_mix = np.einsum("...bc,...ca->...ba", ginv, chi)
+    chi_mix = calc.move_index(ginv, chi)
     gam = christoffel(gamma, ginv, chart)
     kg = gauss_curvature(ginv, chart, gam)
     grad_lo = calc.partial(chart, np.log(om), 1)
@@ -127,7 +127,7 @@ def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
     etab = 2.0 * sl.grad_log_omega - eta
     diff = eta - etab
 
-    chihat_dot_diff = np.einsum("...bc,...ab,...c->...a", ginv, sl.chihat, diff)
+    chihat_dot_diff = calc.dot21(ginv, sl.chihat, diff)
     d_eta = sl.omega[..., None] * (
         -0.75 * sl.trchi[..., None] * diff
         + sl.div_chihat
@@ -207,7 +207,7 @@ def solve_transport_system(data: ReducedCharData, solution, corner: CornerData) 
             f + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
             for f, a1, a2, a3, a4 in zip((eta, b, omb, trchb, chibhat), k1, k2, k3, k4)
         )
-        worst = max(float(np.abs(x).max()) for x in (eta, b, omb, trchb, chibhat))
+        worst = np.max([np.abs(x).max() for x in (eta, b, omb, trchb, chibhat)])  # NaN if any is NaN
         if not np.isfinite(worst) or worst > _FIELD_BOUND:
             raise TransportBlowupError(
                 f"transport state exceeded bound {_FIELD_BOUND:g} at ub={nodes[i + 1]:.6g}",
@@ -245,7 +245,7 @@ def structure_residuals(result: TransportResult) -> dict:
     rhs_eta = (
         sf.div_chihat
         - 0.5 * sf.grad_trchi
-        - 0.5 * np.einsum("...bc,...ab,...c->...a", ginv, chihat, diff)
+        - 0.5 * calc.dot21(ginv, chihat, diff)
     )
     res_eta = nab4_eta + 0.75 * trchi[..., None] * diff - rhs_eta
 

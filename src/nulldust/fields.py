@@ -53,7 +53,11 @@ def levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """Christoffel symbols [..., c, a, b] = Gamma^c_{ab} of a 2- or 4-metric from its inverse and
     dg[..., d, a, b] = d_d g_{ab}: (1/2) g^{cd} (d_a g_{bd} + d_b g_{ad} - d_d g_{ab})."""
     low = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
-    return np.einsum("...cd,...dab->...cab", ginv, low)
+    if ginv.shape[-1] == 4:
+        return np.einsum("...cd,...dab->...cab", ginv, low)
+    out = ginv[..., :, 0, None, None] * low[..., None, 0, :, :]
+    out += ginv[..., :, 1, None, None] * low[..., None, 1, :, :]
+    return out
 
 
 def sym2_pack(a, b, d) -> np.ndarray:

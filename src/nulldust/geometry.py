@@ -17,9 +17,9 @@ def partial(chart: AngularGrid, f: np.ndarray, lead: int) -> np.ndarray:
     derivative is copied into its slot as soon as it is computed, so one
     complex spectrum is alive beside the output at a time."""
     out = np.empty(f.shape[:lead + 2] + (2,) + f.shape[lead + 2:])
-    slots = np.moveaxis(out, lead + 2, 0)
-    slots[0] = spectral_deriv(f, chart.L1, lead)
-    slots[1] = spectral_deriv(f, chart.L2, lead + 1)
+    grid = (slice(None),) * (lead + 2)
+    out[grid + (0,)] = spectral_deriv(f, chart.L1, lead)
+    out[grid + (1,)] = spectral_deriv(f, chart.L2, lead + 1)
     return out
 
 
@@ -40,12 +40,24 @@ def gauss_curvature(ginv: np.ndarray, chart: AngularGrid, gam: np.ndarray) -> np
     through its trace.  gam is christoffel(gamma, ginv, chart).
     """
     dgam = partial(chart, gam, gam.ndim - 5)  # [..., e, c, a, b] = d_e Gamma^c_{ab}
+    ric = dgam[..., 0, 0, :, :] + dgam[..., 1, 1, :, :]  # d_a Gamma^a_{bc}
+    ric -= np.swapaxes(dgam[..., :, 0, :, 0] + dgam[..., :, 1, :, 1], -1, -2)  # d_c Gamma^a_{ba}
+    del dgam  # free it before the products below
 
-    term1 = np.einsum("...aabc->...bc", dgam)  # d_a Gamma^a_{bc}
-    term2 = np.einsum("...caba->...bc", dgam)  # d_c Gamma^a_{ba}
-    term3 = np.einsum("...aad,...dbc->...bc", gam, gam)
-    term4 = np.einsum("...acd,...dba->...bc", gam, gam)
-    ric = term1 - term2 + term3 - term4  # = gamma_{bc} K
+    def t3(a, d):  # Gamma^a_{ad} Gamma^d_{bc}
+        return gam[..., a, a, d, None, None] * gam[..., d, :, :]
+
+    def t4(a, d):  # Gamma^a_{cd} Gamma^d_{ba}
+        return gam[..., d, :, a, None] * gam[..., a, None, :, d]
+
+    # the sums over (a, d) in einsum's order: t3 left to right, t4 in pairs over d
+    term = t3(0, 0) + t3(0, 1)
+    term += t3(1, 0)
+    term += t3(1, 1)
+    ric += term
+    term = t4(0, 0) + t4(0, 1)
+    term += t4(1, 0) + t4(1, 1)
+    ric -= term  # = gamma_{bc} K
     return 0.5 * trace(ginv, ric)
 
 

@@ -46,26 +46,25 @@ def spectral_deriv(f: np.ndarray, period: float, axis: int) -> np.ndarray:
 
     The Nyquist mode is zeroed (its sampled derivative is not representable
     on the grid).  One complex buffer holds the whole transform: f is copied
-    into it and transformed, scaled and transformed back in place.
+    into it with the derivative axis swapped to the last, contiguous place,
+    where the FFT runs fastest, and transformed, scaled and transformed back
+    in place; the result is a view of that buffer with the axes swapped back.
     """
     f = np.asarray(f, dtype=float)
-    spec = f.astype(complex)
-    np.fft.fft(spec, axis=axis, out=spec)
-    spec *= _deriv_multiplier(f.shape[axis], period, axis, f.ndim)
-    np.fft.ifft(spec, axis=axis, out=spec)
-    return spec.real
+    spec = np.swapaxes(f, axis, -1).astype(complex, order="C")
+    np.fft.fft(spec, out=spec)
+    spec *= _deriv_multiplier(f.shape[axis], period)
+    np.fft.ifft(spec, out=spec)
+    return np.swapaxes(spec.real, axis, -1)
 
 
 @lru_cache(maxsize=32)
-def _deriv_multiplier(n, period, axis, ndim):
-    """i k along axis of an ndim-array, Nyquist entry zeroed, shaped to
-    broadcast; cached per (n, period, axis, ndim) and read-only."""
+def _deriv_multiplier(n, period):
+    """i k for n points of the given period, Nyquist entry zeroed; cached
+    per (n, period) and read-only."""
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
     mult = 1j * k
     if n % 2 == 0:
         mult[n // 2] = 0.0
-    shape = [1] * ndim
-    shape[axis] = n
-    mult = mult.reshape(shape)
     mult.flags.writeable = False
     return mult

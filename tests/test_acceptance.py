@@ -4,7 +4,14 @@ Each test prints one PASS/FAIL line; the detailed numbers live in the
 verdict objects (and in runs/verify-all/summary.json via the CLI).
 """
 
+import math
+
+import numpy as np
+import pytest
+
 from nulldust import acceptance as A
+from nulldust import gowdy
+from nulldust import mollify as M
 
 
 def _report(v):
@@ -100,3 +107,51 @@ def test_criterion_10_characteristic_pipeline():
     assert v.details["trchi_error"] <= 1e-8
     assert v.details["trchb_error"] <= 1e-8
     assert v.details["reconstruction_gap"] <= 1e-12
+
+
+@pytest.mark.parametrize("pick", [max, min])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_fold_keeps_a_nan_in_any_place(pick, where):
+    values = [0.5, 2.0, 1.0]
+    values[where] = float("nan")
+    assert math.isnan(A._fold(pick, values))
+    assert math.isnan(A._fold(pick, iter(values)))
+
+
+def test_fold_equals_max_and_min_on_finite_values():
+    values = [np.float64(0.5), 2.0, np.float64(2.0), 1.0]
+    assert A._fold(max, values) is max(values)
+    assert A._fold(min, values) is min(values)
+
+
+def test_nan_in_the_second_limit_fails_the_einstein_checks(monkeypatch):
+    exact = gowdy.limit_einstein
+
+    def limit_einstein(amplitude, tau):
+        lim = dict(exact(amplitude, tau))
+        if tau > 0.0:  # the second of the two limits the criterion folds
+            lim["G_tautau"] = lim["max_off_component"] = float("nan")
+        return lim
+
+    monkeypatch.setattr(gowdy, "limit_einstein", limit_einstein)
+    checks = A.criterion_gowdy().details["checks"]
+    assert checks["einstein_tautau"] is False
+    assert checks["off_components_vanish"] is False
+    assert checks["einstein_thetatheta"] is True
+
+
+def test_nan_ratio_after_the_first_fails_the_pairing_check(monkeypatch):
+    exact = M.pairing_gap
+    calls = []
+
+    def pairing_gap(fm, tf, dtf):
+        calls.append(1)
+        r = dict(exact(fm, tf, dtf))
+        if len(calls) == 2:  # m = 1, second test function
+            r["ratio"] = float("nan")
+        return r
+
+    monkeypatch.setattr(M, "pairing_gap", pairing_gap)
+    v = A.criterion_mollification()
+    assert v.details["checks"]["pairing_bound_ratios_bounded"] is False
+    assert not v.passed

@@ -278,3 +278,16 @@ def test_blowup_guard(monkeypatch):
     monkeypatch.setattr(P, "_FIELD_BOUND", 1.0)
     with pytest.raises(P.TransportBlowupError):
         P.solve_transport_system(data, sol, corner)
+
+
+@pytest.mark.parametrize("field", ["dub_b0", "omb0", "trchb0", "chibhat0"])
+def test_nan_in_any_seeded_field_stops_the_march_at_the_first_step(field):
+    chart = AngularGrid(16, 4)
+    grid = Grid1D(0.0, 0.5, 33)
+    data = curved_cone_data(chart, grid)
+    sol = C.solve_constraint(data, 1.0, 1.0)
+    corner = P.CornerData.zeros(chart)
+    getattr(corner, field)[3, 1] = np.nan  # one grid point
+    with pytest.raises(P.TransportBlowupError) as err:
+        P.solve_transport_system(data, sol, corner)
+    assert err.value.location == grid.points()[1]

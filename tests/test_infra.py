@@ -81,8 +81,9 @@ def test_spectral_multiplier_cached_read_only():
         shape[axis] = n
         direct = np.real(np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape), axis=axis))
         assert np.array_equal(spectral_deriv(f, period, axis), direct)
-        cached = _deriv_multiplier(n, period, axis, f.ndim)
-        assert cached is _deriv_multiplier(n, period, axis, f.ndim)
+        cached = _deriv_multiplier(n, period)
+        assert cached is _deriv_multiplier(n, period)
+        assert cached.shape == (n,)
         assert not cached.flags.writeable
 
 
