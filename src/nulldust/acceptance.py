@@ -222,10 +222,7 @@ def criterion_gowdy(*, n_seq=(100, 316, 1000, 3162, 10000, 31623, 100000), ampli
 # ---------------------------------------------------------------------------
 
 def _flat_ring(chart):
-    ring = np.zeros(chart.shape + (2, 2))
-    ring[..., 0, 0] = 1.0
-    ring[..., 1, 1] = 1.0
-    return ring
+    return np.eye(2)[:, :, None, None] * np.ones(chart.shape)
 
 
 def _const_maps(chart):
@@ -665,9 +662,7 @@ def _cone_data(chart, grid):
     a = 2.0 / om**2
     c = 2.0 * a
     gfun = c + a * np.cos(om * t1)
-    ring = np.zeros(chart.shape + (2, 2))
-    ring[..., 0, 0] = 1.0 / gfun
-    ring[..., 1, 1] = 1.0 / gfun
+    ring = _flat_ring(chart) / gfun
     one, zero = _const_maps(chart)
     return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
 
@@ -708,16 +703,18 @@ def criterion_char_pipeline() -> Verdict:
     hs = [0.5 / (n - 1) for n in sizes]
     floor = 1e-12
     for key, vals in tables.items():
-        if max(vals) <= floor:  # identically satisfied: no order to fit
+        worst = _fold(max, vals)
+        if not np.isfinite(worst):  # a NaN or inf residual: no order, and the check fails
+            orders[key] = np.nan
+        elif worst <= floor:  # identically satisfied: no order to fit
             orders[key] = np.inf
         else:
             orders[key] = fit_rate(hs, np.maximum(vals, floor))
 
-    fitted = [v for v in orders.values() if np.isfinite(v)]
     checks = {
         "cone_trchi_1e-8": trchi_err <= TOL["cone_reproduction"],
         "cone_trchb_1e-8": trchb_err <= TOL["cone_reproduction"],
-        "residual_order_ge_3": all(v >= 3.0 for v in fitted),
+        "residual_order_ge_3": all(v >= 3.0 for v in orders.values() if v != np.inf),
         "constraint_reconstruction_1e-12": gap <= 1e-12,
     }
     return _verdict(
@@ -725,7 +722,7 @@ def criterion_char_pipeline() -> Verdict:
         checks,
         trchi_error=trchi_err,
         trchb_error=trchb_err,
-        residual_orders={k: (None if not np.isfinite(v) else v) for k, v in orders.items()},
+        residual_orders={k: (None if v == np.inf else v) for k, v in orders.items()},
         residual_tables=tables,
         reconstruction_gap=gap,
     )

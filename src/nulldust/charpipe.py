@@ -9,6 +9,10 @@ makes that constraint exact by construction.  The frame derivative of a
 covariant angular tensor is  nabla_4 phi = Omega^-1 d_ub phi - chi-corrections,
 so the coordinate-time right-hand sides carry an overall factor Omega and
 connection terms with the mixed outgoing second fundamental form.
+
+Fields put their slots first and the grid axes last (fields): a batch of N
+slices holds a one-form as (2, N, n1, n2) and a scalar as (N, n1, n2), so the
+slice axis is -3 for every field and a scalar multiplies a tensor as it is.
 """
 
 from dataclasses import dataclass, fields
@@ -36,23 +40,23 @@ class CornerData:
     """Values at the corner sphere: the transversal derivative of the shift
     fixes eta - etab; the ingoing coefficients seed their transport."""
 
-    dub_b0: np.ndarray  # (n1, n2, 2), contravariant
+    dub_b0: np.ndarray  # (2, n1, n2), contravariant
     omb0: np.ndarray  # (n1, n2)
     trchb0: np.ndarray  # (n1, n2)
-    chibhat0: np.ndarray  # (n1, n2, 2, 2)
+    chibhat0: np.ndarray  # (2, 2, n1, n2)
 
     @classmethod
     def zeros(cls, chart):
         """Zero shift derivative, omb and chibhat, and trchb = -2."""
-        return cls(np.zeros(chart.shape + (2,)), np.zeros(chart.shape), np.full(chart.shape, -2.0),
-                   np.zeros(chart.shape + (2, 2)))
+        return cls(np.zeros((2,) + chart.shape), np.zeros(chart.shape), np.full(chart.shape, -2.0),
+                   np.zeros((2, 2) + chart.shape))
 
 
 @dataclass
 class SliceFields:
-    """Geometry and outgoing coefficients on a batch of ub slices, ub
-    leading, with the state-independent terms of the transport right-hand
-    side; sf[k] is slice k, as views of the batch arrays."""
+    """Geometry and outgoing coefficients on a batch of ub slices, the ub
+    axis just before the grid axes, with the state-independent terms of the
+    transport right-hand side; sf[k] is slice k, as views of the batch arrays."""
 
     gamma: np.ndarray
     ginv: np.ndarray
@@ -63,30 +67,30 @@ class SliceFields:
     trchi: np.ndarray
     chihat: np.ndarray
     chi_mix: np.ndarray  # chi^b_a
-    gam: np.ndarray      # Christoffel symbols [..., c, a, b] = Gamma^c_{ab}
+    gam: np.ndarray      # Christoffel symbols [c, a, b] = Gamma^c_{ab}
     div_chihat: np.ndarray
     grad_trchi: np.ndarray
 
     def __getitem__(self, k) -> "SliceFields":
-        return SliceFields(*(getattr(self, f.name)[k] for f in fields(self)))
+        return SliceFields(*(getattr(self, f.name)[..., k, :, :] for f in fields(self)))
 
 
 @dataclass
 class TransportResult:
     grid: Grid1D
     data: ReducedCharData
-    eta: np.ndarray      # (N, n1, n2, 2)
-    b: np.ndarray        # (N, n1, n2, 2)
+    eta: np.ndarray      # (2, N, n1, n2)
+    b: np.ndarray        # (2, N, n1, n2)
     omb: np.ndarray      # (N, n1, n2)
     trchb: np.ndarray    # (N, n1, n2)
-    chibhat: np.ndarray  # (N, n1, n2, 2, 2)
+    chibhat: np.ndarray  # (2, 2, N, n1, n2)
     nodes: SliceFields   # slice geometry at the grid nodes, batched
-    etab: np.ndarray     # (N, n1, n2, 2) = 2 grad log Omega - eta
+    etab: np.ndarray     # (2, N, n1, n2) = 2 grad log Omega - eta
 
 
 def slice_fields(data: ReducedCharData, solution, ubs):
-    """SliceFields of the batch ubs, from one pass with ub as the leading
-    axis; a scalar ub gives one slice.  Raises PositivityError if gamma fails
+    """SliceFields of the batch ubs, from one pass over the whole batch; a
+    scalar ub gives one slice.  Raises PositivityError if gamma fails
     the sign test on any slice."""
     ub = np.atleast_1d(np.asarray(ubs, float))
     chart = data.chart
@@ -95,18 +99,18 @@ def slice_fields(data: ReducedCharData, solution, ubs):
     phi = np.asarray(solution(ub))
     dphi = np.asarray(solution.deriv(ub))
     gh, dgh = data.slice_metric(ub)
-    gamma = phi[..., None, None] ** 2 * gh
+    gamma = phi**2 * gh
     ginv = sym2_inverse(gamma)
-    chi = (phi * dphi / om)[..., None, None] * gh + (phi**2 / (2.0 * om))[..., None, None] * dgh
+    chi = (phi * dphi / om) * gh + (phi**2 / (2.0 * om)) * dgh
     trchi = trace(ginv, chi)
-    chihat = chi - 0.5 * trchi[..., None, None] * gamma
+    chihat = chi - 0.5 * trchi * gamma
     chi_mix = calc.move_index(ginv, chi)
     gam = christoffel(gamma, ginv, chart)
     kg = gauss_curvature(ginv, chart, gam)
-    grad_lo = calc.partial(chart, np.log(om), 1)
+    grad_lo = calc.partial(chart, np.log(om))
     om_scalar = -0.5 * dlo / om
     div_chihat = calc.div_sym2(chart, ginv, chihat, gam)
-    grad_trchi = calc.partial(chart, trchi, 1)
+    grad_trchi = calc.partial(chart, trchi)
     sf = SliceFields(gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi_mix, gam, div_chihat, grad_trchi)
     return sf if np.ndim(ubs) else sf[0]
 
@@ -114,7 +118,7 @@ def slice_fields(data: ReducedCharData, solution, ubs):
 def corner_eta(sl: SliceFields, corner: CornerData) -> np.ndarray:
     """eta at the corner: (eta - etab)^sharp = -dub_b / (2 Omega^2), symmetrized
     against the lapse gradient.  sl is the slice at the corner, ub = grid.a."""
-    diff_up = -corner.dub_b0 / (2.0 * sl.omega[..., None] ** 2)
+    diff_up = -corner.dub_b0 / (2.0 * sl.omega**2)
     diff = calc.move_index(sl.gamma, diff_up)
     return sl.grad_log_omega + 0.5 * diff
 
@@ -128,15 +132,15 @@ def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
     diff = eta - etab
 
     chihat_dot_diff = calc.dot21(ginv, sl.chihat, diff)
-    d_eta = sl.omega[..., None] * (
-        -0.75 * sl.trchi[..., None] * diff
+    d_eta = sl.omega * (
+        -0.75 * sl.trchi * diff
         + sl.div_chihat
         - 0.5 * sl.grad_trchi
         - 0.5 * chihat_dot_diff
         + calc.chi_connection(sl.chi_mix, eta)
     )
 
-    d_b = -2.0 * sl.omega[..., None] ** 2 * calc.move_index(ginv, diff)
+    d_b = -2.0 * sl.omega**2 * calc.move_index(ginv, diff)
 
     d_omb = sl.omega * (
         2.0 * sl.om * omb
@@ -145,20 +149,20 @@ def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
         - 0.5 * (sl.kgauss - 0.5 * calc.dot22(ginv, sl.chihat, chibhat) + 0.25 * sl.trchi * trchb)
     )
 
-    nab_etab = calc.covariant_deriv(data.chart, etab, sl.gam)  # [..., c, a] = nabla_c etab_a
+    nab_etab = calc.covariant_deriv(data.chart, etab, sl.gam)  # [c, a] = nabla_c etab_a
     div_etab = trace(ginv, nab_etab)
     etab_sq = calc.dot11(ginv, etab, etab)
     d_trchb = sl.omega * (
         -sl.trchi * trchb + 2.0 * sl.om * trchb - 2.0 * sl.kgauss + 2.0 * div_etab + 2.0 * etab_sq
     )
 
-    d_chibhat = sl.omega[..., None, None] * (
+    d_chibhat = sl.omega * (
         calc.chi_connection(sl.chi_mix, chibhat)
-        - 0.5 * sl.trchi[..., None, None] * chibhat
+        - 0.5 * sl.trchi * chibhat
         + calc.hat(gamma, nab_etab, div_etab)
-        + 2.0 * sl.om[..., None, None] * chibhat
-        - 0.5 * trchb[..., None, None] * sl.chihat
-        + calc.hat(gamma, etab[..., :, None] * etab[..., None, :], etab_sq)
+        + 2.0 * sl.om * chibhat
+        - 0.5 * trchb * sl.chihat
+        + calc.hat(gamma, etab[:, None] * etab, etab_sq)
     )
     return d_eta, d_b, d_omb, d_trchb, d_chibhat
 
@@ -182,16 +186,16 @@ def solve_transport_system(data: ReducedCharData, solution, corner: CornerData) 
     at_half = slice_fields(data, solution, nodes[:-1] + 0.5 * h)
 
     eta = corner_eta(at_node[0], corner)
-    b = np.zeros(chart.shape + (2,))
+    b = np.zeros((2,) + chart.shape)
     omb = np.asarray(corner.omb0, float).copy()
     trchb = np.asarray(corner.trchb0, float).copy()
     chibhat = np.asarray(corner.chibhat0, float).copy()
 
-    traj = [np.empty((grid.n,) + chart.shape + slots) for slots in ((2,), (2,), (), (), (2, 2))]
+    traj = [np.empty(slots + (grid.n,) + chart.shape) for slots in ((2,), (2,), (), (), (2, 2))]
 
     def store(i):
         for arr, f in zip(traj, (eta, b, omb, trchb, chibhat)):
-            arr[i] = f
+            arr[..., i, :, :] = f
 
     store(0)
     for i in range(grid.n - 1):
@@ -234,20 +238,20 @@ def structure_residuals(result: TransportResult) -> dict:
     eta, etab = result.eta, result.etab
     diff = eta - etab
 
-    d_ub = lambda arr: deriv1_fd4(arr, h, axis=0)
+    d_ub = lambda arr: deriv1_fd4(arr, h, axis=-3)
 
     # scalar transport: nabla_4 f = Omega^-1 d_ub f
     nab4_trchi = d_ub(trchi) / omega
     res_expansion = nab4_trchi + 0.5 * trchi**2 + calc.dot22(ginv, chihat, chihat) + 2.0 * om * trchi
 
     # one-form: nabla_4 eta_a = Omega^-1 d_ub eta_a - chi^b_a eta_b
-    nab4_eta = d_ub(eta) / omega[..., None] - calc.chi_connection(chi_mix, eta)
+    nab4_eta = d_ub(eta) / omega - calc.chi_connection(chi_mix, eta)
     rhs_eta = (
         sf.div_chihat
         - 0.5 * sf.grad_trchi
         - 0.5 * calc.dot21(ginv, chihat, diff)
     )
-    res_eta = nab4_eta + 0.75 * trchi[..., None] * diff - rhs_eta
+    res_eta = nab4_eta + 0.75 * trchi * diff - rhs_eta
 
     # ingoing expansion
     nab4_trchb = d_ub(result.trchb) / omega
@@ -264,14 +268,14 @@ def structure_residuals(result: TransportResult) -> dict:
     )
 
     # ingoing shear
-    nab4_chibhat = d_ub(result.chibhat) / omega[..., None, None] - calc.chi_connection(chi_mix, result.chibhat)
+    nab4_chibhat = d_ub(result.chibhat) / omega - calc.chi_connection(chi_mix, result.chibhat)
     res_chibhat = (
         nab4_chibhat
-        + 0.5 * trchi[..., None, None] * result.chibhat
+        + 0.5 * trchi * result.chibhat
         - calc.hat(gamma, nab_etab, div_etab)
-        - 2.0 * om[..., None, None] * result.chibhat
-        + 0.5 * result.trchb[..., None, None] * chihat
-        - calc.hat(gamma, etab[..., :, None] * etab[..., None, :], etab_sq)
+        - 2.0 * om * result.chibhat
+        + 0.5 * result.trchb * chihat
+        - calc.hat(gamma, etab[:, None] * etab, etab_sq)
     )
 
     # ingoing expansion-rate potential

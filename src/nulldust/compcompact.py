@@ -11,11 +11,8 @@ with chi a smooth plateau cutoff (1 on [-1, 1], 0 outside [-2, 2]).  The pass
 mask of the first kind lives where 50 C1 |xi_2| <= |xi_1| and the second kind
 where 50 C1 |xi_1| <= |xi_2|; products of two such parts have no spectrum
 below |xi| = C1, which is the mechanism that lets transversely regular
-oscillating sequences multiply without a convergence defect.
-
-The radial and directional cutoffs act on the two null-frequency axes
-(xi_1, xi_2); in the 4D variant the transverse axes ride along, which is
-exactly the separation the product-support argument controls.
+oscillating sequences multiply without a convergence defect.  The box is
+the (u, ub) plane, and (xi_1, xi_2) are its two null frequencies.
 """
 
 from dataclasses import dataclass
@@ -34,17 +31,13 @@ def cutoff_chi(t):
 
 @dataclass(frozen=True)
 class PeriodicBox:
-    """Periodic box [0, 2 pi)^dim sampled with shape[i] nodes per axis."""
+    """Periodic box [0, 2 pi)^2 in (u, ub) sampled with shape[i] nodes per axis."""
 
     shape: tuple
 
     def __post_init__(self):
-        if len(self.shape) not in (2, 4):
-            raise ValueError("only 2D (u, ub) and 4D (u, ub, y1, y2) boxes supported")
-
-    @property
-    def dim(self):
-        return len(self.shape)
+        if len(self.shape) != 2:
+            raise ValueError(f"only 2D (u, ub) boxes supported, got shape {self.shape}")
 
     def axes(self):
         return [np.arange(n) * (2.0 * np.pi / n) for n in self.shape]
@@ -57,20 +50,15 @@ class PeriodicBox:
         return np.meshgrid(*self.axes(), indexing="ij", sparse=True)
 
     def freqs(self):
-        """Integer frequency lattice per axis, broadcast-shaped."""
-        out = []
-        for ax, n in enumerate(self.shape):
-            k = np.fft.fftfreq(n, d=1.0 / n)
-            shape = [1] * self.dim
-            shape[ax] = n
-            out.append(k.reshape(shape))
-        return out
+        """Integer frequency lattice per axis, broadcast-shaped: (k1, k2)."""
+        n1, n2 = self.shape
+        return np.fft.fftfreq(n1, d=1.0 / n1)[:, None], np.fft.fftfreq(n2, d=1.0 / n2)[None, :]
 
     def nyquist(self):
-        return min(self.shape[0], self.shape[1]) // 2
+        return min(self.shape) // 2
 
     def integrate(self, field):
-        return float(field.mean() * (2.0 * np.pi) ** self.dim)
+        return float(field.mean() * (2.0 * np.pi) ** 2)
 
 
 @lru_cache(maxsize=4)
@@ -79,8 +67,7 @@ def _masks(box: PeriodicBox, c1: float, mode: str):
 
     Cached per (box, c1, mode); the arrays are read-only.
     """
-    k = box.freqs()
-    k1, k2 = np.abs(k[0]), np.abs(k[1])
+    k1, k2 = map(np.abs, box.freqs())
     radial = np.sqrt(k1**2 + k2**2)
     low = cutoff_chi(radial / (2.0 * c1))
     if mode == "x1":
@@ -155,8 +142,8 @@ def support_check(box: PeriodicBox, c1: float, v1: np.ndarray, v2: np.ndarray):
     peak = spec.max()
     if peak == 0.0:
         return True, np.inf
-    k = box.freqs()
-    radial = np.sqrt(sum(ki.astype(float) ** 2 for ki in k))
+    k1, k2 = box.freqs()
+    radial = np.sqrt(k1**2 + k2**2)
     carrying = spec > _SUPPORT_RTOL * peak
     inside = carrying & (radial < c1)
     ok = not bool(inside.any())
@@ -209,7 +196,7 @@ def transverse_pair(box: PeriodicBox) -> SequencePair:
     The amplitudes are not band-limited, so the product pairings decay
     through the test function's spectrum instead of vanishing identically.
     """
-    u, ub = box.sparse_mesh()[:2]
+    u, ub = box.sparse_mesh()
     amp_f = np.exp(0.3 * np.sin(u) + 0.2 * np.cos(ub))
     amp_h = np.exp(0.25 * np.sin(ub) + 0.2 * np.cos(u))
 
@@ -238,7 +225,7 @@ def resonant_pair(box: PeriodicBox) -> SequencePair:
 
 def strong_weak_pair(box: PeriodicBox) -> SequencePair:
     """f fixed and smooth, h_n weakly convergent to a nonzero limit."""
-    u, ub = box.sparse_mesh()[:2]
+    u, ub = box.sparse_mesh()
     f0 = np.exp(0.2 * np.sin(u) + 0.1 * np.cos(ub))
     h_inf = np.broadcast_to(1.0 + 0.5 * np.cos(u), box.shape)
     envelope = 1.0 + 0.2 * np.cos(ub)
@@ -262,10 +249,8 @@ def random_fields(box: PeriodicBox, rng: np.random.Generator):
     """Two random real fields band-limited to half Nyquist (so products do not
     alias)."""
     half = box.nyquist() // 2
-    k = box.freqs()
-    band = np.ones(box.shape, dtype=bool)
-    for ki in k:
-        band &= np.abs(ki) <= half
+    k1, k2 = box.freqs()
+    band = (np.abs(k1) <= half) & (np.abs(k2) <= half)
     fields = []
     for _ in range(2):
         spec = rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)

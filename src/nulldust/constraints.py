@@ -71,7 +71,8 @@ class ReducedCharData:
     omega/dlog_omega are batch maps ub(K,) -> (K, n1, n2).  The conformal
     metric gamma_hat = [[a, b], [b, d]] is given by its entries: entries maps
     ub(K,) -> (a, b, d) and dentries to their ub-derivatives, each (K, n1, n2).
-    The normalization det gamma_hat = det gamma_ring is checked at five ub.
+    gamma_ring is (2, 2, n1, n2), slots first (fields).  The normalization
+    det gamma_hat = det gamma_ring is checked at five ub.
     """
 
     grid: Grid1D
@@ -84,6 +85,8 @@ class ReducedCharData:
     dust: NullDustMeasure | None = None
 
     def __post_init__(self):
+        if np.shape(self.gamma_ring) != (2, 2) + self.chart.shape:
+            raise ValueError(f"gamma_ring shape {np.shape(self.gamma_ring)} != (2, 2) + {self.chart.shape}")
         if self.dust is not None:
             self.dust.validate(self.grid)
         probe = np.linspace(self.grid.a, self.grid.b, 5)
@@ -100,11 +103,11 @@ class ReducedCharData:
         return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
 
     def slice_metric(self, ub):
-        """(gamma_hat, d gamma_hat) on the slice at ub, each (n1, n2, 2, 2);
-        a batch ub (K,) gives (K, n1, n2, 2, 2)."""
+        """(gamma_hat, d gamma_hat) on the slice at ub, each (2, 2, n1, n2);
+        a batch ub (K,) gives (2, 2, K, n1, n2)."""
         ub_arr = np.atleast_1d(np.asarray(ub, float))
         gh, dgh = sym2_pack(*self.entries(ub_arr)), sym2_pack(*self.dentries(ub_arr))
-        return (gh, dgh) if np.ndim(ub) else (gh[0], dgh[0])
+        return (gh, dgh) if np.ndim(ub) else (gh[:, :, 0], dgh[:, :, 0])
 
     def area_weights(self) -> np.ndarray:
         """Quadrature weights of dA_ring on the chart nodes."""

@@ -1,8 +1,12 @@
 """Symmetric 2x2 fields on the angular chart and sampled 4-metric blocks.
 
-Array layout: angular grid axes lead, tensor slots trail.  A scalar field is
-(n1, n2), a 1-form (n1, n2, 2), a covariant symmetric 2-tensor (n1, n2, 2, 2),
-Christoffel symbols (n1, n2, 2, 2, 2) indexed [..., c, a, b] = Gamma^c_{ab}.
+Array layout: tensor slots lead, then any batch axes, then the angular grid
+axes (n1, n2).  A scalar field is (..., n1, n2), a 1-form (2, ..., n1, n2), a
+covariant symmetric 2-tensor (2, 2, ..., n1, n2), Christoffel symbols
+(2, 2, 2, ..., n1, n2) indexed [c, a, b] = Gamma^c_{ab}.  A scalar broadcasts
+onto a tensor of the same batch with no added axes, and each entry T[a, b] is
+a contiguous (..., n1, n2) plane.  MetricBlock keeps its 4-metric with the
+(4, 4) slots trailing, the layout np.linalg.inv and @ read.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ class PositivityError(ValueError):
 def check_positive_definite(g: np.ndarray) -> None:
     """Exact sign tests det > 0 and g11 > 0 at every grid point."""
     det = sym2_det(g)
-    bad = (det <= 0.0) | (g[..., 0, 0] <= 0.0)
+    bad = (det <= 0.0) | (g[0, 0] <= 0.0)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise PositivityError(f"metric not positive definite at grid point {idx}", where=idx)
@@ -33,45 +37,33 @@ def sym2_inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of a field of symmetric 2x2 matrices."""
     det = sym2_det(g)
     inv = np.empty_like(g)
-    inv[..., 0, 0] = g[..., 1, 1] / det
-    inv[..., 1, 1] = g[..., 0, 0] / det
-    inv[..., 0, 1] = -g[..., 0, 1] / det
-    inv[..., 1, 0] = -g[..., 1, 0] / det
+    inv[0, 0] = g[1, 1] / det
+    inv[1, 1] = g[0, 0] / det
+    inv[0, 1] = -g[0, 1] / det
+    inv[1, 0] = -g[1, 0] / det
     return inv
 
 
 def sym2_det(g: np.ndarray) -> np.ndarray:
-    return g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
+    return g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
 
 
 def trace(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """ginv^{ab} T_{ab}, with ginv the inverse metric the caller holds (2- or 4-metric)."""
-    return np.einsum("...ab,...ab->...", ginv, T)
-
-
-def levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Christoffel symbols [..., c, a, b] = Gamma^c_{ab} of a 2- or 4-metric from its inverse and
-    dg[..., d, a, b] = d_d g_{ab}: (1/2) g^{cd} (d_a g_{bd} + d_b g_{ad} - d_d g_{ab})."""
-    low = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
-    if ginv.shape[-1] == 4:
-        return np.einsum("...cd,...dab->...cab", ginv, low)
-    out = ginv[..., :, 0, None, None] * low[..., None, 0, :, :]
-    out += ginv[..., :, 1, None, None] * low[..., None, 1, :, :]
-    return out
+    """ginv^{ab} T_{ab}, with ginv the inverse 2-metric the caller holds; the
+    four products are summed in the pairs numpy 2.4.6's einsum forms for
+    "...ab,...ab->..." on the slots-last layout."""
+    return (ginv[0, 0] * T[0, 0] + ginv[1, 0] * T[1, 0]) + (ginv[0, 1] * T[0, 1] + ginv[1, 1] * T[1, 1])
 
 
 def sym2_pack(a, b, d) -> np.ndarray:
     """Field of symmetric 2x2 matrices [[a, b], [b, d]] from its entry fields."""
     a, b, d = np.broadcast_arrays(a, b, d)
-    g = np.empty(a.shape + (2, 2))
-    g[..., 0, 0], g[..., 1, 1] = a, d
-    g[..., 0, 1] = g[..., 1, 0] = b
-    return g
+    return np.stack((a, b, b, d), dtype=float).reshape((2, 2) + a.shape)
 
 
 def sym2_entries(g: np.ndarray):
-    """Entries (a, b, d) of a field of symmetric 2x2 matrices: the inverse of sym2_pack."""
-    return g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    """Entries (a, b, d) of a field of symmetric 2x2 matrices, as views: the inverse of sym2_pack."""
+    return g[0, 0], g[0, 1], g[1, 1]
 
 
 def sym2_min_eigenvalue(a, b, d) -> np.ndarray:

@@ -1,54 +1,65 @@
 """Intrinsic geometry of the angular chart: connection and Gauss curvature.
 
-All derivatives are spectral on the periodic chart, so smooth data converge
-faster than any fixed power of the grid spacing.
+Fields put their slots first and the grid axes (n1, n2) last (fields), so a
+derivative slot is a new leading axis and the derivatives run along axes -2
+and -1 whatever the slots and batch axes before the grid.  All derivatives
+are spectral on the periodic chart, so smooth data converge faster than any
+fixed power of the grid spacing.
 """
 
 import numpy as np
 
-from .fields import check_positive_definite, levi_civita, sym2_det, trace
+from .fields import check_positive_definite, sym2_det, trace
 from .grids import AngularGrid
 from .stencils import spectral_deriv
 
 
-def partial(chart: AngularGrid, f: np.ndarray, lead: int) -> np.ndarray:
-    """d_c f for f shaped (lead batch axes, n1, n2, *slots): the derivative
-    slot c is inserted after the grid axes, (batch, n1, n2, 2, *slots).  Each
-    derivative is copied into its slot as soon as it is computed, so one
-    complex spectrum is alive beside the output at a time."""
-    out = np.empty(f.shape[:lead + 2] + (2,) + f.shape[lead + 2:])
-    grid = (slice(None),) * (lead + 2)
-    out[grid + (0,)] = spectral_deriv(f, chart.L1, lead)
-    out[grid + (1,)] = spectral_deriv(f, chart.L2, lead + 1)
+def partial(chart: AngularGrid, f: np.ndarray) -> np.ndarray:
+    """d_c f for f shaped (*slots, ..., n1, n2), with the derivative slot c
+    first: (2, *slots, ..., n1, n2).  Each derivative is copied into its slot
+    as soon as it is computed, so one complex spectrum is alive beside the
+    output at a time."""
+    out = np.empty((2,) + f.shape)
+    out[0] = spectral_deriv(f, chart.L1, -2)
+    out[1] = spectral_deriv(f, chart.L2, -1)
+    return out
+
+
+def levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Christoffel symbols [c, a, b] = Gamma^c_{ab} of a 2-metric from its inverse and
+    dg[d, a, b] = d_d g_{ab}: (1/2) g^{cd} (d_a g_{bd} + d_b g_{ad} - d_d g_{ab})."""
+    low = 0.5 * (np.swapaxes(dg, 0, 1) + np.swapaxes(dg, 0, 2) - dg)
+    out = ginv[:, 0, None, None] * low[None, 0]
+    out += ginv[:, 1, None, None] * low[None, 1]
     return out
 
 
 def christoffel(gamma: np.ndarray, ginv: np.ndarray, chart: AngularGrid) -> np.ndarray:
-    """Connection coefficients of gamma, indexed [..., c, a, b] = Gamma^c_{ab};
-    leading axes of gamma before (n1, n2, 2, 2) are a batch of slices, and
-    ginv is the caller's inverse of gamma (fields.levi_civita)."""
+    """Connection coefficients [c, a, b] = Gamma^c_{ab} of gamma, with ginv the
+    caller's inverse of gamma; raises PositivityError where gamma is not
+    positive definite."""
     check_positive_definite(gamma)
-    return levi_civita(ginv, partial(chart, gamma, gamma.ndim - 4))
+    return levi_civita(ginv, partial(chart, gamma))
 
 
 def gauss_curvature(ginv: np.ndarray, chart: AngularGrid, gam: np.ndarray) -> np.ndarray:
-    """Gauss curvature K of gamma, from its inverse ginv (leading axes batch slices).
+    """Gauss curvature K of gamma, from its inverse ginv.
 
     K is read off the curvature identity
         gamma_{bc} K = d_a Gamma^a_{bc} - d_c Gamma^a_{ba}
                        + Gamma^a_{ad} Gamma^d_{bc} - Gamma^a_{cd} Gamma^d_{ba}
     through its trace.  gam is christoffel(gamma, ginv, chart).
     """
-    dgam = partial(chart, gam, gam.ndim - 5)  # [..., e, c, a, b] = d_e Gamma^c_{ab}
-    ric = dgam[..., 0, 0, :, :] + dgam[..., 1, 1, :, :]  # d_a Gamma^a_{bc}
-    ric -= np.swapaxes(dgam[..., :, 0, :, 0] + dgam[..., :, 1, :, 1], -1, -2)  # d_c Gamma^a_{ba}
+    dgam = partial(chart, gam)  # [e, c, a, b] = d_e Gamma^c_{ab}
+    ric = dgam[0, 0] + dgam[1, 1]  # d_a Gamma^a_{bc}
+    ric -= np.swapaxes(dgam[:, 0, :, 0] + dgam[:, 1, :, 1], 0, 1)  # d_c Gamma^a_{ba}
     del dgam  # free it before the products below
 
     def t3(a, d):  # Gamma^a_{ad} Gamma^d_{bc}
-        return gam[..., a, a, d, None, None] * gam[..., d, :, :]
+        return gam[a, a, d] * gam[d]
 
     def t4(a, d):  # Gamma^a_{cd} Gamma^d_{ba}
-        return gam[..., d, :, a, None] * gam[..., a, None, :, d]
+        return gam[d, :, a, None] * gam[a, None, :, d]
 
     # the sums over (a, d) in einsum's order: t3 left to right, t4 in pairs over d
     term = t3(0, 0) + t3(0, 1)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import MetricBlock, levi_civita, trace
+from .fields import MetricBlock
 from .stencils import deriv1_fd4, deriv1_fd4_periodic
 
 _BLOCK_ROWS = 32  # rows per block along a non-periodic first axis (at least this many)
@@ -84,8 +84,12 @@ def _curvature(m: MetricBlock, g: np.ndarray):
     """(Ricci, Einstein) of rows g of the block m, with the stencils of m's grids."""
     ginv = np.linalg.inv(g)
 
-    # dg[..., s, m, n] = d_s g_{mn}, freed once the connection is built
-    gam = levi_civita(ginv, np.stack([_block_deriv(m, g, mu) for mu in range(4)], axis=-3))
+    # dg[..., d, a, b] = d_d g_{ab}, freed once the connection
+    # gam[..., c, a, b] = Gamma^c_{ab} = (1/2) g^{cd} (d_a g_{bd} + d_b g_{ad} - d_d g_{ab}) is built
+    dg = np.stack([_block_deriv(m, g, mu) for mu in range(4)], axis=-3)
+    low = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
+    del dg
+    gam = np.einsum("...cd,...dab->...cab", ginv, low)
 
     # derivative terms accumulated per axis (no rank-6 temporary)
     term1 = np.zeros_like(g)  # d_r Gamma^r_{mn}
@@ -102,5 +106,5 @@ def _curvature(m: MetricBlock, g: np.ndarray):
     term4 = (swapped.reshape(batch + (4, 16)) @ swapped.reshape(batch + (16, 4))).reshape(g.shape)
     ric = term1 - term2 + term3 - term4
 
-    rs = trace(ginv, ric)
+    rs = np.einsum("...ab,...ab->...", ginv, ric)
     return ric, ric - 0.5 * rs[..., None, None] * g

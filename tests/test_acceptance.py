@@ -155,3 +155,18 @@ def test_nan_ratio_after_the_first_fails_the_pairing_check(monkeypatch):
     v = A.criterion_mollification()
     assert v.details["checks"]["pairing_bound_ratios_bounded"] is False
     assert not v.passed
+
+
+@pytest.mark.parametrize("n_nan", [97, 65])
+def test_nan_in_a_ladder_member_fails_the_order_check(monkeypatch, n_nan):
+    # a NaN residual in one member of the table: no rate is fitted (at n = 65
+    # a fit would raise), the order reads nan, and the order check fails
+    def ladder_residuals(n):
+        return {"torsion": float("nan") if n == n_nan else (0.5 / (n - 1)) ** 4, "shear_in": 0.0}
+
+    monkeypatch.setattr(A, "_ladder_residuals", ladder_residuals)
+    v = A.criterion_char_pipeline()
+    assert math.isnan(v.details["residual_orders"]["torsion"])
+    assert v.details["residual_orders"]["shear_in"] is None  # identically satisfied
+    assert v.details["checks"]["residual_order_ge_3"] is False
+    assert not v.passed

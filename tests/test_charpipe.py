@@ -11,7 +11,7 @@ from nulldust import constraints as C
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.rates import fit_rate
 
-from test_calculus import curl_oneform, div_oneform, grad
+from test_calculus import curl_oneform, div_oneform, einsum_trailing, grad
 
 
 @dataclass
@@ -31,25 +31,25 @@ def renormalized_curvature(result: P.TransportResult, i: int) -> RenormalizedCur
     chart = data.chart
     sl = result.nodes[i]
     gamma, gam = sl.gamma, sl.gam
-    eta = result.eta[i]
-    etab = result.etab[i]
+    eta = result.eta[..., i, :, :]
+    etab = result.etab[..., i, :, :]
     diff = eta - etab
-    chibhat = result.chibhat[i]
+    chibhat = result.chibhat[..., i, :, :]
     trchb = result.trchb[i]
 
-    chi_minus = sl.chihat - 0.5 * sl.trchi[..., None, None] * gamma  # chi - trchi gamma
-    chib = chibhat + 0.5 * trchb[..., None, None] * gamma
-    chib_minus = chib - trchb[..., None, None] * gamma
+    chi_minus = sl.chihat - 0.5 * sl.trchi * gamma  # chi - trchi gamma
+    chib = chibhat + 0.5 * trchb * gamma
+    chib_minus = chib - trchb * gamma
 
     beta = (
         -sl.div_chihat
         + 0.5 * sl.grad_trchi
-        - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chi_minus, diff)
+        - 0.5 * einsum_trailing("...bc,...ab,...c->...a", sl.ginv, chi_minus, diff)
     )
     betab = (
         calc.div_sym2(chart, sl.ginv, chibhat, gam)
         - 0.5 * grad(chart, trchb)
-        - 0.5 * np.einsum("...bc,...ab,...c->...a", sl.ginv, chib_minus, diff)
+        - 0.5 * einsum_trailing("...bc,...ab,...c->...a", sl.ginv, chib_minus, diff)
     )
     sigma_check = curl_oneform(chart, gamma, eta, gam)
     mu = -div_oneform(chart, gamma, eta, gam) + sl.kgauss
@@ -58,8 +58,8 @@ def renormalized_curvature(result: P.TransportResult, i: int) -> RenormalizedCur
 
 
 def flat_data(chart, grid, omega=None, dlog=None):
-    ring = np.zeros(chart.shape + (2, 2))
-    ring[..., 0, 0] = ring[..., 1, 1] = 1.0
+    ring = np.zeros((2, 2) + chart.shape)
+    ring[0, 0] = ring[1, 1] = 1.0
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     return C.ReducedCharData(grid, chart, ring, omega or one, dlog or zero, *C.ring_entries(ring))
@@ -69,9 +69,9 @@ def curved_cone_data(chart, grid):
     t1, _ = chart.mesh()
     om = 2.0 * np.pi / chart.L1
     gfun = 4.0 / om**2 + (2.0 / om**2) * np.cos(om * t1)
-    ring = np.zeros(chart.shape + (2, 2))
-    ring[..., 0, 0] = 1.0 / gfun
-    ring[..., 1, 1] = 1.0 / gfun
+    ring = np.zeros((2, 2) + chart.shape)
+    ring[0, 0] = 1.0 / gfun
+    ring[1, 1] = 1.0 / gfun
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
@@ -182,8 +182,8 @@ def test_residual_sensitivity_to_shear_perturbation():
     # outgoing expansion residual linearly
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 0.5, 129)
-    ring = np.zeros(chart.shape + (2, 2))
-    ring[..., 0, 0] = ring[..., 1, 1] = 1.0
+    ring = np.zeros((2, 2) + chart.shape)
+    ring[0, 0] = ring[1, 1] = 1.0
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
 
@@ -220,8 +220,8 @@ def test_gauge_identity_oscillator_data():
     k = H.select_k(bg)
     fam = H.OscillatoryFamily(bg, k, 8)
     sol = H.solve_phi_n(fam)
-    ring = np.zeros(chart.shape + (2, 2))
-    ring[..., 0, 0] = ring[..., 1, 1] = 1.0
+    ring = np.zeros((2, 2) + chart.shape)
+    ring[0, 0] = ring[1, 1] = 1.0
     data = C.ReducedCharData(grid, chart, ring, bg.data.omega, bg.data.dlog_omega,
                              fam.entries, lambda ub: fam.jet(ub)[1])
     trchi, chihat, chi = chi_from_data(data, sol, 0.33, identity_tol=1e-10)
@@ -250,7 +250,7 @@ def test_mass_aspect_definitional_identity():
     i = 32
     rc = renormalized_curvature(result, i)
     sl = result.nodes[i]
-    div_eta = div_oneform(data.chart, sl.gamma, result.eta[i], sl.gam)
+    div_eta = div_oneform(data.chart, sl.gamma, result.eta[..., i, :, :], sl.gam)
     assert np.abs(rc.mu + div_eta - sl.kgauss).max() < 1e-13
 
 
@@ -287,7 +287,7 @@ def test_nan_in_any_seeded_field_stops_the_march_at_the_first_step(field):
     data = curved_cone_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
     corner = P.CornerData.zeros(chart)
-    getattr(corner, field)[3, 1] = np.nan  # one grid point
+    getattr(corner, field)[..., 3, 1] = np.nan  # one grid point
     with pytest.raises(P.TransportBlowupError) as err:
         P.solve_transport_system(data, sol, corner)
     assert err.value.location == grid.points()[1]

@@ -67,7 +67,7 @@ def test_cached_masks_are_read_only(box):
             mask[0, 0] = 0.5
 
 
-@pytest.mark.parametrize("shape, c1", [((128, 128), 4.0), ((16, 16, 8, 8), 2.0)])
+@pytest.mark.parametrize("shape, c1", [((128, 128), 4.0)])
 def test_trial_strict_parts_equal_decomposition(shape, c1):
     box = CC.PeriodicBox(shape)
     p1, p2 = CC.random_strict_parts(box, c1, np.random.default_rng(11))
@@ -144,14 +144,10 @@ def test_margin_invariant_under_common_translation():
     assert abs(m0 - m1) < 1e-12
 
 
-def test_4d_partition_and_support():
-    box = CC.PeriodicBox((16, 16, 8, 8))
-    rng = np.random.default_rng(5)
-    f = rng.standard_normal(box.shape)
-    assert CC.partition_defect(f, CC.decompose(f, box, 2.0, "x1")) < 1e-12
-    d1, d2 = CC.random_strict_parts(box, 2.0, rng)
-    ok, _ = CC.support_check(box, 2.0, d1, d2)
-    assert ok
+@pytest.mark.parametrize("shape", [(16, 16, 8, 8), (64,), (8, 8, 8)])
+def test_box_other_than_2d_is_rejected(shape):
+    with pytest.raises(ValueError, match="only 2D"):
+        CC.PeriodicBox(shape)
 
 
 def test_weak_product_transverse_and_controls():

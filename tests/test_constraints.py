@@ -20,8 +20,8 @@ def chart():
 
 @pytest.fixture
 def ring(chart):
-    g = np.zeros(chart.shape + (2, 2))
-    g[..., 0, 0] = g[..., 1, 1] = 1.0
+    g = np.zeros((2, 2) + chart.shape)
+    g[0, 0] = g[1, 1] = 1.0
     return g
 
 
@@ -43,16 +43,14 @@ def chi_from_data(data, solution, ub, identity_tol=1e-10):
     phi = np.asarray(solution(ub_arr))[0]
     dphi = np.asarray(solution.deriv(ub_arr))[0]
     gh, dgh = data.slice_metric(ub)
-    gamma = phi[..., None, None] ** 2 * gh
-    chi = (2.0 * phi * dphi / (2.0 * om))[..., None, None] * gh + (phi**2 / (2.0 * om))[
-        ..., None, None
-    ] * dgh
-    trchi = np.einsum("...ab,...ab->...", sym2_inverse(gamma), chi)
+    gamma = phi**2 * gh
+    chi = (2.0 * phi * dphi / (2.0 * om)) * gh + (phi**2 / (2.0 * om)) * dgh
+    trchi = np.einsum("ab...,ab...->...", sym2_inverse(gamma), chi)
     forced = 2.0 * dphi / (om * phi)
     gap = np.abs(trchi - forced).max()
     if gap > identity_tol * (1.0 + np.abs(forced).max()):
         raise AssertionError(f"trace identity violated by {gap:.3e}")
-    chihat = chi - 0.5 * trchi[..., None, None] * gamma
+    chihat = chi - 0.5 * trchi * gamma
     return trchi, chihat, chi
 
 
@@ -83,15 +81,15 @@ def test_norm_square_diagonal_oracle(chart):
 
 def test_norm_square_rotation_invariant(chart):
     rng = np.random.default_rng(2)
-    g = np.zeros(chart.shape + (2, 2))
-    g[..., 0, 0], g[..., 1, 1] = 1.4, 0.9
-    g[..., 0, 1] = g[..., 1, 0] = 0.2
-    M = rng.standard_normal(chart.shape + (2, 2))
-    M = M + np.swapaxes(M, -1, -2)
+    g = np.zeros((2, 2) + chart.shape)
+    g[0, 0], g[1, 1] = 1.4, 0.9
+    g[0, 1] = g[1, 0] = 0.2
+    M = rng.standard_normal((2, 2) + chart.shape)
+    M = M + np.swapaxes(M, 0, 1)
     c, s = np.cos(0.6), np.sin(0.6)
     R = np.array([[c, -s], [s, c]])
-    gr = np.einsum("ca,db,...cd->...ab", R, R, g)
-    Mr = np.einsum("ca,db,...cd->...ab", R, R, M)
+    gr = np.einsum("ca,db,cd...->ab...", R, R, g)
+    Mr = np.einsum("ca,db,cd...->ab...", R, R, M)
     rotated = C.dgamma_norm_sq(sym2_entries(gr), sym2_entries(Mr))
     assert np.abs(rotated - C.dgamma_norm_sq(sym2_entries(g), sym2_entries(M))).max() < 1e-12
 
@@ -106,7 +104,8 @@ def test_norm_square_matrix_oracle(chart):
     assert np.all(g[..., 0, 1] != 0.0)
     inv = np.linalg.inv(g)
     oracle = np.trace(inv @ M @ inv @ M, axis1=-2, axis2=-1)
-    val = C.dgamma_norm_sq(sym2_entries(g), sym2_entries(M))
+    slots_first = lambda x: np.moveaxis(x, (-2, -1), (0, 1))  # the layout sym2_entries reads
+    val = C.dgamma_norm_sq(sym2_entries(slots_first(g)), sym2_entries(slots_first(M)))
     assert np.abs(val - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
@@ -134,7 +133,7 @@ def test_slice_metric_packs_the_entries(chart, ring):
     data = C.ReducedCharData(Grid1D(0.0, 1.0, 11), chart, ring, one, zero, ent, dent)
     for view, fn in zip(data.slice_metric(0.37), (ent, dent)):
         a, b, d = (x[0] for x in fn(np.array([0.37])))
-        assert np.array_equal(view, np.stack([np.stack([a, b], -1), np.stack([b, d], -1)], -2))
+        assert np.array_equal(view, np.stack([np.stack([a, b]), np.stack([b, d])]))
 
 
 def test_vacuum_cosine_oracle(chart, ring):
@@ -177,8 +176,8 @@ def test_point_locality_bitwise(chart, ring):
     phi0 = 1.0 + 0.1 * np.cos(t1)
     full = C.solve_constraint(data, phi0, 0.0)
     sub_chart = AngularGrid(4, 4)
-    sub_ring = np.zeros(sub_chart.shape + (2, 2))
-    sub_ring[..., 0, 0] = sub_ring[..., 1, 1] = 1.0
+    sub_ring = np.zeros((2, 2) + sub_chart.shape)
+    sub_ring[0, 0] = sub_ring[1, 1] = 1.0
     one_s, zero_s = const_maps(sub_chart)
     gh_s, dgh_s = diag_exp_metric(sub_chart)
     data_s = C.ReducedCharData(grid, sub_chart, sub_ring, one_s, zero_s, gh_s, dgh_s)
@@ -327,6 +326,13 @@ def test_det_ratio_enforced(chart, ring):
         C.ReducedCharData(grid, chart, ring, one, zero, bad, dentries)
 
 
+def test_ring_with_slots_last_is_rejected(chart, ring):
+    one, zero = const_maps(chart)
+    slots_last = np.moveaxis(ring, (0, 1), (-2, -1))
+    with pytest.raises(ValueError, match="gamma_ring shape"):
+        C.ReducedCharData(Grid1D(0.0, 1.0, 11), chart, slots_last, one, zero, *C.ring_entries(ring))
+
+
 def test_chi_identities(chart, ring):
     # conformal-only deformation: shear vanishes, trace matches 2 dPhi/(Omega Phi)
     one, zero = const_maps(chart)
@@ -351,7 +357,7 @@ def test_shear_norm_identity_random_data(chart, ring):
     ub = 0.37
     trchi, chihat, chi = chi_from_data(data, sol, ub)
     phi = sol(np.array([ub]))[0]
-    gamma = phi[..., None, None] ** 2 * sym2_pack(*(x[0] for x in gh(ub)))
+    gamma = phi**2 * sym2_pack(*(x[0] for x in gh(ub)))
     lhs = dot22(sym2_inverse(gamma), chihat, chihat)
     ub_arr = np.array([ub])
     rhs = 0.25 * data.dgamma_normsq(ub_arr)[0] / data.omega(ub_arr)[0] ** 2

@@ -1,10 +1,12 @@
 """The 2x2 contractions of the transport march against the np.einsum forms
 they replaced, bit for bit.
 
-calculus, charpipe, fields.levi_civita (2-metric) and geometry.gauss_curvature
+calculus, charpipe, fields.trace and geometry (levi_civita, gauss_curvature)
 write their contractions as broadcast products summed in the order numpy's
 einsum sums them, so that every acceptance detail stays as it was.  The
-einsum forms live on here as oracles; a numpy release that changes einsum's
+einsum forms live on here as oracles, on the slots-last layout they were
+recorded on: the test data are drawn in that layout, and the library gets
+them with the slots moved first.  A numpy release that changes einsum's
 order fails these tests.
 """
 
@@ -17,11 +19,13 @@ import pytest
 from nulldust import calculus as calc
 from nulldust import charpipe as P
 from nulldust import constraints as C
-from nulldust.fields import levi_civita
-from nulldust.geometry import gauss_curvature, partial
+from nulldust import fields, geometry
+from nulldust.fields import trace
+from nulldust.geometry import gauss_curvature, levi_civita, partial
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.stencils import spectral_deriv
 
+from test_calculus import to_back, to_front
 from test_slice_batch import corner, shear_data
 
 
@@ -30,8 +34,13 @@ def _levi_civita(ginv, dg):
     return np.einsum("...cd,...dab->...cab", ginv, low)
 
 
+def _partial(chart, f, k):
+    """partial on the slots-last layout of f's k slots: d_c f indexed [..., c, *slots]."""
+    return to_back(partial(chart, to_front(f, k)), k + 1)
+
+
 def _covariant_deriv(chart, phi, gam):
-    d = partial(chart, phi, gam.ndim - 5)
+    d = _partial(chart, phi, phi.ndim - gam.ndim + 3)
     if phi.ndim == gam.ndim - 2:
         return d - np.einsum("...eca,...e->...ca", gam, phi)
     return d - np.einsum("...eca,...eb->...cab", gam, phi) - np.einsum("...ecb,...ae->...cab", gam, phi)
@@ -42,7 +51,7 @@ def _div_sym2(chart, ginv, T, gam):
 
 
 def _gauss_curvature(ginv, chart, gam):
-    dgam = partial(chart, gam, gam.ndim - 5)
+    dgam = _partial(chart, gam, 3)
     ric = (np.einsum("...aabc->...bc", dgam) - np.einsum("...caba->...bc", dgam)
            + np.einsum("...aad,...dbc->...bc", gam, gam) - np.einsum("...acd,...dba->...bc", gam, gam))
     return 0.5 * np.einsum("...ab,...ab->...", ginv, ric)
@@ -51,6 +60,7 @@ def _gauss_curvature(ginv, chart, gam):
 # name -> (function, einsum oracle, slots of each argument); a chart argument,
 # when the function takes one, comes first and is not listed
 ALGEBRAIC = {
+    "trace": (trace, lambda g, T: np.einsum("...ab,...ab->...", g, T), ((2, 2), (2, 2))),
     "dot11": (calc.dot11, lambda g, p, q: np.einsum("...ab,...a,...b->...", g, p, q), ((2, 2), (2,), (2,))),
     "dot22": (calc.dot22, lambda g, T, S: np.einsum("...ac,...bd,...ab,...cd->...", g, g, T, S),
               ((2, 2), (2, 2), (2, 2))),
@@ -78,7 +88,7 @@ SPECIAL = (0.0, -0.0, np.nan, np.inf, -np.inf)
 
 def _fields(lead, grid, slots, seed, special=False):
     """Random fields whose magnitudes spread over decades, so a change in the
-    order of summation shows in the last bits."""
+    order of summation shows in the last bits; slots last."""
     rng = np.random.default_rng(seed)
     out = []
     for s in slots:
@@ -91,10 +101,16 @@ def _fields(lead, grid, slots, seed, special=False):
     return out
 
 
-def _run(name, args, grid):
-    fn, oracle, _ = CASES[name]
+def _run(name, args, grid, front=None):
+    """(function, oracle) of the case on args, slots last; the function gets
+    front, or args with their slots moved first, and the oracle's result is
+    compared with its slots moved first."""
+    fn, oracle, slots = CASES[name]
     extra = (AngularGrid(*grid),) if name in ANGULAR else ()
-    return fn(*extra, *args), oracle(*extra, *args)
+    if front is None:
+        front = [to_front(x, len(s)) for x, s in zip(args, slots)]
+    want = oracle(*extra, *args)
+    return fn(*extra, *front), to_front(want, want.ndim - args[0].ndim + len(slots[0]))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=["batch3x64x4", "32x4", "64x4"])
@@ -108,9 +124,11 @@ def test_contraction_bit_identical_to_einsum(name, grid):
 
 @pytest.mark.parametrize("name", CASES)
 def test_contraction_on_slice_views_of_a_batch(name):
-    batch = _fields((3,), (64, 4), CASES[name][2], 2)
+    slots = CASES[name][2]
+    batch = _fields((3,), (64, 4), slots, 2)
+    front = [to_front(x, len(s)) for x, s in zip(batch, slots)]
     for k in range(3):
-        got, want = _run(name, [x[k] for x in batch], (64, 4))
+        got, want = _run(name, [x[k] for x in batch], (64, 4), [x[..., k, :, :] for x in front])
         assert np.array_equal(got, want), k
 
 
@@ -147,12 +165,12 @@ def test_spectral_deriv_bit_identical_to_strided_transform(shape):
             assert np.array_equal(got, _strided_spectral_deriv(f, period, axis)), (axis, period)
 
 
-def test_rhs_calls_einsum_only_through_trace(monkeypatch):
+def test_rhs_calls_no_einsum(monkeypatch):
     data = shear_data(Grid1D(0.0, 0.3, 17))
     sol = C.solve_constraint(data, 1.0, 0.5)
     sl = P.slice_fields(data, sol, 0.1)
     c0 = corner(data.chart)
-    state = (P.corner_eta(sl, c0), np.zeros(data.chart.shape + (2,)), c0.omb0, c0.trchb0, c0.chibhat0)
+    state = (P.corner_eta(sl, c0), np.zeros((2,) + data.chart.shape), c0.omb0, c0.trchb0, c0.chibhat0)
     callers = []
     einsum = np.einsum
 
@@ -162,11 +180,9 @@ def test_rhs_calls_einsum_only_through_trace(monkeypatch):
 
     monkeypatch.setattr(np, "einsum", counted)
     P._rhs(data, sl, *state)
-    # fields.trace keeps einsum: numpy's SIMD kernel pairs its four terms in
-    # an order that may depend on the CPU's vector width
-    assert callers == ["trace"]
+    assert callers == []
 
 
-@pytest.mark.parametrize("module", [calc, P], ids=["calculus", "charpipe"])
+@pytest.mark.parametrize("module", [calc, P, fields, geometry], ids=["calculus", "charpipe", "fields", "geometry"])
 def test_no_einsum_call_left_in_module(module):
     assert "einsum(" not in inspect.getsource(module)

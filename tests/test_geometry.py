@@ -9,9 +9,9 @@ from nulldust.grids import AngularGrid
 
 
 def flat_metric(chart):
-    g = np.zeros(chart.shape + (2, 2))
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = 1.0
+    g = np.zeros((2, 2) + chart.shape)
+    g[0, 0] = 1.0
+    g[1, 1] = 1.0
     return g
 
 
@@ -34,11 +34,11 @@ def test_diagonal_metric_connection_value():
     f = 1.0 + 0.5 * np.sin(2 * np.pi * t1 / chart.L1)
     df = (np.pi / chart.L1) * np.cos(2 * np.pi * t1 / chart.L1)
     g = flat_metric(chart)
-    g[..., 0, 0] = f
+    g[0, 0] = f
     gam = christoffel(g, sym2_inverse(g), chart)
-    assert np.abs(gam[..., 0, 0, 0] - df / (2.0 * f)).max() < 1e-12
+    assert np.abs(gam[0, 0, 0] - df / (2.0 * f)).max() < 1e-12
     rest = gam.copy()
-    rest[..., 0, 0, 0] = 0.0
+    rest[0, 0, 0] = 0.0
     assert np.abs(rest).max() < 1e-13
 
 
@@ -47,25 +47,25 @@ def test_connection_symmetric_in_lower_indices():
     rng = np.random.default_rng(3)
     t1, t2 = chart.mesh()
     g = flat_metric(chart)
-    g[..., 0, 0] += 0.3 * np.sin(t1) * np.cos(t2)
-    g[..., 1, 1] += 0.2 * np.cos(t1 + t2)
-    g[..., 0, 1] = g[..., 1, 0] = 0.1 * np.sin(t1 - t2)
+    g[0, 0] += 0.3 * np.sin(t1) * np.cos(t2)
+    g[1, 1] += 0.2 * np.cos(t1 + t2)
+    g[0, 1] = g[1, 0] = 0.1 * np.sin(t1 - t2)
     gam = christoffel(g, sym2_inverse(g), chart)
-    assert np.array_equal(gam, np.swapaxes(gam, -1, -2))
+    assert np.array_equal(gam, np.swapaxes(gam, 1, 2))
 
 
 def test_connection_is_pure():
     chart = AngularGrid(16, 16)
     t1, t2 = chart.mesh()
     g = flat_metric(chart)
-    g[..., 0, 0] += 0.3 * np.sin(t1) * np.cos(t2)
+    g[0, 0] += 0.3 * np.sin(t1) * np.cos(t2)
     assert np.array_equal(christoffel(g, sym2_inverse(g), chart), christoffel(g, sym2_inverse(g), chart))
 
 
 def test_positivity_error_reports_first_point():
     chart = AngularGrid(8, 8)
     g = flat_metric(chart)
-    g[3, 5, 0, 0] = -1.0
+    g[0, 0, 3, 5] = -1.0
     with pytest.raises(PositivityError) as err:
         christoffel(g, sym2_inverse(g), chart)
     assert err.value.where == (3, 5)
@@ -101,11 +101,11 @@ def fiber_mismatch(g, chart):
     resolves g keeps it small."""
     ginv = sym2_inverse(g)
     gam = christoffel(g, ginv, chart)
-    dgam = partial(chart, gam, 0)  # [..., e, c, a, b] = d_e Gamma^c_{ab}
-    ric = (np.einsum("...aabc->...bc", dgam) - np.einsum("...caba->...bc", dgam)
-           + np.einsum("...aad,...dbc->...bc", gam, gam) - np.einsum("...acd,...dba->...bc", gam, gam))
-    k1 = ric[..., 0, 0] / g[..., 0, 0]
-    k2 = ric[..., 1, 1] / g[..., 1, 1]
+    dgam = partial(chart, gam)  # [e, c, a, b] = d_e Gamma^c_{ab}
+    ric = (np.einsum("aabc...->bc...", dgam) - np.einsum("caba...->bc...", dgam)
+           + np.einsum("aad...,dbc...->bc...", gam, gam) - np.einsum("acd...,dba...->bc...", gam, gam))
+    k1 = ric[0, 0] / g[0, 0]
+    k2 = ric[1, 1] / g[1, 1]
     return np.max(np.abs(k1 - k2)) / (np.max(np.abs(gauss_curvature(ginv, chart, gam))) + 1.0)
 
 
@@ -113,7 +113,7 @@ def test_conformal_curvature_oracle():
     chart = AngularGrid(64, 64)
     t1, _ = chart.mesh()
     psi = 0.1 * np.sin(2 * np.pi * t1 / chart.L1)
-    g = np.exp(2 * psi)[..., None, None] * flat_metric(chart)
+    g = np.exp(2 * psi) * flat_metric(chart)
     k = curvature(g, chart)
     assert np.abs(k - conformal_oracle(chart, psi)).max() < 1e-12
     assert fiber_mismatch(g, chart) <= 1e-6
@@ -126,7 +126,7 @@ def test_spectral_convergence_beats_any_power():
         chart = AngularGrid(n, n)
         t1, t2 = chart.mesh()
         psi = 0.4 / (2.5 + np.cos(t1)) + 0.2 / (3.0 + np.sin(t2))
-        g = np.exp(2 * psi)[..., None, None] * flat_metric(chart)
+        g = np.exp(2 * psi) * flat_metric(chart)
         k = curvature(g, chart)
         errs.append(np.abs(k - conformal_oracle(chart, psi)).max())
         assert fiber_mismatch(g, chart) <= 1e-6
@@ -138,9 +138,9 @@ def test_total_curvature_vanishes_on_torus():
     chart = AngularGrid(48, 48)
     t1, t2 = chart.mesh()
     g = flat_metric(chart)
-    g[..., 0, 0] = 1.3 + 0.4 * np.sin(t1) * np.cos(t2)
-    g[..., 1, 1] = 0.9 + 0.2 * np.cos(t1)
-    g[..., 0, 1] = g[..., 1, 0] = 0.15 * np.sin(t1 + t2)
+    g[0, 0] = 1.3 + 0.4 * np.sin(t1) * np.cos(t2)
+    g[1, 1] = 0.9 + 0.2 * np.cos(t1)
+    g[0, 1] = g[1, 0] = 0.15 * np.sin(t1 + t2)
     # Gauss-Bonnet: the integral of K dA_gamma vanishes on the torus for any metric
     k = curvature(g, chart)
     assert abs(np.sum(k * area_element(g)) * chart.cell_area) < 1e-10
@@ -151,13 +151,14 @@ def test_curvature_fibers_disagree_near_nyquist():
     chart = AngularGrid(8, 8)
     t1, t2 = chart.mesh()
     g = flat_metric(chart)
-    g[..., 0, 0] = 1.0 + 0.45 * np.sin(3 * t1) * np.cos(3 * t2)
-    g[..., 1, 1] = 1.0 + 0.45 * np.cos(3 * t1 + 2 * t2)
+    g[0, 0] = 1.0 + 0.45 * np.sin(3 * t1) * np.cos(3 * t2)
+    g[1, 1] = 1.0 + 0.45 * np.cos(3 * t1 + 2 * t2)
     assert fiber_mismatch(g, chart) > 1e-12
 
 
-def _stacked_partial(chart, f, lead):
-    """Oracle of partial: two out-of-place spectral derivatives, stacked."""
+def _stacked_partial(chart, f):
+    """Oracle of partial: two out-of-place spectral derivatives along the
+    grid axes, stacked first."""
     def deriv(period, axis):
         n = f.shape[axis]
         mult = 1j * (2.0 * np.pi * np.fft.fftfreq(n, d=period / n))
@@ -166,25 +167,26 @@ def _stacked_partial(chart, f, lead):
         shape[axis] = n
         return np.real(np.fft.ifft(np.fft.fft(f, axis=axis) * mult.reshape(shape), axis=axis))
 
-    return np.stack([deriv(chart.L1, lead), deriv(chart.L2, lead + 1)], axis=lead + 2)
+    return np.stack([deriv(chart.L1, f.ndim - 2), deriv(chart.L2, f.ndim - 1)])
 
 
 @pytest.mark.parametrize("lead, slots", [(0, ()), (1, (2, 2)), (2, (2, 2, 2))])
 def test_partial_bit_identical_to_stacked_derivatives(lead, slots):
+    # lead batch axes between the slots and the grid axes
     chart = AngularGrid(16, 8, 2.0, 3.0)
-    f = np.random.default_rng(lead).standard_normal((3,) * lead + chart.shape + slots)
-    got = partial(chart, f, lead)
-    assert got.shape == f.shape[:lead + 2] + (2,) + slots
-    assert np.array_equal(got, _stacked_partial(chart, f, lead))
+    f = np.random.default_rng(lead).standard_normal(slots + (3,) * lead + chart.shape)
+    got = partial(chart, f)
+    assert got.shape == (2,) + f.shape
+    assert np.array_equal(got, _stacked_partial(chart, f))
 
 
 def test_partial_keeps_one_spectrum_beside_its_output():
     import tracemalloc
 
     chart = AngularGrid(64, 4)
-    f = np.random.default_rng(5).standard_normal((64,) + chart.shape + (2, 2, 2))
+    f = np.random.default_rng(5).standard_normal((2, 2, 2, 64) + chart.shape)
     peaks = []
-    for fn in (lambda: partial(chart, f, 0), lambda: _stacked_partial(chart, f, 0)):
+    for fn in (lambda: partial(chart, f), lambda: _stacked_partial(chart, f)):
         tracemalloc.start()
         fn()
         peaks.append(tracemalloc.get_traced_memory()[1])

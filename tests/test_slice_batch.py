@@ -3,9 +3,12 @@
 The oracle below is the per-slice evaluation the march used before the slice
 geometry was batched: every slice on its own, and the connection, div chihat
 and grad trchi recomputed inside every right-hand-side call.  The batched
-path must agree with it bit for bit.
+path must agree with it bit for bit.  Its einsum strings are those it was
+recorded with, on the slots-last layout; test_calculus.einsum_trailing moves
+the slots there and back.
 """
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,7 +22,7 @@ from nulldust.fields import PositivityError, sym2_inverse, sym2_pack
 from nulldust.geometry import christoffel, gauss_curvature
 from nulldust.grids import AngularGrid, Grid1D
 
-from test_calculus import div_oneform, grad, hat_otimes, nabla_otimes
+from test_calculus import div_oneform, einsum_trailing, grad, hat_otimes, nabla_otimes
 
 
 def oracle_slice(data, solution, ub):
@@ -29,12 +32,12 @@ def oracle_slice(data, solution, ub):
     dphi = np.asarray(solution.deriv(np.array([ub])))[0]
     gh = sym2_pack(*(x[0] for x in data.entries(np.array([ub]))))
     dgh = sym2_pack(*(x[0] for x in data.dentries(np.array([ub]))))
-    gamma = phi[..., None, None] ** 2 * gh
+    gamma = phi**2 * gh
     ginv = sym2_inverse(gamma)
-    chi = (phi * dphi / om)[..., None, None] * gh + (phi**2 / (2.0 * om))[..., None, None] * dgh
-    trchi = np.einsum("...ab,...ab->...", ginv, chi)
-    chihat = chi - 0.5 * trchi[..., None, None] * gamma
-    chi_mix = np.einsum("...bc,...ca->...ba", ginv, chi)
+    chi = (phi * dphi / om) * gh + (phi**2 / (2.0 * om)) * dgh
+    trchi = einsum_trailing("...ab,...ab->...", ginv, chi)
+    chihat = chi - 0.5 * trchi * gamma
+    chi_mix = einsum_trailing("...bc,...ca->...ba", ginv, chi)
     kg = gauss_curvature(ginv, data.chart, christoffel(gamma, ginv, data.chart))
     grad_lo = grad(data.chart, np.log(om))
     om_scalar = -0.5 * dlo / om
@@ -52,17 +55,17 @@ def oracle_rhs(data, sl, eta, b, omb, trchb, chibhat):
 
     div_chihat = calc.div_sym2(chart, ginv, sl.chihat, gam)
     grad_trchi = grad(chart, sl.trchi)
-    chihat_dot_diff = np.einsum("...bc,...ab,...c->...a", ginv, sl.chihat, diff)
-    conn_eta = np.einsum("...ba,...b->...a", sl.chi_mix, eta)
-    d_eta = sl.omega[..., None] * (
-        -0.75 * sl.trchi[..., None] * diff
+    chihat_dot_diff = einsum_trailing("...bc,...ab,...c->...a", ginv, sl.chihat, diff)
+    conn_eta = einsum_trailing("...ba,...b->...a", sl.chi_mix, eta)
+    d_eta = sl.omega * (
+        -0.75 * sl.trchi * diff
         + div_chihat
         - 0.5 * grad_trchi
         - 0.5 * chihat_dot_diff
         + conn_eta
     )
 
-    d_b = -2.0 * sl.omega[..., None] ** 2 * np.einsum("...ab,...b->...a", sym2_inverse(gamma), diff)
+    d_b = -2.0 * sl.omega**2 * einsum_trailing("...ab,...b->...a", sym2_inverse(gamma), diff)
 
     eta_dot_etab = calc.dot11(ginv, eta, etab)
     eta_sq = calc.dot11(ginv, eta, eta)
@@ -80,16 +83,16 @@ def oracle_rhs(data, sl, eta, b, omb, trchb, chibhat):
         -sl.trchi * trchb + 2.0 * sl.om * trchb - 2.0 * sl.kgauss + 2.0 * div_etab + 2.0 * etab_sq
     )
 
-    conn_chibhat = np.einsum("...ca,...cb->...ab", sl.chi_mix, chibhat) + np.einsum(
+    conn_chibhat = einsum_trailing("...ca,...cb->...ab", sl.chi_mix, chibhat) + einsum_trailing(
         "...cb,...ac->...ab", sl.chi_mix, chibhat
     )
     now = nabla_otimes(chart, gamma, etab, gam)
-    d_chibhat = sl.omega[..., None, None] * (
+    d_chibhat = sl.omega * (
         conn_chibhat
-        - 0.5 * sl.trchi[..., None, None] * chibhat
+        - 0.5 * sl.trchi * chibhat
         + now
-        + 2.0 * sl.om[..., None, None] * chibhat
-        - 0.5 * trchb[..., None, None] * sl.chihat
+        + 2.0 * sl.om * chibhat
+        - 0.5 * trchb * sl.chihat
         + hat_otimes(gamma, etab, etab)
     )
     return d_eta, d_b, d_omb, d_trchb, d_chibhat
@@ -99,8 +102,8 @@ def shear_data(grid, chart=AngularGrid(16, 8)):
     """Unit-determinant gamma_hat with ub-dependent a, b != 0 and d, and a
     lapse that varies along the cone and around it."""
     t1, t2 = chart.mesh()
-    ring = np.zeros(chart.shape + (2, 2))
-    ring[..., 0, 0] = ring[..., 1, 1] = 1.0
+    ring = np.zeros((2, 2) + chart.shape)
+    ring[0, 0] = ring[1, 1] = 1.0
 
     def entries(ub):
         u = np.asarray(ub, float)[:, None, None]
@@ -125,18 +128,20 @@ def shear_data(grid, chart=AngularGrid(16, 8)):
 
 def corner(chart):
     t1, t2 = chart.mesh()
-    chibhat0 = np.zeros(chart.shape + (2, 2))
-    chibhat0[..., 0, 1] = chibhat0[..., 1, 0] = 0.05 * np.sin(t2)
+    chibhat0 = np.zeros((2, 2) + chart.shape)
+    chibhat0[0, 1] = chibhat0[1, 0] = 0.05 * np.sin(t2)
     return P.CornerData(
-        np.stack([0.1 * np.cos(t1), 0.05 * np.sin(t2)], axis=-1),
+        np.stack([0.1 * np.cos(t1), 0.05 * np.sin(t2)]),
         0.1 * np.cos(t1 + t2),
         -2.0 + 0.1 * np.sin(t1),
         chibhat0,
     )
 
 
-FIELDS = ("gamma", "ginv", "kgauss", "omega", "om", "grad_log_omega", "trchi", "chihat", "chi_mix",
-          "gam", "div_chihat", "grad_trchi")
+# SliceFields name -> slots of the field
+FIELDS = {"gamma": (2, 2), "ginv": (2, 2), "kgauss": (), "omega": (), "om": (), "grad_log_omega": (2,),
+          "trchi": (), "chihat": (2, 2), "chi_mix": (2, 2), "gam": (2, 2, 2), "div_chihat": (2,),
+          "grad_trchi": (2,)}
 
 
 @pytest.fixture(scope="module")
@@ -152,13 +157,23 @@ def test_batched_slices_equal_per_slice_oracle(problem):
     # every slice the march reads: the first node, the nodes the steps reach, the half-nodes
     ubs = [nodes[0]] + [ub + h for ub in nodes[:-1]] + [ub + 0.5 * h for ub in nodes[:-1]]
     batched = P.slice_fields(data, sol, np.array(ubs))
-    assert len(batched.gamma) == len(ubs)
+    assert batched.gamma.shape[-3] == len(ubs)
     for k, ub in enumerate(ubs):
         sl = batched[k]
         ref = oracle_slice(data, sol, ub)
         for name in FIELDS:
             assert np.array_equal(getattr(sl, name), getattr(ref, name)), (ub, name)
     assert np.abs(batched[5].chihat).max() > 0.1  # the data carry shear
+
+
+def test_batched_fields_are_slots_then_batch_then_grid(problem):
+    data, sol = problem
+    ubs = data.grid.points()
+    batched = P.slice_fields(data, sol, ubs)
+    assert list(FIELDS) == [f.name for f in dataclasses.fields(batched)]
+    for name, slots in FIELDS.items():
+        assert getattr(batched, name).shape == slots + (len(ubs),) + data.chart.shape, name
+        assert getattr(batched[3], name).shape == slots + data.chart.shape, name
 
 
 def test_scalar_ub_gives_one_slice(problem):
@@ -174,11 +189,11 @@ def test_rhs_equals_per_slice_oracle(problem):
     chart = data.chart
     rng = np.random.default_rng(8)
     state = (
-        0.1 * rng.standard_normal(chart.shape + (2,)),
-        0.1 * rng.standard_normal(chart.shape + (2,)),
+        0.1 * rng.standard_normal((2,) + chart.shape),
+        0.1 * rng.standard_normal((2,) + chart.shape),
         0.1 * rng.standard_normal(chart.shape),
         -2.0 + 0.1 * rng.standard_normal(chart.shape),
-        0.1 * rng.standard_normal(chart.shape + (2, 2)),
+        0.1 * rng.standard_normal((2, 2) + chart.shape),
     )
     sl = P.slice_fields(data, sol, np.array([0.1, 0.2]))[1]
     for got, want in zip(P._rhs(data, sl, *state), oracle_rhs(data, oracle_slice(data, sol, 0.2), *state)):
@@ -193,7 +208,7 @@ def test_first_steps_equal_per_slice_march(problem):
     result = P.solve_transport_system(data, sol, c0)
 
     eta0 = P.corner_eta(oracle_slice(data, sol, nodes[0]), c0)
-    y = [eta0, np.zeros(data.chart.shape + (2,)), c0.omb0, c0.trchb0, c0.chibhat0]
+    y = [eta0, np.zeros((2,) + data.chart.shape), c0.omb0, c0.trchb0, c0.chibhat0]
     steps = 4
     march = [y]
     for i in range(steps):
@@ -209,8 +224,8 @@ def test_first_steps_equal_per_slice_march(problem):
         march.append(y)
     for i, y in enumerate(march):
         for got, want in zip((result.eta, result.b, result.omb, result.trchb, result.chibhat), y):
-            assert np.array_equal(got[i], want), i
-    assert np.abs(result.chibhat[steps]).max() > 0.0
+            assert np.array_equal(got[..., i, :, :], want), i
+    assert np.abs(result.chibhat[..., steps, :, :]).max() > 0.0
 
 
 def count_calls(monkeypatch, fn, modules):
@@ -262,7 +277,7 @@ def test_rhs_makes_at_most_two_spectral_calls(monkeypatch, problem):
     sl = P.slice_fields(data, sol, 0.1)
     c0 = corner(data.chart)
     eta0 = P.corner_eta(P.slice_fields(data, sol, data.grid.a), c0)
-    state = (eta0, np.zeros(data.chart.shape + (2,)), c0.omb0, c0.trchb0, c0.chibhat0)
+    state = (eta0, np.zeros((2,) + data.chart.shape), c0.omb0, c0.trchb0, c0.chibhat0)
     calls = count_calls(monkeypatch, geometry.spectral_deriv, (geometry,))
     P._rhs(data, sl, *state)
     assert 0 < len(calls) <= 2
