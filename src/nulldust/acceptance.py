@@ -630,6 +630,7 @@ def criterion_compensated() -> Verdict:
     sin_sq_err = abs(mean_sin_sq - 0.5)
 
     res_sw = CC.weak_product_test(CC.strong_weak_pair(boxp), psi, n_values)
+    res_r = CC.weak_product_test(pair_r, psi, n_values)
 
     checks = {
         "partition_exact_1e-12": partition <= TOL["fft_identity"],
@@ -637,7 +638,7 @@ def criterion_compensated() -> Verdict:
         "transverse_gap_at_256": gap_final <= TOL["pairing"],
         "sin_sq_half": sin_sq_err <= TOL["sin_sq_control"],
         "strong_weak_converges": res_sw["product_converges"],
-        "resonant_defect_persists": not CC.weak_product_test(pair_r, psi, n_values)["product_converges"],
+        "resonant_defect_persists": all(map(math.isfinite, res_r["gaps"])) and not res_r["product_converges"],
     }
     return _verdict(
         "compensated_compactness",

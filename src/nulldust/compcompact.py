@@ -13,6 +13,10 @@ where 50 C1 |xi_1| <= |xi_2|; products of two such parts have no spectrum
 below |xi| = C1, which is the mechanism that lets transversely regular
 oscillating sequences multiply without a convergence defect.  The box is
 the (u, ub) plane, and (xi_1, xi_2) are its two null frequencies.
+
+The random support trials run on the real-transform half lattice
+(n1, n2 // 2 + 1): band-only draws, spectra in closed form, and two inverse
+and one forward real transform per trial.
 """
 
 from dataclasses import dataclass
@@ -65,8 +69,13 @@ class PeriodicBox:
 def _masks(box: PeriodicBox, c1: float, mode: str):
     """(low, pass, rest) multipliers; mode selects which axis dominates the pass mask.
 
-    Cached per (box, c1, mode); the arrays are read-only.
+    Cached per (box, c1, mode); the arrays are read-only.  The low-pass reaches
+    |xi| = 4 C1, so 4 C1 must stay inside the lattice's Nyquist band.
     """
+    if c1 <= 1.0:
+        raise ValueError("frequency threshold must exceed 1")
+    if 4.0 * c1 > box.nyquist():
+        raise ValueError(f"4 C1 = {4 * c1:g} exceeds the Nyquist band {box.nyquist()}")
     k1, k2 = map(np.abs, box.freqs())
     radial = np.sqrt(k1**2 + k2**2)
     low = cutoff_chi(radial / (2.0 * c1))
@@ -86,39 +95,15 @@ def _masks(box: PeriodicBox, c1: float, mode: str):
     return low, pass_mask, rest
 
 
-def _checked(field, box: PeriodicBox, c1: float) -> np.ndarray:
-    """The field as a float array, once c1 and its shape suit the box's multipliers.
-
-    The low-pass reaches |xi| = 4 C1, so 4 C1 must stay inside the lattice's
-    Nyquist band.
-    """
-    if c1 <= 1.0:
-        raise ValueError("frequency threshold must exceed 1")
-    if 4.0 * c1 > box.nyquist():
-        raise ValueError(f"4 C1 = {4 * c1:g} exceeds the Nyquist band {box.nyquist()}")
-    field = np.asarray(field, dtype=float)
-    if field.shape != box.shape:
-        raise ValueError(f"field shape {field.shape} != box shape {box.shape}")
-    return field
-
-
-def _filtered(spec: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The real field whose spectrum is spec times the multiplier."""
-    return np.fft.ifftn(spec * mask).real
-
-
 def decompose(field: np.ndarray, box: PeriodicBox, c1: float, mode: str):
     """Split a real field with the smooth directional multipliers: (low,
     strict, rest) in _masks order, strict the pass-mask part of the mode."""
-    field = _checked(field, box, c1)
+    masks = _masks(box, c1, mode)
+    field = np.asarray(field, dtype=float)
+    if field.shape != box.shape:
+        raise ValueError(f"field shape {field.shape} != box shape {box.shape}")
     spec = np.fft.fftn(field)
-    return tuple(_filtered(spec, mask) for mask in _masks(box, c1, mode))
-
-
-def strict_part(field: np.ndarray, box: PeriodicBox, c1: float, mode: str) -> np.ndarray:
-    """decompose(...)[1] alone: the one inverse transform support_check reads."""
-    field = _checked(field, box, c1)
-    return _filtered(np.fft.fftn(field), _masks(box, c1, mode)[1])
+    return tuple(np.fft.ifftn(spec * mask).real for mask in masks)
 
 
 def partition_defect(field: np.ndarray, parts) -> float:
@@ -131,22 +116,34 @@ def partition_defect(field: np.ndarray, parts) -> float:
 _SUPPORT_RTOL = 1e-10  # spectral mass relative to the peak that counts as support
 
 
+@lru_cache(maxsize=4)
+def _half_lattice(box: PeriodicBox, c1: float):
+    """|xi| and the 'x1' and 'x2' pass masks on the rfftn half lattice, read-only."""
+    k1, k2 = box.freqs()
+    half = slice(box.shape[1] // 2 + 1)
+    radial = np.sqrt(k1**2 + k2**2)[:, half]
+    radial.flags.writeable = False
+    return radial, _masks(box, c1, "x1")[1][:, half], _masks(box, c1, "x2")[1][:, half]
+
+
 def support_check(box: PeriodicBox, c1: float, v1: np.ndarray, v2: np.ndarray):
     """Verify the product of an 'x1' strict part v1 and an 'x2' strict part
     v2, both of box at threshold c1, has no spectrum below C1.
 
     Returns (ok, min_radius) where min_radius is the smallest |xi| carrying
-    relative spectral mass above _SUPPORT_RTOL (inf for a zero product).
+    relative spectral mass above _SUPPORT_RTOL (inf for a zero product, and
+    (False, nan) for a product that is not finite).  The product is real, so
+    its half-lattice spectrum carries every |xi|.
     """
-    spec = np.abs(np.fft.fftn(v1 * v2))
+    spec = np.abs(np.fft.rfftn(v1 * v2))
     peak = spec.max()
+    if not np.isfinite(peak):
+        return False, np.nan
     if peak == 0.0:
         return True, np.inf
-    k1, k2 = box.freqs()
-    radial = np.sqrt(k1**2 + k2**2)
+    radial = _half_lattice(box, c1)[0]
     carrying = spec > _SUPPORT_RTOL * peak
-    inside = carrying & (radial < c1)
-    ok = not bool(inside.any())
+    ok = not bool((carrying & (radial < c1)).any())
     min_radius = float(radial[carrying].min()) if carrying.any() else np.inf
     return ok, min_radius
 
@@ -246,22 +243,23 @@ PAIRS = {
 
 
 def random_fields(box: PeriodicBox, rng: np.random.Generator):
-    """Two random real fields band-limited to half Nyquist (so products do not
-    alias)."""
-    half = box.nyquist() // 2
-    k1, k2 = box.freqs()
-    band = (np.abs(k1) <= half) & (np.abs(k2) <= half)
-    fields = []
-    for _ in range(2):
-        spec = rng.standard_normal(box.shape) + 1j * rng.standard_normal(box.shape)
-        spec *= band
-        field = np.fft.ifftn(spec)
-        fields.append(field.real + field.imag)  # real field, generic spectrum
-    return fields
+    """Half-lattice spectra of two random real fields band-limited to half
+    Nyquist (so products do not alias): each is Re + Im of ifftn(S), for S
+    standard complex normal on |k1|, |k2| <= h, drawn as s[i, j] = S(i - h,
+    j - h), and zero off it.  With S~(k) = conj S(-k), the conjugated flip of
+    the draw, that spectrum is (S + S~)/2 - i (S - S~)/2, exactly Hermitian."""
+    h = box.nyquist() // 2
+    specs = np.zeros((2, box.shape[0], box.shape[1] // 2 + 1), complex)
+    for spec in specs:
+        s = rng.standard_normal((2 * h + 1,) * 2) + 1j * rng.standard_normal((2 * h + 1,) * 2)
+        pos, neg = s[:, h:], s[::-1, h::-1].conj()  # S and S~ at k2 >= 0
+        band = (pos + neg) * 0.5 - 1j * ((pos - neg) * 0.5)
+        spec[: h + 1, : h + 1], spec[-h:, : h + 1] = band[h:], band[:h]
+    return specs
 
 
 def random_strict_parts(box: PeriodicBox, c1: float, rng: np.random.Generator):
     """The 'x1' strict part of one random field and the 'x2' strict part of
-    another: the pair support_check(box, c1, ...) tests."""
-    f1, f2 = random_fields(box, rng)
-    return strict_part(f1, box, c1, "x1"), strict_part(f2, box, c1, "x2")
+    another, one inverse real transform each: the pair support_check tests."""
+    return [np.fft.irfftn(spec * mask, s=box.shape, axes=(0, 1))
+            for spec, mask in zip(random_fields(box, rng), _half_lattice(box, c1)[1:])]

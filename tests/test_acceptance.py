@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from nulldust import acceptance as A
+from nulldust import compcompact as CC
 from nulldust import gowdy
 from nulldust import mollify as M
 
@@ -169,4 +170,47 @@ def test_nan_in_a_ladder_member_fails_the_order_check(monkeypatch, n_nan):
     assert math.isnan(v.details["residual_orders"]["torsion"])
     assert v.details["residual_orders"]["shear_in"] is None  # identically satisfied
     assert v.details["checks"]["residual_order_ge_3"] is False
+    assert not v.passed
+
+
+def test_nan_in_one_support_trial_fails_the_support_check(monkeypatch):
+    exact = CC.random_strict_parts
+    calls = []
+
+    def random_strict_parts(box, c1, rng):
+        calls.append(1)
+        v1, v2 = exact(box, c1, rng)
+        if len(calls) == 50:
+            v1[3, 5] = float("nan")
+        return v1, v2
+
+    monkeypatch.setattr(CC, "random_strict_parts", random_strict_parts)
+    v = A.criterion_compensated()
+    assert v.details["violations"] == 1
+    assert math.isnan(v.details["min_support_radius"])
+    assert v.details["checks"]["support_check_100_trials"] is False
+    assert not v.passed
+
+
+def test_nan_gap_of_the_resonant_control_fails_its_check(monkeypatch):
+    # the NaN sits at n = 256 only, so sin_sq_half (read at n = 64) still passes
+    exact = CC.resonant_pair
+
+    def resonant_pair(box):
+        pair = exact(box)
+        wave = pair.f
+
+        def f(n):
+            out = np.array(wave(n))
+            if n == 256:
+                out[7, 9] = float("nan")
+            return out
+
+        pair.f = f
+        return pair
+
+    monkeypatch.setattr(CC, "resonant_pair", resonant_pair)
+    v = A.criterion_compensated()
+    assert v.details["checks"]["sin_sq_half"] is True
+    assert v.details["checks"]["resonant_defect_persists"] is False
     assert not v.passed

@@ -1,5 +1,7 @@
 """Directional frequency splitting and weak product limits."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ def test_partition_exact(box):
     for mode in ("x1", "x2"):
         parts = CC.decompose(f, box, 6.0, mode)
         assert CC.partition_defect(f, parts) < 1e-12
-        assert np.array_equal(CC.strict_part(f, box, 6.0, mode), parts[1])
 
 
 def test_constant_goes_low(box):
@@ -67,13 +68,36 @@ def test_cached_masks_are_read_only(box):
             mask[0, 0] = 0.5
 
 
-@pytest.mark.parametrize("shape, c1", [((128, 128), 4.0)])
+@pytest.mark.parametrize("shape, c1", [((128, 128), 4.0), ((96, 80), 4.0), ((65, 63), 4.0)])
 def test_trial_strict_parts_equal_decomposition(shape, c1):
+    # irfftn is not bit-equal to ifftn(...).real, so they are equal to round-off
     box = CC.PeriodicBox(shape)
-    p1, p2 = CC.random_strict_parts(box, c1, np.random.default_rng(11))
-    f1, f2 = CC.random_fields(box, np.random.default_rng(11))
-    assert np.array_equal(p1, CC.decompose(f1, box, c1, "x1")[1])
-    assert np.array_equal(p2, CC.decompose(f2, box, c1, "x2")[1])
+    parts = CC.random_strict_parts(box, c1, np.random.default_rng(11))
+    specs = CC.random_fields(box, np.random.default_rng(11))
+    for part, spec, mode in zip(parts, specs, ("x1", "x2")):
+        strict = CC.decompose(np.fft.irfftn(spec, s=shape, axes=(0, 1)), box, c1, mode)[1]
+        peak = np.abs(strict).max()
+        assert peak > 0.0
+        assert np.abs(part - strict).max() <= 1e-12 * peak
+
+
+@pytest.mark.parametrize("shape", [(128, 96), (65, 63)])
+def test_trial_spectrum_is_the_transform_of_re_plus_im(shape):
+    # random_fields draws S on the band |k1|, |k2| <= h as s[i, j] = S(i - h, j - h)
+    box = CC.PeriodicBox(shape)
+    spec = CC.random_fields(box, np.random.default_rng(5))[0]
+    rng = np.random.default_rng(5)
+    h = box.nyquist() // 2
+    draw = rng.standard_normal((2 * h + 1,) * 2) + 1j * rng.standard_normal((2 * h + 1,) * 2)
+    full = np.zeros(shape, complex)
+    k = np.arange(-h, h + 1)
+    full[np.ix_(k % shape[0], k % shape[1])] = draw
+    z = np.fft.ifftn(full)
+    expected = np.fft.fftn(z.real + z.imag)
+    assert spec.shape == (shape[0], shape[1] // 2 + 1)
+    assert np.abs(spec - expected[:, : shape[1] // 2 + 1]).max() <= 1e-13 * np.abs(expected).max()
+    # the k2 = 0 column, the one irfftn folds, is exactly Hermitian
+    assert np.array_equal(spec[:, 0], spec[-np.arange(shape[0]), 0].conj())
 
 
 def test_pairs_equal_their_full_mesh_formulas():
@@ -102,6 +126,19 @@ def test_threshold_below_nyquist_enforced(box):
         CC.decompose(np.zeros(box.shape), box, 0.5, "x1")
 
 
+def _support_check_full_lattice(box, c1, v1, v2):
+    """support_check as a full complex transform of the product."""
+    spec = np.abs(np.fft.fftn(v1 * v2))
+    peak = spec.max()
+    if peak == 0.0:
+        return True, np.inf
+    k1, k2 = box.freqs()
+    radial = np.sqrt(k1**2 + k2**2)
+    carrying = spec > 1e-10 * peak
+    ok = not bool((carrying & (radial < c1)).any())
+    return ok, float(radial[carrying].min()) if carrying.any() else np.inf
+
+
 def test_support_check_explicit_masses():
     box = CC.PeriodicBox((256, 256))
     c1 = 2.0
@@ -112,16 +149,15 @@ def test_support_check_explicit_masses():
     spec2[1, kx] = spec2[-1, -kx] = 1.0
     f1 = np.fft.ifftn(spec1).real * box.shape[0] ** 2
     f2 = np.fft.ifftn(spec2).real * box.shape[0] ** 2
-    d1 = CC.strict_part(f1, box, c1, "x1")
-    d2 = CC.strict_part(f2, box, c1, "x2")
+    d1 = CC.decompose(f1, box, c1, "x1")[1]
+    d2 = CC.decompose(f2, box, c1, "x2")[1]
     ok, min_radius = CC.support_check(box, c1, d1, d2)
     assert ok and min_radius >= c1
+    assert (ok, min_radius) == _support_check_full_lattice(box, c1, d1, d2)
 
 
 def test_support_check_zero_product_trivially_true(box):
-    d1 = CC.strict_part(np.zeros(box.shape), box, 4.0, "x1")
-    d2 = CC.strict_part(np.zeros(box.shape), box, 4.0, "x2")
-    ok, min_radius = CC.support_check(box, 4.0, d1, d2)
+    ok, min_radius = CC.support_check(box, 4.0, np.zeros(box.shape), np.zeros(box.shape))
     assert ok and np.isinf(min_radius)
 
 
@@ -129,8 +165,31 @@ def test_randomized_support_property(box):
     rng = np.random.default_rng(42)
     for _ in range(25):
         d1, d2 = CC.random_strict_parts(box, 4.0, rng)
-        ok, _ = CC.support_check(box, 4.0, d1, d2)
+        ok, min_radius = CC.support_check(box, 4.0, d1, d2)
         assert ok
+        assert (ok, min_radius) == _support_check_full_lattice(box, 4.0, d1, d2)
+
+
+@pytest.mark.parametrize("modes, radius", [
+    (((10, 0), (11, 0)), 1.0),            # product mass at (+-1, 0) and (+-21, 0)
+    (((0, 10), (0, 11)), 1.0),            # at (0, +-1): k2 < 0 is folded onto k2 > 0
+    (((10, 0), (11, -1)), np.sqrt(2.0)),  # at +-(1, -1): stored as (-1, 1)
+])
+def test_support_check_sees_mass_below_c1(box, modes, radius):
+    u, ub = box.sparse_mesh()
+    (a1, b1), (a2, b2) = modes
+    v1, v2 = np.cos(a1 * u + b1 * ub), np.cos(a2 * u + b2 * ub)
+    assert CC.support_check(box, 4.0, v1, v2) == (False, radius)
+    assert _support_check_full_lattice(box, 4.0, v1, v2) == (False, radius)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_support_check_fails_a_product_that_is_not_finite(box, bad):
+    v1 = np.ones(box.shape)
+    v1[3, 5] = bad
+    with np.errstate(invalid="ignore"):  # the transform of an inf meets inf - inf
+        ok, min_radius = CC.support_check(box, 4.0, v1, np.ones(box.shape))
+    assert ok is False and math.isnan(min_radius)
 
 
 def test_margin_invariant_under_common_translation():
