@@ -619,7 +619,7 @@ def criterion_compensated() -> Verdict:
         min_radii.append(min_radius)
 
     boxp = CC.PeriodicBox((1024, 1024))
-    u, ub = boxp.mesh()
+    u, ub = boxp.sparse_mesh()
     psi = 1.0 + 0.5 * np.cos(u) * np.cos(ub)
     n_values = [4, 8, 16, 32, 64, 128, 256]
     res_t = CC.weak_product_test(CC.transverse_pair(boxp), psi, n_values)

@@ -47,12 +47,10 @@ def _hankel(nu: int, x: np.ndarray) -> np.ndarray:
 
 
 def bessel_j(order: int, x) -> np.ndarray:
-    """J_order(x) for order in {0, 1, 2} and x >= 0 (scalar or array)."""
+    """J_order(x) for order in {0, 1, 2} and an array x >= 0."""
     if order not in (0, 1, 2):
         raise ValueError("only orders 0, 1, 2 are supported")
     x_arr = np.asarray(x, dtype=float)
-    scalar = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
     if np.any(x_arr < 0.0):
         raise ValueError("argument must be nonnegative")
     if order == 2:
@@ -64,11 +62,11 @@ def bessel_j(order: int, x) -> np.ndarray:
             out[small] = _series(2, x_arr[small])
         big = ~small
         out[big] = 2.0 * j1[big] / x_arr[big] - j0[big]
-        return float(out[0]) if scalar else out
+        return out
     out = np.empty_like(x_arr)
     lo = x_arr <= _SERIES_CUT
     if np.any(lo):
         out[lo] = _series(order, x_arr[lo])
     if np.any(~lo):
         out[~lo] = _hankel(order, x_arr[~lo])
-    return float(out[0]) if scalar else out
+    return out

@@ -22,7 +22,7 @@ import numpy as np
 from . import calculus as calc
 from .constraints import ReducedCharData
 from .errors import NumericalFailure
-from .fields import sym2_inverse, trace
+from .fields import sym2_inverse, sym2_pack, trace
 from .geometry import christoffel, gauss_curvature
 from .grids import Grid1D
 from .stencils import deriv1_fd4
@@ -88,17 +88,15 @@ class TransportResult:
     etab: np.ndarray     # (2, N, n1, n2) = 2 grad log Omega - eta
 
 
-def slice_fields(data: ReducedCharData, solution, ubs):
-    """SliceFields of the batch ubs, from one pass over the whole batch; a
-    scalar ub gives one slice.  Raises PositivityError if gamma fails
-    the sign test on any slice."""
-    ub = np.atleast_1d(np.asarray(ubs, float))
+def slice_fields(data: ReducedCharData, solution, ub):
+    """SliceFields of the batch ub (K,), from one pass over the whole batch.
+    Raises PositivityError if gamma fails the sign test on any slice."""
     chart = data.chart
     om = np.asarray(data.omega(ub))
     dlo = np.asarray(data.dlog_omega(ub))
     phi = np.asarray(solution(ub))
     dphi = np.asarray(solution.deriv(ub))
-    gh, dgh = data.slice_metric(ub)
+    gh, dgh = sym2_pack(*data.entries(ub)), sym2_pack(*data.dentries(ub))
     gamma = phi**2 * gh
     ginv = sym2_inverse(gamma)
     chi = (phi * dphi / om) * gh + (phi**2 / (2.0 * om)) * dgh
@@ -111,8 +109,7 @@ def slice_fields(data: ReducedCharData, solution, ubs):
     om_scalar = -0.5 * dlo / om
     div_chihat = calc.div_sym2(chart, ginv, chihat, gam)
     grad_trchi = calc.partial(chart, trchi)
-    sf = SliceFields(gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi_mix, gam, div_chihat, grad_trchi)
-    return sf if np.ndim(ubs) else sf[0]
+    return SliceFields(gamma, ginv, kg, om, om_scalar, grad_lo, trchi, chihat, chi_mix, gam, div_chihat, grad_trchi)
 
 
 def corner_eta(sl: SliceFields, corner: CornerData) -> np.ndarray:

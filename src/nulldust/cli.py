@@ -48,7 +48,7 @@ def _out_root(args):
     return os.path.join(root, args.command)
 
 
-def _write_csv(path, header, rows, plot_data=False):
+def _write_csv(path, header, rows):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -56,11 +56,6 @@ def _write_csv(path, header, rows, plot_data=False):
         for row in rows:
             # repr(float(v)), not repr(v): numpy scalars would print as np.float64(...)
             writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
-    if plot_data:
-        with open(os.path.splitext(path)[0] + ".dat", "w") as fh:
-            fh.write("# " + " ".join(header) + "\n")
-            for row in rows:
-                fh.write(" ".join(repr(float(v)) if isinstance(v, (int, float)) else str(v) for v in row) + "\n")
 
 
 def _flatten(value, path=""):
@@ -111,7 +106,7 @@ def _run(args, calls):
         print(f"[{'PASS' if v.passed else 'FAIL'}] {v.name} ({seconds[-1]:.1f}s)")
         verdicts.append(v)
     for v in verdicts:
-        _write_csv(os.path.join(outdir, f"{v.name}.csv"), ["path", "value"], _flatten(v.details), args.plot_data)
+        _write_csv(os.path.join(outdir, f"{v.name}.csv"), ["path", "value"], _flatten(v.details))
     _write_csv(os.path.join(outdir, "verdicts.csv"), ["criterion", "passed", "seconds"],
                [(v.name, v.passed, round(s, 2)) for v, s in zip(verdicts, seconds)])
     summary = {
@@ -199,7 +194,7 @@ def cmd_trapped(args):
         (float(th), float(trchi_plus[i, 0]), bool(per_theta[i, 0]))
         for i, th in enumerate(chart.theta1())
     ]
-    _write_csv(os.path.join(outdir, "trchi_plus.csv"), ["theta1", "trchi_plus", "trapped"], rows, args.plot_data)
+    _write_csv(os.path.join(outdir, "trchi_plus.csv"), ["theta1", "trchi_plus", "trapped"], rows)
     summary = {
         "trapped": overall,
         "fraction_trapped": float(per_theta.mean()),
@@ -217,11 +212,11 @@ def cmd_cc_demo(args):
     f = rng.standard_normal(box.shape)
     partition = CC.partition_defect(f, CC.decompose(f, box, args.c1, "x1"))
     pair = CC.PAIRS[args.pair](CC.PeriodicBox((1024, 1024)))
-    mesh = pair.box.mesh()
-    psi = 1.0 + 0.5 * np.cos(mesh[0]) * np.cos(mesh[1])
+    u, ub = pair.box.sparse_mesh()
+    psi = 1.0 + 0.5 * np.cos(u) * np.cos(ub)
     res = CC.weak_product_test(pair, psi, args.n_seq)
     rows = list(zip(res["n"], res["pairings"], res["gaps"]))
-    _write_csv(os.path.join(outdir, "pairings.csv"), ["n", "pairing", "gap"], rows, args.plot_data)
+    _write_csv(os.path.join(outdir, "pairings.csv"), ["n", "pairing", "gap"], rows)
     summary = {
         "partition_defect": partition,
         "product_converges": res["product_converges"],
@@ -236,7 +231,6 @@ def build_parser():
         description="high-frequency gravitational-wave limits and null dust shells: numerical laboratory",
     )
     ap.add_argument("--out", default=None, help="output root (default $NULLDUST_OUT or ./runs)")
-    ap.add_argument("--plot-data", action="store_true", help="also emit whitespace-column .dat tables")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def criterion_parser(name, text):

@@ -46,9 +46,6 @@ class PeriodicBox:
     def axes(self):
         return [np.arange(n) * (2.0 * np.pi / n) for n in self.shape]
 
-    def mesh(self):
-        return np.meshgrid(*self.axes(), indexing="ij")
-
     def sparse_mesh(self):
         """The mesh coordinates as broadcast-shaped 1-D axes."""
         return np.meshgrid(*self.axes(), indexing="ij", sparse=True)

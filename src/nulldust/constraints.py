@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import sym2_det, sym2_entries, sym2_pack
+from .fields import sym2_det, sym2_entries
 from .geometry import area_element
 from .grids import AngularGrid, Grid1D
 from .odesolve import (
@@ -101,13 +101,6 @@ class ReducedCharData:
     def dgamma_normsq(self, ub_batch):
         """|d gamma_hat|^2 with indices raised by gamma_hat: (K,) -> (K, n1, n2)."""
         return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
-
-    def slice_metric(self, ub):
-        """(gamma_hat, d gamma_hat) on the slice at ub, each (2, 2, n1, n2);
-        a batch ub (K,) gives (2, 2, K, n1, n2)."""
-        ub_arr = np.atleast_1d(np.asarray(ub, float))
-        gh, dgh = sym2_pack(*self.entries(ub_arr)), sym2_pack(*self.dentries(ub_arr))
-        return (gh, dgh) if np.ndim(ub) else (gh[:, :, 0], dgh[:, :, 0])
 
     def area_weights(self) -> np.ndarray:
         """Quadrature weights of dA_ring on the chart nodes."""
@@ -244,13 +237,6 @@ def weak_constraint_residual(
     term_shear = 0.125 * np.einsum("k,kij,ij->", wq, tv * normsq * phi_sol / om2, w)
     term_measure = 0.0
     if data.dust is not None:
-        inv_phi = _inverse_phi_weight(solution)
-        term_measure = 0.5 * measure_pairing(data, phi_test, weight=inv_phi, panels=_WEAK_PANELS)
+        term_measure = 0.5 * measure_pairing(data, phi_test, weight=lambda ub: 1.0 / solution(ub),
+                                             panels=_WEAK_PANELS)
     return float(term_transport + term_shear + term_measure)
-
-
-def _inverse_phi_weight(solution):
-    def weight(ub):
-        return 1.0 / solution(ub)
-
-    return weight

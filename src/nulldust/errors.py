@@ -11,3 +11,7 @@ class NumericalFailure(RuntimeError):
     def __init__(self, message, location=None):
         super().__init__(message)
         self.location = location
+
+
+class NonFiniteError(NumericalFailure):
+    """A computed array that must be finite holds an inf or a NaN."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .grids import Grid1D
 
 
@@ -97,6 +98,8 @@ class MetricBlock:
         expect = tuple(gr.n for gr in self.grids) + (4, 4)
         if self.g.shape != expect:
             raise ValueError(f"metric shape {self.g.shape} != {expect}")
+        if not np.isfinite(self.g).all():
+            raise NonFiniteError("metric block has non-finite entries")
         if not np.allclose(self.g, np.swapaxes(self.g, -1, -2), atol=0.0, rtol=0.0):
             raise ValueError("metric block not symmetric")
 

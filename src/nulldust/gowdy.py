@@ -23,14 +23,12 @@ from .ricci4 import spacetime_ricci
 
 
 def eval_family(n: int, amplitude: float, tau: np.ndarray, theta: np.ndarray):
-    """(P_n, alpha_n) on the tensor grid tau x theta.
+    """(P_n, alpha_n) on the tensor grid of the float arrays tau x theta.
 
     Requires the grids to resolve frequency n: at least 16 nodes per
     oscillation in theta and in tau (where the local tau frequency is
     n exp(-tau) at most).
     """
-    tau = np.atleast_1d(np.asarray(tau, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
     _check_resolution(n, tau, theta)
     return _p_alpha(n, amplitude, tau, theta)
 
@@ -67,7 +65,14 @@ def family_metric(n: int, amplitude: float, tau_grid: Grid1D, theta_grid: Grid1D
     tau = tau_grid.points()
     theta = theta_grid.points_periodic()
     p, alpha = eval_family(n, amplitude, tau, theta)
-    return _assemble(tau, theta, p, alpha, tau_grid, theta_grid)
+    g = np.zeros((len(tau), len(theta), 4, 4))
+    _fill(g, tau[:, None], p, alpha)
+    return MetricBlock(
+        active=(0, 1),
+        grids=(tau_grid, theta_grid),
+        periodic=(False, True),
+        g=g,
+    )
 
 
 def limit_metric_block(amplitude: float, tau_grid: Grid1D) -> MetricBlock:
@@ -91,17 +96,6 @@ def _fill(g, tau, p, alpha):
     g[..., 1, 1] = conf
     g[..., 2, 2] = tv * np.exp(p)
     g[..., 3, 3] = tv * np.exp(-p)
-
-
-def _assemble(tau, theta, p, alpha, tau_grid, theta_grid) -> MetricBlock:
-    g = np.zeros((len(tau), len(theta), 4, 4))
-    _fill(g, tau[:, None], p, alpha)
-    return MetricBlock(
-        active=(0, 1),
-        grids=(tau_grid, theta_grid),
-        periodic=(False, True),
-        g=g,
-    )
 
 
 @dataclass

@@ -130,9 +130,6 @@ class OscillatoryFamily:
         a, b, d = self.background.data.entries(ub_batch)
         return e11 * e22 - e12 * e12 - (a * d - b * b)
 
-    def min_eigenvalue(self, ub_batch):
-        return sym2_min_eigenvalue(*self.entries(ub_batch))
-
     def min_eigenvalue_envelope(self, ub_batch):
         """Lower bound over the oscillation phase: evaluate at both amplitude
         extremes (the entries are monotone in the phase factor)."""
@@ -213,7 +210,7 @@ def select_k(background: DustBackground) -> float:
         fam = OscillatoryFamily(background, k, 1)
         grid = fam.resolving_grid(per_wavelength=32)
         probe = np.linspace(grid.a, grid.b, min(grid.n, 1 << 18))
-        return float(fam.min_eigenvalue(probe).min()) >= 0.5 * min_eig
+        return float(sym2_min_eigenvalue(*fam.entries(probe)).min()) >= 0.5 * min_eig
 
     return _double_until(8.0 * (sup_rf + 1.0) / min_eig, admissible,
                          f"no positive-definite oscillation found after {_MAX_DOUBLINGS} doublings")

@@ -356,12 +356,7 @@ def solve_linear_second_order(
 
 
 def _broadcast_coeff(fn, ub, M):
-    vals = np.asarray(fn(ub), dtype=float)
-    if vals.ndim == 1:
-        vals = np.repeat(vals[:, None], M, axis=1)
-    else:
-        vals = vals.reshape(len(ub), M)
-    return np.ascontiguousarray(vals)
+    return np.ascontiguousarray(np.asarray(fn(ub), dtype=float).reshape(len(ub), M))
 
 
 @dataclass

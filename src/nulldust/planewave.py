@@ -23,7 +23,6 @@ from .testfunctions import bump, dbump
 class SeedProfile:
     """Smooth seed k with analytic derivative; optionally compactly supported."""
 
-    name: str
     k: Callable[[np.ndarray], np.ndarray]
     dk: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float] | None = None  # None: not compactly supported
@@ -34,7 +33,6 @@ class SeedProfile:
         val = gauss_legendre_integrate(lambda x: self.dk(x) ** 2, lo, hi, n=256)
         scale = np.sqrt(1.0 / val)
         return SeedProfile(
-            self.name + "~normalized",
             lambda x, s=scale: s * self.k(x),
             lambda x, s=scale: s * self.dk(x),
             self.support,
@@ -43,25 +41,23 @@ class SeedProfile:
 
 SEEDS = {
     # C^infty bump supported in [-1/2, 1/2]: testfunctions.bump at twice the argument
-    "bump": SeedProfile("bump", lambda x: bump(2.0 * np.asarray(x, float)),
+    "bump": SeedProfile(lambda x: bump(2.0 * np.asarray(x, float)),
                         lambda x: 2.0 * dbump(2.0 * np.asarray(x, float)), (-0.5, 0.5)),
     # slowly varying positive profile for oscillation families
     "cosine": SeedProfile(
-        "cosine",
         lambda x: 1.0 + 0.5 * np.cos(2.0 * np.pi * np.asarray(x, dtype=float)),
         lambda x: -np.pi * np.sin(2.0 * np.pi * np.asarray(x, dtype=float)),
     ),
-    "const": SeedProfile("const", lambda x: np.ones_like(np.asarray(x, float)),
+    "const": SeedProfile(lambda x: np.ones_like(np.asarray(x, float)),
                          lambda x: np.zeros_like(np.asarray(x, float))),
 }
 
 
 @dataclass
 class WaveProfile:
-    """Sampled (G, G') with the analytic generators retained."""
+    """The grid of a plane wave and its analytic G'."""
 
     grid: Grid1D
-    g: Callable[[np.ndarray], np.ndarray]
     dg: Callable[[np.ndarray], np.ndarray]
 
 
@@ -70,13 +66,10 @@ def make_burnett_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
     if lam <= 0:
         raise ValueError("family parameter must be positive")
 
-    def g(ub):
-        return lam * seed.k(ub) * np.sin(ub / lam)
-
     def dg(ub):
         return lam * seed.dk(ub) * np.sin(ub / lam) + seed.k(ub) * np.cos(ub / lam)
 
-    return WaveProfile(grid, g, dg)
+    return WaveProfile(grid, dg)
 
 
 def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
@@ -97,13 +90,10 @@ def make_shell_G(lam: float, seed: SeedProfile, grid: Grid1D) -> WaveProfile:
         )
     root = np.sqrt(lam)
 
-    def g(ub):
-        return root * seed.k(np.asarray(ub, float) / lam)
-
     def dg(ub):
         return seed.dk(np.asarray(ub, float) / lam) / root
 
-    return WaveProfile(grid, g, dg)
+    return WaveProfile(grid, dg)
 
 
 def solve_H(profile: WaveProfile) -> DenseSolution:

@@ -2,16 +2,20 @@
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 
 def fit_rate(xs, ys) -> float:
     """Slope of the least-squares line through (log x, log y): the observed rate.
 
-    Requires at least 4 strictly positive points.
+    Requires at least 4 points with x > 0 and y >= 0; NonFiniteError on non-finite data or slope.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 4:
         raise ValueError(f"rate fit needs >= 4 points, got {len(xs)}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise NonFiniteError("rate fit needs finite data")
     if np.any(xs <= 0) or np.any(ys < 0):
         raise ValueError("rate fit needs positive abscissae and nonnegative ordinates")
     ys = np.maximum(ys, np.finfo(float).tiny)  # zeros sit at the float floor
@@ -19,5 +23,5 @@ def fit_rate(xs, ys) -> float:
     a = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(a, ly, rcond=None)
     if not np.isfinite(coef[0]):
-        raise ValueError("rate fit produced a non-finite slope")
+        raise NonFiniteError("rate fit produced a non-finite slope")
     return float(coef[0])

@@ -35,7 +35,6 @@ def dbump(x):
 class TestFunction:
     """phi(ub, theta) = b((ub - center)/scale) * angular(theta), with support info."""
 
-    name: str
     center: float
     scale: float
     support: tuple[float, float]
@@ -72,7 +71,6 @@ def bump_dictionary(grid: Grid1D, chart: AngularGrid) -> list:
                 scale_j = scale
             funcs.append(
                 TestFunction(
-                    f"bump_s{i}_l{j}",
                     center,
                     scale_j,
                     (center - scale_j, center + scale_j),

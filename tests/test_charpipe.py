@@ -82,7 +82,7 @@ def test_derive_outgoing_flat_cone():
     grid = Grid1D(0.0, 0.5, 65)
     data = flat_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
-    sl = P.slice_fields(data, sol, 0.25)
+    sl = P.slice_fields(data, sol, np.array([0.25]))[0]
     assert np.abs(sl.trchi - 2.0 / 1.25).max() < 1e-12
     assert np.abs(sl.chihat).max() < 1e-13
     assert np.abs(sl.om).max() == 0.0
@@ -95,7 +95,7 @@ def test_derive_outgoing_exponential_lapse():
     dlog = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     data = flat_data(chart, grid, omega, dlog)
     sol = C.solve_constraint(data, 1.0, 0.0)
-    sl = P.slice_fields(data, sol, 0.3)
+    sl = P.slice_fields(data, sol, np.array([0.3]))[0]
     assert np.abs(sl.om + 0.5 * np.exp(-0.3)).max() < 1e-12
 
 
@@ -264,7 +264,7 @@ def test_curl_of_gradient_torsion():
     data = flat_data(chart, grid, omega, dlog)
     sol = C.solve_constraint(data, 1.0, 0.0)
     corner = P.CornerData.zeros(chart)
-    sl = P.slice_fields(data, sol, 0.0)
+    sl = P.slice_fields(data, sol, np.array([0.0]))[0]
     eta0 = P.corner_eta(sl, corner)  # equals grad log Omega
     assert np.abs(curl_oneform(chart, sl.gamma, eta0, sl.gam)).max() < 1e-10
 

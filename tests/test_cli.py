@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from nulldust import acceptance, constraints
+from nulldust import compcompact as CC
 from nulldust.acceptance import Verdict
 from nulldust.cli import _write_csv, build_parser, main
 
@@ -85,6 +86,15 @@ def test_cc_demo(tmp_path):
     assert "checks" not in summary
     assert summary["partition_defect"] <= 1e-12
     assert summary["product_converges"] != summary["expects_defect"]
+
+
+def test_cc_demo_grid_and_seed_value(tmp_path):
+    code = run_cli(["cc-demo", "--grid", "128", "--seed-value", "3", "--n-seq", "4,8"], tmp_path)
+    assert code == 0
+    summary = json.loads((tmp_path / "cc-demo" / "summary.json").read_text())
+    box = CC.PeriodicBox((128, 128))
+    f = np.random.default_rng(3).standard_normal(box.shape)
+    assert summary["partition_defect"] == CC.partition_defect(f, CC.decompose(f, box, 4.0, "x1"))
 
 
 def test_malformed_flag_exits_2_without_artifacts(tmp_path):
@@ -194,13 +204,23 @@ def test_numerical_failure_writes_error_and_exits_1(tmp_path):
     assert (tmp_path / "constraints" / "manifest.json").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp overflows before the metric check sees inf
+@pytest.mark.parametrize("amplitude", ["1e3", "1e200"])
+def test_overflowing_metric_is_numerical_failure(tmp_path, amplitude):
+    code = run_cli(["gowdy", "--amplitude", amplitude], tmp_path)
+    assert code == 1
+    summary = json.loads((tmp_path / "gowdy" / "summary.json").read_text())
+    assert summary["error"]["type"] == "NonFiniteError"
+    assert (tmp_path / "gowdy" / "manifest.json").exists()
+
+
 def test_numerical_failures_share_one_base():
     from nulldust.charpipe import TransportBlowupError
-    from nulldust.errors import NumericalFailure
+    from nulldust.errors import NonFiniteError, NumericalFailure
     from nulldust.hfapprox import PositivityEscalationError
     from nulldust.odesolve import FocusingError
 
-    for exc in (FocusingError, TransportBlowupError, PositivityEscalationError):
+    for exc in (FocusingError, TransportBlowupError, PositivityEscalationError, NonFiniteError):
         assert issubclass(exc, NumericalFailure)
 
 

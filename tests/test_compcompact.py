@@ -36,7 +36,7 @@ def test_constant_goes_low(box):
 
 
 def test_single_fast_mode_lands_in_dominant_part(box):
-    u, ub = box.mesh()
+    u, ub = np.broadcast_arrays(*box.sparse_mesh())
     g = np.sin(40 * ub)  # pure x2 frequency far above the threshold
     _, strict, rest = CC.decompose(g, box, 2.0, "x1")
     assert np.abs(rest - g).max() < 1e-12
@@ -102,7 +102,7 @@ def test_trial_spectrum_is_the_transform_of_re_plus_im(shape):
 
 def test_pairs_equal_their_full_mesh_formulas():
     box = CC.PeriodicBox((64, 48))
-    u, ub = box.mesh()
+    u, ub = np.broadcast_arrays(*box.sparse_mesh())
     n = 5
     transverse = CC.transverse_pair(box)
     assert np.array_equal(transverse.f(n), np.exp(0.3 * np.sin(u) + 0.2 * np.cos(ub)) * np.sin(n * ub))
@@ -211,7 +211,7 @@ def test_box_other_than_2d_is_rejected(shape):
 
 def test_weak_product_transverse_and_controls():
     box = CC.PeriodicBox((512, 512))
-    u, ub = box.mesh()
+    u, ub = box.sparse_mesh()
     psi = 1.0 + 0.5 * np.cos(u) * np.cos(ub)
     ns = [4, 8, 16, 32, 64]
     res = CC.weak_product_test(CC.transverse_pair(box), psi, ns)

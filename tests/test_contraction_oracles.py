@@ -168,7 +168,7 @@ def test_spectral_deriv_bit_identical_to_strided_transform(shape):
 def test_rhs_calls_no_einsum(monkeypatch):
     data = shear_data(Grid1D(0.0, 0.3, 17))
     sol = C.solve_constraint(data, 1.0, 0.5)
-    sl = P.slice_fields(data, sol, 0.1)
+    sl = P.slice_fields(data, sol, np.array([0.1]))[0]
     c0 = corner(data.chart)
     state = (P.corner_eta(sl, c0), np.zeros((2,) + data.chart.shape), c0.omb0, c0.trchb0, c0.chibhat0)
     callers = []

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nulldust.errors import NonFiniteError
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.rates import fit_rate
 from nulldust.stencils import _deriv_multiplier, deriv1_fd4, deriv1_fd4_periodic, spectral_deriv
@@ -99,6 +100,17 @@ def test_rate_fit_exact_and_noisy():
 def test_rate_fit_needs_four_points():
     with pytest.raises(ValueError, match="4 points"):
         fit_rate([1.0, 0.5, 0.25], [1.0, 2.0, 4.0])
+
+
+def test_rate_fit_of_non_finite_data_is_numerical_failure():
+    # a NumericalFailure, not a ValueError: the CLI exits 1 with an error summary, not 2
+    xs = [1.0, 0.5, 0.25, 0.125]
+    for bad_xs, bad_ys in ((xs, [1.0, np.nan, 4.0, 8.0]), (xs, [1.0, 2.0, np.inf, 8.0]),
+                           ([np.inf] + xs[1:], [1.0, 2.0, 4.0, 8.0])):
+        with pytest.raises(NonFiniteError):
+            fit_rate(bad_xs, bad_ys)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fit_rate(xs, [1.0, -2.0, 4.0, 8.0])
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nulldust"

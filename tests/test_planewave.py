@@ -20,9 +20,9 @@ def ricci_uu(profile, factor):
 def test_oscillation_profile_values():
     grid = Grid1D(0.0, 2.0, 257)
     prof = pw.make_burnett_G(1.0, pw.SEEDS["const"], grid)
-    assert abs(prof.g(np.array([np.pi / 2]))[0] - 1.0) < 1e-15
-    zero = pw.make_burnett_G(0.5, pw.SEEDS["const"], grid)
-    assert np.abs(zero.g(grid.points()) - 0.5 * np.sin(grid.points() / 0.5)).max() < 1e-15
+    assert abs(prof.dg(np.array([np.pi]))[0] + 1.0) < 1e-15
+    half = pw.make_burnett_G(0.5, pw.SEEDS["const"], grid)
+    assert np.abs(half.dg(grid.points()) - np.cos(grid.points() / 0.5)).max() < 1e-15
 
 
 def test_oscillation_sup_bound():
@@ -30,7 +30,8 @@ def test_oscillation_sup_bound():
     seed = pw.SEEDS["cosine"]
     for lam in (0.5, 0.1, 0.02):
         prof = pw.make_burnett_G(lam, seed, grid)
-        assert np.abs(prof.g(grid.points())).max() <= lam * 1.5 + 1e-14
+        # G' = lam k' sin + k cos stays bounded by lam sup|k'| + sup|k| as lam -> 0
+        assert np.abs(prof.dg(grid.points())).max() <= lam * np.pi + 1.5 + 1e-14
 
 
 def test_shell_profile_support_and_normalization():
@@ -38,11 +39,10 @@ def test_shell_profile_support_and_normalization():
     lam = 2.0**-4
     prof = pw.make_shell_G(lam, pw.SEEDS["bump"], grid)
     ub = grid.points()
-    g = prof.g(ub)
-    assert np.all(g[np.abs(ub) > lam / 2 + 1e-12] == 0.0)
-    energy = np.trapezoid(prof.dg(ub) ** 2, ub)
+    dg = prof.dg(ub)
+    assert np.all(dg[np.abs(ub) > lam / 2 + 1e-12] == 0.0)
+    energy = np.trapezoid(dg**2, ub)
     assert abs(energy - 1.0) < 1e-6
-    assert np.abs(g).max() <= np.sqrt(lam) * np.abs(prof.g(ub) / np.sqrt(lam)).max() + 1e-14
 
 
 def test_shell_grid_too_coarse_raises():
@@ -57,7 +57,7 @@ def test_shell_needs_compact_seed():
 
 def test_wave_factor_flat():
     grid = Grid1D(0.0, 1.0, 257)
-    prof = pw.WaveProfile(grid, lambda u: np.zeros_like(u), lambda u: np.zeros_like(u))
+    prof = pw.WaveProfile(grid, lambda u: np.zeros_like(u))
     fac = pw.solve_H(prof)
     assert np.abs(fac.phi - 1.0).max() == 0.0
     assert np.abs(fac.dphi).max() == 0.0
@@ -68,7 +68,7 @@ def test_wave_factor_cosine_oracle_and_order():
     errs, hs = [], []
     for n in (9, 17, 33, 65):
         grid = Grid1D(0.0, 1.0, n)
-        prof = pw.WaveProfile(grid, lambda u: eps * u, lambda u: eps * np.ones_like(u))
+        prof = pw.WaveProfile(grid, lambda u: eps * np.ones_like(u))
         fac = pw.solve_H(prof)
         errs.append(np.abs(fac.phi - np.cos(0.5 * eps * grid.points())).max())
         hs.append(grid.h)
@@ -77,7 +77,7 @@ def test_wave_factor_cosine_oracle_and_order():
 
 def test_wave_factor_focusing_error():
     grid = Grid1D(0.0, 2.0, 1025)
-    prof = pw.WaveProfile(grid, lambda u: 4.0 * u, lambda u: 4.0 * np.ones_like(u))
+    prof = pw.WaveProfile(grid, lambda u: 4.0 * np.ones_like(u))
     with pytest.raises(FocusingError) as err:
         pw.solve_H(prof)  # H = cos(2 ub) crosses zero at pi/4
     assert abs(err.value.location[0] - np.pi / 4) < 0.01
@@ -86,7 +86,7 @@ def test_wave_factor_focusing_error():
 def test_wave_factor_nan_is_focusing_error():
     grid = Grid1D(0.0, 1.0, 193)
     dg = lambda u: np.where(u > 0.5, np.nan, 1.0)
-    prof = pw.WaveProfile(grid, lambda u: u, dg)
+    prof = pw.WaveProfile(grid, dg)
     with pytest.raises(FocusingError) as err:
         pw.solve_H(prof)
     assert abs(err.value.location[0] - 0.5) < 0.01
@@ -102,7 +102,7 @@ def test_vacuum_residual_small():
 def test_ricci_formula_hand_value():
     # G = ub^2 with H = 1: the only curvature component is -2 ub^2
     grid = Grid1D(0.0, 1.0, 257)
-    prof = pw.WaveProfile(grid, lambda u: u**2, lambda u: 2.0 * u)
+    prof = pw.WaveProfile(grid, lambda u: 2.0 * u)
     fac = DenseSolution(grid, np.ones(grid.n), np.zeros(grid.n), np.zeros(grid.n))
     ub = grid.points()
     assert np.abs(ricci_uu(prof, fac) + 2.0 * ub**2).max() < 1e-14
@@ -143,7 +143,7 @@ def test_shell_pairing_concentrates():
 
 def test_jump_detect_flat_returns_none():
     grid = Grid1D(-0.5, 0.5, 257)
-    prof = pw.WaveProfile(grid, lambda u: np.zeros_like(u), lambda u: np.zeros_like(u))
+    prof = pw.WaveProfile(grid, lambda u: np.zeros_like(u))
     fac = pw.solve_H(prof)
     assert pw.jump_detect(fac, window=0.1) is None
 
@@ -153,9 +153,7 @@ def test_jump_scales_with_derivative_energy():
     lam = 2.0**-8
     grid = Grid1D(-0.5, 0.5, 2**15 + 1)
     base = pw.SEEDS["bump"].normalized()
-    prof = pw.WaveProfile(grid,
-                          lambda u, l=lam: 2.0 * np.sqrt(l) * base.k(np.asarray(u) / l),
-                          lambda u, l=lam: 2.0 * base.dk(np.asarray(u) / l) / np.sqrt(l))
+    prof = pw.WaveProfile(grid, lambda u, l=lam: 2.0 * base.dk(np.asarray(u) / l) / np.sqrt(l))
     fac = pw.solve_H(prof)
     _, jump = pw.jump_detect(fac, window=4 * lam)
     assert abs(jump + 1.0) < 2e-2

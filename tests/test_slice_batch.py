@@ -176,14 +176,6 @@ def test_batched_fields_are_slots_then_batch_then_grid(problem):
         assert getattr(batched[3], name).shape == slots + data.chart.shape, name
 
 
-def test_scalar_ub_gives_one_slice(problem):
-    data, sol = problem
-    sl = P.slice_fields(data, sol, 0.1)
-    ref = oracle_slice(data, sol, 0.1)
-    for name in FIELDS:
-        assert np.array_equal(getattr(sl, name), getattr(ref, name)), name
-
-
 def test_rhs_equals_per_slice_oracle(problem):
     data, sol = problem
     chart = data.chart
@@ -274,9 +266,9 @@ def test_slice_batch_inverts_gamma_once(monkeypatch, problem):
 
 def test_rhs_makes_at_most_two_spectral_calls(monkeypatch, problem):
     data, sol = problem
-    sl = P.slice_fields(data, sol, 0.1)
+    sl = P.slice_fields(data, sol, np.array([0.1]))[0]
     c0 = corner(data.chart)
-    eta0 = P.corner_eta(P.slice_fields(data, sol, data.grid.a), c0)
+    eta0 = P.corner_eta(P.slice_fields(data, sol, np.array([data.grid.a]))[0], c0)
     state = (eta0, np.zeros((2,) + data.chart.shape), c0.omb0, c0.trchb0, c0.chibhat0)
     calls = count_calls(monkeypatch, geometry.spectral_deriv, (geometry,))
     P._rhs(data, sl, *state)
