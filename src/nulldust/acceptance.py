@@ -424,9 +424,8 @@ def criterion_mollification() -> Verdict:
     jump = float(np.abs(glued.deriv_jumps()[0][1]).max())
     ms = list(range(1, 8))
     sup_l2, dsup = [], []
-    for m in ms:
-        fm = M.MollifiedDensity(data, m)
-        sol = M.solve_phi_m_dust(fm, 1.0, 0.1)
+    fms = [M.MollifiedDensity(data, m) for m in ms]
+    for fm, sol in zip(fms, M.solve_phi_m_dust(fms, 1.0, 0.1)):
         stats = _phi_gap_stats(sol, glued, fm, grid)
         sup_l2.append(stats["sup"] + stats["dl2"])
         dsup.append(stats["dsup"])
@@ -506,7 +505,7 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
 
     tf = bump_dictionary(grid, chart)[1]
     pipe = pipeline(measure)
-    members = [pipe.member(m) for m in m_seq]
+    members = pipe.members(m_seq)
     rows = MP.pipeline_weak_check(pipe, members, [tf])
     gaps = [r["gap"] for r in rows]
     slope = fit_rate([2.0 ** -r["m"] for r in rows], gaps)
@@ -518,7 +517,7 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     if measure.density is not None:
         doubled.density = lambda ub: 2.0 * measure.density(ub)
     pipe2 = pipeline(doubled)
-    rows2 = MP.pipeline_weak_check(pipe2, [pipe2.member(m_seq[-1])], [tf])
+    rows2 = MP.pipeline_weak_check(pipe2, pipe2.members([m_seq[-1]]), [tf])
     lim1 = rows[-1]["difference"]
     lim2 = rows2[-1]["difference"]
     linearity = abs(lim2 / lim1 - 2.0) / 2.0

@@ -22,6 +22,12 @@ from .rates import fit_rate
 from .ricci4 import spacetime_ricci
 
 
+# A large amplitude overflows the metric to inf or NaN, which MetricBlock
+# reports as NonFiniteError; numpy's warning, an error under -W error, would
+# raise before it.
+_OVERFLOW_TO_NONFINITE = np.errstate(over="ignore", invalid="ignore")
+
+
 def eval_family(n: int, amplitude: float, tau: np.ndarray, theta: np.ndarray):
     """(P_n, alpha_n) on the tensor grid of the float arrays tau x theta.
 
@@ -60,6 +66,7 @@ def _check_resolution(n, tau, theta):
             raise ValueError(f"tau grid under-resolves frequency {freq:.1f} (need >= 16 nodes/cycle)")
 
 
+@_OVERFLOW_TO_NONFINITE
 def family_metric(n: int, amplitude: float, tau_grid: Grid1D, theta_grid: Grid1D) -> MetricBlock:
     """Sampled 4-metric of the family member n (theta treated as periodic)."""
     tau = tau_grid.points()
@@ -75,6 +82,7 @@ def family_metric(n: int, amplitude: float, tau_grid: Grid1D, theta_grid: Grid1D
     )
 
 
+@_OVERFLOW_TO_NONFINITE
 def limit_metric_block(amplitude: float, tau_grid: Grid1D) -> MetricBlock:
     """Closed-form uniform-limit metric; depends on tau only."""
     tau = tau_grid.points()

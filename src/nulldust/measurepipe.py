@@ -16,7 +16,7 @@ from .constraints import ReducedCharData, measure_pairing
 from .fields import sym2_min_eigenvalue
 from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform
 from .mollify import MollifiedDensity, solve_phi_m_dust
-from .odesolve import PiecewiseSolution, solve_linear_segmented
+from .odesolve import PiecewiseSolution, march, segmented_grids
 from .quadrature import panel_pairing
 
 
@@ -45,7 +45,7 @@ class MeasurePipeline:
     k: float | None = None
 
     def __post_init__(self):
-        self._built = {}  # m -> background(m), shared by freeze_k and member
+        self._built = {}  # m -> (fm, bg) of level m, shared by freeze_k and members
 
     def n_of(self, m: int) -> int:
         n = 1
@@ -59,16 +59,14 @@ class MeasurePipeline:
         ub0 = np.array([self.data.grid.a])
         return self.phi_bv(ub0)[0], self.phi_bv.deriv(ub0)[0]
 
-    def background(self, m: int):
-        """(fm, bg): the level-m mollified density and the dust background on it."""
-        fm = MollifiedDensity(self.data, m)
-        phi_dust = solve_phi_m_dust(fm, *self._initial())
-        return fm, DustBackground(self.data, fm, fm.deriv, phi_dust, phi_dust.deriv)
-
-    def _background(self, m: int):
-        if m not in self._built:
-            self._built[m] = self.background(m)
-        return self._built[m]
+    def backgrounds(self, m_values) -> list:
+        """(fm, bg) per level m of the sequence m_values: the level-m mollified
+        density and the dust background on it.  The levels not built before
+        are solved together, in one lockstep march."""
+        missing = [MollifiedDensity(self.data, m) for m in dict.fromkeys(m_values) if m not in self._built]
+        for fm, phi_dust in zip(missing, solve_phi_m_dust(missing, *self._initial())):
+            self._built[fm.m] = fm, DustBackground(self.data, fm, fm.deriv, phi_dust, phi_dust.deriv)
+        return [self._built[m] for m in m_values]
 
     def _probe(self, fm) -> np.ndarray:
         """Window-refined probe points resolving the mollifier envelope."""
@@ -81,8 +79,7 @@ class MeasurePipeline:
         if self.k is None:
             pairs, probes = [], []
             min_eig = None
-            for m in m_values:
-                fm, bg = self._background(m)
+            for m, (fm, bg) in zip(m_values, self.backgrounds(m_values)):
                 pairs.append((bg, self.n_of(m)))
                 probes.append(self._probe(fm))
                 eig = float(sym2_min_eigenvalue(*self.data.entries(probes[-1])).min())
@@ -90,25 +87,24 @@ class MeasurePipeline:
             self.k = select_k_uniform(pairs, min_eig, probes)
         return self.k
 
-    def member(self, m: int) -> PipelineMember:
-        """gamma_n and its vacuum solve, with steps of 1/16 of the smaller of
+    def members(self, m_values) -> list:
+        """gamma_n and its vacuum solve per level m of the sequence m_values,
+        the solves marched in lockstep, with steps of 1/16 of the smaller of
         the wavelength and eps inside the atom windows, where the oscillation
         envelope lives, and 1/2048 of the interval outside them."""
         if self.k is None:
             raise RuntimeError("freeze_k must run before building members")
-        fm, bg = self._background(m)
-        n = self.n_of(m)
-        fam = OscillatoryFamily(bg, self.k, n)
-        fine = min(2.0 * np.pi / (self.k * n), fm.eps) / 16
         smooth = (self.data.grid.b - self.data.grid.a) / 2048.0
-        phi_vac = solve_linear_segmented(
-            [(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()],
-            self.data.dlog_omega,
-            lambda ub: 0.125 * fam.dgamma_normsq(ub),
-            None,
-            *self._initial(),
-        )
-        return PipelineMember(fm, fam, phi_vac)
+        initial = self._initial()
+        levels, problems = [], []
+        for m, (fm, bg) in zip(m_values, self.backgrounds(m_values)):
+            n = self.n_of(m)
+            fam = OscillatoryFamily(bg, self.k, n)
+            fine = min(2.0 * np.pi / (self.k * n), fm.eps) / 16
+            grids = segmented_grids([(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()])
+            levels.append((fm, fam))
+            problems.append(fam.vacuum_problem(grids, *initial))
+        return [PipelineMember(fm, fam, PiecewiseSolution(pieces)) for (fm, fam), pieces in zip(levels, march(problems))]
 
 
 def _shear_pairing(data: ReducedCharData, pieces, normsq_fn, phi_sol, phi_test) -> float:

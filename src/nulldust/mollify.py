@@ -20,7 +20,7 @@ import numpy as np
 
 from .constraints import ReducedCharData, measure_pairing
 from .grids import Grid1D
-from .odesolve import PiecewiseSolution, solve_linear_segmented
+from .odesolve import PiecewiseSolution, Problem, march, segmented_grids
 from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes, panel_pairing, panel_values
 from .testfunctions import plateau, plateau_d
 
@@ -269,20 +269,24 @@ def l1_w_uniform_norm(fm: MollifiedDensity) -> float:
     return total
 
 
-def solve_phi_m_dust(fm: MollifiedDensity, phi0, dphi0) -> PiecewiseSolution:
-    """Integrate the dust constraint with the mollified density f_m.
+def solve_phi_m_dust(fms, phi0, dphi0) -> list:
+    """Integrate the dust constraint with each mollified density f_m, all from
+    phi0, dphi0 and marched in lockstep: one PiecewiseSolution per density.
 
     Steps resolve the mollifier scale (eps/32) inside atom windows and stay
     coarse (1/2048 of the interval) on the smooth remainder.
     """
-    data = fm.data
-    fine, smooth = fm.eps / 32, (data.grid.b - data.grid.a) / 2048.0
-    shape = data.chart.shape
-    return solve_linear_segmented(
-        [(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()],
-        data.dlog_omega,
-        lambda ub: 0.125 * np.asarray(data.dgamma_normsq(ub)),
-        fm,
-        np.broadcast_to(np.asarray(phi0, float), shape).copy(),
-        np.broadcast_to(np.asarray(dphi0, float), shape).copy(),
-    )
+    problems = []
+    for fm in fms:
+        data = fm.data
+        fine, smooth = fm.eps / 32, (data.grid.b - data.grid.a) / 2048.0
+        shape = data.chart.shape
+        problems.append(Problem(
+            segmented_grids([(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()]),
+            data.dlog_omega,
+            lambda ub, data=data: 0.125 * np.asarray(data.dgamma_normsq(ub)),
+            fm,
+            np.broadcast_to(np.asarray(phi0, float), shape).copy(),
+            np.broadcast_to(np.asarray(dphi0, float), shape).copy(),
+        ))
+    return [PiecewiseSolution(pieces) for pieces in march(problems)]

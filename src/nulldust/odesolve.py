@@ -2,7 +2,7 @@
 
 The hypersurface constraint is a second-order ODE per angular point; the
 plane-wave wave factor H'' = -(1/4) G'^2 H is its linear case (no lapse term,
-no source, one point), so both are marched by solve_linear_second_order.  The
+no source, one point), so both are marched by one loop, march.  The
 classical RK4 step needs coefficient values at half-steps, so coefficient
 providers are evaluated once on the half-step lattice; the even lattice points
 are the grid nodes, and their values also give the second derivative stored
@@ -11,19 +11,33 @@ for dense output.
 Shells and dusts often vary in one angle or in none, so many of the M angular
 points of a chunk carry byte-identical columns of initial state and
 coefficients.  Each chunk marches only its U distinct columns and scatters the
-nodes back to all M points (_rk4_distinct); byte-equal inputs give byte-equal
-marches, so the result is bit-identical to marching every point.
+nodes back to all M points; byte-equal inputs give byte-equal marches, so the
+result is bit-identical to marching every point.
 
-_rk4_chunk marches the U columns of one chunk with one of two kernels.  For
-U < _ROWS_MIN_POINTS the column kernel, _rk4_column, marches one point at a
-time through the whole chunk on flat lists of Python floats; from
-_ROWS_MIN_POINTS up a numpy kernel loops over steps and does each RK4 stage
-as one array operation over all U columns.  Both kernels do the same IEEE
-operations in the same order, so their results are bit-identical, the index
-of a failure included.
+march takes a list of independent problems (a sequence's members, each its
+own constraint ODE) and advances the unfinished ones in lockstep.  Each round
+hands _rk4_chunk the distinct columns of every active problem side by side,
+each column with its problem's step h, and moves them all by the fewest steps
+any of them has left in its current chunk.  Every problem still calls its
+providers once per chunk on that chunk's lattice, its columns are
+deduplicated among themselves only (h differs between problems), and a round
+that stops inside a chunk resumes from the stored node state; the RK4 step
+acts on each column alone, so every problem's nodes are bit-identical to
+marching it by itself.  The error raised is the one marching the problems one
+after another would raise: that of the first failing problem in list order,
+at the location it reports alone.  solve_linear_second_order and
+solve_linear_segmented are the one-problem case.
+
+_rk4_chunk marches the U columns of one round with one of two kernels, U being
+the round's total over its problems.  For U < _ROWS_MIN_POINTS the column
+kernel, _rk4_column, marches one point at a time through the whole round on
+flat lists of Python floats; from _ROWS_MIN_POINTS up a numpy kernel loops
+over steps and does each RK4 stage as one array operation over all U columns.
+Both kernels do the same IEEE operations in the same order, so their results
+are bit-identical, the index of a failure included.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -40,10 +54,13 @@ class FocusingError(NumericalFailure):
 
 
 _CHUNK = 4096  # steps marched per coefficient batch
-# Smallest M for which the numpy row kernel beats the column kernel on Python
-# floats.  Per 4,096-step chunk on a 2-core x86 host with numpy 2.4, its speed
-# relative to the column kernel is 0.05x at M = 1, 0.15x at M = 4, 0.32x at
-# M = 8, 0.6-0.7x at M = 16, 0.8x at M = 20, 1.0x at M = 22 and 1.4x at M = 32.
+# Smallest U, the columns of one round summed over its problems, for which the
+# numpy row kernel beats the column kernel on Python floats.  The row kernel
+# costs about 25-40 us a step almost whatever U (on a shared 2-core x86 host
+# with numpy 2.4.6), the column kernel about 1.2-1.7 us a step per column, so
+# relative to the column kernel the row kernel runs at 0.04x at U = 1, 0.4x at
+# U = 8, 0.85x at U = 16, 1.0-1.3x at U = 20-22 and 1.8x at U = 32.  A flat
+# per-step cost is why march puts the problems of a batch side by side.
 _ROWS_MIN_POINTS = 22
 
 
@@ -51,9 +68,9 @@ def _rk4_column(p, q, g2, cr, f2, hh, hv, h6, out_p, out_q):
     """March one angular point through a chunk on Python floats.
 
     g2, cr, f2 are the point's 2.0*gl, cc and 0.5*ff on the half-step
-    lattice; hh, hv, h6 are 0.5*h, h and h/6.0.  Each is the leftmost
-    operation of its expression in the classical step, so hoisting it keeps
-    every rounding.  Returns the first step whose phi is not positive or
+    lattice; hh, hv, h6 are 0.5*h, h and h/6.0 of the point's step h.  Each
+    is the leftmost operation of its expression in the classical step, so
+    hoisting it keeps every rounding.  Returns the first step whose phi is not positive or
     whose psi is not finite, or -1.
     """
     nc = len(out_p) - 1
@@ -84,7 +101,7 @@ def _rk4_column(p, q, g2, cr, f2, hh, hv, h6, out_p, out_q):
 
 
 def _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi):
-    """Column kernel of _rk4_chunk: _rk4_column once per angular point.
+    """Column kernel of _rk4_chunk: _rk4_column once per column.
 
     Each column is handed over as flat lists of Python floats, on which the
     scalar arithmetic is several times cheaper than on numpy scalars, and its
@@ -93,13 +110,13 @@ def _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     """
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
-    hh, hv, h6 = float(0.5 * h), float(h), float(h / 6.0)
+    hh, hv, h6 = (0.5 * h).tolist(), h.tolist(), (h / 6.0).tolist()
     g2, cr, f2 = (2.0 * gl).T.tolist(), cc.T.tolist(), (0.5 * ff).T.tolist()
     out_p = [[0.0] * (nc + 1) for _ in range(M)]
     out_q = [[0.0] * (nc + 1) for _ in range(M)]
     bad = -1
     for j in range(M):
-        i = _rk4_column(float(phi[j]), float(psi[j]), g2[j], cr[j], f2[j], hh, hv, h6, out_p[j], out_q[j])
+        i = _rk4_column(float(phi[j]), float(psi[j]), g2[j], cr[j], f2[j], hh[j], hv[j], h6[j], out_p[j], out_q[j])
         if i >= 0:
             bad = i * M + j if bad < 0 else min(bad, i * M + j)
     out_phi[:] = np.array(out_p).T
@@ -111,40 +128,52 @@ def _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi):
 
 
 def _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi):
-    """Row kernel of _rk4_chunk: one numpy operation per stage over all M points.
+    """Row kernel of _rk4_chunk: one numpy operation per stage over all M columns.
 
     It hoists the same factors as _rk4_column and fails on the same steps, so
-    the two kernels are bit-identical.  At the M of a chunk the cost is per
-    numpy call, not per point: the rows are split into lists of views once,
-    and the scalar factors are (M,) arrays because a scalar operand costs
-    about twice an array one.
+    the two kernels are bit-identical.  At the M of a round the cost is per
+    numpy call, not per column: the rows are split into lists of views once,
+    the factors of h and 2.0 are (M,) arrays, because a scalar operand costs
+    about twice an array one, and every operation writes into a preallocated
+    (M,) buffer.  Each step does the operations of the classical step, in
+    its order, as written in the comments.
     """
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
     g2 = list(2.0 * gl)
     f2 = list(0.5 * ff)
     cr = list(cc)
-    hh, hv, h6, two = (np.full(M, c) for c in (0.5 * h, h, h / 6.0, 2.0))
+    hh, hv, h6, two = 0.5 * h, h, h / 6.0, np.full(M, 2.0)
     out_phi[0] = phi
     out_psi[0] = psi
     P = list(out_phi)
     Q = list(out_psi)
+    mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
+    k1q, k2q, k3q, k4q, p1, q1, p2, q2, p3, q3, t, u = np.empty((12, M))
     with np.errstate(all="ignore"):  # a march past a failure divides by zero or NaN
         for i in range(nc):
             i0, im, ie = 2 * i, 2 * i + 1, 2 * i + 2
             p, q = P[i], Q[i]
-            k1q = g2[i0] * q - cr[i0] * p - f2[i0] / p
-            p1 = p + hh * q
-            q1 = q + hh * k1q
-            k2q = g2[im] * q1 - cr[im] * p1 - f2[im] / p1
-            p2 = p + hh * q1
-            q2 = q + hh * k2q
-            k3q = g2[im] * q2 - cr[im] * p2 - f2[im] / p2
-            p3 = p + hv * q2
-            q3 = q + hv * k3q
-            k4q = g2[ie] * q3 - cr[ie] * p3 - f2[ie] / p3
-            np.add(p, h6 * (q + two * q1 + two * q2 + q3), P[i + 1])
-            np.add(q, h6 * (k1q + two * k2q + two * k3q + k4q), Q[i + 1])
+            # k1q = g2[i0] * q - cr[i0] * p - f2[i0] / p
+            mul(g2[i0], q, t); mul(cr[i0], p, u); sub(t, u, k1q); div(f2[i0], p, u); sub(k1q, u, k1q)
+            mul(hh, q, t); add(p, t, p1)  # p1 = p + hh * q
+            mul(hh, k1q, t); add(q, t, q1)  # q1 = q + hh * k1q
+            # k2q = g2[im] * q1 - cr[im] * p1 - f2[im] / p1
+            mul(g2[im], q1, t); mul(cr[im], p1, u); sub(t, u, k2q); div(f2[im], p1, u); sub(k2q, u, k2q)
+            mul(hh, q1, t); add(p, t, p2)  # p2 = p + hh * q1
+            mul(hh, k2q, t); add(q, t, q2)  # q2 = q + hh * k2q
+            # k3q = g2[im] * q2 - cr[im] * p2 - f2[im] / p2
+            mul(g2[im], q2, t); mul(cr[im], p2, u); sub(t, u, k3q); div(f2[im], p2, u); sub(k3q, u, k3q)
+            mul(hv, q2, t); add(p, t, p3)  # p3 = p + hv * q2
+            mul(hv, k3q, t); add(q, t, q3)  # q3 = q + hv * k3q
+            # k4q = g2[ie] * q3 - cr[ie] * p3 - f2[ie] / p3
+            mul(g2[ie], q3, t); mul(cr[ie], p3, u); sub(t, u, k4q); div(f2[ie], p3, u); sub(k4q, u, k4q)
+            # P[i + 1] = p + h6 * (q + two * q1 + two * q2 + q3)
+            mul(two, q1, t); add(q, t, t); mul(two, q2, u); add(t, u, t); add(t, q3, t)
+            mul(h6, t, t); add(p, t, P[i + 1])
+            # Q[i + 1] = q + h6 * (k1q + two * k2q + two * k3q + k4q)
+            mul(two, k2q, t); add(k1q, t, t); mul(two, k3q, u); add(t, u, t); add(t, k4q, t)
+            mul(h6, t, t); add(q, t, Q[i + 1])
     # once per chunk, not per step; NaN compares false
     bad = ~(out_phi[1:] > 0.0) | ~np.isfinite(out_psi[1:])
     if bad.any():
@@ -155,10 +184,11 @@ def _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi):
 
 
 def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
-    """March phi'' = 2*gl*phi' - cc*phi - 0.5*ff/phi over one chunk.
+    """March phi'' = 2*gl*phi' - cc*phi - 0.5*ff/phi by nc steps.
 
     gl, cc, ff: (2*nc+1, M) at half-steps; phi, psi: (M,) state, updated in
-    place; out_phi/out_psi: (nc+1, M) node storage including the entry state.
+    place; h: (M,) step of each column; out_phi/out_psi: (nc+1, M) node
+    storage including the entry state.
     Returns the flat index i*M + j of the first step i at which the phi of
     point j is nonpositive or NaN or its psi is not finite, or -1; after a
     failure the state and the rows past step i are unspecified.
@@ -178,50 +208,224 @@ def _distinct_columns(phi, psi, gl, cc, ff):
 
     Columns are first keyed by a fingerprint of their uint64 views: the
     state, and each coefficient's wrapping sum, first and last row.  Only
-    columns with equal fingerprints are compared in full, all at once.
+    columns with equal fingerprints are compared in full: each with the
+    previous column of its fingerprint, all pairs d columns apart at once as
+    the basic slices b.flat[d:] and b.flat[:-d] of the contiguous rows, so a
+    column equals its first occurrence when every link of that chain holds.
     """
     bits = [a.view(np.uint64) for a in (phi, psi, gl, cc, ff)]
     rows = bits[:2] + [r for b in bits[2:] for r in (b.sum(axis=0, dtype=np.uint64), b[0], b[-1])]
-    seen = {}
-    firsts = np.array([seen.setdefault(key, j) for j, key in enumerate(zip(*(r.tolist() for r in rows)))])
+    first, last, firsts, prevs = {}, {}, [], []
+    for j, key in enumerate(zip(*(r.tolist() for r in rows))):
+        firsts.append(first.setdefault(key, j))
+        prevs.append(last.get(key, j))
+        last[key] = j
+    firsts, prevs = np.array(firsts), np.array(prevs)
     dup = np.flatnonzero(firsts != np.arange(len(firsts)))
-    same = np.ones(len(dup), bool)
-    for b in bits[2:]:
-        same &= (b[:, dup] == b[:, firsts[dup]]).all(axis=0)
+    same = np.ones(len(firsts), bool)
+    offset = dup - prevs[dup]
+    eq = np.empty(gl.size, bool)
+    for d in np.unique(offset).tolist():
+        pairs = dup[offset == d]
+        for b in bits[2:]:
+            flat = b.reshape(-1)  # column j of a row against column j - d
+            np.equal(flat[d:], flat[:-d], out=eq[d:])
+            same[pairs] &= eq.reshape(b.shape)[:, pairs].all(axis=0)
+    for j in dup.tolist():  # in increasing order, so each link's earlier end is settled
+        same[j] &= same[prevs[j]]
     # a fingerprint collision: the column's first byte-equal column, if any,
     # is an earlier first occurrence
-    for j in dup[~same]:
+    for j in dup[~same[dup]]:
         firsts[j] = next((i for i in range(j) if firsts[i] == i
                           and all(np.array_equal(b[..., i], b[..., j]) for b in bits)), j)
     return np.unique(firsts, return_inverse=True)
 
 
-def _rk4_distinct(phi, psi, gl, cc, ff, h, out_phi, out_psi):
-    """_rk4_chunk over the distinct columns only, scattered back to all M points.
+@dataclass
+class Problem:
+    """One march: phi'' = 2*glog*phi' - coeff*phi - source/(2 phi) from phi0, dphi0.
 
-    Byte-equal columns march to byte-equal nodes in every kernel, so this is
-    bit-identical to marching each point.  The failure returned is the flat
-    index over the M points: the kernel's first failing step, and the
-    smallest point whose column fails on it (first occurrences are in
-    increasing order, so that is the first occurrence of the kernel's
-    smallest failing distinct column).
+    grids: consecutive segments, each marched at its own step from the end
+    state of the one before; glog_fn/coeff_fn/source_fn map a batch of ub
+    values (K,) to (K, *shape) coefficient arrays (source_fn may be None for
+    the homogeneous equation), each called once per chunk on the chunk's
+    half-step lattice; jumps: optional derivative increments applied at the
+    interior breakpoints, each a callable (phi_values -> dphi_increment) or
+    None.
     """
-    M = phi.shape[0]
-    first, inverse = _distinct_columns(phi, psi, gl, cc, ff) if M > 1 else ([0], None)
-    U = len(first)
-    if U == M:
-        return _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi)
-    u_phi, u_psi = phi[first], psi[first]
-    u_out_phi, u_out_psi = np.empty((out_phi.shape[0], U)), np.empty((out_psi.shape[0], U))
-    bad = _rk4_chunk(u_phi, u_psi, gl[:, first], cc[:, first], ff[:, first], h, u_out_phi, u_out_psi)
-    if bad >= 0:
-        step, u = divmod(bad, U)
-        return step * M + int(first[u])
-    out_phi[:] = u_out_phi[:, inverse]
-    out_psi[:] = u_out_psi[:, inverse]
-    phi[:] = out_phi[-1]
-    psi[:] = out_psi[-1]
-    return -1
+
+    grids: list  # list[Grid1D]
+    glog_fn: Callable[[np.ndarray], np.ndarray]
+    coeff_fn: Callable[[np.ndarray], np.ndarray]
+    source_fn: Callable[[np.ndarray], np.ndarray] | None
+    phi0: np.ndarray
+    dphi0: np.ndarray
+    jumps: list | None = None
+
+
+class _March:
+    """One problem inside march: its finished pieces, the nodes of its
+    segment, and the distinct columns of its current chunk.
+
+    Of the chunk it holds those columns' coefficients on the lattice and
+    their nodes o_phi, o_psi, of which the first done + 1 (of nc + 1) are
+    marched.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.shape = np.shape(problem.phi0)
+        self.M = int(np.prod(self.shape)) if self.shape else 1
+        self.pieces = []
+        self._start_segment(problem.phi0, problem.dphi0)
+
+    @property
+    def finished(self):
+        return len(self.pieces) == len(self.problem.grids)
+
+    def _start_segment(self, phi0, dphi0):
+        self.grid = self.problem.grids[len(self.pieces)]
+        self.out_phi, self.out_psi, self.acc = (np.empty((self.grid.n, self.M)) for _ in range(3))
+        self.out_phi[0] = np.reshape(phi0, self.M)
+        self.out_psi[0] = np.reshape(dphi0, self.M)
+        self.pos = self.nc = self.done = 0
+
+    def advance(self):
+        """Close a fully marched chunk, and its segment if that ends with it;
+        then load the next chunk.  Calls the problem's providers and jumps."""
+        if self.done < self.nc:
+            return
+        if self.nc:
+            self._close_chunk()
+        if self.pos == self.grid.n - 1:
+            self._close_segment()
+        if not self.finished:
+            self._load()
+
+    def _load(self):
+        grid, M, p, pos = self.grid, self.M, self.problem, self.pos
+        nc = min(_CHUNK, grid.n - 1 - pos)
+        ub = grid.a + (pos + 0.5 * np.arange(2 * nc + 1)) * grid.h
+        gl = _broadcast_coeff(p.glog_fn, ub, M)
+        cc = _broadcast_coeff(p.coeff_fn, ub, M)
+        ff = _broadcast_coeff(p.source_fn, ub, M) if p.source_fn is not None else np.zeros((2 * nc + 1, M))
+        phi, psi = self.out_phi[pos], self.out_psi[pos]
+        self.first, inverse = _distinct_columns(phi, psi, gl, cc, ff) if M > 1 else ([0], [0])
+        # when every column is distinct, basic slices take them without copies
+        pick, self.inverse = (self.first, inverse) if len(self.first) < M else (slice(None), slice(None))
+        self.gl, self.cc, self.ff = gl[:, pick], cc[:, pick], ff[:, pick]
+        self.o_phi, self.o_psi = np.empty((2, nc + 1, len(self.first)))
+        self.o_phi[0], self.o_psi[0] = phi[pick], psi[pick]
+        self.nc, self.done = nc, 0
+
+    def failure(self, step, u):
+        """The FocusingError of distinct column u failing on a round's step.
+
+        First occurrences are in increasing order, so the first point of the
+        kernel's smallest failing column is the smallest failing point, the
+        one a march of every point would name.
+        """
+        j = int(self.first[u])
+        loc = self.grid.a + (self.pos + self.done + step + 1) * self.grid.h
+        return FocusingError(
+            f"conformal factor nonpositive or NaN, or its derivative not finite, near ub={loc:.6g}"
+            f" (angular flat index {j})",
+            location=(loc, j),
+        )
+
+    def _close_chunk(self):
+        # the even lattice points are the nodes pos..pos+nc
+        acc = 2.0 * self.gl[::2] * self.o_psi - self.cc[::2] * self.o_phi - 0.5 * self.ff[::2] / self.o_phi
+        rows = slice(self.pos, self.pos + self.nc + 1)
+        for out, nodes in ((self.out_phi, self.o_phi), (self.out_psi, self.o_psi), (self.acc, acc)):
+            out[rows] = nodes[:, self.inverse]
+        self.gl = self.cc = self.ff = self.o_phi = self.o_psi = None
+        self.pos += self.nc
+        self.nc = self.done = 0
+
+    def _close_segment(self):
+        final_shape = (self.grid.n,) + self.shape
+        sol = DenseSolution(
+            self.grid,
+            self.out_phi.reshape(final_shape),
+            self.out_psi.reshape(final_shape),
+            self.acc.reshape(final_shape),
+        )
+        self.pieces.append(sol)
+        if not self.finished:
+            phi, dphi = sol.phi[-1], sol.dphi[-1]
+            jumps = self.problem.jumps
+            jump = jumps[len(self.pieces) - 1] if jumps is not None else None
+            self._start_segment(phi, dphi if jump is None else dphi + jump(phi.copy()))
+
+
+def _side_by_side(arrays):
+    """The arrays joined along their last axis; a lone array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+
+
+def _round(marches):
+    """One kernel call: every march in marches moves by the fewest steps any
+    has left in its chunk, its distinct columns side by side with the others'.
+
+    When the kernel names a failing column, the marches before its problem
+    run the round again without it and the ones after it are dropped.
+    Returns the marches that moved, and the FocusingError of the first
+    problem in list order that failed, or None.
+    """
+    failure = None
+    while marches:
+        k = min(m.nc - m.done for m in marches)
+        cut = np.cumsum([0] + [len(m.first) for m in marches]).tolist()
+        rows = [slice(2 * m.done, 2 * (m.done + k) + 1) for m in marches]
+        gl, cc, ff = (_side_by_side([getattr(m, name)[r] for m, r in zip(marches, rows)])
+                      for name in ("gl", "cc", "ff"))
+        phi = np.concatenate([m.o_phi[m.done] for m in marches])
+        psi = np.concatenate([m.o_psi[m.done] for m in marches])
+        h = np.concatenate([np.full(len(m.first), m.grid.h) for m in marches])
+        out_phi, out_psi = np.empty((2, k + 1, cut[-1]))
+        bad = _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi)
+        if bad < 0:
+            for m, lo, hi in zip(marches, cut[:-1], cut[1:]):
+                m.o_phi[m.done : m.done + k + 1] = out_phi[:, lo:hi]
+                m.o_psi[m.done : m.done + k + 1] = out_psi[:, lo:hi]
+                m.done += k
+            return marches, failure
+        step, col = divmod(bad, cut[-1])
+        j = int(np.searchsorted(cut, col, side="right")) - 1
+        failure = marches[j].failure(step, col - cut[j])
+        marches = marches[:j]
+    return marches, failure
+
+
+def march(problems) -> list:
+    """March every problem; returns, per problem, its DenseSolution per grid.
+
+    The unfinished problems advance together, one _round at a time; each
+    problem's nodes are bit-identical to marching it alone (module
+    docstring).  When problems fail, the one raised is the exception a loop
+    over the problems would raise: the first failing problem's, in list
+    order, whether a FocusingError of the march or an error of its providers
+    or jumps.  Once problem j has failed the problems after it are dropped,
+    and the ones before it march on.
+    """
+    marches = [_March(p) for p in problems]
+    active, failure = marches, None
+    while active:
+        for i, m in enumerate(active):
+            try:
+                m.advance()
+            except Exception as exc:  # raised once the problems before this one are done
+                active, failure = active[:i], exc
+                break
+        active = [m for m in active if not m.finished]
+        if active:
+            active, failed = _round(active)
+            if failed is not None:
+                failure = failed
+    if failure is not None:
+        raise failure
+    return [m.pieces for m in marches]
 
 
 _H0 = np.array([1.0, 0.0, 0.0, -10.0, 15.0, -6.0])
@@ -310,49 +514,11 @@ def solve_linear_second_order(
 ) -> DenseSolution:
     """March phi'' = 2*glog*phi' - coeff*phi - source/(2 phi) on grid nodes.
 
-    glog_fn/coeff_fn/source_fn map a batch of ub values (K,) to (K, *shape)
-    coefficient arrays (source_fn may be None for the homogeneous equation);
-    each is called once per chunk, on the chunk's half-step lattice.
+    The one-problem, one-grid march (Problem gives the providers' form).
     Raises FocusingError at the first node where phi is nonpositive or NaN or
     phi' is not finite.
     """
-    shape = np.shape(phi0)
-    M = int(np.prod(shape)) if shape else 1
-    phi = np.array(phi0, dtype=float).reshape(M).copy()
-    psi = np.array(dphi0, dtype=float).reshape(M).copy()
-    n = grid.n
-    h = grid.h
-    out_phi = np.empty((n, M))
-    out_psi = np.empty((n, M))
-    acc = np.empty((n, M))
-    pos = 0
-    while pos < n - 1:
-        nc = min(_CHUNK, n - 1 - pos)
-        ub = grid.a + (pos + 0.5 * np.arange(2 * nc + 1)) * h
-        gl = _broadcast_coeff(glog_fn, ub, M)
-        cc = _broadcast_coeff(coeff_fn, ub, M)
-        ff = _broadcast_coeff(source_fn, ub, M) if source_fn is not None else np.zeros((2 * nc + 1, M))
-        o_phi = out_phi[pos : pos + nc + 1]
-        o_psi = out_psi[pos : pos + nc + 1]
-        bad = _rk4_distinct(phi, psi, gl, cc, ff, h, o_phi, o_psi)
-        if bad >= 0:
-            step, j = divmod(int(bad), M)
-            loc = grid.a + (pos + step + 1) * h
-            raise FocusingError(
-                f"conformal factor nonpositive or NaN, or its derivative not finite, near ub={loc:.6g}"
-                f" (angular flat index {j})",
-                location=(loc, j),
-            )
-        # the even lattice points are the nodes pos..pos+nc
-        acc[pos : pos + nc + 1] = 2.0 * gl[::2] * o_psi - cc[::2] * o_phi - 0.5 * ff[::2] / o_phi
-        pos += nc
-    final_shape = (n,) + (shape if shape else ())
-    return DenseSolution(
-        grid,
-        out_phi.reshape(final_shape),
-        out_psi.reshape(final_shape),
-        acc.reshape(final_shape),
-    )
+    return march([Problem([grid], glog_fn, coeff_fn, source_fn, phi0, dphi0)])[0][0]
 
 
 def _broadcast_coeff(fn, ub, M):
@@ -364,7 +530,10 @@ class PiecewiseSolution:
     """Solutions on consecutive segments; continuous value, derivative may jump."""
 
     pieces: list  # list[DenseSolution]
-    breakpoints: np.ndarray  # segment boundaries including interval ends
+    breakpoints: np.ndarray = field(init=False)  # segment boundaries including interval ends
+
+    def __post_init__(self):
+        self.breakpoints = np.array([self.pieces[0].grid.a] + [p.grid.b for p in self.pieces], dtype=float)
 
     def _piece(self, ub):
         return np.clip(
@@ -400,6 +569,13 @@ class PiecewiseSolution:
         return out
 
 
+def segmented_grids(pieces) -> list:
+    """Grids of consecutive (lo, hi, step) segments, each at the target step
+    and at least 9 nodes, in the (lo, hi, ...) form of
+    quadrature.composite_rule's pieces."""
+    return [Grid1D(a, b, max(9, int(np.ceil((b - a) / step)) + 1)) for a, b, step in pieces]
+
+
 def solve_linear_segmented(
     pieces,
     glog_fn,
@@ -409,25 +585,6 @@ def solve_linear_segmented(
     dphi0,
     jumps=None,
 ) -> PiecewiseSolution:
-    """Segment-by-segment march with per-segment step sizes.
-
-    pieces: consecutive (lo, hi, step) segments, each marched at the target
-    step, in the (lo, hi, ...) form of quadrature.composite_rule's pieces;
-    jumps: optional derivative increments applied at interior breakpoints,
-    each a callable (phi_values -> dphi_increment) or None.
-    """
-    phi = np.array(phi0, dtype=float)
-    dphi = np.array(dphi0, dtype=float)
-    sols = []
-    for j, (a, b, step) in enumerate(pieces):
-        n = max(9, int(np.ceil((b - a) / step)) + 1)
-        sol = solve_linear_second_order(
-            Grid1D(a, b, n), glog_fn, coeff_fn, source_fn, phi, dphi
-        )
-        sols.append(sol)
-        phi = sol.phi[-1].copy()
-        dphi = sol.dphi[-1].copy()
-        if jumps is not None and j < len(pieces) - 1 and jumps[j] is not None:
-            dphi = dphi + jumps[j](phi)
-    breakpoints = np.array([pieces[0][0]] + [hi for _, hi, _ in pieces], dtype=float)
-    return PiecewiseSolution(sols, breakpoints)
+    """Segment-by-segment march with per-segment step sizes: the one-problem
+    march on segmented_grids(pieces), with the jumps of Problem."""
+    return PiecewiseSolution(march([Problem(segmented_grids(pieces), glog_fn, coeff_fn, source_fn, phi0, dphi0, jumps)])[0])

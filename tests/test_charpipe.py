@@ -219,7 +219,7 @@ def test_gauge_identity_oscillator_data():
     bg = make_background(chart, grid, f_level=1.0)
     k = H.select_k(bg)
     fam = H.OscillatoryFamily(bg, k, 8)
-    sol = H.solve_phi_n(fam)
+    sol, = H.solve_phi_n([fam])
     ring = np.zeros((2, 2) + chart.shape)
     ring[0, 0] = ring[1, 1] = 1.0
     data = C.ReducedCharData(grid, chart, ring, bg.data.omega, bg.data.dlog_omega,

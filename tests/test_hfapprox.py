@@ -156,7 +156,7 @@ def test_positivity_escalation(chart, grid):
 def test_phi_solution_matches_dust_when_no_density(chart, grid):
     bg = make_background(chart, grid, f_level=0.0)
     fam = H.OscillatoryFamily(bg, 8.0, 4)
-    sol = H.solve_phi_n(fam)
+    sol, = H.solve_phi_n([fam])
     nodes = sol.grid.points()
     assert np.abs(sol.phi - bg.phi(nodes)).max() < 1e-12
 
@@ -291,7 +291,7 @@ def oracle_family_convergence(background, n_values):
             (fam.dgamma_normsq(ub) - background.data.dgamma_normsq(ub)) * background.phi(ub) ** 2
             - 4.0 * np.maximum(background.f(ub), 0.0)
         )
-        sol = H.solve_phi_n(fam)
+        sol, = H.solve_phi_n([fam])
         nodes = sol.grid.points()
         rows.append({
             "n": n,
@@ -324,10 +324,10 @@ def test_family_convergence_rows_equal_separate_evaluation(chart, grid, monkeypa
         envelopes[where[0]] += 1
         return envelope(fam, ub)
 
-    def marching(fam):
+    def marching(families):
         where[0] = "march"
         try:
-            return solve(fam)
+            return solve(families)
         finally:
             where[0] = "row"
 

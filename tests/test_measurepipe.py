@@ -30,7 +30,7 @@ def setting():
     bv = C.solve_constraint(data, 1.0, 0.15)
     pipe = MP.MeasurePipeline(data, bv)
     pipe.freeze_k([1, 5])
-    members = {m: pipe.member(m) for m in range(1, 6)}
+    members = dict(zip(range(1, 6), pipe.members(range(1, 6))))
     return chart, grid, data, bv, pipe, members
 
 
@@ -105,7 +105,7 @@ def test_empty_measure_gives_constant_family():
     ub = np.linspace(0, 1, 501)
     vals = []
     for m in (1, 3):
-        mem = pipe.member(m)
+        mem, = pipe.members([m])
         ea, eb, ed = mem.family.entries(ub)
         vals.append((ea.copy(), mem.phi_vac(ub)))
     assert np.array_equal(vals[0][0], vals[1][0])
@@ -122,7 +122,7 @@ def test_linearity_in_atom_mass(setting):
     bv2 = C.solve_constraint(data2, 1.0, 0.15)
     pipe2 = MP.MeasurePipeline(data2, bv2)
     pipe2.freeze_k([1, 4])
-    mem2 = pipe2.member(4)
+    mem2, = pipe2.members([4])
     tf = bump_dictionary(grid, chart)[1]
     row1 = MP.pipeline_weak_check(pipe, [members[4]], [tf])[0]
     row2 = MP.pipeline_weak_check(pipe2, [mem2], [tf])[0]
@@ -130,18 +130,19 @@ def test_linearity_in_atom_mass(setting):
 
 
 def test_member_does_not_depend_on_members_built_before(setting):
+    # level 3 alone, after levels 1 and 2, and in one batch with them
     chart, grid, data, bv, pipe, members = setting
-    alone, after = MP.MeasurePipeline(data, bv), MP.MeasurePipeline(data, bv)
-    for fresh in (alone, after):
+    alone, after, batch = (MP.MeasurePipeline(data, bv) for _ in range(3))
+    for fresh in (alone, after, batch):
         fresh.freeze_k([1, 3])
-    for m in (1, 2):
-        after.member(m)
-    one, other = alone.member(3), after.member(3)
-    assert one.family.n == other.family.n and one.family.k == other.family.k
-    assert len(one.phi_vac.pieces) == len(other.phi_vac.pieces)
-    assert np.array_equal(one.phi_vac.breakpoints, other.phi_vac.breakpoints)
-    for p, q in zip(one.phi_vac.pieces, other.phi_vac.pieces):
-        assert np.array_equal(p.phi, q.phi) and np.array_equal(p.dphi, q.dphi)
+    after.members([1, 2])
+    (one,), (other,) = alone.members([3]), after.members([3])
+    for twin in (other, batch.members([1, 2, 3])[2]):
+        assert one.family.n == twin.family.n and one.family.k == twin.family.k
+        assert len(one.phi_vac.pieces) == len(twin.phi_vac.pieces)
+        assert np.array_equal(one.phi_vac.breakpoints, twin.phi_vac.breakpoints)
+        for p, q in zip(one.phi_vac.pieces, twin.phi_vac.pieces):
+            assert p.phi.tobytes() == q.phi.tobytes() and p.dphi.tobytes() == q.dphi.tobytes()
 
 
 def test_pipeline_linearity_equals_doubled_run_with_every_member(monkeypatch):
@@ -152,7 +153,7 @@ def test_pipeline_linearity_equals_doubled_run_with_every_member(monkeypatch):
 
     def every_member(pipe, members, tests):
         if len(members) < len(m_seq):
-            members = [pipe.member(m) for m in m_seq]
+            members = pipe.members(m_seq)
         return check(pipe, members, tests)
 
     monkeypatch.setattr(MP, "pipeline_weak_check", every_member)

@@ -99,9 +99,8 @@ def test_phi_convergence_and_derivative_floor(setting):
     glued = C.solve_constraint(data, 1.0, 0.1)
     jump = float(np.abs(glued.deriv_jumps()[0][1]).max())
     sups, dsups = [], []
-    for m in (2, 4, 6):
-        fm = M.MollifiedDensity(data, m)
-        sol = M.solve_phi_m_dust(fm, 1.0, 0.1)
+    fms = [M.MollifiedDensity(data, m) for m in (2, 4, 6)]
+    for fm, sol in zip(fms, M.solve_phi_m_dust(fms, 1.0, 0.1)):
         xs = np.linspace(0, 1, 2001)
         sups.append(float(np.abs(sol(xs) - glued(xs)).max()))
         eps = fm.eps

@@ -1,4 +1,5 @@
-"""The RK4 march: the chunk kernels, their dispatch, failures, node values."""
+"""The RK4 march: the chunk kernels, their dispatch, failures, node values,
+and the lockstep march of several problems."""
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from nulldust.odesolve import FocusingError, solve_linear_second_order
 ROWS = odesolve._ROWS_MIN_POINTS
 
 
-def _rk4_points(phi, psi, gl, cc, ff, h, out_phi, out_psi):
-    """Oracle: the classical step, point by point on numpy scalars."""
+def _rk4_points(phi, psi, gl, cc, ff, hs, out_phi, out_psi):
+    """Oracle: the classical step, point by point on numpy scalars, each
+    point at its own step hs[j]."""
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
     for j in range(M):
@@ -20,7 +22,7 @@ def _rk4_points(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     for i in range(nc):
         i0 = 2 * i
         for j in range(M):
-            p, q = phi[j], psi[j]
+            p, q, h = phi[j], psi[j], hs[j]
             k1p = q
             k1q = 2.0 * gl[i0, j] * q - cc[i0, j] * p - 0.5 * ff[i0, j] / p
             p1 = p + 0.5 * h * k1p
@@ -62,13 +64,35 @@ def chunk_inputs(M, nc, seed):
 
 
 def run_kernel(kernel, inputs, h):
+    """One kernel call on chunk inputs; h: one step for every column, or (M,) steps."""
     phi0, psi0, gl, cc, ff = inputs
     M, nc = phi0.shape[0], (gl.shape[0] - 1) // 2
     phi, psi = phi0.copy(), psi0.copy()
     out_phi, out_psi = np.empty((nc + 1, M)), np.empty((nc + 1, M))
     with np.errstate(all="ignore"):  # the oracle divides by a zero stage value
-        bad = kernel(phi, psi, gl, cc, ff, h, out_phi, out_psi)
+        bad = kernel(phi, psi, gl, cc, ff, np.broadcast_to(h, M).copy(), out_phi, out_psi)
     return bad, phi, psi, out_phi, out_psi
+
+
+def chunk_problem(inputs, h):
+    """A one-grid Problem of nc steps h whose providers return the chunk inputs."""
+    phi0, psi0, gl, cc, ff = inputs
+    nc = (gl.shape[0] - 1) // 2
+    grid = Grid1D(0.0, nc * h, nc + 1)
+    assert grid.h == h and nc <= odesolve._CHUNK  # one chunk, on this lattice
+    return odesolve.Problem([grid], lambda ub: gl, lambda ub: cc, lambda ub: ff, phi0.copy(), psi0.copy())
+
+
+def march_chunk(inputs, h):
+    """run_kernel's result, from the march of chunk_problem(inputs, h): its
+    failure as the flat index step*M + j, or its state and nodes."""
+    M = inputs[0].shape[0]
+    try:
+        sol = odesolve.march([chunk_problem(inputs, h)])[0][0]
+    except FocusingError as err:
+        ub, j = err.location
+        return (round(ub / h) - 1) * M + j, None, None, None, None
+    return -1, sol.phi[-1], sol.dphi[-1], sol.phi, sol.dphi
 
 
 def assert_same_march(got, want):
@@ -226,8 +250,8 @@ def test_node_second_derivative_is_rhs_on_grid_points(M, n):
 
 
 def _undeduplicated(monkeypatch):
-    """Make solve_linear_second_order march every point, as one problem."""
-    monkeypatch.setattr(odesolve, "_rk4_distinct", odesolve._rk4_chunk)
+    """Make the march treat every point as a distinct column."""
+    monkeypatch.setattr(odesolve, "_distinct_columns", lambda phi, *args: (np.arange(len(phi)),) * 2)
 
 
 def record_chunk_points(monkeypatch):
@@ -262,7 +286,7 @@ def test_duplicated_columns_march_as_separate_columns(M, monkeypatch):
     inputs, cols = tiled_inputs(M, U, 60, seed=M)
     assert len(set(cols)) == U < M
     seen = record_chunk_points(monkeypatch)
-    got = run_kernel(odesolve._rk4_distinct, inputs, 0.01)
+    got = march_chunk(inputs, 0.01)
     assert seen == [U]
     same_bytes(got, run_kernel(_rk4_points, inputs, 0.01))
     # the whole march, every column run separately as a problem of its own
@@ -328,7 +352,7 @@ def test_columns_differing_in_one_bit_pattern_march_separately(where, nudge, mon
         target[2] = np.nextafter(target[2], np.inf)
     inputs = (phi0, psi0, gl, cc, ff)
     seen = record_chunk_points(monkeypatch)
-    got = run_kernel(odesolve._rk4_distinct, inputs, 0.01)
+    got = march_chunk(inputs, 0.01)
     assert seen == [2]
     same_bytes(got, run_kernel(_rk4_points, inputs, 0.01))
     if where == "psi0" and nudge == "signed_zero":
@@ -369,6 +393,19 @@ def test_columns_differing_deep_in_a_coefficient_row_stay_distinct(case):
             assert sums[0] == sums[2] and a[0, 0] == a[0, 2] and a[-1, 0] == a[-1, 2]
 
 
+@pytest.mark.parametrize("twin", [[2, 3], [1, 2, 3], [6, 7]])
+def test_run_of_colliding_columns_stays_apart_from_the_first(twin):
+    # the twins equal each other and collide with the other columns' fingerprint:
+    # a twin's equal neighbour does not make it equal to the first column
+    inputs, _ = tiled_inputs(8, 1, 2048, seed=11)
+    phi0, psi0, gl, cc, ff = (x.copy() for x in inputs)
+    cc[1234:1236, twin] = cc[1234:1236, twin][::-1]
+    first, inverse = odesolve._distinct_columns(phi0, psi0, gl, cc, ff)
+    want_first, want_inverse = bytes_keyed_columns(phi0, psi0, gl, cc, ff)
+    assert first.tolist() == want_first.tolist() == [0, twin[0]]
+    assert inverse.tolist() == want_inverse.tolist()
+
+
 def crossing_step(omega, h, nc):
     """The step on which phi = cos(omega ub) fails, from the point loop."""
     bad = run_kernel(_rk4_points, oscillators([omega], nc), h)[0]
@@ -386,7 +423,7 @@ def test_failure_in_duplicated_column_names_its_first_point(monkeypatch):
     want = run_kernel(_rk4_points, inputs, h)
     assert want[0] % 8 == 3
     seen = record_chunk_points(monkeypatch)
-    assert run_kernel(odesolve._rk4_distinct, inputs, h)[0] == want[0]
+    assert march_chunk(inputs, h)[0] == want[0]
     assert seen == [4]
     # a distinct column failing on the same step: the smaller point wins,
     # whether it is the duplicated column's first point or the other one
@@ -396,7 +433,7 @@ def test_failure_in_duplicated_column_names_its_first_point(monkeypatch):
         inputs = oscillators(omega_tie, nc)
         want = run_kernel(_rk4_points, inputs, h)
         assert want[0] % 8 == j
-        assert run_kernel(odesolve._rk4_distinct, inputs, h)[0] == want[0]
+        assert march_chunk(inputs, h)[0] == want[0]
 
 
 @pytest.mark.parametrize("n", [601, odesolve._CHUNK + 601])
@@ -526,3 +563,127 @@ def test_piecewise_output_bit_identical_to_mask_loop(shape):
             method = lambda piece, x: getattr(piece, name)(x)
             got = getattr(pw, name)(ub)
             assert got.tobytes() == _apply_oracle(pw, ub, method).tobytes()
+
+
+# --- lockstep march of several problems ----------------------------------------
+
+
+@pytest.mark.parametrize("kernel", ["columns", "rows"])
+def test_kernels_take_a_step_per_column(kernel):
+    inputs = chunk_inputs(ROWS + 3, 80, seed=4)
+    h = np.random.default_rng(4).uniform(0.005, 0.02, ROWS + 3)
+    assert_same_march(run_kernel(KERNELS[kernel], inputs, h), run_kernel(_rk4_points, inputs, h))
+
+
+def shaped_problem(shape, grids, seed, source=True, jumps=None):
+    """A Problem with smooth coefficients, different on each point of shape."""
+    M = int(np.prod(shape))
+    glog, coeff, src = chart_coeffs(M)
+    k = np.random.default_rng(seed).uniform(0.5, 1.5)
+    fields = lambda fn: (lambda ub: fn(k * ub).reshape((len(ub),) + shape))
+    return odesolve.Problem(grids, fields(glog), fields(coeff), fields(src) if source else None,
+                            np.full(shape, 1.0 + 0.1 * k), np.full(shape, 0.1 * k), jumps)
+
+
+def lockstep_problems():
+    chunk = odesolve._CHUNK
+    return [
+        shaped_problem((8, 4), [Grid1D(0.0, 1.0, 301)], seed=0),
+        shaped_problem((), [Grid1D(0.0, 2.0, chunk + 517)], seed=1),  # crosses a chunk boundary
+        shaped_problem((8, 4), [Grid1D(0.0, 0.5, 97), Grid1D(0.5, 0.6, 41), Grid1D(0.6, 1.5, 1201)], seed=2,
+                       source=False, jumps=[lambda phi: -0.1 / phi, None]),
+        shaped_problem((), [Grid1D(0.0, 0.4, 51), Grid1D(0.4, 1.0, chunk + 9)], seed=3,
+                       jumps=[lambda phi: 0.05 * phi]),
+        shaped_problem((8, 4), [Grid1D(0.0, 1.0, 3)], seed=4, source=False),
+    ]
+
+
+def same_pieces(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.grid == b.grid
+        for x, y in zip((a.phi, a.dphi, a.ddphi), (b.phi, b.dphi, b.ddphi)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_lockstep_march_equals_marching_each_problem_alone(monkeypatch):
+    seen = record_chunk_points(monkeypatch)
+    batch = odesolve.march(lockstep_problems())
+    rounds = list(seen)
+    assert max(rounds) >= ROWS > min(rounds)  # the round's total picks the kernel
+    for problem, pieces in zip(lockstep_problems(), batch):
+        same_pieces(pieces, odesolve.march([problem])[0])
+    # the one-problem wrappers are the same march
+    one, seg = lockstep_problems()[1], lockstep_problems()[2]
+    same_pieces([solve_linear_second_order(one.grids[0], one.glog_fn, one.coeff_fn, one.source_fn,
+                                           one.phi0, one.dphi0)], batch[1])
+    pw = odesolve.solve_linear_segmented(
+        [(g.a, g.b, g.h) for g in seg.grids], seg.glog_fn, seg.coeff_fn, None, seg.phi0, seg.dphi0, seg.jumps)
+    same_pieces(pw.pieces, batch[2])
+    assert pw.breakpoints.tolist() == [0.0, 0.5, 0.6, 1.5]
+
+
+def test_lockstep_providers_see_the_chunks_of_a_lone_march():
+    def logged(problem, log):
+        def provider(ub):
+            log.append(ub.tobytes())
+            return problem.coeff_fn(ub)
+        return odesolve.Problem(problem.grids, problem.glog_fn, provider, problem.source_fn,
+                                problem.phi0, problem.dphi0, problem.jumps)
+
+    batch_logs = [[] for _ in lockstep_problems()]
+    odesolve.march([logged(p, log) for p, log in zip(lockstep_problems(), batch_logs)])
+    for problem, log in zip(lockstep_problems(), batch_logs):
+        alone = []
+        odesolve.march([logged(problem, alone)])
+        assert log == alone
+
+
+def test_equal_columns_with_different_steps_stay_apart(monkeypatch):
+    # the same constant coefficients and state on two grids whose steps differ
+    grids = [Grid1D(0.0, 1.0, 101), Grid1D(0.0, 1.0, 121)]
+    make = lambda grid: odesolve.Problem([grid], lambda ub: np.zeros((len(ub), 4)), lambda ub: np.ones((len(ub), 4)),
+                                         None, np.ones(4), np.zeros(4))
+    seen = record_chunk_points(monkeypatch)
+    batch = odesolve.march([make(g) for g in grids])
+    assert seen == [2, 1]  # one distinct column each; the first problem finishes first
+    for grid, pieces in zip(grids, batch):
+        same_pieces(pieces, odesolve.march([make(grid)])[0])
+        assert abs(pieces[0].phi[-1, 0] - np.cos(1.0)) < 1e-8
+
+
+def crushing_problem(n, crush_at, M=4):
+    """Point 2 of M follows phi = cos(omega ub) and crosses zero near ub = crush_at."""
+    omega = 0.5 * np.pi / crush_at
+    crushed = np.arange(M) == 2
+    glog, coeff, _ = chart_coeffs(M)
+    return odesolve.Problem([Grid1D(0.0, 1.0, n)], lambda ub: np.where(crushed, 0.0, glog(ub)),
+                            lambda ub: np.where(crushed, omega**2, coeff(ub)), None, np.ones(M), np.zeros(M))
+
+
+def failure_of(problems):
+    with pytest.raises(Exception) as err:
+        odesolve.march(problems)
+    return err.value
+
+
+def test_first_failing_problem_in_list_order_is_raised():
+    late = crushing_problem(odesolve._CHUNK + 201, 0.97)  # fails in its second chunk
+    early = crushing_problem(301, 0.2)
+    want = failure_of([late])
+    assert isinstance(want, FocusingError) and abs(want.location[0] - 0.97) < 0.01 and want.location[1] == 2
+    got = failure_of([late, early, crushing_problem(501, 0.1)])
+    assert type(got) is FocusingError and got.location == want.location and str(got) == str(want)
+    # a later problem's failure is raised when the ones before it finish
+    fine = shaped_problem((8, 4), [Grid1D(0.0, 1.0, 301)], seed=0)
+    assert failure_of([fine, early]).location == failure_of([early]).location
+
+
+def test_provider_errors_follow_the_same_order():
+    def broken(ub):
+        raise ValueError("provider")
+
+    late = crushing_problem(odesolve._CHUNK + 201, 0.97)
+    bad = odesolve.Problem([Grid1D(0.0, 1.0, 11)], broken, np.ones_like, None, 1.0, 0.0)
+    assert type(failure_of([late, bad])) is FocusingError
+    assert type(failure_of([bad, late])) is ValueError
