@@ -9,7 +9,6 @@ those defaults (summary.json + exit code).
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from . import planewave as pw
 from . import shellmod as S
 from .grids import AngularGrid, Grid1D
 from .odesolve import solve_linear_second_order
-from .pool import pmap
 from .quadrature import gauss_legendre_integrate, panel_values
 from .rates import fit_rate
 from .stencils import deriv1_fd4
@@ -192,7 +190,8 @@ def criterion_gowdy(*, n_seq=(100, 316, 1000, 3162, 10000, 31623, 100000), ampli
     monotone = bool(np.all(np.diff(gaps) < 0))
     # tau = 0 pins the common value, tau = 0.5 separates the two targets
     err_tt = err_thth = off = 0.0
-    for lim in pmap(lambda tau: gowdy.limit_einstein(amplitude, tau), (0.0, 0.5)):
+    for tau in (0.0, 0.5):
+        lim = gowdy.limit_einstein(amplitude, tau)
         err_tt = _fold(max, (err_tt, abs(lim["G_tautau"] - lim["target_tautau"])))
         err_thth = _fold(max, (err_thth, abs(lim["G_thetatheta"] - lim["target_thetatheta"])))
         off = _fold(max, (off, lim["max_off_component"]))
@@ -681,10 +680,8 @@ def _ladder_residuals(n):
 
 def criterion_char_pipeline() -> Verdict:
     sizes = [65, 97, 129, 193]
-    # the main march and the four ladder members run at the same time; the
-    # main march is the longest task, so it starts first
-    tasks = [partial(_cone_march, 64, 513)] + [partial(_ladder_residuals, n) for n in sizes]
-    result, *ladder = pmap(lambda task: task(), tasks)
+    result = _cone_march(64, 513)
+    ladder = [_ladder_residuals(n) for n in sizes]
 
     grid = result.grid
     i_fiber = result.data.chart.n1 // 2

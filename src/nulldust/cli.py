@@ -11,10 +11,10 @@ run criteria 1, 2, 3, 4, 5, 7 and 10; verify-all runs all ten.  trapped and
 cc-demo are demonstrations: they report the values they compute and make no
 checks of their own (criteria 8 and 9 do).
 
-Every run writes manifest.json (config, library versions, wall time, and
-``workers``, the threads its criteria may use) and summary.json.  A criterion
-run's summary.json has ``checks``, mapping "<verdict>/<check>" to a bool, and
-``details``, mapping each verdict name to its details; it also writes
+Every run writes manifest.json (config, library versions and wall time)
+and summary.json.  A criterion run's summary.json has ``checks``, mapping
+"<verdict>/<check>" to a bool, and ``details``, mapping each verdict name to
+its details; it also writes
 verdicts.csv (each criterion's wall time, timed here with a monotonic
 clock) and one <verdict>.csv per verdict, a ``path,value`` row per
 flattened detail (RFC-4180).  A demo's summary.json holds its values.  Exit
@@ -39,7 +39,6 @@ from . import planewave as pw
 from . import shellmod as S
 from .errors import NumericalFailure
 from .grids import AngularGrid
-from .pool import workers
 
 
 def _out_root(args):
@@ -78,7 +77,6 @@ def _finish(outdir, args, summary, t0):
             "python": platform.python_version(),
         },
         "wall_seconds": time.time() - t0,
-        "workers": workers(),
     }
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "manifest.json"), "w") as fh:

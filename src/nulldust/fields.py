@@ -5,8 +5,8 @@ axes (n1, n2).  A scalar field is (..., n1, n2), a 1-form (2, ..., n1, n2), a
 covariant symmetric 2-tensor (2, 2, ..., n1, n2), Christoffel symbols
 (2, 2, 2, ..., n1, n2) indexed [c, a, b] = Gamma^c_{ab}.  A scalar broadcasts
 onto a tensor of the same batch with no added axes, and each entry T[a, b] is
-a contiguous (..., n1, n2) plane.  MetricBlock keeps its 4-metric with the
-(4, 4) slots trailing, the layout np.linalg.inv and @ read.
+a contiguous (..., n1, n2) plane.  MetricBlock keeps the four diagonal
+entries of its diagonal 4-metric in one trailing slot.
 """
 
 from dataclasses import dataclass
@@ -76,38 +76,34 @@ def sym2_min_eigenvalue(a, b, d) -> np.ndarray:
 
 @dataclass
 class MetricBlock:
-    """Sampled 4-metric whose components depend on at most two coordinates.
+    """Sampled diagonal 4-metric whose entries depend on at most two coordinates.
 
-    active: indices (0..3) of the <= 2 coordinates the components
-        depend on, each with its own Grid1D and periodicity flag.
-    g: array of shape grid_shape + (4, 4) where grid_shape has one axis per
-        active coordinate.
+    active: indices (0..3) of the <= 2 coordinates the entries depend on,
+        each with its own Grid1D and periodicity flag.
+    diag: array of shape grid_shape + (4,), diag[..., a] = g_aa, where
+        grid_shape has one axis per active coordinate; g_ab = 0 for a != b.
     """
 
     active: tuple[int, ...]
     grids: tuple[Grid1D, ...]
     periodic: tuple[bool, ...]
-    g: np.ndarray
+    diag: np.ndarray
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
+        self.diag = np.asarray(self.diag, dtype=float)
         if len(self.active) > 2:
             raise ValueError("at most two active coordinates supported")
         if len(self.active) != len(self.grids) or len(self.grids) != len(self.periodic):
             raise ValueError("active/grids/periodic length mismatch")
-        expect = tuple(gr.n for gr in self.grids) + (4, 4)
-        if self.g.shape != expect:
-            raise ValueError(f"metric shape {self.g.shape} != {expect}")
-        if not np.isfinite(self.g).all():
+        expect = tuple(gr.n for gr in self.grids) + (4,)
+        if self.diag.shape != expect:
+            raise ValueError(f"metric shape {self.diag.shape} != {expect}")
+        if not np.isfinite(self.diag).all():
             raise NonFiniteError("metric block has non-finite entries")
-        if not np.allclose(self.g, np.swapaxes(self.g, -1, -2), atol=0.0, rtol=0.0):
-            raise ValueError("metric block not symmetric")
 
     def check_lorentzian(self) -> None:
-        """Signature test (exactly one negative eigenvalue) at five sample points."""
-        flat = self.g.reshape(-1, 4, 4)
-        idx = np.linspace(0, flat.shape[0] - 1, min(5, flat.shape[0])).astype(int)
-        for i in idx:
-            ev = np.linalg.eigvalsh(flat[i])
-            if int((ev < 0).sum()) != 1:
-                raise ValueError(f"metric not Lorentzian at flat index {i}: eigenvalues {ev}")
+        """Exact signature test at every grid point: one negative diagonal entry, three positive."""
+        bad = ((self.diag < 0.0).sum(axis=-1) != 1) | (self.diag == 0.0).any(axis=-1)
+        if bad.any():
+            idx = tuple(int(i) for i in np.argwhere(bad)[0])
+            raise ValueError(f"metric not Lorentzian at grid point {idx}: diagonal {self.diag[idx]}")

@@ -17,7 +17,6 @@ import numpy as np
 from .bessel import bessel_j
 from .fields import MetricBlock
 from .grids import Grid1D
-from .pool import pmap
 from .rates import fit_rate
 from .ricci4 import spacetime_ricci
 
@@ -72,13 +71,11 @@ def family_metric(n: int, amplitude: float, tau_grid: Grid1D, theta_grid: Grid1D
     tau = tau_grid.points()
     theta = theta_grid.points_periodic()
     p, alpha = eval_family(n, amplitude, tau, theta)
-    g = np.zeros((len(tau), len(theta), 4, 4))
-    _fill(g, tau[:, None], p, alpha)
     return MetricBlock(
         active=(0, 1),
         grids=(tau_grid, theta_grid),
         periodic=(False, True),
-        g=g,
+        diag=_diagonal(tau[:, None], p, alpha),
     )
 
 
@@ -87,23 +84,19 @@ def limit_metric_block(amplitude: float, tau_grid: Grid1D) -> MetricBlock:
     """Closed-form uniform-limit metric; depends on tau only."""
     tau = tau_grid.points()
     alpha = -(amplitude**2) * np.exp(-tau) / np.pi
-    g = np.zeros((tau_grid.n, 4, 4))
-    _fill(g, tau, np.zeros_like(alpha), alpha)
     return MetricBlock(
         active=(0,),
         grids=(tau_grid,),
         periodic=(False,),
-        g=g,
+        diag=_diagonal(tau, np.zeros_like(alpha), alpha),
     )
 
 
-def _fill(g, tau, p, alpha):
+def _diagonal(tau, p, alpha):
+    """(g_tautau, g_thetatheta, g_sigmasigma, g_deltadelta) of the metric, stacked last."""
     conf = np.exp(0.5 * (tau - alpha))
     tv = np.exp(-tau)
-    g[..., 0, 0] = -conf * np.exp(-2.0 * tau)
-    g[..., 1, 1] = conf
-    g[..., 2, 2] = tv * np.exp(p)
-    g[..., 3, 3] = tv * np.exp(-p)
+    return np.stack(np.broadcast_arrays(-conf * np.exp(-2.0 * tau), conf, tv * np.exp(p), tv * np.exp(-p)), axis=-1)
 
 
 @dataclass
@@ -116,23 +109,12 @@ def vacuum_residual_scan(n: int, amplitude: float, sizes) -> VacuumResidual:
     """Max curvature norm of the family member n (vacuum up to discretization)
     over tau in [0, 1] across a sequence of grid sizes, plus the fitted order.
 
-    The members run at the same time, largest first (the largest is about
-    half the work).  Their grids are built and checked in input order
-    first, so a bad member raises the error a loop over sizes would.
+    The members run in input order, so the first member whose grid
+    under-resolves frequency n raises.
     """
-    grids = []
-    for m in sizes:
-        tg, thg = Grid1D(0.0, 1.0, m + 1), Grid1D(0.0, 2.0 * np.pi, m)
-        _check_resolution(n, tg.points(), thg.points_periodic())
-        grids.append((tg, thg))
-    largest_first = sorted(grids, key=lambda g: -g[1].n)
-    found = dict(zip(largest_first, pmap(lambda g: _max_ricci(n, amplitude, *g), largest_first)))
-    res = [found[g] for g in grids]
+    grids = [(Grid1D(0.0, 1.0, m + 1), Grid1D(0.0, 2.0 * np.pi, m)) for m in sizes]
+    res = [float(np.abs(spacetime_ricci(family_metric(n, amplitude, tg, thg)).ricci).max()) for tg, thg in grids]
     return VacuumResidual(res, fit_rate(np.array([tg.h for tg, _ in grids]), np.array(res)))
-
-
-def _max_ricci(n, amplitude, tg, thg):
-    return float(np.abs(spacetime_ricci(family_metric(n, amplitude, tg, thg)).ricci).max())
 
 
 _LIMIT_N_TAU = 513  # odd, so the middle node sits at tau

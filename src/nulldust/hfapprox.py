@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .constraints import ReducedCharData, dgamma_norm_sq
-from .errors import NumericalFailure
+from .errors import NonFiniteError, NumericalFailure
 from .fields import sym2_min_eigenvalue
 from .grids import Grid1D
 from .odesolve import Problem, march
@@ -195,7 +195,12 @@ class OscillatoryFamily:
 
 
 def _double_until(k: float, admissible, message: str) -> float:
-    """The first of k, 2k, 4k, ... (at most _MAX_DOUBLINGS) that is admissible."""
+    """The first of k, 2k, 4k, ... (at most _MAX_DOUBLINGS) that is admissible.
+
+    A NaN or inf k, which a NaN in the background data gives, raises at once.
+    """
+    if not np.isfinite(k):
+        raise NonFiniteError(f"oscillation wavenumber seed is {k}: the background data is not finite")
     for _ in range(_MAX_DOUBLINGS):
         if admissible(k):
             return k
@@ -249,11 +254,7 @@ def family_convergence(background: DustBackground, n_values):
         ub = np.linspace(grid.a, grid.b, max(4096, grid.n))
         (ea, eb, ed), dentries = fam.jet(ub)
         ba, bb, bd = background.data.entries(ub)
-        gap_gamma = max(
-            float(np.abs(ea - ba).max()),
-            float(np.abs(eb - bb).max()),
-            float(np.abs(ed - bd).max()),
-        )
+        gap_gamma = float(np.max([np.abs(ea - ba).max(), np.abs(eb - bb).max(), np.abs(ed - bd).max()]))
         normsq = dgamma_norm_sq((ea, eb, ed), dentries)
         del dentries
         # [|dgamma_n|^2 - |dgamma|^2] Phi^2 - 4 f: the weak defect before the
@@ -302,10 +303,10 @@ def select_k_uniform(backgrounds_and_ns, min_eig: float, probes) -> float:
     double until every member keeps half the background eigenvalue margin
     (checked through the phase-envelope eigenvalue bound on its probe points).
     """
-    demand = 0.0
-    for (bg, n), probe in zip(backgrounds_and_ns, probes):
-        demand = max(demand, float(bg.root_f_over_phi(probe).max()) / n)
-    k = max(1.0, 4.0 * 8.0 * (demand + 1.0 / backgrounds_and_ns[0][1]) / min_eig)
+    # np.max, not max: a NaN demand or min_eig must reach _double_until
+    demand = float(np.max([0.0] + [float(bg.root_f_over_phi(probe).max()) / n
+                                   for (bg, n), probe in zip(backgrounds_and_ns, probes)]))
+    k = float(np.maximum(1.0, 4.0 * 8.0 * (demand + 1.0 / backgrounds_and_ns[0][1]) / min_eig))
 
     def admissible(k):
         return all(float(OscillatoryFamily(bg, k, n).min_eigenvalue_envelope(probe).min()) >= 0.5 * min_eig

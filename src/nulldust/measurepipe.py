@@ -77,14 +77,12 @@ class MeasurePipeline:
 
     def freeze_k(self, m_values) -> float:
         if self.k is None:
-            pairs, probes = [], []
-            min_eig = None
+            pairs, probes, eigs = [], [], []
             for m, (fm, bg) in zip(m_values, self.backgrounds(m_values)):
                 pairs.append((bg, self.n_of(m)))
                 probes.append(self._probe(fm))
-                eig = float(sym2_min_eigenvalue(*self.data.entries(probes[-1])).min())
-                min_eig = eig if min_eig is None else min(min_eig, eig)
-            self.k = select_k_uniform(pairs, min_eig, probes)
+                eigs.append(float(sym2_min_eigenvalue(*self.data.entries(probes[-1])).min()))
+            self.k = select_k_uniform(pairs, float(np.min(eigs)), probes)  # np.min keeps a NaN
         return self.k
 
     def members(self, m_values) -> list:

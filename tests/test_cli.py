@@ -3,7 +3,6 @@
 import argparse
 import csv
 import json
-import os
 import subprocess
 import sys
 
@@ -30,7 +29,7 @@ def test_burnett_run_writes_tables(tmp_path):
     assert run_cli(["burnett"], tmp_path / "full") == 0
     outdir = tmp_path / "full" / "burnett"
     manifest = json.loads((outdir / "manifest.json").read_text())
-    assert manifest["workers"] == len(os.sched_getaffinity(0)) >= 1
+    assert set(manifest) == {"config", "versions", "wall_seconds"}
     summary = json.loads((outdir / "summary.json").read_text())
     assert all(summary["checks"].values())
     rows = read_csv(outdir / "burnett_limit.csv")

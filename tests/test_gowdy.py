@@ -41,6 +41,12 @@ def test_vacuum_residual_order():
     assert scan.residuals[-1] < scan.residuals[0]
 
 
+def test_vacuum_residual_scan_raises_the_first_bad_member():
+    # 32 and 48 both under-resolve n = 4; a loop stops at 48, the first of them
+    with pytest.raises(ValueError, match="12.0 nodes per oscillation"):
+        gowdy.vacuum_residual_scan(4, 1.0, [64, 48, 96, 32])
+
+
 def test_residual_invariant_under_family_shift():
     # the member n metric is exactly 2 pi / n periodic in theta
     n = 4

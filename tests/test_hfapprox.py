@@ -7,6 +7,7 @@ import pytest
 
 from nulldust import constraints as C
 from nulldust import hfapprox as H
+from nulldust.errors import NonFiniteError
 from nulldust.fields import sym2_min_eigenvalue
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.quadrature import gauss_legendre_nodes
@@ -167,6 +168,47 @@ def test_envelope_eigenvalue_bound_is_conservative(chart, grid):
     fam = H.OscillatoryFamily(bg, k, 2)
     ub = np.linspace(0, 1, 4096)
     assert np.all(fam.min_eigenvalue_envelope(ub) <= sym2_min_eigenvalue(*fam.entries(ub)) + 1e-12)
+
+
+def test_uniform_k_selection_refuses_a_nan_demand(chart, grid, monkeypatch):
+    # a NaN in the second member's demand, not the first: max(demand, nan)
+    # would keep the first demand and seed a finite k
+    bgs = [(make_background(chart, grid, f_level=fl), n) for fl, n in ((1.0, 8), (4.0, 32))]
+    bg = bgs[1][0]
+    root = bg.root_f_over_phi
+
+    def nan_at_one_point(ub):
+        out = root(ub)
+        out[1, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(bg, "root_f_over_phi", nan_at_one_point)
+    with pytest.raises(NonFiniteError, match="wavenumber seed is nan"):
+        H.select_k_uniform(bgs, min_eig=0.5, probes=[np.linspace(0, 1, 4096)] * 2)
+
+
+def test_family_convergence_gamma_gap_keeps_a_nan(chart, grid, monkeypatch):
+    # a NaN in d_n of the second member, the last of the three entry gaps
+    # the gamma gap folds: max(gap_a, gap_b, nan) would drop it
+    bg = make_background(chart, grid)
+    jet, solve = H.OscillatoryFamily.jet, H.solve_phi_n
+
+    def nan_in_d(fam, ub):
+        (ea, eb, ed), dentries = jet(fam, ub)
+        if fam.n == 8:
+            ed = ed.copy()
+            ed[1, 0, 0] = np.nan
+        return (ea, eb, ed), dentries
+
+    def solve_then_poison(families):  # the vacuum solves see finite entries
+        sols = solve(families)
+        monkeypatch.setattr(H.OscillatoryFamily, "jet", nan_in_d)
+        return sols
+
+    monkeypatch.setattr(H, "solve_phi_n", solve_then_poison)
+    rows = H.family_convergence(bg, [4, 8])
+    assert np.isfinite(rows[0]["gamma_gap"])
+    assert np.isnan(rows[1]["gamma_gap"])
 
 
 def test_uniform_k_selection(chart, grid):

@@ -6,6 +6,7 @@ import pytest
 from nulldust import constraints as C
 from nulldust import measurepipe as MP
 from nulldust.acceptance import _phi_gap_stats, criterion_pipeline
+from nulldust.errors import NonFiniteError
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.mollify import density_pairing
 from nulldust.quadrature import gauss_legendre_nodes
@@ -127,6 +128,25 @@ def test_linearity_in_atom_mass(setting):
     row1 = MP.pipeline_weak_check(pipe, [members[4]], [tf])[0]
     row2 = MP.pipeline_weak_check(pipe2, [mem2], [tf])[0]
     assert abs(row2["difference"] / row1["difference"] - 2.0) < 0.05
+
+
+def test_freeze_k_keeps_a_nan_eigenvalue_margin(setting, monkeypatch):
+    # a NaN eigenvalue margin at level 2, not level 1: min(margin, nan) would
+    # keep the level-1 margin and freeze a finite k
+    chart, grid, data, bv, pipe, members = setting
+    eigenvalues, calls = MP.sym2_min_eigenvalue, []
+
+    def nan_at_level_2(a, b, d):
+        calls.append(None)
+        out = eigenvalues(a, b, d)
+        if len(calls) == 2:
+            out[1, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(MP, "sym2_min_eigenvalue", nan_at_level_2)
+    with pytest.raises(NonFiniteError, match="wavenumber seed is nan"):
+        MP.MeasurePipeline(data, bv).freeze_k([1, 2])
+    assert len(calls) == 2
 
 
 def test_member_does_not_depend_on_members_built_before(setting):
