@@ -88,8 +88,7 @@ def criterion_burnett(*, lambda_seq=tuple(range(2, 11)), seed="cosine") -> Verdi
         lambda u: np.cos(4 * np.pi * u) + 1.5,
     ]
     slopes, gaps_last = [], []
-    for phi in phis:
-        pairings = pw.weak_limit_pairings(family, phi, lam_seq)
+    for phi, pairings in zip(phis, pw.weak_limit_pairings(family, phis, lam_seq)):
         # oscillation energy averages to half the squared envelope
         target = gauss_legendre_integrate(lambda u: 0.5 * seed.k(u) ** 2 * phi(u), 0.0, 0.5, 192)
         gaps = np.abs(pairings - target)
@@ -153,14 +152,12 @@ def criterion_shell_limit(*, lambda_seq=(6, 8, 10), seed="bump") -> Verdict:
         lambda u: np.cos(u) + 0.5,
         lambda u: np.exp(-4.0 * u**2),
     ]
-    pair_errs = []
-    for phi in phis:
-        pairing = float(pw.weak_limit_pairings(lambda _: prof, phi, [lam])[0])  # prof is the lam member
-        pair_errs.append(abs(pairing - phi(np.zeros(1))[0]))
+    pairings = pw.weak_limit_pairings(lambda _: prof, phis, [lam])[:, 0].tolist()  # prof is the lam member
+    pair_errs = [abs(pairing - phi(np.zeros(1))[0]) for phi, pairing in zip(phis, pairings)]
 
     # derivative energy is parameter independent: the pairing against phi = 1
     family = lambda lam_j: pw.make_shell_G(lam_j, seed, grid)
-    energies = pw.weak_limit_pairings(family, np.ones_like, [2.0**-j for j in lambda_seq]).tolist()
+    energies = pw.weak_limit_pairings(family, [np.ones_like], [2.0**-j for j in lambda_seq])[0].tolist()
 
     checks = {
         "jump_minus_quarter": jump_err <= TOL["jump"],

@@ -35,6 +35,12 @@ flat lists of Python floats; from _ROWS_MIN_POINTS up a numpy kernel loops
 over steps and does each RK4 stage as one array operation over all U columns.
 Both kernels do the same IEEE operations in the same order, so their results
 are bit-identical, the index of a failure included.
+
+Shells and impulsive waves are concentrated: away from them every
+coefficient is exactly zero and the march streams freely, phi'' = 0.
+_rk4_chunk splits a round's steps into runs and hands the runs of free steps,
+whose gl, cc and ff are +0.0 in every column, to _coast, which moves psi not
+at all and phi by one np.add.accumulate, with the bits the kernels give.
 """
 
 from dataclasses import dataclass, field
@@ -174,13 +180,47 @@ def _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi):
             # Q[i + 1] = q + h6 * (k1q + two * k2q + two * k3q + k4q)
             mul(two, k2q, t); add(k1q, t, t); mul(two, k3q, u); add(t, u, t); add(t, k4q, t)
             mul(h6, t, t); add(q, t, Q[i + 1])
-    # once per chunk, not per step; NaN compares false
+    bad = _first_failure(out_phi, out_psi)  # once per run, not per step
+    if bad < 0:
+        phi[:] = P[nc]
+        psi[:] = Q[nc]
+    return bad
+
+
+def _first_failure(out_phi, out_psi):
+    """The flat index i*M + j of the first node row i + 1 whose phi is not
+    positive or whose psi is not finite, row-major, or -1; NaN compares false."""
     bad = ~(out_phi[1:] > 0.0) | ~np.isfinite(out_psi[1:])
-    if bad.any():
-        return int(np.argmax(bad))  # row-major: the first step i, then the first point j
-    phi[:] = P[nc]
-    psi[:] = Q[nc]
-    return -1
+    return int(np.argmax(bad)) if bad.any() else -1
+
+
+def _coast(phi, psi, h, out_phi, out_psi):
+    """The kernels' march through free steps, on which every coefficient is +0.0.
+
+    With phi > 0 and psi finite, each stage k of such a step is a zero with
+    psi's sign, so q1 = q2 = q3 = psi and psi keeps its bits, and phi gains
+    the same d = h6 * (psi + 2.0 * psi + 2.0 * psi + psi) on every step: the
+    kernels' p + h6 * (q + 2.0 * q1 + 2.0 * q2 + q3).  np.add.accumulate adds
+    along the steps strictly left to right, as the kernels' p = p + d does.
+    A stage value p, p + hh * psi (= p1 = p2) or p + hv * psi (= p3) that is
+    0.0 or not finite makes the kernels' stage NaN (0.0 / 0.0, 0.0 * inf), so
+    its step gets a NaN psi and fails where theirs does.  From any other
+    entry state both fail on step 0, or (phi < 0, psi nonzero) march alike:
+    a nonzero psi plus a zero of either sign is psi.  The temporaries are
+    (nc, M), smaller than the row kernel's (2*nc+1, M) factor tables.
+    """
+    out_psi[:] = psi
+    out_phi[0] = phi
+    with np.errstate(all="ignore"):  # a coast past a failure overflows, as the kernels do
+        out_phi[1:] = (h / 6.0) * (psi + 2.0 * psi + 2.0 * psi + psi)
+        np.add.accumulate(out_phi, axis=0, out=out_phi)
+        p = out_phi[:-1]
+        for stage in (p, p + (0.5 * h) * psi, p + h * psi):
+            out_psi[1:][(stage == 0.0) | ~np.isfinite(stage)] = np.nan
+    bad = _first_failure(out_phi, out_psi)
+    if bad < 0:
+        phi[:] = out_phi[-1]
+    return bad
 
 
 def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
@@ -192,10 +232,27 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     Returns the flat index i*M + j of the first step i at which the phi of
     point j is nonpositive or NaN or its psi is not finite, or -1; after a
     failure the state and the rows past step i are unspecified.
+
+    The steps split into runs.  A step is free when gl, cc and ff are +0.0,
+    by their raw bits, in every column at its three lattice points; runs of
+    free steps go to _coast, the others to the column or the row kernel,
+    and a failure inside a run is offset by the run's first step.
     """
-    if phi.shape[0] < _ROWS_MIN_POINTS:
-        return _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi)
-    return _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi)
+    M, nc = phi.shape[0], out_phi.shape[0] - 1
+    kernel = _rk4_columns if M < _ROWS_MIN_POINTS else _rk4_rows
+    busy = gl.view(np.uint64).any(axis=1) | cc.view(np.uint64).any(axis=1) | ff.view(np.uint64).any(axis=1)
+    free = ~(busy[:-1:2] | busy[1::2] | busy[2::2])
+    edges = [0, *(np.flatnonzero(free[1:] != free[:-1]) + 1).tolist(), nc]
+    for s, e in zip(edges[:-1], edges[1:]):
+        rows = slice(s, e + 1)
+        if free[s]:
+            bad = _coast(phi, psi, h, out_phi[rows], out_psi[rows])
+        else:
+            lattice = slice(2 * s, 2 * e + 1)
+            bad = kernel(phi, psi, gl[lattice], cc[lattice], ff[lattice], h, out_phi[rows], out_psi[rows])
+        if bad >= 0:
+            return bad + s * M
+    return -1
 
 
 def _distinct_columns(phi, psi, gl, cc, ff):

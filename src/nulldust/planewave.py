@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .grids import Grid1D
 from .odesolve import DenseSolution, solve_linear_second_order
 from .quadrature import gauss_legendre_integrate
@@ -111,16 +112,19 @@ def solve_H(profile: WaveProfile) -> DenseSolution:
 
 def weak_limit_pairings(
     family: Callable[[float], WaveProfile],
-    phi: Callable[[np.ndarray], np.ndarray],
+    phis,
     lam_seq,
 ) -> np.ndarray:
-    """Trapezoid pairings of (G_lam')^2 against a test function, one per lam."""
-    out = []
-    for lam in lam_seq:
+    """Trapezoid pairings of (G_lam')^2 against each test function of phis:
+    an (n_phi, n_lam) array.  Each member's (G_lam')^2 is evaluated once."""
+    out = np.empty((len(phis), len(lam_seq)))
+    for k, lam in enumerate(lam_seq):
         prof = family(lam)
         ub = prof.grid.points()
-        out.append(np.trapezoid(prof.dg(ub) ** 2 * phi(ub), ub))
-    return np.array(out)
+        energy = prof.dg(ub) ** 2
+        for i, phi in enumerate(phis):
+            out[i, k] = np.trapezoid(energy * phi(ub), ub)
+    return out
 
 
 _FLAT_TOL = 1e-8  # largest |H''| of a profile without concentration
@@ -130,8 +134,12 @@ def jump_detect(factor: DenseSolution, window: float):
     """Locate the H'' concentration of a solve_H solution and return
     (location, H' jump across it).
 
-    Returns None when H'' shows no concentration (flat profile).
+    Returns None when H'' shows no concentration (flat profile); raises
+    NonFiniteError when H' or H'' holds an inf or a NaN anywhere, since the
+    jump reads them only near the concentration.
     """
+    if not (np.isfinite(factor.dphi).all() and np.isfinite(factor.ddphi).all()):
+        raise NonFiniteError("wave factor has a non-finite H' or H''")
     ub = factor.grid.points()
     curv = np.abs(factor.ddphi)
     if curv.max() <= _FLAT_TOL:

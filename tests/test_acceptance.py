@@ -13,6 +13,8 @@ from nulldust import acceptance as A
 from nulldust import compcompact as CC
 from nulldust import gowdy
 from nulldust import mollify as M
+from nulldust import planewave as pw
+from nulldust.errors import NumericalFailure
 
 
 def _report(v):
@@ -123,6 +125,71 @@ def test_fold_equals_max_and_min_on_finite_values():
     values = [np.float64(0.5), 2.0, np.float64(2.0), 1.0]
     assert A._fold(max, values) is max(values)
     assert A._fold(min, values) is min(values)
+
+
+def fails(criterion):
+    """The criterion's verdict fails, or the criterion raises a NumericalFailure."""
+    try:
+        return not criterion().passed
+    except NumericalFailure:
+        return True
+
+
+def nan_pairing(monkeypatch, n_lam, at):
+    """Make weak_limit_pairings put a NaN at (test function, member) `at` of
+    its calls with n_lam members."""
+    exact = pw.weak_limit_pairings
+
+    def weak_limit_pairings(family, phis, lam_seq):
+        out = exact(family, phis, lam_seq)
+        if len(lam_seq) == n_lam:
+            out[at] = float("nan")
+        return out
+
+    monkeypatch.setattr(pw, "weak_limit_pairings", weak_limit_pairings)
+
+
+def nan_wave_factor(monkeypatch, member, node):
+    """Make the member-th solve_H (from 0) return H' with a NaN at node."""
+    exact = pw.solve_H
+    calls = []
+
+    def solve_H(profile):
+        sol = exact(profile)
+        if len(calls) == member:
+            sol.dphi[node] = float("nan")
+        calls.append(1)
+        return sol
+
+    monkeypatch.setattr(pw, "solve_H", solve_H)
+
+
+@pytest.mark.parametrize("at", [(0, 4), (2, 8), (4, 1)])
+def test_nan_pairing_fails_the_oscillation_limit(monkeypatch, at):
+    nan_pairing(monkeypatch, 9, at)
+    assert fails(A.criterion_burnett)
+
+
+@pytest.mark.parametrize("member, node", [(3, 2000), (8, -1)])
+def test_nan_wave_factor_derivative_fails_the_oscillation_limit(monkeypatch, member, node):
+    nan_wave_factor(monkeypatch, member, node)
+    assert fails(A.criterion_burnett)
+
+
+@pytest.mark.parametrize("n_lam, at", [(3, (0, 1)), (3, (0, 2)), (1, (1, 0)), (1, (2, 0))])
+def test_nan_pairing_fails_the_concentration_limit(monkeypatch, n_lam, at):
+    # members of the energy identity (3 of them), or test functions of the
+    # point-value pairing at the finest member (1 member)
+    nan_pairing(monkeypatch, n_lam, at)
+    assert fails(A.criterion_shell_limit)
+
+
+@pytest.mark.parametrize("node", [2**16 - 5000, 2**16 + 3, 2**17])
+def test_nan_wave_factor_derivative_fails_the_concentration_limit(monkeypatch, node):
+    # away from the shell, inside it, and at the last node: none of them is
+    # where jump_detect reads H'
+    nan_wave_factor(monkeypatch, 0, node)
+    assert fails(A.criterion_shell_limit)
 
 
 def test_nan_in_the_second_limit_fails_the_einstein_checks(monkeypatch):

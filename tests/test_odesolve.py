@@ -13,7 +13,8 @@ ROWS = odesolve._ROWS_MIN_POINTS
 
 def _rk4_points(phi, psi, gl, cc, ff, hs, out_phi, out_psi):
     """Oracle: the classical step, point by point on numpy scalars, each
-    point at its own step hs[j]."""
+    point at its own step hs[j]; it fails where phi is not positive or psi
+    not finite."""
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
     for j in range(M):
@@ -43,7 +44,7 @@ def _rk4_points(phi, psi, gl, cc, ff, hs, out_phi, out_psi):
             psi[j] = qn
             out_phi[i + 1, j] = pn
             out_psi[i + 1, j] = qn
-            if not pn > 0.0:
+            if not (pn > 0.0 and np.isfinite(qn)):
                 return i * M + j
     return -1
 
@@ -169,10 +170,18 @@ def test_zero_stage_value_is_focusing_at_that_step(monkeypatch):
 
 
 def test_dispatch_on_point_count(monkeypatch):
-    monkeypatch.setattr(odesolve, "_rk4_columns", lambda *args: "columns")
-    monkeypatch.setattr(odesolve, "_rk4_rows", lambda *args: "rows")
-    assert odesolve._rk4_chunk(np.ones(ROWS - 1), *[None] * 7) == "columns"
-    assert odesolve._rk4_chunk(np.ones(ROWS), *[None] * 7) == "rows"
+    # one nonzero coefficient, at lattice point 10, makes steps 4 and 5 the
+    # one run that needs a kernel; the free steps around it coast
+    calls = []
+    for name in KERNELS:
+        monkeypatch.setattr(odesolve, f"_rk4_{name}", lambda *args, name=name: calls.append(name) or -1)
+    for M, want in ((ROWS - 1, "columns"), (ROWS, "rows")):
+        lattice = (2 * 12 + 1, M)
+        cc = np.zeros(lattice)
+        cc[10, 0] = 1.0
+        calls.clear()
+        run_kernel(odesolve._rk4_chunk, (np.ones(M), np.zeros(M), np.zeros(lattice), cc, np.zeros(lattice)), 0.01)
+        assert calls == [want]
 
 
 def chart_coeffs(M):
@@ -687,3 +696,160 @@ def test_provider_errors_follow_the_same_order():
     bad = odesolve.Problem([Grid1D(0.0, 1.0, 11)], broken, np.ones_like, None, 1.0, 0.0)
     assert type(failure_of([late, bad])) is FocusingError
     assert type(failure_of([bad, late])) is ValueError
+
+
+# --- free steps coast ----------------------------------------------------------
+
+
+def record_coasts(monkeypatch):
+    """Wrap _coast to record the number of steps of each run it is handed."""
+    seen = []
+    coast = odesolve._coast
+
+    def recorder(phi, psi, h, out_phi, out_psi):
+        seen.append(out_phi.shape[0] - 1)
+        return coast(phi, psi, h, out_phi, out_psi)
+
+    monkeypatch.setattr(odesolve, "_coast", recorder)
+    return seen
+
+
+def free_inputs(M, nc, busy=(), phi0=None, psi0=None, seed=0):
+    """chunk_inputs whose coefficients are +0.0 outside the lattice rows busy."""
+    phi, psi, gl, cc, ff = chunk_inputs(M, nc, seed)
+    free = np.ones(2 * nc + 1, bool)
+    free[list(busy)] = False
+    for x in (gl, cc, ff):
+        x[free] = 0.0
+    phi = phi if phi0 is None else np.array(phi0, float)
+    psi = psi if psi0 is None else np.array(psi0, float)
+    return phi, psi, gl, cc, ff
+
+
+def assert_exact_march(inputs, h):
+    """_rk4_chunk, alone and in the march, against the point loop and both
+    kernels, byte for byte; after a failure, the flat index and the rows up
+    to its step.  Returns the point loop's failure index."""
+    want = run_kernel(_rk4_points, inputs, h)
+    kernels = [run_kernel(kernel, inputs, h) for kernel in (odesolve._rk4_chunk, *KERNELS.values())]
+    marched = march_chunk(inputs, h)
+    if want[0] < 0:
+        for got in kernels + [marched]:
+            same_bytes(got, want)
+        return -1
+    step = want[0] // inputs[0].shape[0]
+    assert marched[0] == want[0]
+    for got in kernels:
+        assert got[0] == want[0]
+        for a, b in zip(got[3:], want[3:]):
+            assert a[: step + 1].tobytes() == b[: step + 1].tobytes()
+    return want[0]
+
+
+@pytest.mark.parametrize("M", [1, 3, ROWS + 2])
+def test_all_free_chunk_coasts_in_one_run(M, monkeypatch):
+    seen = record_coasts(monkeypatch)
+    assert assert_exact_march(free_inputs(M, 300, seed=M), 0.01) == -1
+    assert seen == [300] * 2  # _rk4_chunk alone, then in the march
+
+
+@pytest.mark.parametrize("M", [2, ROWS + 2])
+def test_free_runs_start_and_end_mid_chunk(M, monkeypatch):
+    # lattice point 50 is shared by steps 24 and 25, points 199-201 by steps 99 and 100
+    seen = record_coasts(monkeypatch)
+    assert assert_exact_march(free_inputs(M, 120, busy=[50, 199, 200, 201], seed=M), 0.01) == -1
+    assert seen == [24, 73, 19] * 2
+
+
+@pytest.mark.parametrize("M", [4, ROWS + 2])
+def test_free_columns_beside_busy_ones_do_not_coast(M, monkeypatch):
+    inputs = chunk_inputs(M, 100, seed=M)
+    for x in inputs[2:]:
+        x[:, : M // 2] = 0.0
+    seen = record_coasts(monkeypatch)
+    assert assert_exact_march(inputs, 0.01) == -1
+    assert seen == []
+
+
+def test_coast_keeps_the_sign_of_a_zero_psi(monkeypatch):
+    psi0 = [0.0, -0.0, -0.4, 0.7, -0.0]
+    inputs = free_inputs(5, 200, busy=[100], phi0=[1.0, 2.0, 1.5, 1.0, 0.5], psi0=psi0)
+    for x in inputs[2:]:
+        x[100, [0, 1, 2, 4]] = 0.0  # the kernel marches steps 49 and 50, for column 3
+    seen = record_coasts(monkeypatch)
+    assert assert_exact_march(inputs, 0.01) == -1
+    assert seen == [49, 149] * 2
+    _, _, psi, _, out_psi = run_kernel(odesolve._rk4_chunk, inputs, 0.01)
+    assert np.signbit(psi).tolist() == np.signbit(psi0).tolist()
+    assert np.signbit(out_psi[:, 1]).all()
+
+
+@pytest.mark.parametrize("M", [3, ROWS + 2])
+def test_phi_crossing_zero_inside_a_free_run(M, monkeypatch):
+    # column 1 falls from 1 with slope -3: it reaches 0 near ub = 1/3, step 33,
+    # after the busy steps 9 and 10 and inside the free run that follows
+    psi0 = np.full(M, 0.5)
+    psi0[1] = -3.0
+    inputs = free_inputs(M, 100, busy=[20], phi0=np.ones(M), psi0=psi0, seed=M)
+    seen = record_coasts(monkeypatch)
+    bad = assert_exact_march(inputs, 0.01)
+    assert divmod(bad, M) == (33, 1)
+    assert seen[0] == 9 and len(seen) == 4
+    # the march names the node that the point loop names
+    with pytest.raises(FocusingError) as err:
+        odesolve.march([chunk_problem(inputs, 0.01)])
+    monkeypatch.setattr(odesolve, "_rk4_chunk", _rk4_points)
+    with pytest.raises(FocusingError) as loop:
+        odesolve.march([chunk_problem(inputs, 0.01)])
+    assert err.value.location == loop.value.location == (0.34, 1)
+
+
+@pytest.mark.parametrize("h, phi0, psi0", [
+    (0.01, 0.005, -1.0),  # p1 = phi0 + (0.5 * h) * psi0 is 0.0
+    (13 / 1024, 13 / 1024 * 33 / 64, -33 / 64),  # p3 = phi0 + h * psi0 is 0.0, yet phi0 + d > 0
+])
+def test_zero_stage_value_in_a_free_run(h, phi0, psi0, monkeypatch):
+    M = 4
+    inputs = free_inputs(M, 64, phi0=[1.0, 1.0, phi0, 1.0], psi0=[0.1, 0.2, psi0, 0.3])
+    d = (h / 6.0) * (psi0 + 2.0 * psi0 + 2.0 * psi0 + psi0)
+    seen = record_coasts(monkeypatch)
+    assert assert_exact_march(inputs, h) == 2  # step 0, column 2
+    assert seen[0] == 64
+    if phi0 + h * psi0 == 0.0:
+        assert phi0 + d > 0.0  # the node check alone would pass step 0
+
+
+def test_negative_zero_coefficient_is_not_free(monkeypatch):
+    inputs = free_inputs(3, 80, psi0=[0.1, -0.0, -0.2])
+    inputs[3][41, 1] = -0.0  # the midpoint of step 20
+    seen = record_coasts(monkeypatch)
+    assert assert_exact_march(inputs, 0.01) == -1
+    assert seen == [20, 59] * 2
+    # that step's stages are -0.0 - (-0.0) = +0.0, so psi = -0.0 becomes +0.0
+    assert not np.signbit(run_kernel(odesolve._rk4_chunk, inputs, 0.01)[2][1])
+
+
+@pytest.mark.parametrize("phi0, psi0, h", [
+    ([1.0, 0.0], [0.5, 1.0], 0.01),  # phi = 0.0 is a stage value: 0.0 / 0.0 on step 0
+    ([1.0, -0.0], [0.5, 1.0], 0.01),
+    ([1.0, -0.001], [0.5, 1.0], 0.01),  # phi < 0 rises past 0 within step 0
+    ([1.0, -0.5], [0.5, -0.0], 0.01),  # phi < 0 turns psi = -0.0 into +0.0, and fails
+    ([1.0, 1.0], [np.inf, 0.5], 0.01),
+    ([1.0, np.nan], [0.5, 0.5], 0.01),
+    ([1.0, 1.0], [-0.0, 0.3], -0.01),  # no grid has a negative step, but the kernels take it
+    ([1.0, 1.0], [0.0, 0.3], np.inf),
+])
+def test_coast_from_any_entry_state(phi0, psi0, h, monkeypatch):
+    inputs = free_inputs(2, 50, phi0=phi0, psi0=psi0)
+    want = run_kernel(_rk4_points, inputs, h)
+    seen = record_coasts(monkeypatch)
+    for kernel in (odesolve._rk4_chunk, *KERNELS.values()):
+        got = run_kernel(kernel, inputs, h)
+        if want[0] < 0:
+            same_bytes(got, want)
+        else:
+            assert got[0] == want[0]
+            step = want[0] // 2
+            assert got[3][: step + 1].tobytes() == want[3][: step + 1].tobytes()
+            assert got[4][: step + 1].tobytes() == want[4][: step + 1].tobytes()
+    assert seen == [50]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nulldust import planewave as pw
+from nulldust.errors import NonFiniteError
 from nulldust.grids import Grid1D
 from nulldust.odesolve import DenseSolution, FocusingError
 from nulldust.quadrature import gauss_legendre_integrate
@@ -117,7 +118,7 @@ def test_burnett_pairings_converge_to_half_ksq():
         return pw.make_burnett_G(lam, seed, Grid1D(0.0, 0.5, n))
 
     phi = lambda u: np.exp(-8.0 * (u - 0.25) ** 2)
-    pairings = pw.weak_limit_pairings(family, phi, lam_seq)
+    pairings = pw.weak_limit_pairings(family, [phi], lam_seq)[0]
     target = gauss_legendre_integrate(lambda u: 0.5 * seed.k(u) ** 2 * phi(u), 0.0, 0.5, 128)
     gaps = np.abs(pairings - target)
     assert gaps[-1] < 2e-4
@@ -127,7 +128,7 @@ def test_burnett_pairings_converge_to_half_ksq():
 def test_zero_test_function_pairs_to_zero():
     grid = Grid1D(0.0, 0.5, 2049)
     fam = lambda lam: pw.make_burnett_G(lam, pw.SEEDS["cosine"], grid)
-    out = pw.weak_limit_pairings(fam, lambda u: np.zeros_like(u), [0.1, 0.05])
+    out = pw.weak_limit_pairings(fam, [lambda u: np.zeros_like(u)], [0.1, 0.05])
     assert np.all(out == 0.0)
 
 
@@ -146,6 +147,17 @@ def test_jump_detect_flat_returns_none():
     prof = pw.WaveProfile(grid, lambda u: np.zeros_like(u))
     fac = pw.solve_H(prof)
     assert pw.jump_detect(fac, window=0.1) is None
+
+
+@pytest.mark.parametrize("field", ["dphi", "ddphi"])
+def test_jump_detect_refuses_a_non_finite_wave_factor(field):
+    # the NaN sits far from the window jump_detect reads
+    lam = 2.0**-8
+    grid = Grid1D(-0.5, 0.5, 2**15 + 1)
+    fac = pw.solve_H(pw.make_shell_G(lam, pw.SEEDS["bump"], grid))
+    getattr(fac, field)[100] = np.nan
+    with pytest.raises(NonFiniteError):
+        pw.jump_detect(fac, window=4 * lam)
 
 
 def test_jump_scales_with_derivative_energy():
