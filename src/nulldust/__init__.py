@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .errors import NumericalFailure
 from .grids import AngularGrid, Grid1D
 from .fields import MetricBlock, PositivityError
-from .odesolve import DenseSolution, FocusingError, PiecewiseSolution
+from .odesolve import DenseSolution, FocusingError
 
 __all__ = [
     "AngularGrid",
@@ -14,7 +14,6 @@ __all__ = [
     "MetricBlock",
     "PositivityError",
     "DenseSolution",
-    "PiecewiseSolution",
     "FocusingError",
     "NumericalFailure",
     "__version__",

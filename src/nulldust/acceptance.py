@@ -22,7 +22,7 @@ from . import mollify as M
 from . import planewave as pw
 from . import shellmod as S
 from .grids import AngularGrid, Grid1D
-from .odesolve import solve_linear_second_order
+from .odesolve import Problem, march
 from .quadrature import gauss_legendre_integrate, panel_values
 from .rates import fit_rate
 from .stencils import deriv1_fd4
@@ -97,9 +97,7 @@ def criterion_burnett(*, lambda_seq=tuple(range(2, 11)), seed="cosine") -> Verdi
 
     # limit member: averaged coefficient ODE, curvature from an independent stencil
     grid = Grid1D(0.0, 0.5, 4097)
-    limit = solve_linear_second_order(
-        grid, np.zeros_like, lambda u: seed.k(u) ** 2 / 8.0, None, 1.0, 0.0
-    )
+    limit = march([Problem([grid], np.zeros_like, lambda u: seed.k(u) ** 2 / 8.0, None, 1.0, 0.0)])[0]
     h0 = limit.phi
     d2 = deriv1_fd4(deriv1_fd4(h0, grid.h), grid.h)
     ric_limit = -2.0 * d2 / h0

@@ -160,7 +160,8 @@ def _mass_profile(spec):
 
 def _dust_spec(text):
     """argparse type: ';'-separated 'atom UB MASS' / 'density LEVEL' lines -> (kind, value, profile)
-    lines; an atom must sit strictly inside the subcommands' interval 0 < ub < 1."""
+    lines; an atom must sit strictly inside the subcommands' interval 0 < ub < 1,
+    and a density LEVEL must be >= 0."""
     lines = []
     for words in (line.split() for line in text.split(";") if line.strip()):
         if (words[0], len(words)) not in (("atom", 3), ("density", 2)):
@@ -168,6 +169,8 @@ def _dust_spec(text):
         value = _finite(words[1])
         if words[0] == "atom" and not 0.0 < value < 1.0:
             raise argparse.ArgumentTypeError(f"atom at ub={value} not strictly inside (0, 1)")
+        if words[0] == "density" and value < 0.0:
+            raise argparse.ArgumentTypeError(f"density level {value} is negative")
         lines.append((words[0], value, _mass_profile(words[2]) if len(words) == 3 else None))
     return tuple(lines)
 
@@ -235,8 +238,8 @@ def build_parser():
         # an omitted flag is absent from args, so the criterion keeps its acceptance default
         return sub.add_parser(name, help=text, argument_default=argparse.SUPPRESS)
 
-    dust_help = ("dust spec: 'atom UB MASS' / 'density LEVEL' lines, ';'-separated, 0 < UB < 1; "
-                 "mass profiles const:V or cos:BASE,AMP (default: atom 0.45 cos:1.0,0.5)")
+    dust_help = ("dust spec: 'atom UB MASS' / 'density LEVEL' lines, ';'-separated, 0 < UB < 1, "
+                 "LEVEL >= 0; mass profiles const:V or cos:BASE,AMP (default: atom 0.45 cos:1.0,0.5)")
 
     p = criterion_parser("burnett", "criterion 1: oscillation family pairings and wave-factor limit")
     p.add_argument("--lambda-seq", type=_int_seq(4),

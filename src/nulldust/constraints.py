@@ -25,12 +25,7 @@ import numpy as np
 from .fields import sym2_det, sym2_entries
 from .geometry import area_element
 from .grids import AngularGrid, Grid1D
-from .odesolve import (
-    DenseSolution,
-    PiecewiseSolution,
-    solve_linear_second_order,
-    solve_linear_segmented,
-)
+from .odesolve import DenseSolution, Problem, march, segmented_grids
 from .quadrature import composite_rule
 
 
@@ -140,32 +135,28 @@ def dgamma_norm_sq(entries, dentries) -> np.ndarray:
     return np.maximum(out, 0.0)
 
 
-def solve_constraint(data: ReducedCharData, phi0, dphi0) -> DenseSolution | PiecewiseSolution:
+def solve_constraint(data: ReducedCharData, phi0, dphi0) -> DenseSolution:
     """Solve the constraint of data's own dust measure per angular point.
 
-    Without atoms this is one march on data.grid, with the density as the
-    source (none without dust), and returns a DenseSolution.  With atoms it
-    glues pieces at step data.grid.h with the jump [Phi'] = -(1/2) Omega^2 m
-    / Phi at each atom, and returns a PiecewiseSolution.
+    One march with the density as the source (none without dust): on
+    data.grid without atoms, and with atoms on segments between them at step
+    data.grid.h, with the jump [Phi'] = -(1/2) Omega^2 m / Phi at each atom.
     """
     dust = data.dust or NullDustMeasure()
     shape = data.chart.shape
-    phi0 = np.broadcast_to(np.asarray(phi0, float), shape)
-    dphi0 = np.broadcast_to(np.asarray(dphi0, float), shape)
-    coeff = lambda ub: 0.125 * data.dgamma_normsq(ub)
-    if not dust.atoms:
-        return solve_linear_second_order(data.grid, data.dlog_omega, coeff, dust.density, phi0, dphi0)
     atoms = sorted(dust.atoms, key=lambda am: am[0])
     cuts = [data.grid.a] + [loc for loc, _ in atoms] + [data.grid.b]
-    return solve_linear_segmented(
-        [(lo, hi, data.grid.h) for lo, hi in zip(cuts[:-1], cuts[1:])],
+    # without atoms, data.grid itself: segmented_grids takes at least 9 nodes and can round up by one
+    grids = segmented_grids([(lo, hi, data.grid.h) for lo, hi in zip(cuts[:-1], cuts[1:])]) if atoms else [data.grid]
+    return march([Problem(
+        grids,
         data.dlog_omega,
-        coeff,
+        lambda ub: 0.125 * data.dgamma_normsq(ub),
         dust.density,
-        phi0,
-        dphi0,
-        jumps=[_atom_jump(data, loc, mass) for loc, mass in atoms],
-    )
+        np.broadcast_to(np.asarray(phi0, float), shape),
+        np.broadcast_to(np.asarray(dphi0, float), shape),
+        [_atom_jump(data, loc, mass) for loc, mass in atoms],
+    )])[0]
 
 
 def _atom_jump(data: ReducedCharData, loc, mass):
@@ -214,15 +205,14 @@ def weak_constraint_residual(
 ) -> float:
     """LHS - RHS of the weak constraint identity for the given solution.
 
-    solution provides __call__(ub) and deriv(ub); phi_test/dphi_test map
-    ub(K,) -> (K, n1, n2) (or broadcastable scalars).
+    solution is a DenseSolution, whose breakpoints cut the quadrature
+    panels; phi_test/dphi_test map ub(K,) -> (K, n1, n2) (or broadcastable
+    scalars).
     """
     if support[0] <= data.grid.a or support[1] >= data.grid.b:
         raise MeasureSupportError("test function support touches the interval boundary")
     w = data.area_weights()
-    cuts = [data.grid.a, data.grid.b]
-    if isinstance(solution, PiecewiseSolution):
-        cuts = list(solution.breakpoints)
+    cuts = solution.breakpoints
     xs, wq = composite_rule([(lo, hi, _WEAK_PANELS) for lo, hi in zip(cuts[:-1], cuts[1:])], _GL)
 
     om2 = np.asarray(data.omega(xs)) ** 2

@@ -235,7 +235,7 @@ def solve_phi_n(families) -> list:
         grid = fam.resolving_grid(16)
         ub0 = np.array([grid.a])
         problems.append(fam.vacuum_problem([grid], fam.background.phi(ub0)[0], fam.background.dphi(ub0)[0]))
-    return [pieces[0] for pieces in march(problems)]
+    return march(problems)
 
 
 def family_convergence(background: DustBackground, n_values):
@@ -286,7 +286,7 @@ def family_convergence(background: DustBackground, n_values):
 
 def _phi_gaps(sol, background):
     """Sup gaps of a vacuum solve's Phi and Phi' to the dust ones on its nodes."""
-    nodes = sol.grid.points()
+    nodes = sol.nodes()
     return (float(np.abs(sol.phi - background.phi(nodes)).max()),
             float(np.abs(sol.dphi - background.dphi(nodes)).max()))
 

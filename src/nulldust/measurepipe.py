@@ -16,7 +16,7 @@ from .constraints import ReducedCharData, measure_pairing
 from .fields import sym2_min_eigenvalue
 from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform
 from .mollify import MollifiedDensity, solve_phi_m_dust
-from .odesolve import PiecewiseSolution, march, segmented_grids
+from .odesolve import DenseSolution, march, segmented_grids
 from .quadrature import panel_pairing
 
 
@@ -26,7 +26,7 @@ class PipelineMember:
 
     fm: MollifiedDensity
     family: OscillatoryFamily
-    phi_vac: PiecewiseSolution
+    phi_vac: DenseSolution
 
 
 @dataclass
@@ -41,7 +41,7 @@ class MeasurePipeline:
     """
 
     data: ReducedCharData
-    phi_bv: PiecewiseSolution
+    phi_bv: DenseSolution
     k: float | None = None
 
     def __post_init__(self):
@@ -102,7 +102,7 @@ class MeasurePipeline:
             grids = segmented_grids([(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()])
             levels.append((fm, fam))
             problems.append(fam.vacuum_problem(grids, *initial))
-        return [PipelineMember(fm, fam, PiecewiseSolution(pieces)) for (fm, fam), pieces in zip(levels, march(problems))]
+        return [PipelineMember(fm, fam, sol) for (fm, fam), sol in zip(levels, march(problems))]
 
 
 def _shear_pairing(data: ReducedCharData, pieces, normsq_fn, phi_sol, phi_test) -> float:
@@ -128,8 +128,7 @@ def shear_energy_pairing(member: PipelineMember, data: ReducedCharData, phi_test
 
 def background_shear_pairing(data: ReducedCharData, phi_bv, phi_test) -> float:
     """(1/4) int int phi Omega^-2 |dgam|^2 Phi^2 dA_ring dub for the BV data."""
-    breaks = list(getattr(phi_bv, "breakpoints", [data.grid.a, data.grid.b]))
-    pieces = [(lo, hi, 96) for lo, hi in zip(breaks[:-1], breaks[1:])]
+    pieces = [(lo, hi, 96) for lo, hi in zip(phi_bv.breakpoints[:-1], phi_bv.breakpoints[1:])]
     return _shear_pairing(data, pieces, data.dgamma_normsq, phi_bv, phi_test)
 
 

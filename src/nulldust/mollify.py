@@ -20,7 +20,7 @@ import numpy as np
 
 from .constraints import ReducedCharData, measure_pairing
 from .grids import Grid1D
-from .odesolve import PiecewiseSolution, Problem, march, segmented_grids
+from .odesolve import Problem, march, segmented_grids
 from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes, panel_pairing, panel_values
 from .testfunctions import plateau, plateau_d
 
@@ -271,7 +271,7 @@ def l1_w_uniform_norm(fm: MollifiedDensity) -> float:
 
 def solve_phi_m_dust(fms, phi0, dphi0) -> list:
     """Integrate the dust constraint with each mollified density f_m, all from
-    phi0, dphi0 and marched in lockstep: one PiecewiseSolution per density.
+    phi0, dphi0 and marched in lockstep: one DenseSolution per density.
 
     Steps resolve the mollifier scale (eps/32) inside atom windows and stay
     coarse (1/2048 of the interval) on the smooth remainder.
@@ -289,4 +289,4 @@ def solve_phi_m_dust(fms, phi0, dphi0) -> list:
             np.broadcast_to(np.asarray(phi0, float), shape).copy(),
             np.broadcast_to(np.asarray(dphi0, float), shape).copy(),
         ))
-    return [PiecewiseSolution(pieces) for pieces in march(problems)]
+    return march(problems)

@@ -25,8 +25,8 @@ that stops inside a chunk resumes from the stored node state; the RK4 step
 acts on each column alone, so every problem's nodes are bit-identical to
 marching it by itself.  The error raised is the one marching the problems one
 after another would raise: that of the first failing problem in list order,
-at the location it reports alone.  solve_linear_second_order and
-solve_linear_segmented are the one-problem case.
+at the location it reports alone.  Each problem gives one DenseSolution
+over all its segments.
 
 _rk4_chunk marches the U columns of one round with one of two kernels, U being
 the round's total over its problems.  For U < _ROWS_MIN_POINTS the column
@@ -321,8 +321,8 @@ class Problem:
 
 
 class _March:
-    """One problem inside march: its finished pieces, the nodes of its
-    segment, and the distinct columns of its current chunk.
+    """One problem inside march: the node rows of all its segments, the
+    segment being marched, and the distinct columns of its current chunk.
 
     Of the chunk it holds those columns' coefficients on the lattice and
     their nodes o_phi, o_psi, of which the first done + 1 (of nc + 1) are
@@ -333,18 +333,23 @@ class _March:
         self.problem = problem
         self.shape = np.shape(problem.phi0)
         self.M = int(np.prod(self.shape)) if self.shape else 1
-        self.pieces = []
+        rows = sum(g.n for g in problem.grids)
+        self.out_phi, self.out_psi, self.acc = (np.empty((rows, self.M)) for _ in range(3))
+        self.seg = self.base = 0
         self._start_segment(problem.phi0, problem.dphi0)
 
     @property
     def finished(self):
-        return len(self.pieces) == len(self.problem.grids)
+        return self.seg == len(self.problem.grids)
+
+    def solution(self):
+        rows = (len(self.out_phi),) + self.shape
+        return DenseSolution(self.problem.grids, *(a.reshape(rows) for a in (self.out_phi, self.out_psi, self.acc)))
 
     def _start_segment(self, phi0, dphi0):
-        self.grid = self.problem.grids[len(self.pieces)]
-        self.out_phi, self.out_psi, self.acc = (np.empty((self.grid.n, self.M)) for _ in range(3))
-        self.out_phi[0] = np.reshape(phi0, self.M)
-        self.out_psi[0] = np.reshape(dphi0, self.M)
+        self.grid = self.problem.grids[self.seg]
+        self.out_phi[self.base] = np.reshape(phi0, self.M)
+        self.out_psi[self.base] = np.reshape(dphi0, self.M)
         self.pos = self.nc = self.done = 0
 
     def advance(self):
@@ -366,7 +371,7 @@ class _March:
         gl = _broadcast_coeff(p.glog_fn, ub, M)
         cc = _broadcast_coeff(p.coeff_fn, ub, M)
         ff = _broadcast_coeff(p.source_fn, ub, M) if p.source_fn is not None else np.zeros((2 * nc + 1, M))
-        phi, psi = self.out_phi[pos], self.out_psi[pos]
+        phi, psi = self.out_phi[self.base + pos], self.out_psi[self.base + pos]
         self.first, inverse = _distinct_columns(phi, psi, gl, cc, ff) if M > 1 else ([0], [0])
         # when every column is distinct, basic slices take them without copies
         pick, self.inverse = (self.first, inverse) if len(self.first) < M else (slice(None), slice(None))
@@ -393,7 +398,7 @@ class _March:
     def _close_chunk(self):
         # the even lattice points are the nodes pos..pos+nc
         acc = 2.0 * self.gl[::2] * self.o_psi - self.cc[::2] * self.o_phi - 0.5 * self.ff[::2] / self.o_phi
-        rows = slice(self.pos, self.pos + self.nc + 1)
+        rows = slice(self.base + self.pos, self.base + self.pos + self.nc + 1)
         for out, nodes in ((self.out_phi, self.o_phi), (self.out_psi, self.o_psi), (self.acc, acc)):
             out[rows] = nodes[:, self.inverse]
         self.gl = self.cc = self.ff = self.o_phi = self.o_psi = None
@@ -401,18 +406,13 @@ class _March:
         self.nc = self.done = 0
 
     def _close_segment(self):
-        final_shape = (self.grid.n,) + self.shape
-        sol = DenseSolution(
-            self.grid,
-            self.out_phi.reshape(final_shape),
-            self.out_psi.reshape(final_shape),
-            self.acc.reshape(final_shape),
-        )
-        self.pieces.append(sol)
+        """Start the next segment, if any, from this one's last node row: the
+        same phi, and dphi plus the breakpoint's jump."""
+        last, jumps = self.base + self.pos, self.problem.jumps
+        self.seg, self.base = self.seg + 1, last + 1
         if not self.finished:
-            phi, dphi = sol.phi[-1], sol.dphi[-1]
-            jumps = self.problem.jumps
-            jump = jumps[len(self.pieces) - 1] if jumps is not None else None
+            jump = jumps[self.seg - 1] if jumps is not None else None
+            phi, dphi = (a[last].reshape(self.shape) for a in (self.out_phi, self.out_psi))
             self._start_segment(phi, dphi if jump is None else dphi + jump(phi.copy()))
 
 
@@ -456,7 +456,8 @@ def _round(marches):
 
 
 def march(problems) -> list:
-    """March every problem; returns, per problem, its DenseSolution per grid.
+    """March every problem; returns one DenseSolution per problem, over all
+    its grids.
 
     The unfinished problems advance together, one _round at a time; each
     problem's nodes are bit-identical to marching it alone (module
@@ -482,7 +483,7 @@ def march(problems) -> list:
                 failure = failed
     if failure is not None:
         raise failure
-    return [m.pieces for m in marches]
+    return [m.solution() for m in marches]
 
 
 _H0 = np.array([1.0, 0.0, 0.0, -10.0, 15.0, -6.0])
@@ -509,33 +510,62 @@ def _dpoly(coeffs, t):
 
 @dataclass
 class DenseSolution:
-    """Node values plus quintic two-point Hermite dense output.
+    """Node values on consecutive segments plus quintic two-point Hermite
+    dense output on each.
 
-    Arrays are (n_nodes, *field_shape); the second derivative comes from the
-    ODE right-hand side, making the interpolant O(h^6)-accurate for smooth
-    coefficients.
+    Arrays are (rows, *field_shape): each grid's node rows follow the previous
+    grid's, so a breakpoint is a node of both segments; the value is
+    continuous there and the derivative may jump.  The second derivative
+    comes from the ODE right-hand side, making the interpolant O(h^6)-accurate
+    for smooth coefficients.
     """
 
-    grid: Grid1D
+    grids: list  # list[Grid1D], consecutive
     phi: np.ndarray
     dphi: np.ndarray
     ddphi: np.ndarray
+    breakpoints: np.ndarray = field(init=False)  # segment boundaries including interval ends
 
-    def _locate(self, ub):
-        ub = np.asarray(ub, dtype=float)
-        h = self.grid.h
-        idx = np.clip(((ub - self.grid.a) / h).astype(int), 0, self.grid.n - 2)
-        t = (ub - (self.grid.a + idx * h)) / h
-        return idx, t, h
+    def __post_init__(self):
+        self.breakpoints = np.array([self.grids[0].a] + [g.b for g in self.grids], dtype=float)
+        self._starts = np.cumsum([0] + [g.n for g in self.grids]).tolist()
+
+    def nodes(self):
+        """The ub of every node row."""
+        return np.concatenate([g.points() for g in self.grids])
+
+    def deriv_jumps(self):
+        """(location, jump of the derivative) at each interior breakpoint."""
+        return [(self.breakpoints[k], self.dphi[s] - self.dphi[s - 1]) for k, s in enumerate(self._starts[1:-1], 1)]
 
     def _eval(self, ub, basis_fn):
-        """f0*B0 + (h*d0)*B1 + ((h*h)*s0)*B2 + f1*B3 + (h*d1)*B4 + ((h*h)*s1)*B5,
-        summed left to right in one output buffer with one scratch buffer, so
-        no more than two result-sized arrays are alive at once."""
-        idx, t, h = self._locate(ub)
-        extra = (None,) * (self.phi.ndim - 1)
-        tt = t[(...,) + extra] if self.phi.ndim > 1 else t
-        out = np.take(self.phi, idx, axis=0)
+        """Each point on the segment that holds it (clipped to the end
+        segments), in its input order; one segment takes every point as is."""
+        if len(self.grids) == 1:
+            return self._segment(0, ub, basis_fn)
+        ub = np.atleast_1d(np.asarray(ub, float))
+        seg = np.clip(np.searchsorted(self.breakpoints, ub, side="right") - 1, 0, len(self.grids) - 1)
+        # a stable sort keeps each segment's points in their input order
+        order = np.argsort(seg, kind="stable")
+        cuts = np.searchsorted(seg[order], np.arange(len(self.grids) + 1))
+        out = np.empty((len(ub),) + self.phi.shape[1:])
+        for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            if lo < hi:
+                sel = order[lo:hi]
+                out[sel] = self._segment(k, ub[sel], basis_fn)
+        return out
+
+    def _segment(self, k, ub, basis_fn):
+        """f0*B0 + (h*d0)*B1 + ((h*h)*s0)*B2 + f1*B3 + (h*d1)*B4 + ((h*h)*s1)*B5
+        on segment k, with its scalar a and h, summed left to right in one
+        output buffer with one scratch buffer, so no more than two
+        result-sized arrays are alive at once; divided by h for _dpoly."""
+        g, rows = self.grids[k], slice(self._starts[k], self._starts[k + 1])
+        ub, h = np.asarray(ub, dtype=float), g.h
+        idx = np.clip(((ub - g.a) / h).astype(int), 0, g.n - 2)
+        t = (ub - (g.a + idx * h)) / h
+        tt = t[(...,) + (None,) * (self.phi.ndim - 1)] if self.phi.ndim > 1 else t
+        out = np.take(self.phi[rows], idx, axis=0)
         out *= basis_fn(_H0, tt)
         term = np.empty_like(out)
         for values, cell, scale, coeffs in (
@@ -545,85 +575,24 @@ class DenseSolution:
             (self.dphi, idx + 1, h, _H4),
             (self.ddphi, idx + 1, h * h, _H5),
         ):
-            np.take(values, cell, axis=0, out=term, mode="clip")  # "raise" buffers out; cell is in range
+            np.take(values[rows], cell, axis=0, out=term, mode="clip")  # "raise" buffers out; cell is in range
             if scale is not None:
                 term *= scale
             term *= basis_fn(coeffs, tt)
             out += term
+        if basis_fn is _dpoly:  # d/dub = (d/dt) / h
+            out /= h
         return out
 
     def __call__(self, ub):
         return self._eval(ub, _poly)
 
     def deriv(self, ub):
-        out = self._eval(ub, _dpoly)
-        out /= self.grid.h
-        return out
-
-
-def solve_linear_second_order(
-    grid: Grid1D,
-    glog_fn: Callable[[np.ndarray], np.ndarray],
-    coeff_fn: Callable[[np.ndarray], np.ndarray],
-    source_fn,
-    phi0: np.ndarray,
-    dphi0: np.ndarray,
-) -> DenseSolution:
-    """March phi'' = 2*glog*phi' - coeff*phi - source/(2 phi) on grid nodes.
-
-    The one-problem, one-grid march (Problem gives the providers' form).
-    Raises FocusingError at the first node where phi is nonpositive or NaN or
-    phi' is not finite.
-    """
-    return march([Problem([grid], glog_fn, coeff_fn, source_fn, phi0, dphi0)])[0][0]
+        return self._eval(ub, _dpoly)
 
 
 def _broadcast_coeff(fn, ub, M):
     return np.ascontiguousarray(np.asarray(fn(ub), dtype=float).reshape(len(ub), M))
-
-
-@dataclass
-class PiecewiseSolution:
-    """Solutions on consecutive segments; continuous value, derivative may jump."""
-
-    pieces: list  # list[DenseSolution]
-    breakpoints: np.ndarray = field(init=False)  # segment boundaries including interval ends
-
-    def __post_init__(self):
-        self.breakpoints = np.array([self.pieces[0].grid.a] + [p.grid.b for p in self.pieces], dtype=float)
-
-    def _piece(self, ub):
-        return np.clip(
-            np.searchsorted(self.breakpoints, ub, side="right") - 1, 0, len(self.pieces) - 1
-        )
-
-    def _apply(self, ub, method):
-        ub = np.atleast_1d(np.asarray(ub, float))
-        idx = self._piece(ub)
-        # a stable sort keeps each piece's points in their input order
-        order = np.argsort(idx, kind="stable")
-        cuts = np.searchsorted(idx[order], np.arange(len(self.pieces) + 1))
-        out = np.empty((len(ub),) + self.pieces[0].phi.shape[1:])
-        for p, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-            if lo < hi:
-                sel = order[lo:hi]
-                out[sel] = method(self.pieces[p], ub[sel])
-        return out
-
-    def __call__(self, ub):
-        return self._apply(ub, lambda piece, x: piece(x))
-
-    def deriv(self, ub):
-        return self._apply(ub, lambda piece, x: piece.deriv(x))
-
-    def deriv_jumps(self):
-        """(location, jump of the derivative) at each interior breakpoint."""
-        out = []
-        for i in range(len(self.pieces) - 1):
-            left = self.pieces[i].dphi[-1]
-            right = self.pieces[i + 1].dphi[0]
-            out.append((self.breakpoints[i + 1], right - left))
-        return out
 
 
 def segmented_grids(pieces) -> list:
@@ -631,17 +600,3 @@ def segmented_grids(pieces) -> list:
     and at least 9 nodes, in the (lo, hi, ...) form of
     quadrature.composite_rule's pieces."""
     return [Grid1D(a, b, max(9, int(np.ceil((b - a) / step)) + 1)) for a, b, step in pieces]
-
-
-def solve_linear_segmented(
-    pieces,
-    glog_fn,
-    coeff_fn,
-    source_fn,
-    phi0,
-    dphi0,
-    jumps=None,
-) -> PiecewiseSolution:
-    """Segment-by-segment march with per-segment step sizes: the one-problem
-    march on segmented_grids(pieces), with the jumps of Problem."""
-    return PiecewiseSolution(march([Problem(segmented_grids(pieces), glog_fn, coeff_fn, source_fn, phi0, dphi0, jumps)])[0])

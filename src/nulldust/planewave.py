@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .grids import Grid1D
-from .odesolve import DenseSolution, solve_linear_second_order
+from .odesolve import DenseSolution, Problem, march
 from .quadrature import gauss_legendre_integrate
 from .testfunctions import bump, dbump
 
@@ -105,9 +105,7 @@ def solve_H(profile: WaveProfile) -> DenseSolution:
     Raises FocusingError from the march at the first node where H is
     nonpositive or NaN or H' is not finite.
     """
-    return solve_linear_second_order(
-        profile.grid, np.zeros_like, lambda ub: 0.25 * profile.dg(ub) ** 2, None, 1.0, 0.0
-    )
+    return march([Problem([profile.grid], np.zeros_like, lambda ub: 0.25 * profile.dg(ub) ** 2, None, 1.0, 0.0)])[0]
 
 
 def weak_limit_pairings(
@@ -140,7 +138,7 @@ def jump_detect(factor: DenseSolution, window: float):
     """
     if not (np.isfinite(factor.dphi).all() and np.isfinite(factor.ddphi).all()):
         raise NonFiniteError("wave factor has a non-finite H' or H''")
-    ub = factor.grid.points()
+    ub = factor.nodes()
     curv = np.abs(factor.ddphi)
     if curv.max() <= _FLAT_TOL:
         return None

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .grids import AngularGrid
 from .quadrature import composite_rule
 
@@ -58,10 +59,13 @@ def is_trapped(shell: ShellSpacetime):
 
     Trapped at theta means trchi+ < 0 and trchb < 0 there; the overall flag
     demands it for every direction.  margin = inf m - 2 (1 - u_star) is the
-    analytic criterion's slack (trapped overall iff margin > 0).
+    analytic criterion's slack (trapped overall iff margin > 0).  Raises
+    NonFiniteError when trchi+ is not finite, which would read as untrapped.
     """
     r = shell.ub0 - shell.u_star + 1.0
     trchi_plus = trch_jump(shell, shell.u_star)
+    if not np.isfinite(trchi_plus).all():
+        raise NonFiniteError("outgoing expansion past the shell is not finite")
     trchb = -2.0 / r
     per_theta = (trchi_plus < 0.0) & (trchb < 0.0)
     margin = float(shell.mass.min() - 2.0 * r)

@@ -11,9 +11,13 @@ import pytest
 
 from nulldust import acceptance as A
 from nulldust import compcompact as CC
+from nulldust import constraints as C
 from nulldust import gowdy
+from nulldust import hfapprox as H
+from nulldust import measurepipe as MP
 from nulldust import mollify as M
 from nulldust import planewave as pw
+from nulldust import shellmod as S
 from nulldust.errors import NumericalFailure
 
 
@@ -223,6 +227,68 @@ def test_nan_ratio_after_the_first_fails_the_pairing_check(monkeypatch):
     v = A.criterion_mollification()
     assert v.details["checks"]["pairing_bound_ratios_bounded"] is False
     assert not v.passed
+
+
+def nan_on_call(monkeypatch, owner, name, call, poison):
+    """Make the call-th (from 0) call of owner.name hand its result to poison,
+    which puts a NaN in it, before returning it."""
+    exact = getattr(owner, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        out = exact(*args, **kwargs)
+        if len(calls) == call:
+            out = poison(out)
+        calls.append(1)
+        return out
+
+    monkeypatch.setattr(owner, name, patched)
+    return calls
+
+
+def test_nan_weak_residual_after_the_first_fails_the_constraint_check(monkeypatch):
+    nan_on_call(monkeypatch, C, "weak_constraint_residual", 3, lambda r: float("nan"))
+    v = A.criterion_constraints()
+    assert math.isnan(v.details["max_weak_residual"])
+    assert v.details["checks"]["weak_residuals_below_1e-6"] is False
+    assert not v.passed
+
+
+def nan_at(index):
+    """A poison for nan_on_call: a copy of the array result with a NaN at index."""
+    def poison(out):
+        out = np.array(out, dtype=float)
+        out[index] = float("nan")
+        return out
+    return poison
+
+
+@pytest.mark.parametrize("call", [1, 4])
+def test_nan_corrector_in_a_later_member_fails_the_absorber(monkeypatch, call):
+    # corrector_jet is called once per member of the family ladder, n = 4..128;
+    # the NaN goes into the corrector F_n at a point inside the interval
+    poison = lambda jet: (nan_at((100, 3, 1))(jet[0]), jet[1])
+    nan_on_call(monkeypatch, H.OscillatoryFamily, "corrector_jet", call, poison)
+    assert fails(A.criterion_absorber)
+
+
+@pytest.mark.parametrize("key, row", [("gap", 2), ("difference", -1)])
+def test_nan_weak_check_row_fails_the_pipeline(monkeypatch, key, row):
+    def poison(rows):
+        rows = [dict(r) for r in rows]
+        rows[row][key] = float("nan")
+        return rows
+
+    nan_on_call(monkeypatch, MP, "pipeline_weak_check", 0, poison)
+    assert fails(A.criterion_pipeline)
+
+
+@pytest.mark.parametrize("call", [1, 2, 499])
+def test_nan_expansion_in_a_later_trial_fails_the_trapped_criterion(monkeypatch, call):
+    # trial 1 is trapped, trials 2 and 499 are not: there a NaN read as untrapped
+    # would agree with the analytic verdict, so is_trapped must refuse it
+    nan_on_call(monkeypatch, S, "trch_jump", call, nan_at((5, 3)))
+    assert fails(A.criterion_trapped)
 
 
 @pytest.mark.parametrize("n_nan", [97, 65])

@@ -158,7 +158,7 @@ def test_phi_solution_matches_dust_when_no_density(chart, grid):
     bg = make_background(chart, grid, f_level=0.0)
     fam = H.OscillatoryFamily(bg, 8.0, 4)
     sol, = H.solve_phi_n([fam])
-    nodes = sol.grid.points()
+    nodes = sol.nodes()
     assert np.abs(sol.phi - bg.phi(nodes)).max() < 1e-12
 
 
@@ -334,7 +334,7 @@ def oracle_family_convergence(background, n_values):
             - 4.0 * np.maximum(background.f(ub), 0.0)
         )
         sol, = H.solve_phi_n([fam])
-        nodes = sol.grid.points()
+        nodes = sol.nodes()
         rows.append({
             "n": n,
             "k": k,

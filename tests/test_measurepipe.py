@@ -159,10 +159,10 @@ def test_member_does_not_depend_on_members_built_before(setting):
     (one,), (other,) = alone.members([3]), after.members([3])
     for twin in (other, batch.members([1, 2, 3])[2]):
         assert one.family.n == twin.family.n and one.family.k == twin.family.k
-        assert len(one.phi_vac.pieces) == len(twin.phi_vac.pieces)
+        assert one.phi_vac.grids == twin.phi_vac.grids
         assert np.array_equal(one.phi_vac.breakpoints, twin.phi_vac.breakpoints)
-        for p, q in zip(one.phi_vac.pieces, twin.phi_vac.pieces):
-            assert p.phi.tobytes() == q.phi.tobytes() and p.dphi.tobytes() == q.dphi.tobytes()
+        p, q = one.phi_vac, twin.phi_vac
+        assert p.phi.tobytes() == q.phi.tobytes() and p.dphi.tobytes() == q.dphi.tobytes()
 
 
 def test_pipeline_linearity_equals_doubled_run_with_every_member(monkeypatch):
@@ -204,7 +204,7 @@ def loop_shear_energy_pairing(member, data, phi_test):
 
 def loop_background_shear_pairing(data, phi_bv, phi_test):
     w = data.area_weights()
-    breaks = list(getattr(phi_bv, "breakpoints", [data.grid.a, data.grid.b]))
+    breaks = list(phi_bv.breakpoints)
     total = 0.0
     for lo, hi in zip(breaks[:-1], breaks[1:]):
         sub = np.linspace(lo, hi, 96 + 1)

@@ -6,9 +6,14 @@ import pytest
 
 from nulldust import odesolve
 from nulldust.grids import Grid1D
-from nulldust.odesolve import FocusingError, solve_linear_second_order
+from nulldust.odesolve import DenseSolution, FocusingError
 
 ROWS = odesolve._ROWS_MIN_POINTS
+
+
+def solve(grid, glog_fn, coeff_fn, source_fn, phi0, dphi0):
+    """The march of one problem on one grid."""
+    return odesolve.march([odesolve.Problem([grid], glog_fn, coeff_fn, source_fn, phi0, dphi0)])[0]
 
 
 def _rk4_points(phi, psi, gl, cc, ff, hs, out_phi, out_psi):
@@ -89,7 +94,7 @@ def march_chunk(inputs, h):
     failure as the flat index step*M + j, or its state and nodes."""
     M = inputs[0].shape[0]
     try:
-        sol = odesolve.march([chunk_problem(inputs, h)])[0][0]
+        sol = odesolve.march([chunk_problem(inputs, h)])[0]
     except FocusingError as err:
         ub, j = err.location
         return (round(ub / h) - 1) * M + j, None, None, None, None
@@ -153,7 +158,7 @@ def test_zero_stage_value_is_focusing_at_that_step(monkeypatch):
     # is exactly 0, and with a positive source the stage divides by it
     grid = Grid1D(0.0, 1.0, 3)
     assert grid.h == 0.5
-    march = lambda: solve_linear_second_order(
+    march = lambda: solve(
         grid, np.zeros_like, np.zeros_like, lambda ub: np.full_like(ub, 0.3), 1.0, -4.0
     )
     locations = []
@@ -203,7 +208,7 @@ def test_focusing_location_same_for_both_kernels(monkeypatch):
     for kernel in [_rk4_points, *KERNELS.values()]:
         monkeypatch.setattr(odesolve, "_rk4_chunk", kernel)
         with pytest.raises(FocusingError) as err:
-            solve_linear_second_order(
+            solve(
                 Grid1D(0.0, 3.0, 601),
                 lambda ub: np.where(crushed, 0.0, glog(ub)),
                 lambda ub: np.where(crushed, 1.0, coeff(ub)),
@@ -224,7 +229,7 @@ def test_nan_coefficient_is_focusing_error_at_many_points():
     poisoned = lambda ub: np.where((ub[:, None] > 0.5) & (np.arange(M) == 7), np.nan, coeff(ub))
     assert M >= odesolve._ROWS_MIN_POINTS  # the row kernel runs
     with pytest.raises(FocusingError) as err:
-        solve_linear_second_order(
+        solve(
             Grid1D(0.0, 1.0, 201), glog, poisoned, source, np.ones(M), np.zeros(M)
         )
     ub, j = err.value.location
@@ -240,7 +245,7 @@ def test_nan_in_last_stage_is_focusing_error(M):
     glog, coeff, source = chart_coeffs(M)
     poisoned = lambda ub: np.where(ub[:, None] == grid.b, np.nan, coeff(ub))
     with pytest.raises(FocusingError) as err:
-        solve_linear_second_order(grid, glog, poisoned, source, np.ones(M), np.zeros(M))
+        solve(grid, glog, poisoned, source, np.ones(M), np.zeros(M))
     assert err.value.location == (grid.b, 0)
 
 
@@ -249,7 +254,7 @@ def test_node_second_derivative_is_rhs_on_grid_points(M, n):
     """ddphi reuses the lattice coefficients; it must equal the ODE at grid.points()."""
     grid = Grid1D(0.0, 1.0, n)
     glog, coeff, source = chart_coeffs(M)
-    sol = solve_linear_second_order(grid, glog, coeff, source, np.ones(M), np.zeros(M))
+    sol = solve(grid, glog, coeff, source, np.ones(M), np.zeros(M))
     ub = grid.points()
     rhs = 2.0 * glog(ub) * sol.dphi - coeff(ub) * sol.phi - 0.5 * source(ub) / sol.phi
     assert np.abs(sol.ddphi - rhs).max() <= 1e-14 * np.abs(rhs).max()
@@ -303,12 +308,12 @@ def test_duplicated_columns_march_as_separate_columns(M, monkeypatch):
     grid = Grid1D(0.0, 1.0, 129)
     phi0 = np.linspace(1.0, 2.0, U)[cols]
     psi0 = np.linspace(-0.1, 0.1, U)[cols]
-    sol = solve_linear_second_order(
+    sol = solve(
         grid, lambda ub: glog(ub)[:, cols], lambda ub: coeff(ub)[:, cols],
         lambda ub: source(ub)[:, cols], phi0, psi0,
     )
     for j in range(M):
-        one = solve_linear_second_order(
+        one = solve(
             grid, lambda ub: glog(ub)[:, cols[j]], lambda ub: coeff(ub)[:, cols[j]],
             lambda ub: source(ub)[:, cols[j]], phi0[j], psi0[j],
         )
@@ -320,7 +325,7 @@ def test_theta1_only_data_marches_one_column_per_theta1(monkeypatch):
     # (8, 4) chart, coefficients that vary in the first angle only
     th = np.arange(8)[:, None] + np.zeros((8, 4))
     grid = Grid1D(0.0, 1.0, odesolve._CHUNK + 101)
-    march = lambda: solve_linear_second_order(
+    march = lambda: solve(
         grid,
         lambda ub: 0.1 * np.sin(ub[:, None, None] + th),
         lambda ub: 0.5 + 0.1 * np.cos(ub[:, None, None] * (1.0 + th)),
@@ -344,7 +349,7 @@ def test_single_point_march_skips_the_keying(monkeypatch):
         raise AssertionError("columns keyed for one point")
 
     monkeypatch.setattr(odesolve, "_distinct_columns", keyed)
-    sol = solve_linear_second_order(Grid1D(0.0, 1.0, 33), np.zeros_like, np.ones_like, None, 1.0, 0.0)
+    sol = solve(Grid1D(0.0, 1.0, 33), np.zeros_like, np.ones_like, None, 1.0, 0.0)
     assert abs(sol.phi[-1] - np.cos(1.0)) < 1e-8
 
 
@@ -453,7 +458,7 @@ def test_focusing_location_same_as_undeduplicated_march(n, monkeypatch):
     # points 9, 13 and 29 share a column that crosses zero in the last chunk
     crushed = np.isin(np.arange(M), [9, 13, 29])
     omega = 0.5 * np.pi * (n - 1) / (n - 301)
-    march = lambda: solve_linear_second_order(
+    march = lambda: solve(
         Grid1D(0.0, 1.0, n),
         lambda ub: np.where(crushed, 0.0, glog(ub)[:, k]),
         lambda ub: np.where(crushed, omega**2, coeff(ub)[:, k]),
@@ -476,8 +481,12 @@ def test_focusing_location_same_as_undeduplicated_march(n, monkeypatch):
 
 
 def _eval_oracle(sol, ub, basis_fn):
-    """DenseSolution._eval as one expression of six gathered terms."""
-    idx, t, h = sol._locate(ub)
+    """DenseSolution._eval of a one-segment solution as one expression of six
+    gathered terms."""
+    (grid,) = sol.grids
+    ub, h = np.asarray(ub, float), grid.h
+    idx = np.clip(((ub - grid.a) / h).astype(int), 0, grid.n - 2)
+    t = (ub - (grid.a + idx * h)) / h
     tt = t[(...,) + (None,) * (sol.phi.ndim - 1)] if sol.phi.ndim > 1 else t
     f0, f1 = sol.phi[idx], sol.phi[idx + 1]
     d0, d1 = sol.dphi[idx], sol.dphi[idx + 1]
@@ -498,7 +507,7 @@ def chart_solution(n=257, shape=(8, 4)):
     grid = Grid1D(0.1, 0.9, n)
     ones = np.ones(shape)
     fields = lambda fn: (lambda ub: fn(ub).reshape((len(ub),) + shape))
-    return solve_linear_second_order(grid, fields(glog), fields(coeff), fields(source), ones, 0.1 * ones)
+    return solve(grid, fields(glog), fields(coeff), fields(source), ones, 0.1 * ones)
 
 
 @pytest.mark.parametrize("shape", [(), (3,), (8, 4)])
@@ -507,14 +516,14 @@ def test_dense_output_bit_identical_to_six_term_sum(shape):
     rng = np.random.default_rng(5)
     points = [
         rng.uniform(0.1, 0.9, 1000),
-        sol.grid.points(),
+        sol.nodes(),
         rng.uniform(0.1, 0.9, (7, 3)),
         np.float64(0.37),
         0.9,
         np.array([0.1 - 1e-3, 0.9 + 1e-3]),  # the end cells' quintics, extrapolated
     ]
     for ub in points:
-        for method, basis_fn, scale in ((sol, odesolve._poly, 1.0), (sol.deriv, odesolve._dpoly, sol.grid.h)):
+        for method, basis_fn, scale in ((sol, odesolve._poly, 1.0), (sol.deriv, odesolve._dpoly, sol.grids[0].h)):
             got, want = method(ub), _eval_oracle(sol, ub, basis_fn) / scale
             assert np.shape(got) == np.shape(want) and type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
@@ -536,14 +545,26 @@ def test_dense_output_keeps_two_result_buffers():
     assert peaks[0] < 2.5 * result and peaks[2] < 2.5 * result
 
 
-def _apply_oracle(pw, ub, method):
-    """PiecewiseSolution._apply as one boolean mask per piece."""
+def test_one_segment_solution_has_no_interior_breakpoint():
+    sol = chart_solution()
+    (grid,) = sol.grids
+    assert sol.breakpoints.tolist() == [grid.a, grid.b]
+    assert sol.deriv_jumps() == []
+    assert sol.nodes().tobytes() == grid.points().tobytes()
+
+
+def _segments_oracle(sol, ub, name):
+    """Multi-segment dense output as one boolean mask per segment, each
+    segment a one-segment DenseSolution on its node-row slice."""
     ub = np.atleast_1d(np.asarray(ub, float))
-    idx = pw._piece(ub)
-    out = np.empty((len(ub),) + pw.pieces[0].phi.shape[1:])
-    for p in np.unique(idx):
-        sel = idx == p
-        out[sel] = method(pw.pieces[p], ub[sel])
+    seg = np.clip(np.searchsorted(sol.breakpoints, ub, side="right") - 1, 0, len(sol.grids) - 1)
+    starts = np.cumsum([0] + [g.n for g in sol.grids])
+    out = np.empty((len(ub),) + sol.phi.shape[1:])
+    for k in np.unique(seg):
+        rows = slice(starts[k], starts[k + 1])
+        piece = DenseSolution([sol.grids[k]], sol.phi[rows], sol.dphi[rows], sol.ddphi[rows])
+        sel = seg == k
+        out[sel] = getattr(piece, name)(ub[sel])
     return out
 
 
@@ -554,11 +575,16 @@ def test_piecewise_output_bit_identical_to_mask_loop(shape):
     M = max(1, int(np.prod(shape)))
     glog, coeff, source = chart_coeffs(M)
     fields = lambda fn: (lambda ub: fn(ub).reshape((len(ub),) + shape))
-    pw = odesolve.solve_linear_segmented(
-        [(lo, hi, 0.01) for lo, hi in zip(breakpoints[:-1], breakpoints[1:])],
-        fields(glog), fields(coeff), fields(source), ones, 0.1 * ones,
-        jumps=[lambda phi: -0.1 / phi, None, lambda phi: -0.2 / phi],
-    )
+    grids = odesolve.segmented_grids([(lo, hi, 0.01) for lo, hi in zip(breakpoints[:-1], breakpoints[1:])])
+    sol = odesolve.march([odesolve.Problem(
+        grids, fields(glog), fields(coeff), fields(source), ones, 0.1 * ones,
+        [lambda phi: -0.1 / phi, None, lambda phi: -0.2 / phi],
+    )])[0]
+    assert sol.breakpoints.tolist() == breakpoints
+    assert len(sol.phi) == sum(g.n for g in grids)
+    assert sol.nodes().tolist() == [x for g in grids for x in g.points().tolist()]
+    assert [loc for loc, _ in sol.deriv_jumps()] == breakpoints[1:-1]
+    assert not np.any(sol.deriv_jumps()[1][1])  # no jump at 0.3: dphi carries over
     rng = np.random.default_rng(9)
     on_breaks = np.array(breakpoints)
     points = [
@@ -569,9 +595,8 @@ def test_piecewise_output_bit_identical_to_mask_loop(shape):
     ]
     for ub in points:
         for name in ("__call__", "deriv"):
-            method = lambda piece, x: getattr(piece, name)(x)
-            got = getattr(pw, name)(ub)
-            assert got.tobytes() == _apply_oracle(pw, ub, method).tobytes()
+            got = getattr(sol, name)(ub)
+            assert got.tobytes() == _segments_oracle(sol, ub, name).tobytes()
 
 
 # --- lockstep march of several problems ----------------------------------------
@@ -607,12 +632,11 @@ def lockstep_problems():
     ]
 
 
-def same_pieces(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.grid == b.grid
-        for x, y in zip((a.phi, a.dphi, a.ddphi), (b.phi, b.dphi, b.ddphi)):
-            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+def same_solution(a, b):
+    assert a.grids == b.grids
+    assert a.breakpoints.tobytes() == b.breakpoints.tobytes()
+    for x, y in zip((a.phi, a.dphi, a.ddphi), (b.phi, b.dphi, b.ddphi)):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_lockstep_march_equals_marching_each_problem_alone(monkeypatch):
@@ -620,16 +644,10 @@ def test_lockstep_march_equals_marching_each_problem_alone(monkeypatch):
     batch = odesolve.march(lockstep_problems())
     rounds = list(seen)
     assert max(rounds) >= ROWS > min(rounds)  # the round's total picks the kernel
-    for problem, pieces in zip(lockstep_problems(), batch):
-        same_pieces(pieces, odesolve.march([problem])[0])
-    # the one-problem wrappers are the same march
-    one, seg = lockstep_problems()[1], lockstep_problems()[2]
-    same_pieces([solve_linear_second_order(one.grids[0], one.glog_fn, one.coeff_fn, one.source_fn,
-                                           one.phi0, one.dphi0)], batch[1])
-    pw = odesolve.solve_linear_segmented(
-        [(g.a, g.b, g.h) for g in seg.grids], seg.glog_fn, seg.coeff_fn, None, seg.phi0, seg.dphi0, seg.jumps)
-    same_pieces(pw.pieces, batch[2])
-    assert pw.breakpoints.tolist() == [0.0, 0.5, 0.6, 1.5]
+    for problem, sol in zip(lockstep_problems(), batch):
+        assert len(sol.phi) == sum(g.n for g in problem.grids)
+        same_solution(sol, odesolve.march([problem])[0])
+    assert batch[2].breakpoints.tolist() == [0.0, 0.5, 0.6, 1.5]
 
 
 def test_lockstep_providers_see_the_chunks_of_a_lone_march():
@@ -656,9 +674,9 @@ def test_equal_columns_with_different_steps_stay_apart(monkeypatch):
     seen = record_chunk_points(monkeypatch)
     batch = odesolve.march([make(g) for g in grids])
     assert seen == [2, 1]  # one distinct column each; the first problem finishes first
-    for grid, pieces in zip(grids, batch):
-        same_pieces(pieces, odesolve.march([make(grid)])[0])
-        assert abs(pieces[0].phi[-1, 0] - np.cos(1.0)) < 1e-8
+    for grid, sol in zip(grids, batch):
+        same_solution(sol, odesolve.march([make(grid)])[0])
+        assert abs(sol.phi[-1, 0] - np.cos(1.0)) < 1e-8
 
 
 def crushing_problem(n, crush_at, M=4):

@@ -104,7 +104,7 @@ def test_ricci_formula_hand_value():
     # G = ub^2 with H = 1: the only curvature component is -2 ub^2
     grid = Grid1D(0.0, 1.0, 257)
     prof = pw.WaveProfile(grid, lambda u: 2.0 * u)
-    fac = DenseSolution(grid, np.ones(grid.n), np.zeros(grid.n), np.zeros(grid.n))
+    fac = DenseSolution([grid], np.ones(grid.n), np.zeros(grid.n), np.zeros(grid.n))
     ub = grid.points()
     assert np.abs(ricci_uu(prof, fac) + 2.0 * ub**2).max() < 1e-14
 
