@@ -161,7 +161,7 @@ def _mass_profile(spec):
 def _dust_spec(text):
     """argparse type: ';'-separated 'atom UB MASS' / 'density LEVEL' lines -> (kind, value, profile)
     lines; an atom must sit strictly inside the subcommands' interval 0 < ub < 1,
-    and a density LEVEL must be >= 0."""
+    and there is at most one density LEVEL, >= 0."""
     lines = []
     for words in (line.split() for line in text.split(";") if line.strip()):
         if (words[0], len(words)) not in (("atom", 3), ("density", 2)):
@@ -171,6 +171,8 @@ def _dust_spec(text):
             raise argparse.ArgumentTypeError(f"atom at ub={value} not strictly inside (0, 1)")
         if words[0] == "density" and value < 0.0:
             raise argparse.ArgumentTypeError(f"density level {value} is negative")
+        if words[0] == "density" and any(kind == "density" for kind, _, _ in lines):
+            raise argparse.ArgumentTypeError("more than one density line")
         lines.append((words[0], value, _mass_profile(words[2]) if len(words) == 3 else None))
     return tuple(lines)
 

@@ -47,11 +47,14 @@ class NullDustMeasure:
     density: Callable | None = None
 
     def validate(self, grid: Grid1D):
+        locs = [loc for loc, _ in self.atoms]
         for loc, mass in self.atoms:
             if not (grid.a < loc < grid.b):
                 raise MeasureSupportError(f"atom at ub={loc} not strictly inside ({grid.a}, {grid.b})")
             if np.any(np.asarray(mass) < 0):
                 raise ValueError("atom masses must be nonnegative")
+            if locs.count(loc) > 1:
+                raise ValueError(f"two atoms at ub={loc}: give one atom their summed mass")
 
 
 _DET_RTOL = 1e-12  # tolerated |det gamma_hat / det gamma_ring - 1|

@@ -8,25 +8,25 @@ providers are evaluated once on the half-step lattice; the even lattice points
 are the grid nodes, and their values also give the second derivative stored
 for dense output.
 
-Shells and dusts often vary in one angle or in none, so many of the M angular
-points of a chunk carry byte-identical columns of initial state and
-coefficients.  Each chunk marches only its U distinct columns and scatters the
-nodes back to all M points; byte-equal inputs give byte-equal marches, so the
-result is bit-identical to marching every point.
+Shells and dusts often vary in one angle or in none, so a chunk's initial
+state and coefficients are often constant along some angular axes of the
+problem's shape.  Each chunk cuts every such axis, found by raw bits, to its
+first index and marches only the U columns left, the compact shape; the
+nodes are broadcast back to all M points.  Byte-equal inputs give byte-equal
+marches, so the result is bit-identical to marching every point.
 
 march takes a list of independent problems (a sequence's members, each its
 own constraint ODE) and advances the unfinished ones in lockstep.  Each round
-hands _rk4_chunk the distinct columns of every active problem side by side,
+hands _rk4_chunk the compact columns of every active problem side by side,
 each column with its problem's step h, and moves them all by the fewest steps
 any of them has left in its current chunk.  Every problem still calls its
-providers once per chunk on that chunk's lattice, its columns are
-deduplicated among themselves only (h differs between problems), and a round
-that stops inside a chunk resumes from the stored node state; the RK4 step
-acts on each column alone, so every problem's nodes are bit-identical to
-marching it by itself.  The error raised is the one marching the problems one
-after another would raise: that of the first failing problem in list order,
-at the location it reports alone.  Each problem gives one DenseSolution
-over all its segments.
+providers once per chunk on that chunk's lattice and is compacted on its own,
+and a round that stops inside a chunk resumes from the stored node state;
+the RK4 step acts on each column alone, so every problem's nodes are
+bit-identical to marching it by itself.  The error raised is the one
+marching the problems one after another would raise: that of the first
+failing problem in list order, at the location it reports alone.  Each
+problem gives one DenseSolution over all its segments.
 
 _rk4_chunk marches the U columns of one round with one of two kernels, U being
 the round's total over its problems.  For U < _ROWS_MIN_POINTS the column
@@ -255,47 +255,19 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     return -1
 
 
-def _distinct_columns(phi, psi, gl, cc, ff):
-    """The byte-distinct angular columns of one chunk's problem.
-
-    Column j is (phi[j], psi[j], gl[:, j], cc[:, j], ff[:, j]), compared by
-    its raw bits, so -0.0 and 0.0, or two NaN payloads, are different columns.
-    Returns the first occurrence of each distinct column, in increasing
-    order, and the distinct column of every point.
-
-    Columns are first keyed by a fingerprint of their uint64 views: the
-    state, and each coefficient's wrapping sum, first and last row.  Only
-    columns with equal fingerprints are compared in full: each with the
-    previous column of its fingerprint, all pairs d columns apart at once as
-    the basic slices b.flat[d:] and b.flat[:-d] of the contiguous rows, so a
-    column equals its first occurrence when every link of that chain holds.
+def _compact_shape(shape, arrays):
+    """shape, with each axis along which every one of arrays is constant cut
+    to size 1.  Each array is (..., M), M the points of shape in C order, and
+    is compared by its raw bits, so -0.0 against 0.0, or two NaN payloads,
+    make an axis vary.  An empty shape, or an axis of size 1, reads no array.
     """
-    bits = [a.view(np.uint64) for a in (phi, psi, gl, cc, ff)]
-    rows = bits[:2] + [r for b in bits[2:] for r in (b.sum(axis=0, dtype=np.uint64), b[0], b[-1])]
-    first, last, firsts, prevs = {}, {}, [], []
-    for j, key in enumerate(zip(*(r.tolist() for r in rows))):
-        firsts.append(first.setdefault(key, j))
-        prevs.append(last.get(key, j))
-        last[key] = j
-    firsts, prevs = np.array(firsts), np.array(prevs)
-    dup = np.flatnonzero(firsts != np.arange(len(firsts)))
-    same = np.ones(len(firsts), bool)
-    offset = dup - prevs[dup]
-    eq = np.empty(gl.size, bool)
-    for d in np.unique(offset).tolist():
-        pairs = dup[offset == d]
-        for b in bits[2:]:
-            flat = b.reshape(-1)  # column j of a row against column j - d
-            np.equal(flat[d:], flat[:-d], out=eq[d:])
-            same[pairs] &= eq.reshape(b.shape)[:, pairs].all(axis=0)
-    for j in dup.tolist():  # in increasing order, so each link's earlier end is settled
-        same[j] &= same[prevs[j]]
-    # a fingerprint collision: the column's first byte-equal column, if any,
-    # is an earlier first occurrence
-    for j in dup[~same[dup]]:
-        firsts[j] = next((i for i in range(j) if firsts[i] == i
-                          and all(np.array_equal(b[..., i], b[..., j]) for b in bits)), j)
-    return np.unique(firsts, return_inverse=True)
+    compact = list(shape)
+    for ax, n in enumerate(shape):
+        first = (slice(None),) * (ax + 1) + (slice(0, 1),)  # index 0 of axis ax, behind the leading axis
+        bits = (a.view(np.uint64).reshape(-1, *shape) for a in arrays)
+        if n > 1 and all((b == b[first]).all() for b in bits):
+            compact[ax] = 1
+    return tuple(compact)
 
 
 @dataclass
@@ -322,17 +294,17 @@ class Problem:
 
 class _March:
     """One problem inside march: the node rows of all its segments, the
-    segment being marched, and the distinct columns of its current chunk.
+    segment being marched, and the compact columns of its current chunk.
 
-    Of the chunk it holds those columns' coefficients on the lattice and
-    their nodes o_phi, o_psi, of which the first done + 1 (of nc + 1) are
-    marched.
+    Of the chunk it holds its compact shape, the U columns' coefficients on
+    the lattice and their nodes o_phi, o_psi, of which the first done + 1
+    (of nc + 1) are marched.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.shape = np.shape(problem.phi0)
-        self.M = int(np.prod(self.shape)) if self.shape else 1
+        self.M = int(np.prod(self.shape))
         rows = sum(g.n for g in problem.grids)
         self.out_phi, self.out_psi, self.acc = (np.empty((rows, self.M)) for _ in range(3))
         self.seg = self.base = 0
@@ -371,23 +343,26 @@ class _March:
         gl = _broadcast_coeff(p.glog_fn, ub, M)
         cc = _broadcast_coeff(p.coeff_fn, ub, M)
         ff = _broadcast_coeff(p.source_fn, ub, M) if p.source_fn is not None else np.zeros((2 * nc + 1, M))
-        phi, psi = self.out_phi[self.base + pos], self.out_psi[self.base + pos]
-        self.first, inverse = _distinct_columns(phi, psi, gl, cc, ff) if M > 1 else ([0], [0])
-        # when every column is distinct, basic slices take them without copies
-        pick, self.inverse = (self.first, inverse) if len(self.first) < M else (slice(None), slice(None))
-        self.gl, self.cc, self.ff = gl[:, pick], cc[:, pick], ff[:, pick]
-        self.o_phi, self.o_psi = np.empty((2, nc + 1, len(self.first)))
-        self.o_phi[0], self.o_psi[0] = phi[pick], psi[pick]
+        arrays = self.out_phi[self.base + pos], self.out_psi[self.base + pos], gl, cc, ff
+        self.compact = _compact_shape(self.shape, arrays)
+        self.U = int(np.prod(self.compact))
+        if self.U < M:  # a basic slice of the first index on each constant axis
+            cut = (slice(None),) + tuple(slice(0, c) for c in self.compact)
+            arrays = [np.ascontiguousarray(a.reshape(-1, *self.shape)[cut]).reshape(*a.shape[:-1], self.U)
+                      for a in arrays]
+        phi, psi, self.gl, self.cc, self.ff = arrays
+        self.o_phi, self.o_psi = np.empty((2, nc + 1, self.U))
+        self.o_phi[0], self.o_psi[0] = phi, psi
         self.nc, self.done = nc, 0
 
     def failure(self, step, u):
-        """The FocusingError of distinct column u failing on a round's step.
+        """The FocusingError of compact column u failing on a round's step.
 
-        First occurrences are in increasing order, so the first point of the
-        kernel's smallest failing column is the smallest failing point, the
-        one a march of every point would name.
+        Its point has index 0 on every constant axis.  That map is monotone,
+        so the point of the kernel's smallest failing column is the smallest
+        failing point, the one a march of every point would name.
         """
-        j = int(self.first[u])
+        j = int(np.ravel_multi_index(np.unravel_index(u, self.compact), self.shape))
         loc = self.grid.a + (self.pos + self.done + step + 1) * self.grid.h
         return FocusingError(
             f"conformal factor nonpositive or NaN, or its derivative not finite, near ub={loc:.6g}"
@@ -400,7 +375,7 @@ class _March:
         acc = 2.0 * self.gl[::2] * self.o_psi - self.cc[::2] * self.o_phi - 0.5 * self.ff[::2] / self.o_phi
         rows = slice(self.base + self.pos, self.base + self.pos + self.nc + 1)
         for out, nodes in ((self.out_phi, self.o_phi), (self.out_psi, self.o_psi), (self.acc, acc)):
-            out[rows] = nodes[:, self.inverse]
+            out[rows].reshape((-1, *self.shape))[...] = nodes.reshape((-1, *self.compact))
         self.gl = self.cc = self.ff = self.o_phi = self.o_psi = None
         self.pos += self.nc
         self.nc = self.done = 0
@@ -423,7 +398,7 @@ def _side_by_side(arrays):
 
 def _round(marches):
     """One kernel call: every march in marches moves by the fewest steps any
-    has left in its chunk, its distinct columns side by side with the others'.
+    has left in its chunk, its compact columns side by side with the others'.
 
     When the kernel names a failing column, the marches before its problem
     run the round again without it and the ones after it are dropped.
@@ -433,13 +408,13 @@ def _round(marches):
     failure = None
     while marches:
         k = min(m.nc - m.done for m in marches)
-        cut = np.cumsum([0] + [len(m.first) for m in marches]).tolist()
+        cut = np.cumsum([0] + [m.U for m in marches]).tolist()
         rows = [slice(2 * m.done, 2 * (m.done + k) + 1) for m in marches]
         gl, cc, ff = (_side_by_side([getattr(m, name)[r] for m, r in zip(marches, rows)])
                       for name in ("gl", "cc", "ff"))
         phi = np.concatenate([m.o_phi[m.done] for m in marches])
         psi = np.concatenate([m.o_psi[m.done] for m in marches])
-        h = np.concatenate([np.full(len(m.first), m.grid.h) for m in marches])
+        h = np.concatenate([np.full(m.U, m.grid.h) for m in marches])
         out_phi, out_psi = np.empty((2, k + 1, cut[-1]))
         bad = _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi)
         if bad < 0:
@@ -540,20 +515,22 @@ class DenseSolution:
 
     def _eval(self, ub, basis_fn):
         """Each point on the segment that holds it (clipped to the end
-        segments), in its input order; one segment takes every point as is."""
+        segments), in its input order; one segment takes every point as is.
+        Either way the result is (*ub.shape, *field_shape)."""
         if len(self.grids) == 1:
             return self._segment(0, ub, basis_fn)
-        ub = np.atleast_1d(np.asarray(ub, float))
-        seg = np.clip(np.searchsorted(self.breakpoints, ub, side="right") - 1, 0, len(self.grids) - 1)
+        ub = np.asarray(ub, float)
+        flat = ub.reshape(-1)
+        seg = np.clip(np.searchsorted(self.breakpoints, flat, side="right") - 1, 0, len(self.grids) - 1)
         # a stable sort keeps each segment's points in their input order
         order = np.argsort(seg, kind="stable")
         cuts = np.searchsorted(seg[order], np.arange(len(self.grids) + 1))
-        out = np.empty((len(ub),) + self.phi.shape[1:])
+        out = np.empty((len(flat),) + self.phi.shape[1:])
         for k, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
             if lo < hi:
                 sel = order[lo:hi]
-                out[sel] = self._segment(k, ub[sel], basis_fn)
-        return out
+                out[sel] = self._segment(k, flat[sel], basis_fn)
+        return out.reshape(ub.shape + self.phi.shape[1:])[()]  # a 0-d result as a scalar, as _segment gives it
 
     def _segment(self, k, ub, basis_fn):
         """f0*B0 + (h*d0)*B1 + ((h*h)*s0)*B2 + f1*B3 + (h*d1)*B4 + ((h*h)*s1)*B5

@@ -16,6 +16,7 @@ from nulldust import gowdy
 from nulldust import hfapprox as H
 from nulldust import measurepipe as MP
 from nulldust import mollify as M
+from nulldust import odesolve
 from nulldust import planewave as pw
 from nulldust import shellmod as S
 from nulldust.errors import NumericalFailure
@@ -114,6 +115,43 @@ def test_criterion_10_characteristic_pipeline():
     assert v.details["trchi_error"] <= 1e-8
     assert v.details["trchb_error"] <= 1e-8
     assert v.details["reconstruction_gap"] <= 1e-12
+
+
+def kernel_columns_per_solve(monkeypatch):
+    """Record each constraints.solve_constraint call as (its dust's atom
+    count, the columns each of its rounds hands odesolve._rk4_chunk)."""
+    solves = []
+    chunk, solve = odesolve._rk4_chunk, C.solve_constraint
+
+    def recorder(phi, *args):
+        solves[-1][1].append(phi.shape[0])
+        return chunk(phi, *args)
+
+    def recorded(data, *args):
+        solves.append((len(data.dust.atoms) if data.dust else 0, []))
+        return solve(data, *args)
+
+    monkeypatch.setattr(odesolve, "_rk4_chunk", recorder)
+    monkeypatch.setattr(C, "solve_constraint", recorded)
+    return solves
+
+
+def test_criterion_4_solves_march_only_the_angles_their_data_vary_along(monkeypatch):
+    solves = kernel_columns_per_solve(monkeypatch)
+    assert A.criterion_constraints().passed
+    assert len(solves) == 7
+    # the glued shell's mass depends on theta1 alone: one column before the
+    # atom, one per theta1 line of the 8 x 4 chart after it
+    assert [cols for atoms, cols in solves if atoms] == [[1, 8]]
+    assert all(cols == [1] for atoms, cols in solves if not atoms)  # no angle at all
+
+
+def test_criterion_10_cone_solves_march_one_column(monkeypatch):
+    solves = kernel_columns_per_solve(monkeypatch)
+    monkeypatch.setattr(A.P, "solve_transport_system", lambda *args: None)  # the reduced solve alone
+    for n1, n in [(64, 513), (32, 65), (32, 97), (32, 129), (32, 193)]:  # the main march and the ladder
+        A._cone_march(n1, n)
+    assert solves == [(0, [1])] * 5
 
 
 @pytest.mark.parametrize("pick", [max, min])

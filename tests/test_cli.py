@@ -114,6 +114,8 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["constraints", "--dust", "atom 1.5 const:1"],  # outside 0 < ub < 1
     ["constraints", "--dust", "density -0.5"],  # a negative density level
     ["measure-pipeline", "--m-seq", "1..4", "--dust", "atom 0.45 const:1.0;density -0.5"],
+    ["constraints", "--dust", "density 0.5;density 0.7"],  # a second density line
+    ["constraints", "--dust", "atom 0.45 const:1;atom 0.45 const:2"],  # two atoms at one ub
     ["hf-approx", "--k", "12.5"],  # criterion 5 takes no flags: these are measure-pipeline's
     ["hf-approx", "--dust", "atom 0.45 cos:1.0,0.5"],
     ["shell-limit", "--lambda-seq", "0"],  # the jump window needs j >= 4

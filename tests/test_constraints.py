@@ -313,6 +313,15 @@ def test_atom_outside_interval_rejected(chart, ring):
                           dust=dust)
 
 
+def test_coincident_atoms_rejected(chart, ring):
+    grid = Grid1D(0.0, 1.0, 101)
+    mass = np.ones(chart.shape)
+    dust = C.NullDustMeasure(atoms=[(0.45, mass), (0.3, mass), (0.45, 2.0 * mass)])
+    one, zero = const_maps(chart)
+    with pytest.raises(ValueError, match="two atoms at ub=0.45"):
+        C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
+
+
 def test_det_ratio_enforced(chart, ring):
     one, zero = const_maps(chart)
     grid = Grid1D(0.0, 1.0, 101)

@@ -1,6 +1,8 @@
 """Grids, stencils, rate fits, and the package's public names, dataclass fields and imports."""
 
 import ast
+import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -290,3 +292,38 @@ def tol_reads(path: Path) -> list:
 def test_cli_never_reads_tolerances():
     # the criteria own every check against acceptance.TOL; a CLI demo reports values
     assert tol_reads(SRC / "cli.py") == []
+
+
+README_ALIASES = {"calc": "calculus"}  # README's short name for a module
+
+
+def readme_names(text: str, src: Path) -> list:
+    """Every backticked `module.name[.attr]` of text, call arguments dropped,
+    whose first part is a module of src or an alias in README_ALIASES."""
+    modules = {p.stem for p in src.glob("*.py")} | set(README_ALIASES)
+    spans = (re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(\(.*\))?", s) for s in re.findall(r"`([^`\n]+)`", text))
+    return sorted({m[1] for m in spans if m and m[1].partition(".")[0] in modules})
+
+
+def stale_names(names: list) -> list:
+    """The names that do not resolve by getattr from their nulldust module."""
+    stale = []
+    for name in names:
+        head, *attrs = name.split(".")
+        obj = importlib.import_module("nulldust." + README_ALIASES.get(head, head))
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                stale.append(name)
+                break
+            obj = getattr(obj, attr)
+    return stale
+
+
+def test_readme_names_resolve():
+    # a renamed or deleted function leaves no name behind in the README
+    names = readme_names((SRC.parent.parent / "README.md").read_text(), SRC)
+    assert {"odesolve.march", "calc.hat", "acceptance.TOL"} <= set(names)
+    assert stale_names(names) == []
+    found = readme_names("`odesolve._distinct_columns(phi)`, `calc.nope.count`, `sol.deriv(ub)`, `np.fft`", SRC)
+    assert found == ["calc.nope.count", "odesolve._distinct_columns"]
+    assert stale_names(found) == found

@@ -80,21 +80,24 @@ def run_kernel(kernel, inputs, h):
     return bad, phi, psi, out_phi, out_psi
 
 
-def chunk_problem(inputs, h):
-    """A one-grid Problem of nc steps h whose providers return the chunk inputs."""
+def chunk_problem(inputs, h, shape=None):
+    """A one-grid Problem of nc steps h whose providers return the chunk
+    inputs, on the points of shape (default (M,)) in C order."""
     phi0, psi0, gl, cc, ff = inputs
     nc = (gl.shape[0] - 1) // 2
     grid = Grid1D(0.0, nc * h, nc + 1)
     assert grid.h == h and nc <= odesolve._CHUNK  # one chunk, on this lattice
-    return odesolve.Problem([grid], lambda ub: gl, lambda ub: cc, lambda ub: ff, phi0.copy(), psi0.copy())
+    shape = phi0.shape if shape is None else shape
+    return odesolve.Problem([grid], lambda ub: gl, lambda ub: cc, lambda ub: ff,
+                            phi0.reshape(shape).copy(), psi0.reshape(shape).copy())
 
 
-def march_chunk(inputs, h):
-    """run_kernel's result, from the march of chunk_problem(inputs, h): its
-    failure as the flat index step*M + j, or its state and nodes."""
+def march_chunk(inputs, h, shape=None):
+    """run_kernel's result, from the march of chunk_problem(inputs, h, shape):
+    its failure as the flat index step*M + j, or its state and nodes."""
     M = inputs[0].shape[0]
     try:
-        sol = odesolve.march([chunk_problem(inputs, h)])[0]
+        sol = odesolve.march([chunk_problem(inputs, h, shape)])[0]
     except FocusingError as err:
         ub, j = err.location
         return (round(ub / h) - 1) * M + j, None, None, None, None
@@ -260,12 +263,12 @@ def test_node_second_derivative_is_rhs_on_grid_points(M, n):
     assert np.abs(sol.ddphi - rhs).max() <= 1e-14 * np.abs(rhs).max()
 
 
-# --- distinct angular columns are marched once -------------------------------
+# --- angular axes a chunk is constant along are marched once -------------------
 
 
-def _undeduplicated(monkeypatch):
-    """Make the march treat every point as a distinct column."""
-    monkeypatch.setattr(odesolve, "_distinct_columns", lambda phi, *args: (np.arange(len(phi)),) * 2)
+def _full_march(monkeypatch):
+    """Make the march keep every axis of the shape: each point is a column."""
+    monkeypatch.setattr(odesolve, "_compact_shape", lambda shape, arrays: shape)
 
 
 def record_chunk_points(monkeypatch):
@@ -281,11 +284,26 @@ def record_chunk_points(monkeypatch):
     return seen
 
 
-def tiled_inputs(M, U, nc, seed):
-    """Chunk inputs whose M columns repeat U distinct ones in a scrambled order."""
-    base = chunk_inputs(U, nc, seed)
-    cols = np.random.default_rng(seed).permutation(np.arange(M) % U)
-    return tuple(np.ascontiguousarray(x[..., cols]) for x in base), cols
+def spread(x, compact, shape):
+    """x (..., U) on the points of compact, broadcast to the points of shape:
+    (..., M) in C order."""
+    lead = x.shape[:-1]
+    return np.ascontiguousarray(np.broadcast_to(x.reshape(lead + compact), lead + shape)).reshape(lead + (-1,))
+
+
+def axis_inputs(shape, varying, nc, seed):
+    """Chunk inputs on the points of shape that vary only along the axes in
+    varying, and their compact shape."""
+    compact = tuple(n if ax in varying else 1 for ax, n in enumerate(shape))
+    base = chunk_inputs(int(np.prod(compact)), nc, seed)
+    return tuple(spread(x, compact, shape) for x in base), compact
+
+
+def bytes_compact_shape(shape, arrays):
+    """Oracle of _compact_shape: each axis's slices keyed by their raw bytes."""
+    lines = lambda a, ax: np.moveaxis(a.reshape(-1, *shape), ax + 1, 0)
+    return tuple(1 if all(len({line.tobytes() for line in lines(a, ax)}) == 1 for a in arrays) else n
+                 for ax, n in enumerate(shape))
 
 
 def same_bytes(got, want):
@@ -294,23 +312,37 @@ def same_bytes(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("M", [2, 22, 32, 256])
+def same_outcome(got, want):
+    """Two marches fail at the same flat index, or give the same bytes."""
+    if want[0] >= 0:
+        assert got[0] == want[0]
+    else:
+        same_bytes(got, want)
+
+
+# M: (shape of M points, the axes the data vary along)
+AXIS_CASES = {2: ((2,), ()), 22: ((11, 2), (0,)), 32: ((8, 4), (1,)), 256: ((4, 8, 8), (0, 2))}
+
+
+@pytest.mark.parametrize("M", list(AXIS_CASES))
 def test_duplicated_columns_march_as_separate_columns(M, monkeypatch):
-    U = max(1, M // 4)
-    inputs, cols = tiled_inputs(M, U, 60, seed=M)
-    assert len(set(cols)) == U < M
+    shape, varying = AXIS_CASES[M]
+    inputs, compact = axis_inputs(shape, varying, 60, seed=M)
+    U = int(np.prod(compact))
+    assert U < M
     seen = record_chunk_points(monkeypatch)
-    got = march_chunk(inputs, 0.01)
+    got = march_chunk(inputs, 0.01, shape)
     assert seen == [U]
     same_bytes(got, run_kernel(_rk4_points, inputs, 0.01))
-    # the whole march, every column run separately as a problem of its own
+    # the whole march, every point run separately as a problem of its own
     glog, coeff, source = chart_coeffs(U)
+    cols = spread(np.arange(U), compact, shape)
     grid = Grid1D(0.0, 1.0, 129)
     phi0 = np.linspace(1.0, 2.0, U)[cols]
     psi0 = np.linspace(-0.1, 0.1, U)[cols]
     sol = solve(
         grid, lambda ub: glog(ub)[:, cols], lambda ub: coeff(ub)[:, cols],
-        lambda ub: source(ub)[:, cols], phi0, psi0,
+        lambda ub: source(ub)[:, cols], phi0.reshape(shape), psi0.reshape(shape),
     )
     for j in range(M):
         one = solve(
@@ -318,7 +350,7 @@ def test_duplicated_columns_march_as_separate_columns(M, monkeypatch):
             lambda ub: source(ub)[:, cols[j]], phi0[j], psi0[j],
         )
         for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (one.phi, one.dphi, one.ddphi)):
-            assert a[:, j].tobytes() == b.tobytes()
+            assert a.reshape(len(a), M)[:, j].tobytes() == b.tobytes()
 
 
 def test_theta1_only_data_marches_one_column_per_theta1(monkeypatch):
@@ -335,8 +367,8 @@ def test_theta1_only_data_marches_one_column_per_theta1(monkeypatch):
     )
     seen = record_chunk_points(monkeypatch)
     sol = march()
-    assert seen == [8, 8]  # two chunks, eight distinct columns each
-    _undeduplicated(monkeypatch)
+    assert seen == [8, 8]  # two chunks, eight columns each
+    _full_march(monkeypatch)
     seen.clear()
     full = march()
     assert seen == [32, 32]
@@ -345,79 +377,90 @@ def test_theta1_only_data_marches_one_column_per_theta1(monkeypatch):
 
 
 def test_single_point_march_skips_the_keying(monkeypatch):
-    def keyed(*args):
-        raise AssertionError("columns keyed for one point")
-
-    monkeypatch.setattr(odesolve, "_distinct_columns", keyed)
+    # an empty shape, or one of size-1 axes, is returned without a look at the arrays
+    assert odesolve._compact_shape((), [None] * 5) == ()
+    assert odesolve._compact_shape((1, 1), [None] * 5) == (1, 1)
+    shapes = []
+    rule = odesolve._compact_shape
+    monkeypatch.setattr(odesolve, "_compact_shape", lambda shape, arrays: shapes.append(shape) or rule(shape, arrays))
     sol = solve(Grid1D(0.0, 1.0, 33), np.zeros_like, np.ones_like, None, 1.0, 0.0)
+    assert shapes == [()]
     assert abs(sol.phi[-1] - np.cos(1.0)) < 1e-8
 
 
-@pytest.mark.parametrize("where", ["psi0", "coefficient"])
-@pytest.mark.parametrize("nudge", ["signed_zero", "one_ulp"])
-def test_columns_differing_in_one_bit_pattern_march_separately(where, nudge, monkeypatch):
-    inputs, _ = tiled_inputs(4, 1, 40, seed=7)
-    phi0, psi0, gl, cc, ff = (x.copy() for x in inputs)
-    target = psi0 if where == "psi0" else cc[17]
+def nudged(target, points, nudge):
+    """target with its entries at points given another bit pattern."""
     if nudge == "signed_zero":
         target[:] = 0.0
-        target[2] = -0.0
+        target[points] = -0.0
+    elif nudge == "nan_payload":
+        bits = target.view(np.uint64)
+        bits[:] = 0x7FF8000000000001
+        bits[points] = 0x7FF8000000000002
     else:
-        target[2] = np.nextafter(target[2], np.inf)
-    inputs = (phi0, psi0, gl, cc, ff)
-    seen = record_chunk_points(monkeypatch)
-    got = march_chunk(inputs, 0.01)
-    assert seen == [2]
-    same_bytes(got, run_kernel(_rk4_points, inputs, 0.01))
-    if where == "psi0" and nudge == "signed_zero":
-        assert np.signbit(got[4][0]).tolist() == [False, False, True, False]
+        target[points] = np.nextafter(target[points], np.inf)
 
 
-def bytes_keyed_columns(phi, psi, gl, cc, ff):
-    """Oracle of _distinct_columns: each column keyed by its raw bytes."""
-    seen = {}
-    firsts = [seen.setdefault(tuple(a[..., j].tobytes() for a in (phi, psi, gl, cc, ff)), j)
-              for j in range(phi.shape[0])]
-    return np.unique(firsts, return_inverse=True)
+@pytest.mark.parametrize("where", ["psi0", "coefficient"])
+@pytest.mark.parametrize("nudge", ["signed_zero", "one_ulp", "nan_payload"])
+def test_columns_differing_in_one_bit_pattern_march_separately(where, nudge, monkeypatch):
+    # a (4, 3) shape of equal columns but at point (2, 1), or on the theta1 line 2
+    shape = (4, 3)
+    for points, compact in (([7], (4, 3)), ([6, 7, 8], (4, 1))):
+        inputs, _ = axis_inputs(shape, (), 40, seed=7)
+        phi0, psi0, gl, cc, ff = (x.copy() for x in inputs)
+        nudged(psi0 if where == "psi0" else cc[17], points, nudge)
+        inputs = (phi0, psi0, gl, cc, ff)
+        assert odesolve._compact_shape(shape, inputs) == bytes_compact_shape(shape, inputs) == compact
+        seen = record_chunk_points(monkeypatch)
+        got = march_chunk(inputs, 0.01, shape)
+        assert seen == [int(np.prod(compact))]
+        monkeypatch.undo()
+        want = run_kernel(_rk4_points, inputs, 0.01)
+        assert (want[0] >= 0) == (nudge == "nan_payload")
+        same_outcome(got, want)
+        if where == "psi0" and nudge == "signed_zero":
+            assert np.flatnonzero(np.signbit(got[4][0])).tolist() == points
 
 
 @pytest.mark.parametrize("case", ["signed_zero", "nan_payload", "equal_wrapping_sums"])
-def test_columns_differing_deep_in_a_coefficient_row_stay_distinct(case):
-    # eight points with one column, but for points 2 and 5, whose column
-    # differs from it only in row 1234 of cc (rows 1234 and 1235 when swapped)
-    inputs, _ = tiled_inputs(8, 1, 2048, seed=11)
+def test_columns_differing_deep_in_a_coefficient_row_stay_distinct(case, monkeypatch):
+    # a (2, 4) shape with one column, but for points 2 and 6 (the theta2 line 2),
+    # whose column differs from it only in row 1234 of cc (rows 1234 and 1235 when swapped)
+    shape = (2, 4)
+    inputs, _ = axis_inputs(shape, (), 2048, seed=11)
     phi0, psi0, gl, cc, ff = (x.copy() for x in inputs)
-    twin = [2, 5]
-    if case == "signed_zero":
-        cc[1234] = 0.0
-        cc[1234, twin] = -0.0
-    elif case == "nan_payload":
-        bits = cc.view(np.uint64)
-        bits[1234] = 0x7FF8000000000001
-        bits[1234, twin] = 0x7FF8000000000002
-    else:  # the two values swapped: equal sums, first and last rows
+    twin = [2, 6]
+    if case == "equal_wrapping_sums":  # the two values swapped: equal sums, first and last rows
         cc[1234:1236, twin] = cc[1234:1236, twin][::-1]
-    first, inverse = odesolve._distinct_columns(phi0, psi0, gl, cc, ff)
-    want_first, want_inverse = bytes_keyed_columns(phi0, psi0, gl, cc, ff)
-    assert first.tolist() == want_first.tolist() == [0, 2]
-    assert inverse.tolist() == want_inverse.tolist() == [0, 0, 1, 0, 0, 1, 0, 0]
-    if case == "equal_wrapping_sums":
-        for a in (gl, cc, ff):
-            sums = a.view(np.uint64).sum(axis=0, dtype=np.uint64)
-            assert sums[0] == sums[2] and a[0, 0] == a[0, 2] and a[-1, 0] == a[-1, 2]
+    else:
+        nudged(cc[1234], twin, case)
+    inputs = (phi0, psi0, gl, cc, ff)
+    assert odesolve._compact_shape(shape, inputs) == bytes_compact_shape(shape, inputs) == (1, 4)
+    seen = record_chunk_points(monkeypatch)
+    got = march_chunk(inputs, 0.01, shape)
+    _full_march(monkeypatch)
+    same_outcome(got, march_chunk(inputs, 0.01, shape))
+    assert seen == [4, 8]
 
 
 @pytest.mark.parametrize("twin", [[2, 3], [1, 2, 3], [6, 7]])
-def test_run_of_colliding_columns_stays_apart_from_the_first(twin):
-    # the twins equal each other and collide with the other columns' fingerprint:
-    # a twin's equal neighbour does not make it equal to the first column
-    inputs, _ = tiled_inputs(8, 1, 2048, seed=11)
+def test_run_of_colliding_columns_stays_apart_from_the_first(twin, monkeypatch):
+    # on an (8, 2) shape the theta1 lines twin equal each other, and differ from
+    # the others only by two swapped values: a line equal to its neighbour but
+    # not to the first makes the axis vary
+    shape = (8, 2)
+    inputs, _ = axis_inputs(shape, (), 2048, seed=11)
     phi0, psi0, gl, cc, ff = (x.copy() for x in inputs)
-    cc[1234:1236, twin] = cc[1234:1236, twin][::-1]
-    first, inverse = odesolve._distinct_columns(phi0, psi0, gl, cc, ff)
-    want_first, want_inverse = bytes_keyed_columns(phi0, psi0, gl, cc, ff)
-    assert first.tolist() == want_first.tolist() == [0, twin[0]]
-    assert inverse.tolist() == want_inverse.tolist()
+    lines = cc.reshape(-1, *shape)
+    lines[1234:1236, twin] = lines[1234:1236, twin][::-1]
+    inputs = (phi0, psi0, gl, cc, ff)
+    assert odesolve._compact_shape(shape, inputs) == bytes_compact_shape(shape, inputs) == (8, 1)
+    seen = record_chunk_points(monkeypatch)
+    got = march_chunk(inputs, 0.01, shape)
+    _full_march(monkeypatch)
+    same_outcome(got, march_chunk(inputs, 0.01, shape))
+    assert seen == [8, 16]
 
 
 def crossing_step(omega, h, nc):
@@ -431,50 +474,59 @@ def test_failure_in_duplicated_column_names_its_first_point(monkeypatch):
     h, nc = 0.01, 200
     fast, tie = 2.0, 2.0 + 1e-9
     assert crossing_step(fast, h, nc) == crossing_step(tie, h, nc)
-    # points 3 and 7 share the column that fails first
-    omega = [0.5, 0.6, 0.5, fast, 0.6, 0.7, 0.5, fast]
-    inputs = oscillators(omega, nc)
-    want = run_kernel(_rk4_points, inputs, h)
-    assert want[0] % 8 == 3
-    seen = record_chunk_points(monkeypatch)
-    assert march_chunk(inputs, h)[0] == want[0]
-    assert seen == [4]
-    # a distinct column failing on the same step: the smaller point wins,
-    # whether it is the duplicated column's first point or the other one
-    for other, j in ((5, 3), (1, 1)):
-        omega_tie = list(omega)
-        omega_tie[other] = tie
-        inputs = oscillators(omega_tie, nc)
-        want = run_kernel(_rk4_points, inputs, h)
-        assert want[0] % 8 == j
-        assert march_chunk(inputs, h)[0] == want[0]
+    # (shape, varying axis, omega of its lines, the first failing point, and
+    # (other line, the point that wins the tie) when that line fails too)
+    cases = [
+        ((4, 2), 0, [0.5, 0.6, fast, 0.7], 4, ((3, 4), (1, 2))),  # points 4 and 5 fail first
+        ((2, 4), 1, [0.5, fast, 0.6, 0.7], 1, ((3, 1), (0, 0))),  # points 1 and 5 fail first
+    ]
+    for shape, axis, omega, first, ties in cases:
+        compact = tuple(n if ax == axis else 1 for ax, n in enumerate(shape))
+        lines = lambda om: oscillators(spread(np.array(om), compact, shape), nc)
+        want = run_kernel(_rk4_points, lines(omega), h)
+        assert want[0] % 8 == first
+        seen = record_chunk_points(monkeypatch)
+        assert march_chunk(lines(omega), h, shape)[0] == want[0]
+        assert seen == [4]
+        monkeypatch.undo()
+        # another line failing on the same step: the smaller point wins,
+        # whether it is the first line's point or the other's
+        for other, j in ties:
+            omega_tie = list(omega)
+            omega_tie[other] = tie
+            want = run_kernel(_rk4_points, lines(omega_tie), h)
+            assert want[0] % 8 == j
+            assert march_chunk(lines(omega_tie), h, shape)[0] == want[0]
 
 
 @pytest.mark.parametrize("n", [601, odesolve._CHUNK + 601])
 def test_focusing_location_same_as_undeduplicated_march(n, monkeypatch):
-    M = 32
+    # a (4, 8) shape whose data vary by theta1 line; line 2, points 16-23,
+    # crosses zero in the last chunk
+    shape = (4, 8)
     glog, coeff, _ = chart_coeffs(4)
-    k = np.arange(M) % 4
-    # points 9, 13 and 29 share a column that crosses zero in the last chunk
-    crushed = np.isin(np.arange(M), [9, 13, 29])
+    k = spread(np.arange(4), (4, 1), shape)
+    crushed = k == 2
     omega = 0.5 * np.pi * (n - 1) / (n - 301)
     march = lambda: solve(
         Grid1D(0.0, 1.0, n),
         lambda ub: np.where(crushed, 0.0, glog(ub)[:, k]),
         lambda ub: np.where(crushed, omega**2, coeff(ub)[:, k]),
         None,
-        np.ones(M),
-        np.zeros(M),
+        np.ones(shape),
+        np.zeros(shape),
     )
     seen = record_chunk_points(monkeypatch)
     with pytest.raises(FocusingError) as err:
         march()
-    assert max(seen) == 5
-    _undeduplicated(monkeypatch)
+    assert max(seen) == 4
+    _full_march(monkeypatch)
+    seen.clear()
     with pytest.raises(FocusingError) as full:
         march()
+    assert max(seen) == 32
     assert err.value.location == full.value.location
-    assert err.value.location[1] == 9
+    assert err.value.location[1] == 16
 
 
 # --- dense output --------------------------------------------------------------
@@ -597,6 +649,27 @@ def test_piecewise_output_bit_identical_to_mask_loop(shape):
         for name in ("__call__", "deriv"):
             got = getattr(sol, name)(ub)
             assert got.tobytes() == _segments_oracle(sol, ub, name).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (3, 2)])
+@pytest.mark.parametrize("breakpoints", [[0.0, 1.0], [0.0, 0.25, 0.7, 1.0]])
+def test_any_ub_shape_gives_its_shape_times_the_field_shape(shape, breakpoints):
+    # one segment or several: a scalar ub gives field_shape, an array ub its own shape first
+    M = int(np.prod(shape))
+    glog, coeff, source = chart_coeffs(M)
+    fields = lambda fn: (lambda ub: fn(ub).reshape((len(ub),) + shape))
+    grids = odesolve.segmented_grids([(lo, hi, 0.01) for lo, hi in zip(breakpoints[:-1], breakpoints[1:])])
+    sol = odesolve.march([odesolve.Problem(grids, fields(glog), fields(coeff), fields(source),
+                                           np.ones(shape), 0.1 * np.ones(shape))])[0]
+    grid_ub = np.array([[0.1, 0.3, 0.8], [0.25, 0.7, 1.0]])
+    for method in (sol, sol.deriv):
+        for ub in (0.3, np.float64(0.25), 1.0):
+            got, want = method(ub), method(np.array([ub]))[0]
+            assert np.shape(got) == shape and type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        got = method(grid_ub)
+        assert got.shape == grid_ub.shape + shape
+        assert got.tobytes() == method(grid_ub.ravel()).tobytes()
 
 
 # --- lockstep march of several problems ----------------------------------------
