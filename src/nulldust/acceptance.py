@@ -219,10 +219,9 @@ def _flat_ring(chart):
     return np.eye(2)[:, :, None, None] * np.ones(chart.shape)
 
 
-def _const_maps(chart):
-    one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
-    zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
-    return one, zero
+# batch maps constant on the chart: the unit lapse, and zero (its log-derivative, an off-diagonal entry)
+_one = lambda ub: np.ones((len(np.atleast_1d(ub)), 1, 1))
+_zero = lambda ub: np.zeros((len(np.atleast_1d(ub)), 1, 1))
 
 
 # The glued-shell measure of criteria 4, 6 and 7, as parsed dust-spec lines
@@ -241,10 +240,13 @@ def _mass_field(profile, chart):
 
 
 def _dust_measure(lines, chart):
-    """NullDustMeasure of parsed dust-spec lines: every atom, and the last density level."""
+    """NullDustMeasure of parsed dust-spec lines: every atom, and the density
+    level; more than one density line raises ValueError."""
     atoms = [(loc, _mass_field(profile, chart)) for kind, loc, profile in lines if kind == "atom"]
     levels = [level for kind, level, _ in lines if kind == "density"]
-    density = (lambda ub, lv=levels[-1]: np.full((len(ub),) + chart.shape, lv)) if levels else None
+    if len(levels) > 1:
+        raise ValueError(f"more than one density line: levels {levels}")
+    density = (lambda ub, lv=levels[0]: np.full((len(ub), 1, 1), lv)) if levels else None
     return C.NullDustMeasure(atoms=atoms, density=density)
 
 
@@ -252,12 +254,19 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
     """dust: parsed dust-spec lines of the measure whose constraint solve the weak residuals test."""
     chart = AngularGrid(8, 4)
     ring = _flat_ring(chart)
-    one, zero = _const_maps(chart)
+    grid = Grid1D(0.0, 1.0, 2001)
+
+    def flat_data(lines):
+        """Conformally flat data on grid carrying the measure of parsed dust-spec lines."""
+        return C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring),
+                                 dust=_dust_measure(lines, chart))
+
+    data_shell = flat_data(dust)  # bad dust lines are refused before the first solve
 
     # RK4 order against the closed-form cosine: |dgam|^2 = 8 makes Phi'' = -Phi
     def ent(ub):
-        u = np.asarray(ub, float)[:, None, None] * one(ub)
-        return np.exp(2.0 * u), zero(ub), np.exp(-2.0 * u)
+        u = np.asarray(ub, float)[:, None, None]
+        return np.exp(2.0 * u), _zero(ub), np.exp(-2.0 * u)
 
     def dent(ub):
         a, b, d = ent(ub)
@@ -265,28 +274,20 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
 
     errs, hs = [], []
     for n in (51, 101, 201, 401):
-        grid = Grid1D(0.0, 1.0, n)
-        data = C.ReducedCharData(grid, chart, ring, one, zero, ent, dent)
+        coarse = Grid1D(0.0, 1.0, n)
+        data = C.ReducedCharData(coarse, chart, ring, _one, _zero, ent, dent)
         sol = C.solve_constraint(data, 1.0, 0.0)
-        errs.append(float(np.abs(sol.phi[:, 0, 0] - np.cos(grid.points())).max()))
-        hs.append(grid.h)
+        errs.append(float(np.abs(sol.phi[:, 0, 0] - np.cos(coarse.points())).max()))
+        hs.append(coarse.h)
     order = fit_rate(hs, errs)
 
     # first integral of the autonomous dust equation
-    grid = Grid1D(0.0, 1.0, 2001)
     cval = 0.8
-
-    def flat_data(lines):
-        """Conformally flat data on grid carrying the measure of parsed dust-spec lines."""
-        return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
-                                 dust=_dust_measure(lines, chart))
-
     sol = C.solve_constraint(flat_data((("density", cval, None),)), 1.0, 0.0)
     energy = 0.5 * sol.dphi[:, 0, 0] ** 2 + 0.5 * cval * np.log(sol.phi[:, 0, 0])
     drift = float(np.abs(energy - energy[0]).max())
 
     # glued shell weak residual over the dictionary
-    data_shell = flat_data(dust)
     glued = C.solve_constraint(data_shell, 1.0, 0.1)
     residuals = []
     for tf in bump_dictionary(grid, chart):
@@ -332,16 +333,15 @@ def criterion_absorber() -> Verdict:
     prof = 0.2 * np.cos(2 * np.pi * t1 / chart.L1) * np.cos(2 * np.pi * t2 / chart.L2)
     sfun = lambda ub: prof[None] * np.sin(2 * np.pi * np.asarray(ub, float))[:, None, None]
     dsfun = lambda ub: prof[None] * 2 * np.pi * np.cos(2 * np.pi * np.asarray(ub, float))[:, None, None]
-    b_fn = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
 
     def entries(ub):
         a = np.exp(sfun(ub))
-        return a, b_fn(ub), 1.0 / a
+        return a, _zero(ub), 1.0 / a
 
     def dentries(ub):
         ds = dsfun(ub)
         a = np.exp(sfun(ub))
-        return ds * a, b_fn(ub), -ds / a
+        return ds * a, _zero(ub), -ds / a
 
     f_fn = lambda ub: 1.2 * w_theta[None] * np.exp(np.sin(2 * np.pi * np.asarray(ub, float)))[:, None, None]
     df_fn = lambda ub: 1.2 * w_theta[None] * (
@@ -349,8 +349,8 @@ def criterion_absorber() -> Verdict:
         * np.exp(np.sin(2 * np.pi * np.asarray(ub, float)))
     )[:, None, None]
 
-    omega = lambda ub: np.exp(0.1 * np.sin(np.pi * np.asarray(ub, float)))[:, None, None] * np.ones(chart.shape)[None]
-    dlog_omega = lambda ub: 0.1 * np.pi * np.cos(np.pi * np.asarray(ub, float))[:, None, None] * np.ones(chart.shape)[None]
+    omega = lambda ub: np.exp(0.1 * np.sin(np.pi * np.asarray(ub, float)))[:, None, None]
+    dlog_omega = lambda ub: 0.1 * np.pi * np.cos(np.pi * np.asarray(ub, float))[:, None, None]
 
     # dust factor solved numerically, then handed over as a dense callable
     data = C.ReducedCharData(
@@ -399,9 +399,8 @@ def criterion_mollification() -> Verdict:
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 1.0, 257)
     ring = _flat_ring(chart)
-    one, zero = _const_maps(chart)
     dust = _dust_measure(GLUED_SHELL, chart)
-    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=dust)
+    data = C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring), dust=dust)
     tfs = bump_dictionary(grid, chart)[:3]
 
     ratios, l1_norms = [], []
@@ -483,7 +482,6 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
         M.check_level(m, grid, atoms)
     chart = AngularGrid(8, 4)
     ring = _flat_ring(chart)
-    one, zero = _const_maps(chart)
     t1, _ = chart.mesh()
     strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
     measure = _dust_measure(dust, chart)
@@ -491,7 +489,7 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
 
     def pipeline(measure):
         """The measure's pipeline, with k frozen over the first and last level."""
-        data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring), dust=measure)
+        data = C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring), dust=measure)
         bv = C.solve_constraint(data, 1.0, 0.15)
         pipe = MP.MeasurePipeline(data, bv, k=k)
         pipe.freeze_k([m_seq[0], m_seq[-1]])
@@ -657,8 +655,7 @@ def _cone_data(chart, grid):
     c = 2.0 * a
     gfun = c + a * np.cos(om * t1)
     ring = _flat_ring(chart) / gfun
-    one, zero = _const_maps(chart)
-    return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
+    return C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring))
 
 
 def _cone_march(n1, n):

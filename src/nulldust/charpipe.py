@@ -92,8 +92,9 @@ def slice_fields(data: ReducedCharData, solution, ub):
     """SliceFields of the batch ub (K,), from one pass over the whole batch.
     Raises PositivityError if gamma fails the sign test on any slice."""
     chart = data.chart
-    om = np.asarray(data.omega(ub))
-    dlo = np.asarray(data.dlog_omega(ub))
+    # on the whole chart: along a size-1 axis a spectral derivative is 0, not FFT round-off
+    om, dlo = (np.ascontiguousarray(np.broadcast_to(f(ub), (len(ub),) + chart.shape))
+               for f in (data.omega, data.dlog_omega))
     phi = np.asarray(solution(ub))
     dphi = np.asarray(solution.deriv(ub))
     gh, dgh = sym2_pack(*data.entries(ub)), sym2_pack(*data.dentries(ub))

@@ -39,8 +39,9 @@ class NullDustMeasure:
 
     atoms: list of (location, mass field (n1, n2)), masses >= 0, locations
         strictly inside the coordinate interval.
-    density: batch map ub(K,) -> f(K, n1, n2) >= 0, in the convention that
-        the absolutely continuous part of the measure is Omega^-2 f dA_ring dub.
+    density: angular batch map (see ReducedCharData) ub(K,) -> f >= 0, in
+        the convention that the absolutely continuous part of the measure is
+        Omega^-2 f dA_ring dub.
     """
 
     atoms: list = dc_field(default_factory=list)
@@ -66,10 +67,11 @@ _WEAK_PANELS = 128  # panels per segment of the weak residual
 class ReducedCharData:
     """Reduced data on one null hypersurface over a periodic angular chart.
 
-    omega/dlog_omega are batch maps ub(K,) -> (K, n1, n2).  The conformal
-    metric gamma_hat = [[a, b], [b, d]] is given by its entries: entries maps
-    ub(K,) -> (a, b, d) and dentries to their ub-derivatives, each (K, n1, n2).
-    gamma_ring is (2, 2, n1, n2), slots first (fields).  The normalization
+    omega/dlog_omega are angular batch maps ub(K,) -> (K, m1, m2), each m 1
+    (no variation in that angle) or n.  The conformal metric gamma_hat =
+    [[a, b], [b, d]] is given by its entries: entries maps ub(K,) -> (a, b, d)
+    and dentries to their ub-derivatives, each such an array.  gamma_ring is
+    (2, 2, n1, n2), slots first (fields).  The normalization
     det gamma_hat = det gamma_ring is checked at five ub.
     """
 
@@ -97,7 +99,7 @@ class ReducedCharData:
                 )
 
     def dgamma_normsq(self, ub_batch):
-        """|d gamma_hat|^2 with indices raised by gamma_hat: (K,) -> (K, n1, n2)."""
+        """|d gamma_hat|^2 with indices raised by gamma_hat: an angular batch map."""
         return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
 
     def area_weights(self) -> np.ndarray:
@@ -114,7 +116,7 @@ def ring_entries(gamma_ring: np.ndarray):
         return tuple(np.broadcast_to(x, (k,) + x.shape) for x in ring)
 
     def dentries(ub_batch):
-        zero = np.zeros((len(np.atleast_1d(ub_batch)),) + ring[0].shape)
+        zero = np.zeros((len(np.atleast_1d(ub_batch)), 1, 1))
         return zero, zero, zero
 
     return entries, dentries
@@ -146,20 +148,22 @@ def solve_constraint(data: ReducedCharData, phi0, dphi0) -> DenseSolution:
     data.grid.h, with the jump [Phi'] = -(1/2) Omega^2 m / Phi at each atom.
     """
     dust = data.dust or NullDustMeasure()
-    shape = data.chart.shape
     atoms = sorted(dust.atoms, key=lambda am: am[0])
     cuts = [data.grid.a] + [loc for loc, _ in atoms] + [data.grid.b]
     # without atoms, data.grid itself: segmented_grids takes at least 9 nodes and can round up by one
     grids = segmented_grids([(lo, hi, data.grid.h) for lo, hi in zip(cuts[:-1], cuts[1:])]) if atoms else [data.grid]
-    return march([Problem(
-        grids,
-        data.dlog_omega,
-        lambda ub: 0.125 * data.dgamma_normsq(ub),
-        dust.density,
-        np.broadcast_to(np.asarray(phi0, float), shape),
-        np.broadcast_to(np.asarray(dphi0, float), shape),
-        [_atom_jump(data, loc, mass) for loc, mass in atoms],
-    )])[0]
+    jumps = [_atom_jump(data, loc, mass) for loc, mass in atoms]
+    return march([constraint_problem(data, grids, data.dgamma_normsq, dust.density, phi0, dphi0, jumps)])[0]
+
+
+def constraint_problem(data: ReducedCharData, grids, normsq, density, phi0, dphi0, jumps=None) -> Problem:
+    """Phi'' = 2 (log Omega)' Phi' - (1/8) normsq Phi - (1/2) density / Phi on grids, from
+    phi0, dphi0 broadcast to the chart; normsq and density (None in vacuum)
+    are angular batch maps, and jumps are as Problem's."""
+    shape = data.chart.shape
+    return Problem(grids, data.dlog_omega, lambda ub: 0.125 * normsq(ub), density,
+                   np.broadcast_to(np.asarray(phi0, float), shape), np.broadcast_to(np.asarray(dphi0, float), shape),
+                   jumps)
 
 
 def _atom_jump(data: ReducedCharData, loc, mass):
@@ -176,7 +180,7 @@ def measure_pairing(data: ReducedCharData, phi_test: Callable, weight: Callable 
                     panels: int = 64) -> float:
     """Pairing of the dust measure with phi_test (times an optional weight field).
 
-    phi_test maps ub(K,) -> (K, n1, n2) (or broadcastable); weight likewise.
+    phi_test and weight are angular batch maps.
     """
     if data.dust is None:
         return 0.0
@@ -192,9 +196,9 @@ def measure_pairing(data: ReducedCharData, phi_test: Callable, weight: Callable 
         xs, ws = composite_rule([(data.grid.a, data.grid.b, panels)], _GL)
         f = np.asarray(data.dust.density(xs))
         om = np.asarray(data.omega(xs))
-        vals = np.broadcast_to(np.asarray(phi_test(xs)), f.shape).copy()
+        vals = np.broadcast_to(np.asarray(phi_test(xs)), (len(xs),) + data.chart.shape).copy()
         if weight is not None:
-            vals *= np.broadcast_to(np.asarray(weight(xs)), f.shape)
+            vals *= np.broadcast_to(np.asarray(weight(xs)), vals.shape)
         total += float(np.einsum("k,kij,ij->", ws, vals * f / om**2, w))
     return total
 
@@ -209,8 +213,7 @@ def weak_constraint_residual(
     """LHS - RHS of the weak constraint identity for the given solution.
 
     solution is a DenseSolution, whose breakpoints cut the quadrature
-    panels; phi_test/dphi_test map ub(K,) -> (K, n1, n2) (or broadcastable
-    scalars).
+    panels; phi_test/dphi_test are angular batch maps.
     """
     if support[0] <= data.grid.a or support[1] >= data.grid.b:
         raise MeasureSupportError("test function support touches the interval boundary")

@@ -21,8 +21,9 @@ conformal factor to O(1/n) together with its first derivative.
 
 The conformal metrics travel as batched entries: the dust metric is the
 ReducedCharData a DustBackground holds, and each family member maps
-ub(K,) -> (a_n, b, d_n) and their derivatives, each (K, n1, n2), so norms,
-determinants and eigenvalues are computed entrywise over whole batches.
+ub(K,) -> (a_n, b, d_n) and their derivatives, each shaped as an angular
+batch map's output (ReducedCharData), so norms, determinants and
+eigenvalues are computed entrywise over whole batches.
 OscillatoryFamily.jet(ub) returns both, ((a_n, b, d_n), (a_n', b', d_n')),
 from one evaluation of each background map (the dust entries and their
 derivatives, f, f', Phi, Phi'); the norm-square |dgamma_n|^2 reads it.
@@ -33,11 +34,11 @@ from typing import Callable
 
 import numpy as np
 
-from .constraints import ReducedCharData, dgamma_norm_sq
+from .constraints import ReducedCharData, constraint_problem, dgamma_norm_sq
 from .errors import NonFiniteError, NumericalFailure
 from .fields import sym2_min_eigenvalue
 from .grids import Grid1D
-from .odesolve import Problem, march
+from .odesolve import march
 
 _MAX_DOUBLINGS = 20  # wavenumber escalation steps before giving up
 # Points per corrector_jet envelope batch.  With its four stencil offsets a block
@@ -65,7 +66,8 @@ class DustBackground:
     data carries the chart, the grid, the lapse and the dust conformal metric
     as batched entries (a, b, d) with their ub-derivatives; f/df (the density
     and its derivative) and phi/dphi (the dust conformal factor and its
-    derivative) are batch maps ub(K,) -> (K, n1, n2).
+    derivative) are angular batch maps (ReducedCharData): each axis past
+    the batch axis of size 1 or that of the chart.
     """
 
     data: ReducedCharData
@@ -123,11 +125,6 @@ class OscillatoryFamily:
 
     def dgamma_normsq(self, ub_batch):
         return dgamma_norm_sq(*self.jet(ub_batch))
-
-    def vacuum_problem(self, grids, phi0, dphi0) -> Problem:
-        """The vacuum constraint on consecutive grids, with coefficient |dgamma_n|^2 / 8."""
-        return Problem(grids, self.background.data.dlog_omega, lambda ub: 0.125 * self.dgamma_normsq(ub),
-                       None, phi0, dphi0)
 
     def det_defect(self, ub_batch):
         """det gamma_n - det gamma_dust (zero by algebraic cancellation)."""
@@ -234,7 +231,8 @@ def solve_phi_n(families) -> list:
     for fam in families:
         grid = fam.resolving_grid(16)
         ub0 = np.array([grid.a])
-        problems.append(fam.vacuum_problem([grid], fam.background.phi(ub0)[0], fam.background.dphi(ub0)[0]))
+        bg = fam.background
+        problems.append(constraint_problem(bg.data, [grid], fam.dgamma_normsq, None, bg.phi(ub0)[0], bg.dphi(ub0)[0]))
     return march(problems)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ReducedCharData, measure_pairing
+from .constraints import ReducedCharData, constraint_problem, measure_pairing
 from .fields import sym2_min_eigenvalue
 from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform
 from .mollify import MollifiedDensity, solve_phi_m_dust
@@ -101,7 +101,7 @@ class MeasurePipeline:
             fine = min(2.0 * np.pi / (self.k * n), fm.eps) / 16
             grids = segmented_grids([(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()])
             levels.append((fm, fam))
-            problems.append(fam.vacuum_problem(grids, *initial))
+            problems.append(constraint_problem(self.data, grids, fam.dgamma_normsq, None, *initial))
         return [PipelineMember(fm, fam, sol) for (fm, fam), sol in zip(levels, march(problems))]
 
 
@@ -111,7 +111,7 @@ def _shear_pairing(data: ReducedCharData, pieces, normsq_fn, phi_sol, phi_test) 
         om2 = np.asarray(data.omega(xs)) ** 2
         normsq = np.asarray(normsq_fn(xs))
         phiv = phi_sol(xs) ** 2
-        tv = np.broadcast_to(np.asarray(phi_test(xs)), normsq.shape)
+        tv = np.broadcast_to(np.asarray(phi_test(xs)), (len(xs),) + data.chart.shape)
         return tv * normsq * phiv / om2
 
     return 0.25 * panel_pairing(integrand, pieces, 12, data.area_weights())

@@ -18,9 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constraints import ReducedCharData, measure_pairing
+from .constraints import ReducedCharData, constraint_problem, measure_pairing
 from .grids import Grid1D
-from .odesolve import Problem, march, segmented_grids
+from .odesolve import march, segmented_grids
 from .quadrature import gauss_legendre_integrate, gauss_legendre_nodes, panel_pairing, panel_values
 from .testfunctions import plateau, plateau_d
 
@@ -186,7 +186,7 @@ class MollifiedDensity:
         return acc
 
     def __call__(self, ub_batch):
-        """f_m(ub, theta): batch map (K,) -> (K, n1, n2)."""
+        """f_m(ub, theta): an angular batch map (ReducedCharData)."""
         ub = np.asarray(ub_batch, dtype=float)
         om2 = np.asarray(self.data.omega(ub)) ** 2
         acc = self._atom_sum(ub, False)
@@ -219,14 +219,14 @@ class MollifiedDensity:
 def density_pairing(fm: MollifiedDensity, phi_test) -> float:
     """int int phi Omega^-2 f_m dA_ring dub, resolved around each atom window.
 
-    phi_test maps ub(K,) -> (K, n1, n2) or broadcastable.
+    phi_test is an angular batch map.
     """
     data = fm.data
 
     def integrand(xs):
         f = fm(xs)
         om2 = np.asarray(data.omega(xs)) ** 2
-        vals = np.broadcast_to(np.asarray(phi_test(xs)), f.shape).copy()
+        vals = np.broadcast_to(np.asarray(phi_test(xs)), (len(xs),) + data.chart.shape).copy()
         return vals * f / om2
 
     pieces = [(lo, hi, 48 if inside else 64) for lo, hi, inside in fm.segments()]
@@ -280,13 +280,6 @@ def solve_phi_m_dust(fms, phi0, dphi0) -> list:
     for fm in fms:
         data = fm.data
         fine, smooth = fm.eps / 32, (data.grid.b - data.grid.a) / 2048.0
-        shape = data.chart.shape
-        problems.append(Problem(
-            segmented_grids([(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()]),
-            data.dlog_omega,
-            lambda ub, data=data: 0.125 * np.asarray(data.dgamma_normsq(ub)),
-            fm,
-            np.broadcast_to(np.asarray(phi0, float), shape).copy(),
-            np.broadcast_to(np.asarray(dphi0, float), shape).copy(),
-        ))
+        grids = segmented_grids([(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()])
+        problems.append(constraint_problem(data, grids, data.dgamma_normsq, fm, phi0, dphi0))
     return march(problems)

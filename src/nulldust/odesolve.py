@@ -8,12 +8,13 @@ providers are evaluated once on the half-step lattice; the even lattice points
 are the grid nodes, and their values also give the second derivative stored
 for dense output.
 
-Shells and dusts often vary in one angle or in none, so a chunk's initial
-state and coefficients are often constant along some angular axes of the
-problem's shape.  Each chunk cuts every such axis, found by raw bits, to its
-first index and marches only the U columns left, the compact shape; the
-nodes are broadcast back to all M points.  Byte-equal inputs give byte-equal
-marches, so the result is bit-identical to marching every point.
+Shells and dusts often vary in one angle or in none, and a provider gives
+each angle it does not vary in an axis of size 1 (Problem).  Each chunk cuts
+every axis of the problem's shape along which its state and coefficients are
+constant, of size 1 or equal by raw bits, to its first index and marches only
+the U columns left, the compact shape; the nodes are broadcast back to all M
+points.  Byte-equal inputs give byte-equal marches, so the result is
+bit-identical to marching every point.
 
 march takes a list of independent problems (a sequence's members, each its
 own constraint ODE) and advances the unfinished ones in lockstep.  Each round
@@ -257,14 +258,15 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
 
 def _compact_shape(shape, arrays):
     """shape, with each axis along which every one of arrays is constant cut
-    to size 1.  Each array is (..., M), M the points of shape in C order, and
-    is compared by its raw bits, so -0.0 against 0.0, or two NaN payloads,
-    make an axis vary.  An empty shape, or an axis of size 1, reads no array.
+    to size 1.  Each array is (L, *s), each axis of s of size 1, on which it
+    is constant and not read, or that of shape, on which it is compared by its
+    raw bits: -0.0 against 0.0, or two NaN payloads, make an axis vary.  An
+    empty shape, or an axis of size 1, reads no array.
     """
     compact = list(shape)
     for ax, n in enumerate(shape):
         first = (slice(None),) * (ax + 1) + (slice(0, 1),)  # index 0 of axis ax, behind the leading axis
-        bits = (a.view(np.uint64).reshape(-1, *shape) for a in arrays)
+        bits = (a.view(np.uint64) for a in arrays if a.shape[ax + 1] > 1)
         if n > 1 and all((b == b[first]).all() for b in bits):
             compact[ax] = 1
     return tuple(compact)
@@ -276,11 +278,11 @@ class Problem:
 
     grids: consecutive segments, each marched at its own step from the end
     state of the one before; glog_fn/coeff_fn/source_fn map a batch of ub
-    values (K,) to (K, *shape) coefficient arrays (source_fn may be None for
-    the homogeneous equation), each called once per chunk on the chunk's
-    half-step lattice; jumps: optional derivative increments applied at the
-    interior breakpoints, each a callable (phi_values -> dphi_increment) or
-    None.
+    values (K,) to a coefficient array (K, *s), each axis of s of size 1 or
+    that of np.shape(phi0) (source_fn may be None for the homogeneous
+    equation), each called once per chunk on the chunk's half-step lattice;
+    jumps: optional derivative increments applied at the interior
+    breakpoints, each a callable (phi_values -> dphi_increment) or None.
     """
 
     grids: list  # list[Grid1D]
@@ -337,22 +339,25 @@ class _March:
             self._load()
 
     def _load(self):
-        grid, M, p, pos = self.grid, self.M, self.problem, self.pos
+        grid, p, pos, shape = self.grid, self.problem, self.pos, self.shape
         nc = min(_CHUNK, grid.n - 1 - pos)
         ub = grid.a + (pos + 0.5 * np.arange(2 * nc + 1)) * grid.h
-        gl = _broadcast_coeff(p.glog_fn, ub, M)
-        cc = _broadcast_coeff(p.coeff_fn, ub, M)
-        ff = _broadcast_coeff(p.source_fn, ub, M) if p.source_fn is not None else np.zeros((2 * nc + 1, M))
-        arrays = self.out_phi[self.base + pos], self.out_psi[self.base + pos], gl, cc, ff
-        self.compact = _compact_shape(self.shape, arrays)
+        zero = lambda ub: np.zeros((len(ub),) + (1,) * len(shape))
+        arrays = [a[self.base + pos].reshape((1, *shape)) for a in (self.out_phi, self.out_psi)]
+        fns = {"glog_fn": p.glog_fn, "coeff_fn": p.coeff_fn, "source_fn": p.source_fn or zero}
+        for name, fn in fns.items():
+            a = np.asarray(fn(ub), dtype=float)
+            if a.ndim != 1 + len(shape) or len(a) != len(ub) or any(1 != m != n for m, n in zip(a.shape[1:], shape)):
+                raise ValueError(f"{name} returned shape {a.shape} for {len(ub)} ub values: want ({len(ub)}, *s),"
+                                 f" each axis of s of size 1 or that of the angular shape {shape}")
+            arrays.append(a)
+        self.compact = _compact_shape(shape, arrays)
         self.U = int(np.prod(self.compact))
-        if self.U < M:  # a basic slice of the first index on each constant axis
-            cut = (slice(None),) + tuple(slice(0, c) for c in self.compact)
-            arrays = [np.ascontiguousarray(a.reshape(-1, *self.shape)[cut]).reshape(*a.shape[:-1], self.U)
-                      for a in arrays]
-        phi, psi, self.gl, self.cc, self.ff = arrays
+        cut = (slice(None),) + tuple(slice(0, c) for c in self.compact)  # index 0 on each constant axis
+        phi, psi, self.gl, self.cc, self.ff = (
+            np.ascontiguousarray(np.broadcast_to(a, (len(a), *shape))[cut]).reshape(len(a), self.U) for a in arrays)
         self.o_phi, self.o_psi = np.empty((2, nc + 1, self.U))
-        self.o_phi[0], self.o_psi[0] = phi, psi
+        self.o_phi[0], self.o_psi[0] = phi[0], psi[0]
         self.nc, self.done = nc, 0
 
     def failure(self, step, u):
@@ -566,10 +571,6 @@ class DenseSolution:
 
     def deriv(self, ub):
         return self._eval(ub, _dpoly)
-
-
-def _broadcast_coeff(fn, ub, M):
-    return np.ascontiguousarray(np.asarray(fn(ub), dtype=float).reshape(len(ub), M))
 
 
 def segmented_grids(pieces) -> list:

@@ -154,6 +154,17 @@ def test_criterion_10_cone_solves_march_one_column(monkeypatch):
     assert solves == [(0, [1])] * 5
 
 
+def test_second_density_line_is_refused_before_any_solve(monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a constraint was solved before the dust lines were read")
+
+    monkeypatch.setattr(C, "solve_constraint", no_solve)
+    lines = A.GLUED_SHELL + (("density", 0.5, None), ("density", 0.7, None))
+    for criterion in (A.criterion_constraints, A.criterion_pipeline):
+        with pytest.raises(ValueError, match="more than one density line"):
+            criterion(dust=lines)
+
+
 @pytest.mark.parametrize("pick", [max, min])
 @pytest.mark.parametrize("where", [0, 1, 2])
 def test_fold_keeps_a_nan_in_any_place(pick, where):

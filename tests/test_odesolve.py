@@ -83,13 +83,18 @@ def run_kernel(kernel, inputs, h):
 def chunk_problem(inputs, h, shape=None):
     """A one-grid Problem of nc steps h whose providers return the chunk
     inputs, on the points of shape (default (M,)) in C order."""
-    phi0, psi0, gl, cc, ff = inputs
+    shape = inputs[0].shape if shape is None else shape
+    phi0, psi0, gl, cc, ff = on_shape(inputs, shape)
     nc = (gl.shape[0] - 1) // 2
     grid = Grid1D(0.0, nc * h, nc + 1)
     assert grid.h == h and nc <= odesolve._CHUNK  # one chunk, on this lattice
-    shape = phi0.shape if shape is None else shape
-    return odesolve.Problem([grid], lambda ub: gl, lambda ub: cc, lambda ub: ff,
-                            phi0.reshape(shape).copy(), psi0.reshape(shape).copy())
+    return odesolve.Problem([grid], lambda ub: gl, lambda ub: cc, lambda ub: ff, phi0[0].copy(), psi0[0].copy())
+
+
+def on_shape(arrays, shape):
+    """Chunk inputs (..., M) on the points of shape in C order, each (L, *shape):
+    the state (1, *shape), the coefficients (2*nc+1, *shape)."""
+    return [x.reshape(-1, *shape) for x in arrays]
 
 
 def march_chunk(inputs, h, shape=None):
@@ -300,8 +305,9 @@ def axis_inputs(shape, varying, nc, seed):
 
 
 def bytes_compact_shape(shape, arrays):
-    """Oracle of _compact_shape: each axis's slices keyed by their raw bytes."""
-    lines = lambda a, ax: np.moveaxis(a.reshape(-1, *shape), ax + 1, 0)
+    """Oracle of _compact_shape: each axis's slices of the arrays broadcast to
+    (L, *shape), keyed by their raw bytes."""
+    lines = lambda a, ax: np.moveaxis(np.broadcast_to(a, a.shape[:1] + shape), ax + 1, 0)
     return tuple(1 if all(len({line.tobytes() for line in lines(a, ax)}) == 1 for a in arrays) else n
                  for ax, n in enumerate(shape))
 
@@ -341,8 +347,8 @@ def test_duplicated_columns_march_as_separate_columns(M, monkeypatch):
     phi0 = np.linspace(1.0, 2.0, U)[cols]
     psi0 = np.linspace(-0.1, 0.1, U)[cols]
     sol = solve(
-        grid, lambda ub: glog(ub)[:, cols], lambda ub: coeff(ub)[:, cols],
-        lambda ub: source(ub)[:, cols], phi0.reshape(shape), psi0.reshape(shape),
+        grid, lambda ub: glog(ub)[:, cols].reshape(-1, *shape), lambda ub: coeff(ub)[:, cols].reshape(-1, *shape),
+        lambda ub: source(ub)[:, cols].reshape(-1, *shape), phi0.reshape(shape), psi0.reshape(shape),
     )
     for j in range(M):
         one = solve(
@@ -411,7 +417,8 @@ def test_columns_differing_in_one_bit_pattern_march_separately(where, nudge, mon
         phi0, psi0, gl, cc, ff = (x.copy() for x in inputs)
         nudged(psi0 if where == "psi0" else cc[17], points, nudge)
         inputs = (phi0, psi0, gl, cc, ff)
-        assert odesolve._compact_shape(shape, inputs) == bytes_compact_shape(shape, inputs) == compact
+        arrays = on_shape(inputs, shape)
+        assert odesolve._compact_shape(shape, arrays) == bytes_compact_shape(shape, arrays) == compact
         seen = record_chunk_points(monkeypatch)
         got = march_chunk(inputs, 0.01, shape)
         assert seen == [int(np.prod(compact))]
@@ -436,7 +443,8 @@ def test_columns_differing_deep_in_a_coefficient_row_stay_distinct(case, monkeyp
     else:
         nudged(cc[1234], twin, case)
     inputs = (phi0, psi0, gl, cc, ff)
-    assert odesolve._compact_shape(shape, inputs) == bytes_compact_shape(shape, inputs) == (1, 4)
+    arrays = on_shape(inputs, shape)
+    assert odesolve._compact_shape(shape, arrays) == bytes_compact_shape(shape, arrays) == (1, 4)
     seen = record_chunk_points(monkeypatch)
     got = march_chunk(inputs, 0.01, shape)
     _full_march(monkeypatch)
@@ -455,7 +463,8 @@ def test_run_of_colliding_columns_stays_apart_from_the_first(twin, monkeypatch):
     lines = cc.reshape(-1, *shape)
     lines[1234:1236, twin] = lines[1234:1236, twin][::-1]
     inputs = (phi0, psi0, gl, cc, ff)
-    assert odesolve._compact_shape(shape, inputs) == bytes_compact_shape(shape, inputs) == (8, 1)
+    arrays = on_shape(inputs, shape)
+    assert odesolve._compact_shape(shape, arrays) == bytes_compact_shape(shape, arrays) == (8, 1)
     seen = record_chunk_points(monkeypatch)
     got = march_chunk(inputs, 0.01, shape)
     _full_march(monkeypatch)
@@ -510,8 +519,8 @@ def test_focusing_location_same_as_undeduplicated_march(n, monkeypatch):
     omega = 0.5 * np.pi * (n - 1) / (n - 301)
     march = lambda: solve(
         Grid1D(0.0, 1.0, n),
-        lambda ub: np.where(crushed, 0.0, glog(ub)[:, k]),
-        lambda ub: np.where(crushed, omega**2, coeff(ub)[:, k]),
+        lambda ub: np.where(crushed, 0.0, glog(ub)[:, k]).reshape(-1, *shape),
+        lambda ub: np.where(crushed, omega**2, coeff(ub)[:, k]).reshape(-1, *shape),
         None,
         np.ones(shape),
         np.zeros(shape),
@@ -527,6 +536,54 @@ def test_focusing_location_same_as_undeduplicated_march(n, monkeypatch):
     assert max(seen) == 32
     assert err.value.location == full.value.location
     assert err.value.location[1] == 16
+
+
+# --- providers return an axis of size 1 for each angle they do not vary in -----
+
+
+def compact_maps(shape, varying, source):
+    """glog, coeff and source maps (source None without one) that vary along
+    the angular axes in varying only, each (K, *s) with s of size 1 on every
+    other axis of shape."""
+    k = np.arange(int(np.prod([shape[ax] for ax in varying]))).reshape(
+        [n if ax in varying else 1 for ax, n in enumerate(shape)])
+    col = lambda ub: ub.reshape((-1,) + (1,) * len(shape))
+    glog = lambda ub: 0.2 * np.sin(col(ub) + k)
+    coeff = lambda ub: 0.5 + 0.1 * np.cos(3.0 * col(ub) * (1 + k % 3))
+    src = lambda ub: 0.05 * (1.0 + np.sin(col(ub) - k) ** 2)
+    return glog, coeff, src if source else None
+
+
+@pytest.mark.parametrize("source", [True, False])
+@pytest.mark.parametrize("varying", [(), (0,), (1,), (0, 1)])
+def test_size_one_axes_march_as_the_maps_padded_to_the_chart(varying, source, monkeypatch):
+    shape = (8, 4)
+    maps = compact_maps(shape, varying, source)
+    padded = [fn and (lambda ub, fn=fn: np.broadcast_to(fn(ub), (len(ub),) + shape).copy()) for fn in maps]
+    grid = Grid1D(0.0, 1.0, odesolve._CHUNK + 101)
+    marches = []
+    for fns in (maps, padded):
+        seen = record_chunk_points(monkeypatch)
+        marches.append((solve(grid, *fns, np.ones(shape), np.full(shape, 0.1)), seen))
+        monkeypatch.undo()
+    (sol, seen), (full, seen_full) = marches
+    U = int(np.prod([shape[ax] for ax in varying]))
+    assert seen == seen_full == [U, U]  # two chunks
+    for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (full.phi, full.dphi, full.ddphi)):
+        assert a.shape == b.shape == (grid.n,) + shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bad", [(5,), (5, 4), (4, 5), (5, 1, 5)])
+def test_provider_array_of_the_wrong_shape_is_refused(bad):
+    # a 3-node grid has a 5-point lattice, so a (5,) array would broadcast
+    # against the (5,) shape and be read as varying with the angle
+    good = lambda ub: np.zeros((len(ub), 5))
+    wrong = lambda ub: np.ones(bad)
+    for name, fns in (("glog_fn", (wrong, good, None)), ("coeff_fn", (good, wrong, None)),
+                      ("source_fn", (good, good, wrong))):
+        with pytest.raises(ValueError, match=name):
+            solve(Grid1D(0.0, 1.0, 3), *fns, np.ones(5), np.zeros(5))
 
 
 # --- dense output --------------------------------------------------------------
