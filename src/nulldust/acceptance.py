@@ -215,13 +215,17 @@ def criterion_gowdy(*, n_seq=(100, 316, 1000, 3162, 10000, 31623, 100000), ampli
 # 4. hypersurface constraint solver
 # ---------------------------------------------------------------------------
 
-def _flat_ring(chart):
-    return np.eye(2)[:, :, None, None] * np.ones(chart.shape)
-
+# the flat reference metric, the same at every angle
+_FLAT_RING = np.eye(2)[:, :, None, None]
 
 # batch maps constant on the chart: the unit lapse, and zero (its log-derivative, an off-diagonal entry)
 _one = lambda ub: np.ones((len(np.atleast_1d(ub)), 1, 1))
 _zero = lambda ub: np.zeros((len(np.atleast_1d(ub)), 1, 1))
+
+
+def _ring_data(grid, chart, ring, dust=None):
+    """ReducedCharData of unit lapse whose conformal metric is the reference ring itself."""
+    return C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring), dust=dust)
 
 
 # The glued-shell measure of criteria 4, 6 and 7, as parsed dust-spec lines
@@ -231,21 +235,24 @@ GLUED_SHELL = (("atom", 0.45, ("cos", (1.0, 0.5))),)
 
 
 def _mass_field(profile, chart):
-    """The angular mass field of a parsed profile ('const', (V,)) or ('cos', (BASE, AMP))."""
+    """The angular mass field of a parsed profile ('const', (V,)) or ('cos', (BASE, AMP)):
+    (1, 1) for const, (n1, 1) for cos, which varies along theta1 only."""
     kind, values = profile
     if kind == "const":
-        return np.full(chart.shape, values[0])
+        return np.full((1, 1), values[0])
     base, amp = values
-    return base + amp * np.cos(2.0 * np.pi * chart.mesh()[0] / chart.L1)
+    return base + amp * np.cos(2.0 * np.pi * chart.theta1()[:, None] / chart.L1)
 
 
 def _dust_measure(lines, chart):
     """NullDustMeasure of parsed dust-spec lines: every atom, and the density
-    level; more than one density line raises ValueError."""
+    level; a negative level or more than one density line raises ValueError."""
     atoms = [(loc, _mass_field(profile, chart)) for kind, loc, profile in lines if kind == "atom"]
     levels = [level for kind, level, _ in lines if kind == "density"]
     if len(levels) > 1:
         raise ValueError(f"more than one density line: levels {levels}")
+    if levels and levels[0] < 0.0:
+        raise ValueError(f"density level {levels[0]} is negative")
     density = (lambda ub, lv=levels[0]: np.full((len(ub), 1, 1), lv)) if levels else None
     return C.NullDustMeasure(atoms=atoms, density=density)
 
@@ -253,15 +260,8 @@ def _dust_measure(lines, chart):
 def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
     """dust: parsed dust-spec lines of the measure whose constraint solve the weak residuals test."""
     chart = AngularGrid(8, 4)
-    ring = _flat_ring(chart)
     grid = Grid1D(0.0, 1.0, 2001)
-
-    def flat_data(lines):
-        """Conformally flat data on grid carrying the measure of parsed dust-spec lines."""
-        return C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring),
-                                 dust=_dust_measure(lines, chart))
-
-    data_shell = flat_data(dust)  # bad dust lines are refused before the first solve
+    data_shell = _ring_data(grid, chart, _FLAT_RING, _dust_measure(dust, chart))  # refused before the first solve
 
     # RK4 order against the closed-form cosine: |dgam|^2 = 8 makes Phi'' = -Phi
     def ent(ub):
@@ -275,7 +275,7 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
     errs, hs = [], []
     for n in (51, 101, 201, 401):
         coarse = Grid1D(0.0, 1.0, n)
-        data = C.ReducedCharData(coarse, chart, ring, _one, _zero, ent, dent)
+        data = C.ReducedCharData(coarse, chart, _FLAT_RING, _one, _zero, ent, dent)
         sol = C.solve_constraint(data, 1.0, 0.0)
         errs.append(float(np.abs(sol.phi[:, 0, 0] - np.cos(coarse.points())).max()))
         hs.append(coarse.h)
@@ -283,7 +283,8 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
 
     # first integral of the autonomous dust equation
     cval = 0.8
-    sol = C.solve_constraint(flat_data((("density", cval, None),)), 1.0, 0.0)
+    sol = C.solve_constraint(
+        _ring_data(grid, chart, _FLAT_RING, _dust_measure((("density", cval, None),), chart)), 1.0, 0.0)
     energy = 0.5 * sol.dphi[:, 0, 0] ** 2 + 0.5 * cval * np.log(sol.phi[:, 0, 0])
     drift = float(np.abs(energy - energy[0]).max())
 
@@ -296,7 +297,8 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
         )
 
     # comparison property: larger density cannot increase the factor downstream
-    sol_hi = C.solve_constraint(flat_data((("density", 2 * cval, None),)), 1.0, 0.0)
+    sol_hi = C.solve_constraint(
+        _ring_data(grid, chart, _FLAT_RING, _dust_measure((("density", 2 * cval, None),), chart)), 1.0, 0.0)
     monotone = bool(np.all(sol_hi.phi <= sol.phi + 1e-14))
 
     checks = {
@@ -354,7 +356,7 @@ def criterion_absorber() -> Verdict:
 
     # dust factor solved numerically, then handed over as a dense callable
     data = C.ReducedCharData(
-        grid, chart, _flat_ring(chart), omega, dlog_omega, entries, dentries,
+        grid, chart, _FLAT_RING, omega, dlog_omega, entries, dentries,
         dust=C.NullDustMeasure(density=f_fn),
     )
     phi_dust = C.solve_constraint(data, 1.0, 0.0)
@@ -398,9 +400,7 @@ def criterion_absorber() -> Verdict:
 def criterion_mollification() -> Verdict:
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 1.0, 257)
-    ring = _flat_ring(chart)
-    dust = _dust_measure(GLUED_SHELL, chart)
-    data = C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring), dust=dust)
+    data = _ring_data(grid, chart, _FLAT_RING, _dust_measure(GLUED_SHELL, chart))
     tfs = bump_dictionary(grid, chart)[:3]
 
     ratios, l1_norms = [], []
@@ -481,15 +481,14 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     for m in m_seq:
         M.check_level(m, grid, atoms)
     chart = AngularGrid(8, 4)
-    ring = _flat_ring(chart)
-    t1, _ = chart.mesh()
+    t1 = chart.theta1()[:, None]
     strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
     measure = _dust_measure(dust, chart)
     measure.atoms = [(loc, mass * (1.0 - strip)) for loc, mass in measure.atoms]
 
     def pipeline(measure):
         """The measure's pipeline, with k frozen over the first and last level."""
-        data = C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring), dust=measure)
+        data = _ring_data(grid, chart, _FLAT_RING, measure)
         bv = C.solve_constraint(data, 1.0, 0.15)
         pipe = MP.MeasurePipeline(data, bv, k=k)
         pipe.freeze_k([m_seq[0], m_seq[-1]])
@@ -647,15 +646,14 @@ def criterion_compensated() -> Verdict:
 # ---------------------------------------------------------------------------
 
 def _cone_data(chart, grid):
-    t1, _ = chart.mesh()
+    t1 = chart.theta1()[:, None]
     # conformally flat reference whose curvature is exactly 1 on the grid
     # fiber theta1 = L1/2: K = (a omega^2 / 2) e^{...} there with a = 2/omega^2
     om = 2.0 * np.pi / chart.L1
     a = 2.0 / om**2
     c = 2.0 * a
     gfun = c + a * np.cos(om * t1)
-    ring = _flat_ring(chart) / gfun
-    return C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring))
+    return _ring_data(grid, chart, _FLAT_RING / gfun)
 
 
 def _cone_march(n1, n):

@@ -92,11 +92,11 @@ def slice_fields(data: ReducedCharData, solution, ub):
     """SliceFields of the batch ub (K,), from one pass over the whole batch.
     Raises PositivityError if gamma fails the sign test on any slice."""
     chart = data.chart
-    # on the whole chart: along a size-1 axis a spectral derivative is 0, not FFT round-off
-    om, dlo = (np.ascontiguousarray(np.broadcast_to(f(ub), (len(ub),) + chart.shape))
-               for f in (data.omega, data.dlog_omega))
-    phi = np.asarray(solution(ub))
-    dphi = np.asarray(solution.deriv(ub))
+    # the one reader that pads to the whole chart: along a size-1 axis a spectral
+    # derivative is an exact 0, where the chart-shaped field gives FFT round-off;
+    # the padded phi makes gamma and chi chart-shaped whatever the entries' shape
+    om, dlo, phi, dphi = (np.ascontiguousarray(np.broadcast_to(f(ub), (len(ub),) + chart.shape))
+                          for f in (data.omega, data.dlog_omega, solution, solution.deriv))
     gh, dgh = sym2_pack(*data.entries(ub)), sym2_pack(*data.dentries(ub))
     gamma = phi**2 * gh
     ginv = sym2_inverse(gamma)

@@ -160,20 +160,13 @@ def _mass_profile(spec):
 
 def _dust_spec(text):
     """argparse type: ';'-separated 'atom UB MASS' / 'density LEVEL' lines -> (kind, value, profile)
-    lines; an atom must sit strictly inside the subcommands' interval 0 < ub < 1,
-    and there is at most one density LEVEL, >= 0."""
+    lines.  Only the syntax is checked here; the criterion refuses an atom
+    outside its interval, a negative level and a second density line."""
     lines = []
     for words in (line.split() for line in text.split(";") if line.strip()):
         if (words[0], len(words)) not in (("atom", 3), ("density", 2)):
             raise ValueError(f"unknown dust spec line {' '.join(words)!r}")
-        value = _finite(words[1])
-        if words[0] == "atom" and not 0.0 < value < 1.0:
-            raise argparse.ArgumentTypeError(f"atom at ub={value} not strictly inside (0, 1)")
-        if words[0] == "density" and value < 0.0:
-            raise argparse.ArgumentTypeError(f"density level {value} is negative")
-        if words[0] == "density" and any(kind == "density" for kind, _, _ in lines):
-            raise argparse.ArgumentTypeError("more than one density line")
-        lines.append((words[0], value, _mass_profile(words[2]) if len(words) == 3 else None))
+        lines.append((words[0], _finite(words[1]), _mass_profile(words[2]) if len(words) == 3 else None))
     return tuple(lines)
 
 
@@ -189,7 +182,7 @@ def cmd_trapped(args):
     t0 = time.time()
     outdir = _out_root(args)
     chart = AngularGrid(32, 16)
-    mass = acceptance._mass_field(args.mass, chart)
+    mass = np.broadcast_to(acceptance._mass_field(args.mass, chart), chart.shape)
     shell = S.ShellSpacetime(chart, mass, args.ustar)
     per_theta, overall, margin = S.is_trapped(shell)
     trchi_plus = S.trch_jump(shell, args.ustar)

@@ -25,7 +25,7 @@ import numpy as np
 from .fields import sym2_det, sym2_entries
 from .geometry import area_element
 from .grids import AngularGrid, Grid1D
-from .odesolve import DenseSolution, Problem, march, segmented_grids
+from .odesolve import DenseSolution, Problem, angular_array, march, segmented_grids
 from .quadrature import composite_rule
 
 
@@ -37,8 +37,8 @@ class MeasureSupportError(ValueError):
 class NullDustMeasure:
     """Atoms plus an absolutely continuous density.
 
-    atoms: list of (location, mass field (n1, n2)), masses >= 0, locations
-        strictly inside the coordinate interval.
+    atoms: list of (location, mass field (m1, m2), each m 1 or the chart's
+        size), masses >= 0, locations strictly inside the coordinate interval.
     density: angular batch map (see ReducedCharData) ub(K,) -> f >= 0, in
         the convention that the absolutely continuous part of the measure is
         Omega^-2 f dA_ring dub.
@@ -71,8 +71,9 @@ class ReducedCharData:
     (no variation in that angle) or n.  The conformal metric gamma_hat =
     [[a, b], [b, d]] is given by its entries: entries maps ub(K,) -> (a, b, d)
     and dentries to their ub-derivatives, each such an array.  gamma_ring is
-    (2, 2, n1, n2), slots first (fields).  The normalization
-    det gamma_hat = det gamma_ring is checked at five ub.
+    (2, 2, m1, m2), slots first (fields).  At five ub every map, the dust
+    density too, is checked against that shape contract (angular_array), and
+    the normalization det gamma_hat = det gamma_ring.
     """
 
     grid: Grid1D
@@ -85,12 +86,18 @@ class ReducedCharData:
     dust: NullDustMeasure | None = None
 
     def __post_init__(self):
-        if np.shape(self.gamma_ring) != (2, 2) + self.chart.shape:
-            raise ValueError(f"gamma_ring shape {np.shape(self.gamma_ring)} != (2, 2) + {self.chart.shape}")
+        shape = self.chart.shape
+        angular_array("gamma_ring", self.gamma_ring, (2, 2), shape)
         if self.dust is not None:
             self.dust.validate(self.grid)
         probe = np.linspace(self.grid.a, self.grid.b, 5)
-        a, b, d = self.entries(probe)
+        maps = {"omega": self.omega, "dlog_omega": self.dlog_omega, "density": self.dust and self.dust.density}
+        for name, fn in maps.items():
+            if fn is not None:
+                angular_array(name, fn(probe), (5,), shape)
+        a, b, d = (angular_array(f"entries[{i}]", x, (5,), shape) for i, x in enumerate(self.entries(probe)))
+        for i, x in enumerate(self.dentries(probe)):
+            angular_array(f"dentries[{i}]", x, (5,), shape)
         dev = np.abs((a * d - b * b) / sym2_det(self.gamma_ring) - 1.0).max(axis=(1, 2))
         for ub, worst in zip(probe, dev):
             if worst > _DET_RTOL:
@@ -103,8 +110,8 @@ class ReducedCharData:
         return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
 
     def area_weights(self) -> np.ndarray:
-        """Quadrature weights of dA_ring on the chart nodes."""
-        return area_element(self.gamma_ring) * self.chart.cell_area
+        """Quadrature weights of dA_ring on the chart nodes, chart-shaped so that every pairing sums over the chart."""
+        return np.broadcast_to(area_element(self.gamma_ring) * self.chart.cell_area, self.chart.shape).copy()
 
 
 def ring_entries(gamma_ring: np.ndarray):
@@ -184,22 +191,16 @@ def measure_pairing(data: ReducedCharData, phi_test: Callable, weight: Callable 
     """
     if data.dust is None:
         return 0.0
-    w = data.area_weights()
+    w = data.area_weights()  # chart-shaped, so every sum below runs over the whole chart
+    test = phi_test if weight is None else lambda ub: np.asarray(phi_test(ub)) * np.asarray(weight(ub))
     total = 0.0
     for loc, mass in data.dust.atoms:
-        ub = np.array([loc])
-        vals = np.broadcast_to(np.asarray(phi_test(ub)), (1,) + data.chart.shape)[0]
-        if weight is not None:
-            vals = vals * np.broadcast_to(np.asarray(weight(ub)), (1,) + data.chart.shape)[0]
-        total += float(np.sum(vals * np.asarray(mass) * w))
+        total += float(np.sum(np.asarray(test(np.array([loc])))[0] * np.asarray(mass) * w))
     if data.dust.density is not None:
         xs, ws = composite_rule([(data.grid.a, data.grid.b, panels)], _GL)
         f = np.asarray(data.dust.density(xs))
         om = np.asarray(data.omega(xs))
-        vals = np.broadcast_to(np.asarray(phi_test(xs)), (len(xs),) + data.chart.shape).copy()
-        if weight is not None:
-            vals *= np.broadcast_to(np.asarray(weight(xs)), vals.shape)
-        total += float(np.einsum("k,kij,ij->", ws, vals * f / om**2, w))
+        total += float(np.einsum("k,kij,ij->", ws, np.asarray(test(xs)) * f / om**2, w))
     return total
 
 
@@ -225,12 +226,9 @@ def weak_constraint_residual(
     dphi_sol = solution.deriv(xs)
     phi_sol = solution(xs)
     normsq = np.asarray(data.dgamma_normsq(xs))
-    shp = (len(xs),) + data.chart.shape
-    tv = np.broadcast_to(np.asarray(phi_test(xs)), shp)
-    dtv = np.broadcast_to(np.asarray(dphi_test(xs)), shp)
 
-    term_transport = -np.einsum("k,kij,ij->", wq, dtv * dphi_sol / om2, w)
-    term_shear = 0.125 * np.einsum("k,kij,ij->", wq, tv * normsq * phi_sol / om2, w)
+    term_transport = -np.einsum("k,kij,ij->", wq, np.asarray(dphi_test(xs)) * dphi_sol / om2, w)
+    term_shear = 0.125 * np.einsum("k,kij,ij->", wq, np.asarray(phi_test(xs)) * normsq * phi_sol / om2, w)
     term_measure = 0.0
     if data.dust is not None:
         term_measure = 0.5 * measure_pairing(data, phi_test, weight=lambda ub: 1.0 / solution(ub),

@@ -111,8 +111,7 @@ def _shear_pairing(data: ReducedCharData, pieces, normsq_fn, phi_sol, phi_test) 
         om2 = np.asarray(data.omega(xs)) ** 2
         normsq = np.asarray(normsq_fn(xs))
         phiv = phi_sol(xs) ** 2
-        tv = np.broadcast_to(np.asarray(phi_test(xs)), (len(xs),) + data.chart.shape)
-        return tv * normsq * phiv / om2
+        return np.asarray(phi_test(xs)) * normsq * phiv / om2
 
     return 0.25 * panel_pairing(integrand, pieces, 12, data.area_weights())
 

@@ -226,8 +226,7 @@ def density_pairing(fm: MollifiedDensity, phi_test) -> float:
     def integrand(xs):
         f = fm(xs)
         om2 = np.asarray(data.omega(xs)) ** 2
-        vals = np.broadcast_to(np.asarray(phi_test(xs)), (len(xs),) + data.chart.shape).copy()
-        return vals * f / om2
+        return np.asarray(phi_test(xs)) * f / om2
 
     pieces = [(lo, hi, 48 if inside else 64) for lo, hi, inside in fm.segments()]
     return panel_pairing(integrand, pieces, 16, data.area_weights())
@@ -242,12 +241,9 @@ def pairing_gap(fm: MollifiedDensity, phi_test, dphi_test) -> dict:
     # |dphi|_{L2_ub L1(S)} and |phi|_{Linf_ub L1(S)} with dA_ring
     w = data.area_weights()
     xs, ws = gauss_legendre_nodes(data.grid.a, data.grid.b, 256)
-    shp = (len(xs),) + data.chart.shape
-    dv = np.abs(np.broadcast_to(np.asarray(dphi_test(xs)), shp))
-    l1 = np.einsum("kij,ij->k", dv, w)
+    l1 = np.einsum("kij,ij->k", np.abs(dphi_test(xs)), w)
     norm_dphi = float(np.sqrt(np.sum(ws * l1**2)))
-    vv = np.abs(np.broadcast_to(np.asarray(phi_test(xs)), shp))
-    norm_phi = float(np.einsum("kij,ij->k", vv, w).max())
+    norm_phi = float(np.einsum("kij,ij->k", np.abs(phi_test(xs)), w).max())
     rate_bound = 2.0 ** (-fm.m) * norm_dphi + 2.0 ** (-2 * fm.m) * norm_phi
     return {
         "m": fm.m,

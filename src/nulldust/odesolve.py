@@ -12,9 +12,9 @@ Shells and dusts often vary in one angle or in none, and a provider gives
 each angle it does not vary in an axis of size 1 (Problem).  Each chunk cuts
 every axis of the problem's shape along which its state and coefficients are
 constant, of size 1 or equal by raw bits, to its first index and marches only
-the U columns left, the compact shape; the nodes are broadcast back to all M
-points.  Byte-equal inputs give byte-equal marches, so the result is
-bit-identical to marching every point.
+the U columns left, the compact shape; the node rows, and the DenseSolution,
+have size 1 along every axis no chunk varied along.  Byte-equal inputs give
+byte-equal marches, bit-identical to marching every point.
 
 march takes a list of independent problems (a sequence's members, each its
 own constraint ODE) and advances the unfinished ones in lockstep.  Each round
@@ -272,6 +272,18 @@ def _compact_shape(shape, arrays):
     return tuple(compact)
 
 
+def angular_array(name, a, lead, shape):
+    """a as a float array, if it is lead + s with each axis of s of size 1 or
+    that of the angular shape, else a ValueError that names it: the shape
+    contract of angular batch maps (lead (K,) for K ub values) and their data."""
+    a = np.asarray(a, dtype=float)
+    s = a.shape[len(lead):]
+    if len(s) != len(shape) or a.shape != lead + tuple(1 if m == 1 else n for m, n in zip(s, shape)):
+        raise ValueError(f"{name} shape {a.shape} is not {lead} + s, each axis of s of size 1"
+                         f" or that of the angular shape {shape}")
+    return a
+
+
 @dataclass
 class Problem:
     """One march: phi'' = 2*glog*phi' - coeff*phi - source/(2 phi) from phi0, dphi0.
@@ -283,6 +295,7 @@ class Problem:
     equation), each called once per chunk on the chunk's half-step lattice;
     jumps: optional derivative increments applied at the interior
     breakpoints, each a callable (phi_values -> dphi_increment) or None.
+    phi_values and the solution are (..., *s), s as the march keeps it.
     """
 
     grids: list  # list[Grid1D]
@@ -295,8 +308,10 @@ class Problem:
 
 
 class _March:
-    """One problem inside march: the node rows of all its segments, the
-    segment being marched, and the compact columns of its current chunk.
+    """One problem inside march: the phi, psi and acc rows of all its
+    segments' nodes, of size 1 along each angular axis no chunk has varied
+    along yet; the segment being marched, its state phi, dphi at the last
+    node, and the compact columns of its current chunk.
 
     Of the chunk it holds its compact shape, the U columns' coefficients on
     the lattice and their nodes o_phi, o_psi, of which the first done + 1
@@ -306,9 +321,7 @@ class _March:
     def __init__(self, problem):
         self.problem = problem
         self.shape = np.shape(problem.phi0)
-        self.M = int(np.prod(self.shape))
-        rows = sum(g.n for g in problem.grids)
-        self.out_phi, self.out_psi, self.acc = (np.empty((rows, self.M)) for _ in range(3))
+        self.nodes = [np.empty((sum(g.n for g in problem.grids),) + (1,) * len(self.shape)) for _ in range(3)]
         self.seg = self.base = 0
         self._start_segment(problem.phi0, problem.dphi0)
 
@@ -317,13 +330,11 @@ class _March:
         return self.seg == len(self.problem.grids)
 
     def solution(self):
-        rows = (len(self.out_phi),) + self.shape
-        return DenseSolution(self.problem.grids, *(a.reshape(rows) for a in (self.out_phi, self.out_psi, self.acc)))
+        return DenseSolution(self.problem.grids, *self.nodes)
 
     def _start_segment(self, phi0, dphi0):
         self.grid = self.problem.grids[self.seg]
-        self.out_phi[self.base] = np.reshape(phi0, self.M)
-        self.out_psi[self.base] = np.reshape(dphi0, self.M)
+        self.state = phi0, dphi0
         self.pos = self.nc = self.done = 0
 
     def advance(self):
@@ -333,8 +344,6 @@ class _March:
             return
         if self.nc:
             self._close_chunk()
-        if self.pos == self.grid.n - 1:
-            self._close_segment()
         if not self.finished:
             self._load()
 
@@ -343,14 +352,10 @@ class _March:
         nc = min(_CHUNK, grid.n - 1 - pos)
         ub = grid.a + (pos + 0.5 * np.arange(2 * nc + 1)) * grid.h
         zero = lambda ub: np.zeros((len(ub),) + (1,) * len(shape))
-        arrays = [a[self.base + pos].reshape((1, *shape)) for a in (self.out_phi, self.out_psi)]
+        arrays = [angular_array(name, np.asarray(a, float)[None], (1,), shape)
+                  for name, a in zip(("phi", "dphi"), self.state)]
         fns = {"glog_fn": p.glog_fn, "coeff_fn": p.coeff_fn, "source_fn": p.source_fn or zero}
-        for name, fn in fns.items():
-            a = np.asarray(fn(ub), dtype=float)
-            if a.ndim != 1 + len(shape) or len(a) != len(ub) or any(1 != m != n for m, n in zip(a.shape[1:], shape)):
-                raise ValueError(f"{name} returned shape {a.shape} for {len(ub)} ub values: want ({len(ub)}, *s),"
-                                 f" each axis of s of size 1 or that of the angular shape {shape}")
-            arrays.append(a)
+        arrays += [angular_array(name, fn(ub), (len(ub),), shape) for name, fn in fns.items()]
         self.compact = _compact_shape(shape, arrays)
         self.U = int(np.prod(self.compact))
         cut = (slice(None),) + tuple(slice(0, c) for c in self.compact)  # index 0 on each constant axis
@@ -376,24 +381,29 @@ class _March:
         )
 
     def _close_chunk(self):
+        """Write the chunk's node rows, first widening the rows along each axis
+        the chunk is the first to vary along; a later chunk of the segment
+        overwrites the node the two share.  When the chunk ends its segment,
+        start the next one, if any, from its last node: the same phi, and
+        dphi plus the breakpoint's jump."""
         # the even lattice points are the nodes pos..pos+nc
         acc = 2.0 * self.gl[::2] * self.o_psi - self.cc[::2] * self.o_phi - 0.5 * self.ff[::2] / self.o_phi
+        shape = np.broadcast_shapes(self.nodes[0].shape[1:], self.compact)
+        if shape != self.nodes[0].shape[1:]:
+            self.nodes = [np.array(np.broadcast_to(t, t.shape[:1] + shape)) for t in self.nodes]
         rows = slice(self.base + self.pos, self.base + self.pos + self.nc + 1)
-        for out, nodes in ((self.out_phi, self.o_phi), (self.out_psi, self.o_psi), (self.acc, acc)):
-            out[rows].reshape((-1, *self.shape))[...] = nodes.reshape((-1, *self.compact))
+        for table, nodes in zip(self.nodes, (self.o_phi, self.o_psi, acc)):
+            table[rows] = nodes.reshape((-1, *self.compact))
+        self.state = phi, dphi = (self.nodes[0][rows.stop - 1], self.nodes[1][rows.stop - 1])
         self.gl = self.cc = self.ff = self.o_phi = self.o_psi = None
         self.pos += self.nc
         self.nc = self.done = 0
-
-    def _close_segment(self):
-        """Start the next segment, if any, from this one's last node row: the
-        same phi, and dphi plus the breakpoint's jump."""
-        last, jumps = self.base + self.pos, self.problem.jumps
-        self.seg, self.base = self.seg + 1, last + 1
-        if not self.finished:
-            jump = jumps[self.seg - 1] if jumps is not None else None
-            phi, dphi = (a[last].reshape(self.shape) for a in (self.out_phi, self.out_psi))
-            self._start_segment(phi, dphi if jump is None else dphi + jump(phi.copy()))
+        if self.pos == self.grid.n - 1:
+            self.seg, self.base = self.seg + 1, self.base + self.grid.n
+            if not self.finished:
+                jumps = self.problem.jumps
+                jump = jumps[self.seg - 1] if jumps is not None else None
+                self._start_segment(phi, dphi if jump is None else dphi + jump(phi.copy()))
 
 
 def _side_by_side(arrays):
@@ -495,9 +505,10 @@ class DenseSolution:
 
     Arrays are (rows, *field_shape): each grid's node rows follow the previous
     grid's, so a breakpoint is a node of both segments; the value is
-    continuous there and the derivative may jump.  The second derivative
-    comes from the ODE right-hand side, making the interpolant O(h^6)-accurate
-    for smooth coefficients.
+    continuous there and the derivative may jump.  A march's field_shape has
+    size 1 along each angle the solution does not vary in (Problem).  The
+    second derivative comes from the ODE right-hand side, making the
+    interpolant O(h^6)-accurate for smooth coefficients.
     """
 
     grids: list  # list[Grid1D], consecutive

@@ -146,11 +146,16 @@ def test_criterion_4_solves_march_only_the_angles_their_data_vary_along(monkeypa
     assert all(cols == [1] for atoms, cols in solves if not atoms)  # no angle at all
 
 
+def cone_solves(monkeypatch):
+    """The reduced solves of criterion 10: its main march and its ladder."""
+    monkeypatch.setattr(A.P, "solve_transport_system", lambda *args: None)
+    for n1, n in [(64, 513), (32, 65), (32, 97), (32, 129), (32, 193)]:
+        A._cone_march(n1, n)
+
+
 def test_criterion_10_cone_solves_march_one_column(monkeypatch):
     solves = kernel_columns_per_solve(monkeypatch)
-    monkeypatch.setattr(A.P, "solve_transport_system", lambda *args: None)  # the reduced solve alone
-    for n1, n in [(64, 513), (32, 65), (32, 97), (32, 129), (32, 193)]:  # the main march and the ladder
-        A._cone_march(n1, n)
+    cone_solves(monkeypatch)
     assert solves == [(0, [1])] * 5
 
 
@@ -159,10 +164,46 @@ def test_second_density_line_is_refused_before_any_solve(monkeypatch):
         raise AssertionError("a constraint was solved before the dust lines were read")
 
     monkeypatch.setattr(C, "solve_constraint", no_solve)
-    lines = A.GLUED_SHELL + (("density", 0.5, None), ("density", 0.7, None))
-    for criterion in (A.criterion_constraints, A.criterion_pipeline):
-        with pytest.raises(ValueError, match="more than one density line"):
-            criterion(dust=lines)
+    for density, match in [((("density", 0.5, None), ("density", 0.7, None)), "more than one density line"),
+                           ((("density", -0.5, None),), "density level -0.5 is negative")]:
+        for criterion in (A.criterion_constraints, A.criterion_pipeline):
+            with pytest.raises(ValueError, match=match):
+                criterion(dust=A.GLUED_SHELL + density)
+
+
+def solution_shapes(monkeypatch):
+    """Record the angular shape of every DenseSolution a march hands back."""
+    shapes = []
+    solution = odesolve._March.solution
+
+    def recorded(march):
+        sol = solution(march)
+        shapes.append(sol.phi.shape[1:])
+        return sol
+
+    monkeypatch.setattr(odesolve._March, "solution", recorded)
+    return shapes
+
+
+# flat data are the same at every angle, and the glued shell's mass and the
+# pipeline's strip vary along theta1 alone; the cone's ring varies along
+# theta1 too, but its shear is zero, so its solves vary in no angle
+SOLUTION_SHAPES = {
+    "constraints": [(1, 1)] * 5 + [(8, 1), (1, 1)],
+    "mollification": [(8, 1)] * 8,
+    "pipeline": [(8, 1)] * 21,
+    "char_pipeline": [(1, 1)] * 5,
+}
+
+
+@pytest.mark.parametrize("criterion", list(SOLUTION_SHAPES))
+def test_solutions_keep_only_the_angles_their_data_vary_along(monkeypatch, criterion):
+    seen = solution_shapes(monkeypatch)
+    if criterion == "char_pipeline":
+        cone_solves(monkeypatch)
+    else:
+        assert getattr(A, f"criterion_{criterion}")().passed
+    assert seen == SOLUTION_SHAPES[criterion]
 
 
 @pytest.mark.parametrize("pick", [max, min])

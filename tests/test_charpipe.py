@@ -1,6 +1,6 @@
 """Characteristic transport: cone reproduction, residuals, diagnostics."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from nulldust import calculus as calc
 from nulldust import charpipe as P
 from nulldust import constraints as C
 from nulldust.grids import AngularGrid, Grid1D
+from nulldust.odesolve import DenseSolution
 from nulldust.rates import fit_rate
 
 from test_calculus import curl_oneform, div_oneform, einsum_trailing, grad
@@ -75,6 +76,29 @@ def curved_cone_data(chart, grid):
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
+
+
+def test_slice_fields_of_a_compact_solution_are_those_of_its_chart_broadcast():
+    # curved_cone_data's maps on size-1 axes: a ring that varies along theta1
+    # alone and a unit lapse; its solve varies in no angle
+    chart = AngularGrid(16, 4)
+    grid = Grid1D(0.0, 0.5, 33)
+    om = 2.0 * np.pi / chart.L1
+    ring = np.eye(2)[:, :, None, None] / (4.0 / om**2 + (2.0 / om**2) * np.cos(om * chart.theta1()[:, None]))
+    one = lambda ub: np.ones((len(ub), 1, 1))
+    zero = lambda ub: np.zeros((len(ub), 1, 1))
+    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
+    sol = C.solve_constraint(data, 1.0, 1.0)
+    assert sol.phi.shape == (grid.n, 1, 1)
+    padded = DenseSolution(sol.grids, *(np.broadcast_to(a, (grid.n,) + chart.shape).copy()
+                                        for a in (sol.phi, sol.dphi, sol.ddphi)))
+    ub = np.concatenate([grid.points(), grid.points()[:-1] + 0.5 * grid.h])
+    want = P.slice_fields(curved_cone_data(chart, grid), padded, ub)
+    for got in (P.slice_fields(data, sol, ub), P.slice_fields(data, padded, ub)):
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.shape == b.shape and a.shape[-3:] == (len(ub),) + chart.shape
+            assert a.tobytes() == b.tobytes(), f.name
 
 
 def test_derive_outgoing_flat_cone():

@@ -342,6 +342,26 @@ def test_ring_with_slots_last_is_rejected(chart, ring):
         C.ReducedCharData(Grid1D(0.0, 1.0, 11), chart, slots_last, one, zero, *C.ring_entries(ring))
 
 
+@pytest.mark.parametrize("name", ["gamma_ring", "omega", "dlog_omega", "entries", "dentries", "density"])
+def test_a_map_on_another_chart_is_refused_by_name(chart, ring, name):
+    # one map, or the ring, on the transposed 4 x 8 chart of the 8 x 4 data
+    one, zero = const_maps(chart)
+    entries, dentries = C.ring_entries(ring)
+    transposed = lambda ub: np.ones((len(ub), 4, 8))
+    args = {"gamma_ring": ring, "omega": one, "dlog_omega": zero, "entries": entries, "dentries": dentries}
+    density = zero
+    if name == "gamma_ring":
+        args[name] = np.moveaxis(ring, -1, -2).copy()
+    elif name in ("entries", "dentries"):
+        args[name] = lambda ub, fn=args[name]: (transposed(ub), *fn(ub)[1:])
+    elif name == "density":
+        density = transposed
+    else:
+        args[name] = transposed
+    with pytest.raises(ValueError, match=f"^{name}"):
+        C.ReducedCharData(Grid1D(0.0, 1.0, 11), chart, dust=C.NullDustMeasure(density=density), **args)
+
+
 def test_chi_identities(chart, ring):
     # conformal-only deformation: shear vanishes, trace matches 2 dPhi/(Omega Phi)
     one, zero = const_maps(chart)

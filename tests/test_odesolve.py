@@ -97,16 +97,24 @@ def on_shape(arrays, shape):
     return [x.reshape(-1, *shape) for x in arrays]
 
 
+def on_shape_rows(a, shape):
+    """A solution array (rows, *s), s of size 1 on each axis it is constant
+    along, broadcast to the rows of every point of shape: (rows, *shape)."""
+    return np.ascontiguousarray(np.broadcast_to(a, (len(a), *shape)))
+
+
 def march_chunk(inputs, h, shape=None):
     """run_kernel's result, from the march of chunk_problem(inputs, h, shape):
-    its failure as the flat index step*M + j, or its state and nodes."""
+    its failure as the flat index step*M + j, or its state and nodes, the
+    solution broadcast to the problem's shape."""
     M = inputs[0].shape[0]
     try:
         sol = odesolve.march([chunk_problem(inputs, h, shape)])[0]
     except FocusingError as err:
         ub, j = err.location
         return (round(ub / h) - 1) * M + j, None, None, None, None
-    return -1, sol.phi[-1], sol.dphi[-1], sol.phi, sol.dphi
+    phi, dphi = (on_shape_rows(a, inputs[0].shape if shape is None else shape) for a in (sol.phi, sol.dphi))
+    return -1, phi[-1], dphi[-1], phi, dphi
 
 
 def assert_same_march(got, want):
@@ -356,7 +364,7 @@ def test_duplicated_columns_march_as_separate_columns(M, monkeypatch):
             lambda ub: source(ub)[:, cols[j]], phi0[j], psi0[j],
         )
         for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (one.phi, one.dphi, one.ddphi)):
-            assert a.reshape(len(a), M)[:, j].tobytes() == b.tobytes()
+            assert on_shape_rows(a, shape).reshape(len(a), M)[:, j].tobytes() == b.tobytes()
 
 
 def test_theta1_only_data_marches_one_column_per_theta1(monkeypatch):
@@ -379,7 +387,35 @@ def test_theta1_only_data_marches_one_column_per_theta1(monkeypatch):
     full = march()
     assert seen == [32, 32]
     for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (full.phi, full.dphi, full.ddphi)):
-        assert a.tobytes() == b.tobytes()
+        assert a.shape == (grid.n, 8, 1) and b.shape == (grid.n, 8, 4)
+        assert on_shape_rows(a, (8, 4)).tobytes() == b.tobytes()
+
+
+def test_solution_has_the_axes_any_chunk_varied_along(monkeypatch):
+    # (8, 4) chart: the coefficients are constant in chunk 1, up to and with
+    # the node the two chunks share, and vary along theta1 in chunk 2
+    th = np.arange(8.0)[:, None]
+    grid = Grid1D(0.0, 1.0, odesolve._CHUNK + 101)
+    split = grid.a + odesolve._CHUNK * grid.h
+    late = lambda ub: ub[:, None, None] > split
+    march = lambda: solve(
+        grid,
+        lambda ub: 0.1 * np.sin(ub[:, None, None]) + np.where(late(ub), 0.05 * np.sin(th * ub[:, None, None]), 0.0),
+        lambda ub: 0.5 + np.where(late(ub), 0.1 * np.cos(ub[:, None, None] * (1.0 + th)), 0.0),
+        lambda ub: np.full((len(ub), 1, 1), 0.05),
+        np.ones((8, 4)),
+        np.zeros((8, 4)),
+    )
+    seen = record_chunk_points(monkeypatch)
+    sol = march()
+    assert seen == [1, 8]
+    _full_march(monkeypatch)
+    seen.clear()
+    full = march()
+    assert seen == [32, 32]
+    for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (full.phi, full.dphi, full.ddphi)):
+        assert a.shape == (grid.n, 8, 1) and b.shape == (grid.n, 8, 4)
+        assert on_shape_rows(a, (8, 4)).tobytes() == b.tobytes()
 
 
 def test_single_point_march_skips_the_keying(monkeypatch):
@@ -567,11 +603,12 @@ def test_size_one_axes_march_as_the_maps_padded_to_the_chart(varying, source, mo
         marches.append((solve(grid, *fns, np.ones(shape), np.full(shape, 0.1)), seen))
         monkeypatch.undo()
     (sol, seen), (full, seen_full) = marches
-    U = int(np.prod([shape[ax] for ax in varying]))
+    compact = tuple(n if ax in varying else 1 for ax, n in enumerate(shape))
+    U = int(np.prod(compact))
     assert seen == seen_full == [U, U]  # two chunks
     for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (full.phi, full.dphi, full.ddphi)):
-        assert a.shape == b.shape == (grid.n,) + shape
-        assert a.tobytes() == b.tobytes()
+        assert a.shape == b.shape == (grid.n,) + compact
+        assert on_shape_rows(a, shape).tobytes() == on_shape_rows(b, shape).tobytes()
 
 
 @pytest.mark.parametrize("bad", [(5,), (5, 4), (4, 5), (5, 1, 5)])
