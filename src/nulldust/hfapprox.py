@@ -25,8 +25,13 @@ ub(K,) -> (a_n, b, d_n) and their derivatives, each shaped as an angular
 batch map's output (ReducedCharData), so norms, determinants and
 eigenvalues are computed entrywise over whole batches.
 OscillatoryFamily.jet(ub) returns both, ((a_n, b, d_n), (a_n', b', d_n')),
-from one evaluation of each background map (the dust entries and their
-derivatives, f, f', Phi, Phi'); the norm-square |dgamma_n|^2 reads it.
+from DustBackground.jet(ub), one call of each background map (the dust
+entries and their derivatives, f, f', Phi, Phi'); the norm-square
+|dgamma_n|^2 reads it.  family_convergence walks each distinct row lattice
+once, in blocks of _STENCIL_BLOCK points.  Each block evaluates the
+background once, the control |dgamma|^2 Phi^2 and 4 f once, and the
+envelopes once at its four stencil offsets; each member on the lattice then
+adds its phase terms and folds the block's sup-norms into its row.
 """
 
 from dataclasses import dataclass
@@ -41,10 +46,11 @@ from .grids import Grid1D
 from .odesolve import march
 
 _MAX_DOUBLINGS = 20  # wavenumber escalation steps before giving up
-# Points per corrector_jet envelope batch.  With its four stencil offsets a block
-# is 5,120 points, no more than family_convergence evaluates elsewhere in one
-# call, so batching the offsets does not raise the peak memory (4,096 per block
-# raised the peak RSS of criterion_absorber from 146 to 181 MB).
+# Points per block of family_convergence's lattice walk and of a lone
+# corrector_jet.  In the walk a block's envelope batch is its four stencil
+# offsets, 4,096 points, since the block points' own envelopes come from the
+# block's background evaluation; a lone corrector_jet evaluates the block and
+# its offsets together, 5,120 points.  No member holds a whole row of entries.
 _STENCIL_BLOCK = 1024
 
 
@@ -57,6 +63,33 @@ def _member_entries(a, b, d, det, s):
     determinant and the phase factor s."""
     e11 = a + det / d * s
     return e11, b, d - det * s / e11
+
+
+def _amplitudes(k, entries, dentries, f, phi):
+    """Amplitudes of the corrector's sin(2 k n ub) and sin(k n ub) terms from
+    the dust entries, their derivatives, f (clipped at zero) and Phi."""
+    (a, b, d), (da, _, dd) = entries, dentries
+    det = a * d - b * b
+    return 2.0 * f / k, (4.0 / (k * det)) * (d * da - a * dd) * np.sqrt(f) * phi
+
+
+def _envelopes(background, k, ub_batch):
+    """The two corrector amplitudes of _amplitudes at ub_batch; they depend on
+    the family's k, not on its n."""
+    data = background.data
+    return _amplitudes(k, data.entries(ub_batch), data.dentries(ub_batch),
+                       np.maximum(background.f(ub_batch), 0.0), background.phi(ub_batch))
+
+
+def _stencil(grid: Grid1D):
+    """Weights and offsets of the 4-point stencil of the envelope derivatives."""
+    h = max(grid.h, 1e-6)
+    return np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h), np.array([-2.0 * h, -h, h, 2.0 * h])
+
+
+def _blocks(ub):
+    """ub cut into consecutive blocks of at most _STENCIL_BLOCK points."""
+    return np.split(ub, range(_STENCIL_BLOCK, len(ub), _STENCIL_BLOCK))
 
 
 @dataclass
@@ -76,6 +109,12 @@ class DustBackground:
     phi: Callable
     dphi: Callable
 
+    def jet(self, ub_batch):
+        """(entries, dentries, f, f', Phi, Phi') at ub_batch, each map called
+        once; f is clipped at zero, as every reader takes it."""
+        return (self.data.entries(ub_batch), self.data.dentries(ub_batch), np.maximum(self.f(ub_batch), 0.0),
+                self.df(ub_batch), self.phi(ub_batch), self.dphi(ub_batch))
+
     def root_f_over_phi(self, ub_batch):
         return np.sqrt(np.maximum(self.f(ub_batch), 0.0)) / self.phi(ub_batch)
 
@@ -88,24 +127,22 @@ class OscillatoryFamily:
     k: float
     n: int
 
-    def entries(self, ub_batch):
+    def _phase(self, ub_batch):
+        """The phase factor s(ub) = (2 sqrt(f) / Phi) sin(k n ub) / (k n)."""
         kn = self.k * self.n
-        a, b, d = self.background.data.entries(ub_batch)
         amp = 2.0 * self.background.root_f_over_phi(ub_batch) / kn
-        s = amp * np.sin(kn * np.asarray(ub_batch, float))[:, None, None]
-        return _member_entries(a, b, d, a * d - b * b, s)
+        return amp * np.sin(kn * np.asarray(ub_batch, float))[:, None, None]
 
-    def jet(self, ub_batch):
-        """(entries, dentries) of gamma_n, calling each background map once."""
+    def entries(self, ub_batch):
+        a, b, d = self.background.data.entries(ub_batch)
+        return _member_entries(a, b, d, a * d - b * b, self._phase(ub_batch))
+
+    def jet(self, ub_batch, maps=None):
+        """(entries, dentries) of gamma_n from one background evaluation:
+        maps, the background's jet at ub_batch when the caller has it."""
         kn = self.k * self.n
         ub = np.asarray(ub_batch, float)
-        bg = self.background
-        a, b, d = bg.data.entries(ub_batch)
-        da, db, dd = bg.data.dentries(ub_batch)
-        f = np.maximum(bg.f(ub_batch), 0.0)
-        df = bg.df(ub_batch)
-        phi = bg.phi(ub_batch)
-        dphi = bg.dphi(ub_batch)
+        (a, b, d), (da, db, dd), f, df, phi, dphi = self.background.jet(ub_batch) if maps is None else maps
         rf = np.sqrt(f) / phi
         sin, cos = np.sin(kn * ub)[:, None, None], np.cos(kn * ub)[:, None, None]
         # d/dub (2 sqrt(f)/Phi): safe where f > 0, zero on the support edge
@@ -128,9 +165,10 @@ class OscillatoryFamily:
 
     def det_defect(self, ub_batch):
         """det gamma_n - det gamma_dust (zero by algebraic cancellation)."""
-        e11, e12, e22 = self.entries(ub_batch)
         a, b, d = self.background.data.entries(ub_batch)
-        return e11 * e22 - e12 * e12 - (a * d - b * b)
+        det = a * d - b * b
+        e11, e12, e22 = _member_entries(a, b, d, det, self._phase(ub_batch))
+        return e11 * e22 - e12 * e12 - det
 
     def min_eigenvalue_envelope(self, ub_batch):
         """Lower bound over the oscillation phase: evaluate at both amplitude
@@ -145,44 +183,34 @@ class OscillatoryFamily:
             worst = eig if worst is None else np.minimum(worst, eig)
         return worst
 
-    def _envelopes(self, ub_batch):
-        """Amplitudes of the corrector's sin(2 k n ub) and sin(k n ub) terms."""
-        bg = self.background
-        a, b, d = bg.data.entries(ub_batch)
-        da, _, dd = bg.data.dentries(ub_batch)
-        det = a * d - b * b
-        f = np.maximum(bg.f(ub_batch), 0.0)
-        phi = bg.phi(ub_batch)
-        return 2.0 * f / self.k, (4.0 / (self.k * det)) * (d * da - a * dd) * np.sqrt(f) * phi
-
-    def corrector_jet(self, ub_batch):
+    def corrector_jet(self, ub_batch, envelopes=None):
         """(F_n, dF_n/dub): F_n is bounded uniformly in n; its derivative is
         exact in the fast phase, with envelope derivatives by stencil.
 
-        Each block of at most _STENCIL_BLOCK points is evaluated together with
-        its four stencil offsets in one _envelopes call, whose first fifth
-        (the block points) gives F_n.
+        envelopes are the two amplitudes, each at ub_batch and at its four
+        stencil offsets (five arrays per amplitude); family_convergence shares
+        them across the members on a block.  Without them, each block of at
+        most _STENCIL_BLOCK points is evaluated together with its four offsets
+        in one _envelopes call.
         """
         ub = np.asarray(ub_batch, float)
+        stencil, offs = _stencil(self.background.data.grid)
+        if envelopes is None:
+            jets = []
+            for u in _blocks(ub):
+                batch = _envelopes(self.background, self.k, np.concatenate([u] + [u + o for o in offs]))
+                jets.append(self.corrector_jet(u, [np.split(e, 5) for e in batch]))
+            return tuple(np.concatenate(parts) for parts in zip(*jets))
         kn = self.k * self.n
-        h = max(self.background.data.grid.h, 1e-6)
-        stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-        offs = np.array([-2.0 * h, -h, h, 2.0 * h])
-        values, derivs = [], []
-        for u in np.split(ub, range(_STENCIL_BLOCK, len(ub), _STENCIL_BLOCK)):
-            (e1, *v1s), (e2, *v2s) = (
-                np.split(e, 5) for e in self._envelopes(np.concatenate([u] + [u + o for o in offs]))
-            )
-            de1 = np.zeros_like(e1)
-            de2 = np.zeros_like(e2)
-            for c, v1, v2 in zip(stencil, v1s, v2s):
-                de1 += c * v1
-                de2 += c * v2
-            s1, c1 = np.sin(kn * u)[:, None, None], np.cos(kn * u)[:, None, None]
-            s2, c2 = np.sin(2.0 * kn * u)[:, None, None], np.cos(2.0 * kn * u)[:, None, None]
-            values.append(e1 * s2 + e2 * s1)
-            derivs.append(de1 * s2 + 2.0 * kn * e1 * c2 + de2 * s1 + kn * e2 * c1)
-        return np.concatenate(values), np.concatenate(derivs)
+        (e1, *v1s), (e2, *v2s) = envelopes
+        de1 = np.zeros_like(e1)
+        de2 = np.zeros_like(e2)
+        for c, v1, v2 in zip(stencil, v1s, v2s):
+            de1 += c * v1
+            de2 += c * v2
+        s1, c1 = np.sin(kn * ub)[:, None, None], np.cos(kn * ub)[:, None, None]
+        s2, c2 = np.sin(2.0 * kn * ub)[:, None, None], np.cos(2.0 * kn * ub)[:, None, None]
+        return e1 * s2 + e2 * s1, de1 * s2 + 2.0 * kn * e1 * c2 + de2 * s1 + kn * e2 * c1
 
     def resolving_grid(self, per_wavelength: int) -> Grid1D:
         wavelength = 2.0 * np.pi / (self.k * self.n)
@@ -242,43 +270,50 @@ def family_convergence(background: DustBackground, n_values):
 
     The members' vacuum solves march together; their Phi gaps are taken
     before the rows, so no solution is held while the rows are computed.
+    A member's row lattice is linspace(a, b, max(4096, n_grid)) of its
+    resolving grid; the members on one lattice walk it together (module
+    docstring).
     """
     k = select_k(background)
     families = [OscillatoryFamily(background, k, n) for n in n_values]
     phi_gaps = [_phi_gaps(sol, background) for sol in solve_phi_n(families)]
-    rows = []
-    for n, fam, (gap_phi, gap_dphi) in zip(n_values, families, phi_gaps):
+    rows = [{"n": n, "k": k, "gamma_gap": -np.inf, "phi_gap": gap_phi, "dphi_gap": gap_dphi,
+             "weak_defect": -np.inf, "defect_no_corrector": -np.inf, "det_defect": -np.inf,
+             "corrector_sup": -np.inf}
+            for n, (gap_phi, gap_dphi) in zip(n_values, phi_gaps)]
+    lattices = {}
+    for fam, row in zip(families, rows):
         grid = fam.resolving_grid(16)
-        ub = np.linspace(grid.a, grid.b, max(4096, grid.n))
-        (ea, eb, ed), dentries = fam.jet(ub)
-        ba, bb, bd = background.data.entries(ub)
-        gap_gamma = float(np.max([np.abs(ea - ba).max(), np.abs(eb - bb).max(), np.abs(ed - bd).max()]))
-        normsq = dgamma_norm_sq((ea, eb, ed), dentries)
-        del dentries
-        # [|dgamma_n|^2 - |dgamma|^2] Phi^2 - 4 f: the weak defect before the
-        # corrector term, and the corrector-free negative control itself
-        base = normsq - dgamma_norm_sq((ba, bb, bd), background.data.dentries(ub))
-        base *= background.phi(ub) ** 2
-        base -= 4.0 * np.maximum(background.f(ub), 0.0)
-        no_corr = float(np.abs(base).max())
-        corr, dcorr = fam.corrector_jet(ub)
-        defect = float(np.abs(base - dcorr / n).max())
-        fn_sup = float(np.abs(corr).max())
-        del corr, dcorr
-        det_defect = float(np.abs(ea * ed - eb * eb - (ba * bd - bb * bb)).max())
-        rows.append(
-            {
-                "n": n,
-                "k": k,
-                "gamma_gap": gap_gamma,
-                "phi_gap": gap_phi,
-                "dphi_gap": gap_dphi,
-                "weak_defect": defect,
-                "defect_no_corrector": no_corr,
-                "det_defect": det_defect,
-                "corrector_sup": fn_sup,
-            }
-        )
+        lattices.setdefault((grid.a, grid.b, max(4096, grid.n)), []).append((fam, row))
+    offs = _stencil(background.data.grid)[1]
+    for (a, b, points), members in lattices.items():
+        for u in _blocks(np.linspace(a, b, points)):
+            maps = background.jet(u)
+            dust, dentries, f, _, phi, _ = maps
+            ba, bb, bd = dust
+            dust_det = ba * bd - bb * bb
+            # the dust's |dgamma|^2, Phi^2 and 4 f, which every member's defect shares
+            control = dgamma_norm_sq(dust, dentries)
+            phi2, four_f = phi**2, 4.0 * f
+            at_offsets = _envelopes(background, k, np.concatenate([u + o for o in offs]))
+            envelopes = [[e, *np.split(v, 4)] for e, v in zip(_amplitudes(k, dust, dentries, f, phi), at_offsets)]
+            for fam, row in members:
+                (ea, eb, ed), dmember = fam.jet(u, maps)
+                # [|dgamma_n|^2 - |dgamma|^2] Phi^2 - 4 f: the weak defect before the
+                # corrector term, and the corrector-free negative control itself
+                base = dgamma_norm_sq((ea, eb, ed), dmember) - control
+                base *= phi2
+                base -= four_f
+                corr, dcorr = fam.corrector_jet(u, envelopes)
+                block = {
+                    "gamma_gap": np.max([np.abs(ea - ba).max(), np.abs(eb - bb).max(), np.abs(ed - bd).max()]),
+                    "weak_defect": np.abs(base - dcorr / fam.n).max(),
+                    "defect_no_corrector": np.abs(base).max(),
+                    "det_defect": np.abs(ea * ed - eb * eb - dust_det).max(),
+                    "corrector_sup": np.abs(corr).max(),
+                }
+                for key, sup in block.items():
+                    row[key] = float(np.maximum(row[key], sup))  # keeps a NaN, which max would drop
     return rows
 
 

@@ -135,7 +135,8 @@ class MollifiedDensity:
         return acc
 
     def deriv(self, ub_batch):
-        """Analytic d f_m / d ub (density part differentiated under the kernel)."""
+        """d f_m / d ub: the atom part differentiated analytically, the
+        density part by a 4-point stencil of step eps/32."""
         ub = np.asarray(ub_batch, dtype=float)
         om2 = np.asarray(self.data.omega(ub)) ** 2
         dlog = np.asarray(self.data.dlog_omega(ub))

@@ -355,11 +355,22 @@ def nan_at(index):
 
 @pytest.mark.parametrize("call", [1, 4])
 def test_nan_corrector_in_a_later_member_fails_the_absorber(monkeypatch, call):
-    # corrector_jet is called once per member of the family ladder, n = 4..128;
-    # the NaN goes into the corrector F_n at a point inside the interval
-    poison = lambda jet: (nan_at((100, 3, 1))(jet[0]), jet[1])
-    nan_on_call(monkeypatch, H.OscillatoryFamily, "corrector_jet", call, poison)
+    # corrector_jet is called once per row block of each member of the family
+    # ladder, n = 4..128; the NaN goes into the corrector F_n of member `call`
+    # (from 0), n = 8 or 64, in its first block, at a point inside the interval
+    n = (4, 8, 16, 32, 64, 128)[call]
+    exact, poisoned = H.OscillatoryFamily.corrector_jet, []
+
+    def corrector_jet(fam, *args):
+        out = exact(fam, *args)
+        if fam.n == n and not poisoned:
+            poisoned.append(fam.n)
+            out = (nan_at((100, 3, 1))(out[0]), out[1])
+        return out
+
+    monkeypatch.setattr(H.OscillatoryFamily, "corrector_jet", corrector_jet)
     assert fails(A.criterion_absorber)
+    assert poisoned == [n]
 
 
 @pytest.mark.parametrize("key, row", [("gap", 2), ("difference", -1)])

@@ -53,7 +53,7 @@ def oracle_weak_defect(fam, ub):
 def oracle_corrector(fam, ub):
     """F_n from one envelope evaluation of the whole batch."""
     kn = fam.k * fam.n
-    e1, e2 = fam._envelopes(ub)
+    e1, e2 = H._envelopes(fam.background, fam.k, ub)
     return e1 * np.sin(2.0 * kn * ub)[:, None, None] + e2 * np.sin(kn * ub)[:, None, None]
 
 
@@ -193,8 +193,8 @@ def test_family_convergence_gamma_gap_keeps_a_nan(chart, grid, monkeypatch):
     bg = make_background(chart, grid)
     jet, solve = H.OscillatoryFamily.jet, H.solve_phi_n
 
-    def nan_in_d(fam, ub):
-        (ea, eb, ed), dentries = jet(fam, ub)
+    def nan_in_d(fam, ub, maps=None):
+        (ea, eb, ed), dentries = jet(fam, ub, maps)
         if fam.n == 8:
             ed = ed.copy()
             ed[1, 0, 0] = np.nan
@@ -246,14 +246,14 @@ def test_normsq_evaluates_each_background_map_once(chart, grid):
 def oracle_dcorrector(fam, ub):
     """dF_n/dub with one envelope evaluation per stencil offset."""
     kn = fam.k * fam.n
-    e1, e2 = fam._envelopes(ub)
+    e1, e2 = H._envelopes(fam.background, fam.k, ub)
     h = max(fam.background.data.grid.h, 1e-6)
     stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
     offs = np.array([-2.0 * h, -h, h, 2.0 * h])
     de1 = np.zeros_like(e1)
     de2 = np.zeros_like(e2)
     for c, o in zip(stencil, offs):
-        v1, v2 = fam._envelopes(ub + o)
+        v1, v2 = H._envelopes(fam.background, fam.k, ub + o)
         de1 += c * v1
         de2 += c * v2
     s1, c1 = np.sin(kn * ub)[:, None, None], np.cos(kn * ub)[:, None, None]
@@ -351,36 +351,37 @@ def oracle_family_convergence(background, n_values):
 
 
 def test_family_convergence_rows_equal_separate_evaluation(chart, grid, monkeypatch):
-    # b != 0, and f and Phi that move with ub
-    bg = make_background(chart, grid, f_level=1.0, b_amp=0.4, phi_const=False)
-    n_values = [2, 4, 8]
-    jets, envelopes = Counter(), Counter()
-    jet, envelope, solve = H.OscillatoryFamily.jet, H.OscillatoryFamily._envelopes, H.solve_phi_n
-    where = ["row"]
+    # b != 0, and f and Phi that move with ub; n = 2, 4 and 8 share the
+    # 4,096-point row lattice, and n = 128 has one of its own
+    bg, calls = counted_background(chart, grid)
+    n_values = [2, 4, 8, 128]
+    phi_gaps, before_rows = H._phi_gaps, []
 
-    def counted_jet(fam, ub):
-        jets[where[0]] += 1
-        return jet(fam, ub)
+    def gaps_then_count(sol, background):  # the last one runs just before the rows
+        out = phi_gaps(sol, background)
+        before_rows[:] = [Counter(calls)]
+        return out
 
-    def counted_envelopes(fam, ub):
-        envelopes[where[0]] += 1
-        return envelope(fam, ub)
-
-    def marching(families):
-        where[0] = "march"
-        try:
-            return solve(families)
-        finally:
-            where[0] = "row"
-
-    monkeypatch.setattr(H.OscillatoryFamily, "jet", counted_jet)
-    monkeypatch.setattr(H.OscillatoryFamily, "_envelopes", counted_envelopes)
-    monkeypatch.setattr(H, "solve_phi_n", marching)
+    monkeypatch.setattr(H, "_phi_gaps", gaps_then_count)
     rows = H.family_convergence(bg, n_values)
-    assert jets["row"] == len(n_values)
-    assert jets["march"] > 0
-    # one _envelopes call per stencil block of each row's batch, none in the march
-    points = [max(4096, H.OscillatoryFamily(bg, rows[0]["k"], n).resolving_grid(16).n) for n in n_values]
-    assert envelopes == {"row": sum(-(-p // H._STENCIL_BLOCK) for p in points)}
     monkeypatch.undo()
+    lattices = {max(4096, H.OscillatoryFamily(bg, rows[0]["k"], n).resolving_grid(16).n) for n in n_values}
+    assert len(lattices) == 2
+    assert before_rows[0]["df"] > 0  # the march read the members' jets; nothing else before the rows reads df
+    # per block of each distinct lattice: one background evaluation, and one
+    # envelope evaluation at the block's four stencil offsets
+    blocks = sum(-(-p // H._STENCIL_BLOCK) for p in lattices)
+    assert calls - before_rows[0] == {"entries": 2 * blocks, "dentries": 2 * blocks, "f": 2 * blocks,
+                                      "phi": 2 * blocks, "df": blocks, "dphi": blocks}
     assert rows == oracle_family_convergence(bg, n_values)
+
+
+def test_det_defect_evaluates_the_background_once(chart, grid):
+    bg, calls = counted_background(chart, grid)
+    fam = H.OscillatoryFamily(bg, 40.0, 4)
+    ub = np.linspace(0, 1, 301)
+    got = fam.det_defect(ub)
+    assert calls == {"entries": 1, "f": 1, "phi": 1}
+    e11, e12, e22 = fam.entries(ub)
+    a, b, d = bg.data.entries(ub)
+    assert got.tobytes() == (e11 * e22 - e12 * e12 - (a * d - b * b)).tobytes()

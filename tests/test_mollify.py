@@ -65,6 +65,28 @@ def test_analytic_derivative_matches_stencil(setting):
     assert np.abs(exact - stencil).max() < 5e-5 * scale
 
 
+def with_density_line(data):
+    """data with the density line 0.8 (1 + 0.3 sin 2 pi ub) beside its atoms."""
+    density = lambda ub: 0.8 * (1.0 + 0.3 * np.sin(2.0 * np.pi * np.asarray(ub, float)))[:, None, None]
+    return dataclasses.replace(data, dust=C.NullDustMeasure(atoms=data.dust.atoms, density=density))
+
+
+def test_density_line_pairing_and_derivative(setting):
+    # the atom of setting plus a smooth density line: density_part and its
+    # stencil derivative
+    chart, grid, data, *_ = setting
+    data = with_density_line(data)
+    tf = bump_dictionary(grid, chart)[1]
+    ub = np.linspace(0.3, 0.7, 513)
+    for m in range(1, 7):
+        fm = M.MollifiedDensity(data, m)
+        assert M.pairing_gap(fm, tf, tf.deriv)["ratio"] <= 1.0
+        h = fm.eps / 200.0
+        stencil = (fm(ub - 2 * h) - 8 * fm(ub - h) + 8 * fm(ub + h) - fm(ub + 2 * h)) / (12 * h)
+        exact = fm.deriv(ub)
+        assert np.abs(exact - stencil).max() < (2e-3 if m == 1 else 5e-5) * np.abs(exact).max()
+
+
 def test_pairing_rate_bound(setting):
     chart, grid, data, dust, one, _ = setting
     tf = bump_dictionary(grid, chart)[1]
