@@ -11,8 +11,13 @@ so the coordinate-time right-hand sides carry an overall factor Omega and
 connection terms with the mixed outgoing second fundamental form.
 
 Fields put their slots first and the grid axes last (fields): a batch of N
-slices holds a one-form as (2, N, n1, n2) and a scalar as (N, n1, n2), so the
+slices holds a one-form as (2, N, m1, m2) and a scalar as (N, m1, m2), so the
 slice axis is -3 for every field and a scalar multiplies a tensor as it is.
+The angular shape (m1, m2) keeps only the axes the data vary along, each m 1
+or the chart's size, as the data's batch maps and the corner fields state it
+(odesolve.angular_array): the cone data vary along theta1 alone and march
+(n1, 1), and data that vary along both angles march the chart.  Along an axis
+of size 1 a spectral derivative is an exact 0 (stencils.spectral_deriv).
 """
 
 from dataclasses import dataclass, fields
@@ -25,6 +30,7 @@ from .errors import NumericalFailure
 from .fields import sym2_inverse, sym2_pack, trace
 from .geometry import christoffel, gauss_curvature
 from .grids import Grid1D
+from .odesolve import angular_array
 from .stencils import deriv1_fd4
 
 
@@ -38,25 +44,31 @@ _FIELD_BOUND = 1e6  # largest |component| of the transport state before the marc
 @dataclass
 class CornerData:
     """Values at the corner sphere: the transversal derivative of the shift
-    fixes eta - etab; the ingoing coefficients seed their transport."""
+    fixes eta - etab; the ingoing coefficients seed their transport.  Each
+    angular axis (m1, m2) is of size 1 or the chart's size."""
 
-    dub_b0: np.ndarray  # (2, n1, n2), contravariant
-    omb0: np.ndarray  # (n1, n2)
-    trchb0: np.ndarray  # (n1, n2)
-    chibhat0: np.ndarray  # (2, 2, n1, n2)
+    dub_b0: np.ndarray  # (2, m1, m2), contravariant
+    omb0: np.ndarray  # (m1, m2)
+    trchb0: np.ndarray  # (m1, m2)
+    chibhat0: np.ndarray  # (2, 2, m1, m2)
 
     @classmethod
     def zeros(cls, chart):
-        """Zero shift derivative, omb and chibhat, and trchb = -2."""
-        return cls(np.zeros((2,) + chart.shape), np.zeros(chart.shape), np.full(chart.shape, -2.0),
-                   np.zeros((2, 2) + chart.shape))
+        """Zero shift derivative, omb and chibhat, and trchb = -2, constant on
+        the chart: every angular axis of size 1."""
+        one = (1,) * len(chart.shape)
+        return cls(np.zeros((2,) + one), np.zeros(one), np.full(one, -2.0), np.zeros((2, 2) + one))
+
+
+_CORNER_SLOTS = ((2,), (), (), (2, 2))  # the slots of CornerData's fields, in order
 
 
 @dataclass
 class SliceFields:
     """Geometry and outgoing coefficients on a batch of ub slices, the ub
-    axis just before the grid axes, with the state-independent terms of the
-    transport right-hand side; sf[k] is slice k, as views of the batch arrays."""
+    axis just before the angular axes (m1, m2), with the state-independent
+    terms of the transport right-hand side; sf[k] is slice k, as views of the
+    batch arrays."""
 
     gamma: np.ndarray
     ginv: np.ndarray
@@ -79,25 +91,26 @@ class SliceFields:
 class TransportResult:
     grid: Grid1D
     data: ReducedCharData
-    eta: np.ndarray      # (2, N, n1, n2)
-    b: np.ndarray        # (2, N, n1, n2)
-    omb: np.ndarray      # (N, n1, n2)
-    trchb: np.ndarray    # (N, n1, n2)
-    chibhat: np.ndarray  # (2, 2, N, n1, n2)
-    nodes: SliceFields   # slice geometry at the grid nodes, batched
-    etab: np.ndarray     # (2, N, n1, n2) = 2 grad log Omega - eta
+    eta: np.ndarray      # (2, N, m1, m2), (m1, m2) the march's angular shape
+    b: np.ndarray        # (2, N, m1, m2)
+    omb: np.ndarray      # (N, m1, m2)
+    trchb: np.ndarray    # (N, m1, m2)
+    chibhat: np.ndarray  # (2, 2, N, m1, m2)
+    nodes: SliceFields   # slice geometry at the grid nodes, batched, (m1, m2) too
+    etab: np.ndarray     # (2, N, m1, m2) = 2 grad log Omega - eta
 
 
 def slice_fields(data: ReducedCharData, solution, ub):
-    """SliceFields of the batch ub (K,), from one pass over the whole batch.
-    Raises PositivityError if gamma fails the sign test on any slice."""
+    """SliceFields of the batch ub (K,), from one pass over the whole batch,
+    each field (*slots, K, m1, m2) with (m1, m2) the broadcast of the angular
+    shapes the maps return.  Raises PositivityError if gamma fails the sign
+    test on any slice."""
     chart = data.chart
-    # the one reader that pads to the whole chart: along a size-1 axis a spectral
-    # derivative is an exact 0, where the chart-shaped field gives FFT round-off;
-    # the padded phi makes gamma and chi chart-shaped whatever the entries' shape
-    om, dlo, phi, dphi = (np.ascontiguousarray(np.broadcast_to(f(ub), (len(ub),) + chart.shape))
-                          for f in (data.omega, data.dlog_omega, solution, solution.deriv))
     gh, dgh = sym2_pack(*data.entries(ub)), sym2_pack(*data.dentries(ub))
+    maps = [f(ub) for f in (data.omega, data.dlog_omega, solution, solution.deriv)]
+    shape = (len(ub),) + np.broadcast_shapes(gh.shape[3:], dgh.shape[3:], *(np.shape(a)[1:] for a in maps))
+    # Omega, Phi and their derivatives take that whole shape, so every field does
+    om, dlo, phi, dphi = (np.ascontiguousarray(np.broadcast_to(a, shape)) for a in maps)
     gamma = phi**2 * gh
     ginv = sym2_inverse(gamma)
     chi = (phi * dphi / om) * gh + (phi**2 / (2.0 * om)) * dgh
@@ -174,22 +187,27 @@ def solve_transport_system(data: ReducedCharData, solution, corner: CornerData) 
     half-node slice (two batches, not one, so the half-node arrays are freed
     with the march and the peak memory stays lower); the RK4 stages only read
     it.  Each stage takes one spectral covariant derivative, of etab.
+
+    The march keeps the broadcast of the slices' angular shape and the
+    corner fields' shapes, and so does the TransportResult.  Raises
+    ValueError, naming the field, if a corner field is not its slots + s,
+    each axis of s of size 1 or the chart's size.
     """
     grid = data.grid
     h = grid.h
     nodes = grid.points()
-    chart = data.chart
+    corner = CornerData(*(angular_array(f.name, getattr(corner, f.name), slots, data.chart.shape)
+                          for f, slots in zip(fields(CornerData), _CORNER_SLOTS)))
     # slice i + 1 sits where the step reaches it, nodes[i] + h (nodes[i + 1] may differ by an ulp)
     at_node = slice_fields(data, solution, np.concatenate([nodes[:1], nodes[:-1] + h]))
     at_half = slice_fields(data, solution, nodes[:-1] + 0.5 * h)
 
-    eta = corner_eta(at_node[0], corner)
-    b = np.zeros((2,) + chart.shape)
-    omb = np.asarray(corner.omb0, float).copy()
-    trchb = np.asarray(corner.trchb0, float).copy()
-    chibhat = np.asarray(corner.chibhat0, float).copy()
+    eta = corner_eta(at_node[0], corner)  # dub_b0 broadcast against the slices' shape
+    omb, trchb, chibhat = corner.omb0, corner.trchb0, corner.chibhat0
+    shape = np.broadcast_shapes(eta.shape[1:], omb.shape, trchb.shape, chibhat.shape[2:])
+    b = np.zeros((2,) + shape)
 
-    traj = [np.empty(slots + (grid.n,) + chart.shape) for slots in ((2,), (2,), (), (), (2, 2))]
+    traj = [np.empty(slots + (grid.n,) + shape) for slots in ((2,), (2,), (), (), (2, 2))]
 
     def store(i):
         for arr, f in zip(traj, (eta, b, omb, trchb, chibhat)):

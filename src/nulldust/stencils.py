@@ -49,8 +49,12 @@ def spectral_deriv(f: np.ndarray, period: float, axis: int) -> np.ndarray:
     into it with the derivative axis swapped to the last, contiguous place,
     where the FFT runs fastest, and transformed, scaled and transformed back
     in place; the result is a view of that buffer with the axes swapped back.
+    Along an axis of size 1, f is constant and its derivative an exact 0,
+    returned without a transform.
     """
     f = np.asarray(f, dtype=float)
+    if f.shape[axis] == 1:
+        return np.zeros(f.shape)
     spec = np.swapaxes(f, axis, -1).astype(complex, order="C")
     np.fft.fft(spec, out=spec)
     spec *= _deriv_multiplier(f.shape[axis], period)

@@ -5,6 +5,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 import pytest
 
+from nulldust import acceptance as A
 from nulldust import calculus as calc
 from nulldust import charpipe as P
 from nulldust import constraints as C
@@ -13,6 +14,7 @@ from nulldust.odesolve import DenseSolution
 from nulldust.rates import fit_rate
 
 from test_calculus import curl_oneform, div_oneform, einsum_trailing, grad
+from test_slice_batch import shear_data
 
 
 @dataclass
@@ -78,6 +80,22 @@ def curved_cone_data(chart, grid):
     return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
 
 
+def chart_shaped(data):
+    """data with the ring and every batch map broadcast to the whole chart."""
+    shape = data.chart.shape
+    wide = lambda a, lead: np.broadcast_to(a, lead + shape)
+    one = lambda f: lambda ub: wide(f(ub), (len(ub),))
+    three = lambda f: lambda ub: tuple(wide(x, (len(ub),)) for x in f(ub))
+    return C.ReducedCharData(data.grid, data.chart, wide(data.gamma_ring, (2, 2)), one(data.omega),
+                             one(data.dlog_omega), three(data.entries), three(data.dentries))
+
+
+def chart_corner(corner, chart):
+    """corner with every field copied onto the whole chart."""
+    return P.CornerData(*(np.broadcast_to(a, a.shape[:-2] + chart.shape).copy()
+                          for a in (getattr(corner, f.name) for f in fields(corner))))
+
+
 def test_slice_fields_of_a_compact_solution_are_those_of_its_chart_broadcast():
     # curved_cone_data's maps on size-1 axes: a ring that varies along theta1
     # alone and a unit lapse; its solve varies in no angle
@@ -94,11 +112,12 @@ def test_slice_fields_of_a_compact_solution_are_those_of_its_chart_broadcast():
                                         for a in (sol.phi, sol.dphi, sol.ddphi)))
     ub = np.concatenate([grid.points(), grid.points()[:-1] + 0.5 * grid.h])
     want = P.slice_fields(curved_cone_data(chart, grid), padded, ub)
-    for got in (P.slice_fields(data, sol, ub), P.slice_fields(data, padded, ub)):
-        for f in fields(want):
-            a, b = getattr(got, f.name), getattr(want, f.name)
-            assert a.shape == b.shape and a.shape[-3:] == (len(ub),) + chart.shape
-            assert a.tobytes() == b.tobytes(), f.name
+    compact, wide = P.slice_fields(data, sol, ub), P.slice_fields(data, padded, ub)
+    for f in fields(want):
+        a, b, c = (getattr(x, f.name) for x in (compact, wide, want))
+        # the compact data keep theta1 alone; the padded solution widens every field to the chart
+        assert a.shape[-3:] == (len(ub), 16, 1) and b.shape == c.shape and c.shape[-3:] == (len(ub),) + chart.shape
+        assert np.broadcast_to(a, c.shape).tobytes() == c.tobytes() == b.tobytes(), f.name
 
 
 def test_derive_outgoing_flat_cone():
@@ -310,8 +329,52 @@ def test_nan_in_any_seeded_field_stops_the_march_at_the_first_step(field):
     grid = Grid1D(0.0, 0.5, 33)
     data = curved_cone_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
-    corner = P.CornerData.zeros(chart)
+    corner = chart_corner(P.CornerData.zeros(chart), chart)
     getattr(corner, field)[..., 3, 1] = np.nan  # one grid point
     with pytest.raises(P.TransportBlowupError) as err:
         P.solve_transport_system(data, sol, corner)
     assert err.value.location == grid.points()[1]
+
+
+def test_compact_march_is_the_chart_march_broadcast():
+    # the cone data vary along theta1 alone: the march keeps (n1, 1), and each
+    # field is, byte for byte, that of the march of the same data on the chart
+    compact = A._cone_march(32, 65)
+    chart = compact.data.chart
+    data = chart_shaped(compact.data)
+    wide = P.solve_transport_system(data, C.solve_constraint(data, 1.0, 1.0),
+                                    chart_corner(P.CornerData.zeros(chart), chart))
+    assert compact.eta.shape == (2, 65, 32, 1) and wide.eta.shape == (2, 65, 32, 4)
+    pairs = [(getattr(compact, n), getattr(wide, n)) for n in ("eta", "b", "omb", "trchb", "chibhat", "etab")]
+    pairs += [(getattr(compact.nodes, f.name), getattr(wide.nodes, f.name)) for f in fields(compact.nodes)]
+    for a, b in pairs:
+        assert a.shape[-2:] == (32, 1) and b.shape[-2:] == chart.shape
+        assert np.broadcast_to(a, b.shape).tobytes() == b.tobytes()
+    res_compact, res_wide = P.structure_residuals(compact), P.structure_residuals(wide)
+    assert np.array(list(res_compact.values())).tobytes() == np.array(list(res_wide.values())).tobytes()
+    assert list(res_compact) == list(res_wide)
+
+
+def test_data_varying_in_both_angles_march_the_chart():
+    grid = Grid1D(0.0, 0.3, 17)
+    data = shear_data(grid)
+    result = P.solve_transport_system(data, C.solve_constraint(data, 1.0, 0.5), P.CornerData.zeros(data.chart))
+    for name, slots in (("eta", (2,)), ("b", (2,)), ("omb", ()), ("trchb", ()), ("chibhat", (2, 2)), ("etab", (2,))):
+        assert getattr(result, name).shape == slots + (grid.n, 16, 8), name
+    assert result.nodes.gam.shape == (2, 2, 2, grid.n, 16, 8)
+
+
+@pytest.mark.parametrize("field, shape", [("dub_b0", (2, 4)), ("omb0", (4,)), ("trchb0", (16, 2)),
+                                          ("chibhat0", (2, 16, 4))])
+def test_corner_fields_keep_the_angular_shape_contract(field, shape):
+    chart = AngularGrid(16, 4)
+    data = curved_cone_data(chart, Grid1D(0.0, 0.5, 33))
+    sol = C.solve_constraint(data, 1.0, 1.0)
+    corner = chart_corner(P.CornerData.zeros(chart), chart)
+    setattr(corner, field, np.zeros(shape))  # (4,) would otherwise broadcast as a theta2 profile
+    with pytest.raises(ValueError, match=field):
+        P.solve_transport_system(data, sol, corner)
+    one = getattr(P.CornerData.zeros(chart), field)
+    assert one.shape[-2:] == (1, 1)
+    setattr(corner, field, one)  # constant on the chart: marches
+    assert P.solve_transport_system(data, sol, corner).omb.shape == (33,) + chart.shape

@@ -73,6 +73,18 @@ def test_spectral_derivative_exact_for_band_limited():
     assert np.abs(d - (5 * np.cos(5 * x) - 0.9 * np.sin(3 * x))).max() < 1e-12
 
 
+def test_spectral_derivative_along_a_size_one_axis_is_zero_without_a_transform(monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("an FFT along an axis of size 1")
+
+    monkeypatch.setattr(np.fft, "fft", no_transform)
+    monkeypatch.setattr(np.fft, "ifft", no_transform)
+    rng = np.random.default_rng(5)
+    for shape, axis in (((3, 16, 1), -1), ((1, 16), 0)):
+        d = spectral_deriv(rng.standard_normal(shape), 1.5, axis)
+        assert d.shape == shape and d.tobytes() == np.zeros(shape).tobytes()  # +0.0 everywhere
+
+
 def test_spectral_multiplier_cached_read_only():
     rng = np.random.default_rng(3)
     f = rng.standard_normal((3, 12, 8))
