@@ -231,9 +231,7 @@ def unread_dataclass_fields(src: Path) -> list:
 
 
 # field -> why it stays although nothing in src/ reads it
-UNREAD_FIELDS_KEPT = {
-    "ricci4.CurvatureResult.warnings": "stored under-resolution diagnostic of the curvature evaluator: safety code",
-}
+UNREAD_FIELDS_KEPT = {}
 
 
 def test_every_dataclass_field_is_read_in_src():

@@ -12,6 +12,11 @@ from nulldust.grids import Grid1D
 from nulldust.ricci4 import spacetime_ricci
 
 
+def deriv(chart, arr, mu):
+    """d arr / d x^mu: zero for inactive coordinates, the evaluator's stencil otherwise."""
+    return ricci4._block_deriv(chart, arr, mu) if mu in chart.active else np.zeros_like(arr)
+
+
 def general_curvature(chart, g):
     """(Ricci, Einstein) of a general sampled 4-metric g, shape grid + (4, 4), in
     one evaluation of the whole grid: the oracle of the diagonal evaluator.
@@ -22,7 +27,7 @@ def general_curvature(chart, g):
 
     # dg[..., d, a, b] = d_d g_{ab}
     # gam[..., c, a, b] = Gamma^c_{ab} = (1/2) g^{cd} (d_a g_{bd} + d_b g_{ad} - d_d g_{ab})
-    dg = np.stack([ricci4._block_deriv(chart, g, mu) for mu in range(4)], axis=-3)
+    dg = np.stack([deriv(chart, g, mu) for mu in range(4)], axis=-3)
     low = 0.5 * (np.swapaxes(dg, -3, -2) + np.swapaxes(dg, -3, -1) - dg)
     gam = np.einsum("...cd,...dab->...cab", ginv, low)
 
@@ -30,7 +35,7 @@ def general_curvature(chart, g):
     for r in chart.active:
         term1 += ricci4._block_deriv(chart, gam[..., r, :, :], r)
     gam_tr = np.einsum("...rrn->...n", gam)  # Gamma^r_{rn}
-    term2 = np.stack([ricci4._block_deriv(chart, gam_tr, mu) for mu in range(4)], axis=-2)  # [..., m, n]
+    term2 = np.stack([deriv(chart, gam_tr, mu) for mu in range(4)], axis=-2)  # [..., m, n]
 
     batch = g.shape[:-2]
     term3 = (gam_tr[..., None, :] @ gam.reshape(batch + (4, 16))).reshape(g.shape)
@@ -84,22 +89,6 @@ def test_lorentzian_signature_checked_at_every_point(bad):
         spacetime_ricci(blk)
 
 
-def test_under_resolved_oscillation_warns():
-    # -dt^2 + dx^2 plus a polarization oscillating in x
-    grid = Grid1D(0.0, 1.0, 65)
-    x = grid.points()
-    pol = np.exp(0.3 * np.sin(55.0 * x))
-    diag = np.stack(np.broadcast_arrays(-1.0, 1.0, pol, 1.0 / pol), axis=-1)
-    blk = MetricBlock((1,), (grid,), (False,), diag)  # ~7 nodes per wavelength
-    out = spacetime_ricci(blk)
-    assert out.warnings
-
-
-def test_smooth_block_clean():
-    out = spacetime_ricci(minkowski_block())
-    assert out.warnings == []
-
-
 def two_axis_block(rows, periodic_first):
     """A smooth Lorentzian diagonal metric on a non-periodic tau axis and a
     periodic theta axis, with the periodic axis first if periodic_first."""
@@ -135,19 +124,23 @@ def test_row_blocks_equal_one_evaluation(case, monkeypatch):
     whole = spacetime_ricci(blk)
     assert np.array_equal(blocked.ricci, whole.ricci)
     assert np.array_equal(blocked.einstein, whole.einstein)
-    assert blocked.warnings == whole.warnings
 
 
 @pytest.mark.parametrize("case", sorted(BLOCKS))
 def test_diagonal_evaluator_equals_general_oracle(case):
     # row blocks of the diagonal path against one general evaluation of the
-    # whole grid, bit for bit: the inverse, the connection and the Ricci
-    # scalar of the diagonal path sum in the oracle's order
+    # whole grid. The diagonal path sums only the nonzero Christoffel products,
+    # sequentially, where the oracle's (4, 16) matrix products sum all of them
+    # through BLAS, so the two agree to round-off, not bit for bit: measured at
+    # most 2.5e-12 of the field's max (limit_513), 8.6e-14 (scan_member) and
+    # 5.2e-15 (the two smooth blocks). Copying R_10 from R_01, halving
+    # Gamma^c_{bb} or dropping Gamma^r_{rl} Gamma^l_{ab} moves scan_member's
+    # fields by 0.11, 21 and 76 of their max.
     blk = BLOCKS[case]()
     ric, ein = general_curvature(blk, blk.diag[..., None] * np.eye(4))
     out = spacetime_ricci(blk)
-    assert np.array_equal(out.ricci, ric)
-    assert np.array_equal(out.einstein, ein)
+    assert np.abs(out.ricci - ric).max() <= 1e-11 * np.abs(ric).max()
+    assert np.abs(out.einstein - ein).max() <= 1e-11 * np.abs(ein).max()
 
 
 def test_curvature_of_largest_scan_member_stays_small():
@@ -162,5 +155,5 @@ def test_curvature_of_largest_scan_member_stays_small():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # about 52 MB in row blocks; one evaluation of all 321 x 320 points at once peaks at about 219 MB
-    assert peak / 2**20 < 90.0
+    # about 35 MiB in row blocks; one evaluation of all 321 x 320 points at once peaks at about 82 MiB
+    assert peak / 2**20 < 60.0
