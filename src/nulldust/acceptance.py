@@ -616,7 +616,7 @@ def criterion_compensated() -> Verdict:
     gap_final = res_t["gaps"][-1]
 
     pair_r = CC.resonant_pair(boxp)
-    mean_sin_sq = boxp.integrate(pair_r.f(64) * pair_r.h(64)) / (2 * np.pi) ** 2
+    mean_sin_sq = boxp.integrate_rows(lambda rows: pair_r.f(64, rows) * pair_r.h(64, rows)) / (2 * np.pi) ** 2
     sin_sq_err = abs(mean_sin_sq - 0.5)
 
     res_sw = CC.weak_product_test(CC.strong_weak_pair(boxp), psi, n_values)

@@ -27,6 +27,9 @@ import numpy as np
 
 from .testfunctions import plateau
 
+_ROW_BLOCK = 64  # rows of the box per block of PeriodicBox.integrate_rows
+_ALL = slice(None)  # every row: the default rows of a SequencePair's f and h
+
 
 def cutoff_chi(t):
     """Smooth plateau: 1 on [-1, 1], 0 outside (-2, 2), monotone between."""
@@ -58,8 +61,26 @@ class PeriodicBox:
     def nyquist(self):
         return min(self.shape) // 2
 
-    def integrate(self, field):
-        return float(field.mean() * (2.0 * np.pi) ** 2)
+    def integrate_rows(self, integrand):
+        """Integral over the box of the field whose rows integrand(rows)
+        returns, for a slice rows of the u axis, evaluated and summed
+        _ROW_BLOCK rows at a time, so no temporary spans the box.
+
+        The block sums are added in halves, as numpy's pairwise sum adds the
+        whole field's. On a box whose sides are powers of two each block is
+        a subtree of that sum, so the result equals the whole field's
+        mean() (2 pi)^2 bit for bit; on other boxes the two agree to rounding.
+        """
+        sums = [np.sum(integrand(slice(lo, lo + _ROW_BLOCK))) for lo in range(0, self.shape[0], _ROW_BLOCK)]
+        return float(_sum_in_halves(sums) / (self.shape[0] * self.shape[1]) * (2.0 * np.pi) ** 2)
+
+
+def _sum_in_halves(values):
+    """values[0] + values[1] + ..., added as two halves, recursively."""
+    if len(values) == 1:
+        return values[0]
+    half = len(values) // 2
+    return _sum_in_halves(values[:half]) + _sum_in_halves(values[half:])
 
 
 @lru_cache(maxsize=4)
@@ -150,12 +171,14 @@ class SequencePair:
     """Oscillatory family pair with complementary directional regularity.
 
     f(n) is uniformly H^1 along u and h(n) along ub (the negative control
-    breaks this); f_inf/h_inf are the weak limits.
+    breaks this); f_inf/h_inf are the weak limits.  f(n, rows) and
+    h(n, rows) are the rows of f(n) and h(n) in the slice rows of the u
+    axis, computed from those rows alone; rows defaults to the whole box.
     """
 
     box: PeriodicBox
-    f: Callable[[int], np.ndarray]
-    h: Callable[[int], np.ndarray]
+    f: Callable[..., np.ndarray]  # f(n) or f(n, rows)
+    h: Callable[..., np.ndarray]  # h(n) or h(n, rows)
     f_inf: np.ndarray
     h_inf: np.ndarray
     expects_defect: bool = False  # True for negative controls violating the bounds
@@ -164,14 +187,18 @@ class SequencePair:
 def weak_product_test(pair: SequencePair, psi: np.ndarray, n_values) -> dict:
     """Pairings of f_n h_n against psi per n, with the product-limit verdict.
 
+    Each integrand is built and summed by integrate_rows, one block of rows
+    at a time: f(n, rows) and h(n, rows), and f_inf, h_inf and psi (each
+    box-shaped) read by rows as views, so no box-sized product is held.
+
     verdict: the pairing gap to int f_inf h_inf psi at the largest n is below
     tolerance and the gaps do not grow.
     """
     box = pair.box
-    target = box.integrate(pair.f_inf * pair.h_inf * psi)
+    target = box.integrate_rows(lambda rows: pair.f_inf[rows] * pair.h_inf[rows] * psi[rows])
     pairings, gaps = [], []
     for n in n_values:
-        v = box.integrate(pair.f(n) * pair.h(n) * psi)
+        v = box.integrate_rows(lambda rows: pair.f(n, rows) * pair.h(n, rows) * psi[rows])
         pairings.append(v)
         gaps.append(abs(v - target))
     converged = gaps[-1] <= 1e-3 * (1.0 + abs(target)) and gaps[-1] <= gaps[0] + 1e-12
@@ -182,6 +209,13 @@ def weak_product_test(pair: SequencePair, psi: np.ndarray, n_values) -> dict:
         "product_converges": bool(converged),
         "expects_defect": pair.expects_defect,
     }
+
+
+def _zero_limits(box: PeriodicBox):
+    """f_inf and h_inf of a pair whose weak limits vanish: read-only zeros
+    broadcast to the box, which hold no box-sized storage."""
+    zero = np.broadcast_to(0.0, box.shape)
+    return zero, zero
 
 
 def transverse_pair(box: PeriodicBox) -> SequencePair:
@@ -196,23 +230,21 @@ def transverse_pair(box: PeriodicBox) -> SequencePair:
 
     return SequencePair(
         box,
-        lambda n: amp_f * np.sin(n * ub),
-        lambda n: amp_h * np.sin(n * u),
-        np.zeros(box.shape),
-        np.zeros(box.shape),
+        lambda n, rows=_ALL: amp_f[rows] * np.sin(n * ub),
+        lambda n, rows=_ALL: amp_h[rows] * np.sin(n * u[rows]),
+        *_zero_limits(box),
     )
 
 
 def resonant_pair(box: PeriodicBox) -> SequencePair:
     """Negative control: both factors oscillate along ub; sin^2 averages to 1/2."""
     ub = box.sparse_mesh()[1]
-    wave = lambda n: np.broadcast_to(np.sin(n * ub), box.shape)
+    wave = lambda n, rows=_ALL: np.broadcast_to(np.sin(n * ub), box.shape)[rows]
     return SequencePair(
         box,
         wave,
         wave,
-        np.zeros(box.shape),
-        np.zeros(box.shape),
+        *_zero_limits(box),
         expects_defect=True,  # h is NOT ub-regular: the hypothesis the control violates
     )
 
@@ -225,8 +257,8 @@ def strong_weak_pair(box: PeriodicBox) -> SequencePair:
     envelope = 1.0 + 0.2 * np.cos(ub)
     return SequencePair(
         box,
-        lambda n: f0,
-        lambda n: h_inf + np.sin(n * u) * envelope,
+        lambda n, rows=_ALL: f0[rows],
+        lambda n, rows=_ALL: h_inf[rows] + np.sin(n * u[rows]) * envelope,
         f0,
         h_inf,
     )
@@ -257,6 +289,17 @@ def random_fields(box: PeriodicBox, rng: np.random.Generator):
 
 def random_strict_parts(box: PeriodicBox, c1: float, rng: np.random.Generator):
     """The 'x1' strict part of one random field and the 'x2' strict part of
-    another, one inverse real transform each: the pair support_check tests."""
+    another, one inverse real transform each: the pair support_check tests.
+
+    The pass masks leave these trials little to vary.  The 'x1' mask is
+    nonzero only where 100 C1 |k2| < 2 |k1|, and the 'x2' mask likewise,
+    while the draws reach only |k| <= n / 4 along each axis (random_fields).
+    On a box whose sides are at most 200 C1 (C1 = 4 on a 256^2 box, as
+    criterion 9 draws) that leaves k2 = 0 alone in 'x1' parts, and k1 = 0
+    alone in 'x2' parts.  Each 'x1' part is then a function of u alone and
+    each 'x2' part of ub alone, so their product is a tensor product whose
+    spectrum sits at |k1|, |k2| > 2 C1: its smallest support radius is
+    fixed by the masks (9 sqrt(2) there), and no draw can put mass below C1.
+    """
     return [np.fft.irfftn(spec * mask, s=box.shape, axes=(0, 1))
             for spec, mask in zip(random_fields(box, rng), _half_lattice(box, c1)[1:])]

@@ -27,11 +27,13 @@ eigenvalues are computed entrywise over whole batches.
 OscillatoryFamily.jet(ub) returns both, ((a_n, b, d_n), (a_n', b', d_n')),
 from DustBackground.jet(ub), one call of each background map (the dust
 entries and their derivatives, f, f', Phi, Phi'); the norm-square
-|dgamma_n|^2 reads it.  family_convergence walks each distinct row lattice
-once, in blocks of _STENCIL_BLOCK points.  Each block evaluates the
-background once, the control |dgamma|^2 Phi^2 and 4 f once, and the
-envelopes once at its four stencil offsets; each member on the lattice then
-adds its phase terms and folds the block's sup-norms into its row.
+|dgamma_n|^2 reads it, one block of _STENCIL_BLOCK points at a time, so a
+vacuum march's coefficient batch never holds a whole chunk's jet.
+family_convergence walks each distinct row lattice once, in blocks of
+_STENCIL_BLOCK points.  Each block evaluates the background once, the
+control |dgamma|^2 Phi^2 and 4 f once, and the envelopes once at its four
+stencil offsets; each member on the lattice then adds its phase terms and
+folds the block's sup-norms into its row.
 """
 
 from dataclasses import dataclass
@@ -46,11 +48,14 @@ from .grids import Grid1D
 from .odesolve import march
 
 _MAX_DOUBLINGS = 20  # wavenumber escalation steps before giving up
-# Points per block of family_convergence's lattice walk and of a lone
-# corrector_jet.  In the walk a block's envelope batch is its four stencil
-# offsets, 4,096 points, since the block points' own envelopes come from the
-# block's background evaluation; a lone corrector_jet evaluates the block and
-# its offsets together, 5,120 points.  No member holds a whole row of entries.
+# Points per block of family_convergence's lattice walk, of a lone
+# corrector_jet and of dgamma_normsq.  In the walk a block's envelope batch is
+# its four stencil offsets, 4,096 points, since the block points' own
+# envelopes come from the block's background evaluation; a lone corrector_jet
+# evaluates the block and its offsets together, 5,120 points.  dgamma_normsq
+# evaluates the jet of one block at a time, so the vacuum march's chunk of
+# 8,193 points holds one block's temporaries, not the chunk's.  No member
+# holds a whole row of entries.
 _STENCIL_BLOCK = 1024
 
 
@@ -161,7 +166,13 @@ class OscillatoryFamily:
         return (e11, b, e22), (de11, db, de22)
 
     def dgamma_normsq(self, ub_batch):
-        return dgamma_norm_sq(*self.jet(ub_batch))
+        """|dgamma_n|^2 at ub_batch, one block of at most _STENCIL_BLOCK points
+        at a time: each block's jet and norm-square are elementwise in ub, so
+        the concatenated blocks equal one evaluation of the whole batch."""
+        blocks = _blocks(np.asarray(ub_batch, float))
+        if len(blocks) == 1:
+            return dgamma_norm_sq(*self.jet(ub_batch))
+        return np.concatenate([dgamma_norm_sq(*self.jet(u)) for u in blocks])
 
     def det_defect(self, ub_batch):
         """det gamma_n - det gamma_dust (zero by algebraic cancellation)."""

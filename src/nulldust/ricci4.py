@@ -8,6 +8,9 @@ entry vanishes. Derivatives along active axes are 4th-order central with
 one-sided closures (periodic axes use pure central wrap-around stencils), so
 the curvature of a smooth metric self-converges at 4th order under grid
 refinement.
+
+spacetime_ricci evaluates and keeps Ricci alone; Einstein is formed from
+Ricci and the metric diagonal only when CurvatureResult.einstein is read.
 """
 
 from dataclasses import dataclass
@@ -23,8 +26,25 @@ _HALO = 4  # rows read beyond a block: two 4th-order stencils of half-width 2
 
 @dataclass
 class CurvatureResult:
-    ricci: np.ndarray     # grid_shape + (4, 4)
-    einstein: np.ndarray  # grid_shape + (4, 4)
+    """Ricci of a sampled diagonal metric, and its Einstein tensor on demand.
+
+    einstein is derived from ricci and diag each time it is read, with the
+    Ricci scalar summed as (p0 + p2) + (p1 + p3), p_a = g^{aa} R_aa, so a
+    caller that reads only ricci never holds a second (4, 4) field.
+    """
+
+    ricci: np.ndarray  # grid_shape + (4, 4)
+    diag: np.ndarray   # grid_shape + (4,), the metric diagonal g_aa
+
+    @property
+    def einstein(self) -> np.ndarray:
+        """G_ab = R_ab - (1/2) R g_ab, grid_shape + (4, 4)."""
+        # R = g^{aa} R_aa, in the order numpy 2.4.6's einsum sums g^{ab} R_ab on these blocks
+        p = (1.0 / self.diag) * np.diagonal(self.ricci, axis1=-2, axis2=-1)
+        rs = (p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])
+        ein = self.ricci.copy()
+        ein[..., range(4), range(4)] -= 0.5 * rs[..., None] * self.diag
+        return ein
 
 
 def _block_deriv(m: MetricBlock, arr: np.ndarray, mu: int) -> np.ndarray:
@@ -38,7 +58,11 @@ def _block_deriv(m: MetricBlock, arr: np.ndarray, mu: int) -> np.ndarray:
 
 
 def spacetime_ricci(m: MetricBlock) -> CurvatureResult:
-    """Ricci and Einstein tensors, both full (4, 4), of a sampled diagonal metric block.
+    """Ricci tensor, full (4, 4), of a sampled diagonal metric block; Einstein
+    on demand (CurvatureResult).
+
+    A block with no active coordinate is a constant metric, which is flat:
+    its Ricci, and so its Einstein, is the zero (4, 4).
 
     A non-periodic first grid axis is evaluated in blocks of _BLOCK_ROWS to
     2 _BLOCK_ROWS rows, so the connection's temporaries span one block at a
@@ -47,19 +71,20 @@ def spacetime_ricci(m: MetricBlock) -> CurvatureResult:
     same stencils as in one evaluation of the whole grid.
     """
     m.check_lorentzian()
+    if not m.active:
+        return CurvatureResult(np.zeros((4, 4)), m.diag)
     n = m.diag.shape[0]
     blocks = 1 if m.periodic[0] else max(1, n // _BLOCK_ROWS)
     edges = [n * i // blocks for i in range(blocks + 1)]  # each block but a lone one has >= _BLOCK_ROWS
-    ric, ein = (np.empty(m.diag.shape + (4,)) for _ in range(2))
+    ric = np.empty(m.diag.shape + (4,))
     for lo, hi in zip(edges[:-1], edges[1:]):
         a, b = max(lo - _HALO, 0), min(hi + _HALO, n)
-        r, e = _curvature(m, m.diag[a:b])
-        ric[lo:hi], ein[lo:hi] = r[lo - a:hi - a], e[lo - a:hi - a]
-    return CurvatureResult(ric, ein)
+        ric[lo:hi] = _ricci(m, m.diag[a:b])[lo - a:hi - a]
+    return CurvatureResult(ric, m.diag)
 
 
-def _curvature(m: MetricBlock, diag: np.ndarray):
-    """(Ricci, Einstein) of rows diag of the block m, with the stencils of m's grids."""
+def _ricci(m: MetricBlock, diag: np.ndarray) -> np.ndarray:
+    """Ricci of rows diag of the block m, with the stencils of m's grids."""
     act = m.active
     inv = 1.0 / diag  # g^{aa}
 
@@ -85,10 +110,4 @@ def _curvature(m: MetricBlock, diag: np.ndarray):
             t4 = sum(gam[r, a, l] * gam[l, r, b] for r in range(4) for l in range(4)
                      if (r, a, l) in gam and (l, r, b) in gam)
             ric[..., a, b] = t1 - t2 + t3 - t4
-
-    # R = g^{aa} R_aa, in the order numpy 2.4.6's einsum sums g^{ab} R_ab on these blocks
-    p = inv * np.diagonal(ric, axis1=-2, axis2=-1)
-    rs = (p[..., 0] + p[..., 2]) + (p[..., 1] + p[..., 3])
-    ein = ric.copy()
-    ein[..., range(4), range(4)] -= 0.5 * rs[..., None] * diag
-    return ric, ein
+    return ric

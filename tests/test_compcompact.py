@@ -1,6 +1,7 @@
 """Directional frequency splitting and weak product limits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,11 @@ from nulldust import compcompact as CC
 @pytest.fixture
 def box():
     return CC.PeriodicBox((128, 128))
+
+
+def whole_box_integral(field):
+    """The integral over [0, 2 pi)^2 of a field held on every point at once."""
+    return float(field.mean() * (2.0 * np.pi) ** 2)
 
 
 def test_cutoff_plateau_properties():
@@ -119,6 +125,59 @@ def test_pairs_equal_their_full_mesh_formulas():
         assert pair.f(n).shape == pair.h(n).shape == box.shape
 
 
+def test_pair_rows_are_rows_of_the_whole_box():
+    box = CC.PeriodicBox((64, 48))
+    rows = slice(16, 40)
+    for make in CC.PAIRS.values():
+        pair = make(box)
+        for part in (pair.f, pair.h):
+            assert np.array_equal(part(5, rows), part(5)[rows])
+
+
+def test_pairings_equal_the_whole_box_formula():
+    box = CC.PeriodicBox((512, 512))
+    u, ub = box.sparse_mesh()
+    psi = 1.0 + 0.5 * np.cos(u) * np.cos(ub)
+    ns = [4, 64, 256]
+    for make in CC.PAIRS.values():
+        pair = make(box)
+        res = CC.weak_product_test(pair, psi, ns)
+        target = whole_box_integral(pair.f_inf * pair.h_inf * psi)
+        for n, pairing, gap in zip(ns, res["pairings"], res["gaps"]):
+            whole = whole_box_integral(pair.f(n) * pair.h(n) * psi)
+            assert abs(pairing - whole) <= 1e-13 * abs(whole)
+            assert abs(gap - abs(whole - target)) <= 1e-13 * max(abs(whole), abs(target))
+
+
+@pytest.mark.parametrize("shape", [(256, 128), (200, 72)])
+def test_row_blocked_integral(shape):
+    # power-of-two sides: the block sums are subtrees of numpy's pairwise sum,
+    # so the integral is bit-equal; other sides agree to rounding
+    box = CC.PeriodicBox(shape)
+    field = np.random.default_rng(4).standard_normal(shape)
+    blocked = box.integrate_rows(lambda rows: field[rows])
+    if shape == (256, 128):
+        assert blocked == whole_box_integral(field)
+    else:
+        assert abs(blocked - whole_box_integral(field)) <= 1e-14 * whole_box_integral(np.abs(field))
+
+
+def test_weak_product_test_holds_no_box_sized_product():
+    box = CC.PeriodicBox((1024, 1024))
+    u, ub = box.sparse_mesh()
+    psi = 1.0 + 0.5 * np.cos(u) * np.cos(ub)
+    pair = CC.transverse_pair(box)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        CC.weak_product_test(pair, psi, [4, 256])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # about 1.1 MiB in blocks of 64 rows; the products of the whole 1024^2 box peak at about 16.1 MiB
+    assert peak / 2**20 <= 4.0
+
+
 def test_threshold_below_nyquist_enforced(box):
     with pytest.raises(ValueError, match="Nyquist"):
         CC.decompose(np.zeros(box.shape), box, 20.0, "x1")
@@ -223,7 +282,7 @@ def test_weak_product_transverse_and_controls():
     res_sw = CC.weak_product_test(pair_sw, psi, ns)
     assert res_sw["product_converges"]
     # the gaps are measured from the strong-weak limit int f_inf h_inf psi
-    target = box.integrate(pair_sw.f_inf * pair_sw.h_inf * psi)
+    target = whole_box_integral(pair_sw.f_inf * pair_sw.h_inf * psi)
     for pairing, gap in zip(res_sw["pairings"], res_sw["gaps"]):
         assert abs(gap - abs(pairing - target)) < 1e-12
 
@@ -231,5 +290,5 @@ def test_weak_product_transverse_and_controls():
 def test_sin_squared_mean():
     box = CC.PeriodicBox((512, 512))
     pair = CC.resonant_pair(box)
-    mean = box.integrate(pair.f(37) * pair.h(37)) / (2 * np.pi) ** 2
+    mean = box.integrate_rows(lambda rows: pair.f(37, rows) * pair.h(37, rows)) / (2 * np.pi) ** 2
     assert abs(mean - 0.5) < 1e-6

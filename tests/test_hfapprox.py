@@ -1,10 +1,12 @@
 """Dust-absorbing oscillations: exactness, rates, and validity boundaries."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from nulldust import acceptance as A
 from nulldust import constraints as C
 from nulldust import hfapprox as H
 from nulldust.errors import NonFiniteError
@@ -241,6 +243,60 @@ def test_normsq_evaluates_each_background_map_once(chart, grid):
     bg, calls = counted_background(chart, grid)
     H.OscillatoryFamily(bg, 40.0, 4).dgamma_normsq(np.linspace(0, 1, 64))
     assert calls == {"entries": 1, "dentries": 1, "f": 1, "df": 1, "phi": 1, "dphi": 1}
+
+
+def test_blocked_normsq_equals_one_evaluation(chart, grid):
+    # three blocks, the last of 5 points; b != 0, and f and Phi that move with ub
+    bg, calls = counted_background(chart, grid)
+    fam = H.OscillatoryFamily(bg, 40.0, 4)
+    ub = np.linspace(0.05, 0.95, 2 * H._STENCIL_BLOCK + 5)
+    blocked = fam.dgamma_normsq(ub)
+    assert calls == {"entries": 3, "dentries": 3, "f": 3, "df": 3, "phi": 3, "dphi": 3}
+    assert np.array_equal(blocked, C.dgamma_norm_sq(*fam.jet(ub)))
+
+
+def test_negative_norm_square_in_the_last_block_is_refused(chart, grid):
+    # with f = 0 the member is the dust metric; it is diag(1, -1) on the last
+    # block's 5 points only, where the off-diagonal derivative gives |dgamma|^2 = -2
+    ub = np.linspace(0.0, 1.0, 2 * H._STENCIL_BLOCK + 5)
+    cut = ub[2 * H._STENCIL_BLOCK]
+    bg = make_background(chart, grid, f_level=0.0)
+    full = lambda u, value: np.full((len(u),) + chart.shape, value)
+    bg.data.entries = lambda u: (full(u, 1.0), full(u, 0.0), np.where(u >= cut, -1.0, 1.0)[:, None, None] * full(u, 1.0))
+    bg.data.dentries = lambda u: (full(u, 0.0), full(u, 1.0), full(u, 0.0))
+    fam = H.OscillatoryFamily(bg, 40.0, 4)
+    assert np.all(fam.dgamma_normsq(ub[: 2 * H._STENCIL_BLOCK]) == 2.0)  # the first two blocks
+    with pytest.raises(ValueError, match="negative"):
+        fam.dgamma_normsq(ub)
+
+
+def test_normsq_of_an_absorber_chunk_stays_small(monkeypatch):
+    # criterion 5's dust background, on the lattice of one 4,096-step chunk of
+    # its vacuum march: 8,193 points x the 8 x 4 chart
+    class Captured(Exception):
+        pass
+
+    captured = []
+
+    def capture(background, n_values):
+        captured.append(background)
+        raise Captured
+
+    monkeypatch.setattr(H, "family_convergence", capture)
+    with pytest.raises(Captured):
+        A.criterion_absorber()
+    fam = H.OscillatoryFamily(captured[0], 64.0, 4)
+    grid = fam.resolving_grid(16)
+    ub = grid.a + 0.5 * np.arange(8193) * grid.h
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fam.dgamma_normsq(ub)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # about 6.8 MiB in blocks of _STENCIL_BLOCK points; one jet of all 8,193 points peaks at about 40.3 MiB
+    assert peak / 2**20 <= 12.0
 
 
 def oracle_dcorrector(fam, ub):
