@@ -119,12 +119,22 @@ class MollifiedDensity:
 
     def _atom_sum(self, ub, deriv: bool):
         """Mass-weighted sum over atoms of the mollification kernel (deriv:
-        its analytic d/dub); None without atoms."""
+        its analytic d/dub), (K, *mass shape); None without atoms.
+
+        The kernel of an atom is +0.0 at every ub outside its support
+        (loc - 2 eps, loc + 2 eps), whatever the partition piece.  An atom
+        whose support misses the range of a finite batch is not evaluated:
+        it adds the +0.0 kernel times its mass as one row, broadcast along
+        the batch, which is what its evaluation would add.
+        """
         eps = self.eps
+        lo, hi = (ub.min(), ub.max()) if ub.size else (np.nan, np.nan)
+        finite = np.isfinite(lo) and np.isfinite(hi)  # a NaN anywhere in ub makes the range NaN
         acc = None
         for loc, mass in self.data.dust.atoms:
-            kern = np.zeros_like(ub)
-            for zeta, dzeta, alpha in zip(self._zetas, self._dzetas, _ALPHAS):
+            missed = finite and (hi - loc <= -2.0 * eps or lo - loc >= 2.0 * eps)
+            kern = np.zeros(1 if missed else len(ub))
+            for zeta, dzeta, alpha in () if missed else zip(self._zetas, self._dzetas, _ALPHAS):
                 arg = (ub - loc - alpha * eps) / eps
                 if deriv:
                     kern += dzeta(ub) * rho(arg) / eps + zeta(ub) * rho_d(arg) / eps**2
@@ -132,7 +142,7 @@ class MollifiedDensity:
                     kern += zeta(ub) * rho(arg) / eps
             v = kern[:, None, None] * np.asarray(mass)[None, :, :]
             acc = v if acc is None else acc + v
-        return acc
+        return acc if acc is None or len(acc) == len(ub) else np.broadcast_to(acc, (len(ub), *acc.shape[1:])).copy()
 
     def deriv(self, ub_batch):
         """d f_m / d ub: the atom part differentiated analytically, the

@@ -16,18 +16,26 @@ the U columns left, the compact shape; the node rows, and the DenseSolution,
 have size 1 along every axis no chunk varied along.  Byte-equal inputs give
 byte-equal marches, bit-identical to marching every point.
 
+The kernels read the factors of the classical step that do not change along
+it, the hoisted tables 2*gl, cc and 0.5*ff on the half-step lattice, each
+with a column axis of M, one entry per column, or of 1, one entry that every
+column reads.  A chunk builds them once when it loads: a coefficient its
+provider gives size 1 along every angular axis stays (L, 1), the lapse term
+and the absent source of most marches, and the others are cut to (L, U).
+
 march takes a list of independent problems (a sequence's members, each its
 own constraint ODE) and advances the unfinished ones in lockstep.  Each round
 hands _rk4_chunk the compact columns of every active problem side by side,
 each column with its problem's step h, and moves them all by the fewest steps
-any of them has left in its current chunk.  Every problem still calls its
-providers once per chunk on that chunk's lattice and is compacted on its own,
-and a round that stops inside a chunk resumes from the stored node state;
-the RK4 step acts on each column alone, so every problem's nodes are
-bit-identical to marching it by itself.  The error raised is the one
-marching the problems one after another would raise: that of the first
-failing problem in list order, at the location it reports alone.  Each
-problem gives one DenseSolution over all its segments.
+any of them has left in its current chunk: a lone problem's tables as views,
+several problems' rows written once into their column blocks of one table.
+Every problem still calls its providers once per chunk on that chunk's
+lattice and is compacted on its own, and a round that stops inside a chunk
+resumes from the stored node state; the RK4 step acts on each column alone,
+so every problem's nodes are bit-identical to marching it by itself.  The
+error raised is the one marching the problems one after another would raise:
+that of the first failing problem in list order, at the location it reports
+alone.  Each problem gives one DenseSolution over all its segments.
 
 _rk4_chunk marches the U columns of one round with one of two kernels, U being
 the round's total over its problems.  For U < _ROWS_MIN_POINTS the column
@@ -40,7 +48,7 @@ are bit-identical, the index of a failure included.
 Shells and impulsive waves are concentrated: away from them every
 coefficient is exactly zero and the march streams freely, phi'' = 0.
 _rk4_chunk splits a round's steps into runs and hands the runs of free steps,
-whose gl, cc and ff are +0.0 in every column, to _coast, which moves psi not
+whose hoisted tables are +0.0 in every column, to _coast, which moves psi not
 at all and phi by one np.add.accumulate, with the bits the kernels give.
 """
 
@@ -60,7 +68,7 @@ class FocusingError(NumericalFailure):
     finite: the metric degenerates."""
 
 
-_CHUNK = 4096  # steps marched per coefficient batch
+_CHUNK = 2048  # steps marched per coefficient batch
 # Smallest U, the columns of one round summed over its problems, for which the
 # numpy row kernel beats the column kernel on Python floats.  The row kernel
 # costs about 25-40 us a step almost whatever U (on a shared 2-core x86 host
@@ -107,18 +115,20 @@ def _rk4_column(p, q, g2, cr, f2, hh, hv, h6, out_p, out_q):
     return -1
 
 
-def _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi):
+def _rk4_columns(phi, psi, g2, cr, f2, h, out_phi, out_psi):
     """Column kernel of _rk4_chunk: _rk4_column once per column.
 
-    Each column is handed over as flat lists of Python floats, on which the
-    scalar arithmetic is several times cheaper than on numpy scalars, and its
-    nodes are written back.  The failure returned is the smallest i*M + j
-    over the columns' first failures, the step-major first.
+    g2, cr, f2 are the hoisted tables 2*gl, cc and 0.5*ff, each (2*nc+1, M)
+    or (2*nc+1, 1); a table of one column is the same flat list for every
+    column.  Each column is handed over as flat lists of Python floats, on
+    which the scalar arithmetic is several times cheaper than on numpy
+    scalars, and its nodes are written back.  The failure returned is the
+    smallest i*M + j over the columns' first failures, the step-major first.
     """
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
     hh, hv, h6 = (0.5 * h).tolist(), h.tolist(), (h / 6.0).tolist()
-    g2, cr, f2 = (2.0 * gl).T.tolist(), cc.T.tolist(), (0.5 * ff).T.tolist()
+    g2, cr, f2 = (t.T.tolist() * (M if t.shape[1] == 1 else 1) for t in (g2, cr, f2))
     out_p = [[0.0] * (nc + 1) for _ in range(M)]
     out_q = [[0.0] * (nc + 1) for _ in range(M)]
     bad = -1
@@ -134,22 +144,22 @@ def _rk4_columns(phi, psi, gl, cc, ff, h, out_phi, out_psi):
     return bad
 
 
-def _rk4_rows(phi, psi, gl, cc, ff, h, out_phi, out_psi):
+def _rk4_rows(phi, psi, g2, cr, f2, h, out_phi, out_psi):
     """Row kernel of _rk4_chunk: one numpy operation per stage over all M columns.
 
-    It hoists the same factors as _rk4_column and fails on the same steps, so
-    the two kernels are bit-identical.  At the M of a round the cost is per
-    numpy call, not per column: the rows are split into lists of views once,
-    the factors of h and 2.0 are (M,) arrays, because a scalar operand costs
-    about twice an array one, and every operation writes into a preallocated
-    (M,) buffer.  Each step does the operations of the classical step, in
-    its order, as written in the comments.
+    It reads the same hoisted tables as _rk4_columns, each (2*nc+1, M) or
+    (2*nc+1, 1), whose single column broadcasts against the (M,) state, and
+    fails on the same steps, so the two kernels are bit-identical.  At the M
+    of a round the cost is per numpy call, not per column: the rows are split
+    into lists of views once, the factors of h and 2.0 are (M,) arrays,
+    because a scalar operand costs about twice an array one, and every
+    operation writes into a preallocated (M,) buffer.  Each step does the
+    operations of the classical step, in its order, as written in the
+    comments.
     """
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
-    g2 = list(2.0 * gl)
-    f2 = list(0.5 * ff)
-    cr = list(cc)
+    g2, cr, f2 = list(g2), list(cr), list(f2)
     hh, hv, h6, two = 0.5 * h, h, h / 6.0, np.full(M, 2.0)
     out_phi[0] = phi
     out_psi[0] = psi
@@ -208,7 +218,7 @@ def _coast(phi, psi, h, out_phi, out_psi):
     its step gets a NaN psi and fails where theirs does.  From any other
     entry state both fail on step 0, or (phi < 0, psi nonzero) march alike:
     a nonzero psi plus a zero of either sign is psi.  The temporaries are
-    (nc, M), smaller than the row kernel's (2*nc+1, M) factor tables.
+    (nc, M), smaller than the round's (2*nc+1, M) hoisted tables.
     """
     out_psi[:] = psi
     out_phi[0] = phi
@@ -224,24 +234,28 @@ def _coast(phi, psi, h, out_phi, out_psi):
     return bad
 
 
-def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
+def _rk4_chunk(phi, psi, g2, cr, f2, h, out_phi, out_psi):
     """March phi'' = 2*gl*phi' - cc*phi - 0.5*ff/phi by nc steps.
 
-    gl, cc, ff: (2*nc+1, M) at half-steps; phi, psi: (M,) state, updated in
-    place; h: (M,) step of each column; out_phi/out_psi: (nc+1, M) node
-    storage including the entry state.
+    g2, cr, f2: the hoisted tables 2*gl, cc and 0.5*ff at half-steps, each
+    (2*nc+1, M) or (2*nc+1, 1), one column read by all M; phi, psi: (M,)
+    state, updated in place; h: (M,) step of each column; out_phi/out_psi:
+    (nc+1, M) node storage including the entry state.
     Returns the flat index i*M + j of the first step i at which the phi of
     point j is nonpositive or NaN or its psi is not finite, or -1; after a
     failure the state and the rows past step i are unspecified.
 
-    The steps split into runs.  A step is free when gl, cc and ff are +0.0,
-    by their raw bits, in every column at its three lattice points; runs of
-    free steps go to _coast, the others to the column or the row kernel,
-    and a failure inside a run is offset by the run's first step.
+    The steps split into runs.  A step is free when the three tables are
+    +0.0, by their raw bits, in every column at its three lattice points;
+    runs of free steps go to _coast, the others to the column or the row
+    kernel, and a failure inside a run is offset by the run's first step.
+    The test reads the hoisted factors, not the ODE's coefficients: a factor
+    that rounds to +0.0, such as 0.5 times the smallest subnormal, is what the
+    kernels would read anyway, so coasting through its step gives their bits.
     """
     M, nc = phi.shape[0], out_phi.shape[0] - 1
     kernel = _rk4_columns if M < _ROWS_MIN_POINTS else _rk4_rows
-    busy = gl.view(np.uint64).any(axis=1) | cc.view(np.uint64).any(axis=1) | ff.view(np.uint64).any(axis=1)
+    busy = g2.view(np.uint64).any(axis=1) | cr.view(np.uint64).any(axis=1) | f2.view(np.uint64).any(axis=1)
     free = ~(busy[:-1:2] | busy[1::2] | busy[2::2])
     edges = [0, *(np.flatnonzero(free[1:] != free[:-1]) + 1).tolist(), nc]
     for s, e in zip(edges[:-1], edges[1:]):
@@ -250,7 +264,7 @@ def _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi):
             bad = _coast(phi, psi, h, out_phi[rows], out_psi[rows])
         else:
             lattice = slice(2 * s, 2 * e + 1)
-            bad = kernel(phi, psi, gl[lattice], cc[lattice], ff[lattice], h, out_phi[rows], out_psi[rows])
+            bad = kernel(phi, psi, g2[lattice], cr[lattice], f2[lattice], h, out_phi[rows], out_psi[rows])
         if bad >= 0:
             return bad + s * M
     return -1
@@ -296,6 +310,11 @@ class Problem:
     jumps: optional derivative increments applied at the interior
     breakpoints, each a callable (phi_values -> dphi_increment) or None.
     phi_values and the solution are (..., *s), s as the march keeps it.
+
+    A chunk keeps a coefficient whose provider gives it size 1 along every
+    angular axis as one column, (L, 1), that every compact column reads, and
+    hands the kernels the hoisted tables 2*glog, coeff and 0.5*source
+    (module docstring).
     """
 
     grids: list  # list[Grid1D]
@@ -313,9 +332,9 @@ class _March:
     along yet; the segment being marched, its state phi, dphi at the last
     node, and the compact columns of its current chunk.
 
-    Of the chunk it holds its compact shape, the U columns' coefficients on
-    the lattice and their nodes o_phi, o_psi, of which the first done + 1
-    (of nc + 1) are marched.
+    Of the chunk it holds its compact shape, the hoisted tables g2, cc, f2
+    of its U columns on the lattice, each (L, U) or (L, 1), and their nodes
+    o_phi, o_psi, of which the first done + 1 (of nc + 1) are marched.
     """
 
     def __init__(self, problem):
@@ -352,17 +371,20 @@ class _March:
         nc = min(_CHUNK, grid.n - 1 - pos)
         ub = grid.a + (pos + 0.5 * np.arange(2 * nc + 1)) * grid.h
         zero = lambda ub: np.zeros((len(ub),) + (1,) * len(shape))
-        arrays = [angular_array(name, np.asarray(a, float)[None], (1,), shape)
-                  for name, a in zip(("phi", "dphi"), self.state)]
+        state = [angular_array(name, np.asarray(a, float)[None], (1,), shape)
+                 for name, a in zip(("phi", "dphi"), self.state)]
         fns = {"glog_fn": p.glog_fn, "coeff_fn": p.coeff_fn, "source_fn": p.source_fn or zero}
-        arrays += [angular_array(name, fn(ub), (len(ub),), shape) for name, fn in fns.items()]
-        self.compact = _compact_shape(shape, arrays)
+        coeffs = [angular_array(name, fn(ub), (len(ub),), shape) for name, fn in fns.items()]
+        self.compact = _compact_shape(shape, state + coeffs)
         self.U = int(np.prod(self.compact))
         cut = (slice(None),) + tuple(slice(0, c) for c in self.compact)  # index 0 on each constant axis
-        phi, psi, self.gl, self.cc, self.ff = (
-            np.ascontiguousarray(np.broadcast_to(a, (len(a), *shape))[cut]).reshape(len(a), self.U) for a in arrays)
+        columns = lambda a: np.ascontiguousarray(np.broadcast_to(a, (len(a), *shape))[cut]).reshape(len(a), self.U)
+        # a coefficient of size 1 along every angular axis stays one column, which all U columns read
+        gl, self.cc, ff = (np.ascontiguousarray(a.reshape(len(a), 1)) if a.size == len(a) else columns(a)
+                           for a in coeffs)
+        self.g2, self.f2 = 2.0 * gl, 0.5 * ff
         self.o_phi, self.o_psi = np.empty((2, nc + 1, self.U))
-        self.o_phi[0], self.o_psi[0] = phi[0], psi[0]
+        self.o_phi[0], self.o_psi[0] = (columns(a)[0] for a in state)
         self.nc, self.done = nc, 0
 
     def failure(self, step, u):
@@ -387,7 +409,7 @@ class _March:
         start the next one, if any, from its last node: the same phi, and
         dphi plus the breakpoint's jump."""
         # the even lattice points are the nodes pos..pos+nc
-        acc = 2.0 * self.gl[::2] * self.o_psi - self.cc[::2] * self.o_phi - 0.5 * self.ff[::2] / self.o_phi
+        acc = self.g2[::2] * self.o_psi - self.cc[::2] * self.o_phi - self.f2[::2] / self.o_phi
         shape = np.broadcast_shapes(self.nodes[0].shape[1:], self.compact)
         if shape != self.nodes[0].shape[1:]:
             self.nodes = [np.array(np.broadcast_to(t, t.shape[:1] + shape)) for t in self.nodes]
@@ -395,7 +417,7 @@ class _March:
         for table, nodes in zip(self.nodes, (self.o_phi, self.o_psi, acc)):
             table[rows] = nodes.reshape((-1, *self.compact))
         self.state = phi, dphi = (self.nodes[0][rows.stop - 1], self.nodes[1][rows.stop - 1])
-        self.gl = self.cc = self.ff = self.o_phi = self.o_psi = None
+        self.g2 = self.cc = self.f2 = self.o_phi = self.o_psi = None
         self.pos += self.nc
         self.nc = self.done = 0
         if self.pos == self.grid.n - 1:
@@ -406,9 +428,16 @@ class _March:
                 self._start_segment(phi, dphi if jump is None else dphi + jump(phi.copy()))
 
 
-def _side_by_side(arrays):
-    """The arrays joined along their last axis; a lone array as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=-1)
+def _tables(marches, rows, cut):
+    """The round's hoisted tables g2, cc, f2: a lone march's rows as views,
+    several marches' rows written into their column blocks of one
+    (2*k+1, U) table each."""
+    if len(marches) == 1:
+        return [getattr(marches[0], name)[rows[0]] for name in ("g2", "cc", "f2")]
+    tables = np.empty((3, rows[0].stop - rows[0].start, cut[-1]))
+    for m, r, lo, hi in zip(marches, rows, cut[:-1], cut[1:]):
+        tables[0, :, lo:hi], tables[1, :, lo:hi], tables[2, :, lo:hi] = m.g2[r], m.cc[r], m.f2[r]
+    return list(tables)
 
 
 def _round(marches):
@@ -425,13 +454,12 @@ def _round(marches):
         k = min(m.nc - m.done for m in marches)
         cut = np.cumsum([0] + [m.U for m in marches]).tolist()
         rows = [slice(2 * m.done, 2 * (m.done + k) + 1) for m in marches]
-        gl, cc, ff = (_side_by_side([getattr(m, name)[r] for m, r in zip(marches, rows)])
-                      for name in ("gl", "cc", "ff"))
+        g2, cc, f2 = _tables(marches, rows, cut)
         phi = np.concatenate([m.o_phi[m.done] for m in marches])
         psi = np.concatenate([m.o_psi[m.done] for m in marches])
         h = np.concatenate([np.full(m.U, m.grid.h) for m in marches])
         out_phi, out_psi = np.empty((2, k + 1, cut[-1]))
-        bad = _rk4_chunk(phi, psi, gl, cc, ff, h, out_phi, out_psi)
+        bad = _rk4_chunk(phi, psi, g2, cc, f2, h, out_phi, out_psi)
         if bad < 0:
             for m, lo, hi in zip(marches, cut[:-1], cut[1:]):
                 m.o_phi[m.done : m.done + k + 1] = out_phi[:, lo:hi]

@@ -1,6 +1,7 @@
 """Dust-absorbing oscillations: exactness, rates, and validity boundaries."""
 
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -297,6 +298,74 @@ def test_normsq_of_an_absorber_chunk_stays_small(monkeypatch):
         tracemalloc.stop()
     # about 6.8 MiB in blocks of _STENCIL_BLOCK points; one jet of all 8,193 points peaks at about 40.3 MiB
     assert peak / 2**20 <= 12.0
+
+
+def absorber_background(monkeypatch):
+    """Criterion 5's dust background, captured where it is handed to family_convergence."""
+    class Captured(Exception):
+        pass
+
+    captured = []
+
+    def capture(background, n_values):
+        captured.append(background)
+        raise Captured
+
+    with monkeypatch.context() as patch:
+        patch.setattr(H, "family_convergence", capture)
+        with pytest.raises(Captured):
+            A.criterion_absorber()
+    return captured[0]
+
+
+def test_absorber_family_convergence_stays_small(monkeypatch):
+    # criterion 5's six vacuum members, n = 4 ... 128 on 392 to 12,488 nodes x
+    # the 8 x 4 chart, march in lockstep; their node tables alone take 18 MiB
+    background = absorber_background(monkeypatch)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        H.family_convergence(background, [4, 8, 16, 32, 64, 128])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # about 32.6 MiB with one-column lapse and source tables, one copy of the
+    # coefficients per round and 2,048-step chunks; 45.4 MiB before them
+    assert peak / 2**20 <= 35.0
+
+
+@pytest.mark.parametrize("name", ["phi", "dphi"])
+def test_nan_in_the_last_block_of_a_member_gives_a_nan_phi_gap(chart, grid, name, monkeypatch):
+    # n = 32 has 1,814 nodes, two blocks of _STENCIL_BLOCK; its last node is NaN
+    bg = make_background(chart, grid)
+    solve = H.solve_phi_n
+
+    def poisoned(families):
+        sols = solve(families)
+        assert len(sols[1].phi) > H._STENCIL_BLOCK
+        getattr(sols[1], name)[-1] = np.nan
+        return sols
+
+    monkeypatch.setattr(H, "solve_phi_n", poisoned)
+    rows = H.family_convergence(bg, [4, 32])
+    gap = f"{name}_gap"
+    assert np.isfinite(rows[0][gap]) and np.isnan(rows[1][gap])
+    other = "phi_gap" if name == "dphi" else "dphi_gap"
+    assert np.isfinite(rows[1][other])
+
+
+def test_each_vacuum_solution_is_dropped_once_its_gaps_are_taken(chart, grid, monkeypatch):
+    bg = make_background(chart, grid)
+    phi_gaps, taken = H._phi_gaps, []
+
+    def gaps(sol, background):
+        assert all(ref() is None for ref in taken)  # every solution before this one is gone
+        taken.append(weakref.ref(sol))
+        return phi_gaps(sol, background)
+
+    monkeypatch.setattr(H, "_phi_gaps", gaps)
+    H.family_convergence(bg, [4, 8, 16])
+    assert len(taken) == 3
 
 
 def oracle_dcorrector(fam, ub):

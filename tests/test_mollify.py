@@ -162,3 +162,68 @@ def test_segments_tile_the_interval(setting):
     assert los[1:] == his[:-1] and all(lo < hi for lo, hi in zip(los, his))
     assert np.allclose(los + his[-1:], [0.0, 0.20625, 0.44375, 0.54375, 0.75625, 0.85625, 1.0])
     assert inside == (True, False, True, True, True, False)
+
+
+def atom_sum_oracle(fm, ub, deriv):
+    """MollifiedDensity._atom_sum with every atom's kernel evaluated on the whole batch."""
+    eps, acc = fm.eps, None
+    for loc, mass in fm.data.dust.atoms:
+        kern = np.zeros_like(ub)
+        for zeta, dzeta, alpha in zip(*M.partition(fm.data.grid), M._ALPHAS):
+            arg = (ub - loc - alpha * eps) / eps
+            if deriv:
+                kern += dzeta(ub) * M.rho(arg) / eps + zeta(ub) * M.rho_d(arg) / eps**2
+            else:
+                kern += zeta(ub) * M.rho(arg) / eps
+        v = kern[:, None, None] * np.asarray(mass)[None, :, :]
+        acc = v if acc is None else acc + v
+    return acc
+
+
+def test_atoms_outside_a_batch_add_what_their_kernels_would(setting, monkeypatch):
+    chart, grid, data, _, one, m_theta = setting
+    # masses of three shapes, one with zero and signed-zero entries, so the
+    # sum of the kernels' +0.0 times the masses has both signs of zero
+    line = np.where(np.arange(8) % 2 == 0, 0.0, 1.0)[:, None]
+    line[3] = -0.0
+    dust = C.NullDustMeasure(atoms=[(0.3, line), (0.45, m_theta), (0.6, np.full((1, 1), 2.0))])
+    fm = M.MollifiedDensity(dataclasses.replace(data, dust=dust), 3)
+    eps = fm.eps
+    batches = {
+        "inside": np.linspace(0.45 - eps, 0.45 + eps, 33),
+        "straddling": np.linspace(0.45 + eps, 0.45 + 4.0 * eps, 33),
+        "from_an_edge": np.linspace(0.45 + 2.0 * eps, 0.6 - 2.0 * eps, 33),  # between two supports, edge to edge
+        "to_an_edge": np.linspace(0.1, 0.3 - 2.0 * eps, 33),
+        "outside": np.linspace(0.7, 0.9, 33),
+        "one_point_outside": np.array([0.05]),
+        "around_an_atom": np.array([0.3 - 3.0 * eps, 0.3 + 3.0 * eps]),  # no point inside, the range is
+        "with_a_nan": np.array([0.05, np.nan]),
+        "empty": np.zeros(0),
+    }
+    rho_calls = []
+    rho = M.rho
+    monkeypatch.setattr(M, "rho", lambda s: rho_calls.append(1) or rho(s))
+    for name, ub in batches.items():
+        with np.errstate(invalid="ignore"):  # the partition pieces at a NaN ub
+            for deriv in (False, True):
+                rho_calls.clear()
+                got = fm._atom_sum(ub, deriv)
+                evaluated = len(rho_calls)
+                want = atom_sum_oracle(fm, ub, deriv)
+                assert got.shape == want.shape == (len(ub), 8, 4) and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (name, deriv)
+                # three partition pieces per evaluated atom; deriv calls rho_d too
+                if name in ("outside", "one_point_outside", "to_an_edge", "from_an_edge"):
+                    assert evaluated == 0
+                if name == "inside":
+                    assert evaluated == 3
+            for method in (fm, fm.deriv):
+                got = method(ub)
+                with monkeypatch.context() as patch:
+                    patch.setattr(fm, "_atom_sum", lambda u, d: atom_sum_oracle(fm, u, d))
+                    assert got.tobytes() == method(ub).tobytes()
+    zero = fm._atom_sum(batches["outside"], False)
+    assert not np.signbit(zero).any()  # +0.0 where no atom reaches, on the signed-zero mass line too
+    assert not zero.any()
+    no_atoms = M.MollifiedDensity(dataclasses.replace(data, dust=C.NullDustMeasure(atoms=[])), 3)
+    assert no_atoms._atom_sum(batches["inside"], False) is None

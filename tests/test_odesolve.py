@@ -19,9 +19,11 @@ def solve(grid, glog_fn, coeff_fn, source_fn, phi0, dphi0):
 def _rk4_points(phi, psi, gl, cc, ff, hs, out_phi, out_psi):
     """Oracle: the classical step, point by point on numpy scalars, each
     point at its own step hs[j]; it fails where phi is not positive or psi
-    not finite."""
+    not finite.  gl, cc, ff are the ODE's coefficients, each (2*nc+1, M) or
+    (2*nc+1, 1), one column for every point."""
     nc = out_phi.shape[0] - 1
     M = phi.shape[0]
+    gl, cc, ff = (np.broadcast_to(x, (len(x), M)) for x in (gl, cc, ff))
     for j in range(M):
         out_phi[0, j] = phi[j]
         out_psi[0, j] = psi[j]
@@ -54,6 +56,13 @@ def _rk4_points(phi, psi, gl, cc, ff, hs, out_phi, out_psi):
     return -1
 
 
+def points_on_tables(phi, psi, g2, cr, f2, hs, out_phi, out_psi):
+    """_rk4_points in the place of _rk4_chunk, which the march hands the
+    hoisted tables 2*gl, cc and 0.5*ff: the coefficients back, 0.5 * g2 and
+    2.0 * f2, exact on these tests' data."""
+    return _rk4_points(phi, psi, 0.5 * g2, cr, 2.0 * f2, hs, out_phi, out_psi)
+
+
 KERNELS = {
     "columns": odesolve._rk4_columns,
     "rows": odesolve._rk4_rows,
@@ -70,13 +79,16 @@ def chunk_inputs(M, nc, seed):
 
 
 def run_kernel(kernel, inputs, h):
-    """One kernel call on chunk inputs; h: one step for every column, or (M,) steps."""
+    """One kernel call on chunk inputs; h: one step for every column, or (M,)
+    steps.  The oracle _rk4_points is handed the ODE's coefficients gl, cc,
+    ff, every other kernel the hoisted tables 2.0 * gl, cc and 0.5 * ff."""
     phi0, psi0, gl, cc, ff = inputs
     M, nc = phi0.shape[0], (gl.shape[0] - 1) // 2
     phi, psi = phi0.copy(), psi0.copy()
     out_phi, out_psi = np.empty((nc + 1, M)), np.empty((nc + 1, M))
+    tables = (gl, cc, ff) if kernel is _rk4_points else (2.0 * gl, cc, 0.5 * ff)
     with np.errstate(all="ignore"):  # the oracle divides by a zero stage value
-        bad = kernel(phi, psi, gl, cc, ff, np.broadcast_to(h, M).copy(), out_phi, out_psi)
+        bad = kernel(phi, psi, *tables, np.broadcast_to(h, M).copy(), out_phi, out_psi)
     return bad, phi, psi, out_phi, out_psi
 
 
@@ -178,7 +190,7 @@ def test_zero_stage_value_is_focusing_at_that_step(monkeypatch):
         grid, np.zeros_like, np.zeros_like, lambda ub: np.full_like(ub, 0.3), 1.0, -4.0
     )
     locations = []
-    for kernel in [_rk4_points, *KERNELS.values()]:
+    for kernel in [points_on_tables, *KERNELS.values()]:
         monkeypatch.setattr(odesolve, "_rk4_chunk", kernel)
         with np.errstate(all="ignore"), pytest.raises(FocusingError) as err:
             march()
@@ -221,7 +233,7 @@ def test_focusing_location_same_for_both_kernels(monkeypatch):
     # step; the kernel must name the first of them
     crushed = np.isin(np.arange(M), [13, 20])
     locations = []
-    for kernel in [_rk4_points, *KERNELS.values()]:
+    for kernel in [points_on_tables, *KERNELS.values()]:
         monkeypatch.setattr(odesolve, "_rk4_chunk", kernel)
         with pytest.raises(FocusingError) as err:
             solve(
@@ -265,7 +277,8 @@ def test_nan_in_last_stage_is_focusing_error(M):
     assert err.value.location == (grid.b, 0)
 
 
-@pytest.mark.parametrize("M, n", [(32, 513), (8, odesolve._CHUNK + 301)])
+# 4397 and 4697 points span more than one chunk; the last chunk is partial
+@pytest.mark.parametrize("M, n", [(32, 513), (8, 4397)])
 def test_node_second_derivative_is_rhs_on_grid_points(M, n):
     """ddphi reuses the lattice coefficients; it must equal the ODE at grid.points()."""
     grid = Grid1D(0.0, 1.0, n)
@@ -544,7 +557,7 @@ def test_failure_in_duplicated_column_names_its_first_point(monkeypatch):
             assert march_chunk(lines(omega_tie), h, shape)[0] == want[0]
 
 
-@pytest.mark.parametrize("n", [601, odesolve._CHUNK + 601])
+@pytest.mark.parametrize("n", [601, 4697])
 def test_focusing_location_same_as_undeduplicated_march(n, monkeypatch):
     # a (4, 8) shape whose data vary by theta1 line; line 2, points 16-23,
     # crosses zero in the last chunk
@@ -983,7 +996,7 @@ def test_phi_crossing_zero_inside_a_free_run(M, monkeypatch):
     # the march names the node that the point loop names
     with pytest.raises(FocusingError) as err:
         odesolve.march([chunk_problem(inputs, 0.01)])
-    monkeypatch.setattr(odesolve, "_rk4_chunk", _rk4_points)
+    monkeypatch.setattr(odesolve, "_rk4_chunk", points_on_tables)
     with pytest.raises(FocusingError) as loop:
         odesolve.march([chunk_problem(inputs, 0.01)])
     assert err.value.location == loop.value.location == (0.34, 1)
@@ -1038,3 +1051,121 @@ def test_coast_from_any_entry_state(phi0, psi0, h, monkeypatch):
             assert got[3][: step + 1].tobytes() == want[3][: step + 1].tobytes()
             assert got[4][: step + 1].tobytes() == want[4][: step + 1].tobytes()
     assert seen == [50]
+
+
+# --- hoisted tables of one column ----------------------------------------------
+
+
+def one_column_inputs(M, nc, seed, free=()):
+    """Chunk inputs whose gl and ff are (2*nc+1, 1), one column for all M
+    points, and +0.0 with cc on the lattice rows free."""
+    phi, psi, _, cc, _ = chunk_inputs(M, nc, seed)
+    rng = np.random.default_rng(seed + 1)
+    gl = 0.3 * rng.standard_normal((2 * nc + 1, 1))
+    ff = rng.uniform(0.0, 0.2, (2 * nc + 1, 1))
+    for x in (gl, cc, ff):
+        x[list(free)] = 0.0
+    return phi, psi, gl, cc, ff
+
+
+def widened(inputs):
+    """The same chunk inputs with every coefficient broadcast to (2*nc+1, M)."""
+    phi, psi, *coeffs = inputs
+    return (phi, psi, *(np.ascontiguousarray(np.broadcast_to(x, (len(x), len(phi)))) for x in coeffs))
+
+
+@pytest.mark.parametrize("M", [1, 5, ROWS, 32])
+@pytest.mark.parametrize("free", [(), range(40, 121), range(0, 241)])
+def test_one_column_tables_march_as_the_tables_broadcast(M, free, monkeypatch):
+    inputs = one_column_inputs(M, 120, seed=M, free=free)
+    coasts = record_coasts(monkeypatch)
+    for kernel in (odesolve._rk4_chunk, *KERNELS.values()):
+        got, want = run_kernel(kernel, inputs, 0.01), run_kernel(kernel, widened(inputs), 0.01)
+        same_bytes(got, want)
+        assert got[0] == -1
+    same_bytes(run_kernel(_rk4_points, inputs, 0.01), run_kernel(odesolve._rk4_chunk, inputs, 0.01))
+    assert coasts == [len(free) // 2] * 3 if free else not coasts  # the free steps, in each _rk4_chunk call
+
+
+@pytest.mark.parametrize("M", [3, ROWS + 2])
+def test_one_column_tables_fail_where_the_tables_broadcast_fail(M):
+    # column 1 falls from 1 with slope -3 and crosses zero near step 33
+    psi0 = np.full(M, 0.5)
+    psi0[1] = -3.0
+    _, _, gl, cc, ff = one_column_inputs(M, 100, seed=M, free=range(30, 201))
+    inputs = (np.ones(M), psi0, gl, cc, ff)
+    want = run_kernel(_rk4_points, widened(inputs), 0.01)
+    assert want[0] >= 0
+    for kernel in (odesolve._rk4_chunk, *KERNELS.values()):
+        got = run_kernel(kernel, inputs, 0.01)
+        assert got[0] == want[0] == run_kernel(kernel, widened(inputs), 0.01)[0]
+        step = want[0] // M
+        for a, b in zip(got[3:], want[3:]):
+            assert a[: step + 1].tobytes() == b[: step + 1].tobytes()
+
+
+def test_half_of_the_smallest_subnormal_source_coasts(monkeypatch):
+    # 0.5 * 5e-324 rounds to +0.0: the step is free by its hoisted table, and
+    # the coast gives the bits the kernels, and the point loop, give
+    phi, psi, gl, cc, ff = free_inputs(3, 60)
+    ff[:] = np.nextafter(0.0, 1.0)
+    coasts = record_coasts(monkeypatch)
+    assert assert_exact_march((phi, psi, gl, cc, ff), 0.01) == -1
+    assert coasts == [60] * 2  # _rk4_chunk alone, then in the march
+
+
+def record_tables(monkeypatch):
+    """Wrap _rk4_chunk to record the widths of the hoisted tables it is handed."""
+    seen = []
+    chunk = odesolve._rk4_chunk
+
+    def recorder(phi, psi, g2, cr, f2, *args):
+        seen.append((g2.shape[1], cr.shape[1], f2.shape[1]))
+        return chunk(phi, psi, g2, cr, f2, *args)
+
+    monkeypatch.setattr(odesolve, "_rk4_chunk", recorder)
+    return seen
+
+
+def lapse_problem(shape, pad, crush):
+    """A (8, 4)-chart Problem whose glog and source providers give (K, 1, 1),
+    or the same values broadcast to (K, 8, 4) when pad; its coeff varies
+    along both angles and, when crush, makes point 13 cross zero."""
+    glog, _, source = compact_maps(shape, (), True)
+    _, coeff, _ = compact_maps(shape, (0, 1), False)
+    crushed = np.arange(int(np.prod(shape))).reshape(shape) == 13
+    crushing = lambda ub: np.where(crushed, 40.0, coeff(ub))
+    wide = lambda fn: (lambda ub: np.broadcast_to(fn(ub), (len(ub),) + shape).copy()) if pad else fn
+    grid = Grid1D(0.0, 1.0, odesolve._CHUNK + 101)
+    return odesolve.Problem([grid], wide(glog), crushing if crush else coeff, wide(source),
+                            np.ones(shape), np.full(shape, 0.1))
+
+
+def march_outcome(problems):
+    """The solutions of a march, or the location of its FocusingError."""
+    try:
+        return odesolve.march(problems)
+    except FocusingError as err:
+        return err.location
+
+
+@pytest.mark.parametrize("crush", [False, True])
+def test_column_constant_lapse_and_source_march_as_padded(crush, monkeypatch):
+    shape = (8, 4)
+    partner = lambda: shaped_problem(shape, [Grid1D(0.0, 1.0, 601)], seed=5)  # full width, one chunk
+    # the widths of the hoisted tables: (1, 32, 1) for the lapse problem alone,
+    # (64, 64, 64) beside the partner, and (32, 32, 32) for the partner alone,
+    # which runs its round again once the lapse problem fails
+    alone, beside = {(1, 32, 1)}, {(64, 64, 64), (32, 32, 32) if crush else (1, 32, 1)}
+    for batch, widths in ((lambda pad: [lapse_problem(shape, pad, crush)], alone),
+                          (lambda pad: [partner(), lapse_problem(shape, pad, crush)], beside)):
+        seen = record_tables(monkeypatch)
+        got = march_outcome(batch(False))
+        monkeypatch.undo()
+        want = march_outcome(batch(True))
+        if crush:
+            assert got == want and got[1] == 13
+        else:
+            for a, b in zip(got, want):
+                same_solution(a, b)
+        assert set(seen) == widths
