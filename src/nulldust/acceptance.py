@@ -215,8 +215,8 @@ def criterion_gowdy(*, n_seq=(100, 316, 1000, 3162, 10000, 31623, 100000), ampli
 # 4. hypersurface constraint solver
 # ---------------------------------------------------------------------------
 
-# the flat reference metric, the same at every angle
-_FLAT_RING = np.eye(2)[:, :, None, None]
+# the flat reference metric's entries (a, b, d), the same at every angle
+_FLAT_RING = (np.ones((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))
 
 # batch maps constant on the chart: the unit lapse, and zero (its log-derivative, an off-diagonal entry)
 _one = lambda ub: np.ones((len(np.atleast_1d(ub)), 1, 1))
@@ -653,7 +653,7 @@ def _cone_data(chart, grid):
     a = 2.0 / om**2
     c = 2.0 * a
     gfun = c + a * np.cos(om * t1)
-    return _ring_data(grid, chart, _FLAT_RING / gfun)
+    return _ring_data(grid, chart, tuple(x / gfun for x in _FLAT_RING))
 
 
 def _cone_march(n1, n):

@@ -22,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fields import sym2_det, sym2_entries
-from .geometry import area_element
+from .fields import sym2_det
 from .grids import AngularGrid, Grid1D
 from .odesolve import DenseSolution, Problem, angular_array, march, segmented_grids
 from .quadrature import composite_rule
@@ -70,15 +69,15 @@ class ReducedCharData:
     omega/dlog_omega are angular batch maps ub(K,) -> (K, m1, m2), each m 1
     (no variation in that angle) or n.  The conformal metric gamma_hat =
     [[a, b], [b, d]] is given by its entries: entries maps ub(K,) -> (a, b, d)
-    and dentries to their ub-derivatives, each such an array.  gamma_ring is
-    (2, 2, m1, m2), slots first (fields).  At five ub every map, the dust
-    density too, is checked against that shape contract (angular_array), and
-    the normalization det gamma_hat = det gamma_ring.
+    and dentries to their ub-derivatives, each such an array; gamma_ring is
+    the reference metric's entries (a, b, d), each (m1, m2).  The ring's and,
+    at five ub, every map's shape (the dust density's too) is checked
+    (angular_array), and so is the normalization det gamma_hat = det gamma_ring.
     """
 
     grid: Grid1D
     chart: AngularGrid
-    gamma_ring: np.ndarray
+    gamma_ring: tuple
     omega: Callable
     dlog_omega: Callable
     entries: Callable
@@ -87,7 +86,8 @@ class ReducedCharData:
 
     def __post_init__(self):
         shape = self.chart.shape
-        angular_array("gamma_ring", self.gamma_ring, (2, 2), shape)
+        self.gamma_ring = tuple(angular_array(f"gamma_ring[{i}]", x, (), shape)
+                                for i, x in enumerate(self.gamma_ring))
         if self.dust is not None:
             self.dust.validate(self.grid)
         probe = np.linspace(self.grid.a, self.grid.b, 5)
@@ -98,7 +98,7 @@ class ReducedCharData:
         a, b, d = (angular_array(f"entries[{i}]", x, (5,), shape) for i, x in enumerate(self.entries(probe)))
         for i, x in enumerate(self.dentries(probe)):
             angular_array(f"dentries[{i}]", x, (5,), shape)
-        dev = np.abs((a * d - b * b) / sym2_det(self.gamma_ring) - 1.0).max(axis=(1, 2))
+        dev = np.abs(sym2_det(a, b, d) / sym2_det(*self.gamma_ring) - 1.0).max(axis=(1, 2))
         for ub, worst in zip(probe, dev):
             if worst > _DET_RTOL:
                 raise ValueError(
@@ -111,16 +111,15 @@ class ReducedCharData:
 
     def area_weights(self) -> np.ndarray:
         """Quadrature weights of dA_ring on the chart nodes, chart-shaped so that every pairing sums over the chart."""
-        return np.broadcast_to(area_element(self.gamma_ring) * self.chart.cell_area, self.chart.shape).copy()
+        return np.broadcast_to(np.sqrt(sym2_det(*self.gamma_ring)) * self.chart.cell_area, self.chart.shape).copy()
 
 
-def ring_entries(gamma_ring: np.ndarray):
-    """(entries, dentries) of conformally flat data: gamma_hat = gamma_ring, d gamma_hat = 0."""
-    ring = sym2_entries(gamma_ring)
+def ring_entries(gamma_ring):
+    """(entries, dentries) of conformally flat data: gamma_hat = gamma_ring, given by its entries, d gamma_hat = 0."""
 
     def entries(ub_batch):
         k = len(np.atleast_1d(ub_batch))
-        return tuple(np.broadcast_to(x, (k,) + x.shape) for x in ring)
+        return tuple(np.broadcast_to(x, (k,) + x.shape) for x in gamma_ring)
 
     def dentries(ub_batch):
         zero = np.zeros((len(np.atleast_1d(ub_batch)), 1, 1))
@@ -135,7 +134,7 @@ def dgamma_norm_sq(entries, dentries) -> np.ndarray:
     entries (a, b, d) and dentries (p, q, r)."""
     a, b, d = entries
     p, q, r = dentries
-    det = a * d - b * b
+    det = sym2_det(a, b, d)
     i11, i12, i22 = d / det, -b / det, a / det
     n11 = i11 * p + i12 * q
     n12 = i11 * q + i12 * r

@@ -5,8 +5,10 @@ axes (n1, n2).  A scalar field is (..., n1, n2), a 1-form (2, ..., n1, n2), a
 covariant symmetric 2-tensor (2, 2, ..., n1, n2), Christoffel symbols
 (2, 2, 2, ..., n1, n2) indexed [c, a, b] = Gamma^c_{ab}.  A scalar broadcasts
 onto a tensor of the same batch with no added axes, and each entry T[a, b] is
-a contiguous (..., n1, n2) plane.  MetricBlock keeps the four diagonal
-entries of its diagonal 4-metric in one trailing slot.
+a contiguous (..., n1, n2) plane.  gamma_hat and gamma_ring, which need no
+tensor calculus, travel as the entries (a, b, d) of [[a, b], [b, d]], whose
+determinant sym2_det states.  MetricBlock keeps the four diagonal entries of
+its diagonal 4-metric in one trailing slot.
 """
 
 from dataclasses import dataclass
@@ -27,7 +29,7 @@ class PositivityError(ValueError):
 
 def check_positive_definite(g: np.ndarray) -> None:
     """Exact sign tests det > 0 and g11 > 0 at every grid point."""
-    det = sym2_det(g)
+    det = sym2_det(g[0, 0], g[0, 1], g[1, 1])
     bad = (det <= 0.0) | (g[0, 0] <= 0.0)
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -36,7 +38,7 @@ def check_positive_definite(g: np.ndarray) -> None:
 
 def sym2_inverse(g: np.ndarray) -> np.ndarray:
     """Inverse of a field of symmetric 2x2 matrices."""
-    det = sym2_det(g)
+    det = sym2_det(g[0, 0], g[0, 1], g[1, 1])
     inv = np.empty_like(g)
     inv[0, 0] = g[1, 1] / det
     inv[1, 1] = g[0, 0] / det
@@ -45,8 +47,9 @@ def sym2_inverse(g: np.ndarray) -> np.ndarray:
     return inv
 
 
-def sym2_det(g: np.ndarray) -> np.ndarray:
-    return g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+def sym2_det(a, b, d) -> np.ndarray:
+    """a d - b^2, the determinant of [[a, b], [b, d]]; a packed g passes g[0, 0], g[0, 1], g[1, 1]."""
+    return a * d - b * b
 
 
 def trace(ginv: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -62,16 +65,10 @@ def sym2_pack(a, b, d) -> np.ndarray:
     return np.stack((a, b, b, d), dtype=float).reshape((2, 2) + a.shape)
 
 
-def sym2_entries(g: np.ndarray):
-    """Entries (a, b, d) of a field of symmetric 2x2 matrices, as views: the inverse of sym2_pack."""
-    return g[0, 0], g[0, 1], g[1, 1]
-
-
 def sym2_min_eigenvalue(a, b, d) -> np.ndarray:
     """Smaller eigenvalue of [[a, b], [b, d]], entrywise."""
     tr = a + d
-    det = a * d - b * b
-    return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+    return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * sym2_det(a, b, d), 0.0)))
 
 
 @dataclass

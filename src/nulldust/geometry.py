@@ -9,7 +9,7 @@ fixed power of the grid spacing.
 
 import numpy as np
 
-from .fields import check_positive_definite, sym2_det, trace
+from .fields import check_positive_definite, trace
 from .grids import AngularGrid
 from .stencils import spectral_deriv
 
@@ -70,8 +70,3 @@ def gauss_curvature(ginv: np.ndarray, chart: AngularGrid, gam: np.ndarray) -> np
     term += t4(1, 0) + t4(1, 1)
     ric -= term  # = gamma_{bc} K
     return 0.5 * trace(ginv, ric)
-
-
-def area_element(gamma: np.ndarray) -> np.ndarray:
-    """sqrt(det gamma): density of the metric area form in chart coordinates."""
-    return np.sqrt(sym2_det(gamma))

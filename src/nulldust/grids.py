@@ -8,6 +8,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Most nodes of a Grid1D, 32 MiB per float array over them: 32 times the largest grid a
+# default criterion builds (criterion 2's 2^17 + 1).  A larger grid is refused before numpy allocates it.
+MAX_NODES = 2**22 + 1
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -22,6 +26,8 @@ class Grid1D:
             raise ValueError(f"empty interval: [{self.a}, {self.b}]")
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
+        if self.n > MAX_NODES:
+            raise ValueError(f"a grid of {self.n} nodes exceeds the ceiling of {MAX_NODES} nodes")
 
     @property
     def h(self) -> float:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .constraints import ReducedCharData, constraint_problem, dgamma_norm_sq
 from .errors import NonFiniteError, NumericalFailure
-from .fields import sym2_min_eigenvalue
+from .fields import sym2_det, sym2_min_eigenvalue
 from .grids import Grid1D
 from .odesolve import march
 
@@ -74,8 +74,7 @@ def _amplitudes(k, entries, dentries, f, phi):
     """Amplitudes of the corrector's sin(2 k n ub) and sin(k n ub) terms from
     the dust entries, their derivatives, f (clipped at zero) and Phi."""
     (a, b, d), (da, _, dd) = entries, dentries
-    det = a * d - b * b
-    return 2.0 * f / k, (4.0 / (k * det)) * (d * da - a * dd) * np.sqrt(f) * phi
+    return 2.0 * f / k, (4.0 / (k * sym2_det(a, b, d))) * (d * da - a * dd) * np.sqrt(f) * phi
 
 
 def _envelopes(background, k, ub_batch):
@@ -140,7 +139,7 @@ class OscillatoryFamily:
 
     def entries(self, ub_batch):
         a, b, d = self.background.data.entries(ub_batch)
-        return _member_entries(a, b, d, a * d - b * b, self._phase(ub_batch))
+        return _member_entries(a, b, d, sym2_det(a, b, d), self._phase(ub_batch))
 
     def jet(self, ub_batch, maps=None):
         """(entries, dentries) of gamma_n from one background evaluation:
@@ -158,7 +157,7 @@ class OscillatoryFamily:
         # (drf / kn) sin; the doubled one is kept until the acceptance
         # reference values are regenerated with the fix (ROADMAP)
         ds = 2.0 * rf * cos + (2.0 * drf / kn) * sin
-        det = a * d - b * b
+        det = sym2_det(a, b, d)
         ddet = da * d + a * dd - 2.0 * b * db
         e11, _, e22 = _member_entries(a, b, d, det, s)
         de11 = da + (ddet / d - det * dd / (d * d)) * s + det / d * ds
@@ -177,16 +176,15 @@ class OscillatoryFamily:
     def det_defect(self, ub_batch):
         """det gamma_n - det gamma_dust (zero by algebraic cancellation)."""
         a, b, d = self.background.data.entries(ub_batch)
-        det = a * d - b * b
-        e11, e12, e22 = _member_entries(a, b, d, det, self._phase(ub_batch))
-        return e11 * e22 - e12 * e12 - det
+        det = sym2_det(a, b, d)
+        return sym2_det(*_member_entries(a, b, d, det, self._phase(ub_batch))) - det
 
     def min_eigenvalue_envelope(self, ub_batch):
         """Lower bound over the oscillation phase: evaluate at both amplitude
         extremes (the entries are monotone in the phase factor)."""
         bg = self.background
         a, b, d = bg.data.entries(ub_batch)
-        det = a * d - b * b
+        det = sym2_det(a, b, d)
         amp = 2.0 * bg.root_f_over_phi(ub_batch) / (self.k * self.n)
         worst = None
         for sign in (1.0, -1.0):
@@ -304,7 +302,7 @@ def family_convergence(background: DustBackground, n_values):
             maps = background.jet(u)
             dust, dentries, f, _, phi, _ = maps
             ba, bb, bd = dust
-            dust_det = ba * bd - bb * bb
+            dust_det = sym2_det(ba, bb, bd)
             # the dust's |dgamma|^2, Phi^2 and 4 f, which every member's defect shares
             control = dgamma_norm_sq(dust, dentries)
             phi2, four_f = phi**2, 4.0 * f
@@ -322,7 +320,7 @@ def family_convergence(background: DustBackground, n_values):
                     "gamma_gap": np.max([np.abs(ea - ba).max(), np.abs(eb - bb).max(), np.abs(ed - bd).max()]),
                     "weak_defect": np.abs(base - dcorr / fam.n).max(),
                     "defect_no_corrector": np.abs(base).max(),
-                    "det_defect": np.abs(ea * ed - eb * eb - dust_det).max(),
+                    "det_defect": np.abs(sym2_det(ea, eb, ed) - dust_det).max(),
                     "corrector_sup": np.abs(corr).max(),
                 }
                 for key, sup in block.items():

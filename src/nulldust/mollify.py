@@ -90,13 +90,17 @@ def _scale(m: int) -> float:
 
 
 def check_level(m: int, grid: Grid1D, atom_locations) -> None:
-    """Refuse a dyadic index m below 1, or an atom whose mollifier window at
-    level m reaches both ends of grid: the shifted partitions absorb
-    one-sided proximity, both-sided overflow they cannot."""
+    """Refuse a dyadic index m below 1, an eps = 2^-2m that is 0.0 or lost in
+    rounding at an atom, or an atom whose mollifier window reaches both ends of
+    grid: the shifted partitions absorb one-sided proximity, both-sided overflow they cannot."""
     if m < 1:
         raise ValueError("dyadic index must be >= 1")
     eps = _scale(m)
+    if eps == 0.0:
+        raise ValueError(f"level m={m}: the mollifier scale eps = 2^-{2 * m} underflows to 0.0")
     for loc in atom_locations:
+        if loc + 2.0 * eps == loc or loc - 2.0 * eps == loc:
+            raise ValueError(f"level m={m}: the kernel support of the atom at ub={loc:g} is lost in rounding")
         if loc - 2.0 * eps <= grid.a and loc + 2.0 * eps >= grid.b:
             raise ValueError(f"atom at ub={loc:g} too close to both boundaries for eps={eps:g}")
 

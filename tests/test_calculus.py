@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nulldust import calculus as calc
-from nulldust.fields import sym2_inverse
-from nulldust.geometry import area_element, christoffel, partial
+from nulldust.fields import sym2_det, sym2_inverse
+from nulldust.geometry import christoffel, partial
 from nulldust.grids import AngularGrid
 
 
@@ -42,7 +42,7 @@ def grad(chart: AngularGrid, f: np.ndarray) -> np.ndarray:
 def volume_form_upper(gamma: np.ndarray) -> np.ndarray:
     """eps^{ab} = gamma^{ac} gamma^{bd} eps_{cd} = eps_{ab} / det gamma,
     with the volume form eps_{ab} = sqrt(det gamma) * [[0, 1], [-1, 0]]_{ab}."""
-    s = area_element(gamma)
+    s = np.sqrt(sym2_det(gamma[0, 0], gamma[0, 1], gamma[1, 1]))
     eps = np.zeros(gamma.shape)
     eps[0, 1] = 1.0 / s
     eps[1, 0] = -1.0 / s

@@ -61,8 +61,7 @@ def renormalized_curvature(result: P.TransportResult, i: int) -> RenormalizedCur
 
 
 def flat_data(chart, grid, omega=None, dlog=None):
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     return C.ReducedCharData(grid, chart, ring, omega or one, dlog or zero, *C.ring_entries(ring))
@@ -72,9 +71,7 @@ def curved_cone_data(chart, grid):
     t1, _ = chart.mesh()
     om = 2.0 * np.pi / chart.L1
     gfun = 4.0 / om**2 + (2.0 / om**2) * np.cos(om * t1)
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = 1.0 / gfun
-    ring[1, 1] = 1.0 / gfun
+    ring = (1.0 / gfun, np.zeros(chart.shape), 1.0 / gfun)
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
@@ -86,7 +83,7 @@ def chart_shaped(data):
     wide = lambda a, lead: np.broadcast_to(a, lead + shape)
     one = lambda f: lambda ub: wide(f(ub), (len(ub),))
     three = lambda f: lambda ub: tuple(wide(x, (len(ub),)) for x in f(ub))
-    return C.ReducedCharData(data.grid, data.chart, wide(data.gamma_ring, (2, 2)), one(data.omega),
+    return C.ReducedCharData(data.grid, data.chart, tuple(wide(x, ()) for x in data.gamma_ring), one(data.omega),
                              one(data.dlog_omega), three(data.entries), three(data.dentries))
 
 
@@ -102,7 +99,8 @@ def test_slice_fields_of_a_compact_solution_are_those_of_its_chart_broadcast():
     chart = AngularGrid(16, 4)
     grid = Grid1D(0.0, 0.5, 33)
     om = 2.0 * np.pi / chart.L1
-    ring = np.eye(2)[:, :, None, None] / (4.0 / om**2 + (2.0 / om**2) * np.cos(om * chart.theta1()[:, None]))
+    gfun = 4.0 / om**2 + (2.0 / om**2) * np.cos(om * chart.theta1()[:, None])
+    ring = (1.0 / gfun, np.zeros_like(gfun), 1.0 / gfun)
     one = lambda ub: np.ones((len(ub), 1, 1))
     zero = lambda ub: np.zeros((len(ub), 1, 1))
     data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
@@ -225,8 +223,7 @@ def test_residual_sensitivity_to_shear_perturbation():
     # outgoing expansion residual linearly
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 0.5, 129)
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
 
@@ -263,8 +260,7 @@ def test_gauge_identity_oscillator_data():
     k = H.select_k(bg)
     fam = H.OscillatoryFamily(bg, k, 8)
     sol, = H.solve_phi_n([fam])
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     data = C.ReducedCharData(grid, chart, ring, bg.data.omega, bg.data.dlog_omega,
                              fam.entries, lambda ub: fam.jet(ub)[1])
     trchi, chihat, chi = chi_from_data(data, sol, 0.33, identity_tol=1e-10)

@@ -5,6 +5,7 @@ import csv
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nulldust import acceptance, constraints
 from nulldust import compcompact as CC
 from nulldust.acceptance import Verdict
 from nulldust.cli import _write_csv, build_parser, main
+from nulldust.grids import MAX_NODES
 
 
 def run_cli(args, tmp_path):
@@ -173,6 +175,38 @@ def test_pipeline_levels_refused_before_first_solve(tmp_path, capsys, monkeypatc
     assert "PASS" not in out.out and "FAIL" not in out.out
     assert "error:" in out.err
     assert not (tmp_path / "measure-pipeline").exists()
+
+
+@pytest.mark.parametrize("m_seq, level", [("1000..1003", "m=1000"), ("200..203", "m=200")])
+def test_pipeline_level_lost_in_rounding_is_refused_before_any_work(tmp_path, capsys, monkeypatch, m_seq, level):
+    # eps = 2^-2000 underflows to 0.0; at m = 200 the kernel support 0.45 +- 2 eps rounds to 0.45
+    solves = counted_solves(monkeypatch)
+    code = run_cli(["measure-pipeline", "--m-seq", m_seq], tmp_path)
+    assert code == 2
+    assert solves == []
+    err = capsys.readouterr().err
+    assert level in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "measure-pipeline").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["burnett", "--lambda-seq", "30..33"],  # 2^35 + 1 nodes, 256 GiB of them
+    ["measure-pipeline", "--k", "1e300"],  # a resolving grid of about 1e302 nodes
+])
+def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, args):
+    tracemalloc.start()
+    try:
+        code = run_cli(args, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 64 * 2**20
+    err = capsys.readouterr().err
+    assert f"ceiling of {MAX_NODES} nodes" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / args[0]).exists()
 
 
 def test_pipeline_refuses_atom_free_dust_before_first_solve(monkeypatch):

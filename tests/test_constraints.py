@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nulldust import constraints as C
-from nulldust.fields import sym2_entries, sym2_inverse, sym2_pack
+from nulldust.fields import sym2_inverse, sym2_pack
 from nulldust.grids import AngularGrid, Grid1D
 from nulldust.odesolve import FocusingError
 from nulldust.rates import fit_rate
@@ -20,9 +20,12 @@ def chart():
 
 @pytest.fixture
 def ring(chart):
-    g = np.zeros((2, 2) + chart.shape)
-    g[0, 0] = g[1, 1] = 1.0
-    return g
+    return np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape)
+
+
+def entries_of(g):
+    """Entries (a, b, d) of a packed field g of symmetric 2x2 matrices."""
+    return g[0, 0], g[0, 1], g[1, 1]
 
 
 def const_maps(chart):
@@ -69,7 +72,7 @@ def diag_exp_metric(chart, rate=2.0):
 
 def test_norm_square_constant_metric(chart, ring):
     zero = np.zeros(chart.shape)
-    assert np.abs(C.dgamma_norm_sq(sym2_entries(ring), (zero, zero, zero))).max() == 0.0
+    assert np.abs(C.dgamma_norm_sq(ring, (zero, zero, zero))).max() == 0.0
 
 
 def test_norm_square_diagonal_oracle(chart):
@@ -90,8 +93,8 @@ def test_norm_square_rotation_invariant(chart):
     R = np.array([[c, -s], [s, c]])
     gr = np.einsum("ca,db,cd...->ab...", R, R, g)
     Mr = np.einsum("ca,db,cd...->ab...", R, R, M)
-    rotated = C.dgamma_norm_sq(sym2_entries(gr), sym2_entries(Mr))
-    assert np.abs(rotated - C.dgamma_norm_sq(sym2_entries(g), sym2_entries(M))).max() < 1e-12
+    rotated = C.dgamma_norm_sq(entries_of(gr), entries_of(Mr))
+    assert np.abs(rotated - C.dgamma_norm_sq(entries_of(g), entries_of(M))).max() < 1e-12
 
 
 def test_norm_square_matrix_oracle(chart):
@@ -104,8 +107,8 @@ def test_norm_square_matrix_oracle(chart):
     assert np.all(g[..., 0, 1] != 0.0)
     inv = np.linalg.inv(g)
     oracle = np.trace(inv @ M @ inv @ M, axis1=-2, axis2=-1)
-    slots_first = lambda x: np.moveaxis(x, (-2, -1), (0, 1))  # the layout sym2_entries reads
-    val = C.dgamma_norm_sq(sym2_entries(slots_first(g)), sym2_entries(slots_first(M)))
+    slots_first = lambda x: np.moveaxis(x, (-2, -1), (0, 1))  # the layout entries_of reads
+    val = C.dgamma_norm_sq(entries_of(slots_first(g)), entries_of(slots_first(M)))
     assert np.abs(val - oracle).max() < 1e-12 * np.abs(oracle).max()
 
 
@@ -176,8 +179,7 @@ def test_point_locality_bitwise(chart, ring):
     phi0 = 1.0 + 0.1 * np.cos(t1)
     full = C.solve_constraint(data, phi0, 0.0)
     sub_chart = AngularGrid(4, 4)
-    sub_ring = np.zeros((2, 2) + sub_chart.shape)
-    sub_ring[0, 0] = sub_ring[1, 1] = 1.0
+    sub_ring = (np.ones(sub_chart.shape), np.zeros(sub_chart.shape), np.ones(sub_chart.shape))
     one_s, zero_s = const_maps(sub_chart)
     gh_s, dgh_s = diag_exp_metric(sub_chart)
     data_s = C.ReducedCharData(grid, sub_chart, sub_ring, one_s, zero_s, gh_s, dgh_s)
@@ -336,10 +338,18 @@ def test_det_ratio_enforced(chart, ring):
 
 
 def test_ring_with_slots_last_is_rejected(chart, ring):
+    # the ring packed slots last, (n1, n2, 2, 2), is not its entries
     one, zero = const_maps(chart)
-    slots_last = np.moveaxis(ring, (0, 1), (-2, -1))
-    with pytest.raises(ValueError, match="gamma_ring shape"):
+    slots_last = np.moveaxis(sym2_pack(*ring), (0, 1), (-2, -1))
+    with pytest.raises(ValueError, match=r"gamma_ring\[0\] shape"):
         C.ReducedCharData(Grid1D(0.0, 1.0, 11), chart, slots_last, one, zero, *C.ring_entries(ring))
+
+
+def test_packed_ring_is_refused_by_name(chart, ring):
+    # the ring packed slots first, (2, 2, n1, n2): refused by name, not by a failed unpacking
+    one, zero = const_maps(chart)
+    with pytest.raises(ValueError, match=r"^gamma_ring\[0\] shape \(2, 8, 4\)"):
+        C.ReducedCharData(Grid1D(0.0, 1.0, 11), chart, sym2_pack(*ring), one, zero, *C.ring_entries(ring))
 
 
 @pytest.mark.parametrize("name", ["gamma_ring", "omega", "dlog_omega", "entries", "dentries", "density"])
@@ -351,7 +361,7 @@ def test_a_map_on_another_chart_is_refused_by_name(chart, ring, name):
     args = {"gamma_ring": ring, "omega": one, "dlog_omega": zero, "entries": entries, "dentries": dentries}
     density = zero
     if name == "gamma_ring":
-        args[name] = np.moveaxis(ring, -1, -2).copy()
+        args[name] = tuple(np.moveaxis(x, -1, -2).copy() for x in ring)
     elif name in ("entries", "dentries"):
         args[name] = lambda ub, fn=args[name]: (transposed(ub), *fn(ub)[1:])
     elif name == "density":

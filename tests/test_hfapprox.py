@@ -27,8 +27,7 @@ def make_background(chart, grid, f_level=1.0, b_amp=0.0, phi_const=True):
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     cst = lambda field: (lambda ub: np.broadcast_to(field, (len(np.atleast_1d(ub)),) + chart.shape).copy())
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     f_fn = lambda ub: f_level * (1.0 + 0.5 * np.sin(2 * np.pi * np.asarray(ub, float)))[:, None, None] * np.ones(chart.shape)
     df_fn = lambda ub: f_level * (np.pi * np.cos(2 * np.pi * np.asarray(ub, float)))[:, None, None] * np.ones(chart.shape)
     data = C.ReducedCharData(

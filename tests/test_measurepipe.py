@@ -18,8 +18,7 @@ from nulldust.testfunctions import bump_dictionary, plateau
 def setting():
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 1.0, 257)
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     t1, _ = chart.mesh()
@@ -94,8 +93,7 @@ def test_mass_functional_matches_pairing_limit(setting):
 def test_empty_measure_gives_constant_family():
     chart = AngularGrid(4, 4)
     grid = Grid1D(0.0, 1.0, 129)
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     dust = C.NullDustMeasure(atoms=[], density=zero)

@@ -17,8 +17,7 @@ from nulldust.testfunctions import bump_dictionary
 def setting():
     chart = AngularGrid(8, 4)
     grid = Grid1D(0.0, 1.0, 257)
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     t1, _ = chart.mesh()
@@ -141,8 +140,7 @@ def test_invalid_dyadic_index(setting):
 def test_atom_crowded_by_both_boundaries():
     chart = AngularGrid(4, 4)
     grid = Grid1D(0.0, 0.2, 65)
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     one = lambda ub: np.ones((len(ub),) + chart.shape)
     zero = lambda ub: np.zeros((len(ub),) + chart.shape)
     dust = C.NullDustMeasure(atoms=[(0.1, np.ones(chart.shape))])

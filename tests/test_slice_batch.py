@@ -102,8 +102,7 @@ def shear_data(grid, chart=AngularGrid(16, 8)):
     """Unit-determinant gamma_hat with ub-dependent a, b != 0 and d, and a
     lapse that varies along the cone and around it."""
     t1, t2 = chart.mesh()
-    ring = np.zeros((2, 2) + chart.shape)
-    ring[0, 0] = ring[1, 1] = 1.0
+    ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
 
     def entries(ub):
         u = np.asarray(ub, float)[:, None, None]
