@@ -471,8 +471,9 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     lines, whose atoms lose an angular strip of their mass.
 
     Raises ValueError before the first solve when dust has no atom (the
-    pipeline concentrates atoms, so its verdict would say nothing) or when
-    mollify.check_level refuses a level.
+    pipeline concentrates atoms, so its verdict would say nothing), when
+    mollify.check_level refuses a level, or when k would give a level's
+    member a grid past grids.MAX_NODES (measurepipe.check_member_grids).
     """
     grid = Grid1D(0.0, 1.0, 257)
     atoms = [loc for kind, loc, _ in dust if kind == "atom"]
@@ -485,6 +486,10 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
     measure = _dust_measure(dust, chart)
     measure.atoms = [(loc, mass * (1.0 - strip)) for loc, mass in measure.atoms]
+    if k is not None:  # the member grids depend on the atoms' windows, k and n(m) alone
+        probe = _ring_data(grid, chart, _FLAT_RING, measure)
+        for m in m_seq:
+            MP.check_member_grids(M.MollifiedDensity(probe, m), k, MP.MeasurePipeline.n_of(m))
 
     def pipeline(measure):
         """The measure's pipeline, with k frozen over the first and last level."""
@@ -511,7 +516,8 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     rows2 = MP.pipeline_weak_check(pipe2, pipe2.members([m_seq[-1]]), [tf])
     lim1 = rows[-1]["difference"]
     lim2 = rows2[-1]["difference"]
-    linearity = abs(lim2 / lim1 - 2.0) / 2.0
+    # a zero pairing of the measure has no ratio to test: the check fails
+    linearity = abs(lim2 / lim1 - 2.0) / 2.0 if lim1 != 0.0 else math.inf
 
     ub = np.linspace(grid.a, grid.b, 1001)
     min_phi = _fold(min, (float(mem.phi_vac(ub).min()) for mem in members))

@@ -29,14 +29,17 @@ from DustBackground.jet(ub), one call of each background map (the dust
 entries and their derivatives, f, f', Phi, Phi'); the norm-square
 |dgamma_n|^2 reads it, one block of _STENCIL_BLOCK points at a time, so a
 vacuum march's coefficient batch never holds a whole chunk's jet.
-family_convergence walks each distinct row lattice once, in blocks of
-_STENCIL_BLOCK points.  Each block evaluates the background once, the
-control |dgamma|^2 Phi^2 and 4 f once, and the envelopes once at its four
-stencil offsets; each member on the lattice then adds its phase terms and
-folds the block's sup-norms into its row.
+family_convergence marches the members' vacuum solves in lockstep, each
+folding its Phi gaps chunk by chunk as the march closes them, so no member
+solution is ever held.  It then walks each distinct row lattice once, in
+blocks of _STENCIL_BLOCK points.  Each block evaluates the background once,
+the control |dgamma|^2 Phi^2 and 4 f once, and the envelopes at each of its
+four stencil offsets in turn; each member on the lattice then adds its phase
+terms and folds the block's sup-norms into its row.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -49,9 +52,10 @@ from .odesolve import march
 
 _MAX_DOUBLINGS = 20  # wavenumber escalation steps before giving up
 # Points per block of family_convergence's lattice walk, of a lone
-# corrector_jet and of dgamma_normsq.  In the walk a block's envelope batch is
-# its four stencil offsets, 4,096 points, since the block points' own
-# envelopes come from the block's background evaluation; a lone corrector_jet
+# corrector_jet and of dgamma_normsq.  In the walk a block's envelope batches
+# are its four stencil offsets, one at a time, 1,024 points each, since the
+# block points' own envelopes come from the block's background evaluation (the
+# envelopes are elementwise in ub, so the batching moves no bit); a lone corrector_jet
 # evaluates the block and its offsets together, 5,120 points.  dgamma_normsq
 # evaluates the jet of one block at a time, so the vacuum march's chunk of
 # 8,193 points holds one block's temporaries, not the chunk's.  No member
@@ -227,6 +231,15 @@ class OscillatoryFamily:
         n = max(grid.n, int(np.ceil((grid.b - grid.a) / wavelength * per_wavelength)) + 1)
         return Grid1D(grid.a, grid.b, n)
 
+    def vacuum_problem(self):
+        """The vacuum constraint with the oscillatory shear on the resolving
+        grid (16 steps per wavelength), from the dust solution's initial value
+        and slope."""
+        grid = self.resolving_grid(16)
+        ub0 = np.array([grid.a])
+        bg = self.background
+        return constraint_problem(bg.data, [grid], self.dgamma_normsq, None, bg.phi(ub0)[0], bg.dphi(ub0)[0])
+
 
 def _double_until(k: float, admissible, message: str) -> float:
     """The first of k, 2k, 4k, ... (at most _MAX_DOUBLINGS) that is admissible.
@@ -260,34 +273,39 @@ def select_k(background: DustBackground) -> float:
                          f"no positive-definite oscillation found after {_MAX_DOUBLINGS} doublings")
 
 
-def solve_phi_n(families) -> list:
-    """Vacuum constraint solves with the oscillatory shear, one DenseSolution
-    per family, marched in lockstep; each matches its dust solution's initial
-    value and slope (16 steps per wavelength)."""
-    problems = []
-    for fam in families:
-        grid = fam.resolving_grid(16)
-        ub0 = np.array([grid.a])
-        bg = fam.background
-        problems.append(constraint_problem(bg.data, [grid], fam.dgamma_normsq, None, bg.phi(ub0)[0], bg.dphi(ub0)[0]))
-    return march(problems)
+class _PhiGaps:
+    """Consumer of a member's vacuum node rows (odesolve.Problem): the sup
+    gaps of Phi and Phi' to the dust ones, folded chunk by chunk with
+    np.maximum, which keeps a NaN.  The dust is evaluated on
+    grid.points()[rows], the nodes a DenseSolution of the member has."""
+
+    def __init__(self, background, problem):
+        self.background, self.grids, self.gaps = background, problem.grids, [-np.inf, -np.inf]
+
+    def take(self, seg, rows, phi, dphi, ddphi):
+        nodes = self.grids[seg].points()[rows]
+        for i, (values, dust) in enumerate(((phi, self.background.phi), (dphi, self.background.dphi))):
+            self.gaps[i] = np.maximum(self.gaps[i], np.abs(values - dust(nodes)).max())
+
+    def result(self):
+        return float(self.gaps[0]), float(self.gaps[1])
 
 
 def family_convergence(background: DustBackground, n_values):
     """Sup-norm tables for gamma_n -> gamma_dust, Phi_n -> Phi_dust, the weak
     defect, and its corrector-free negative control, per n.
 
-    The members' vacuum solves march together; their Phi gaps are taken
-    before the rows, and each solution is dropped once its gaps are, so no
-    solution is held while the rows are computed.
-    A member's row lattice is linspace(a, b, max(4096, n_grid)) of its
-    resolving grid; the members on one lattice walk it together (module
+    The members' vacuum solves march together, and each folds its Phi gaps
+    as the march closes its chunks (_PhiGaps), so no member solution is ever
+    held.  A member's row lattice is linspace(a, b, max(4096, n_grid)) of its
+    resolving grid; the members on one lattice walk it together, and each
+    block evaluates the envelopes one stencil offset at a time (module
     docstring).
     """
     k = select_k(background)
     families = [OscillatoryFamily(background, k, n) for n in n_values]
-    solutions = solve_phi_n(families)
-    phi_gaps = [_phi_gaps(solutions.pop(0), background) for _ in families]
+    fold = partial(_PhiGaps, background)
+    phi_gaps = march([replace(fam.vacuum_problem(), consumer=fold) for fam in families])
     rows = [{"n": n, "k": k, "gamma_gap": -np.inf, "phi_gap": gap_phi, "dphi_gap": gap_dphi,
              "weak_defect": -np.inf, "defect_no_corrector": -np.inf, "det_defect": -np.inf,
              "corrector_sup": -np.inf}
@@ -306,8 +324,8 @@ def family_convergence(background: DustBackground, n_values):
             # the dust's |dgamma|^2, Phi^2 and 4 f, which every member's defect shares
             control = dgamma_norm_sq(dust, dentries)
             phi2, four_f = phi**2, 4.0 * f
-            at_offsets = _envelopes(background, k, np.concatenate([u + o for o in offs]))
-            envelopes = [[e, *np.split(v, 4)] for e, v in zip(_amplitudes(k, dust, dentries, f, phi), at_offsets)]
+            at_offsets = zip(*(_envelopes(background, k, u + o) for o in offs))
+            envelopes = [[e, *v] for e, v in zip(_amplitudes(k, dust, dentries, f, phi), at_offsets)]
             for fam, row in members:
                 (ea, eb, ed), dmember = fam.jet(u, maps)
                 # [|dgamma_n|^2 - |dgamma|^2] Phi^2 - 4 f: the weak defect before the
@@ -326,18 +344,6 @@ def family_convergence(background: DustBackground, n_values):
                 for key, sup in block.items():
                     row[key] = float(np.maximum(row[key], sup))  # keeps a NaN, which max would drop
     return rows
-
-
-def _phi_gaps(sol, background):
-    """Sup gaps of a vacuum solve's Phi and Phi' to the dust ones on its nodes,
-    taken in blocks of _STENCIL_BLOCK nodes and folded with np.maximum, which
-    keeps a NaN."""
-    nodes, gaps = sol.nodes(), [-np.inf, -np.inf]
-    for lo in range(0, len(nodes), _STENCIL_BLOCK):
-        rows = slice(lo, lo + _STENCIL_BLOCK)
-        for i, (values, dust) in enumerate(((sol.phi, background.phi), (sol.dphi, background.dphi))):
-            gaps[i] = np.maximum(gaps[i], np.abs(values[rows] - dust(nodes[rows])).max())
-    return float(gaps[0]), float(gaps[1])
 
 
 # ---------------------------------------------------------------------------

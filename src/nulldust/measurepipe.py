@@ -14,6 +14,7 @@ import numpy as np
 
 from .constraints import ReducedCharData, constraint_problem, measure_pairing
 from .fields import sym2_min_eigenvalue
+from .grids import MAX_NODES
 from .hfapprox import DustBackground, OscillatoryFamily, select_k_uniform
 from .mollify import MollifiedDensity, solve_phi_m_dust
 from .odesolve import DenseSolution, march, segmented_grids
@@ -47,7 +48,8 @@ class MeasurePipeline:
     def __post_init__(self):
         self._built = {}  # m -> (fm, bg) of level m, shared by freeze_k and members
 
-    def n_of(self, m: int) -> int:
+    @staticmethod
+    def n_of(m: int) -> int:
         n = 1
         target = 4 * 2.0 ** (2.5 * m)
         while n < target:
@@ -87,22 +89,39 @@ class MeasurePipeline:
 
     def members(self, m_values) -> list:
         """gamma_n and its vacuum solve per level m of the sequence m_values,
-        the solves marched in lockstep, with steps of 1/16 of the smaller of
-        the wavelength and eps inside the atom windows, where the oscillation
-        envelope lives, and 1/2048 of the interval outside them."""
+        the solves marched in lockstep on the grids of member_pieces."""
         if self.k is None:
             raise RuntimeError("freeze_k must run before building members")
-        smooth = (self.data.grid.b - self.data.grid.a) / 2048.0
         initial = self._initial()
         levels, problems = [], []
         for m, (fm, bg) in zip(m_values, self.backgrounds(m_values)):
             n = self.n_of(m)
             fam = OscillatoryFamily(bg, self.k, n)
-            fine = min(2.0 * np.pi / (self.k * n), fm.eps) / 16
-            grids = segmented_grids([(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()])
+            grids = segmented_grids(member_pieces(fm, self.k, n))
             levels.append((fm, fam))
             problems.append(constraint_problem(self.data, grids, fam.dgamma_normsq, None, *initial))
         return [PipelineMember(fm, fam, sol) for (fm, fam), sol in zip(levels, march(problems))]
+
+
+def member_pieces(fm: MollifiedDensity, k: float, n: int) -> list:
+    """(lo, hi, step) pieces of the vacuum grids of member n at level fm and
+    wavenumber k: steps of 1/16 of the smaller of the wavelength and eps
+    inside the atom windows, where the oscillation envelope lives, and 1/2048
+    of the interval outside them."""
+    grid = fm.data.grid
+    smooth = (grid.b - grid.a) / 2048.0
+    fine = min(2.0 * np.pi / (k * n), fm.eps) / 16
+    return [(lo, hi, fine if inside else smooth) for lo, hi, inside in fm.segments()]
+
+
+def check_member_grids(fm: MollifiedDensity, k: float, n: int) -> None:
+    """Refuse a wavenumber k whose member n at level fm would march a grid of
+    more than grids.MAX_NODES nodes, before anything is solved or allocated."""
+    for lo, hi, step in member_pieces(fm, k, n):
+        nodes = (hi - lo) / step + 1.0 if step > 0.0 else np.inf  # a step that underflows to 0.0 has no count
+        if nodes > MAX_NODES:
+            raise ValueError(f"k={k:g} at level m={fm.m}: the member grid on [{lo:g}, {hi:g}] would take"
+                             f" {nodes:.3g} nodes, past the ceiling of {MAX_NODES} nodes")
 
 
 def _shear_pairing(data: ReducedCharData, pieces, normsq_fn, phi_sol, phi_test) -> float:

@@ -16,6 +16,18 @@ the U columns left, the compact shape; the node rows, and the DenseSolution,
 have size 1 along every axis no chunk varied along.  Byte-equal inputs give
 byte-equal marches, bit-identical to marching every point.
 
+A chunk is at most _CHUNK steps and at most _POINT_STEPS point-steps, steps
+times compact columns, counted at the width of the segment's chunk before it,
+or at the full angular size for a segment's first chunk, whose data may vary
+along angles the last segment's did not: a 32-column march loads 512-step
+chunks, a one-column march 2,048-step ones.  Chunk boundaries move no bit,
+since every node is a column's own march from the one before.
+
+Each closed chunk's node rows go to the problem's consumer (Problem): by
+default NodeTables, the tables the DenseSolution is built from; a caller that
+needs only a statistic of the nodes folds it chunk by chunk and never holds
+the solution.  The next chunk starts from the chunk's last node row.
+
 The kernels read the factors of the classical step that do not change along
 it, the hoisted tables 2*gl, cc and 0.5*ff on the half-step lattice, each
 with a column axis of M, one entry per column, or of 1, one entry that every
@@ -35,7 +47,8 @@ resumes from the stored node state; the RK4 step acts on each column alone,
 so every problem's nodes are bit-identical to marching it by itself.  The
 error raised is the one marching the problems one after another would raise:
 that of the first failing problem in list order, at the location it reports
-alone.  Each problem gives one DenseSolution over all its segments.
+alone.  Each problem gives its consumer's result: by default one
+DenseSolution over all its segments.
 
 _rk4_chunk marches the U columns of one round with one of two kernels, U being
 the round's total over its problems.  For U < _ROWS_MIN_POINTS the column
@@ -68,7 +81,14 @@ class FocusingError(NumericalFailure):
     finite: the metric degenerates."""
 
 
-_CHUNK = 2048  # steps marched per coefficient batch
+_CHUNK = 2048  # most steps marched per coefficient batch
+# Most point-steps (steps times compact columns) per coefficient batch: a
+# chunk's hoisted tables, nodes and the row kernel's row views grow with it, so
+# a 32-column chunk is 512 steps.  _CHUNK still caps a one-column march at
+# 2,048 steps: 16,384-step one-column chunks would save the fixed per-chunk
+# cost (about 110 us) but raised criterion 1's tracemalloc peak from 2.4 to
+# 7.1 MiB.
+_POINT_STEPS = 2**14
 # Smallest U, the columns of one round summed over its problems, for which the
 # numpy row kernel beats the column kernel on Python floats.  The row kernel
 # costs about 25-40 us a step almost whatever U (on a shared 2-core x86 host
@@ -298,6 +318,31 @@ def angular_array(name, a, lead, shape):
     return a
 
 
+class NodeTables:
+    """The default consumer of a problem's node rows: the phi, dphi and ddphi
+    rows of all its segments' nodes, of size 1 along each angular axis no
+    chunk has varied along yet; its result is the DenseSolution over them."""
+
+    def __init__(self, problem):
+        self.grids = problem.grids
+        self.starts = np.cumsum([0] + [g.n for g in problem.grids]).tolist()
+        self.tables = [np.empty((self.starts[-1],) + (1,) * np.ndim(problem.phi0)) for _ in range(3)]
+
+    def take(self, seg, rows, phi, dphi, ddphi):
+        """Write a chunk's node rows, rows of segment seg, first widening the
+        tables along each axis the chunk is the first to vary along; a later
+        chunk of the segment overwrites the node the two share."""
+        shape = np.broadcast_shapes(self.tables[0].shape[1:], phi.shape[1:])
+        if shape != self.tables[0].shape[1:]:
+            self.tables = [np.array(np.broadcast_to(t, t.shape[:1] + shape)) for t in self.tables]
+        base = self.starts[seg]
+        for table, nodes in zip(self.tables, (phi, dphi, ddphi)):
+            table[base + rows.start : base + rows.stop] = nodes
+
+    def result(self):
+        return DenseSolution(self.grids, *self.tables)
+
+
 @dataclass
 class Problem:
     """One march: phi'' = 2*glog*phi' - coeff*phi - source/(2 phi) from phi0, dphi0.
@@ -310,6 +355,10 @@ class Problem:
     jumps: optional derivative increments applied at the interior
     breakpoints, each a callable (phi_values -> dphi_increment) or None.
     phi_values and the solution are (..., *s), s as the march keeps it.
+    consumer maps the problem to what takes its node rows: an object whose
+    take(seg, rows, phi, dphi, ddphi) receives each closed chunk's rows, the
+    slice rows of segment seg's nodes, each (len, *s), and whose result() is
+    what march returns for the problem (NodeTables: the DenseSolution).
 
     A chunk keeps a coefficient whose provider gives it size 1 along every
     angular axis as one column, (L, 1), that every compact column reads, and
@@ -324,37 +373,36 @@ class Problem:
     phi0: np.ndarray
     dphi0: np.ndarray
     jumps: list | None = None
+    consumer: Callable = NodeTables
 
 
 class _March:
-    """One problem inside march: the phi, psi and acc rows of all its
-    segments' nodes, of size 1 along each angular axis no chunk has varied
-    along yet; the segment being marched, its state phi, dphi at the last
-    node, and the compact columns of its current chunk.
+    """One problem inside march: the consumer of its node rows; the segment
+    being marched, its state phi, dphi at the last node, and the compact
+    columns of its current chunk.
 
     Of the chunk it holds its compact shape, the hoisted tables g2, cc, f2
     of its U columns on the lattice, each (L, U) or (L, 1), and their nodes
-    o_phi, o_psi, of which the first done + 1 (of nc + 1) are marched.
+    o_phi, o_psi, of which the first done + 1 (of nc + 1) are marched.  U
+    outlives the chunk: it sizes the segment's next one.
     """
 
     def __init__(self, problem):
         self.problem = problem
         self.shape = np.shape(problem.phi0)
-        self.nodes = [np.empty((sum(g.n for g in problem.grids),) + (1,) * len(self.shape)) for _ in range(3)]
-        self.seg = self.base = 0
+        self.consumer = problem.consumer(problem)
+        self.seg = 0
         self._start_segment(problem.phi0, problem.dphi0)
 
     @property
     def finished(self):
         return self.seg == len(self.problem.grids)
 
-    def solution(self):
-        return DenseSolution(self.problem.grids, *self.nodes)
-
     def _start_segment(self, phi0, dphi0):
         self.grid = self.problem.grids[self.seg]
         self.state = phi0, dphi0
         self.pos = self.nc = self.done = 0
+        self.U = int(np.prod(self.shape))  # the full angular size sizes the segment's first chunk
 
     def advance(self):
         """Close a fully marched chunk, and its segment if that ends with it;
@@ -368,7 +416,7 @@ class _March:
 
     def _load(self):
         grid, p, pos, shape = self.grid, self.problem, self.pos, self.shape
-        nc = min(_CHUNK, grid.n - 1 - pos)
+        nc = min(_CHUNK, max(1, _POINT_STEPS // self.U), grid.n - 1 - pos)
         ub = grid.a + (pos + 0.5 * np.arange(2 * nc + 1)) * grid.h
         zero = lambda ub: np.zeros((len(ub),) + (1,) * len(shape))
         state = [angular_array(name, np.asarray(a, float)[None], (1,), shape)
@@ -403,25 +451,20 @@ class _March:
         )
 
     def _close_chunk(self):
-        """Write the chunk's node rows, first widening the rows along each axis
-        the chunk is the first to vary along; a later chunk of the segment
-        overwrites the node the two share.  When the chunk ends its segment,
-        start the next one, if any, from its last node: the same phi, and
-        dphi plus the breakpoint's jump."""
+        """Hand the chunk's node rows to the consumer and keep its last node
+        as the state.  When the chunk ends its segment, start the next one,
+        if any, from that node: the same phi, and dphi plus the breakpoint's
+        jump."""
         # the even lattice points are the nodes pos..pos+nc
         acc = self.g2[::2] * self.o_psi - self.cc[::2] * self.o_phi - self.f2[::2] / self.o_phi
-        shape = np.broadcast_shapes(self.nodes[0].shape[1:], self.compact)
-        if shape != self.nodes[0].shape[1:]:
-            self.nodes = [np.array(np.broadcast_to(t, t.shape[:1] + shape)) for t in self.nodes]
-        rows = slice(self.base + self.pos, self.base + self.pos + self.nc + 1)
-        for table, nodes in zip(self.nodes, (self.o_phi, self.o_psi, acc)):
-            table[rows] = nodes.reshape((-1, *self.compact))
-        self.state = phi, dphi = (self.nodes[0][rows.stop - 1], self.nodes[1][rows.stop - 1])
+        rows = slice(self.pos, self.pos + self.nc + 1)
+        self.consumer.take(self.seg, rows, *(a.reshape((-1, *self.compact)) for a in (self.o_phi, self.o_psi, acc)))
+        self.state = phi, dphi = tuple(a[-1].reshape(self.compact).copy() for a in (self.o_phi, self.o_psi))
         self.g2 = self.cc = self.f2 = self.o_phi = self.o_psi = None
         self.pos += self.nc
         self.nc = self.done = 0
         if self.pos == self.grid.n - 1:
-            self.seg, self.base = self.seg + 1, self.base + self.grid.n
+            self.seg += 1
             if not self.finished:
                 jumps = self.problem.jumps
                 jump = jumps[self.seg - 1] if jumps is not None else None
@@ -474,8 +517,8 @@ def _round(marches):
 
 
 def march(problems) -> list:
-    """March every problem; returns one DenseSolution per problem, over all
-    its grids.
+    """March every problem; returns its consumer's result per problem, by
+    default one DenseSolution over all its grids.
 
     The unfinished problems advance together, one _round at a time; each
     problem's nodes are bit-identical to marching it alone (module
@@ -501,7 +544,7 @@ def march(problems) -> list:
                 failure = failed
     if failure is not None:
         raise failure
-    return [m.solution() for m in marches]
+    return [m.consumer.result() for m in marches]
 
 
 _H0 = np.array([1.0, 0.0, 0.0, -10.0, 15.0, -6.0])

@@ -141,9 +141,13 @@ def test_criterion_4_solves_march_only_the_angles_their_data_vary_along(monkeypa
     assert A.criterion_constraints().passed
     assert len(solves) == 7
     # the glued shell's mass depends on theta1 alone: one column before the
-    # atom, one per theta1 line of the 8 x 4 chart after it
-    assert [cols for atoms, cols in solves if atoms] == [[1, 8]]
-    assert all(cols == [1] for atoms, cols in solves if not atoms)  # no angle at all
+    # atom, one per theta1 line of the 8 x 4 chart after it; each segment's
+    # first chunk is 512 steps, sized at the chart's 32 points, and the rest
+    # of each, 388 and 588 steps, one chunk at its compact width
+    assert [cols for atoms, cols in solves if atoms] == [[1, 1, 8, 8]]
+    # no angle at all: the four coarse solves of 50 to 400 steps in one chunk,
+    # the two on 2,000 steps in a 512-step chunk and one of the rest
+    assert [cols for atoms, cols in solves if not atoms] == [[1]] * 4 + [[1, 1]] * 2
 
 
 def cone_solves(monkeypatch):
@@ -156,7 +160,9 @@ def cone_solves(monkeypatch):
 def test_criterion_10_cone_solves_march_one_column(monkeypatch):
     solves = kernel_columns_per_solve(monkeypatch)
     cone_solves(monkeypatch)
-    assert solves == [(0, [1])] * 5
+    # a first chunk of 2^14 point-steps at the n1 x 4 chart's points, 64 steps
+    # at n1 = 64 and 128 at n1 = 32, then one chunk of the rest at one column
+    assert solves == [(0, [1, 1]), (0, [1]), (0, [1]), (0, [1]), (0, [1, 1])]
 
 
 def test_second_density_line_is_refused_before_any_solve(monkeypatch):
@@ -174,14 +180,14 @@ def test_second_density_line_is_refused_before_any_solve(monkeypatch):
 def solution_shapes(monkeypatch):
     """Record the angular shape of every DenseSolution a march hands back."""
     shapes = []
-    solution = odesolve._March.solution
+    result = odesolve.NodeTables.result
 
-    def recorded(march):
-        sol = solution(march)
+    def recorded(tables):
+        sol = result(tables)
         shapes.append(sol.phi.shape[1:])
         return sol
 
-    monkeypatch.setattr(odesolve._March, "solution", recorded)
+    monkeypatch.setattr(odesolve.NodeTables, "result", recorded)
     return shapes
 
 

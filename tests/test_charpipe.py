@@ -10,7 +10,7 @@ from nulldust import calculus as calc
 from nulldust import charpipe as P
 from nulldust import constraints as C
 from nulldust.grids import AngularGrid, Grid1D
-from nulldust.odesolve import DenseSolution
+from nulldust.odesolve import DenseSolution, march
 from nulldust.rates import fit_rate
 
 from test_calculus import curl_oneform, div_oneform, einsum_trailing, grad
@@ -259,7 +259,7 @@ def test_gauge_identity_oscillator_data():
     bg = make_background(chart, grid, f_level=1.0)
     k = H.select_k(bg)
     fam = H.OscillatoryFamily(bg, k, 8)
-    sol, = H.solve_phi_n([fam])
+    sol, = march([fam.vacuum_problem()])
     ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     data = C.ReducedCharData(grid, chart, ring, bg.data.omega, bg.data.dlog_omega,
                              fam.entries, lambda ub: fam.jet(ub)[1])

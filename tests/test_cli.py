@@ -12,6 +12,7 @@ import pytest
 
 from nulldust import acceptance, constraints
 from nulldust import compcompact as CC
+from nulldust import measurepipe as MP
 from nulldust.acceptance import Verdict
 from nulldust.cli import _write_csv, build_parser, main
 from nulldust.grids import MAX_NODES
@@ -194,7 +195,8 @@ def test_pipeline_level_lost_in_rounding_is_refused_before_any_work(tmp_path, ca
     ["burnett", "--lambda-seq", "30..33"],  # 2^35 + 1 nodes, 256 GiB of them
     ["measure-pipeline", "--k", "1e300"],  # a resolving grid of about 1e302 nodes
 ])
-def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, args):
+def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, monkeypatch, args):
+    solves = counted_solves(monkeypatch)
     tracemalloc.start()
     try:
         code = run_cli(args, tmp_path)
@@ -207,6 +209,30 @@ def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, args):
     assert f"ceiling of {MAX_NODES} nodes" in err
     assert "Traceback" not in err
     assert not (tmp_path / args[0]).exists()
+    if "--k" in args:  # refused before the background solves, by the argument and the level
+        assert solves == []
+        assert "k=1e+300 at level m=1" in err
+
+
+def test_zero_last_level_pairing_fails_the_linearity_check(tmp_path, monkeypatch):
+    # the shear difference of the last level read as 0.0: the doubled measure's
+    # has no ratio to it, so the linearity check fails instead of dividing by zero
+    check = MP.pipeline_weak_check
+
+    def zero_last_difference(*args):
+        rows = [dict(r) for r in check(*args)]
+        rows[-1]["difference"] = 0.0
+        return rows
+
+    monkeypatch.setattr(MP, "pipeline_weak_check", zero_last_difference)
+    v = acceptance.criterion_pipeline(m_seq=(1, 2, 3, 4))
+    assert not v.passed
+    assert v.details["linearity_deviation"] == float("inf")
+    assert v.details["checks"]["linearity_within_1pc"] is False
+    assert run_cli(["measure-pipeline", "--m-seq", "1..4"], tmp_path) == 1
+    summary = json.load(open(tmp_path / "measure-pipeline" / "summary.json"))
+    assert summary["checks"]["measure_pipeline/linearity_within_1pc"] is False
+    assert "error" not in summary
 
 
 def test_pipeline_refuses_atom_free_dust_before_first_solve(monkeypatch):

@@ -3,6 +3,8 @@
 import tracemalloc
 import weakref
 from collections import Counter
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from nulldust import acceptance as A
 from nulldust import constraints as C
 from nulldust import hfapprox as H
+from nulldust import odesolve
 from nulldust.errors import NonFiniteError
 from nulldust.fields import sym2_min_eigenvalue
 from nulldust.grids import AngularGrid, Grid1D
@@ -159,7 +162,7 @@ def test_positivity_escalation(chart, grid):
 def test_phi_solution_matches_dust_when_no_density(chart, grid):
     bg = make_background(chart, grid, f_level=0.0)
     fam = H.OscillatoryFamily(bg, 8.0, 4)
-    sol, = H.solve_phi_n([fam])
+    sol, = odesolve.march([fam.vacuum_problem()])
     nodes = sol.nodes()
     assert np.abs(sol.phi - bg.phi(nodes)).max() < 1e-12
 
@@ -193,7 +196,7 @@ def test_family_convergence_gamma_gap_keeps_a_nan(chart, grid, monkeypatch):
     # a NaN in d_n of the second member, the last of the three entry gaps
     # the gamma gap folds: max(gap_a, gap_b, nan) would drop it
     bg = make_background(chart, grid)
-    jet, solve = H.OscillatoryFamily.jet, H.solve_phi_n
+    jet, march = H.OscillatoryFamily.jet, H.march
 
     def nan_in_d(fam, ub, maps=None):
         (ea, eb, ed), dentries = jet(fam, ub, maps)
@@ -202,12 +205,12 @@ def test_family_convergence_gamma_gap_keeps_a_nan(chart, grid, monkeypatch):
             ed[1, 0, 0] = np.nan
         return (ea, eb, ed), dentries
 
-    def solve_then_poison(families):  # the vacuum solves see finite entries
-        sols = solve(families)
+    def march_then_poison(problems):  # the vacuum solves see finite entries
+        gaps = march(problems)
         monkeypatch.setattr(H.OscillatoryFamily, "jet", nan_in_d)
-        return sols
+        return gaps
 
-    monkeypatch.setattr(H, "solve_phi_n", solve_then_poison)
+    monkeypatch.setattr(H, "march", march_then_poison)
     rows = H.family_convergence(bg, [4, 8])
     assert np.isfinite(rows[0]["gamma_gap"])
     assert np.isnan(rows[1]["gamma_gap"])
@@ -319,7 +322,8 @@ def absorber_background(monkeypatch):
 
 def test_absorber_family_convergence_stays_small(monkeypatch):
     # criterion 5's six vacuum members, n = 4 ... 128 on 392 to 12,488 nodes x
-    # the 8 x 4 chart, march in lockstep; their node tables alone take 18 MiB
+    # the 8 x 4 chart, march in lockstep; their node tables would take 18 MiB,
+    # but each folds its Phi gaps chunk by chunk
     background = absorber_background(monkeypatch)
     tracemalloc.start()
     try:
@@ -328,43 +332,82 @@ def test_absorber_family_convergence_stays_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # about 32.6 MiB with one-column lapse and source tables, one copy of the
-    # coefficients per round and 2,048-step chunks; 45.4 MiB before them
-    assert peak / 2**20 <= 35.0
+    # about 11.6 MiB, set by the row walk, with the Phi gaps folded as the march
+    # goes, 512-step chunks at 32 columns and the envelopes one stencil offset
+    # at a time; 32.6 MiB before them
+    assert peak / 2**20 <= 16.0
 
 
 @pytest.mark.parametrize("name", ["phi", "dphi"])
 def test_nan_in_the_last_block_of_a_member_gives_a_nan_phi_gap(chart, grid, name, monkeypatch):
-    # n = 32 has 1,814 nodes, two blocks of _STENCIL_BLOCK; its last node is NaN
+    # n = 32 has 1,814 nodes, in more than one chunk; the fold sees a NaN in
+    # the last node of its last chunk, and the march goes on from finite nodes
     bg = make_background(chart, grid)
-    solve = H.solve_phi_n
+    take, chunks = H._PhiGaps.take, []
 
-    def poisoned(families):
-        sols = solve(families)
-        assert len(sols[1].phi) > H._STENCIL_BLOCK
-        getattr(sols[1], name)[-1] = np.nan
-        return sols
+    def poisoned(self, seg, rows, phi, dphi, ddphi):
+        n = self.grids[seg].n
+        values = {"phi": phi, "dphi": dphi}
+        if n == 1814 and rows.stop == n:
+            values[name] = values[name].copy()
+            values[name][-1] = np.nan
+        chunks.append(n)
+        return take(self, seg, rows, values["phi"], values["dphi"], ddphi)
 
-    monkeypatch.setattr(H, "solve_phi_n", poisoned)
+    monkeypatch.setattr(H._PhiGaps, "take", poisoned)
     rows = H.family_convergence(bg, [4, 32])
+    assert chunks.count(1814) > 1
     gap = f"{name}_gap"
     assert np.isfinite(rows[0][gap]) and np.isnan(rows[1][gap])
     other = "phi_gap" if name == "dphi" else "dphi_gap"
     assert np.isfinite(rows[1][other])
 
 
+def test_folded_phi_gaps_equal_the_gaps_of_the_member_solution(chart, grid, monkeypatch):
+    # b != 0 and a Phi that moves with ub: the n = 27 member marches 32 columns,
+    # four chunks of at most 512 steps over its 1,559 nodes, and its chunk
+    # lattice a + i h ends one bit away from the grid's last node, b
+    bg = make_background(chart, grid, b_amp=0.3, phi_const=False)
+    fam = H.OscillatoryFamily(bg, H.select_k(bg), 27)
+    take, chunks, seen = H._PhiGaps.take, [], []
+
+    def counted(self, seg, rows, *nodes):
+        chunks.append(rows)
+        return take(self, seg, rows, *nodes)
+
+    monkeypatch.setattr(H._PhiGaps, "take", counted)
+    # the fold reads Phi_dust through a recorder of the points it asks for
+    recorded = replace(bg, phi=lambda ub: seen.append(ub.copy()) or bg.phi(ub))
+    folded, = odesolve.march([replace(fam.vacuum_problem(), consumer=partial(H._PhiGaps, recorded))])
+    monkeypatch.undo()
+    assert len(chunks) >= 3
+    # the dust is read on the grid's linspace nodes, not on the chunk lattice a + i h
+    member = fam.resolving_grid(16)
+    assert member.a + (member.n - 1) * member.h != member.b
+    points = member.points()
+    assert [u.tobytes() for u in seen] == [points[rows].tobytes() for rows in chunks]
+    sol, = odesolve.march([fam.vacuum_problem()])
+    nodes = sol.nodes()
+    want = (float(np.abs(sol.phi - bg.phi(nodes)).max()), float(np.abs(sol.dphi - bg.dphi(nodes)).max()))
+    assert min(want) > 0.0
+    assert np.array(folded).tobytes() == np.array(want).tobytes()
+
+
 def test_each_vacuum_solution_is_dropped_once_its_gaps_are_taken(chart, grid, monkeypatch):
+    # no member solution is ever built: each member's node rows go to its
+    # fold, chunk by chunk, and no chunk's rows outlive the fold
     bg = make_background(chart, grid)
-    phi_gaps, taken = H._phi_gaps, []
+    take, taken = H._PhiGaps.take, []
 
-    def gaps(sol, background):
-        assert all(ref() is None for ref in taken)  # every solution before this one is gone
-        taken.append(weakref.ref(sol))
-        return phi_gaps(sol, background)
+    def gaps(self, seg, rows, phi, dphi, ddphi):
+        assert all(ref() is None for ref in taken)  # every chunk before this one is gone
+        taken.append(weakref.ref(phi.base))  # the chunk's node buffer
+        return take(self, seg, rows, phi, dphi, ddphi)
 
-    monkeypatch.setattr(H, "_phi_gaps", gaps)
+    monkeypatch.setattr(H._PhiGaps, "take", gaps)
+    monkeypatch.setattr(odesolve.NodeTables, "take", lambda *args: pytest.fail("a member's node table was built"))
     H.family_convergence(bg, [4, 8, 16])
-    assert len(taken) == 3
+    assert len(taken) >= 3
 
 
 def oracle_dcorrector(fam, ub):
@@ -457,7 +500,7 @@ def oracle_family_convergence(background, n_values):
             (fam.dgamma_normsq(ub) - background.data.dgamma_normsq(ub)) * background.phi(ub) ** 2
             - 4.0 * np.maximum(background.f(ub), 0.0)
         )
-        sol, = H.solve_phi_n([fam])
+        sol, = odesolve.march([fam.vacuum_problem()])
         nodes = sol.nodes()
         rows.append({
             "n": n,
@@ -479,24 +522,24 @@ def test_family_convergence_rows_equal_separate_evaluation(chart, grid, monkeypa
     # 4,096-point row lattice, and n = 128 has one of its own
     bg, calls = counted_background(chart, grid)
     n_values = [2, 4, 8, 128]
-    phi_gaps, before_rows = H._phi_gaps, []
+    march, before_rows = H.march, []
 
-    def gaps_then_count(sol, background):  # the last one runs just before the rows
-        out = phi_gaps(sol, background)
+    def march_then_count(problems):  # the march, which folds the Phi gaps, runs just before the rows
+        out = march(problems)
         before_rows[:] = [Counter(calls)]
         return out
 
-    monkeypatch.setattr(H, "_phi_gaps", gaps_then_count)
+    monkeypatch.setattr(H, "march", march_then_count)
     rows = H.family_convergence(bg, n_values)
     monkeypatch.undo()
     lattices = {max(4096, H.OscillatoryFamily(bg, rows[0]["k"], n).resolving_grid(16).n) for n in n_values}
     assert len(lattices) == 2
     assert before_rows[0]["df"] > 0  # the march read the members' jets; nothing else before the rows reads df
     # per block of each distinct lattice: one background evaluation, and one
-    # envelope evaluation at the block's four stencil offsets
+    # envelope evaluation at each of the block's four stencil offsets
     blocks = sum(-(-p // H._STENCIL_BLOCK) for p in lattices)
-    assert calls - before_rows[0] == {"entries": 2 * blocks, "dentries": 2 * blocks, "f": 2 * blocks,
-                                      "phi": 2 * blocks, "df": blocks, "dphi": blocks}
+    assert calls - before_rows[0] == {"entries": 5 * blocks, "dentries": 5 * blocks, "f": 5 * blocks,
+                                      "phi": 5 * blocks, "df": blocks, "dphi": blocks}
     assert rows == oracle_family_convergence(bg, n_values)
 
 

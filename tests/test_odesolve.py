@@ -93,14 +93,17 @@ def run_kernel(kernel, inputs, h):
 
 
 def chunk_problem(inputs, h, shape=None):
-    """A one-grid Problem of nc steps h whose providers return the chunk
-    inputs, on the points of shape (default (M,)) in C order."""
+    """A one-grid Problem of nc steps h whose providers return the rows of the
+    chunk inputs on each chunk's lattice, on the points of shape (default (M,))
+    in C order."""
     shape = inputs[0].shape if shape is None else shape
     phi0, psi0, gl, cc, ff = on_shape(inputs, shape)
     nc = (gl.shape[0] - 1) // 2
     grid = Grid1D(0.0, nc * h, nc + 1)
-    assert grid.h == h and nc <= odesolve._CHUNK  # one chunk, on this lattice
-    return odesolve.Problem([grid], lambda ub: gl, lambda ub: cc, lambda ub: ff, phi0[0].copy(), psi0[0].copy())
+    assert grid.h == h  # the march's lattice is the inputs' one
+    rows = lambda ub: np.rint(ub / (0.5 * h)).astype(int)  # ub = (pos + 0.5 i) h
+    return odesolve.Problem([grid], lambda ub: gl[rows(ub)], lambda ub: cc[rows(ub)], lambda ub: ff[rows(ub)],
+                            phi0[0].copy(), psi0[0].copy())
 
 
 def on_shape(arrays, shape):
@@ -394,22 +397,25 @@ def test_theta1_only_data_marches_one_column_per_theta1(monkeypatch):
     )
     seen = record_chunk_points(monkeypatch)
     sol = march()
-    assert seen == [8, 8]  # two chunks, eight columns each
+    # two chunks, eight columns each: 512 steps at the chart's 32 points, then
+    # the other 1,636 steps at the 8 columns the first one marched
+    assert seen == [8, 8]
     _full_march(monkeypatch)
     seen.clear()
     full = march()
-    assert seen == [32, 32]
+    assert seen == [32] * 5  # 512-step chunks at 32 columns: 4 x 512 + 100 steps
     for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (full.phi, full.dphi, full.ddphi)):
         assert a.shape == (grid.n, 8, 1) and b.shape == (grid.n, 8, 4)
         assert on_shape_rows(a, (8, 4)).tobytes() == b.tobytes()
 
 
 def test_solution_has_the_axes_any_chunk_varied_along(monkeypatch):
-    # (8, 4) chart: the coefficients are constant in chunk 1, up to and with
-    # the node the two chunks share, and vary along theta1 in chunk 2
+    # (8, 4) chart: the coefficients are constant in chunk 1, its 512 steps at
+    # the chart's 32 points up to and with the node the two chunks share, and
+    # vary along theta1 in chunk 2, the other 1,636 steps
     th = np.arange(8.0)[:, None]
     grid = Grid1D(0.0, 1.0, odesolve._CHUNK + 101)
-    split = grid.a + odesolve._CHUNK * grid.h
+    split = grid.a + odesolve._POINT_STEPS // 32 * grid.h
     late = lambda ub: ub[:, None, None] > split
     march = lambda: solve(
         grid,
@@ -425,7 +431,7 @@ def test_solution_has_the_axes_any_chunk_varied_along(monkeypatch):
     _full_march(monkeypatch)
     seen.clear()
     full = march()
-    assert seen == [32, 32]
+    assert seen == [32] * 5
     for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (full.phi, full.dphi, full.ddphi)):
         assert a.shape == (grid.n, 8, 1) and b.shape == (grid.n, 8, 4)
         assert on_shape_rows(a, (8, 4)).tobytes() == b.tobytes()
@@ -518,6 +524,8 @@ def test_run_of_colliding_columns_stays_apart_from_the_first(twin, monkeypatch):
     got = march_chunk(inputs, 0.01, shape)
     _full_march(monkeypatch)
     same_outcome(got, march_chunk(inputs, 0.01, shape))
+    # both marches fail on step 1,014, inside the first chunk of 1,024 steps at
+    # the shape's 16 points: 8 columns, then 16 without the compaction
     assert seen == [8, 16]
 
 
@@ -618,7 +626,9 @@ def test_size_one_axes_march_as_the_maps_padded_to_the_chart(varying, source, mo
     (sol, seen), (full, seen_full) = marches
     compact = tuple(n if ax in varying else 1 for ax, n in enumerate(shape))
     U = int(np.prod(compact))
-    assert seen == seen_full == [U, U]  # two chunks
+    # 512 steps at the chart's 32 points, then chunks of 2,048 steps, or of 512
+    # when all 32 points are columns: 2 chunks, or 4 x 512 + 100 steps
+    assert seen == seen_full == [U] * (5 if U == 32 else 2)
     for a, b in zip((sol.phi, sol.dphi, sol.ddphi), (full.phi, full.dphi, full.ddphi)):
         assert a.shape == b.shape == (grid.n,) + compact
         assert on_shape_rows(a, shape).tobytes() == on_shape_rows(b, shape).tobytes()
@@ -857,6 +867,63 @@ def test_equal_columns_with_different_steps_stay_apart(monkeypatch):
     for grid, sol in zip(grids, batch):
         same_solution(sol, odesolve.march([make(grid)])[0])
         assert abs(sol.phi[-1, 0] - np.cos(1.0)) < 1e-8
+
+
+def record_chunk_steps(monkeypatch):
+    """Wrap _March._load to record (steps, the width it was sized at) of each
+    chunk it loads."""
+    seen = []
+    load = odesolve._March._load
+
+    def recorder(march):
+        width = march.U
+        load(march)
+        seen.append((march.nc, width))
+
+    monkeypatch.setattr(odesolve._March, "_load", recorder)
+    return seen
+
+
+def test_point_step_cap_moves_no_node(monkeypatch):
+    # three problems on the 8 x 4 chart with different steps, whose data vary
+    # along both angles: chunks of 512 steps at 32 columns, against 2,048
+    problems = lambda: [shaped_problem((8, 4), [Grid1D(0.0, 1.0, n)], seed=n) for n in (1201, 2701, 4501)]
+    steps = record_chunk_steps(monkeypatch)
+    capped = odesolve.march(problems())
+    assert max(nc for nc, _ in steps) == odesolve._POINT_STEPS // 32 == 512
+    monkeypatch.setattr(odesolve, "_POINT_STEPS", 32 * odesolve._CHUNK)
+    steps.clear()
+    uncapped = odesolve.march(problems())
+    assert max(nc for nc, _ in steps) == odesolve._CHUNK
+    for a, b in zip(capped, uncapped):
+        for x, y in zip((a.phi, a.dphi, a.ddphi), (b.phi, b.dphi, b.ddphi)):
+            assert np.array_equal(x, y)
+            assert x.tobytes() == y.tobytes()
+
+
+def test_one_column_march_loads_2048_step_chunks(monkeypatch):
+    # a march with no angle, and one on the 8 x 4 chart whose data vary in no
+    # angle: its first chunk is sized at the chart's 32 points, the others at
+    # the one column the chunk before marched
+    steps = record_chunk_steps(monkeypatch)
+    odesolve.march([shaped_problem((), [Grid1D(0.0, 1.0, 2 * odesolve._CHUNK + 101)], seed=1)])
+    assert steps == [(2048, 1), (2048, 1), (100, 1)]
+    steps.clear()
+    flat = lambda ub: np.full((len(ub), 1, 1), 0.5)
+    odesolve.march([odesolve.Problem([Grid1D(0.0, 1.0, 2 * odesolve._CHUNK + 101)], flat, flat, None,
+                                     np.ones((8, 4)), np.zeros((8, 4)))])
+    assert steps == [(512, 32), (2048, 1), (1636, 1)]
+
+
+def test_each_segment_sizes_its_first_chunk_at_the_full_width(monkeypatch):
+    # data on the 8 x 4 chart that vary in no angle, on two segments: each
+    # segment's first chunk is sized at the chart's 32 points, since its data
+    # may vary along angles the segment before did not
+    steps = record_chunk_steps(monkeypatch)
+    flat = lambda ub: np.full((len(ub), 1, 1), 0.5)
+    grids = [Grid1D(0.0, 0.5, 1001), Grid1D(0.5, 1.0, 601)]
+    odesolve.march([odesolve.Problem(grids, flat, flat, None, np.ones((8, 4)), np.zeros((8, 4)), [None])])
+    assert steps == [(512, 32), (488, 1), (512, 32), (88, 1)]
 
 
 def crushing_problem(n, crush_at, M=4):
