@@ -21,7 +21,7 @@ from . import measurepipe as MP
 from . import mollify as M
 from . import planewave as pw
 from . import shellmod as S
-from .grids import AngularGrid, Grid1D
+from .grids import MAX_NODES, AngularGrid, Grid1D
 from .odesolve import Problem, march
 from .quadrature import gauss_legendre_integrate, panel_values
 from .rates import fit_rate
@@ -72,9 +72,18 @@ def _fold(pick, values):
 # ---------------------------------------------------------------------------
 
 def criterion_burnett(*, lambda_seq=tuple(range(2, 11)), seed="cosine") -> Verdict:
-    """lambda_seq: dyadic exponents j of the members lambda = 2^-j; seed: a planewave.SEEDS key."""
+    """lambda_seq: dyadic exponents j of the members lambda = 2^-j; seed: a planewave.SEEDS key.
+
+    Raises ValueError before the first member is built when a member's grid
+    would pass grids.MAX_NODES.
+    """
     seed = pw.SEEDS[seed]
     lam_seq = [2.0**-j for j in lambda_seq]
+    for j in lambda_seq:  # member j takes 64 nodes per wavelength 2^-j on [0, 0.5]
+        nodes = 32 * 2**j + 1
+        if nodes > MAX_NODES:
+            raise ValueError(f"lambda_seq j={j} (lambda={2.0**-j:g}): the member grid on [0, 0.5] would take"
+                             f" {nodes} nodes, past the ceiling of {MAX_NODES} nodes")
 
     def family(lam):
         n = max(4097, int(np.ceil(64 * 0.5 / lam)) + 1)
@@ -599,9 +608,13 @@ def criterion_trapped() -> Verdict:
 # 9. directional frequency splitting
 # ---------------------------------------------------------------------------
 
-def criterion_compensated() -> Verdict:
-    box = CC.PeriodicBox((256, 256))
-    rng = np.random.default_rng(7)
+def criterion_compensated(*, c1=4.0, grid=256, seed_value=7) -> Verdict:
+    """c1: the support trials' C1; grid: the side of the partition and trial
+    box; seed_value: the seed of their random draws."""
+    if grid * grid > MAX_NODES:  # refused before the box's first field is drawn
+        raise ValueError(f"grid={grid}: the box would take {grid * grid} nodes, past the ceiling of {MAX_NODES} nodes")
+    box = CC.PeriodicBox((grid, grid))
+    rng = np.random.default_rng(seed_value)
 
     f = rng.standard_normal(box.shape)
     partition = CC.partition_defect(f, CC.decompose(f, box, 8.0, "x1"))
@@ -609,7 +622,7 @@ def criterion_compensated() -> Verdict:
     violations = 0
     min_radii = []
     for _ in range(100):
-        ok, min_radius = CC.support_check(box, 4.0, *CC.random_strict_parts(box, 4.0, rng))
+        ok, min_radius = CC.support_check(box, c1, *CC.random_strict_parts(box, c1, rng))
         if not ok:
             violations += 1
         min_radii.append(min_radius)

@@ -6,21 +6,18 @@ keyword argument per flag given; an omitted flag keeps the criterion's
 acceptance default, so without flags a subcommand reproduces its verify-all
 verdict.  A criterion checks its own inputs, and main turns the ValueError
 of a refused value into exit 2 before any file is written.  burnett,
-shell-limit, gowdy, constraints, hf-approx, measure-pipeline and pipeline
-run criteria 1, 2, 3, 4, 5, 7 and 10; verify-all runs all ten.  trapped and
-cc-demo are demonstrations: they report the values they compute and make no
-checks of their own (criteria 8 and 9 do).
+shell-limit, gowdy, constraints, hf-approx, mollification, measure-pipeline,
+trapped, compensated and pipeline run criteria 1 to 10, one each; verify-all
+runs all ten.
 
 Every run writes manifest.json (config, library versions and wall time)
-and summary.json.  A criterion run's summary.json has ``checks``, mapping
-"<verdict>/<check>" to a bool, and ``details``, mapping each verdict name to
-its details; it also writes
+and summary.json, whose ``checks`` maps "<verdict>/<check>" to a bool and
+whose ``details`` maps each verdict name to its details; it also writes
 verdicts.csv (each criterion's wall time, timed here with a monotonic
 clock) and one <verdict>.csv per verdict, a ``path,value`` row per
-flattened detail (RFC-4180).  A demo's summary.json holds its values.  Exit
-codes: 0 the run finished and every check it made passed, 1 a check failed or
-a NumericalFailure stopped the run (summary.json then carries an ``error``
-field), 2 usage error.
+flattened detail (RFC-4180).  Exit codes: 0 the run finished and every check
+passed, 1 a check failed or a NumericalFailure stopped the run (summary.json
+then carries an ``error`` field), 2 usage error.
 """
 
 import argparse
@@ -34,11 +31,8 @@ import time
 import numpy as np
 
 from . import __version__, acceptance
-from . import compcompact as CC
 from . import planewave as pw
-from . import shellmod as S
 from .errors import NumericalFailure
-from .grids import AngularGrid
 
 
 def _out_root(args):
@@ -85,7 +79,7 @@ def _finish(outdir, args, summary, t0):
         json.dump(summary, fh, indent=2, default=str)
     if "error" in summary:
         return 1
-    failed = [k for k, v in summary.get("checks", {}).items() if not v]
+    failed = [k for k, v in summary["checks"].items() if not v]
     if failed:
         print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
         return 1
@@ -150,7 +144,7 @@ def _finite(text):
 
 
 def _mass_profile(spec):
-    """argparse type: 'const:V' or 'cos:BASE,AMP' -> (kind, numbers)."""
+    """A dust spec line's mass profile: 'const:V' or 'cos:BASE,AMP' -> (kind, numbers)."""
     kind, _, arg = spec.partition(":")
     values = tuple(_finite(x) for x in arg.split(","))
     if len(values) != {"const": 1, "cos": 2}.get(kind):
@@ -176,49 +170,6 @@ def _wavenumber(text):
     if k is not None and k <= 0:
         raise argparse.ArgumentTypeError(f"wavenumber {text!r} is not > 0")
     return k
-
-
-def cmd_trapped(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    chart = AngularGrid(32, 16)
-    mass = np.broadcast_to(acceptance._mass_field(args.mass, chart), chart.shape)
-    shell = S.ShellSpacetime(chart, mass, args.ustar)
-    per_theta, overall, margin = S.is_trapped(shell)
-    trchi_plus = S.trch_jump(shell, args.ustar)
-    rows = [
-        (float(th), float(trchi_plus[i, 0]), bool(per_theta[i, 0]))
-        for i, th in enumerate(chart.theta1())
-    ]
-    _write_csv(os.path.join(outdir, "trchi_plus.csv"), ["theta1", "trchi_plus", "trapped"], rows)
-    summary = {
-        "trapped": overall,
-        "fraction_trapped": float(per_theta.mean()),
-        "margin": margin,
-    }
-    print(json.dumps(summary, indent=2))
-    return _finish(outdir, args, summary, t0)
-
-
-def cmd_cc_demo(args):
-    t0 = time.time()
-    outdir = _out_root(args)
-    box = CC.PeriodicBox((args.grid, args.grid))
-    rng = np.random.default_rng(args.seed_value)
-    f = rng.standard_normal(box.shape)
-    partition = CC.partition_defect(f, CC.decompose(f, box, args.c1, "x1"))
-    pair = CC.PAIRS[args.pair](CC.PeriodicBox((1024, 1024)))
-    u, ub = pair.box.sparse_mesh()
-    psi = 1.0 + 0.5 * np.cos(u) * np.cos(ub)
-    res = CC.weak_product_test(pair, psi, args.n_seq)
-    rows = list(zip(res["n"], res["pairings"], res["gaps"]))
-    _write_csv(os.path.join(outdir, "pairings.csv"), ["n", "pairing", "gap"], rows)
-    summary = {
-        "partition_defect": partition,
-        "product_converges": res["product_converges"],
-        "expects_defect": res["expects_defect"],
-    }
-    return _finish(outdir, args, summary, t0)
 
 
 def build_parser():
@@ -261,6 +212,9 @@ def build_parser():
     p = criterion_parser("hf-approx", "criterion 5: dust-absorbing oscillations")
     p.set_defaults(func=_criterion_cmd("criterion_absorber"))
 
+    p = criterion_parser("mollification", "criterion 6: mollified measure dust and its Phi limit")
+    p.set_defaults(func=_criterion_cmd("criterion_mollification"))
+
     p = criterion_parser("measure-pipeline", "criterion 7: the measure->vacuum pipeline")
     p.add_argument("--m-seq", type=_int_seq(4), help="run the measure->vacuum pipeline over these "
                    "levels m, j0..j1 or a,b,c, at least 4 (its default is 1..8)")
@@ -269,21 +223,17 @@ def build_parser():
     p.add_argument("--dust", type=_dust_spec, help="pipeline " + dust_help)
     p.set_defaults(func=_criterion_cmd("criterion_pipeline", "m_seq", "k", "dust"))
 
+    p = criterion_parser("trapped", "criterion 8: null-shell trapped surfaces and shell weak forms")
+    p.set_defaults(func=_criterion_cmd("criterion_trapped"))
+
+    p = criterion_parser("compensated", "criterion 9: directional frequency splitting and weak products")
+    p.add_argument("--c1", type=_finite, help="the support trials' frequency threshold C1 (default 4.0)")
+    p.add_argument("--grid", type=int, help="side of the partition and trial box (default 256)")
+    p.add_argument("--seed-value", type=int, help="seed of the random field and trials (default 7)")
+    p.set_defaults(func=_criterion_cmd("criterion_compensated", "c1", "grid", "seed_value"))
+
     p = criterion_parser("pipeline", "criterion 10: characteristic transport residuals")
     p.set_defaults(func=_criterion_cmd("criterion_char_pipeline"))
-
-    p = sub.add_parser("trapped", help="null-shell trapped-surface verdict")
-    p.add_argument("--mass", default="const:1.2", type=_mass_profile)
-    p.add_argument("--ustar", type=_finite, default=0.5)
-    p.set_defaults(func=cmd_trapped)
-
-    p = sub.add_parser("cc-demo", help="directional frequency splitting demonstrations")
-    p.add_argument("--c1", type=_finite, default=4.0)
-    p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--n-seq", default="4,8,16,32,64,128,256", type=_int_seq(1, 1))
-    p.add_argument("--pair", default="transverse", choices=sorted(CC.PAIRS))
-    p.add_argument("--seed-value", type=int, default=7)
-    p.set_defaults(func=cmd_cc_demo)
 
     p = sub.add_parser("verify-all", help="run the full acceptance suite")
     p.set_defaults(func=lambda args: _run(args, [(fn, {}) for fn in acceptance.ALL_CRITERIA]))

@@ -203,7 +203,6 @@ def weak_product_test(pair: SequencePair, psi: np.ndarray, n_values) -> dict:
         gaps.append(abs(v - target))
     converged = gaps[-1] <= 1e-3 * (1.0 + abs(target)) and gaps[-1] <= gaps[0] + 1e-12
     return {
-        "n": list(n_values),
         "pairings": pairings,
         "gaps": gaps,
         "product_converges": bool(converged),
@@ -264,13 +263,6 @@ def strong_weak_pair(box: PeriodicBox) -> SequencePair:
     )
 
 
-PAIRS = {
-    "transverse": transverse_pair,
-    "resonant": resonant_pair,
-    "strong-weak": strong_weak_pair,
-}
-
-
 def random_fields(box: PeriodicBox, rng: np.random.Generator):
     """Half-lattice spectra of two random real fields band-limited to half
     Nyquist (so products do not alias): each is Re + Im of ifftn(S), for S
@@ -295,11 +287,12 @@ def random_strict_parts(box: PeriodicBox, c1: float, rng: np.random.Generator):
     nonzero only where 100 C1 |k2| < 2 |k1|, and the 'x2' mask likewise,
     while the draws reach only |k| <= n / 4 along each axis (random_fields).
     On a box whose sides are at most 200 C1 (C1 = 4 on a 256^2 box, as
-    criterion 9 draws) that leaves k2 = 0 alone in 'x1' parts, and k1 = 0
-    alone in 'x2' parts.  Each 'x1' part is then a function of u alone and
-    each 'x2' part of ub alone, so their product is a tensor product whose
-    spectrum sits at |k1|, |k2| > 2 C1: its smallest support radius is
-    fixed by the masks (9 sqrt(2) there), and no draw can put mass below C1.
+    criterion 9 draws by default) that leaves k2 = 0 alone in 'x1' parts,
+    and k1 = 0 alone in 'x2' parts.  Each 'x1' part is then a function of u
+    alone and each 'x2' part of ub alone, so their product is a tensor
+    product whose spectrum sits at |k1|, |k2| > 2 C1: its smallest support
+    radius is fixed by the masks (9 sqrt(2) there), and no draw can put mass
+    below C1.
     """
     return [np.fft.irfftn(spec * mask, s=box.shape, axes=(0, 1))
             for spec, mask in zip(random_fields(box, rng), _half_lattice(box, c1)[1:])]

@@ -13,6 +13,7 @@ import pytest
 from nulldust import acceptance, constraints
 from nulldust import compcompact as CC
 from nulldust import measurepipe as MP
+from nulldust import planewave as pw
 from nulldust.acceptance import Verdict
 from nulldust.cli import _write_csv, build_parser, main
 from nulldust.grids import MAX_NODES
@@ -54,14 +55,13 @@ def test_burnett_deterministic_output(tmp_path):
 
 
 def test_trapped_verdict(tmp_path):
-    code = run_cli(["trapped", "--ustar", "0.5", "--mass", "const:1.2"], tmp_path)
-    assert code == 0
+    # criterion 8: trapped and untrapped shells agree with inf m > 2 (1 - u*),
+    # and a shell at that threshold is not trapped
+    assert run_cli(["trapped"], tmp_path) == 0
     summary = json.loads((tmp_path / "trapped" / "summary.json").read_text())
-    assert summary["trapped"] is True
-    assert "checks" not in summary
-    code = run_cli(["trapped", "--ustar", "0.5", "--mass", "const:1.0"], tmp_path)
-    summary = json.loads((tmp_path / "trapped" / "summary.json").read_text())
-    assert summary["trapped"] is False
+    assert summary["checks"]["trapped_surfaces/criterion_matches_analytic_1000"] is True
+    assert summary["checks"]["trapped_surfaces/marginal_not_trapped"] is True
+    assert summary["details"]["trapped_surfaces"]["disagreements"] == 0
 
 
 def test_constraints_with_dust_spec(tmp_path):
@@ -80,32 +80,30 @@ def test_constraints_with_smooth_density(tmp_path):
     assert summary["details"]["constraint_solver"]["max_weak_residual"] < 1e-9
 
 
-def test_cc_demo(tmp_path):
-    # the demo reports values; criterion 9 owns the checks on them
-    code = run_cli(["cc-demo", "--n-seq", "4,8,16,32", "--pair", "resonant"], tmp_path)
-    assert code == 0
-    summary = json.loads((tmp_path / "cc-demo" / "summary.json").read_text())
-    assert "checks" not in summary
-    assert summary["partition_defect"] <= 1e-12
-    assert summary["product_converges"] != summary["expects_defect"]
+def test_compensated_run(tmp_path):
+    # criterion 9: the partition is exact and the resonant pair does not converge
+    assert run_cli(["compensated"], tmp_path) == 0
+    checks = json.loads((tmp_path / "compensated" / "summary.json").read_text())["checks"]
+    assert checks["compensated_compactness/partition_exact_1e-12"] is True
+    assert checks["compensated_compactness/resonant_defect_persists"] is True
 
 
-def test_cc_demo_grid_and_seed_value(tmp_path):
-    code = run_cli(["cc-demo", "--grid", "128", "--seed-value", "3", "--n-seq", "4,8"], tmp_path)
-    assert code == 0
-    summary = json.loads((tmp_path / "cc-demo" / "summary.json").read_text())
+def test_compensated_grid_and_seed_value(tmp_path):
+    assert run_cli(["compensated", "--grid", "128", "--seed-value", "3"], tmp_path) == 0
+    summary = json.loads((tmp_path / "compensated" / "summary.json").read_text())
     box = CC.PeriodicBox((128, 128))
     f = np.random.default_rng(3).standard_normal(box.shape)
-    assert summary["partition_defect"] == CC.partition_defect(f, CC.decompose(f, box, 4.0, "x1"))
+    partition = CC.partition_defect(f, CC.decompose(f, box, 8.0, "x1"))  # the partition's C1 is 8
+    assert summary["details"]["compensated_compactness"]["partition_defect"] == partition
 
 
 def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "nulldust.cli", "--out", str(tmp_path), "trapped", "--ustar", "oops"],
+        [sys.executable, "-m", "nulldust.cli", "--out", str(tmp_path), "compensated", "--c1", "oops"],
         capture_output=True,
     )
     assert proc.returncode == 2
-    assert not (tmp_path / "trapped").exists()
+    assert not (tmp_path / "compensated").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -124,24 +122,27 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["shell-limit", "--lambda-seq", "0"],  # the jump window needs j >= 4
     ["shell-limit", "--lambda-seq", "3,6"],
     ["gowdy", "--n-seq", "0,1,2,3"],  # the rate fit needs n >= 1
-    # refused by the criterion or demo itself, before its first write
+    # refused by the criterion itself, before its first write
     ["measure-pipeline", "--dust", "density 0.8"],  # the pipeline needs an atom
     ["shell-limit", "--seed", "cosine"],  # not compactly supported
-    ["trapped", "--ustar", "1.5"],
-    ["trapped", "--mass", "cos:1,2"],  # negative mass
-    ["cc-demo", "--c1", "100"],  # 4 C1 beyond the Nyquist band
+    ["trapped", "--ustar", "1.5"],  # criterion 8 takes no flags: its shells are its own
+    ["trapped", "--mass", "cos:1,2"],
+    ["compensated", "--c1", "100"],  # 4 C1 beyond the Nyquist band
     # malformed numbers, refused by the parser: flag numbers must be finite
-    ["trapped", "--mass", "const:nan"],
-    ["trapped", "--mass", "const:inf"],
-    ["trapped", "--mass", "cos:nan,0.1"],
-    ["cc-demo", "--c1", "nan"],
+    ["compensated", "--c1", "inf"],
+    ["compensated", "--grid", "2.5"],  # the box side is an integer
+    ["compensated", "--seed-value", "x"],
+    ["compensated", "--c1", "nan"],
     ["measure-pipeline", "--m-seq", "1..4", "--k", "-8"],  # the wavenumber must be > 0
     # refused by criterion 7 before its first solve: every level's mollifier window is checked first
     ["measure-pipeline", "--m-seq", "1..4", "--dust", "atom 0.5 const:1"],  # atom window meets both ends
-    ["cc-demo", "--n-seq", "0"],  # the members are frequencies n >= 1
-    ["cc-demo", "--n-seq=-3,0"],
-    ["cc-demo", "--dim", "4"],  # no such flag: the demo is 2-D
+    ["cc-demo"],  # gone, with no alias: compensated runs criterion 9
+    ["compensated", "--c1", "1"],  # the threshold must exceed 1
+    ["compensated", "--n-seq", "4,8"],  # no such flag: criterion 9 fixes its frequencies
     ["hf-approx", "--m-seq", "1..4"],  # the measure pipeline is its own subcommand
+    ["mollification", "--m-seq", "1..4"],  # criterion 6 takes no flags
+    ["compensated", "--pair", "resonant"],  # criterion 9 runs all three pairs
+    ["compensated", "--grid", "0"],  # an empty box
 ])
 def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     try:
@@ -152,23 +153,23 @@ def test_bad_list_flag_exits_2_before_any_work(tmp_path, args):
     assert not (tmp_path / args[0]).exists()
 
 
-def counted_solves(monkeypatch):
-    """Patch constraints.solve_constraint to record each call in the returned list."""
-    solves = []
-    solve = constraints.solve_constraint
+def counted_calls(monkeypatch, module, name):
+    """Patch module.name to record each call in the returned list."""
+    calls = []
+    fn = getattr(module, name)
 
     def counted(*args, **kwargs):
-        solves.append(args)
-        return solve(*args, **kwargs)
+        calls.append(args)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(constraints, "solve_constraint", counted)
-    return solves
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("m_seq", ["1..4", "0..3"])
 def test_pipeline_levels_refused_before_first_solve(tmp_path, capsys, monkeypatch, m_seq):
     # at m = 1 the window of an atom at ub = 0.5 reaches both ends of [0, 1]; m = 0 is no level
-    solves = counted_solves(monkeypatch)
+    solves = counted_calls(monkeypatch, constraints, "solve_constraint")
     code = run_cli(["measure-pipeline", "--m-seq", m_seq, "--dust", "atom 0.5 const:1"], tmp_path)
     assert code == 2
     assert solves == []
@@ -181,7 +182,7 @@ def test_pipeline_levels_refused_before_first_solve(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("m_seq, level", [("1000..1003", "m=1000"), ("200..203", "m=200")])
 def test_pipeline_level_lost_in_rounding_is_refused_before_any_work(tmp_path, capsys, monkeypatch, m_seq, level):
     # eps = 2^-2000 underflows to 0.0; at m = 200 the kernel support 0.45 +- 2 eps rounds to 0.45
-    solves = counted_solves(monkeypatch)
+    solves = counted_calls(monkeypatch, constraints, "solve_constraint")
     code = run_cli(["measure-pipeline", "--m-seq", m_seq], tmp_path)
     assert code == 2
     assert solves == []
@@ -191,12 +192,23 @@ def test_pipeline_level_lost_in_rounding_is_refused_before_any_work(tmp_path, ca
     assert not (tmp_path / "measure-pipeline").exists()
 
 
+_REFUSALS = {  # the last flag value -> what the refusal names
+    "30..33": "lambda_seq j=30 (lambda=9.31323e-10): the member grid on [0, 0.5] would take 34359738369 nodes",
+    "1e300": "k=1e+300 at level m=1",
+    "2,3,4,40": "lambda_seq j=40 (lambda=9.09495e-13)",
+    "4096": "grid=4096: the box would take 16777216 nodes",
+}
+
+
 @pytest.mark.parametrize("args", [
     ["burnett", "--lambda-seq", "30..33"],  # 2^35 + 1 nodes, 256 GiB of them
     ["measure-pipeline", "--k", "1e300"],  # a resolving grid of about 1e302 nodes
+    ["burnett", "--lambda-seq", "2,3,4,40"],  # refused before the j = 2 member is built
+    ["compensated", "--grid", "4096"],  # a box of 2^24 nodes
 ])
 def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, monkeypatch, args):
-    solves = counted_solves(monkeypatch)
+    solves = counted_calls(monkeypatch, constraints, "solve_constraint")
+    members = counted_calls(monkeypatch, pw, "make_burnett_G")
     tracemalloc.start()
     try:
         code = run_cli(args, tmp_path)
@@ -207,11 +219,10 @@ def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, monkeypat
     assert peak < 64 * 2**20
     err = capsys.readouterr().err
     assert f"ceiling of {MAX_NODES} nodes" in err
+    assert _REFUSALS[args[-1]] in err
     assert "Traceback" not in err
     assert not (tmp_path / args[0]).exists()
-    if "--k" in args:  # refused before the background solves, by the argument and the level
-        assert solves == []
-        assert "k=1e+300 at level m=1" in err
+    assert solves == [] and members == []  # refused before the first solve and the first member
 
 
 def test_zero_last_level_pairing_fails_the_linearity_check(tmp_path, monkeypatch):
@@ -236,7 +247,7 @@ def test_zero_last_level_pairing_fails_the_linearity_check(tmp_path, monkeypatch
 
 
 def test_pipeline_refuses_atom_free_dust_before_first_solve(monkeypatch):
-    solves = counted_solves(monkeypatch)
+    solves = counted_calls(monkeypatch, constraints, "solve_constraint")
     with pytest.raises(ValueError, match="atom"):
         acceptance.criterion_pipeline(dust=(("density", 0.8, None),))
     assert solves == []
@@ -244,14 +255,14 @@ def test_pipeline_refuses_atom_free_dust_before_first_solve(monkeypatch):
 
 def test_unknown_mass_profile_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["trapped", "--mass", "sphere:1"], tmp_path)
+        run_cli(["constraints", "--dust", "atom 0.45 sphere:1"], tmp_path)
     assert exc.value.code == 2
-    assert not (tmp_path / "trapped").exists()
+    assert not (tmp_path / "constraints").exists()
 
 
 def test_env_var_output_root(tmp_path, monkeypatch):
     monkeypatch.setenv("NULLDUST_OUT", str(tmp_path / "envroot"))
-    code = main(["trapped", "--ustar", "0.5", "--mass", "const:1.2"])
+    code = main(["trapped"])
     assert code == 0
     assert (tmp_path / "envroot" / "trapped" / "summary.json").exists()
 
@@ -317,13 +328,17 @@ _SUBCOMMAND_CALLS = [
     (["pipeline"], [("criterion_char_pipeline", {})]),
     (["verify-all"], [(fn.__name__, {}) for fn in acceptance.ALL_CRITERIA]),
     (["measure-pipeline", "--k", "auto"], [("criterion_pipeline", {"k": None})]),
+    (["trapped"], [("criterion_trapped", {})]),
+    (["mollification"], [("criterion_mollification", {})]),
+    (["compensated"], [("criterion_compensated", {})]),
+    (["compensated", "--c1", "2", "--grid", "128", "--seed-value", "3"],
+     [("criterion_compensated", {"c1": 2.0, "grid": 128, "seed_value": 3})]),
 ]
 
 
 def test_one_subcommand_per_criterion():
-    # every criterion subcommand is in the table and runs one criterion, and
-    # no criterion has two; 6, 8 and 9 run under verify-all only (trapped and
-    # cc-demo are demonstrations)
+    # every subcommand but verify-all is in the table and runs one criterion,
+    # and every criterion has exactly one subcommand
     parser = build_parser()
     (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     runs = {}
@@ -332,9 +347,8 @@ def test_one_subcommand_per_criterion():
             assert len(calls) == 1, args
             runs.setdefault(calls[0][0], set()).add(args[0])
     assert all(len(subcommands) == 1 for subcommands in runs.values())
-    assert set(commands) == {cmd for cmds in runs.values() for cmd in cmds} | {"verify-all", "trapped", "cc-demo"}
-    names = {fn.__name__ for fn in acceptance.ALL_CRITERIA}
-    assert names - set(runs) == {"criterion_mollification", "criterion_trapped", "criterion_compensated"}
+    assert set(commands) == {cmd for cmds in runs.values() for cmd in cmds} | {"verify-all"}
+    assert set(runs) == {fn.__name__ for fn in acceptance.ALL_CRITERIA}
 
 
 @pytest.mark.parametrize("args, calls", _SUBCOMMAND_CALLS)

@@ -128,7 +128,7 @@ def test_pairs_equal_their_full_mesh_formulas():
 def test_pair_rows_are_rows_of_the_whole_box():
     box = CC.PeriodicBox((64, 48))
     rows = slice(16, 40)
-    for make in CC.PAIRS.values():
+    for make in (CC.transverse_pair, CC.resonant_pair, CC.strong_weak_pair):
         pair = make(box)
         for part in (pair.f, pair.h):
             assert np.array_equal(part(5, rows), part(5)[rows])
@@ -139,7 +139,7 @@ def test_pairings_equal_the_whole_box_formula():
     u, ub = box.sparse_mesh()
     psi = 1.0 + 0.5 * np.cos(u) * np.cos(ub)
     ns = [4, 64, 256]
-    for make in CC.PAIRS.values():
+    for make in (CC.transverse_pair, CC.resonant_pair, CC.strong_weak_pair):
         pair = make(box)
         res = CC.weak_product_test(pair, psi, ns)
         target = whole_box_integral(pair.f_inf * pair.h_inf * psi)

@@ -274,8 +274,10 @@ def test_negative_norm_square_in_the_last_block_is_refused(chart, grid):
 
 
 def test_normsq_of_an_absorber_chunk_stays_small(monkeypatch):
-    # criterion 5's dust background, on the lattice of one 4,096-step chunk of
-    # its vacuum march: 8,193 points x the 8 x 4 chart
+    # criterion 5's dust background, on the lattice of one chunk of its vacuum
+    # march: the 8 x 4 chart's 32 columns cap a chunk at _POINT_STEPS // 32
+    # steps, whose two points per step and closing node the march hands
+    # dgamma_normsq as one batch (1,025 points)
     class Captured(Exception):
         pass
 
@@ -290,7 +292,8 @@ def test_normsq_of_an_absorber_chunk_stays_small(monkeypatch):
         A.criterion_absorber()
     fam = H.OscillatoryFamily(captured[0], 64.0, 4)
     grid = fam.resolving_grid(16)
-    ub = grid.a + 0.5 * np.arange(8193) * grid.h
+    steps = min(odesolve._CHUNK, odesolve._POINT_STEPS // 32)
+    ub = grid.a + 0.5 * np.arange(2 * steps + 1) * grid.h
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -298,8 +301,8 @@ def test_normsq_of_an_absorber_chunk_stays_small(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # about 6.8 MiB in blocks of _STENCIL_BLOCK points; one jet of all 8,193 points peaks at about 40.3 MiB
-    assert peak / 2**20 <= 12.0
+    # about 5.0 MiB: one block of _STENCIL_BLOCK points, then one of a single point
+    assert peak / 2**20 <= 8.0
 
 
 def absorber_background(monkeypatch):
