@@ -74,16 +74,18 @@ def _fold(pick, values):
 def criterion_burnett(*, lambda_seq=tuple(range(2, 11)), seed="cosine") -> Verdict:
     """lambda_seq: dyadic exponents j of the members lambda = 2^-j; seed: a planewave.SEEDS key.
 
-    Raises ValueError before the first member is built when a member's grid
-    would pass grids.MAX_NODES.
+    Raises ValueError before the first member is built when a j is negative
+    or a member's grid would pass grids.MAX_NODES.
     """
+    j_max = ((MAX_NODES - 1) // 32).bit_length() - 1  # member j: 64 nodes per wavelength 2^-j on [0, 0.5]
+    for j in lambda_seq:
+        if j < 0:  # lambda = 2^-j > 1 is no high-frequency member, and 2.0**-j overflows at j <= -1024
+            raise ValueError(f"lambda_seq j={j}: the dyadic exponents must be >= 0")
+        if j > j_max:
+            raise ValueError(f"lambda_seq j={j} (lambda=2^-{j}): the member grid on [0, 0.5] would take"
+                             f" 2^(j+5)+1 nodes, past the ceiling of {MAX_NODES} nodes (j <= {j_max})")
     seed = pw.SEEDS[seed]
     lam_seq = [2.0**-j for j in lambda_seq]
-    for j in lambda_seq:  # member j takes 64 nodes per wavelength 2^-j on [0, 0.5]
-        nodes = 32 * 2**j + 1
-        if nodes > MAX_NODES:
-            raise ValueError(f"lambda_seq j={j} (lambda={2.0**-j:g}): the member grid on [0, 0.5] would take"
-                             f" {nodes} nodes, past the ceiling of {MAX_NODES} nodes")
 
     def family(lam):
         n = max(4097, int(np.ceil(64 * 0.5 / lam)) + 1)
@@ -608,11 +610,13 @@ def criterion_trapped() -> Verdict:
 # 9. directional frequency splitting
 # ---------------------------------------------------------------------------
 
-def criterion_compensated(*, c1=4.0, grid=256, seed_value=7) -> Verdict:
-    """c1: the support trials' C1; grid: the side of the partition and trial
-    box; seed_value: the seed of their random draws."""
-    if grid * grid > MAX_NODES:  # refused before the box's first field is drawn
-        raise ValueError(f"grid={grid}: the box would take {grid * grid} nodes, past the ceiling of {MAX_NODES} nodes")
+def criterion_compensated(*, grid=256, seed_value=7) -> Verdict:
+    """grid: the side of the partition and trial box; seed_value: the seed of
+    their random draws."""
+    side_max = math.isqrt(MAX_NODES)
+    if not 64 <= grid <= side_max:  # refused before the box's first field is drawn
+        raise ValueError(f"grid={grid}: the box side must lie in 64..{side_max}, so that the partition's 4 C1 = 32"
+                         f" stays inside its Nyquist band and the box within the ceiling of {MAX_NODES} nodes")
     box = CC.PeriodicBox((grid, grid))
     rng = np.random.default_rng(seed_value)
 
@@ -622,7 +626,7 @@ def criterion_compensated(*, c1=4.0, grid=256, seed_value=7) -> Verdict:
     violations = 0
     min_radii = []
     for _ in range(100):
-        ok, min_radius = CC.support_check(box, c1, *CC.random_strict_parts(box, c1, rng))
+        ok, min_radius = CC.support_check(box, 4.0, *CC.random_strict_parts(box, 4.0, rng))
         if not ok:
             violations += 1
         min_radii.append(min_radius)

@@ -227,10 +227,9 @@ def build_parser():
     p.set_defaults(func=_criterion_cmd("criterion_trapped"))
 
     p = criterion_parser("compensated", "criterion 9: directional frequency splitting and weak products")
-    p.add_argument("--c1", type=_finite, help="the support trials' frequency threshold C1 (default 4.0)")
-    p.add_argument("--grid", type=int, help="side of the partition and trial box (default 256)")
+    p.add_argument("--grid", type=int, help="side of the partition and trial box, 64..2048 (default 256)")
     p.add_argument("--seed-value", type=int, help="seed of the random field and trials (default 7)")
-    p.set_defaults(func=_criterion_cmd("criterion_compensated", "c1", "grid", "seed_value"))
+    p.set_defaults(func=_criterion_cmd("criterion_compensated", "grid", "seed_value"))
 
     p = criterion_parser("pipeline", "criterion 10: characteristic transport residuals")
     p.set_defaults(func=_criterion_cmd("criterion_char_pipeline"))

@@ -99,7 +99,7 @@ def test_compensated_grid_and_seed_value(tmp_path):
 
 def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "nulldust.cli", "--out", str(tmp_path), "compensated", "--c1", "oops"],
+        [sys.executable, "-m", "nulldust.cli", "--out", str(tmp_path), "compensated", "--grid", "oops"],
         capture_output=True,
     )
     assert proc.returncode == 2
@@ -108,6 +108,7 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["burnett", "--lambda-seq", "2..4"],  # the rate fit needs 4 members
+    ["burnett", "--lambda-seq=-2000..-1997"],  # lambda = 2^-j needs j >= 0
     ["measure-pipeline", "--m-seq", "1..2"],
     ["gowdy", "--n-seq", "2,x"],
     ["constraints", "--dust", "atom 0.45 bogus:1"],
@@ -127,17 +128,18 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["shell-limit", "--seed", "cosine"],  # not compactly supported
     ["trapped", "--ustar", "1.5"],  # criterion 8 takes no flags: its shells are its own
     ["trapped", "--mass", "cos:1,2"],
-    ["compensated", "--c1", "100"],  # 4 C1 beyond the Nyquist band
+    ["compensated", "--grid", "32"],  # the partition's 4 C1 = 32 beyond the Nyquist band 16
     # malformed numbers, refused by the parser: flag numbers must be finite
-    ["compensated", "--c1", "inf"],
+    ["constraints", "--dust", "atom 0.45 const:nan"],
+    ["constraints", "--dust", "atom 0.45 const:inf"],
+    ["constraints", "--dust", "atom 0.45 cos:nan,0.1"],
     ["compensated", "--grid", "2.5"],  # the box side is an integer
     ["compensated", "--seed-value", "x"],
-    ["compensated", "--c1", "nan"],
     ["measure-pipeline", "--m-seq", "1..4", "--k", "-8"],  # the wavenumber must be > 0
     # refused by criterion 7 before its first solve: every level's mollifier window is checked first
     ["measure-pipeline", "--m-seq", "1..4", "--dust", "atom 0.5 const:1"],  # atom window meets both ends
     ["cc-demo"],  # gone, with no alias: compensated runs criterion 9
-    ["compensated", "--c1", "1"],  # the threshold must exceed 1
+    ["compensated", "--c1", "2"],  # no such flag: criterion 9 fixes its thresholds C1
     ["compensated", "--n-seq", "4,8"],  # no such flag: criterion 9 fixes its frequencies
     ["hf-approx", "--m-seq", "1..4"],  # the measure pipeline is its own subcommand
     ["mollification", "--m-seq", "1..4"],  # criterion 6 takes no flags
@@ -193,10 +195,11 @@ def test_pipeline_level_lost_in_rounding_is_refused_before_any_work(tmp_path, ca
 
 
 _REFUSALS = {  # the last flag value -> what the refusal names
-    "30..33": "lambda_seq j=30 (lambda=9.31323e-10): the member grid on [0, 0.5] would take 34359738369 nodes",
+    "30..33": "lambda_seq j=30 (lambda=2^-30): the member grid on [0, 0.5] would take 2^(j+5)+1 nodes",
     "1e300": "k=1e+300 at level m=1",
-    "2,3,4,40": "lambda_seq j=40 (lambda=9.09495e-13)",
-    "4096": "grid=4096: the box would take 16777216 nodes",
+    "2,3,4,40": "lambda_seq j=40 (lambda=2^-40)",
+    "100000..100003": "lambda_seq j=100000 (lambda=2^-100000)",
+    "4096": "grid=4096: the box side must lie in 64..2048",
 }
 
 
@@ -204,6 +207,7 @@ _REFUSALS = {  # the last flag value -> what the refusal names
     ["burnett", "--lambda-seq", "30..33"],  # 2^35 + 1 nodes, 256 GiB of them
     ["measure-pipeline", "--k", "1e300"],  # a resolving grid of about 1e302 nodes
     ["burnett", "--lambda-seq", "2,3,4,40"],  # refused before the j = 2 member is built
+    ["burnett", "--lambda-seq", "100000..100003"],  # 2^j is never built: a 30,000-digit node count
     ["compensated", "--grid", "4096"],  # a box of 2^24 nodes
 ])
 def test_oversized_grid_is_refused_before_allocation(tmp_path, capsys, monkeypatch, args):
@@ -331,8 +335,8 @@ _SUBCOMMAND_CALLS = [
     (["trapped"], [("criterion_trapped", {})]),
     (["mollification"], [("criterion_mollification", {})]),
     (["compensated"], [("criterion_compensated", {})]),
-    (["compensated", "--c1", "2", "--grid", "128", "--seed-value", "3"],
-     [("criterion_compensated", {"c1": 2.0, "grid": 128, "seed_value": 3})]),
+    (["compensated", "--grid", "128", "--seed-value", "3"],
+     [("criterion_compensated", {"grid": 128, "seed_value": 3})]),
 ]
 
 
