@@ -39,6 +39,7 @@ class TransportBlowupError(NumericalFailure):
 
 
 _FIELD_BOUND = 1e6  # largest |component| of the transport state before the march stops
+_CHUNK = 64  # march steps per batch of slice fields
 
 
 @dataclass
@@ -85,6 +86,15 @@ class SliceFields:
 
     def __getitem__(self, k) -> "SliceFields":
         return SliceFields(*(getattr(self, f.name)[..., k, :, :] for f in fields(self)))
+
+    def __setitem__(self, k, batch: "SliceFields"):
+        for f in fields(self):
+            getattr(self, f.name)[..., k, :, :] = getattr(batch, f.name)
+
+    def empty(self, n) -> "SliceFields":
+        """Uninitialised fields shaped as this batch's, over n slices."""
+        arrays = (getattr(self, f.name) for f in fields(self))
+        return SliceFields(*(np.empty(a.shape[:-3] + (n,) + a.shape[-2:]) for a in arrays))
 
 
 @dataclass
@@ -182,11 +192,14 @@ def solve_transport_system(data: ReducedCharData, solution, corner: CornerData) 
     """RK4 march of (eta, b, omb, trchb, chibhat) along the hypersurface.
 
     The slice geometry (gamma = Phi^2 gamma_hat, its connection and Gauss
-    curvature, chi, div chihat, grad trchi) depends on Phi only.  Before the
-    march one batched pass computes it on every node slice and one on every
-    half-node slice (two batches, not one, so the half-node arrays are freed
-    with the march and the peak memory stays lower); the RK4 stages only read
-    it.  Each stage takes one spectral covariant derivative, of etab.
+    curvature, chi, div chihat, grad trchi) depends on Phi only.  The march
+    goes _CHUNK steps at a time: before each chunk one batched pass computes
+    it on the chunk's node slices not yet computed, which fill the kept node
+    batch of the TransportResult, and one on the chunk's half-node slices,
+    which are dropped after the chunk.  The batched passes equal one pass
+    over every slice, field by field, and the RK4 stages only read them.
+    Each stage takes one spectral covariant derivative, of etab.  A slice
+    that fails slice_fields' sign test raises when its chunk is built.
 
     The march keeps the broadcast of the slices' angular shape and the
     corner fields' shapes, and so does the TransportResult.  Raises
@@ -199,8 +212,12 @@ def solve_transport_system(data: ReducedCharData, solution, corner: CornerData) 
     corner = CornerData(*(angular_array(f.name, getattr(corner, f.name), slots, data.chart.shape)
                           for f, slots in zip(fields(CornerData), _CORNER_SLOTS)))
     # slice i + 1 sits where the step reaches it, nodes[i] + h (nodes[i + 1] may differ by an ulp)
-    at_node = slice_fields(data, solution, np.concatenate([nodes[:1], nodes[:-1] + h]))
-    at_half = slice_fields(data, solution, nodes[:-1] + 0.5 * h)
+    reach = np.concatenate([nodes[:1], nodes[:-1] + h])
+    k = min(_CHUNK, grid.n - 1) + 1  # the first chunk's node slices
+    first = slice_fields(data, solution, reach[:k])
+    at_node = first.empty(grid.n)
+    at_node[:k] = first
+    del first
 
     eta = corner_eta(at_node[0], corner)  # dub_b0 broadcast against the slices' shape
     omb, trchb, chibhat = corner.omb0, corner.trchb0, corner.chibhat0
@@ -215,7 +232,12 @@ def solve_transport_system(data: ReducedCharData, solution, corner: CornerData) 
 
     store(0)
     for i in range(grid.n - 1):
-        sl, sl_half, sl_full = at_node[i], at_half[i], at_node[i + 1]
+        if i % _CHUNK == 0:  # a new chunk: its node slices not yet built, then its half-node slices
+            hi = min(i + _CHUNK, grid.n - 1)
+            if i:
+                at_node[i + 1:hi + 1] = slice_fields(data, solution, reach[i + 1:hi + 1])
+            at_half = slice_fields(data, solution, nodes[i:hi] + 0.5 * h)
+        sl, sl_half, sl_full = at_node[i], at_half[i % _CHUNK], at_node[i + 1]
         k1 = _rhs(data, sl, eta, b, omb, trchb, chibhat)
         y1 = [f + 0.5 * h * k for f, k in zip((eta, b, omb, trchb, chibhat), k1)]
         k2 = _rhs(data, sl_half, *y1)

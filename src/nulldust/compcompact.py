@@ -27,8 +27,7 @@ import numpy as np
 
 from .testfunctions import plateau
 
-_ROW_BLOCK = 64  # rows of the box per block of PeriodicBox.integrate_rows
-_ALL = slice(None)  # every row: the default rows of a SequencePair's f and h
+_ROW_BLOCK = 64  # rows of the box per block of PeriodicBox.row_blocks
 
 
 def cutoff_chi(t):
@@ -61,18 +60,24 @@ class PeriodicBox:
     def nyquist(self):
         return min(self.shape) // 2
 
-    def integrate_rows(self, integrand):
-        """Integral over the box of the field whose rows integrand(rows)
-        returns, for a slice rows of the u axis, evaluated and summed
-        _ROW_BLOCK rows at a time, so no temporary spans the box.
+    def row_blocks(self):
+        """Slices of the u axis, _ROW_BLOCK rows each (the last may be shorter), in order."""
+        return [slice(lo, lo + _ROW_BLOCK) for lo in range(0, self.shape[0], _ROW_BLOCK)]
 
-        The block sums are added in halves, as numpy's pairwise sum adds the
-        whole field's. On a box whose sides are powers of two each block is
-        a subtree of that sum, so the result equals the whole field's
+    def integral(self, block_sums):
+        """Integral over the box of a field from the sums of its rows over
+        row_blocks(), in order, added in halves as numpy's pairwise sum adds
+        the whole field's.  On a box whose sides are powers of two each block
+        is a subtree of that sum, so the result equals the whole field's
         mean() (2 pi)^2 bit for bit; on other boxes the two agree to rounding.
         """
-        sums = [np.sum(integrand(slice(lo, lo + _ROW_BLOCK))) for lo in range(0, self.shape[0], _ROW_BLOCK)]
-        return float(_sum_in_halves(sums) / (self.shape[0] * self.shape[1]) * (2.0 * np.pi) ** 2)
+        return float(_sum_in_halves(block_sums) / (self.shape[0] * self.shape[1]) * (2.0 * np.pi) ** 2)
+
+    def integrate_rows(self, integrand):
+        """Integral over the box of the field whose rows integrand(rows)
+        returns, for a slice rows of the u axis, evaluated and summed one
+        row block at a time, so no temporary spans the box."""
+        return self.integral([np.sum(integrand(rows)) for rows in self.row_blocks()])
 
 
 def _sum_in_halves(values):
@@ -167,40 +172,54 @@ def support_check(box: PeriodicBox, c1: float, v1: np.ndarray, v2: np.ndarray):
 
 
 @dataclass
+class PairRows:
+    """A SequencePair on one block of rows of its box: f(n) and h(n) are
+    those rows of f_n and h_n, and f_inf and h_inf broadcast to them."""
+
+    f: Callable[[int], np.ndarray]
+    h: Callable[[int], np.ndarray]
+    f_inf: np.ndarray | float
+    h_inf: np.ndarray | float
+
+    def product(self, n):
+        """f_n h_n on these rows."""
+        return self.f(n) * self.h(n)
+
+
+@dataclass
 class SequencePair:
     """Oscillatory family pair with complementary directional regularity.
 
     f(n) is uniformly H^1 along u and h(n) along ub (the negative control
-    breaks this); f_inf/h_inf are the weak limits.  f(n, rows) and
-    h(n, rows) are the rows of f(n) and h(n) in the slice rows of the u
-    axis, computed from those rows alone; rows defaults to the whole box.
+    breaks this); f_inf/h_inf are the weak limits.  rows(r) is the pair on
+    the slice r of the u axis, its amplitudes and limits evaluated on those
+    rows alone, once for every n.
     """
 
     box: PeriodicBox
-    f: Callable[..., np.ndarray]  # f(n) or f(n, rows)
-    h: Callable[..., np.ndarray]  # h(n) or h(n, rows)
-    f_inf: np.ndarray
-    h_inf: np.ndarray
+    rows: Callable[[slice], PairRows]
     expects_defect: bool = False  # True for negative controls violating the bounds
 
 
-def weak_product_test(pair: SequencePair, psi: np.ndarray, n_values) -> dict:
+def weak_product_test(pair: SequencePair, psi: Callable[[slice], np.ndarray], n_values) -> dict:
     """Pairings of f_n h_n against psi per n, with the product-limit verdict.
 
-    Each integrand is built and summed by integrate_rows, one block of rows
-    at a time: f(n, rows) and h(n, rows), and f_inf, h_inf and psi (each
-    box-shaped) read by rows as views, so no box-sized product is held.
+    psi(rows) is the test function on the slice rows of the u axis.  The box
+    is walked once, one row block at a time: on each block psi and the pair
+    (its amplitudes and limits) are evaluated once, and the block's integrand
+    is summed for the limit and for every n.  Each integral adds its block
+    sums as PeriodicBox.integral does, so no array spans the box.
 
     verdict: the pairing gap to int f_inf h_inf psi at the largest n is below
     tolerance and the gaps do not grow.
     """
     box = pair.box
-    target = box.integrate_rows(lambda rows: pair.f_inf[rows] * pair.h_inf[rows] * psi[rows])
-    pairings, gaps = [], []
-    for n in n_values:
-        v = box.integrate_rows(lambda rows: pair.f(n, rows) * pair.h(n, rows) * psi[rows])
-        pairings.append(v)
-        gaps.append(abs(v - target))
+    sums = []  # per block: the limit's sum, then one per n
+    for rows in box.row_blocks():
+        block, p = pair.rows(rows), psi(rows)
+        sums.append([np.sum(block.f_inf * block.h_inf * p)] + [np.sum(block.product(n) * p) for n in n_values])
+    target, *pairings = (box.integral(col) for col in zip(*sums))
+    gaps = [abs(v - target) for v in pairings]
     converged = gaps[-1] <= 1e-3 * (1.0 + abs(target)) and gaps[-1] <= gaps[0] + 1e-12
     return {
         "pairings": pairings,
@@ -210,57 +229,45 @@ def weak_product_test(pair: SequencePair, psi: np.ndarray, n_values) -> dict:
     }
 
 
-def _zero_limits(box: PeriodicBox):
-    """f_inf and h_inf of a pair whose weak limits vanish: read-only zeros
-    broadcast to the box, which hold no box-sized storage."""
-    zero = np.broadcast_to(0.0, box.shape)
-    return zero, zero
-
-
 def transverse_pair(box: PeriodicBox) -> SequencePair:
-    """f_n oscillates along ub with smooth u-dependence, h_n the reverse.
+    """f_n oscillates along ub with smooth u-dependence, h_n the reverse;
+    both weak limits vanish.
 
     The amplitudes are not band-limited, so the product pairings decay
     through the test function's spectrum instead of vanishing identically.
     """
     u, ub = box.sparse_mesh()
-    amp_f = np.exp(0.3 * np.sin(u) + 0.2 * np.cos(ub))
-    amp_h = np.exp(0.25 * np.sin(ub) + 0.2 * np.cos(u))
 
-    return SequencePair(
-        box,
-        lambda n, rows=_ALL: amp_f[rows] * np.sin(n * ub),
-        lambda n, rows=_ALL: amp_h[rows] * np.sin(n * u[rows]),
-        *_zero_limits(box),
-    )
+    def rows(r):
+        amp_f = np.exp(0.3 * np.sin(u[r]) + 0.2 * np.cos(ub))
+        amp_h = np.exp(0.25 * np.sin(ub) + 0.2 * np.cos(u[r]))
+        return PairRows(lambda n: amp_f * np.sin(n * ub), lambda n: amp_h * np.sin(n * u[r]), 0.0, 0.0)
+
+    return SequencePair(box, rows)
 
 
 def resonant_pair(box: PeriodicBox) -> SequencePair:
     """Negative control: both factors oscillate along ub; sin^2 averages to 1/2."""
     ub = box.sparse_mesh()[1]
-    wave = lambda n, rows=_ALL: np.broadcast_to(np.sin(n * ub), box.shape)[rows]
-    return SequencePair(
-        box,
-        wave,
-        wave,
-        *_zero_limits(box),
-        expects_defect=True,  # h is NOT ub-regular: the hypothesis the control violates
-    )
+
+    def rows(r):
+        wave = lambda n: np.broadcast_to(np.sin(n * ub), box.shape)[r]
+        return PairRows(wave, wave, 0.0, 0.0)
+
+    return SequencePair(box, rows, expects_defect=True)  # h is NOT ub-regular: the hypothesis the control violates
 
 
 def strong_weak_pair(box: PeriodicBox) -> SequencePair:
     """f fixed and smooth, h_n weakly convergent to a nonzero limit."""
     u, ub = box.sparse_mesh()
-    f0 = np.exp(0.2 * np.sin(u) + 0.1 * np.cos(ub))
-    h_inf = np.broadcast_to(1.0 + 0.5 * np.cos(u), box.shape)
     envelope = 1.0 + 0.2 * np.cos(ub)
-    return SequencePair(
-        box,
-        lambda n, rows=_ALL: f0[rows],
-        lambda n, rows=_ALL: h_inf[rows] + np.sin(n * u[rows]) * envelope,
-        f0,
-        h_inf,
-    )
+
+    def rows(r):
+        f0 = np.exp(0.2 * np.sin(u[r]) + 0.1 * np.cos(ub))
+        h_inf = 1.0 + 0.5 * np.cos(u[r])
+        return PairRows(lambda n: f0, lambda n: h_inf + np.sin(n * u[r]) * envelope, f0, h_inf)
+
+    return SequencePair(box, rows)
 
 
 def random_fields(box: PeriodicBox, rng: np.random.Generator):

@@ -11,6 +11,7 @@ has exactly two nonvanishing components,
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .bessel import bessel_j
 from .fields import MetricBlock
 from .grids import Grid1D
 from .rates import fit_rate
-from .ricci4 import spacetime_ricci
+from .ricci4 import ricci_row_blocks, spacetime_ricci
 
 
 # A large amplitude overflows the metric to inf or NaN, which MetricBlock
@@ -105,16 +106,25 @@ class VacuumResidual:
     observed_order: float
 
 
+def max_abs_ricci(m: MetricBlock) -> float:
+    """max |Ric| of the metric block m, folded over its Ricci row blocks, so
+    no whole-grid Ricci is held; NaN if any entry is NaN, as the whole
+    array's max would be."""
+    return float(reduce(np.maximum, (np.abs(block).max() for _, block in ricci_row_blocks(m))))
+
+
 def vacuum_residual_scan(n: int, amplitude: float, sizes) -> VacuumResidual:
     """Max curvature norm of the family member n (vacuum up to discretization)
-    over tau in [0, 1] across a sequence of grid sizes, plus the fitted order.
+    over tau in [0, 1] across a sequence of grid sizes, plus the fitted order,
+    NaN when a residual is not finite.
 
     The members run in input order, so the first member whose grid
     under-resolves frequency n raises.
     """
     grids = [(Grid1D(0.0, 1.0, m + 1), Grid1D(0.0, 2.0 * np.pi, m)) for m in sizes]
-    res = [float(np.abs(spacetime_ricci(family_metric(n, amplitude, tg, thg)).ricci).max()) for tg, thg in grids]
-    return VacuumResidual(res, fit_rate(np.array([tg.h for tg, _ in grids]), np.array(res)))
+    res = [max_abs_ricci(family_metric(n, amplitude, tg, thg)) for tg, thg in grids]
+    order = fit_rate(np.array([tg.h for tg, _ in grids]), np.array(res)) if np.isfinite(res).all() else np.nan
+    return VacuumResidual(res, order)
 
 
 _LIMIT_N_TAU = 513  # odd, so the middle node sits at tau

@@ -9,8 +9,9 @@ one-sided closures (periodic axes use pure central wrap-around stencils), so
 the curvature of a smooth metric self-converges at 4th order under grid
 refinement.
 
-spacetime_ricci evaluates and keeps Ricci alone; Einstein is formed from
-Ricci and the metric diagonal only when CurvatureResult.einstein is read.
+ricci_row_blocks evaluates Ricci alone, one row block at a time, and
+spacetime_ricci keeps it whole; Einstein is formed from Ricci and the metric
+diagonal only when CurvatureResult.einstein is read.
 """
 
 from dataclasses import dataclass
@@ -57,29 +58,40 @@ def _block_deriv(m: MetricBlock, arr: np.ndarray, mu: int) -> np.ndarray:
     return deriv1_fd4(arr, m.grids[axis].h, axis=axis)
 
 
-def spacetime_ricci(m: MetricBlock) -> CurvatureResult:
-    """Ricci tensor, full (4, 4), of a sampled diagonal metric block; Einstein
-    on demand (CurvatureResult).
-
-    A block with no active coordinate is a constant metric, which is flat:
-    its Ricci, and so its Einstein, is the zero (4, 4).
+def ricci_row_blocks(m: MetricBlock):
+    """Ricci of a sampled diagonal metric block, one row block after another:
+    pairs (rows, Ricci on rows), rows slices of the first grid axis that
+    cover the grid once, in order.  A block with no active coordinate is a
+    constant, flat metric: one pair (Ellipsis, the zero (4, 4)).
 
     A non-periodic first grid axis is evaluated in blocks of _BLOCK_ROWS to
     2 _BLOCK_ROWS rows, so the connection's temporaries span one block at a
     time. Each block reads _HALO rows beyond its own on both sides, enough
-    for the two stencils g -> Gamma -> d Gamma, so every kept row sees the
-    same stencils as in one evaluation of the whole grid.
+    for the two stencils g -> Gamma -> d Gamma, so every row sees the same
+    stencils as in one evaluation of the whole grid.
     """
     m.check_lorentzian()
-    if not m.active:
-        return CurvatureResult(np.zeros((4, 4)), m.diag)
+    if not m.active:  # a constant metric is flat
+        yield ..., np.zeros((4, 4))
+        return
     n = m.diag.shape[0]
     blocks = 1 if m.periodic[0] else max(1, n // _BLOCK_ROWS)
     edges = [n * i // blocks for i in range(blocks + 1)]  # each block but a lone one has >= _BLOCK_ROWS
-    ric = np.empty(m.diag.shape + (4,))
     for lo, hi in zip(edges[:-1], edges[1:]):
         a, b = max(lo - _HALO, 0), min(hi + _HALO, n)
-        ric[lo:hi] = _ricci(m, m.diag[a:b])[lo - a:hi - a]
+        yield slice(lo, hi), _ricci(m, m.diag[a:b])[lo - a:hi - a]
+
+
+def spacetime_ricci(m: MetricBlock) -> CurvatureResult:
+    """Ricci tensor, full (4, 4), of a sampled diagonal metric block, kept
+    whole from ricci_row_blocks; Einstein on demand (CurvatureResult).
+
+    A block with no active coordinate is a constant metric, which is flat:
+    its Ricci, and so its Einstein, is the zero (4, 4).
+    """
+    ric = np.empty(m.diag.shape + (4,))
+    for rows, block in ricci_row_blocks(m):
+        ric[rows] = block
     return CurvatureResult(ric, m.diag)
 
 

@@ -4,6 +4,7 @@ Each test prints one PASS/FAIL line; the detailed numbers live in the
 verdict objects (and in runs/verify-all/summary.json via the CLI).
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from nulldust import measurepipe as MP
 from nulldust import mollify as M
 from nulldust import odesolve
 from nulldust import planewave as pw
+from nulldust import ricci4
 from nulldust import shellmod as S
 from nulldust.errors import NumericalFailure
 
@@ -432,23 +434,49 @@ def test_nan_in_one_support_trial_fails_the_support_check(monkeypatch):
     assert not v.passed
 
 
+def test_nan_in_the_last_ricci_block_of_a_scan_member_fails_the_order_check(monkeypatch):
+    # the scan folds max |Ric| block by block; a NaN in a later block than
+    # the first must reach the member's residual, as Python's max(0.0, nan) would not
+    exact = ricci4._ricci
+
+    def _ricci(m, diag):
+        out = exact(m, diag)
+        if m.diag.shape[0] == 241 and np.shares_memory(diag[-1], m.diag[-1]):  # the 240 member's last block
+            out[-1, 7, 2, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(ricci4, "_ricci", _ricci)
+    v = A.criterion_gowdy()
+    residuals = v.details["residuals"]
+    assert math.isnan(residuals[2])
+    assert all(math.isfinite(r) for i, r in enumerate(residuals) if i != 2)
+    assert math.isnan(v.details["observed_order"])
+    assert v.details["checks"]["fd_order_ge_3.5"] is False
+    assert not v.passed
+
+
 def test_nan_gap_of_the_resonant_control_fails_its_check(monkeypatch):
     # the NaN sits at n = 256 only, so sin_sq_half (read at n = 64) still passes
     exact = CC.resonant_pair
 
     def resonant_pair(box):
         pair = exact(box)
-        wave = pair.f
+        on_rows = pair.rows
 
-        def f(n, rows=slice(None)):
-            # f(n, rows) is the rows slice of f(n): the NaN sits at global row 7, column 9
-            out = np.array(wave(n, rows))
-            span = range(box.shape[0])[rows]
-            if n == 256 and 7 in span:
-                out[span.index(7), 9] = float("nan")
-            return out
+        def rows(r):
+            # the pair on the rows r of the u axis: the NaN sits in f_256 at global row 7, column 9
+            block = on_rows(r)
+            wave, span = block.f, range(box.shape[0])[r]
 
-        pair.f = f
+            def f(n):
+                out = np.array(wave(n))
+                if n == 256 and 7 in span:
+                    out[span.index(7), 9] = float("nan")
+                return out
+
+            return dataclasses.replace(block, f=f)
+
+        pair.rows = rows
         return pair
 
     monkeypatch.setattr(CC, "resonant_pair", resonant_pair)

@@ -1,5 +1,6 @@
 """Characteristic transport: cone reproduction, residuals, diagnostics."""
 
+import tracemalloc
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -374,3 +375,63 @@ def test_corner_fields_keep_the_angular_shape_contract(field, shape):
     assert one.shape[-2:] == (1, 1)
     setattr(corner, field, one)  # constant on the chart: marches
     assert P.solve_transport_system(data, sol, corner).omb.shape == (33,) + chart.shape
+
+
+TRAJECTORY = ("eta", "b", "omb", "trchb", "chibhat", "etab")
+
+
+def march_problem(kind, n):
+    """(data, Phi) of the cone data on a 32 x 4 chart, or of data varying in
+    both angles on a 16 x 8 chart, with n nodes."""
+    if kind == "cone":
+        data = A._cone_data(AngularGrid(32, 4), Grid1D(0.0, 0.5, n))
+        return data, C.solve_constraint(data, 1.0, 1.0)
+    data = shear_data(Grid1D(0.0, 0.3, n))
+    return data, C.solve_constraint(data, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("cone", 33),    # 32 steps, one chunk shorter than _CHUNK
+    ("cone", 100),   # 99 steps: one whole chunk, then one of 35
+    ("cone", 193),   # three whole chunks; the first holds 65 node slices, the others 64
+    ("cone", 513),   # criterion 10's node count: eight whole chunks
+    ("shear", 100),
+])
+def test_march_nodes_equal_one_whole_batch(kind, n):
+    data, sol = march_problem(kind, n)
+    assert P._CHUNK == 64
+    result = P.solve_transport_system(data, sol, P.CornerData.zeros(data.chart))
+    nodes, h = data.grid.points(), data.grid.h
+    whole = P.slice_fields(data, sol, np.concatenate([nodes[:1], nodes[:-1] + h]))
+    for f in fields(whole):
+        got, want = getattr(result.nodes, f.name), getattr(whole, f.name)
+        assert got.shape == want.shape and np.array_equal(got, want), f.name
+
+
+@pytest.mark.parametrize("kind, n", [("cone", 513), ("shear", 100)])
+def test_chunked_march_equals_the_one_batch_march(monkeypatch, kind, n):
+    # with one chunk the march builds every node slice in one batch and every
+    # half-node slice in another, before its first step, as it did before it
+    # was chunked; the chunked march's trajectory is the same, byte for byte
+    data, sol = march_problem(kind, n)
+    chunked = P.solve_transport_system(data, sol, P.CornerData.zeros(data.chart))
+    monkeypatch.setattr(P, "_CHUNK", n - 1)
+    one = P.solve_transport_system(data, sol, P.CornerData.zeros(data.chart))
+    for name in TRAJECTORY:
+        assert getattr(chunked, name).tobytes() == getattr(one, name).tobytes(), name
+    assert P.structure_residuals(chunked) == P.structure_residuals(one)
+
+
+def test_main_march_and_its_checks_stay_small():
+    # criterion 10's 513-node march of the cone data on a 64 x 4 chart with its
+    # three checks: the peak of the memory numpy and Python allocate during the call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        A._main_march_checks()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # about 14.8 MiB: the kept node batch (8.5 MiB), the trajectory and one
+    # chunk's slices; 26.1 MiB with every node and half-node slice built before the march
+    assert peak / 2**20 <= 17.0

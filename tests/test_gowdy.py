@@ -1,5 +1,7 @@
 """Bessel-profile family: vacuum property, limits, and the A = 0 background."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,31 @@ def test_limit_einstein_ratio_and_null_frame():
         assert guu == gubub
         # both beams carry A^2 e^{tau} / (8 pi)
         assert abs(guu - np.exp(tau) / (8 * np.pi)) < 1e-6
+
+
+SCAN_SIZES = [128, 176, 240, 320]  # criterion 3's residual scan
+
+
+def scan_member(m):
+    return gowdy.family_metric(8, 1.0, Grid1D(0.0, 1.0, m + 1), Grid1D(0.0, 2.0 * np.pi, m))
+
+
+@pytest.mark.parametrize("m", SCAN_SIZES)
+def test_folded_max_equals_the_whole_ricci_max(m):
+    blk = scan_member(m)
+    folded = gowdy.max_abs_ricci(blk)
+    assert np.float64(folded).tobytes() == np.abs(spacetime_ricci(blk).ricci).max().tobytes()
+
+
+def test_largest_scan_member_stays_small():
+    # the metric is built inside the measured window, as the scan builds it
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        gowdy.max_abs_ricci(scan_member(SCAN_SIZES[-1]))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # about 9.4 MiB: the metric (3.1 MiB, 7.8 MiB while it is built) and one
+    # row block's Ricci at a time; 25.1 MiB with the member's whole Ricci held
+    assert peak / 2**20 <= 12.0
