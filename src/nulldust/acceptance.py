@@ -234,9 +234,9 @@ _one = lambda ub: np.ones((len(np.atleast_1d(ub)), 1, 1))
 _zero = lambda ub: np.zeros((len(np.atleast_1d(ub)), 1, 1))
 
 
-def _ring_data(grid, chart, ring, dust=None):
-    """ReducedCharData of unit lapse whose conformal metric is the reference ring itself."""
-    return C.ReducedCharData(grid, chart, ring, _one, _zero, *C.ring_entries(ring), dust=dust)
+def _ring_data(grid, chart, ring, dust):
+    """ReducedCharData of unit lapse and the measure dust, whose conformal metric is the reference ring itself."""
+    return C.ReducedCharData(grid, chart, ring, _one, _zero, C.ring_jet(ring), dust)
 
 
 # The glued-shell measure of criteria 4, 6 and 7, as parsed dust-spec lines
@@ -275,18 +275,15 @@ def criterion_constraints(*, dust=GLUED_SHELL) -> Verdict:
     data_shell = _ring_data(grid, chart, _FLAT_RING, _dust_measure(dust, chart))  # refused before the first solve
 
     # RK4 order against the closed-form cosine: |dgam|^2 = 8 makes Phi'' = -Phi
-    def ent(ub):
+    def jet(ub):
         u = np.asarray(ub, float)[:, None, None]
-        return np.exp(2.0 * u), _zero(ub), np.exp(-2.0 * u)
-
-    def dent(ub):
-        a, b, d = ent(ub)
-        return 2.0 * a, b, -2.0 * d
+        a, b, d = np.exp(2.0 * u), _zero(ub), np.exp(-2.0 * u)
+        return (a, b, d), (2.0 * a, b, -2.0 * d)
 
     errs, hs = [], []
     for n in (51, 101, 201, 401):
         coarse = Grid1D(0.0, 1.0, n)
-        data = C.ReducedCharData(coarse, chart, _FLAT_RING, _one, _zero, ent, dent)
+        data = C.ReducedCharData(coarse, chart, _FLAT_RING, _one, _zero, jet)
         sol = C.solve_constraint(data, 1.0, 0.0)
         errs.append(float(np.abs(sol.phi[:, 0, 0] - np.cos(coarse.points())).max()))
         hs.append(coarse.h)
@@ -347,14 +344,9 @@ def criterion_absorber() -> Verdict:
     sfun = lambda ub: prof[None] * np.sin(2 * np.pi * np.asarray(ub, float))[:, None, None]
     dsfun = lambda ub: prof[None] * 2 * np.pi * np.cos(2 * np.pi * np.asarray(ub, float))[:, None, None]
 
-    def entries(ub):
-        a = np.exp(sfun(ub))
-        return a, _zero(ub), 1.0 / a
-
-    def dentries(ub):
-        ds = dsfun(ub)
-        a = np.exp(sfun(ub))
-        return ds * a, _zero(ub), -ds / a
+    def jet(ub):
+        a, ds, zero = np.exp(sfun(ub)), dsfun(ub), _zero(ub)
+        return (a, zero, 1.0 / a), (ds * a, zero, -ds / a)
 
     f_fn = lambda ub: 1.2 * w_theta[None] * np.exp(np.sin(2 * np.pi * np.asarray(ub, float)))[:, None, None]
     df_fn = lambda ub: 1.2 * w_theta[None] * (
@@ -366,10 +358,7 @@ def criterion_absorber() -> Verdict:
     dlog_omega = lambda ub: 0.1 * np.pi * np.cos(np.pi * np.asarray(ub, float))[:, None, None]
 
     # dust factor solved numerically, then handed over as a dense callable
-    data = C.ReducedCharData(
-        grid, chart, _FLAT_RING, omega, dlog_omega, entries, dentries,
-        dust=C.NullDustMeasure(density=f_fn),
-    )
+    data = C.ReducedCharData(grid, chart, _FLAT_RING, omega, dlog_omega, jet, C.NullDustMeasure(density=f_fn))
     phi_dust = C.solve_constraint(data, 1.0, 0.0)
     bg = H.DustBackground(data, f_fn, df_fn, phi_dust, phi_dust.deriv)
     rows = H.family_convergence(bg, [4, 8, 16, 32, 64, 128])
@@ -676,7 +665,7 @@ def _cone_data(chart, grid):
     a = 2.0 / om**2
     c = 2.0 * a
     gfun = c + a * np.cos(om * t1)
-    return _ring_data(grid, chart, tuple(x / gfun for x in _FLAT_RING))
+    return _ring_data(grid, chart, tuple(x / gfun for x in _FLAT_RING), C.NullDustMeasure())
 
 
 def _cone_march(n1, n):

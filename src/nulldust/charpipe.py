@@ -116,7 +116,7 @@ def slice_fields(data: ReducedCharData, solution, ub):
     shapes the maps return.  Raises PositivityError if gamma fails the sign
     test on any slice."""
     chart = data.chart
-    gh, dgh = sym2_pack(*data.entries(ub)), sym2_pack(*data.dentries(ub))
+    gh, dgh = (sym2_pack(*x) for x in data.jet(ub))
     maps = [f(ub) for f in (data.omega, data.dlog_omega, solution, solution.deriv)]
     shape = (len(ub),) + np.broadcast_shapes(gh.shape[3:], dgh.shape[3:], *(np.shape(a)[1:] for a in maps))
     # Omega, Phi and their derivatives take that whole shape, so every field does

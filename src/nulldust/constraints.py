@@ -6,9 +6,10 @@ factor Phi solves, per angular point, the one constraint equation
 
     Phi'' = 2 (log Omega)' Phi' - (1/8) |d gamma_hat|^2 Phi - (1/2) f / Phi,
 
-with f = 0 in vacuum.  An atom m_i of the dust measure at ub_i enters as the
-derivative jump [Phi'] = -(1/2) Omega^2 m_i / Phi there, so solve_constraint
-glues the pieces between atoms.  The weak form of the constraint is
+with f = 0 in vacuum, where the dust measure is empty.  An atom m_i of the
+dust measure at ub_i enters as the derivative jump [Phi'] = -(1/2) Omega^2
+m_i / Phi there, so solve_constraint glues the pieces between atoms.  The
+weak form of the constraint is
 
     -int (d phi) W dA dub + (1/8) int phi Omega^-2 |dgam|^2 Phi dA dub
         + (1/2) int phi Phi^-1 dnu  =  0,     W := Omega^-2 dPhi,
@@ -34,7 +35,7 @@ class MeasureSupportError(ValueError):
 
 @dataclass
 class NullDustMeasure:
-    """Atoms plus an absolutely continuous density.
+    """Atoms plus an absolutely continuous density; the empty measure is vacuum.
 
     atoms: list of (location, mass field (m1, m2), each m 1 or the chart's
         size), masses >= 0, locations strictly inside the coordinate interval.
@@ -51,8 +52,8 @@ class NullDustMeasure:
         for loc, mass in self.atoms:
             if not (grid.a < loc < grid.b):
                 raise MeasureSupportError(f"atom at ub={loc} not strictly inside ({grid.a}, {grid.b})")
-            if np.any(np.asarray(mass) < 0):
-                raise ValueError("atom masses must be nonnegative")
+            if not np.all(np.asarray(mass) >= 0):  # a NaN mass fails this test too
+                raise ValueError(f"atom masses must be nonnegative: the atom at ub={loc} has mass {np.min(mass)}")
             if locs.count(loc) > 1:
                 raise ValueError(f"two atoms at ub={loc}: give one atom their summed mass")
 
@@ -68,11 +69,12 @@ class ReducedCharData:
 
     omega/dlog_omega are angular batch maps ub(K,) -> (K, m1, m2), each m 1
     (no variation in that angle) or n.  The conformal metric gamma_hat =
-    [[a, b], [b, d]] is given by its entries: entries maps ub(K,) -> (a, b, d)
-    and dentries to their ub-derivatives, each such an array; gamma_ring is
-    the reference metric's entries (a, b, d), each (m1, m2).  The ring's and,
-    at five ub, every map's shape (the dust density's too) is checked
-    (angular_array), and so is the normalization det gamma_hat = det gamma_ring.
+    [[a, b], [b, d]] is given by its jet: jet maps ub(K,) -> ((a, b, d),
+    (a', b', d')), its entries and their ub-derivatives, each such an array;
+    gamma_ring is the reference metric's entries (a, b, d), each (m1, m2).
+    dust is the null-dust measure, empty in vacuum.  The ring's and, at five
+    ub, every map's shape (the dust density's too) is checked (angular_array),
+    and so is the normalization det gamma_hat = det gamma_ring.
     """
 
     grid: Grid1D
@@ -80,52 +82,48 @@ class ReducedCharData:
     gamma_ring: tuple
     omega: Callable
     dlog_omega: Callable
-    entries: Callable
-    dentries: Callable
-    dust: NullDustMeasure | None = None
+    jet: Callable
+    dust: NullDustMeasure = dc_field(default_factory=NullDustMeasure)
 
     def __post_init__(self):
         shape = self.chart.shape
         self.gamma_ring = tuple(angular_array(f"gamma_ring[{i}]", x, (), shape)
                                 for i, x in enumerate(self.gamma_ring))
-        if self.dust is not None:
-            self.dust.validate(self.grid)
+        self.dust.validate(self.grid)
         probe = np.linspace(self.grid.a, self.grid.b, 5)
-        maps = {"omega": self.omega, "dlog_omega": self.dlog_omega, "density": self.dust and self.dust.density}
+        maps = {"omega": self.omega, "dlog_omega": self.dlog_omega, "density": self.dust.density}
         for name, fn in maps.items():
             if fn is not None:
                 angular_array(name, fn(probe), (5,), shape)
-        a, b, d = (angular_array(f"entries[{i}]", x, (5,), shape) for i, x in enumerate(self.entries(probe)))
-        for i, x in enumerate(self.dentries(probe)):
+        entries, dentries = self.jet(probe)
+        a, b, d = (angular_array(f"entries[{i}]", x, (5,), shape) for i, x in enumerate(entries))
+        for i, x in enumerate(dentries):
             angular_array(f"dentries[{i}]", x, (5,), shape)
         dev = np.abs(sym2_det(a, b, d) / sym2_det(*self.gamma_ring) - 1.0).max(axis=(1, 2))
         for ub, worst in zip(probe, dev):
-            if worst > _DET_RTOL:
+            if not worst <= _DET_RTOL:  # a NaN deviation fails this test too
                 raise ValueError(
                     f"det gamma_hat / det gamma_ring deviates from 1 by {worst:.2e} at ub={ub:g}"
                 )
 
     def dgamma_normsq(self, ub_batch):
         """|d gamma_hat|^2 with indices raised by gamma_hat: an angular batch map."""
-        return dgamma_norm_sq(self.entries(ub_batch), self.dentries(ub_batch))
+        return dgamma_norm_sq(*self.jet(ub_batch))
 
     def area_weights(self) -> np.ndarray:
         """Quadrature weights of dA_ring on the chart nodes, chart-shaped so that every pairing sums over the chart."""
         return np.broadcast_to(np.sqrt(sym2_det(*self.gamma_ring)) * self.chart.cell_area, self.chart.shape).copy()
 
 
-def ring_entries(gamma_ring):
-    """(entries, dentries) of conformally flat data: gamma_hat = gamma_ring, given by its entries, d gamma_hat = 0."""
+def ring_jet(gamma_ring):
+    """The jet of conformally flat data: gamma_hat = gamma_ring, given by its entries, d gamma_hat = 0."""
 
-    def entries(ub_batch):
+    def jet(ub_batch):
         k = len(np.atleast_1d(ub_batch))
-        return tuple(np.broadcast_to(x, (k,) + x.shape) for x in gamma_ring)
+        zero = np.zeros((k, 1, 1))
+        return tuple(np.broadcast_to(x, (k,) + x.shape) for x in gamma_ring), (zero, zero, zero)
 
-    def dentries(ub_batch):
-        zero = np.zeros((len(np.atleast_1d(ub_batch)), 1, 1))
-        return zero, zero, zero
-
-    return entries, dentries
+    return jet
 
 
 def dgamma_norm_sq(entries, dentries) -> np.ndarray:
@@ -149,17 +147,16 @@ def dgamma_norm_sq(entries, dentries) -> np.ndarray:
 def solve_constraint(data: ReducedCharData, phi0, dphi0) -> DenseSolution:
     """Solve the constraint of data's own dust measure per angular point.
 
-    One march with the density as the source (none without dust): on
+    One march with the density as the source (no source without one): on
     data.grid without atoms, and with atoms on segments between them at step
     data.grid.h, with the jump [Phi'] = -(1/2) Omega^2 m / Phi at each atom.
     """
-    dust = data.dust or NullDustMeasure()
-    atoms = sorted(dust.atoms, key=lambda am: am[0])
+    atoms = sorted(data.dust.atoms, key=lambda am: am[0])
     cuts = [data.grid.a] + [loc for loc, _ in atoms] + [data.grid.b]
     # without atoms, data.grid itself: segmented_grids takes at least 9 nodes and can round up by one
     grids = segmented_grids([(lo, hi, data.grid.h) for lo, hi in zip(cuts[:-1], cuts[1:])]) if atoms else [data.grid]
     jumps = [_atom_jump(data, loc, mass) for loc, mass in atoms]
-    return march([constraint_problem(data, grids, data.dgamma_normsq, dust.density, phi0, dphi0, jumps)])[0]
+    return march([constraint_problem(data, grids, data.dgamma_normsq, data.dust.density, phi0, dphi0, jumps)])[0]
 
 
 def constraint_problem(data: ReducedCharData, grids, normsq, density, phi0, dphi0, jumps=None) -> Problem:
@@ -188,8 +185,6 @@ def measure_pairing(data: ReducedCharData, phi_test: Callable, weight: Callable 
 
     phi_test and weight are angular batch maps.
     """
-    if data.dust is None:
-        return 0.0
     w = data.area_weights()  # chart-shaped, so every sum below runs over the whole chart
     test = phi_test if weight is None else lambda ub: np.asarray(phi_test(ub)) * np.asarray(weight(ub))
     total = 0.0
@@ -228,8 +223,5 @@ def weak_constraint_residual(
 
     term_transport = -np.einsum("k,kij,ij->", wq, np.asarray(dphi_test(xs)) * dphi_sol / om2, w)
     term_shear = 0.125 * np.einsum("k,kij,ij->", wq, np.asarray(phi_test(xs)) * normsq * phi_sol / om2, w)
-    term_measure = 0.0
-    if data.dust is not None:
-        term_measure = 0.5 * measure_pairing(data, phi_test, weight=lambda ub: 1.0 / solution(ub),
-                                             panels=_WEAK_PANELS)
+    term_measure = 0.5 * measure_pairing(data, phi_test, weight=lambda ub: 1.0 / solution(ub), panels=_WEAK_PANELS)
     return float(term_transport + term_shear + term_measure)

@@ -19,16 +19,16 @@ with the bounded corrector
 Solving the vacuum constraint with |dgamma_n|^2 then reproduces the dust
 conformal factor to O(1/n) together with its first derivative.
 
-The conformal metrics travel as batched entries: the dust metric is the
+The conformal metrics travel as batched jets: the dust metric is the
 ReducedCharData a DustBackground holds, and each family member maps
-ub(K,) -> (a_n, b, d_n) and their derivatives, each shaped as an angular
-batch map's output (ReducedCharData), so norms, determinants and
-eigenvalues are computed entrywise over whole batches.
-OscillatoryFamily.jet(ub) returns both, ((a_n, b, d_n), (a_n', b', d_n')),
-from DustBackground.jet(ub), one call of each background map (the dust
-entries and their derivatives, f, f', Phi, Phi'); the norm-square
-|dgamma_n|^2 reads it, one block of _STENCIL_BLOCK points at a time, so a
-vacuum march's coefficient batch never holds a whole chunk's jet.
+ub(K,) -> ((a_n, b, d_n), (a_n', b', d_n')), its entries and their
+derivatives, each shaped as an angular batch map's output (ReducedCharData),
+so norms, determinants and eigenvalues are computed entrywise over whole
+batches.  OscillatoryFamily.jet(ub) builds it from DustBackground.jet(ub),
+one call of each background map (the dust metric's jet, f, f', Phi, Phi');
+the norm-square |dgamma_n|^2 reads it, one block of _STENCIL_BLOCK points at
+a time, so a vacuum march's coefficient batch never holds more than one
+block's jet.
 family_convergence marches the members' vacuum solves in lockstep, each
 folding its Phi gaps chunk by chunk as the march closes them, so no member
 solution is ever held.  It then walks each distinct row lattice once, in
@@ -57,9 +57,9 @@ _MAX_DOUBLINGS = 20  # wavenumber escalation steps before giving up
 # block points' own envelopes come from the block's background evaluation (the
 # envelopes are elementwise in ub, so the batching moves no bit); a lone corrector_jet
 # evaluates the block and its offsets together, 5,120 points.  dgamma_normsq
-# evaluates the jet of one block at a time, so the vacuum march's chunk of
-# 8,193 points holds one block's temporaries, not the chunk's.  No member
-# holds a whole row of entries.
+# evaluates the jet of one block at a time, so a batch of the vacuum march
+# (1,025 points in criterion 5, up to five blocks in criterion 7) holds one
+# block's temporaries, not the batch's.  No member holds a whole row of entries.
 _STENCIL_BLOCK = 1024
 
 
@@ -84,9 +84,8 @@ def _amplitudes(k, entries, dentries, f, phi):
 def _envelopes(background, k, ub_batch):
     """The two corrector amplitudes of _amplitudes at ub_batch; they depend on
     the family's k, not on its n."""
-    data = background.data
-    return _amplitudes(k, data.entries(ub_batch), data.dentries(ub_batch),
-                       np.maximum(background.f(ub_batch), 0.0), background.phi(ub_batch))
+    return _amplitudes(k, *background.data.jet(ub_batch), np.maximum(background.f(ub_batch), 0.0),
+                       background.phi(ub_batch))
 
 
 def _stencil(grid: Grid1D):
@@ -105,10 +104,10 @@ class DustBackground:
     """Smooth dust data on a hypersurface.
 
     data carries the chart, the grid, the lapse and the dust conformal metric
-    as batched entries (a, b, d) with their ub-derivatives; f/df (the density
-    and its derivative) and phi/dphi (the dust conformal factor and its
-    derivative) are angular batch maps (ReducedCharData): each axis past
-    the batch axis of size 1 or that of the chart.
+    as its batched jet, the entries (a, b, d) with their ub-derivatives;
+    f/df (the density and its derivative) and phi/dphi (the dust conformal
+    factor and its derivative) are angular batch maps (ReducedCharData):
+    each axis past the batch axis of size 1 or that of the chart.
     """
 
     data: ReducedCharData
@@ -120,8 +119,8 @@ class DustBackground:
     def jet(self, ub_batch):
         """(entries, dentries, f, f', Phi, Phi') at ub_batch, each map called
         once; f is clipped at zero, as every reader takes it."""
-        return (self.data.entries(ub_batch), self.data.dentries(ub_batch), np.maximum(self.f(ub_batch), 0.0),
-                self.df(ub_batch), self.phi(ub_batch), self.dphi(ub_batch))
+        return (*self.data.jet(ub_batch), np.maximum(self.f(ub_batch), 0.0), self.df(ub_batch),
+                self.phi(ub_batch), self.dphi(ub_batch))
 
     def root_f_over_phi(self, ub_batch):
         return np.sqrt(np.maximum(self.f(ub_batch), 0.0)) / self.phi(ub_batch)
@@ -129,21 +128,11 @@ class DustBackground:
 
 @dataclass
 class OscillatoryFamily:
-    """One member gamma_n of the absorbing family, with fast batched entry maps."""
+    """One member gamma_n of the absorbing family, with a fast batched jet."""
 
     background: DustBackground
     k: float
     n: int
-
-    def _phase(self, ub_batch):
-        """The phase factor s(ub) = (2 sqrt(f) / Phi) sin(k n ub) / (k n)."""
-        kn = self.k * self.n
-        amp = 2.0 * self.background.root_f_over_phi(ub_batch) / kn
-        return amp * np.sin(kn * np.asarray(ub_batch, float))[:, None, None]
-
-    def entries(self, ub_batch):
-        a, b, d = self.background.data.entries(ub_batch)
-        return _member_entries(a, b, d, sym2_det(a, b, d), self._phase(ub_batch))
 
     def jet(self, ub_batch, maps=None):
         """(entries, dentries) of gamma_n from one background evaluation:
@@ -179,15 +168,14 @@ class OscillatoryFamily:
 
     def det_defect(self, ub_batch):
         """det gamma_n - det gamma_dust (zero by algebraic cancellation)."""
-        a, b, d = self.background.data.entries(ub_batch)
-        det = sym2_det(a, b, d)
-        return sym2_det(*_member_entries(a, b, d, det, self._phase(ub_batch))) - det
+        maps = self.background.jet(ub_batch)
+        return sym2_det(*self.jet(ub_batch, maps)[0]) - sym2_det(*maps[0])
 
     def min_eigenvalue_envelope(self, ub_batch):
         """Lower bound over the oscillation phase: evaluate at both amplitude
         extremes (the entries are monotone in the phase factor)."""
         bg = self.background
-        a, b, d = bg.data.entries(ub_batch)
+        a, b, d = bg.data.jet(ub_batch)[0]
         det = sym2_det(a, b, d)
         amp = 2.0 * bg.root_f_over_phi(ub_batch) / (self.k * self.n)
         worst = None
@@ -261,13 +249,13 @@ def select_k(background: DustBackground) -> float:
     eigenvalue margin (n = 1 has the largest oscillation amplitude)."""
     ub = np.linspace(background.data.grid.a, background.data.grid.b, 4096)
     sup_rf = float(background.root_f_over_phi(ub).max())
-    min_eig = float(sym2_min_eigenvalue(*background.data.entries(ub)).min())
+    min_eig = float(sym2_min_eigenvalue(*background.data.jet(ub)[0]).min())
 
     def admissible(k):
         fam = OscillatoryFamily(background, k, 1)
         grid = fam.resolving_grid(per_wavelength=32)
         probe = np.linspace(grid.a, grid.b, min(grid.n, 1 << 18))
-        return float(sym2_min_eigenvalue(*fam.entries(probe)).min()) >= 0.5 * min_eig
+        return float(sym2_min_eigenvalue(*fam.jet(probe)[0]).min()) >= 0.5 * min_eig
 
     return _double_until(8.0 * (sup_rf + 1.0) / min_eig, admissible,
                          f"no positive-definite oscillation found after {_MAX_DOUBLINGS} doublings")

@@ -83,7 +83,7 @@ class MeasurePipeline:
             for m, (fm, bg) in zip(m_values, self.backgrounds(m_values)):
                 pairs.append((bg, self.n_of(m)))
                 probes.append(self._probe(fm))
-                eigs.append(float(sym2_min_eigenvalue(*self.data.entries(probes[-1])).min()))
+                eigs.append(float(sym2_min_eigenvalue(*self.data.jet(probes[-1])[0]).min()))
             self.k = select_k_uniform(pairs, float(np.min(eigs)), probes)  # np.min keeps a NaN
         return self.k
 

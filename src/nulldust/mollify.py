@@ -14,7 +14,7 @@ measure pairing at rate  2^-m |d phi|_{L2 L1} + 2^-2m |phi|_{Linf L1}.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -108,7 +108,8 @@ def check_level(m: int, grid: Grid1D, atom_locations) -> None:
 @dataclass
 class MollifiedDensity:
     """Smooth density f_m mollifying the dust measure of data at dyadic
-    scale eps = 2^-2m."""
+    scale eps = 2^-2m: Omega^2 times the sum of its atom part and its density
+    part, each a (K, 1, 1) zero when the measure has none."""
 
     data: ReducedCharData
     m: int
@@ -123,7 +124,7 @@ class MollifiedDensity:
 
     def _atom_sum(self, ub, deriv: bool):
         """Mass-weighted sum over atoms of the mollification kernel (deriv:
-        its analytic d/dub), (K, *mass shape); None without atoms.
+        its analytic d/dub), from a (K, 1, 1) zero: (K, *mass shape).
 
         The kernel of an atom is +0.0 at every ub outside its support
         (loc - 2 eps, loc + 2 eps), whatever the partition piece.  An atom
@@ -134,7 +135,7 @@ class MollifiedDensity:
         eps = self.eps
         lo, hi = (ub.min(), ub.max()) if ub.size else (np.nan, np.nan)
         finite = np.isfinite(lo) and np.isfinite(hi)  # a NaN anywhere in ub makes the range NaN
-        acc = None
+        acc = np.zeros((len(ub), 1, 1))
         for loc, mass in self.data.dust.atoms:
             missed = finite and (hi - loc <= -2.0 * eps or lo - loc >= 2.0 * eps)
             kern = np.zeros(1 if missed else len(ub))
@@ -144,9 +145,8 @@ class MollifiedDensity:
                     kern += dzeta(ub) * rho(arg) / eps + zeta(ub) * rho_d(arg) / eps**2
                 else:
                     kern += zeta(ub) * rho(arg) / eps
-            v = kern[:, None, None] * np.asarray(mass)[None, :, :]
-            acc = v if acc is None else acc + v
-        return acc if acc is None or len(acc) == len(ub) else np.broadcast_to(acc, (len(ub), *acc.shape[1:])).copy()
+            acc = acc + kern[:, None, None] * np.asarray(mass)[None, :, :]
+        return acc
 
     def deriv(self, ub_batch):
         """d f_m / d ub: the atom part differentiated analytically, the
@@ -154,63 +154,40 @@ class MollifiedDensity:
         ub = np.asarray(ub_batch, dtype=float)
         om2 = np.asarray(self.data.omega(ub)) ** 2
         dlog = np.asarray(self.data.dlog_omega(ub))
-        base = self(ub_batch)
-        acc = self._atom_sum(ub, True)
-        if self.data.dust.density is not None:
-            h = self.eps / 32.0  # smooth ambient density: stencil is safe here
-            dd = (
-                self.density_part(ub - 2 * h)
-                - 8.0 * self.density_part(ub - h)
-                + 8.0 * self.density_part(ub + h)
-                - self.density_part(ub + 2 * h)
-            ) / (12.0 * h)
-            acc = dd if acc is None else acc + dd
-        if acc is None:
-            acc = np.zeros_like(base)
-        else:
-            acc = om2 * acc
-        return acc + 2.0 * dlog * base
+        h = self.eps / 32.0  # smooth ambient density: stencil is safe here
+        dd = (
+            self.density_part(ub - 2 * h)
+            - 8.0 * self.density_part(ub - h)
+            + 8.0 * self.density_part(ub + h)
+            - self.density_part(ub + 2 * h)
+        ) / (12.0 * h)
+        return om2 * (self._atom_sum(ub, True) + dd) + 2.0 * dlog * self(ub_batch)
 
     def density_part(self, ub_batch):
-        """Mollified absolutely continuous part (against dA_ring dub)."""
+        """Mollified absolutely continuous part (against dA_ring dub); a
+        (K, 1, 1) zero without a density.  Past [a, b] the density takes its
+        end value."""
         density, grid = self.data.dust.density, self.data.grid
-        if density is None:
-            return None
         ub = np.asarray(ub_batch, dtype=float)
+        if density is None:
+            return np.zeros((len(ub), 1, 1))
         eps = self.eps
         nodes, wts = gauss_legendre_nodes(-1.0, 1.0, 32)
 
         def w_of(u):
             u = np.clip(u, grid.a, grid.b)
-            f = np.asarray(density(u))
-            om = np.asarray(self.data.omega(u))
-            inside = ((u >= grid.a) & (u <= grid.b)).astype(float)
-            return f / om**2 * inside[:, None, None]
+            return np.asarray(density(u)) / np.asarray(self.data.omega(u)) ** 2
 
-        acc = None
-        for zeta, alpha in zip(self._zetas, _ALPHAS):
-            zv = zeta(ub)[:, None, None]
-            part = None
-            for s, wq in zip(nodes, wts):
-                v = w_of(ub - alpha * eps - eps * s) * (wq * rho(np.array([s]))[0])
-                part = v if part is None else part + v
-            if acc is None:
-                acc = zv * part
-            else:
-                acc += zv * part
-        return acc
+        def shifted(alpha):  # (rho_eps * w)(ub - alpha eps), summed node by node
+            return reduce(np.add, (w_of(ub - alpha * eps - eps * s) * (wq * rho(np.array([s]))[0])
+                                   for s, wq in zip(nodes, wts)))
+
+        return reduce(np.add, (zeta(ub)[:, None, None] * shifted(alpha) for zeta, alpha in zip(self._zetas, _ALPHAS)))
 
     def __call__(self, ub_batch):
         """f_m(ub, theta): an angular batch map (ReducedCharData)."""
         ub = np.asarray(ub_batch, dtype=float)
-        om2 = np.asarray(self.data.omega(ub)) ** 2
-        acc = self._atom_sum(ub, False)
-        dens = self.density_part(ub)
-        if dens is not None:
-            acc = dens if acc is None else acc + dens
-        if acc is None:
-            acc = np.zeros((len(ub), 1, 1))
-        return om2 * acc
+        return np.asarray(self.data.omega(ub)) ** 2 * (self._atom_sum(ub, False) + self.density_part(ub))
 
     def windows(self):
         """Atom support windows [loc - 2.5 eps, loc + 2.5 eps] clipped to the grid."""

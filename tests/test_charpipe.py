@@ -65,7 +65,7 @@ def flat_data(chart, grid, omega=None, dlog=None):
     ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
-    return C.ReducedCharData(grid, chart, ring, omega or one, dlog or zero, *C.ring_entries(ring))
+    return C.ReducedCharData(grid, chart, ring, omega or one, dlog or zero, C.ring_jet(ring))
 
 
 def curved_cone_data(chart, grid):
@@ -75,7 +75,7 @@ def curved_cone_data(chart, grid):
     ring = (1.0 / gfun, np.zeros(chart.shape), 1.0 / gfun)
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
-    return C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
+    return C.ReducedCharData(grid, chart, ring, one, zero, C.ring_jet(ring))
 
 
 def chart_shaped(data):
@@ -83,9 +83,9 @@ def chart_shaped(data):
     shape = data.chart.shape
     wide = lambda a, lead: np.broadcast_to(a, lead + shape)
     one = lambda f: lambda ub: wide(f(ub), (len(ub),))
-    three = lambda f: lambda ub: tuple(wide(x, (len(ub),)) for x in f(ub))
+    jet = lambda ub: tuple(tuple(wide(x, (len(ub),)) for x in half) for half in data.jet(ub))
     return C.ReducedCharData(data.grid, data.chart, tuple(wide(x, ()) for x in data.gamma_ring), one(data.omega),
-                             one(data.dlog_omega), three(data.entries), three(data.dentries))
+                             one(data.dlog_omega), jet)
 
 
 def chart_corner(corner, chart):
@@ -104,7 +104,7 @@ def test_slice_fields_of_a_compact_solution_are_those_of_its_chart_broadcast():
     ring = (1.0 / gfun, np.zeros_like(gfun), 1.0 / gfun)
     one = lambda ub: np.ones((len(ub), 1, 1))
     zero = lambda ub: np.zeros((len(ub), 1, 1))
-    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring))
+    data = C.ReducedCharData(grid, chart, ring, one, zero, C.ring_jet(ring))
     sol = C.solve_constraint(data, 1.0, 1.0)
     assert sol.phi.shape == (grid.n, 1, 1)
     padded = DenseSolution(sol.grids, *(np.broadcast_to(a, (grid.n,) + chart.shape).copy()
@@ -228,15 +228,12 @@ def test_residual_sensitivity_to_shear_perturbation():
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
 
-    def gh(ub):
+    def jet(ub):
         u = np.asarray(ub, float)[:, None, None] * np.ones(chart.shape)
-        return np.exp(u), np.zeros_like(u), np.exp(-u)
+        a, b, d = np.exp(u), np.zeros_like(u), np.exp(-u)
+        return (a, b, d), (a, b, -d)
 
-    def dgh(ub):
-        a, b, d = gh(ub)
-        return a, b, -d
-
-    data = C.ReducedCharData(grid, chart, ring, one, zero, gh, dgh)
+    data = C.ReducedCharData(grid, chart, ring, one, zero, jet)
     sol = C.solve_constraint(data, 1.0, 0.0)
     result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
     base = P.structure_residuals(result)["expansion_out"]
@@ -262,8 +259,7 @@ def test_gauge_identity_oscillator_data():
     fam = H.OscillatoryFamily(bg, k, 8)
     sol, = march([fam.vacuum_problem()])
     ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
-    data = C.ReducedCharData(grid, chart, ring, bg.data.omega, bg.data.dlog_omega,
-                             fam.entries, lambda ub: fam.jet(ub)[1])
+    data = C.ReducedCharData(grid, chart, ring, bg.data.omega, bg.data.dlog_omega, fam.jet)
     trchi, chihat, chi = chi_from_data(data, sol, 0.33, identity_tol=1e-10)
     phi = sol(np.array([0.33]))[0]
     dphi = sol.deriv(np.array([0.33]))[0]

@@ -35,7 +35,7 @@ def make_background(chart, grid, f_level=1.0, b_amp=0.0, phi_const=True):
     df_fn = lambda ub: f_level * (np.pi * np.cos(2 * np.pi * np.asarray(ub, float)))[:, None, None] * np.ones(chart.shape)
     data = C.ReducedCharData(
         grid, chart, ring, one, zero,
-        lambda ub: (cst(a0)(ub), cst(bprof)(ub), cst(d0)(ub)), lambda ub: (zero(ub), zero(ub), zero(ub)),
+        lambda ub: ((cst(a0)(ub), cst(bprof)(ub), cst(d0)(ub)), (zero(ub), zero(ub), zero(ub))),
     )
     if phi_const:
         return H.DustBackground(data, f_fn, df_fn, one, zero)
@@ -76,8 +76,8 @@ def test_zero_density_is_exact_identity(chart, grid):
     bg = make_background(chart, grid, f_level=0.0)
     fam = H.OscillatoryFamily(bg, 8.0, 16)
     ub = np.linspace(0, 1, 301)
-    ea, eb, ed = fam.entries(ub)
-    ba, bb, bd = bg.data.entries(ub)
+    ea, eb, ed = fam.jet(ub)[0]
+    ba, bb, bd = bg.data.jet(ub)[0]
     assert np.array_equal(ea, ba) and np.array_equal(ed, bd)
     assert np.abs(fam.corrector_jet(ub)[0]).max() == 0.0
     assert np.abs(oracle_weak_defect(fam, ub)).max() < 1e-14
@@ -100,8 +100,8 @@ def test_gamma_gap_decays_like_inverse_n(chart, grid):
     for n in ns:
         fam = H.OscillatoryFamily(bg, k, n)
         ub = np.linspace(0, 1, 4096)
-        ea, eb, ed = fam.entries(ub)
-        ba, bb, bd = bg.data.entries(ub)
+        ea, eb, ed = fam.jet(ub)[0]
+        ba, bb, bd = bg.data.jet(ub)[0]
         gaps.append(max(np.abs(ea - ba).max(), np.abs(ed - bd).max()))
     assert fit_rate(1.0 / np.array(ns), gaps) >= 0.9
 
@@ -140,7 +140,7 @@ def test_off_diagonal_absorption_floor(chart, grid):
     bg = make_background(chart, grid, f_level=1.0, b_amp=0.5)
     k = H.select_k(bg)
     ub = np.linspace(0, 1, 32768)
-    a, b, d = bg.data.entries(ub)
+    a, b, d = bg.data.jet(ub)[0]
     predicted = 4.0 * bg.f(ub) * b**2 / (a * d) * bg.phi(ub) ** 2
     floors = []
     for n in (64, 128, 256):
@@ -154,9 +154,9 @@ def test_positivity_escalation(chart, grid):
     bg = make_background(chart, grid, f_level=50.0)
     k = H.select_k(bg)
     ub = np.linspace(0, 1, 8192)
-    assert sym2_min_eigenvalue(*H.OscillatoryFamily(bg, k, 1).entries(ub)).min() > 0.0
+    assert sym2_min_eigenvalue(*H.OscillatoryFamily(bg, k, 1).jet(ub)[0]).min() > 0.0
     # one full oscillation cycle with amplitude past the eigenvalue margin
-    assert sym2_min_eigenvalue(*H.OscillatoryFamily(bg, 2.0 * np.pi, 1).entries(ub)).min() <= 0.0
+    assert sym2_min_eigenvalue(*H.OscillatoryFamily(bg, 2.0 * np.pi, 1).jet(ub)[0]).min() <= 0.0
 
 
 def test_phi_solution_matches_dust_when_no_density(chart, grid):
@@ -172,7 +172,7 @@ def test_envelope_eigenvalue_bound_is_conservative(chart, grid):
     k = H.select_k(bg)
     fam = H.OscillatoryFamily(bg, k, 2)
     ub = np.linspace(0, 1, 4096)
-    assert np.all(fam.min_eigenvalue_envelope(ub) <= sym2_min_eigenvalue(*fam.entries(ub)) + 1e-12)
+    assert np.all(fam.min_eigenvalue_envelope(ub) <= sym2_min_eigenvalue(*fam.jet(ub)[0]) + 1e-12)
 
 
 def test_uniform_k_selection_refuses_a_nan_demand(chart, grid, monkeypatch):
@@ -222,7 +222,7 @@ def test_uniform_k_selection(chart, grid):
     for bg, n in bgs:
         fam = H.OscillatoryFamily(bg, k, n)
         ub = np.linspace(0, 1, 4096)
-        assert sym2_min_eigenvalue(*fam.entries(ub)).min() > 0.25
+        assert sym2_min_eigenvalue(*fam.jet(ub)[0]).min() > 0.25
 
 
 def counted_background(chart, grid):
@@ -237,7 +237,7 @@ def counted_background(chart, grid):
         return wrapper
 
     data = base.data
-    data.entries, data.dentries = counted("entries", data.entries), counted("dentries", data.dentries)
+    data.jet = counted("jet", data.jet)
     bg = H.DustBackground(data, *(counted(name, getattr(base, name)) for name in ("f", "df", "phi", "dphi")))
     return bg, calls
 
@@ -245,7 +245,7 @@ def counted_background(chart, grid):
 def test_normsq_evaluates_each_background_map_once(chart, grid):
     bg, calls = counted_background(chart, grid)
     H.OscillatoryFamily(bg, 40.0, 4).dgamma_normsq(np.linspace(0, 1, 64))
-    assert calls == {"entries": 1, "dentries": 1, "f": 1, "df": 1, "phi": 1, "dphi": 1}
+    assert calls == {"jet": 1, "f": 1, "df": 1, "phi": 1, "dphi": 1}
 
 
 def test_blocked_normsq_equals_one_evaluation(chart, grid):
@@ -254,7 +254,7 @@ def test_blocked_normsq_equals_one_evaluation(chart, grid):
     fam = H.OscillatoryFamily(bg, 40.0, 4)
     ub = np.linspace(0.05, 0.95, 2 * H._STENCIL_BLOCK + 5)
     blocked = fam.dgamma_normsq(ub)
-    assert calls == {"entries": 3, "dentries": 3, "f": 3, "df": 3, "phi": 3, "dphi": 3}
+    assert calls == {"jet": 3, "f": 3, "df": 3, "phi": 3, "dphi": 3}
     assert np.array_equal(blocked, C.dgamma_norm_sq(*fam.jet(ub)))
 
 
@@ -265,8 +265,8 @@ def test_negative_norm_square_in_the_last_block_is_refused(chart, grid):
     cut = ub[2 * H._STENCIL_BLOCK]
     bg = make_background(chart, grid, f_level=0.0)
     full = lambda u, value: np.full((len(u),) + chart.shape, value)
-    bg.data.entries = lambda u: (full(u, 1.0), full(u, 0.0), np.where(u >= cut, -1.0, 1.0)[:, None, None] * full(u, 1.0))
-    bg.data.dentries = lambda u: (full(u, 0.0), full(u, 1.0), full(u, 0.0))
+    sign = lambda u: np.where(u >= cut, -1.0, 1.0)[:, None, None]
+    bg.data.jet = lambda u: ((full(u, 1.0), full(u, 0.0), sign(u) * full(u, 1.0)), (full(u, 0.0), full(u, 1.0), full(u, 0.0)))
     fam = H.OscillatoryFamily(bg, 40.0, 4)
     assert np.all(fam.dgamma_normsq(ub[: 2 * H._STENCIL_BLOCK]) == 2.0)  # the first two blocks
     with pytest.raises(ValueError, match="negative"):
@@ -439,7 +439,7 @@ def test_corrector_jet_evaluates_each_envelope_map_once_per_block(chart, grid, b
     n = 64 if blocks == 1 else 2 * H._STENCIL_BLOCK + 5
     ub = np.linspace(0.1, 0.9, n)
     values, derivs = fam.corrector_jet(ub)
-    assert calls == {"entries": blocks, "dentries": blocks, "f": blocks, "phi": blocks}
+    assert calls == {"jet": blocks, "f": blocks, "phi": blocks}
     assert np.array_equal(values, oracle_corrector(fam, ub))
     assert np.array_equal(derivs, oracle_dcorrector(fam, ub))
 
@@ -459,30 +459,30 @@ def test_jet_matches_central_difference(chart, grid, moving):
     if not moving:
         f = lambda ub: np.full((len(ub),) + chart.shape, 1.3)
         df = lambda ub: np.zeros((len(ub),) + chart.shape)
-    a0, b0, _ = (x[0] for x in base.data.entries(np.zeros(1)))
+    a0, b0, _ = (x[0] for x in base.data.jet(np.zeros(1))[0])
     col = lambda ub: np.asarray(ub, float)[:, None, None]
 
-    def entries(ub):
+    def jet(ub):
         a, b = a0 * (1.0 + 0.3 * col(ub)), b0 * (1.0 + 0.5 * col(ub))
-        return a, b, (1.0 + b * b) / a
-
-    def dentries(ub):
-        a, b, d = entries(ub)
+        d = (1.0 + b * b) / a
         da, db = 0.3 * a0 + 0.0 * a, 0.5 * b0 + 0.0 * b
-        return da, db, (2.0 * b * db - d * da) / a
+        return (a, b, d), (da, db, (2.0 * b * db - d * da) / a)
 
-    data = C.ReducedCharData(grid, chart, base.data.gamma_ring, base.data.omega, base.data.dlog_omega,
-                             entries, dentries)
+    data = C.ReducedCharData(grid, chart, base.data.gamma_ring, base.data.omega, base.data.dlog_omega, jet)
     bg = H.DustBackground(data, f, df, base.phi, base.dphi)
     fam = H.OscillatoryFamily(bg, H.select_k(bg), 2)
     ub = np.linspace(0.1, 0.9, 201)
     h = 1e-4
     stencil = [
         (em2 - 8.0 * em1 + 8.0 * ep1 - ep2) / (12.0 * h)
-        for em2, em1, ep1, ep2 in zip(*(fam.entries(ub + o) for o in (-2 * h, -h, h, 2 * h)))
+        for em2, em1, ep1, ep2 in zip(*(fam.jet(ub + o)[0] for o in (-2 * h, -h, h, 2 * h)))
     ]
     values, derivs = fam.jet(ub)
-    assert all(np.array_equal(v, e) for v, e in zip(values, fam.entries(ub)))
+    # the entries are the closed form: the dust entries moved by the phase factor s
+    a, b, d = data.jet(ub)[0]
+    kn = fam.k * fam.n
+    s = 2.0 * bg.root_f_over_phi(ub) / kn * np.sin(kn * ub)[:, None, None]
+    assert all(np.array_equal(v, e) for v, e in zip(values, H._member_entries(a, b, d, a * d - b * b, s)))
     for num, exact in zip(stencil, derivs):
         assert np.abs(num - exact).max() < 1e-6 * np.abs(exact).max()
 
@@ -497,8 +497,8 @@ def oracle_family_convergence(background, n_values):
         fam = H.OscillatoryFamily(background, k, n)
         grid = fam.resolving_grid(16)
         ub = np.linspace(grid.a, grid.b, max(4096, grid.n))
-        ea, eb, ed = fam.entries(ub)
-        ba, bb, bd = background.data.entries(ub)
+        ea, eb, ed = fam.jet(ub)[0]
+        ba, bb, bd = background.data.jet(ub)[0]
         no_corr = np.abs(
             (fam.dgamma_normsq(ub) - background.data.dgamma_normsq(ub)) * background.phi(ub) ** 2
             - 4.0 * np.maximum(background.f(ub), 0.0)
@@ -541,8 +541,8 @@ def test_family_convergence_rows_equal_separate_evaluation(chart, grid, monkeypa
     # per block of each distinct lattice: one background evaluation, and one
     # envelope evaluation at each of the block's four stencil offsets
     blocks = sum(-(-p // H._STENCIL_BLOCK) for p in lattices)
-    assert calls - before_rows[0] == {"entries": 5 * blocks, "dentries": 5 * blocks, "f": 5 * blocks,
-                                      "phi": 5 * blocks, "df": blocks, "dphi": blocks}
+    assert calls - before_rows[0] == {"jet": 5 * blocks, "f": 5 * blocks, "phi": 5 * blocks, "df": blocks,
+                                      "dphi": blocks}
     assert rows == oracle_family_convergence(bg, n_values)
 
 
@@ -551,7 +551,7 @@ def test_det_defect_evaluates_the_background_once(chart, grid):
     fam = H.OscillatoryFamily(bg, 40.0, 4)
     ub = np.linspace(0, 1, 301)
     got = fam.det_defect(ub)
-    assert calls == {"entries": 1, "f": 1, "phi": 1}
-    e11, e12, e22 = fam.entries(ub)
-    a, b, d = bg.data.entries(ub)
+    assert calls == {"jet": 1, "f": 1, "df": 1, "phi": 1, "dphi": 1}
+    e11, e12, e22 = fam.jet(ub)[0]
+    a, b, d = bg.data.jet(ub)[0]
     assert got.tobytes() == (e11 * e22 - e12 * e12 - (a * d - b * b)).tobytes()

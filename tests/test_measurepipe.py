@@ -25,8 +25,7 @@ def setting():
     strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
     m_theta = (1.0 + 0.5 * np.cos(2.0 * np.pi * t1 / chart.L1)) * (1.0 - strip)
     dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
-    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
-                             dust=dust)
+    data = C.ReducedCharData(grid, chart, ring, one, zero, C.ring_jet(ring), dust)
     bv = C.solve_constraint(data, 1.0, 0.15)
     pipe = MP.MeasurePipeline(data, bv)
     pipe.freeze_k([1, 5])
@@ -97,15 +96,14 @@ def test_empty_measure_gives_constant_family():
     one = lambda ub: np.ones((len(np.atleast_1d(ub)),) + chart.shape)
     zero = lambda ub: np.zeros((len(np.atleast_1d(ub)),) + chart.shape)
     dust = C.NullDustMeasure(atoms=[], density=zero)
-    data = C.ReducedCharData(grid, chart, ring, one, zero, *C.ring_entries(ring),
-                             dust=dust)
+    data = C.ReducedCharData(grid, chart, ring, one, zero, C.ring_jet(ring), dust)
     bv = C.solve_constraint(data, 1.0, 0.2)
     pipe = MP.MeasurePipeline(data, bv, k=8.0)
     ub = np.linspace(0, 1, 501)
     vals = []
     for m in (1, 3):
         mem, = pipe.members([m])
-        ea, eb, ed = mem.family.entries(ub)
+        ea, eb, ed = mem.family.jet(ub)[0]
         vals.append((ea.copy(), mem.phi_vac(ub)))
     assert np.array_equal(vals[0][0], vals[1][0])
     assert np.abs(vals[0][1] - vals[1][1]).max() < 1e-12
@@ -116,8 +114,7 @@ def test_linearity_in_atom_mass(setting):
     t1, _ = chart.mesh()
     mass2 = 2.0 * data.dust.atoms[0][1]
     dust2 = C.NullDustMeasure(atoms=[(0.45, mass2)])
-    data2 = C.ReducedCharData(grid, chart, data.gamma_ring, data.omega, data.dlog_omega,
-                              data.entries, data.dentries, dust=dust2)
+    data2 = C.ReducedCharData(grid, chart, data.gamma_ring, data.omega, data.dlog_omega, data.jet, dust2)
     bv2 = C.solve_constraint(data2, 1.0, 0.15)
     pipe2 = MP.MeasurePipeline(data2, bv2)
     pipe2.freeze_k([1, 4])

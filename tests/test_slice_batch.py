@@ -30,8 +30,7 @@ def oracle_slice(data, solution, ub):
     dlo = np.asarray(data.dlog_omega(np.array([ub])))[0]
     phi = np.asarray(solution(np.array([ub])))[0]
     dphi = np.asarray(solution.deriv(np.array([ub])))[0]
-    gh = sym2_pack(*(x[0] for x in data.entries(np.array([ub]))))
-    dgh = sym2_pack(*(x[0] for x in data.dentries(np.array([ub]))))
+    gh, dgh = (sym2_pack(*(x[0] for x in half)) for half in data.jet(np.array([ub])))
     gamma = phi**2 * gh
     ginv = sym2_inverse(gamma)
     chi = (phi * dphi / om) * gh + (phi**2 / (2.0 * om)) * dgh
@@ -104,17 +103,13 @@ def shear_data(grid, chart=AngularGrid(16, 8)):
     t1, t2 = chart.mesh()
     ring = (np.ones(chart.shape), np.zeros(chart.shape), np.ones(chart.shape))
 
-    def entries(ub):
+    def jet(ub):
         u = np.asarray(ub, float)[:, None, None]
         a = np.exp(u) * (1.0 + 0.2 * np.cos(t1))
         b = 0.3 * np.sin(u + t2)
-        return a, b, (1.0 + b * b) / a
-
-    def dentries(ub):
-        u = np.asarray(ub, float)[:, None, None]
-        a, b, d = entries(ub)
+        d = (1.0 + b * b) / a
         db = 0.3 * np.cos(u + t2)
-        return a, db, (2.0 * b * db - d * a) / a
+        return (a, b, d), (a, db, (2.0 * b * db - d * a) / a)
 
     def omega(ub):
         return np.exp(0.1 * np.sin(t1) * np.cos(t2) + 0.2 * np.asarray(ub, float)[:, None, None])
@@ -122,7 +117,7 @@ def shear_data(grid, chart=AngularGrid(16, 8)):
     def dlog_omega(ub):
         return np.full((len(np.atleast_1d(ub)),) + chart.shape, 0.2)
 
-    return C.ReducedCharData(grid, chart, ring, omega, dlog_omega, entries, dentries)
+    return C.ReducedCharData(grid, chart, ring, omega, dlog_omega, jet)
 
 
 def corner(chart):
@@ -278,16 +273,15 @@ def test_nonpositive_metric_at_one_half_node_raises():
     grid = Grid1D(0.0, 0.5, 17)
     bad_ub = grid.points()[5] + 0.5 * grid.h  # interior half-node, not a node
     data = shear_data(grid)
-    good = data.entries
+    good = data.jet
 
-    def entries(ub):
-        a, b, d = good(ub)
+    def jet(ub):
+        (a, b, d), dentries = good(ub)
         bad = (np.abs(np.asarray(ub, float) - bad_ub) < 1e-12)[:, None, None]
         # negative definite with the same unit determinant
-        return np.where(bad, -1.0, a), np.where(bad, 0.0, b), np.where(bad, -1.0, d)
+        return (np.where(bad, -1.0, a), np.where(bad, 0.0, b), np.where(bad, -1.0, d)), dentries
 
-    data = C.ReducedCharData(grid, data.chart, data.gamma_ring, data.omega, data.dlog_omega,
-                             entries, data.dentries)
+    data = C.ReducedCharData(grid, data.chart, data.gamma_ring, data.omega, data.dlog_omega, jet)
     sol = C.solve_constraint(data, 1.0, 0.5)
     P.slice_fields(data, sol, grid.points())  # every node is positive definite
     with pytest.raises(PositivityError):
