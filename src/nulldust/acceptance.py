@@ -146,9 +146,11 @@ def criterion_burnett(*, lambda_seq=tuple(range(2, 11)), seed="cosine") -> Verdi
 # 2. concentration limit of the plane-wave family
 # ---------------------------------------------------------------------------
 
-def criterion_shell_limit(*, lambda_seq=(6, 8, 10), seed="bump") -> Verdict:
-    """Energies at every lambda = 2^-j of lambda_seq; jump and pairings at the finest."""
-    seed = pw.SEEDS[seed]
+def criterion_shell_limit(*, lambda_seq=(6, 8, 10)) -> Verdict:
+    """Energies at every lambda = 2^-j of lambda_seq; jump and pairings at the
+    finest.  The profile is the compactly supported bump seed, the one the
+    shell family takes (planewave.make_shell_G)."""
+    seed = pw.SEEDS["bump"]
     lam = 2.0 ** -max(lambda_seq)
     grid = Grid1D(-0.5, 0.5, 2**17 + 1)
     prof = pw.make_shell_G(lam, seed, grid)
@@ -489,31 +491,29 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     if k is not None:  # the member grids depend on the atoms' windows, k and n(m) alone
         probe = _ring_data(grid, chart, _FLAT_RING, measure)
         for m in m_seq:
-            MP.check_member_grids(M.MollifiedDensity(probe, m), k, MP.MeasurePipeline.n_of(m))
+            MP.check_member_grids(M.MollifiedDensity(probe, m), k, MP.n_of(m))
 
-    def pipeline(measure):
-        """The measure's pipeline, with k frozen over the first and last level."""
+    def pipeline(measure, m_values):
+        """The measure's data, BV solution and members at the levels m_values."""
         data = _ring_data(grid, chart, _FLAT_RING, measure)
         bv = C.solve_constraint(data, 1.0, 0.15)
-        pipe = MP.MeasurePipeline(data, bv, k=k)
-        pipe.freeze_k([m_seq[0], m_seq[-1]])
-        return pipe
+        return data, bv, MP.pipeline_members(data, bv, m_values, k)
 
     tf = bump_dictionary(grid, chart)[1]
-    pipe = pipeline(measure)
-    members = pipe.members(m_seq)
-    rows = MP.pipeline_weak_check(pipe, members, [tf])
+    data, bv, members = pipeline(measure, m_seq)
+    rows = MP.pipeline_weak_check(data, bv, members, [tf])
     gaps = [r["gap"] for r in rows]
     slope = fit_rate([2.0 ** -r["m"] for r in rows], gaps)
 
-    # linearity of the limiting pairing in the measure: only the last level
-    # of the doubled measure is read, and a member does not depend on which
-    # other members were built
+    # linearity of the limiting pairing in the measure: the doubled measure's
+    # pipeline freezes its k over the same first and last level, and only its
+    # last level is read; a member does not depend on which other members
+    # were built
     doubled = C.NullDustMeasure([(loc, 2.0 * mass) for loc, mass in measure.atoms])
     if measure.density is not None:
         doubled.density = lambda ub: 2.0 * measure.density(ub)
-    pipe2 = pipeline(doubled)
-    rows2 = MP.pipeline_weak_check(pipe2, pipe2.members([m_seq[-1]]), [tf])
+    data2, bv2, members2 = pipeline(doubled, [m_seq[0], m_seq[-1]])
+    rows2 = MP.pipeline_weak_check(data2, bv2, members2[-1:], [tf])
     lim1 = rows[-1]["difference"]
     lim2 = rows2[-1]["difference"]
     # a zero pairing of the measure has no ratio to test: the check fails

@@ -196,8 +196,7 @@ def build_parser():
     p = criterion_parser("shell-limit", "criterion 2: concentration family jump, pairings and energies")
     p.add_argument("--lambda-seq", type=_int_seq(1, 4), help="dyadic exponents j >= 4, j0..j1 or a,b,c: "
                    "energies at each, jump and pairings at the finest (default 6,8,10)")
-    p.add_argument("--seed", choices=sorted(pw.SEEDS), help="profile (default bump)")
-    p.set_defaults(func=_criterion_cmd("criterion_shell_limit", "lambda_seq", "seed"))
+    p.set_defaults(func=_criterion_cmd("criterion_shell_limit", "lambda_seq"))
 
     p = criterion_parser("gowdy", "criterion 3: Bessel-profile family and its two-beam limit")
     p.add_argument("--n-seq", type=_int_seq(4, 1),

@@ -198,7 +198,6 @@ class SequencePair:
 
     box: PeriodicBox
     rows: Callable[[slice], PairRows]
-    expects_defect: bool = False  # True for negative controls violating the bounds
 
 
 def weak_product_test(pair: SequencePair, psi: Callable[[slice], np.ndarray], n_values) -> dict:
@@ -225,7 +224,6 @@ def weak_product_test(pair: SequencePair, psi: Callable[[slice], np.ndarray], n_
         "pairings": pairings,
         "gaps": gaps,
         "product_converges": bool(converged),
-        "expects_defect": pair.expects_defect,
     }
 
 
@@ -254,7 +252,7 @@ def resonant_pair(box: PeriodicBox) -> SequencePair:
         wave = lambda n: np.broadcast_to(np.sin(n * ub), box.shape)[r]
         return PairRows(wave, wave, 0.0, 0.0)
 
-    return SequencePair(box, rows, expects_defect=True)  # h is NOT ub-regular: the hypothesis the control violates
+    return SequencePair(box, rows)  # h is NOT ub-regular: the hypothesis the control violates
 
 
 def strong_weak_pair(box: PeriodicBox) -> SequencePair:

@@ -178,11 +178,7 @@ class OscillatoryFamily:
         a, b, d = bg.data.jet(ub_batch)[0]
         det = sym2_det(a, b, d)
         amp = 2.0 * bg.root_f_over_phi(ub_batch) / (self.k * self.n)
-        worst = None
-        for sign in (1.0, -1.0):
-            eig = sym2_min_eigenvalue(*_member_entries(a, b, d, det, sign * amp))
-            worst = eig if worst is None else np.minimum(worst, eig)
-        return worst
+        return np.minimum(*(sym2_min_eigenvalue(*_member_entries(a, b, d, det, sign * amp)) for sign in (1.0, -1.0)))
 
     def corrector_jet(self, ub_batch, envelopes=None):
         """(F_n, dF_n/dub): F_n is bounded uniformly in n; its derivative is
@@ -213,31 +209,36 @@ class OscillatoryFamily:
         s2, c2 = np.sin(2.0 * kn * ub)[:, None, None], np.cos(2.0 * kn * ub)[:, None, None]
         return e1 * s2 + e2 * s1, de1 * s2 + 2.0 * kn * e1 * c2 + de2 * s1 + kn * e2 * c1
 
-    def resolving_grid(self, per_wavelength: int) -> Grid1D:
+    def resolving_grid(self) -> Grid1D:
+        """The dust grid, refined to at least 16 steps per oscillation wavelength."""
         wavelength = 2.0 * np.pi / (self.k * self.n)
         grid = self.background.data.grid
-        n = max(grid.n, int(np.ceil((grid.b - grid.a) / wavelength * per_wavelength)) + 1)
+        n = max(grid.n, int(np.ceil((grid.b - grid.a) / wavelength * 16)) + 1)
         return Grid1D(grid.a, grid.b, n)
 
     def vacuum_problem(self):
         """The vacuum constraint with the oscillatory shear on the resolving
-        grid (16 steps per wavelength), from the dust solution's initial value
-        and slope."""
-        grid = self.resolving_grid(16)
+        grid, from the dust solution's initial value and slope."""
+        grid = self.resolving_grid()
         ub0 = np.array([grid.a])
         bg = self.background
         return constraint_problem(bg.data, [grid], self.dgamma_normsq, None, bg.phi(ub0)[0], bg.dphi(ub0)[0])
 
 
-def _double_until(k: float, admissible, message: str) -> float:
-    """The first of k, 2k, 4k, ... (at most _MAX_DOUBLINGS) that is admissible.
+def _double_until(k: float, members, probes, min_eig: float, message: str) -> float:
+    """The first of k, 2k, 4k, ... (at most _MAX_DOUBLINGS) at which every
+    (background, n) member keeps half the eigenvalue margin min_eig on its
+    probe points, by the phase-envelope bound min_eigenvalue_envelope.
 
-    A NaN or inf k, which a NaN in the background data gives, raises at once.
+    The bound holds at every phase, so the probes need to resolve the
+    backgrounds only, not the oscillation.  A NaN or inf k, which a NaN in the
+    background data gives, raises at once.
     """
     if not np.isfinite(k):
         raise NonFiniteError(f"oscillation wavenumber seed is {k}: the background data is not finite")
     for _ in range(_MAX_DOUBLINGS):
-        if admissible(k):
+        if all(float(OscillatoryFamily(bg, k, n).min_eigenvalue_envelope(probe).min()) >= 0.5 * min_eig
+               for (bg, n), probe in zip(members, probes)):
             return k
         k *= 2.0
     raise PositivityEscalationError(message)
@@ -245,20 +246,14 @@ def _double_until(k: float, admissible, message: str) -> float:
 
 def select_k(background: DustBackground) -> float:
     """Smallest admissible oscillation wavenumber: start from the sup-based
-    seed and double until the n = 1 member keeps half the background's
-    eigenvalue margin (n = 1 has the largest oscillation amplitude)."""
+    seed and double until the n = 1 member (the largest oscillation
+    amplitude) keeps half the background's eigenvalue margin on the dust
+    grid's nodes."""
     ub = np.linspace(background.data.grid.a, background.data.grid.b, 4096)
     sup_rf = float(background.root_f_over_phi(ub).max())
     min_eig = float(sym2_min_eigenvalue(*background.data.jet(ub)[0]).min())
-
-    def admissible(k):
-        fam = OscillatoryFamily(background, k, 1)
-        grid = fam.resolving_grid(per_wavelength=32)
-        probe = np.linspace(grid.a, grid.b, min(grid.n, 1 << 18))
-        return float(sym2_min_eigenvalue(*fam.jet(probe)[0]).min()) >= 0.5 * min_eig
-
-    return _double_until(8.0 * (sup_rf + 1.0) / min_eig, admissible,
-                         f"no positive-definite oscillation found after {_MAX_DOUBLINGS} doublings")
+    return _double_until(8.0 * (sup_rf + 1.0) / min_eig, [(background, 1)], [background.data.grid.points()],
+                         min_eig, f"no positive-definite oscillation found after {_MAX_DOUBLINGS} doublings")
 
 
 class _PhiGaps:
@@ -300,7 +295,7 @@ def family_convergence(background: DustBackground, n_values):
             for n, (gap_phi, gap_dphi) in zip(n_values, phi_gaps)]
     lattices = {}
     for fam, row in zip(families, rows):
-        grid = fam.resolving_grid(16)
+        grid = fam.resolving_grid()
         lattices.setdefault((grid.a, grid.b, max(4096, grid.n)), []).append((fam, row))
     offs = _stencil(background.data.grid)[1]
     for (a, b, points), members in lattices.items():
@@ -350,9 +345,5 @@ def select_k_uniform(backgrounds_and_ns, min_eig: float, probes) -> float:
     demand = float(np.max([0.0] + [float(bg.root_f_over_phi(probe).max()) / n
                                    for (bg, n), probe in zip(backgrounds_and_ns, probes)]))
     k = float(np.maximum(1.0, 4.0 * 8.0 * (demand + 1.0 / backgrounds_and_ns[0][1]) / min_eig))
-
-    def admissible(k):
-        return all(float(OscillatoryFamily(bg, k, n).min_eigenvalue_envelope(probe).min()) >= 0.5 * min_eig
-                   for (bg, n), probe in zip(backgrounds_and_ns, probes))
-
-    return _double_until(k, admissible, "no uniform wavenumber keeps positivity across the run")
+    return _double_until(k, backgrounds_and_ns, probes, min_eig,
+                         "no uniform wavenumber keeps positivity across the run")

@@ -6,6 +6,13 @@ determinant-preserving vacuum oscillations, with the weak-convergence check
 
 along the dyadic index m, where the oscillation index n(m) is the smallest
 power of two with n >= 4 * 2^{5m/2} so every O(1/n) defect sits below 2^-m.
+It grows like 2^{5m/2} because the mollified density's envelope steepens like
+eps^{-3/2} = 2^{3m}, and the envelope-derivative defect terms integrate down
+only once the oscillation outruns it.
+
+pipeline_members builds the chain for a sequence of levels: every level's
+dust solve in one lockstep march, the wavenumber k frozen over the first and
+last level unless given, then every member's vacuum solve in another.
 """
 
 from dataclasses import dataclass
@@ -30,77 +37,44 @@ class PipelineMember:
     phi_vac: DenseSolution
 
 
-@dataclass
-class MeasurePipeline:
-    """Driver holding the measure data, its BV solution, and the frozen k.
+def n_of(m: int) -> int:
+    """The oscillation index of level m: the smallest power of two >= 4 * 2^{5m/2}."""
+    n = 1
+    target = 4 * 2.0 ** (2.5 * m)
+    while n < target:
+        n *= 2
+    return n
 
-    The oscillation index grows like n(m) ~ 2^{5m/2}: the mollified density's
-    envelope steepens like eps^{-3/2} = 2^{3m}, and the envelope-derivative
-    defect terms integrate down only once the oscillation outruns it, which
-    is the composed version of choosing n large enough that every O(1/n)
-    error sits below 2^-m.
+
+def _probe(fm: MollifiedDensity) -> np.ndarray:
+    """Window-refined probe points resolving the mollifier envelope."""
+    pts = [np.linspace(fm.data.grid.a, fm.data.grid.b, 513)]
+    for lo, hi in fm.windows():
+        pts.append(np.linspace(lo, hi, 512))
+    return np.unique(np.concatenate(pts))
+
+
+def pipeline_members(data: ReducedCharData, phi_bv: DenseSolution, m_values, k: float | None = None) -> list:
+    """gamma_n and its vacuum solve per level m of the sequence m_values.
+
+    The levels' dust solves march together, from the value and slope of the
+    BV solution phi_bv at ub = a.  Without a given k, k is frozen over the
+    first and last level (select_k_uniform on their probe points).  The
+    members' vacuum solves then march together on the grids of member_pieces.
     """
-
-    data: ReducedCharData
-    phi_bv: DenseSolution
-    k: float | None = None
-
-    def __post_init__(self):
-        self._built = {}  # m -> (fm, bg) of level m, shared by freeze_k and members
-
-    @staticmethod
-    def n_of(m: int) -> int:
-        n = 1
-        target = 4 * 2.0 ** (2.5 * m)
-        while n < target:
-            n *= 2
-        return n
-
-    def _initial(self):
-        """Value and slope of the BV solution at ub = a, where every solve starts."""
-        ub0 = np.array([self.data.grid.a])
-        return self.phi_bv(ub0)[0], self.phi_bv.deriv(ub0)[0]
-
-    def backgrounds(self, m_values) -> list:
-        """(fm, bg) per level m of the sequence m_values: the level-m mollified
-        density and the dust background on it.  The levels not built before
-        are solved together, in one lockstep march."""
-        missing = [MollifiedDensity(self.data, m) for m in dict.fromkeys(m_values) if m not in self._built]
-        for fm, phi_dust in zip(missing, solve_phi_m_dust(missing, *self._initial())):
-            self._built[fm.m] = fm, DustBackground(self.data, fm, fm.deriv, phi_dust, phi_dust.deriv)
-        return [self._built[m] for m in m_values]
-
-    def _probe(self, fm) -> np.ndarray:
-        """Window-refined probe points resolving the mollifier envelope."""
-        pts = [np.linspace(self.data.grid.a, self.data.grid.b, 513)]
-        for lo, hi in fm.windows():
-            pts.append(np.linspace(lo, hi, 512))
-        return np.unique(np.concatenate(pts))
-
-    def freeze_k(self, m_values) -> float:
-        if self.k is None:
-            pairs, probes, eigs = [], [], []
-            for m, (fm, bg) in zip(m_values, self.backgrounds(m_values)):
-                pairs.append((bg, self.n_of(m)))
-                probes.append(self._probe(fm))
-                eigs.append(float(sym2_min_eigenvalue(*self.data.jet(probes[-1])[0]).min()))
-            self.k = select_k_uniform(pairs, float(np.min(eigs)), probes)  # np.min keeps a NaN
-        return self.k
-
-    def members(self, m_values) -> list:
-        """gamma_n and its vacuum solve per level m of the sequence m_values,
-        the solves marched in lockstep on the grids of member_pieces."""
-        if self.k is None:
-            raise RuntimeError("freeze_k must run before building members")
-        initial = self._initial()
-        levels, problems = [], []
-        for m, (fm, bg) in zip(m_values, self.backgrounds(m_values)):
-            n = self.n_of(m)
-            fam = OscillatoryFamily(bg, self.k, n)
-            grids = segmented_grids(member_pieces(fm, self.k, n))
-            levels.append((fm, fam))
-            problems.append(constraint_problem(self.data, grids, fam.dgamma_normsq, None, *initial))
-        return [PipelineMember(fm, fam, sol) for (fm, fam), sol in zip(levels, march(problems))]
+    ub0 = np.array([data.grid.a])
+    initial = phi_bv(ub0)[0], phi_bv.deriv(ub0)[0]
+    fms = [MollifiedDensity(data, m) for m in m_values]
+    bgs = [DustBackground(data, fm, fm.deriv, phi, phi.deriv) for fm, phi in zip(fms, solve_phi_m_dust(fms, *initial))]
+    ns = [n_of(m) for m in m_values]
+    if k is None:
+        probes = [_probe(fms[i]) for i in (0, -1)]
+        eigs = [float(sym2_min_eigenvalue(*data.jet(probe)[0]).min()) for probe in probes]
+        k = select_k_uniform([(bgs[i], ns[i]) for i in (0, -1)], float(np.min(eigs)), probes)  # np.min keeps a NaN
+    families = [OscillatoryFamily(bg, k, n) for bg, n in zip(bgs, ns)]
+    problems = [constraint_problem(data, segmented_grids(member_pieces(fm, k, fam.n)), fam.dgamma_normsq, None,
+                                   *initial) for fm, fam in zip(fms, families)]
+    return [PipelineMember(fm, fam, sol) for fm, fam, sol in zip(fms, families, march(problems))]
 
 
 def member_pieces(fm: MollifiedDensity, k: float, n: int) -> list:
@@ -150,16 +124,16 @@ def background_shear_pairing(data: ReducedCharData, phi_bv, phi_test) -> float:
     return _shear_pairing(data, pieces, data.dgamma_normsq, phi_bv, phi_test)
 
 
-def pipeline_weak_check(pipeline: MeasurePipeline, members, phi_tests) -> list:
+def pipeline_weak_check(data: ReducedCharData, phi_bv: DenseSolution, members, phi_tests) -> list:
     """Convergence table of the weak identity, one row per (member, test):
     the level m, the shear difference (vacuum minus background pairing) and
     its gap to the measure pairing."""
     rows = []
     for tf in phi_tests:
-        target = measure_pairing(pipeline.data, tf)
-        bg_term = background_shear_pairing(pipeline.data, pipeline.phi_bv, tf)
+        target = measure_pairing(data, tf)
+        bg_term = background_shear_pairing(data, phi_bv, tf)
         for member in members:
-            vac_term = shear_energy_pairing(member, pipeline.data, tf)
+            vac_term = shear_energy_pairing(member, data, tf)
             rows.append({"m": member.fm.m, "difference": vac_term - bg_term,
                          "gap": abs(vac_term - bg_term - target)})
     return rows

@@ -199,7 +199,7 @@ def solution_shapes(monkeypatch):
 SOLUTION_SHAPES = {
     "constraints": [(1, 1)] * 5 + [(8, 1), (1, 1)],
     "mollification": [(8, 1)] * 8,
-    "pipeline": [(8, 1)] * 21,
+    "pipeline": [(8, 1)] * 22,
     "char_pipeline": [(1, 1)] * 5,
 }
 

@@ -122,10 +122,10 @@ def test_malformed_flag_exits_2_without_artifacts(tmp_path):
     ["hf-approx", "--dust", "atom 0.45 cos:1.0,0.5"],
     ["shell-limit", "--lambda-seq", "0"],  # the jump window needs j >= 4
     ["shell-limit", "--lambda-seq", "3,6"],
+    ["shell-limit", "--seed", "cosine"],  # no such flag
     ["gowdy", "--n-seq", "0,1,2,3"],  # the rate fit needs n >= 1
     # refused by the criterion itself, before its first write
     ["measure-pipeline", "--dust", "density 0.8"],  # the pipeline needs an atom
-    ["shell-limit", "--seed", "cosine"],  # not compactly supported
     ["trapped", "--ustar", "1.5"],  # criterion 8 takes no flags: its shells are its own
     ["trapped", "--mass", "cos:1,2"],
     ["compensated", "--grid", "32"],  # the partition's 4 C1 = 32 beyond the Nyquist band 16
@@ -317,8 +317,7 @@ _SUBCOMMAND_CALLS = [
     (["burnett", "--lambda-seq", "3..6", "--seed", "const"],
      [("criterion_burnett", {"lambda_seq": [3, 4, 5, 6], "seed": "const"})]),
     (["shell-limit", "--lambda-seq", "5,7"], [("criterion_shell_limit", {"lambda_seq": [5, 7]})]),
-    (["shell-limit", "--lambda-seq", "6..8", "--seed", "cosine"],
-     [("criterion_shell_limit", {"lambda_seq": [6, 7, 8], "seed": "cosine"})]),
+    (["shell-limit", "--lambda-seq", "6..8"], [("criterion_shell_limit", {"lambda_seq": [6, 7, 8]})]),
     (["gowdy", "--n-seq", "10,20,40,80", "--amplitude", "0.5"],
      [("criterion_gowdy", {"n_seq": [10, 20, 40, 80], "amplitude": 0.5})]),
     (["constraints"], [("criterion_constraints", {})]),

@@ -294,7 +294,6 @@ def test_weak_product_transverse_and_controls():
     assert res["product_converges"]
     res_r = CC.weak_product_test(CC.resonant_pair(box), psi, ns)
     assert not res_r["product_converges"]
-    assert res_r["expects_defect"]
     pair_sw = CC.strong_weak_pair(box)
     res_sw = CC.weak_product_test(pair_sw, psi, ns)
     assert res_sw["product_converges"]

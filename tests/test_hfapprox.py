@@ -159,6 +159,27 @@ def test_positivity_escalation(chart, grid):
     assert sym2_min_eigenvalue(*H.OscillatoryFamily(bg, 2.0 * np.pi, 1).jet(ub)[0]).min() <= 0.0
 
 
+def test_select_k_memory_does_not_grow_with_k(chart, grid):
+    # the envelope bound holds at every phase, so select_k probes the dust
+    # grid's nodes whatever k is; at f_level 5e4 (k near 2,750) sampling the
+    # n = 1 member at 32 points per wavelength took 75.6 MiB
+    bg = make_background(chart, grid, f_level=5e4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        k = H.select_k(bg)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # about 7.0 MiB: the seed's 4,096-point lattice
+    assert peak / 2**20 <= 16.0
+    # the rule implies the sampled one: at 32 points per wavelength the n = 1
+    # member keeps half the background's eigenvalue margin
+    margin = sym2_min_eigenvalue(*bg.data.jet(np.linspace(grid.a, grid.b, 4096))[0]).min()
+    ub = np.linspace(grid.a, grid.b, int(np.ceil((grid.b - grid.a) * k / (2.0 * np.pi) * 32)) + 1)
+    assert sym2_min_eigenvalue(*H.OscillatoryFamily(bg, k, 1).jet(ub)[0]).min() >= 0.5 * margin
+
+
 def test_phi_solution_matches_dust_when_no_density(chart, grid):
     bg = make_background(chart, grid, f_level=0.0)
     fam = H.OscillatoryFamily(bg, 8.0, 4)
@@ -291,7 +312,7 @@ def test_normsq_of_an_absorber_chunk_stays_small(monkeypatch):
     with pytest.raises(Captured):
         A.criterion_absorber()
     fam = H.OscillatoryFamily(captured[0], 64.0, 4)
-    grid = fam.resolving_grid(16)
+    grid = fam.resolving_grid()
     steps = min(odesolve._CHUNK, odesolve._POINT_STEPS // 32)
     ub = grid.a + 0.5 * np.arange(2 * steps + 1) * grid.h
     tracemalloc.start()
@@ -385,7 +406,7 @@ def test_folded_phi_gaps_equal_the_gaps_of_the_member_solution(chart, grid, monk
     monkeypatch.undo()
     assert len(chunks) >= 3
     # the dust is read on the grid's linspace nodes, not on the chunk lattice a + i h
-    member = fam.resolving_grid(16)
+    member = fam.resolving_grid()
     assert member.a + (member.n - 1) * member.h != member.b
     points = member.points()
     assert [u.tobytes() for u in seen] == [points[rows].tobytes() for rows in chunks]
@@ -495,7 +516,7 @@ def oracle_family_convergence(background, n_values):
     rows = []
     for n in n_values:
         fam = H.OscillatoryFamily(background, k, n)
-        grid = fam.resolving_grid(16)
+        grid = fam.resolving_grid()
         ub = np.linspace(grid.a, grid.b, max(4096, grid.n))
         ea, eb, ed = fam.jet(ub)[0]
         ba, bb, bd = background.data.jet(ub)[0]
@@ -535,7 +556,7 @@ def test_family_convergence_rows_equal_separate_evaluation(chart, grid, monkeypa
     monkeypatch.setattr(H, "march", march_then_count)
     rows = H.family_convergence(bg, n_values)
     monkeypatch.undo()
-    lattices = {max(4096, H.OscillatoryFamily(bg, rows[0]["k"], n).resolving_grid(16).n) for n in n_values}
+    lattices = {max(4096, H.OscillatoryFamily(bg, rows[0]["k"], n).resolving_grid().n) for n in n_values}
     assert len(lattices) == 2
     assert before_rows[0]["df"] > 0  # the march read the members' jets; nothing else before the rows reads df
     # per block of each distinct lattice: one background evaluation, and one

@@ -27,20 +27,17 @@ def setting():
     dust = C.NullDustMeasure(atoms=[(0.45, m_theta)])
     data = C.ReducedCharData(grid, chart, ring, one, zero, C.ring_jet(ring), dust)
     bv = C.solve_constraint(data, 1.0, 0.15)
-    pipe = MP.MeasurePipeline(data, bv)
-    pipe.freeze_k([1, 5])
-    members = dict(zip(range(1, 6), pipe.members(range(1, 6))))
-    return chart, grid, data, bv, pipe, members
+    members = dict(zip(range(1, 6), MP.pipeline_members(data, bv, range(1, 6))))
+    return chart, grid, data, bv, members
 
 
 def test_index_coupling_outruns_envelope():
-    pipe = MP.MeasurePipeline.__new__(MP.MeasurePipeline)
-    assert pipe.n_of(2) >= 4 * 2**5
-    assert pipe.n_of(4) / pipe.n_of(2) >= 2**5
+    assert MP.n_of(2) >= 4 * 2**5
+    assert MP.n_of(4) / MP.n_of(2) >= 2**5
 
 
 def test_uniform_estimates(setting):
-    chart, grid, data, bv, pipe, members = setting
+    chart, grid, data, bv, members = setting
     ub = np.linspace(0, 1, 1001)
     for mem in members.values():
         assert mem.phi_vac(ub).min() > 0.5
@@ -49,7 +46,7 @@ def test_uniform_estimates(setting):
 
 
 def test_uniform_convergence_of_members(setting):
-    chart, grid, data, bv, pipe, members = setting
+    chart, grid, data, bv, members = setting
     ub = np.linspace(0, 1, 2001)
     gaps = [float(np.abs(members[m].phi_vac(ub) - bv(ub)).max()) for m in sorted(members)]
     assert gaps[-1] < gaps[0]
@@ -57,19 +54,19 @@ def test_uniform_convergence_of_members(setting):
 
 
 def test_weak_identity_convergence(setting):
-    chart, grid, data, bv, pipe, members = setting
+    chart, grid, data, bv, members = setting
     tf = bump_dictionary(grid, chart)[1]
-    rows = MP.pipeline_weak_check(pipe, list(members.values()), [tf])
+    rows = MP.pipeline_weak_check(data, bv, list(members.values()), [tf])
     gaps = [r["gap"] for r in rows]
     slope = fit_rate([2.0 ** -r["m"] for r in rows], gaps)
     assert slope >= 0.9
-    assert gaps[-1] < 0.1 * abs(C.measure_pairing(pipe.data, tf))
+    assert gaps[-1] < 0.1 * abs(C.measure_pairing(data, tf))
 
 
 def test_mass_functional_matches_pairing_limit(setting):
     # concentration functional with the shear-energy identity equals the
     # windowed pairing: cross-module consistency of the two dust readings
-    chart, grid, data, bv, pipe, members = setting
+    chart, grid, data, bv, members = setting
     mem = members[max(members)]
     t1, _ = chart.mesh()
     m_theta = data.dust.atoms[0][1]
@@ -98,11 +95,10 @@ def test_empty_measure_gives_constant_family():
     dust = C.NullDustMeasure(atoms=[], density=zero)
     data = C.ReducedCharData(grid, chart, ring, one, zero, C.ring_jet(ring), dust)
     bv = C.solve_constraint(data, 1.0, 0.2)
-    pipe = MP.MeasurePipeline(data, bv, k=8.0)
     ub = np.linspace(0, 1, 501)
     vals = []
     for m in (1, 3):
-        mem, = pipe.members([m])
+        mem, = MP.pipeline_members(data, bv, [m], 8.0)
         ea, eb, ed = mem.family.jet(ub)[0]
         vals.append((ea.copy(), mem.phi_vac(ub)))
     assert np.array_equal(vals[0][0], vals[1][0])
@@ -110,25 +106,23 @@ def test_empty_measure_gives_constant_family():
 
 
 def test_linearity_in_atom_mass(setting):
-    chart, grid, data, bv, pipe, members = setting
+    chart, grid, data, bv, members = setting
     t1, _ = chart.mesh()
     mass2 = 2.0 * data.dust.atoms[0][1]
     dust2 = C.NullDustMeasure(atoms=[(0.45, mass2)])
     data2 = C.ReducedCharData(grid, chart, data.gamma_ring, data.omega, data.dlog_omega, data.jet, dust2)
     bv2 = C.solve_constraint(data2, 1.0, 0.15)
-    pipe2 = MP.MeasurePipeline(data2, bv2)
-    pipe2.freeze_k([1, 4])
-    mem2, = pipe2.members([4])
+    mem2 = MP.pipeline_members(data2, bv2, [1, 4])[-1]
     tf = bump_dictionary(grid, chart)[1]
-    row1 = MP.pipeline_weak_check(pipe, [members[4]], [tf])[0]
-    row2 = MP.pipeline_weak_check(pipe2, [mem2], [tf])[0]
+    row1 = MP.pipeline_weak_check(data, bv, [members[4]], [tf])[0]
+    row2 = MP.pipeline_weak_check(data2, bv2, [mem2], [tf])[0]
     assert abs(row2["difference"] / row1["difference"] - 2.0) < 0.05
 
 
 def test_freeze_k_keeps_a_nan_eigenvalue_margin(setting, monkeypatch):
     # a NaN eigenvalue margin at level 2, not level 1: min(margin, nan) would
     # keep the level-1 margin and freeze a finite k
-    chart, grid, data, bv, pipe, members = setting
+    chart, grid, data, bv, members = setting
     eigenvalues, calls = MP.sym2_min_eigenvalue, []
 
     def nan_at_level_2(a, b, d):
@@ -140,19 +134,17 @@ def test_freeze_k_keeps_a_nan_eigenvalue_margin(setting, monkeypatch):
 
     monkeypatch.setattr(MP, "sym2_min_eigenvalue", nan_at_level_2)
     with pytest.raises(NonFiniteError, match="wavenumber seed is nan"):
-        MP.MeasurePipeline(data, bv).freeze_k([1, 2])
+        MP.pipeline_members(data, bv, [1, 2])
     assert len(calls) == 2
 
 
 def test_member_does_not_depend_on_members_built_before(setting):
-    # level 3 alone, after levels 1 and 2, and in one batch with them
-    chart, grid, data, bv, pipe, members = setting
-    alone, after, batch = (MP.MeasurePipeline(data, bv) for _ in range(3))
-    for fresh in (alone, after, batch):
-        fresh.freeze_k([1, 3])
-    after.members([1, 2])
-    (one,), (other,) = alone.members([3]), after.members([3])
-    for twin in (other, batch.members([1, 2, 3])[2]):
+    # level 3 alone, in the fixture's batch of levels 1 to 5, and in one batch
+    # with levels 1 and 2, at the fixture's k
+    chart, grid, data, bv, members = setting
+    k = members[1].family.k
+    (one,) = MP.pipeline_members(data, bv, [3], k)
+    for twin in (members[3], MP.pipeline_members(data, bv, [1, 2, 3], k)[2]):
         assert one.family.n == twin.family.n and one.family.k == twin.family.k
         assert one.phi_vac.grids == twin.phi_vac.grids
         assert np.array_equal(one.phi_vac.breakpoints, twin.phi_vac.breakpoints)
@@ -166,13 +158,34 @@ def test_pipeline_linearity_equals_doubled_run_with_every_member(monkeypatch):
     got = criterion_pipeline(m_seq=m_seq).details["linearity_deviation"]
     check = MP.pipeline_weak_check
 
-    def every_member(pipe, members, tests):
+    def every_member(data, phi_bv, members, tests):
         if len(members) < len(m_seq):
-            members = pipe.members(m_seq)
-        return check(pipe, members, tests)
+            members = MP.pipeline_members(data, phi_bv, m_seq, members[0].family.k)
+        return check(data, phi_bv, members, tests)
 
     monkeypatch.setattr(MP, "pipeline_weak_check", every_member)
     assert got == criterion_pipeline(m_seq=m_seq).details["linearity_deviation"]
+
+
+def test_given_k_reproduces_the_auto_run(monkeypatch):
+    # criterion 7 at the k its auto run froze for the main pipeline: the same
+    # members, so the same gaps, slope, n(m) and lower bound; the doubled
+    # measure then takes the given k instead of its own, so linearity moves
+    m_seq = (1, 2, 3, 4)
+    build, ks = MP.pipeline_members, []
+
+    def recorded(*args):
+        members = build(*args)
+        ks.append(members[0].family.k)
+        return members
+
+    monkeypatch.setattr(MP, "pipeline_members", recorded)
+    auto = criterion_pipeline(m_seq=m_seq)
+    monkeypatch.undo()
+    given = criterion_pipeline(m_seq=m_seq, k=ks[0])
+    assert given.passed
+    for key in ("gaps", "slope", "n_of_m", "min_phi"):
+        assert given.details[key] == auto.details[key], key
 
 
 # Per-panel loops as the pairings were first written: one integrand evaluation
@@ -248,7 +261,7 @@ def loop_phi_gap_stats(sol, glued, fm, grid, atom=0.45):
 
 
 def test_pairings_equal_per_panel_loops(setting):
-    chart, grid, data, bv, pipe, members = setting
+    chart, grid, data, bv, members = setting
     mem = members[2]
     tf = bump_dictionary(grid, chart)[1]
     assert MP.shear_energy_pairing(mem, data, tf) == loop_shear_energy_pairing(mem, data, tf)
