@@ -668,23 +668,24 @@ def _cone_data(chart, grid):
     return _ring_data(grid, chart, tuple(x / gfun for x in _FLAT_RING), C.NullDustMeasure())
 
 
-def _cone_march(n1, n):
-    """Transport march of the cone data on an n1 x 4 chart with n nodes on [0, 1/2]."""
+def _cone_member(n1, n):
+    """(data, Phi, corner) of the cone data on an n1 x 4 chart with n nodes on [0, 1/2]."""
     chart = AngularGrid(n1, 4)
     data = _cone_data(chart, Grid1D(0.0, 0.5, n))
-    sol = C.solve_constraint(data, 1.0, 1.0)  # Phi = 1 + ub
-    return P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
+    return data, C.solve_constraint(data, 1.0, 1.0), P.CornerData.zeros(chart)  # Phi = 1 + ub
 
 
-def _ladder_residuals(n):
-    return P.structure_residuals(_cone_march(32, n))
+def _ladder_residuals(sizes):
+    """Structure residuals of the cone data on a 32 x 4 chart with n nodes,
+    for each n of sizes, in order; the members march together."""
+    return [P.structure_residuals(r) for r in P.solve_transport_system([_cone_member(32, n) for n in sizes])]
 
 
 def _main_march_checks():
     """(trchi error, trchb error, reconstruction gap) of criterion 10's main
     march, the cone data on a 64 x 4 chart with 513 nodes; the march is
     dropped on return."""
-    result = _cone_march(64, 513)
+    (result,) = P.solve_transport_system([_cone_member(64, 513)])
     grid = result.grid
     i_fiber = result.data.chart.n1 // 2
     ub = grid.points()
@@ -698,7 +699,7 @@ def _main_march_checks():
 def criterion_char_pipeline() -> Verdict:
     sizes = [65, 97, 129, 193]
     trchi_err, trchb_err, gap = _main_march_checks()
-    ladder = [_ladder_residuals(n) for n in sizes]
+    ladder = _ladder_residuals(sizes)
 
     orders = {}
     tables = {}

@@ -18,6 +18,11 @@ or the chart's size, as the data's batch maps and the corner fields state it
 (odesolve.angular_array): the cone data vary along theta1 alone and march
 (n1, 1), and data that vary along both angles march the chart.  Along an axis
 of size 1 a spectral derivative is an exact 0 (stencils.spectral_deriv).
+
+One march serves a list of members on one chart (solve_transport_system):
+their fields stack on a member axis between the slots and the slice axis,
+so a one-form of the march state is (2, M, m1, m2) and calculus, geometry
+and the spectral derivatives see one more batch axis.
 """
 
 from dataclasses import dataclass, fields
@@ -91,10 +96,16 @@ class SliceFields:
         for f in fields(self):
             getattr(self, f.name)[..., k, :, :] = getattr(batch, f.name)
 
-    def empty(self, n) -> "SliceFields":
-        """Uninitialised fields shaped as this batch's, over n slices."""
+    def member(self, j) -> "SliceFields":
+        """Member j (an index, or a slice of members) of a stacked batch, whose
+        member axis sits just before the slice axis, as views."""
+        return SliceFields(*(getattr(self, f.name)[..., j, :, :, :] for f in fields(self)))
+
+    def stacked(self, m, n, shape) -> "SliceFields":
+        """Uninitialised fields with this batch's slots, over m members, n
+        slices and the angular shape."""
         arrays = (getattr(self, f.name) for f in fields(self))
-        return SliceFields(*(np.empty(a.shape[:-3] + (n,) + a.shape[-2:]) for a in arrays))
+        return SliceFields(*(np.empty(a.shape[:-3] + (m, n) + shape) for a in arrays))
 
 
 @dataclass
@@ -188,75 +199,134 @@ def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
     return d_eta, d_b, d_omb, d_trchb, d_chibhat
 
 
-def solve_transport_system(data: ReducedCharData, solution, corner: CornerData) -> TransportResult:
-    """RK4 march of (eta, b, omb, trchb, chibhat) along the hypersurface.
+def solve_transport_system(members) -> list:
+    """RK4 march of (eta, b, omb, trchb, chibhat) along the hypersurface, for
+    each member (data, solution, corner) of a list on one chart; returns
+    their TransportResults in list order.
 
     The slice geometry (gamma = Phi^2 gamma_hat, its connection and Gauss
     curvature, chi, div chihat, grad trchi) depends on Phi only.  The march
-    goes _CHUNK steps at a time: before each chunk one batched pass computes
-    it on the chunk's node slices not yet computed, which fill the kept node
-    batch of the TransportResult, and one on the chunk's half-node slices,
-    which are dropped after the chunk.  The batched passes equal one pass
-    over every slice, field by field, and the RK4 stages only read them.
-    Each stage takes one spectral covariant derivative, of etab.  A slice
-    that fails slice_fields' sign test raises when its chunk is built.
+    goes _CHUNK steps at a time: before each chunk, member by member, one
+    batched pass computes it on the chunk's node slices not yet computed,
+    which fill the kept node batch, and one on the chunk's half-node slices,
+    copied into the chunk buffer and dropped.  The batched passes equal one
+    pass over every slice, field by field, and the RK4 stages only read
+    them.  Each stage takes one spectral covariant derivative, of etab.  A
+    slice that fails slice_fields' sign test raises when its chunk is built.
 
-    The march keeps the broadcast of the slices' angular shape and the
-    corner fields' shapes, and so does the TransportResult.  Raises
-    ValueError, naming the field, if a corner field is not its slots + s,
-    each axis of s of size 1 or the chart's size.
+    The members march in lockstep, longest first, each with its own step h:
+    every field carries a member axis between its slots and its slice axis,
+    so a step's slice is (*slots, M, m1, m2) and one _rhs call per RK4 stage
+    serves every member.  A member drops off the active prefix when its
+    march ends; only then are the active members' views and their h, h / 2
+    and h / 6 columns, (M, 1, 1), built anew (a scalar when they share h).  Each member's trajectory and node batch are, byte for
+    byte, those of marching it alone, and its TransportResult holds views of
+    its own length into the stacked arrays.  When members fail, the error
+    raised is the one a loop over the members raises: the first failing
+    member's in list order, at the location it reports marched alone, as
+    odesolve.march raises.
+
+    The march keeps the broadcast of every member's slice shape and corner
+    fields' shapes, and so do the TransportResults.  Raises ValueError
+    before any slice is built if the members' charts differ, or, naming the
+    field, if a corner field is not its slots + s, each axis of s of size 1
+    or the chart's size.
     """
-    grid = data.grid
-    h = grid.h
-    nodes = grid.points()
-    corner = CornerData(*(angular_array(f.name, getattr(corner, f.name), slots, data.chart.shape)
-                          for f, slots in zip(fields(CornerData), _CORNER_SLOTS)))
+    chart = members[0][0].chart
+    if any(data.chart != chart for data, _, _ in members):
+        raise ValueError(f"transport members on different charts: {[data.chart for data, _, _ in members]}")
+    corners = [CornerData(*(angular_array(f.name, getattr(c, f.name), slots, chart.shape)
+                            for f, slots in zip(fields(CornerData), _CORNER_SLOTS))) for _, _, c in members]
+    order = sorted(range(len(members)), key=lambda j: -members[j][0].grid.n)  # longest first
+    data = [members[j][0] for j in order]
+    sols = [members[j][1] for j in order]
+    grids = [d.grid for d in data]
+    ends = [g.n - 1 for g in grids]  # each member's step count, descending
+    nodes = [g.points() for g in grids]
     # slice i + 1 sits where the step reaches it, nodes[i] + h (nodes[i + 1] may differ by an ulp)
-    reach = np.concatenate([nodes[:1], nodes[:-1] + h])
-    k = min(_CHUNK, grid.n - 1) + 1  # the first chunk's node slices
-    first = slice_fields(data, solution, reach[:k])
-    at_node = first.empty(grid.n)
-    at_node[:k] = first
-    del first
+    reach = [np.concatenate([x[:1], x[:-1] + g.h]) for x, g in zip(nodes, grids)]
 
-    eta = corner_eta(at_node[0], corner)  # dub_b0 broadcast against the slices' shape
-    omb, trchb, chibhat = corner.omb0, corner.trchb0, corner.chibhat0
-    shape = np.broadcast_shapes(eta.shape[1:], omb.shape, trchb.shape, chibhat.shape[2:])
-    b = np.zeros((2,) + shape)
+    def build(s, ub, active):
+        try:
+            return slice_fields(data[s], sols[s], ub)
+        except Exception as exc:  # whatever a member's maps raise, in the order a loop over the members raises it
+            _raise_first(members, order, {order[s]: exc}, active)
 
-    traj = [np.empty(slots + (grid.n,) + shape) for slots in ((2,), (2,), (), (), (2, 2))]
+    m = len(members)
+    firsts = [build(s, reach[s][:min(_CHUNK, ends[s]) + 1], m) for s in range(m)]
+    etas = [corner_eta(first[0], corners[j]) for first, j in zip(firsts, order)]
+    shape = np.broadcast_shapes(*(e.shape[1:] for e in etas),
+                                *(a.shape[-2:] for c in corners for a in (c.omb0, c.trchb0, c.chibhat0)))
+    node_shape = np.broadcast_shapes(*(first.gamma.shape[-2:] for first in firsts))
+    at_node = firsts[0].stacked(m, grids[0].n, node_shape)
+    at_half = firsts[0].stacked(m, min(_CHUNK, ends[0]), node_shape)
+    traj = [np.empty(slots + (m, grids[0].n) + shape) for slots in ((2,), (2,), (), (), (2, 2))]
+    for s, (first, eta, j) in enumerate(zip(firsts, etas, order)):
+        at_node.member(s)[:len(first.omega)] = first
+        for arr, f in zip(traj, (eta, 0.0, corners[j].omb0, corners[j].trchb0, corners[j].chibhat0)):
+            arr[..., s, 0, :, :] = f
+    del firsts, first
+    y = [arr[..., 0, :, :] for arr in traj]  # each (*slots, M, m1, m2)
 
-    def store(i):
-        for arr, f in zip(traj, (eta, b, omb, trchb, chibhat)):
-            arr[..., i, :, :] = f
-
-    store(0)
-    for i in range(grid.n - 1):
+    hs = np.array([g.h for g in grids])[:, None, None]
+    active, live = 0, m
+    for i in range(ends[0]):
+        while ends[live - 1] <= i:  # the members whose march ends at step i drop off
+            live -= 1
+        if live != active:  # the active members' views and step columns
+            active = live
+            h = hs[:active]
+            if (h == h[0]).all():  # one step for every member: a scalar, the cheaper broadcast
+                h = h[0, 0, 0]
+            half_h, sixth_h = 0.5 * h, h / 6.0
+            node, half = at_node.member(slice(active)), at_half.member(slice(active))
+            y = [f[..., :active, :, :] for f in y]
+            rows = [arr[..., :active, :, :, :] for arr in traj]
         if i % _CHUNK == 0:  # a new chunk: its node slices not yet built, then its half-node slices
-            hi = min(i + _CHUNK, grid.n - 1)
-            if i:
-                at_node[i + 1:hi + 1] = slice_fields(data, solution, reach[i + 1:hi + 1])
-            at_half = slice_fields(data, solution, nodes[i:hi] + 0.5 * h)
-        sl, sl_half, sl_full = at_node[i], at_half[i % _CHUNK], at_node[i + 1]
-        k1 = _rhs(data, sl, eta, b, omb, trchb, chibhat)
-        y1 = [f + 0.5 * h * k for f, k in zip((eta, b, omb, trchb, chibhat), k1)]
-        k2 = _rhs(data, sl_half, *y1)
-        y2 = [f + 0.5 * h * k for f, k in zip((eta, b, omb, trchb, chibhat), k2)]
-        k3 = _rhs(data, sl_half, *y2)
-        y3 = [f + h * k for f, k in zip((eta, b, omb, trchb, chibhat), k3)]
-        k4 = _rhs(data, sl_full, *y3)
-        eta, b, omb, trchb, chibhat = (
-            f + h / 6.0 * (a1 + 2 * a2 + 2 * a3 + a4)
-            for f, a1, a2, a3, a4 in zip((eta, b, omb, trchb, chibhat), k1, k2, k3, k4)
-        )
-        worst = np.max([np.abs(x).max() for x in (eta, b, omb, trchb, chibhat)])  # NaN if any is NaN
-        if not np.isfinite(worst) or worst > _FIELD_BOUND:
-            raise TransportBlowupError(
-                f"transport state exceeded bound {_FIELD_BOUND:g} at ub={nodes[i + 1]:.6g}",
-                location=nodes[i + 1],
-            )
-        store(i + 1)
-    return TransportResult(grid, data, *traj, at_node, 2.0 * at_node.grad_log_omega - traj[0])
+            for s in range(active):
+                hi = min(i + _CHUNK, ends[s])
+                if i:
+                    at_node.member(s)[i + 1:hi + 1] = build(s, reach[s][i + 1:hi + 1], active)
+                at_half.member(s)[:hi - i] = build(s, nodes[s][i:hi] + 0.5 * grids[s].h, active)
+        sl, sl_half, sl_full = node[i], half[i % _CHUNK], node[i + 1]
+        k1 = _rhs(data[0], sl, *y)
+        k2 = _rhs(data[0], sl_half, *(f + half_h * k for f, k in zip(y, k1)))
+        k3 = _rhs(data[0], sl_half, *(f + half_h * k for f, k in zip(y, k2)))
+        k4 = _rhs(data[0], sl_full, *(f + h * k for f, k in zip(y, k3)))
+        y = [f + sixth_h * (a1 + 2 * a2 + 2 * a3 + a4) for f, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)]
+        if not _within_bound(y):
+            _raise_first(members, order, {
+                order[s]: TransportBlowupError(
+                    f"transport state exceeded bound {_FIELD_BOUND:g} at ub={nodes[s][i + 1]:.6g}",
+                    location=nodes[s][i + 1])
+                for s in range(active) if not _within_bound([f[..., s, :, :] for f in y])}, active)
+        for arr, f in zip(rows, y):
+            arr[..., i + 1, :, :] = f
+
+    results = [None] * m
+    for s, j in enumerate(order):
+        n = grids[s].n
+        state, sf = [arr[..., s, :n, :, :] for arr in traj], at_node.member(s)[:n]
+        results[j] = TransportResult(grids[s], data[s], *state, sf, 2.0 * sf.grad_log_omega - state[0])
+    return results
+
+
+def _within_bound(state) -> bool:
+    """Every component finite and at most _FIELD_BOUND in size."""
+    return all(np.abs(x).max() <= _FIELD_BOUND for x in state)  # a NaN or an inf compares False
+
+
+def _raise_first(members, order, failures, active):
+    """Raise the error a loop over the members, each marched alone, raises.
+    failures maps the list index of each member that failed at this step to
+    its error; the first of them in list order is raised, unless one of the
+    first `active` members in march order, before it in list order, fails
+    later: marched again on their own, they raise that failure."""
+    first = min(failures)
+    earlier = sorted(j for j in order[:active] if j < first)
+    if earlier:
+        solve_transport_system([members[j] for j in earlier])
+    raise failures[first]
 
 
 def constraint_reconstruction_gap(result: TransportResult) -> float:

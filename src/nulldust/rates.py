@@ -9,6 +9,8 @@ def fit_rate(xs, ys) -> float:
     """Slope of the least-squares line through (log x, log y): the observed rate.
 
     Requires at least 4 points with x > 0 and y >= 0; NonFiniteError on non-finite data or slope.
+    A table with an exact 0 ordinate has no rate: the slope is NaN, so every
+    comparison with a bound fails.  A caller that means a floor applies it.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -18,7 +20,8 @@ def fit_rate(xs, ys) -> float:
         raise NonFiniteError("rate fit needs finite data")
     if np.any(xs <= 0) or np.any(ys < 0):
         raise ValueError("rate fit needs positive abscissae and nonnegative ordinates")
-    ys = np.maximum(ys, np.finfo(float).tiny)  # zeros sit at the float floor
+    if np.any(ys == 0.0):
+        return float("nan")
     lx, ly = np.log(xs), np.log(ys)
     a = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(a, ly, rcond=None)

@@ -154,9 +154,8 @@ def test_criterion_4_solves_march_only_the_angles_their_data_vary_along(monkeypa
 
 def cone_solves(monkeypatch):
     """The reduced solves of criterion 10: its main march and its ladder."""
-    monkeypatch.setattr(A.P, "solve_transport_system", lambda *args: None)
     for n1, n in [(64, 513), (32, 65), (32, 97), (32, 129), (32, 193)]:
-        A._cone_march(n1, n)
+        A._cone_member(n1, n)
 
 
 def test_criterion_10_cone_solves_march_one_column(monkeypatch):
@@ -165,6 +164,22 @@ def test_criterion_10_cone_solves_march_one_column(monkeypatch):
     # a first chunk of 2^14 point-steps at the n1 x 4 chart's points, 64 steps
     # at n1 = 64 and 128 at n1 = 32, then one chunk of the rest at one column
     assert solves == [(0, [1, 1]), (0, [1]), (0, [1]), (0, [1]), (0, [1, 1])]
+
+
+def test_criterion_10_makes_2816_rhs_calls(monkeypatch):
+    # four RK4 stages per step: 512 steps of the main march, then the ladder's
+    # four members in one lockstep march of its longest member's 192 steps
+    # (1,920 more calls, 3,968 in all, with each member marched alone)
+    calls = []
+    rhs = A.P._rhs
+
+    def counted(*args):
+        calls.append(1)
+        return rhs(*args)
+
+    monkeypatch.setattr(A.P, "_rhs", counted)
+    assert A.criterion_char_pipeline().passed
+    assert len(calls) == 4 * 512 + 4 * 192 == 2816
 
 
 def test_second_density_line_is_refused_before_any_solve(monkeypatch):
@@ -404,8 +419,8 @@ def test_nan_expansion_in_a_later_trial_fails_the_trapped_criterion(monkeypatch,
 def test_nan_in_a_ladder_member_fails_the_order_check(monkeypatch, n_nan):
     # a NaN residual in one member of the table: no rate is fitted (at n = 65
     # a fit would raise), the order reads nan, and the order check fails
-    def ladder_residuals(n):
-        return {"torsion": float("nan") if n == n_nan else (0.5 / (n - 1)) ** 4, "shear_in": 0.0}
+    def ladder_residuals(sizes):
+        return [{"torsion": float("nan") if n == n_nan else (0.5 / (n - 1)) ** 4, "shear_in": 0.0} for n in sizes]
 
     monkeypatch.setattr(A, "_ladder_residuals", ladder_residuals)
     v = A.criterion_char_pipeline()

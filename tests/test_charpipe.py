@@ -15,6 +15,7 @@ from nulldust.odesolve import DenseSolution, march
 from nulldust.rates import fit_rate
 
 from test_calculus import curl_oneform, div_oneform, einsum_trailing, grad
+from test_slice_batch import corner as shear_corner
 from test_slice_batch import shear_data
 
 
@@ -146,7 +147,7 @@ def test_transport_curved_cone_fiber():
     grid = Grid1D(0.0, 0.5, 257)
     data = curved_cone_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
-    result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
+    (result,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(chart))])
     i = chart.n1 // 2
     ub = grid.points()
     assert np.abs(result.trchb[:, i, :] + 2.0 / (1.0 + ub)[:, None]).max() < 1e-8
@@ -164,7 +165,7 @@ def test_transport_flat_chart_closed_form():
     grid = Grid1D(0.0, 0.5, 257)
     data = flat_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
-    result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
+    (result,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(chart))])
     ub = grid.points()
     assert np.abs(result.trchb + (2.0 / (1.0 + ub) ** 2)[:, None, None]).max() < 1e-10
 
@@ -174,7 +175,7 @@ def test_angularly_constant_reduction_matches_scalar_integrator():
     grid = Grid1D(0.0, 0.4, 129)
     data = flat_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
-    result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
+    (result,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(chart))])
 
     # dedicated scalar march of the reduced (trchb, omb) system
     h = grid.h
@@ -209,7 +210,7 @@ def test_structure_residual_orders():
         grid = Grid1D(0.0, 0.5, n)
         data = curved_cone_data(chart, grid)
         sol = C.solve_constraint(data, 1.0, 1.0)
-        result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
+        (result,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(chart))])
         for key, val in P.structure_residuals(result).items():
             tables.setdefault(key, []).append(val)
     hs = [0.5 / (n - 1) for n in sizes]
@@ -235,7 +236,7 @@ def test_residual_sensitivity_to_shear_perturbation():
 
     data = C.ReducedCharData(grid, chart, ring, one, zero, jet)
     sol = C.solve_constraint(data, 1.0, 0.0)
-    result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
+    (result,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(chart))])
     base = P.structure_residuals(result)["expansion_out"]
     outs = []
     for delta in (1e-4, 2e-4):
@@ -271,7 +272,7 @@ def test_renormalized_curvature_flat_cone():
     grid = Grid1D(0.0, 0.5, 65)
     data = flat_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
-    result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
+    (result,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(chart))])
     rc = renormalized_curvature(result, 32)
     for fldname in ("beta", "betab", "sigma_check", "mu", "mub"):
         assert np.abs(getattr(rc, fldname)).max() < 1e-10, fldname
@@ -282,7 +283,7 @@ def test_mass_aspect_definitional_identity():
     grid = Grid1D(0.0, 0.5, 65)
     data = curved_cone_data(chart, grid)
     sol = C.solve_constraint(data, 1.0, 1.0)
-    result = P.solve_transport_system(data, sol, P.CornerData.zeros(chart))
+    (result,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(chart))])
     i = 32
     rc = renormalized_curvature(result, i)
     sl = result.nodes[i]
@@ -313,7 +314,7 @@ def test_blowup_guard(monkeypatch):
     corner = P.CornerData.zeros(chart)
     monkeypatch.setattr(P, "_FIELD_BOUND", 1.0)
     with pytest.raises(P.TransportBlowupError):
-        P.solve_transport_system(data, sol, corner)
+        P.solve_transport_system([(data, sol, corner)])
 
 
 @pytest.mark.parametrize("field", ["dub_b0", "omb0", "trchb0", "chibhat0"])
@@ -325,18 +326,18 @@ def test_nan_in_any_seeded_field_stops_the_march_at_the_first_step(field):
     corner = chart_corner(P.CornerData.zeros(chart), chart)
     getattr(corner, field)[..., 3, 1] = np.nan  # one grid point
     with pytest.raises(P.TransportBlowupError) as err:
-        P.solve_transport_system(data, sol, corner)
+        P.solve_transport_system([(data, sol, corner)])
     assert err.value.location == grid.points()[1]
 
 
 def test_compact_march_is_the_chart_march_broadcast():
     # the cone data vary along theta1 alone: the march keeps (n1, 1), and each
     # field is, byte for byte, that of the march of the same data on the chart
-    compact = A._cone_march(32, 65)
+    (compact,) = P.solve_transport_system([A._cone_member(32, 65)])
     chart = compact.data.chart
     data = chart_shaped(compact.data)
-    wide = P.solve_transport_system(data, C.solve_constraint(data, 1.0, 1.0),
-                                    chart_corner(P.CornerData.zeros(chart), chart))
+    (wide,) = P.solve_transport_system([(data, C.solve_constraint(data, 1.0, 1.0),
+                                         chart_corner(P.CornerData.zeros(chart), chart))])
     assert compact.eta.shape == (2, 65, 32, 1) and wide.eta.shape == (2, 65, 32, 4)
     pairs = [(getattr(compact, n), getattr(wide, n)) for n in ("eta", "b", "omb", "trchb", "chibhat", "etab")]
     pairs += [(getattr(compact.nodes, f.name), getattr(wide.nodes, f.name)) for f in fields(compact.nodes)]
@@ -351,7 +352,7 @@ def test_compact_march_is_the_chart_march_broadcast():
 def test_data_varying_in_both_angles_march_the_chart():
     grid = Grid1D(0.0, 0.3, 17)
     data = shear_data(grid)
-    result = P.solve_transport_system(data, C.solve_constraint(data, 1.0, 0.5), P.CornerData.zeros(data.chart))
+    (result,) = P.solve_transport_system([(data, C.solve_constraint(data, 1.0, 0.5), P.CornerData.zeros(data.chart))])
     for name, slots in (("eta", (2,)), ("b", (2,)), ("omb", ()), ("trchb", ()), ("chibhat", (2, 2)), ("etab", (2,))):
         assert getattr(result, name).shape == slots + (grid.n, 16, 8), name
     assert result.nodes.gam.shape == (2, 2, 2, grid.n, 16, 8)
@@ -366,11 +367,11 @@ def test_corner_fields_keep_the_angular_shape_contract(field, shape):
     corner = chart_corner(P.CornerData.zeros(chart), chart)
     setattr(corner, field, np.zeros(shape))  # (4,) would otherwise broadcast as a theta2 profile
     with pytest.raises(ValueError, match=field):
-        P.solve_transport_system(data, sol, corner)
+        P.solve_transport_system([(data, sol, corner)])
     one = getattr(P.CornerData.zeros(chart), field)
     assert one.shape[-2:] == (1, 1)
     setattr(corner, field, one)  # constant on the chart: marches
-    assert P.solve_transport_system(data, sol, corner).omb.shape == (33,) + chart.shape
+    assert P.solve_transport_system([(data, sol, corner)])[0].omb.shape == (33,) + chart.shape
 
 
 TRAJECTORY = ("eta", "b", "omb", "trchb", "chibhat", "etab")
@@ -396,7 +397,7 @@ def march_problem(kind, n):
 def test_march_nodes_equal_one_whole_batch(kind, n):
     data, sol = march_problem(kind, n)
     assert P._CHUNK == 64
-    result = P.solve_transport_system(data, sol, P.CornerData.zeros(data.chart))
+    (result,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(data.chart))])
     nodes, h = data.grid.points(), data.grid.h
     whole = P.slice_fields(data, sol, np.concatenate([nodes[:1], nodes[:-1] + h]))
     for f in fields(whole):
@@ -410,12 +411,76 @@ def test_chunked_march_equals_the_one_batch_march(monkeypatch, kind, n):
     # half-node slice in another, before its first step, as it did before it
     # was chunked; the chunked march's trajectory is the same, byte for byte
     data, sol = march_problem(kind, n)
-    chunked = P.solve_transport_system(data, sol, P.CornerData.zeros(data.chart))
+    (chunked,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(data.chart))])
     monkeypatch.setattr(P, "_CHUNK", n - 1)
-    one = P.solve_transport_system(data, sol, P.CornerData.zeros(data.chart))
+    (one,) = P.solve_transport_system([(data, sol, P.CornerData.zeros(data.chart))])
     for name in TRAJECTORY:
         assert getattr(chunked, name).tobytes() == getattr(one, name).tobytes(), name
     assert P.structure_residuals(chunked) == P.structure_residuals(one)
+
+
+def assert_marched_as_alone(members):
+    """Each member of the lockstep march of members equals, byte for byte,
+    the member marched alone: trajectory, node batch and residuals."""
+    batched = P.solve_transport_system(members)
+    assert len(batched) == len(members)
+    for got, member in zip(batched, members):
+        (want,) = P.solve_transport_system([member])
+        assert got.grid == want.grid and got.data is member[0]
+        pairs = [(getattr(got, n), getattr(want, n)) for n in TRAJECTORY]
+        pairs += [(getattr(got.nodes, f.name), getattr(want.nodes, f.name)) for f in fields(want.nodes)]
+        for a, b in pairs:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert P.structure_residuals(got) == P.structure_residuals(want)
+
+
+def test_ladder_members_march_together_as_alone():
+    # criterion 10's ladder, listed out of march order (longest first): each
+    # member drops off when its march ends, the 65-node one inside the first chunk
+    assert_marched_as_alone([A._cone_member(32, n) for n in (129, 65, 193, 97)])
+
+
+def test_members_varying_in_both_angles_march_together_as_alone():
+    # the whole 16 x 8 chart and corner fields that vary along both angles;
+    # the 150-node member is longer than two chunks, the 40-node one ends in the first
+    assert P._CHUNK == 64
+    members = []
+    for n in (40, 150):
+        data = shear_data(Grid1D(0.0, 0.3, n))
+        members.append((data, C.solve_constraint(data, 1.0, 0.5), shear_corner(data.chart)))
+    assert_marched_as_alone(members)
+
+
+def test_the_first_failing_member_in_list_order_raises(monkeypatch):
+    # Phi = 1 - ub on the flat chart: trchb = -2 / (1 - ub)^2 leaves the bound
+    # of 3 mid-march; the other member, longer and so marched first, holds a
+    # NaN and fails at its first step.  Either way round, the error raised is
+    # the first member's in the list, where it fails alone
+    monkeypatch.setattr(P, "_FIELD_BOUND", 3.0)
+    chart = AngularGrid(8, 4)
+    data = flat_data(chart, Grid1D(0.0, 0.5, 65))
+    growing = (data, C.solve_constraint(data, 1.0, -1.0), P.CornerData.zeros(chart))
+    data = flat_data(chart, Grid1D(0.0, 0.5, 129))
+    nan_corner = chart_corner(P.CornerData.zeros(chart), chart)
+    nan_corner.omb0[3, 1] = np.nan
+    nan = (data, C.solve_constraint(data, 1.0, 1.0), nan_corner)
+    alone = {}
+    for member in (growing, nan):
+        with pytest.raises(P.TransportBlowupError) as err:
+            P.solve_transport_system([member])
+        alone[id(member)] = err.value
+    assert alone[id(nan)].location == nan[0].grid.points()[1]
+    assert alone[id(growing)].location > 0.1
+    for members in ([growing, nan], [nan, growing]):
+        with pytest.raises(P.TransportBlowupError) as err:
+            P.solve_transport_system(members)
+        want = alone[id(members[0])]
+        assert (err.value.location, str(err.value)) == (want.location, str(want))
+
+
+def test_members_on_different_charts_are_refused():
+    with pytest.raises(ValueError, match="different charts"):
+        P.solve_transport_system([A._cone_member(32, 65), A._cone_member(64, 65)])
 
 
 def test_main_march_and_its_checks_stay_small():

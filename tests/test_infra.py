@@ -111,6 +111,16 @@ def test_rate_fit_exact_and_noisy():
     assert abs(fit_rate(xs, np.full(len(xs), 3.3))) < 1e-12
 
 
+def test_rate_fit_through_an_exact_zero_fails_every_slope_check():
+    # a table whose last rows reached an exact 0 has no rate; a 0 read as the
+    # float floor, 2.2e-308, would fit a slope in the hundreds and pass any >= bound
+    xs = np.array([1.0, 0.5, 0.25, 0.125, 0.0625])
+    for ys in ([0.23, 1e-3, 0.0, 0.0, 0.0], [9.6, 1.1, 2.6e-89, 0.0, 0.0], [0.0] * 5):
+        slope = fit_rate(xs, ys)
+        assert np.isnan(slope)
+        assert not slope >= 0.9 and not slope <= 0.2
+
+
 def test_rate_fit_needs_four_points():
     with pytest.raises(ValueError, match="4 points"):
         fit_rate([1.0, 0.5, 0.25], [1.0, 2.0, 4.0])

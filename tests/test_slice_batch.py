@@ -191,7 +191,7 @@ def test_first_steps_equal_per_slice_march(problem):
     grid, h = data.grid, data.grid.h
     nodes = grid.points()
     c0 = corner(data.chart)
-    result = P.solve_transport_system(data, sol, c0)
+    (result,) = P.solve_transport_system([(data, sol, c0)])
 
     eta0 = P.corner_eta(oracle_slice(data, sol, nodes[0]), c0)
     y = [eta0, np.zeros((2,) + data.chart.shape), c0.omb0, c0.trchb0, c0.chibhat0]
@@ -233,7 +233,7 @@ def test_christoffel_calls_do_not_grow_with_grid(monkeypatch):
         data = shear_data(Grid1D(0.0, 0.3, n))
         sol = C.solve_constraint(data, 1.0, 0.5)
         calls.clear()
-        P.solve_transport_system(data, sol, corner(data.chart))
+        P.solve_transport_system([(data, sol, corner(data.chart))])
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2  # the node batch and the half-node batch
 
@@ -246,7 +246,7 @@ def holders(fn):
 
 def test_slice_batch_inverts_gamma_once(monkeypatch, problem):
     data, sol = problem
-    result = P.solve_transport_system(data, sol, corner(data.chart))
+    (result,) = P.solve_transport_system([(data, sol, corner(data.chart))])
     inverses = count_calls(monkeypatch, sym2_inverse, holders(sym2_inverse))
     derivs = count_calls(monkeypatch, geometry.spectral_deriv, holders(geometry.spectral_deriv))
     P.slice_fields(data, sol, data.grid.points())
@@ -285,4 +285,4 @@ def test_nonpositive_metric_at_one_half_node_raises():
     sol = C.solve_constraint(data, 1.0, 0.5)
     P.slice_fields(data, sol, grid.points())  # every node is positive definite
     with pytest.raises(PositivityError):
-        P.solve_transport_system(data, sol, corner(data.chart))
+        P.solve_transport_system([(data, sol, corner(data.chart))])
