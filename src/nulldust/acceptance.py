@@ -473,7 +473,8 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     lines, whose atoms lose an angular strip of their mass.
 
     Raises ValueError before the first solve when dust has no atom (the
-    pipeline concentrates atoms, so its verdict would say nothing), when
+    pipeline concentrates atoms, so its verdict would say nothing), when an
+    atom lies outside the test function's support (it would pair to 0), when
     mollify.check_level refuses a level, or when k would give a level's
     member a grid past grids.MAX_NODES (measurepipe.check_member_grids).
     """
@@ -481,9 +482,14 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
     atoms = [loc for kind, loc, _ in dust if kind == "atom"]
     if not atoms:
         raise ValueError("the measure pipeline concentrates an atom: give the dust an 'atom' line")
+    chart = AngularGrid(8, 4)
+    tf = bump_dictionary(grid, chart)[1]
+    lo, hi = tf.support
+    if outside := [loc for loc in atoms if not lo < loc < hi]:
+        raise ValueError(f"atom at ub={outside[0]:g} lies outside ({lo:g}, {hi:g}), the support of the test function"
+                         " the measure pipeline pairs against")
     for m in m_seq:
         M.check_level(m, grid, atoms)
-    chart = AngularGrid(8, 4)
     t1 = chart.theta1()[:, None]
     strip = plateau((t1 - 3.6) / 0.5) * plateau((5.9 - t1) / 0.5)
     measure = _dust_measure(dust, chart)
@@ -499,7 +505,6 @@ def criterion_pipeline(*, m_seq=tuple(range(1, 9)), k=None, dust=GLUED_SHELL) ->
         bv = C.solve_constraint(data, 1.0, 0.15)
         return data, bv, MP.pipeline_members(data, bv, m_values, k)
 
-    tf = bump_dictionary(grid, chart)[1]
     data, bv, members = pipeline(measure, m_seq)
     rows = MP.pipeline_weak_check(data, bv, members, [tf])
     gaps = [r["gap"] for r in rows]
@@ -571,7 +576,8 @@ def criterion_trapped() -> Verdict:
 
     mass = 1.0 + 0.5 * np.cos(t1)
     shell = S.ShellSpacetime(chart, mass, 0.4, ub0=0.2)
-    phi = lambda u, ub: (1.0 + 0.3 * np.sin(t1)) * np.exp(-2.0 * (ub - 0.2) ** 2) * (1.0 + 0.1 * u)
+    phi = lambda u, ub: ((1.0 + 0.3 * np.sin(t1)) * np.exp(-2.0 * (ub - 0.2) ** 2)[:, None, None]
+                         * (1.0 + 0.1 * u)[:, None, None])  # a batch map: (K,) u and ub -> (K, n1, n2)
     res_weak = abs(S.weak_trch_residual(shell, phi, 0.4, 0.05, 0.35))
     res_control = abs(S.weak_trch_residual(shell, phi, 0.4, 0.05, 0.35, include_measure=False))
     pairing = S.shell_pairing(shell, phi, 0.4)

@@ -69,6 +69,11 @@ class CornerData:
 _CORNER_SLOTS = ((2,), (), (), (2, 2))  # the slots of CornerData's fields, in order
 
 
+def _unpack(packed):
+    """(eta, b, omb, trchb, chibhat) of a packed state (10, ...), as views."""
+    return packed[0:2], packed[2:4], packed[4], packed[5], packed[6:10].reshape((2, 2) + packed.shape[1:])
+
+
 @dataclass
 class SliceFields:
     """Geometry and outgoing coefficients on a batch of ub slices, the ub
@@ -155,47 +160,49 @@ def corner_eta(sl: SliceFields, corner: CornerData) -> np.ndarray:
     return sl.grad_log_omega + 0.5 * diff
 
 
-def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat):
+def _rhs(data: ReducedCharData, sl: SliceFields, eta, b, omb, trchb, chibhat, out=None):
     """Coordinate-time derivatives of the transport state on slice sl.  Only
     state-dependent terms are computed here: the contractions use the stored
-    inverse metric, and the one angular derivative is nabla etab."""
+    inverse metric, and the one angular derivative is nabla etab.  Returns the
+    five derivatives, views of out, a packed state (10, ...), when it is given."""
+    d_eta, d_b, d_omb, d_trchb, d_chibhat = (None,) * 5 if out is None else _unpack(out)
     gamma, ginv = sl.gamma, sl.ginv
     etab = 2.0 * sl.grad_log_omega - eta
     diff = eta - etab
 
     chihat_dot_diff = calc.dot21(ginv, sl.chihat, diff)
-    d_eta = sl.omega * (
+    d_eta = np.multiply(sl.omega, (
         -0.75 * sl.trchi * diff
         + sl.div_chihat
         - 0.5 * sl.grad_trchi
         - 0.5 * chihat_dot_diff
         + calc.chi_connection(sl.chi_mix, eta)
-    )
+    ), out=d_eta)
 
-    d_b = -2.0 * sl.omega**2 * calc.move_index(ginv, diff)
+    d_b = np.multiply(-2.0 * sl.omega**2, calc.move_index(ginv, diff), out=d_b)
 
-    d_omb = sl.omega * (
+    d_omb = np.multiply(sl.omega, (
         2.0 * sl.om * omb
         - calc.dot11(ginv, eta, etab)
         + 0.5 * calc.dot11(ginv, eta, eta)
         - 0.5 * (sl.kgauss - 0.5 * calc.dot22(ginv, sl.chihat, chibhat) + 0.25 * sl.trchi * trchb)
-    )
+    ), out=d_omb)
 
     nab_etab = calc.covariant_deriv(data.chart, etab, sl.gam)  # [c, a] = nabla_c etab_a
     div_etab = trace(ginv, nab_etab)
     etab_sq = calc.dot11(ginv, etab, etab)
-    d_trchb = sl.omega * (
+    d_trchb = np.multiply(sl.omega, (
         -sl.trchi * trchb + 2.0 * sl.om * trchb - 2.0 * sl.kgauss + 2.0 * div_etab + 2.0 * etab_sq
-    )
+    ), out=d_trchb)
 
-    d_chibhat = sl.omega * (
+    d_chibhat = np.multiply(sl.omega, (
         calc.chi_connection(sl.chi_mix, chibhat)
         - 0.5 * sl.trchi * chibhat
         + calc.hat(gamma, nab_etab, div_etab)
         + 2.0 * sl.om * chibhat
         - 0.5 * trchb * sl.chihat
         + calc.hat(gamma, etab[:, None] * etab, etab_sq)
-    )
+    ), out=d_chibhat)
     return d_eta, d_b, d_omb, d_trchb, d_chibhat
 
 
@@ -217,7 +224,10 @@ def solve_transport_system(members) -> list:
     The members march in lockstep, longest first, each with its own step h:
     every field carries a member axis between its slots and its slice axis,
     so a step's slice is (*slots, M, m1, m2) and one _rhs call per RK4 stage
-    serves every member.  A member drops off the active prefix when its
+    serves every member.  The state (eta, b, omb, trchb, chibhat) is packed
+    (_unpack), (10, M, m1, m2), as are the trajectory and the stage buffers
+    _rhs writes into, so each RK4 sum, bound check and row write is one array
+    operation.  A member drops off the active prefix when its
     march ends; only then are the active members' views and their h, h / 2
     and h / 6 columns, (M, 1, 1), built anew (a scalar when they share h).  Each member's trajectory and node batch are, byte for
     byte, those of marching it alone, and its TransportResult holds views of
@@ -260,13 +270,14 @@ def solve_transport_system(members) -> list:
     node_shape = np.broadcast_shapes(*(first.gamma.shape[-2:] for first in firsts))
     at_node = firsts[0].stacked(m, grids[0].n, node_shape)
     at_half = firsts[0].stacked(m, min(_CHUNK, ends[0]), node_shape)
-    traj = [np.empty(slots + (m, grids[0].n) + shape) for slots in ((2,), (2,), (), (), (2, 2))]
+    traj = np.empty((10, m, grids[0].n) + shape)  # the packed state of every member and node
+    ks = np.empty((4, 10, m) + shape)  # the four RK4 stage derivatives, packed
     for s, (first, eta, j) in enumerate(zip(firsts, etas, order)):
         at_node.member(s)[:len(first.omega)] = first
-        for arr, f in zip(traj, (eta, 0.0, corners[j].omb0, corners[j].trchb0, corners[j].chibhat0)):
-            arr[..., s, 0, :, :] = f
+        for f, v in zip(_unpack(traj[:, s, 0]), (eta, 0.0, corners[j].omb0, corners[j].trchb0, corners[j].chibhat0)):
+            f[...] = v
     del firsts, first
-    y = [arr[..., 0, :, :] for arr in traj]  # each (*slots, M, m1, m2)
+    y = traj[:, :, 0]  # (10, M, m1, m2)
 
     hs = np.array([g.h for g in grids])[:, None, None]
     active, live = 0, m
@@ -280,40 +291,40 @@ def solve_transport_system(members) -> list:
                 h = h[0, 0, 0]
             half_h, sixth_h = 0.5 * h, h / 6.0
             node, half = at_node.member(slice(active)), at_half.member(slice(active))
-            y = [f[..., :active, :, :] for f in y]
-            rows = [arr[..., :active, :, :, :] for arr in traj]
+            y, rows, (k1, k2, k3, k4) = y[:, :active], traj[:, :active], ks[:, :, :active]
+            sl_full = None
         if i % _CHUNK == 0:  # a new chunk: its node slices not yet built, then its half-node slices
             for s in range(active):
                 hi = min(i + _CHUNK, ends[s])
                 if i:
                     at_node.member(s)[i + 1:hi + 1] = build(s, reach[s][i + 1:hi + 1], active)
                 at_half.member(s)[:hi - i] = build(s, nodes[s][i:hi] + 0.5 * grids[s].h, active)
-        sl, sl_half, sl_full = node[i], half[i % _CHUNK], node[i + 1]
-        k1 = _rhs(data[0], sl, *y)
-        k2 = _rhs(data[0], sl_half, *(f + half_h * k for f, k in zip(y, k1)))
-        k3 = _rhs(data[0], sl_half, *(f + half_h * k for f, k in zip(y, k2)))
-        k4 = _rhs(data[0], sl_full, *(f + h * k for f, k in zip(y, k3)))
-        y = [f + sixth_h * (a1 + 2 * a2 + 2 * a3 + a4) for f, a1, a2, a3, a4 in zip(y, k1, k2, k3, k4)]
+        sl = node[i] if sl_full is None else sl_full  # the last step's end slice, while the members stay
+        sl_half, sl_full = half[i % _CHUNK], node[i + 1]
+        _rhs(data[0], sl, *_unpack(y), k1)
+        _rhs(data[0], sl_half, *_unpack(y + half_h * k1), k2)
+        _rhs(data[0], sl_half, *_unpack(y + half_h * k2), k3)
+        _rhs(data[0], sl_full, *_unpack(y + h * k3), k4)
+        y = y + sixth_h * (k1 + 2 * k2 + 2 * k3 + k4)
         if not _within_bound(y):
             _raise_first(members, order, {
                 order[s]: TransportBlowupError(
                     f"transport state exceeded bound {_FIELD_BOUND:g} at ub={nodes[s][i + 1]:.6g}",
                     location=nodes[s][i + 1])
-                for s in range(active) if not _within_bound([f[..., s, :, :] for f in y])}, active)
-        for arr, f in zip(rows, y):
-            arr[..., i + 1, :, :] = f
+                for s in range(active) if not _within_bound(y[:, s])}, active)
+        rows[:, :, i + 1] = y
 
     results = [None] * m
     for s, j in enumerate(order):
         n = grids[s].n
-        state, sf = [arr[..., s, :n, :, :] for arr in traj], at_node.member(s)[:n]
+        state, sf = _unpack(traj[:, s, :n]), at_node.member(s)[:n]
         results[j] = TransportResult(grids[s], data[s], *state, sf, 2.0 * sf.grad_log_omega - state[0])
     return results
 
 
 def _within_bound(state) -> bool:
-    """Every component finite and at most _FIELD_BOUND in size."""
-    return all(np.abs(x).max() <= _FIELD_BOUND for x in state)  # a NaN or an inf compares False
+    """Every component of a packed state finite and at most _FIELD_BOUND in size."""
+    return bool(np.abs(state).max() <= _FIELD_BOUND)  # a NaN or an inf compares False
 
 
 def _raise_first(members, order, failures, active):

@@ -9,6 +9,12 @@ ingoing null hypersurface forces the jump
     trchi+ = trchi- - m(theta) / (ub - u + 1)^2,
 while trchb stays continuous; the crossing sphere at u = u_* is trapped
 exactly when  inf_theta m > 2 (1 - u_*).
+
+A test function of the weak residuals is an angular batch map
+(odesolve.angular_array): phi(u, ub) takes two (K,) arrays and returns
+(K, n1, n2), each axis past the first of size 1 or the chart's.  The
+quadratures call it once per batch of nodes, sum each node's angular row
+alone, and add the weighted node sums left to right, as a per-node loop does.
 """
 
 from dataclasses import dataclass
@@ -17,6 +23,7 @@ import numpy as np
 
 from .errors import NonFiniteError
 from .grids import AngularGrid
+from .odesolve import angular_array
 from .quadrature import composite_rule
 
 _GL = 16  # Gauss-Legendre nodes per panel of the weak residuals
@@ -72,28 +79,27 @@ def is_trapped(shell: ShellSpacetime):
     return per_theta, bool(per_theta.all()), margin
 
 
-def _post_shell_trchi(q: np.ndarray, dub: np.ndarray) -> np.ndarray:
-    """Solution of d trchi/d ub = -(1/2) trchi^2 past the jump value q."""
-    return q / (1.0 + 0.5 * q * dub)
-
-
-def _area_ratio(shell, u, ub):
-    """sqrt(det gamma)(ub) / sqrt(det gamma_ring): the cone law r^2 below the
-    shell, the post-jump focusing law above; continuous across the shell."""
-    r0 = shell.ub0 - u + 1.0
+def _cone_fields(shell, u, ub):
+    """trchi and the area ratio sqrt(det gamma) / sqrt(det gamma_ring) on the
+    slices ub (K,), each (K, n1, n2): the cone laws 2 / r and r^2 below the
+    shell; above it, the solution of d trchi/d ub = -(1/2) trchi^2 past the
+    jump value q and its focusing law, which keeps the ratio continuous."""
     ub = np.asarray(ub, dtype=float)
-    below = (ub - u + 1.0) ** 2
-    q = trch_jump(shell, u)
-    above = r0**2 * (1.0 + 0.5 * q[None] * np.maximum(ub - shell.ub0, 0.0)[:, None, None]) ** 2
-    return np.where((ub <= shell.ub0)[:, None, None], below[:, None, None], above)
+    r, q = ub - u + 1.0, trch_jump(shell, u)[None]
+    dub, below = np.maximum(ub - shell.ub0, 0.0)[:, None, None], (ub <= shell.ub0)[:, None, None]
+    trchi = np.where(below, (2.0 / r)[:, None, None], q / (1.0 + 0.5 * q * dub))
+    return trchi, np.where(below, (r**2)[:, None, None], (shell.ub0 - u + 1.0) ** 2 * (1.0 + 0.5 * q * dub) ** 2)
 
 
-def _trchi_field(shell, u, ub):
-    r = np.asarray(ub, dtype=float) - u + 1.0
-    below = np.broadcast_to((2.0 / r)[:, None, None], (len(r),) + shell.chart.shape)
-    q = trch_jump(shell, u)
-    above = _post_shell_trchi(q[None], np.maximum(np.asarray(ub) - shell.ub0, 0.0)[:, None, None])
-    return np.where((np.asarray(ub) <= shell.ub0)[:, None, None], below, above)
+def _test_values(shell, phi, u, ub) -> np.ndarray:
+    """phi at the nodes (u, ub), each a scalar or (K,), held to the batch contract."""
+    u, ub = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(ub, dtype=float))
+    return angular_array("test function phi(u, ub)", phi(u, ub), ub.shape, shell.chart.shape)
+
+
+def _node_sums(a: np.ndarray) -> np.ndarray:
+    """Each node's sum over its angular row of a (K, n1, n2)."""
+    return a.reshape(len(a), -1).sum(axis=1)
 
 
 def weak_trch_residual(
@@ -106,36 +112,35 @@ def weak_trch_residual(
 ) -> float:
     """LHS - RHS of the weak outgoing-expansion identity on [ub1, ub2].
 
-    phi(u, ub, theta) -> (n1, n2) is a C^1 test function; with the lapse one
-    and vanishing shear the identity reads
+    phi(u, ub) -> (K, n1, n2), for u and ub (K,), is a C^1 test function, an
+    angular batch map (module docstring); with the lapse one and vanishing
+    shear the identity reads
 
         int phi trchi^- dA(ub2) - int phi trchi^+ dA(ub1)
         = int int ( (d_ub phi) trchi + (1/2) phi trchi^2 ) dA dub
           - int phi(ub0) m dA_ring.
 
     Dropping the measure term (include_measure=False) is the negative
-    control: the residual then equals the shell pairing.
+    control: the residual then equals the shell pairing.  Raises
+    CoordinateRangeError if the interval reaches the focal point ub = u - 1.
     """
     if not (ub1 < shell.ub0 < ub2):
         raise ValueError("interval must straddle the shell")
-    w = shell.weights()
-
-    def trace_term(ub):
-        ratio = _area_ratio(shell, u, np.array([ub]))[0]
-        tr = _trchi_field(shell, u, np.array([ub]))[0]
-        return float(np.sum(phi(u, ub) * tr * ratio * w))
-
-    lhs = trace_term(ub2) - trace_term(ub1)
+    if ub1 - u + 1.0 <= 0:
+        raise CoordinateRangeError(f"interval [{ub1:g}, {ub2:g}] reaches the focal point ub = u - 1 of u={u:g}")
+    w, test = shell.weights(), lambda ub: _test_values(shell, phi, u, ub)
+    ends = np.array([ub2, ub1])
+    tr, ratio = _cone_fields(shell, u, ends)
+    traces = _node_sums(test(ends) * tr * ratio * w)
+    lhs = float(traces[0]) - float(traces[1])
 
     def bulk(lo, hi):
-        total = 0.0
         dub_eps = 1e-6 * (ub2 - ub1)
         xs, ws = composite_rule([(lo, hi, 64)], _GL)
-        for x, wq, rat, trv in zip(xs, ws, _area_ratio(shell, u, xs), _trchi_field(shell, u, xs)):
-            dphi = (phi(u, x + dub_eps) - phi(u, x - dub_eps)) / (2.0 * dub_eps)
-            integrand = dphi * trv + 0.5 * phi(u, x) * trv**2
-            total += wq * float(np.sum(integrand * rat * w))
-        return total
+        dphi = (test(xs + dub_eps) - test(xs - dub_eps)) / (2.0 * dub_eps)
+        trv, ratio = _cone_fields(shell, u, xs)
+        integrand = dphi * trv + 0.5 * test(xs) * trv**2
+        return float(np.cumsum(ws * _node_sums(integrand * ratio * w))[-1])  # left to right
 
     rhs = bulk(ub1, shell.ub0) + bulk(shell.ub0, ub2)
     if include_measure:
@@ -143,9 +148,14 @@ def weak_trch_residual(
     return float(lhs - rhs)
 
 
+def _pairings(shell: ShellSpacetime, phi, u) -> np.ndarray:
+    """int phi(u, ub0) m dA_ring at each u of a (K,) batch."""
+    return _node_sums(_test_values(shell, phi, u, shell.ub0) * shell.mass * shell.weights())
+
+
 def shell_pairing(shell: ShellSpacetime, phi, u: float) -> float:
     """int phi(ub0) m dA_ring: the measure term of the weak identity."""
-    return float(np.sum(phi(u, shell.ub0) * shell.mass * shell.weights()))
+    return float(_pairings(shell, phi, [u])[0])
 
 
 def dust_propagation_residual(
@@ -157,14 +167,14 @@ def dust_propagation_residual(
     """Transport identity of the shell measure in the transversal direction.
 
     With vanishing shift the measure m(theta) delta(ub - ub0) dA_ring is
-    carried unchanged, so for C^1 test functions
+    carried unchanged, so for C^1 test functions (batch maps, as in
+    weak_trch_residual)
 
         int phi(u2) dnu - int phi(u1) dnu - int_{u1}^{u2} int d_u phi dnu du = 0
     """
-    pair = lambda u: shell_pairing(shell, phi, u)
-    total = pair(u2) - pair(u1)
     du_eps = 1e-6 * (u2 - u1)
-    for x, wq in zip(*composite_rule([(u1, u2, 32)], _GL)):
-        dphi = (pair(x + du_eps) - pair(x - du_eps)) / (2.0 * du_eps)
-        total -= wq * dphi
-    return float(total)
+    xs, ws = composite_rule([(u1, u2, 32)], _GL)
+    pairs = _pairings(shell, phi, np.concatenate([[u2, u1], xs + du_eps, xs - du_eps]))
+    dphi = (pairs[2:2 + len(xs)] - pairs[2 + len(xs):]) / (2.0 * du_eps)
+    # subtracted left to right from the end terms: a - w d is a + (-w) d, exactly
+    return float(np.cumsum(np.concatenate([pairs[:1] - pairs[1:2], -ws * dphi]))[-1])

@@ -257,6 +257,20 @@ def test_pipeline_refuses_atom_free_dust_before_first_solve(monkeypatch):
     assert solves == []
 
 
+@pytest.mark.parametrize("atom", ["0.9", "0.01", "0.99"])
+def test_pipeline_refuses_atom_outside_test_function_support(tmp_path, capsys, monkeypatch, atom):
+    # bump_dictionary(grid, chart)[1] is supported on (0.04, 0.76): an atom
+    # outside it pairs to exactly 0 at every level, a verdict with no reason
+    solves = counted_calls(monkeypatch, constraints, "solve_constraint")
+    code = run_cli(["measure-pipeline", "--dust", f"atom {atom} const:1"], tmp_path)
+    assert code == 2
+    assert solves == []
+    err = capsys.readouterr().err
+    assert f"atom at ub={atom} lies outside (0.04, 0.76)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "measure-pipeline").exists()
+
+
 def test_unknown_mass_profile_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["constraints", "--dust", "atom 0.45 sphere:1"], tmp_path)
